@@ -12,6 +12,7 @@ Subpackages by capability:
 - :mod:`toricgroups.cyclo` / :mod:`toricgroups.reps` -- exact cyclotomic
   numbers and the rank-two pseudo-reflection representation
 - :mod:`toricgroups.garside` -- Garside normal forms for torus knot groups
+- :mod:`toricgroups.classify` -- the finite toric table and classification records
 - :mod:`toricgroups.cli` -- command line front end
 """
 

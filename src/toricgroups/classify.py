@@ -1,0 +1,118 @@
+"""Which toric reflection groups are finite, and their classification records.
+
+W(k,n,m) with gcd(n,m) = 1 and n < m is finite exactly for six sporadic
+triples and the family (2,2,m) with m odd, which is the dihedral group
+I2(m) = G(m,m,2) (Shephard & Todd, "Finite unitary reflection groups",
+1954).  This module is the one place that decision is made; the command
+line only formats the records built here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import gcd
+
+from . import coxeter, maps
+from .cosets import CayleyTable, group_order, reflection_class_count, todd_coxeter
+from .presentations import FamilyParams, ParameterError, build
+
+
+@dataclass(frozen=True)
+class FiniteToric:
+    shephard_todd: str
+    center_quotient: str  # W/Z, the alternating subgroup of the triangle group
+
+
+_SPORADIC = {
+    (2, 3, 4): FiniteToric("G12", "S4"),
+    (2, 3, 5): FiniteToric("G22", "A5"),
+    (3, 2, 3): FiniteToric("G4", "A4"),
+    (4, 2, 3): FiniteToric("G8", "S4"),
+    (5, 2, 3): FiniteToric("G16", "A5"),
+    (3, 2, 5): FiniteToric("G20", "A5"),
+}
+
+
+def finite_toric(k: int, n: int, m: int) -> FiniteToric | None:
+    """The names of W(k,n,m) when it is finite, else None (n, m in any order)."""
+    n, m = min(n, m), max(n, m)
+    if (k, n) == (2, 2) and m % 2 == 1:
+        return FiniteToric(f"G({m},{m},2)=I2({m})", f"I2({m})")
+    return _SPORADIC.get((k, n, m))
+
+
+def finite_toric_parameters(max_m: int) -> list[tuple[int, int, int]]:
+    """Every finite toric triple (k, n, m), n < m, with m <= max_m."""
+    return [t for t in _SPORADIC if t[2] <= max_m] + [(2, 2, m) for m in range(3, max_m + 1, 2)]
+
+
+def _parabolic_orders(k: int, n: int, m: int) -> list[int]:
+    return coxeter.maximal_finite_parabolics(coxeter.CoxeterMatrix.triangle(k, n, m)).orders_multiset()
+
+
+def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, list[str]]:
+    """Classification record of W(k,n,m) and the evidence for each verdict."""
+    if gcd(n, m) != 1:
+        raise ParameterError(f"gcd({n},{m}) != 1")
+    if min(k, n, m) < 2:
+        raise ParameterError("labels must be >= 2")
+    n, m = min(n, m), max(n, m)
+    fin = finite_toric(k, n, m)
+    result: dict = {
+        "parameters": [k, n, m],
+        "braid_group": f"G({n},{m})",
+        "triangle_type": coxeter.classify_triangle(k, n, m),
+        "reflection_classes": k - 1,
+        "finite": fin is not None,
+    }
+    if fin is None:
+        result.update(order=None, center_order=None,
+                      maximal_finite_cyclic_orders=_parabolic_orders(k, n, m))
+        return result, [
+            "not a finite-table member; group is infinite",
+            "center order unknown in the infinite case",
+            "maximal finite cyclic orders from rank-2 parabolic rotation subgroups",
+            "reflection class count k-1 holds for every toric group (derived, "
+            "confirmed by computation on the finite members)",
+        ]
+    evidence = [f"finite table membership: W({k},{n},{m}) = {fin.shephard_todd}"]
+    params = FamilyParams("toric", (k, n, m))
+    table = todd_coxeter(build(params), max_cosets=max_cosets)
+    if not table.complete:
+        evidence.append(f"enumeration overflowed at {max_cosets}; membership retained")
+    else:
+        order = table.num_cosets
+        evidence.append(f"enumeration confirms order {order}")
+        cayley = CayleyTable(table)
+        classes = reflection_class_count(params, cayley)
+        evidence.append(f"reflection classes computed: {classes}")
+        center = cayley.order_of(maps.central_element(k, n, m))
+        result.update(reflection_classes_computed=classes, center_order=center, order=order,
+                      center_quotient_order=order // center, center_quotient=fin.center_quotient)
+    result["shephard_todd"] = fin.shephard_todd
+    return result, evidence
+
+
+def sweep(max_k: int, max_m: int, max_cosets: int) -> list[dict]:
+    """One entry per triple 2 <= k <= max_k, 2 <= n < m <= max_m, gcd(n, m) = 1."""
+    entries = []
+    for k in range(2, max_k + 1):
+        for n in range(2, max_m):
+            for m in range(n + 1, max_m + 1):
+                if gcd(n, m) != 1:
+                    continue
+                fin = finite_toric(k, n, m)
+                entry = {
+                    "parameters": [k, n, m],
+                    "finite": fin is not None,
+                    "shephard_todd": fin.shephard_todd if fin else None,
+                    "reflection_classes": k - 1,
+                    "triangle_type": coxeter.classify_triangle(k, n, m),
+                }
+                if fin is None:
+                    entry["maximal_finite_cyclic_orders"] = _parabolic_orders(k, n, m)
+                else:
+                    entry["order"] = group_order(build(FamilyParams("toric", (k, n, m))),
+                                                 max_cosets=max_cosets)
+                entries.append(entry)
+    return entries

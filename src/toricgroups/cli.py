@@ -3,8 +3,7 @@
 Every subcommand prints either human-readable text or a stable JSON object
 with the shape {command, params, bounds, result, status, evidence} and
 exits 0 for computed results (including "unknown" and overflow verdicts)
-or 2 for input errors.  Identical inputs and seeds produce byte-identical
-JSON.
+or 2 for input errors.  Identical inputs produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -12,56 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from math import gcd
 
-from . import coxeter, garside, maps, reps, schreier
-from .cosets import CayleyTable, element_order, group_order, normal_closure_table, reflection_class_count, todd_coxeter
+from . import classify, coxeter, garside, maps, reps, schreier
+from .cosets import CayleyTable, group_order, normal_closure_table, todd_coxeter
 from .presentations import (
     FamilyParams,
     ParameterError,
     ParseError,
+    TietzeBudgetExceeded,
     build,
     serialize,
     tietze_simplify,
 )
 from .words import Word, WordSyntaxError
-
-FINITE_TORIC_NAMES = {
-    (2, 3, 4): "G12",
-    (2, 3, 5): "G22",
-    (3, 2, 3): "G4",
-    (4, 2, 3): "G8",
-    (5, 2, 3): "G16",
-    (3, 2, 5): "G20",
-}
-
-# quotient of each finite toric group by its center (alternating subgroup of
-# the corresponding triangle group)
-CENTER_QUOTIENT_NAMES = {
-    (2, 3, 4): "S4",
-    (2, 3, 5): "A5",
-    (3, 2, 3): "A4",
-    (4, 2, 3): "S4",
-    (5, 2, 3): "A5",
-    (3, 2, 5): "A5",
-}
-
-
-def _is_finite_toric(k: int, n: int, m: int) -> bool:
-    n, m = min(n, m), max(n, m)
-    if (k, n, m) in FINITE_TORIC_NAMES:
-        return True
-    return k == 2 and n == 2 and m % 2 == 1
-
-
-def _shephard_todd_name(k: int, n: int, m: int) -> str | None:
-    n, m = min(n, m), max(n, m)
-    if (k, n, m) in FINITE_TORIC_NAMES:
-        return FINITE_TORIC_NAMES[(k, n, m)]
-    if k == 2 and n == 2 and m % 2 == 1:
-        return f"G({m},{m},2)=I2({m})"
-    return None
 
 
 def _emit(args, payload: dict) -> int:
@@ -97,7 +59,7 @@ def _payload(args, command: str, params: dict, result: dict, status: str = "ok",
     return {
         "command": command,
         "params": params,
-        "bounds": {"max_cosets": args.max_cosets, "budget": args.budget, "seed": args.seed},
+        "bounds": {"max_cosets": args.max_cosets, "budget": args.budget},
         "result": result,
         "status": status,
         "evidence": evidence or [],
@@ -153,86 +115,13 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    k, n, m = args.k, args.n, args.m
-    if gcd(n, m) != 1:
-        raise ParameterError(f"gcd({n},{m}) != 1")
-    if min(k, n, m) < 2:
-        raise ParameterError("labels must be >= 2")
-    nn, mm = min(n, m), max(n, m)
-    evidence: list[str] = []
-    finite = _is_finite_toric(k, nn, mm)
-    name = _shephard_todd_name(k, nn, mm)
-    result: dict = {
-        "parameters": [k, nn, mm],
-        "braid_group": f"G({nn},{mm})",
-        "triangle_type": coxeter.classify_triangle(k, n, m),
-        "reflection_classes": k - 1,
-        "finite": finite,
-    }
-    if finite:
-        evidence.append(f"finite table membership: W({k},{nn},{mm}) = {name}")
-        pres = build(FamilyParams("toric", (k, nn, mm)))
-        order = group_order(pres, max_cosets=args.max_cosets)
-        if order is None:
-            evidence.append(f"enumeration overflowed at {args.max_cosets}; membership retained")
-        else:
-            evidence.append(f"enumeration confirms order {order}")
-            cayley = CayleyTable(todd_coxeter(pres, max_cosets=args.max_cosets))
-            classes = reflection_class_count(FamilyParams("toric", (k, nn, mm)), cayley)
-            evidence.append(f"reflection classes computed: {classes}")
-            result["reflection_classes_computed"] = classes
-            c = maps.central_element(k, nn, mm)
-            result["center_order"] = element_order(cayley, c)
-            result["order"] = order
-            result["center_quotient_order"] = order // result["center_order"]
-            fallback = f"I2({mm})" if (k, nn) == (2, 2) else None
-            result["center_quotient"] = CENTER_QUOTIENT_NAMES.get((k, nn, mm), fallback)
-        result["shephard_todd"] = name
-    else:
-        evidence.append("not a finite-table member; group is infinite")
-        result["order"] = None
-        result["center_order"] = None
-        evidence.append("center order unknown in the infinite case")
-        report = coxeter.maximal_finite_parabolics(coxeter.CoxeterMatrix.triangle(k, n, m))
-        result["maximal_finite_cyclic_orders"] = report.orders_multiset()
-        evidence.append("maximal finite cyclic orders from rank-2 parabolic rotation subgroups")
-        evidence.append("reflection class count k-1 holds for every toric group (derived, "
-                        "confirmed by computation on the finite members)")
-    status = "ok"
-    return _emit(args, _payload(args, "classify", {"k": k, "n": n, "m": m}, result, status, evidence))
+    result, evidence = classify.classify_toric(args.k, args.n, args.m, args.max_cosets)
+    return _emit(args, _payload(args, "classify", {"k": args.k, "n": args.n, "m": args.m},
+                                result, "ok", evidence))
 
 
 def cmd_sweep(args) -> int:
-    jobs = []
-    for k in range(2, args.max_k + 1):
-        for n in range(2, args.max_m):
-            for m in range(n + 1, args.max_m + 1):
-                if gcd(n, m) == 1:
-                    jobs.append((k, n, m))
-
-    def one(params):
-        k, n, m = params
-        finite = _is_finite_toric(k, n, m)
-        entry = {
-            "parameters": [k, n, m],
-            "finite": finite,
-            "shephard_todd": _shephard_todd_name(k, n, m),
-            "reflection_classes": k - 1,
-            "triangle_type": coxeter.classify_triangle(k, n, m),
-        }
-        if finite:
-            entry["order"] = group_order(build(FamilyParams("toric", (k, n, m))),
-                                         max_cosets=args.max_cosets)
-        else:
-            rep = coxeter.maximal_finite_parabolics(coxeter.CoxeterMatrix.triangle(k, n, m))
-            entry["maximal_finite_cyclic_orders"] = rep.orders_multiset()
-        return entry
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            entries = list(pool.map(one, jobs))
-    else:
-        entries = [one(j) for j in jobs]
+    entries = classify.sweep(args.max_k, args.max_m, args.max_cosets)
     payload = _payload(args, "sweep", {"max_k": args.max_k, "max_m": args.max_m},
                        {"entries": entries, "count": len(entries)})
     return _emit(args, payload)
@@ -269,7 +158,7 @@ def cmd_wp(args) -> int:
             return _emit(args, _payload(args, "wp", {"system": system, "labels": [k, n, m],
                                                      "word": args.word}, result))
         # the word is central (it dies in the alternating quotient)
-        if _is_finite_toric(k, n, m):
+        if classify.finite_toric(k, n, m) is not None:
             pres = build(FamilyParams("toric", (k, n, m), normalize=False))
             cayley = CayleyTable(todd_coxeter(pres, max_cosets=args.max_cosets))
             identity = cayley.eval(w) == 0
@@ -302,20 +191,29 @@ def cmd_derive(args) -> int:
     except ValueError:
         namer = None
     rs = schreier.rs_presentation(parent, table, tr, namer=namer)
-    simplified = tietze_simplify(rs.presentation, budget=args.budget)
-    derived_order = group_order(simplified, max_cosets=args.max_cosets)
     evidence = [
         f"index of the normal closure of s: {table.num_cosets}",
         f"Schreier generators before simplification: {len(rs.presentation.gens)}",
     ]
+    try:
+        simplified = tietze_simplify(rs.presentation, budget=args.budget)
+    except TietzeBudgetExceeded as e:
+        # the best presentation so far still presents the same group, but
+        # enumerating it unsimplified (30 generators at (2,3,5)) costs more
+        # than the whole derivation did
+        simplified, derived_order = e.best, None
+        evidence.append(f"Tietze step budget {args.budget} exhausted: best presentation kept, "
+                        "order not enumerated")
+    else:
+        derived_order = group_order(simplified, max_cosets=args.max_cosets)
+        if derived_order is None:
+            evidence.append(f"order enumeration overflowed at {args.max_cosets}")
     result = {
         "presentation": serialize(simplified),
         "num_generators": len(simplified.gens),
         "order": derived_order,
     }
     status = "ok" if derived_order is not None else "unknown"
-    if derived_order is None:
-        evidence.append(f"order enumeration overflowed at {args.max_cosets}")
     return _emit(args, _payload(args, "derive", {"a": a, "b": b, "c": c}, result, status, evidence))
 
 
@@ -389,14 +287,12 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="toricgroups",
                                   description="torus knot groups, J-groups, and toric reflection groups")
     top.add_argument("--format", choices=("text", "json"), default="text")
-    top.add_argument("--seed", type=int, default=0)
     top.add_argument("--max-cosets", type=int, default=10**6, dest="max_cosets")
     top.add_argument("--budget", type=int, default=10**5)
     # the same options are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--max-cosets", type=int, default=argparse.SUPPRESS, dest="max_cosets")
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
@@ -425,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="batch classification over a parameter grid")
     p.add_argument("--max-k", type=int, default=6)
     p.add_argument("--max-m", type=int, default=7)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("wp", help="word problem: coxeter/garside normal form, toric verdict")
@@ -460,6 +355,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args.params_ints = params_ints
     try:
+        if args.max_cosets < 1:
+            raise ParameterError(f"--max-cosets must be >= 1, got {args.max_cosets}")
         return args.func(args)
     except (ParameterError, ParseError, WordSyntaxError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

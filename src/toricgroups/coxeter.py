@@ -10,9 +10,10 @@ ring, and the one inequality in the table construction uses certified
 sign determination).
 
 Structure queries cover the spherical/affine/hyperbolic trichotomy of
-triangle groups, maximal finite standard parabolic subgroups (by exact
-positive-definiteness of the Gram matrix), and a brute-force center check
-for the alternating subgroup of the finite triangle groups.
+triangle groups, maximal finite standard parabolic subgroups (by the
+closed form for rank <= 3: an edge is finite iff its label is, a triangle
+iff 1/k + 1/n + 1/m > 1), and a brute-force center check for the
+alternating subgroup of the finite triangle groups.
 """
 
 from __future__ import annotations
@@ -231,11 +232,15 @@ def parity(w: Word) -> str:
     return "even" if len(w.letters) % 2 == 0 else "odd"
 
 
+def _curvature(k: int, n: int, m: int) -> Fraction:
+    return Fraction(1, k) + Fraction(1, n) + Fraction(1, m)
+
+
 def classify_triangle(k: int, n: int, m: int) -> str:
     """spherical, affine, or hyperbolic by the curvature of 1/k + 1/n + 1/m."""
     if min(k, n, m) < 2:
         raise ValueError("labels must be >= 2")
-    s = Fraction(1, k) + Fraction(1, n) + Fraction(1, m)
+    s = _curvature(k, n, m)
     if s > 1:
         return "spherical"
     if s == 1:
@@ -256,49 +261,24 @@ class ParabolicReport:
         return sorted(v for _, v in self.rotation_orders)
 
 
-def _is_positive_definite(gram: list[list[Cyc]], subset: tuple[int, ...]) -> bool:
-    """Sylvester criterion with exact determinant signs."""
-    k = len(subset)
-    for t in range(1, k + 1):
-        idx = subset[:t]
-        det = _det([[gram[i][j] for j in idx] for i in idx])
-        if sign_real(det) <= 0:
-            return False
-    return True
-
-
-def _det(mat: list[list[Cyc]]) -> Cyc:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = Cyc.rational(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
 def maximal_finite_parabolics(cm: CoxeterMatrix) -> ParabolicReport:
     """Finiteness verdict per standard parabolic, and the maximal finite ones.
 
-    W_J is finite exactly when the Gram matrix restricted to J is positive
-    definite.  For an infinite rank-3 triangle the maximal finite subsets
-    are the three pairs, whose rotation subgroups are cyclic of the three
-    edge orders.
+    Closed form for rank <= 3 (Humphreys, Reflection Groups and Coxeter
+    Groups, 1990): a subset of size <= 1 is finite, a pair iff its label is
+    finite, and the triple iff every label is finite and 1/k + 1/n + 1/m > 1.
+    For an infinite rank-3 triangle the maximal finite subsets are the three
+    pairs, whose rotation subgroups are cyclic of the three edge orders.
     """
-    gram = cm.gram()
     n = cm.rank
+    if n > 3:
+        raise ValueError("parabolic verdicts are implemented for rank <= 3")
     verdicts: list[tuple[tuple[int, ...], bool]] = []
     finite: dict[tuple[int, ...], bool] = {}
     for size in range(n + 1):
         for subset in combinations(range(n), size):
-            if any(cm.labels[i][j] is None for i in subset for j in subset if i < j):
-                ok = False
-            else:
-                ok = _is_positive_definite(gram, subset)
+            edges = [cm.labels[i][j] for i, j in combinations(subset, 2)]
+            ok = None not in edges and (size < 3 or _curvature(*edges) > 1)
             finite[subset] = ok
             verdicts.append((subset, ok))
     maximal = [
@@ -311,11 +291,7 @@ def maximal_finite_parabolics(cm: CoxeterMatrix) -> ParabolicReport:
             if len(bigger) == len(subset) + 1 and set(subset) <= set(bigger)
         )
     ]
-    rotation = [
-        (subset, cm.labels[subset[0]][subset[1]])
-        for subset in maximal
-        if len(subset) == 2 and cm.labels[subset[0]][subset[1]] is not None
-    ]
+    rotation = [(subset, cm.labels[subset[0]][subset[1]]) for subset in maximal if len(subset) == 2]
     return ParabolicReport(tuple(verdicts), tuple(maximal), tuple(rotation))
 
 

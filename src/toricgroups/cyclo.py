@@ -123,11 +123,6 @@ class Cyc:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
     # -- modulus management ---------------------------------------------------
 
     def embed(self, m: int) -> "Cyc":

@@ -157,29 +157,17 @@ def separate_in_finite_quotients(n: int, m: int, u: Word, v: Word,
     and "not separated" otherwise.  There is no general decision procedure
     here: "not separated" is not a proof of equality.
     """
+    from .classify import finite_toric_parameters
     from .cosets import CayleyTable, todd_coxeter
     from .presentations import toric
 
     if u.alphabet != v.alphabet:
         raise ValueError("words over different alphabets")
-    ks = [k for (k, nn, mm) in _FINITE_TORIC if (nn, mm) == tuple(sorted((n, m)))]
+    pair = (min(n, m), max(n, m))
+    ks = [k for (k, a, b) in finite_toric_parameters(pair[1]) if (a, b) == pair]
     for k in ks:
         cay = CayleyTable(todd_coxeter(toric(k, n, m, normalize=False), max_cosets=max_cosets))
         if cay.eval(u) != cay.eval(v):
             return "distinct"
     return "not separated"
 
-
-_FINITE_TORIC = [
-    (2, 3, 4),
-    (2, 3, 5),
-    (3, 2, 3),
-    (4, 2, 3),
-    (5, 2, 3),
-    (3, 2, 5),
-] + [(2, 2, m) for m in range(3, 100, 2)]
-
-
-def finite_toric_parameters(max_m: int = 99) -> list[tuple[int, int, int]]:
-    """The complete list of finite toric parameter triples (2,2,m capped)."""
-    return [(k, n, m) for (k, n, m) in _FINITE_TORIC if m <= max_m]

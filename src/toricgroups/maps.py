@@ -218,8 +218,3 @@ def centrality_witness(k: int, n: int, m: int, i: int) -> Derivation:
         raise AssertionError("index did not return after n passes")
     steps.extend(_offset_steps(to_twist, 0))
     return Derivation(start, tuple(steps))
-
-
-def phi_of_delta_exponent(n: int, m: int) -> int:
-    """phi maps the m-factor product to b^r with r = m mod n."""
-    return m % n

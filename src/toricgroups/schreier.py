@@ -123,9 +123,6 @@ class RSResult:
     presentation: Presentation
     generators: tuple[SubgroupGenerator, ...]
 
-    def value_map(self) -> dict[str, Word]:
-        return {g.name: g.value for g in self.generators}
-
 
 def toric_coset_labels(tr: Transversal) -> dict[int, tuple[int, int]]:
     """Read (i, j) off representatives of the form u^i t^j.

@@ -71,9 +71,6 @@ class Alphabet:
         """Parse a word in the shared text syntax (see :func:`parse_word`)."""
         return parse_word(self, text)
 
-    def from_letters(self, letters: Sequence[int]) -> "Word":
-        return Word(self, tuple(letters))
-
 
 @dataclass(frozen=True)
 class Word:

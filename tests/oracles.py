@@ -12,6 +12,8 @@ with the production engines they check:
   faithful), for triangle group orders.
 - ``positive_roots``: orbit closure of the simple roots, for counting the
   positive roots of a finite Coxeter system.
+- ``gram_parabolic_verdicts``: finiteness of every standard parabolic
+  subgroup by exact positive-definiteness of its Gram matrix.
 - ``monoid_equal``: breadth-first closure of single x^n <-> y^m rewrites,
   deciding equality of positive words in the torus knot monoid.
 """
@@ -19,8 +21,9 @@ with the production engines they check:
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 
-from toricgroups.cyclo import Cyc, two_cos_pi_over
+from toricgroups.cyclo import Cyc, sign_real, two_cos_pi_over
 from toricgroups.presentations import Presentation
 from toricgroups.words import Word
 
@@ -228,8 +231,6 @@ def positive_roots(k: int, n: int, m: int, cap: int = 4000) -> int | None:
         out[s] = out[s] - 2 * bval
         return tuple(out)
 
-    from toricgroups.cyclo import sign_real
-
     def is_positive(coords) -> bool:
         signs = [sign_real(c) for c in coords]
         return all(s >= 0 for s in signs)
@@ -248,6 +249,46 @@ def positive_roots(k: int, n: int, m: int, cap: int = 4000) -> int | None:
                         return None
         frontier = nxt
     return len(seen)
+
+
+# --- Gram-matrix finiteness of standard parabolic subgroups -------------------
+
+
+def _det(mat: list[list[Cyc]]) -> Cyc:
+    if len(mat) == 1:
+        return mat[0][0]
+    total = Cyc.rational(0)
+    for j in range(len(mat)):
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        term = mat[0][j] * _det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def gram_parabolic_verdicts(labels) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """(J, W_J finite?) for every subset J, by size and then lexicographically.
+
+    W_J is finite iff the Gram matrix B(a_s, a_t) = -cos(pi / m(s,t)), with
+    -1 for an infinite label, is positive definite on J; Sylvester's
+    criterion decides that with exact signs of the leading minors.
+    """
+    rank = len(labels)
+
+    def entry(i: int, j: int) -> Cyc:
+        if i == j:
+            return Cyc.rational(1)
+        if labels[i][j] is None:
+            return Cyc.rational(-1)
+        return -two_cos_pi_over(labels[i][j]) / 2
+
+    gram = [[entry(i, j) for j in range(rank)] for i in range(rank)]
+
+    def positive_definite(subset: tuple[int, ...]) -> bool:
+        return all(sign_real(_det([[gram[i][j] for j in subset[:t]] for i in subset[:t]])) > 0
+                   for t in range(1, len(subset) + 1))
+
+    return tuple((subset, positive_definite(subset))
+                 for size in range(rank + 1) for subset in combinations(range(rank), size))
 
 
 # --- torus knot monoid rewriting oracle ----------------------------------------

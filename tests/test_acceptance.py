@@ -23,6 +23,7 @@ from oracles import naive_order
 
 from toricgroups import garside, maps, reps
 from toricgroups import presentations as pres
+from toricgroups.classify import finite_toric_parameters
 from toricgroups.cosets import element_order, group_order, reflection_class_count, todd_coxeter
 from toricgroups.coxeter import CoxeterMatrix, classify_triangle, maximal_finite_parabolics, nf
 from toricgroups.garside import GarsideNF, gnf, meridian, sigma
@@ -252,7 +253,7 @@ def test_criterion_09_garside_suite():
             assert gnf(n, m, g * delta) == gnf(n, m, delta * g)
     # quotient consistency: gnf-equal words agree in every finite toric quotient
     for n, m in [(2, 3), (3, 4), (2, 5), (3, 5)]:
-        ks = [k for (k, nn, mm) in garside.finite_toric_parameters(9) if (nn, mm) == (n, m)]
+        ks = [k for (k, nn, mm) in finite_toric_parameters(9) if (nn, mm) == (n, m)]
         to_classical = sigma(n, m)
         rng = random.Random(7)
         rel = tuple([1] * n + [-2] * m)
@@ -267,7 +268,7 @@ def test_criterion_09_garside_suite():
     # meridian images land in a generator's conjugacy class
     for n, m, a, b in [(2, 3, 2, 1), (3, 4, 3, 2), (2, 5, 3, 1), (3, 5, 2, 1)]:
         image = apply_map(sigma(n, m), meridian(n, m, a, b))
-        for k, nn, mm in garside.finite_toric_parameters(9):
+        for k, nn, mm in finite_toric_parameters(9):
             if (nn, mm) != (n, m):
                 continue
             cay = toric_cayley(k, n, m)

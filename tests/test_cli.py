@@ -39,7 +39,7 @@ def test_enumerate_json_schema(capsys):
     assert payload["status"] == "ok"
     assert payload["result"]["order"] == 24
     assert set(payload) == {"command", "params", "bounds", "result", "status", "evidence"}
-    assert set(payload["bounds"]) == {"max_cosets", "budget", "seed"}
+    assert set(payload["bounds"]) == {"max_cosets", "budget"}
 
 
 def test_enumerate_overflow_is_status_unknown_exit_zero(capsys):
@@ -47,6 +47,14 @@ def test_enumerate_overflow_is_status_unknown_exit_zero(capsys):
     assert code == 0
     assert payload["status"] == "unknown"
     assert payload["result"]["order"] is None
+
+
+def test_max_cosets_below_one_is_input_error(capsys):
+    for bound in ("0", "-5"):
+        code, out, err = run(capsys, "--max-cosets", bound, "enumerate", "toric", "3", "2", "3")
+        assert code == 2
+        assert out == ""
+        assert "--max-cosets" in err
 
 
 def test_enumerate_normal_closure_index(capsys):
@@ -57,8 +65,8 @@ def test_enumerate_normal_closure_index(capsys):
 
 
 def test_json_byte_identical_across_runs(capsys):
-    _, out1, _ = run(capsys, "--format", "json", "--seed", "0", "classify", "6", "2", "3")
-    _, out2, _ = run(capsys, "--format", "json", "--seed", "0", "classify", "6", "2", "3")
+    _, out1, _ = run(capsys, "--format", "json", "classify", "6", "2", "3")
+    _, out2, _ = run(capsys, "--format", "json", "classify", "6", "2", "3")
     assert out1 == out2
 
 
@@ -133,6 +141,17 @@ def test_derive_reports_presentation_and_order(capsys):
     assert code == 0
     assert payload["result"]["num_generators"] == 3
     assert payload["result"]["order"] == 48
+
+
+def test_derive_exhausted_budget_keeps_best_presentation(capsys):
+    code, payload = run_json(capsys, "--budget", "1", "derive", "2", "3", "5")
+    assert code == 0
+    assert payload["status"] == "unknown"
+    assert payload["result"]["order"] is None
+    assert payload["result"]["num_generators"] == 30
+    assert payload["result"]["presentation"].startswith("gens:")
+    assert ("Tietze step budget 1 exhausted: best presentation kept, order not enumerated"
+            in payload["evidence"])
 
 
 def test_rep_witness(capsys):

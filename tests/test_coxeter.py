@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import root_table, triangle_cayley
-from oracles import matrix_group_order, positive_roots
+from oracles import gram_parabolic_verdicts, matrix_group_order, positive_roots
 
 from toricgroups.coxeter import (
     CoxeterMatrix,
@@ -168,6 +168,36 @@ def test_parabolic_verdicts_match_matrix_closure():
     verdicts = dict(report.verdicts)
     assert verdicts[(0, 1, 2)] is True
     assert matrix_group_order(4, 2, 3) == 48
+
+
+def test_parabolic_closed_form_matches_gram_oracle():
+    systems = [CoxeterMatrix.triangle(k, n, m)
+               for k in range(2, 7) for n in range(2, 7) for m in range(2, 7)]
+    assert len(systems) == 125
+    inf = None
+    systems += [
+        CoxeterMatrix(((1,),)),
+        CoxeterMatrix(((1, 2), (2, 1))),
+        CoxeterMatrix(((1, 7), (7, 1))),
+        CoxeterMatrix(((1, inf), (inf, 1))),
+        CoxeterMatrix(((1, inf, 3), (inf, 1, 2), (3, 2, 1))),
+        CoxeterMatrix(((1, 2, 3), (2, 1, inf), (3, inf, 1))),
+        CoxeterMatrix(((1, 2, inf), (2, 1, inf), (inf, inf, 1))),
+        CoxeterMatrix(((1, inf, inf), (inf, 1, inf), (inf, inf, 1))),
+    ]
+    for cm in systems:
+        report = maximal_finite_parabolics(cm)
+        verdicts = gram_parabolic_verdicts(cm.labels)
+        assert report.verdicts == verdicts, cm.labels
+        finite = [j for j, ok in verdicts if ok]
+        maximal = [j for j in finite if not any(set(j) < set(big) for big in finite)]
+        assert report.maximal_sets() == maximal, cm.labels
+
+
+def test_parabolics_reject_rank_four():
+    labels = tuple(tuple(1 if i == j else 3 if abs(i - j) == 1 else 2 for j in range(4)) for i in range(4))
+    with pytest.raises(ValueError):
+        maximal_finite_parabolics(CoxeterMatrix(labels))
 
 
 def test_center_check_plus_examples():

@@ -6,10 +6,10 @@ import pytest
 from conftest import toric_cayley
 from oracles import monoid_equal
 
+from toricgroups.classify import finite_toric_parameters
 from toricgroups.garside import (
     GarsideNF,
     abelianized,
-    finite_toric_parameters,
     gnf,
     gnf_equal,
     meridian,
@@ -197,3 +197,9 @@ def test_separation_in_finite_quotients():
     assert separate_in_finite_quotients(2, 3, w, w2) == "not separated"
     # distinct generators are told apart in some finite quotient
     assert separate_in_finite_quotients(2, 3, classical.word("x1"), classical.word("x2")) == "distinct"
+
+
+def test_separation_uses_dihedral_quotients_past_m_99():
+    classical = sigma(2, 101).target
+    x1, x2 = classical.word("x1"), classical.word("x2")
+    assert separate_in_finite_quotients(2, 101, x1, x2) == "distinct"
