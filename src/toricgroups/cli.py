@@ -357,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.max_cosets < 1:
             raise ParameterError(f"--max-cosets must be >= 1, got {args.max_cosets}")
+        if args.budget < 0:
+            raise ParameterError(f"--budget must be >= 0, got {args.budget}")
         return args.func(args)
     except (ParameterError, ParseError, WordSyntaxError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -270,74 +270,135 @@ class TietzeBudgetExceeded(Exception):
         super().__init__("tietze step budget exceeded")
 
 
-def _normalize_relators(relators: list[Word]) -> list[Word]:
-    seen: set[tuple[int, ...]] = set()
-    out: list[Word] = []
-    for r in relators:
-        r = cyclic_reduce(r)
-        if not r.letters or r.letters in seen:
-            continue
-        seen.add(r.letters)
-        out.append(r)
-    return out
+def _substitute(letters: tuple[int, ...], g: int, image: tuple[int, ...],
+                image_inv: tuple[int, ...]) -> tuple[tuple[int, ...], set[int]]:
+    """A cyclically reduced word with g -> image and g^-1 -> image_inv, cyclically
+    reduced, and the generators of the letters that cancelled on the way.
+
+    Every piece is freely reduced, so letters can only cancel at the seams.
+    """
+    hits: list[int] = []
+    for x in (g, -g):
+        i = -1
+        for _ in range(letters.count(x)):
+            i = letters.index(x, i + 1)
+            hits.append(i)
+    pieces = []
+    start = 0
+    for i in sorted(hits):
+        pieces += (letters[start:i], image if letters[i] == g else image_inv)
+        start = i + 1
+    pieces.append(letters[start:])
+    out: list[int] = []
+    gone: set[int] = set()
+    for piece in pieces:
+        k, top = 0, min(len(out), len(piece))
+        while k < top and out[-1 - k] == -piece[k]:
+            gone.add(abs(piece[k]))
+            k += 1
+        if k:
+            del out[-k:]
+        out.extend(piece[k:])
+    i, j = 0, len(out)
+    while j - i >= 2 and out[i] == -out[j - 1]:
+        gone.add(abs(out[i]))
+        i += 1
+        j -= 1
+    return tuple(out[i:j]), gone
 
 
-def _single_occurrence(r: Word, gen: int) -> int | None:
-    """Position of the unique occurrence of +-gen in r, else None."""
-    hits = [i for i, x in enumerate(r.letters) if abs(x) == gen]
-    return hits[0] if len(hits) == 1 else None
+def _count(letters: tuple[int, ...], h: int) -> int:
+    return letters.count(h) + letters.count(-h)
 
 
 def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
-    """Shrink a presentation by generator elimination.
+    """Shrink a presentation by generator elimination, deterministically.
 
-    Moves used: free and cyclic reduction of relators, deletion of trivial
-    and duplicate relators, and elimination of a generator that occurs
-    exactly once in some relator (substituting it everywhere else).
-    Elimination picks the lowest generator index first, breaking ties by the
-    shortest defining relator, so the output is deterministic.
+    1. Each relator is cyclically reduced, in order; empty relators and
+       later exact duplicates are dropped.
+    2. A move eliminates the lowest-indexed surviving generator g that
+       occurs exactly once (counting g and g^-1) in some relator; of those
+       relators it takes the shortest, then the earliest.  If ``budget``
+       moves have already been made, ``TietzeBudgetExceeded`` is raised
+       instead, carrying the presentation reached so far.
+    3. The move deletes that relator, rotated to g^e w, and replaces g in
+       every other relator by w^-1 (e = 1) or w (e = -1).  The results are
+       cyclically reduced in place; empty relators and later duplicates are
+       dropped, so of two relators made equal the earlier one survives.
+    4. Steps 2 and 3 repeat until no generator occurs exactly once in any
+       relator.  Surviving generators keep their names and order.
+
+    The budget counts eliminations.  Each move touches only the relators
+    that contain g: relators are letter tuples over the input's generator
+    indices, keyed by a stable id whose order is the relator order, and
+    every generator keeps the ids of the relators that contain it and of
+    those that contain it exactly once.
     """
-    alphabet = p.alphabet
-    relators = _normalize_relators(list(p.relators))
-    steps = 0
+    n = len(p.alphabet)
+    relators: dict[int, tuple[int, ...]] = {}  # id -> letters
+    holder: dict[tuple[int, ...], int] = {}  # letters -> id, for duplicates
+    occurs: list[set[int]] = [set() for _ in range(n + 1)]
+    once: list[set[int]] = [set() for _ in range(n + 1)]
+    eliminated: set[int] = set()
+
+    def store(rid: int, letters: tuple[int, ...], touched: set[int] | None = None) -> None:
+        """Make ``letters`` relator ``rid``; () deletes it, and so does an
+        earlier holder of the same letters, while a later holder is deleted.
+        ``touched``, when given, holds every generator whose count may differ
+        from the old letters."""
+        old = relators.pop(rid, ())
+        if old:
+            del holder[old]
+        other = holder.get(letters)
+        if not letters or (other is not None and other < rid):
+            letters, touched = (), None
+        else:
+            if other is not None:
+                store(other, ())
+            relators[rid] = letters
+            holder[letters] = rid
+        if touched is None:
+            touched = set(map(abs, old + letters))
+        for h in touched:
+            was, now = _count(old, h), _count(letters, h)
+            if was == now:
+                continue
+            if not now:
+                occurs[h].discard(rid)
+            elif not was:
+                occurs[h].add(rid)
+            if now == 1:
+                once[h].add(rid)
+            elif was == 1:
+                once[h].discard(rid)
+
+    def presentation() -> Presentation:
+        keep = [h for h in range(1, n + 1) if h not in eliminated]
+        alphabet = Alphabet([p.alphabet.gens[h - 1].name for h in keep])
+        new = {h: i for i, h in enumerate(keep, start=1)}
+        return Presentation(alphabet, tuple(
+            Word(alphabet, tuple(new[x] if x > 0 else -new[-x] for x in relators[rid]))
+            for rid in sorted(relators)))
+
+    for rid, r in enumerate(p.relators):
+        store(rid, cyclic_reduce(r).letters)
     while True:
-        choice: tuple[int, int, int] | None = None  # (gen index, relator idx, position)
-        for g in range(1, len(alphabet) + 1):
-            candidates = []
-            for ri, r in enumerate(relators):
-                pos = _single_occurrence(r, g)
-                if pos is not None:
-                    candidates.append((len(r.letters), ri, pos))
-            if candidates:
-                _, ri, pos = min(candidates)
-                choice = (g, ri, pos)
-                break
-        if choice is None:
-            break
-        if steps >= budget:
-            raise TietzeBudgetExceeded(Presentation(alphabet, tuple(relators)))
-        steps += 1
-        g, ri, pos = choice
-        rel = relators.pop(ri)
+        g = next((h for h in range(1, n + 1) if once[h]), None)
+        if g is None:
+            return presentation()
+        if len(eliminated) >= budget:
+            raise TietzeBudgetExceeded(presentation())
+        eliminated.add(g)
+        defining = min(once[g], key=lambda rid: (len(relators[rid]), rid))
+        rel = relators[defining]
+        store(defining, ())
+        pos = rel.index(g) if g in rel else rel.index(-g)
         # Rotate so the eliminated letter is first: rel ~ g^e * w, so g^e = w^-1.
-        rot = Word(alphabet, rel.letters[pos:] + rel.letters[:pos])
-        e = 1 if rot.letters[0] > 0 else -1
-        tail = Word(alphabet, rot.letters[1:])
-        image = invert(tail) if e == 1 else tail
-
-        keep = [i for i in range(1, len(alphabet) + 1) if i != g]
-        new_alphabet = Alphabet([alphabet.gens[i - 1].name for i in keep])
-        remap = {old: new + 1 for new, old in enumerate(keep)}
-
-        def substituted(w: Word) -> Word:
-            out: list[int] = []
-            for x in w.letters:
-                if abs(x) == g:
-                    out.extend(image.letters if x > 0 else tuple(-y for y in reversed(image.letters)))
-                else:
-                    out.append(x)
-            return Word(new_alphabet, tuple((1 if x > 0 else -1) * remap[abs(x)] for x in out))
-
-        relators = _normalize_relators([substituted(r) for r in relators])
-        alphabet = new_alphabet
-    return Presentation(alphabet, tuple(relators))
+        tail = rel[pos + 1:] + rel[:pos]
+        tail_inv = tuple(-x for x in reversed(tail))
+        image, image_inv = (tail_inv, tail) if rel[pos] > 0 else (tail, tail_inv)
+        touched = {g, *map(abs, tail)}
+        # the new letters lack g, so they never equal a relator still waiting here
+        for rid in sorted(occurs[g]):
+            letters, gone = _substitute(relators[rid], g, image, image_inv)
+            store(rid, letters, touched | gone)

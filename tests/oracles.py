@@ -16,6 +16,10 @@ with the production engines they check:
   subgroup by exact positive-definiteness of its Gram matrix.
 - ``monoid_equal``: breadth-first closure of single x^n <-> y^m rewrites,
   deciding equality of positive words in the torus knot monoid.
+- ``reference_tietze``: the original Tietze elimination loop, which rescans
+  every relator and rebuilds the alphabet and every relator on each step.
+  It defines the choice rule that ``presentations.tietze_simplify`` must
+  reproduce exactly; it shares the word arithmetic of ``words``.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from collections import deque
 from itertools import combinations
 
 from toricgroups.cyclo import Cyc, sign_real, two_cos_pi_over
-from toricgroups.presentations import Presentation
-from toricgroups.words import Word
+from toricgroups.presentations import Presentation, TietzeBudgetExceeded
+from toricgroups.words import Alphabet, Word, cyclic_reduce, invert
 
 
 def _letters(w: Word) -> tuple[int, ...]:
@@ -320,3 +324,75 @@ def monoid_equal(n: int, m: int, u: str, v: str, cap: int = 200000) -> bool:
                         raise RuntimeError("monoid closure exceeded cap")
                 start = i + 1
     return False
+
+
+# --- reference Tietze elimination ----------------------------------------------
+
+
+def _normalize_relators(relators: list[Word]) -> list[Word]:
+    seen: set[tuple[int, ...]] = set()
+    out: list[Word] = []
+    for r in relators:
+        r = cyclic_reduce(r)
+        if not r.letters or r.letters in seen:
+            continue
+        seen.add(r.letters)
+        out.append(r)
+    return out
+
+
+def _single_occurrence(r: Word, gen: int) -> int | None:
+    """Position of the unique occurrence of +-gen in r, else None."""
+    hits = [i for i, x in enumerate(r.letters) if abs(x) == gen]
+    return hits[0] if len(hits) == 1 else None
+
+
+def reference_tietze(p: Presentation, budget: int = 10_000) -> Presentation:
+    """Generator elimination by full rescans: lowest generator index first,
+    shortest then earliest defining relator; raises ``TietzeBudgetExceeded``
+    with the presentation reached when a move is due and ``budget`` moves
+    have been made."""
+    alphabet = p.alphabet
+    relators = _normalize_relators(list(p.relators))
+    steps = 0
+    while True:
+        choice: tuple[int, int, int] | None = None  # (gen index, relator idx, position)
+        for g in range(1, len(alphabet) + 1):
+            candidates = []
+            for ri, r in enumerate(relators):
+                pos = _single_occurrence(r, g)
+                if pos is not None:
+                    candidates.append((len(r.letters), ri, pos))
+            if candidates:
+                _, ri, pos = min(candidates)
+                choice = (g, ri, pos)
+                break
+        if choice is None:
+            break
+        if steps >= budget:
+            raise TietzeBudgetExceeded(Presentation(alphabet, tuple(relators)))
+        steps += 1
+        g, ri, pos = choice
+        rel = relators.pop(ri)
+        # Rotate so the eliminated letter is first: rel ~ g^e * w, so g^e = w^-1.
+        rot = Word(alphabet, rel.letters[pos:] + rel.letters[:pos])
+        e = 1 if rot.letters[0] > 0 else -1
+        tail = Word(alphabet, rot.letters[1:])
+        image = invert(tail) if e == 1 else tail
+
+        keep = [i for i in range(1, len(alphabet) + 1) if i != g]
+        new_alphabet = Alphabet([alphabet.gens[i - 1].name for i in keep])
+        remap = {old: new + 1 for new, old in enumerate(keep)}
+
+        def substituted(w: Word) -> Word:
+            out: list[int] = []
+            for x in w.letters:
+                if abs(x) == g:
+                    out.extend(image.letters if x > 0 else tuple(-y for y in reversed(image.letters)))
+                else:
+                    out.append(x)
+            return Word(new_alphabet, tuple((1 if x > 0 else -1) * remap[abs(x)] for x in out))
+
+        relators = _normalize_relators([substituted(r) for r in relators])
+        alphabet = new_alphabet
+    return Presentation(alphabet, tuple(relators))

@@ -57,6 +57,18 @@ def test_max_cosets_below_one_is_input_error(capsys):
         assert "--max-cosets" in err
 
 
+def test_budget_below_zero_is_input_error(capsys):
+    code, out, err = run(capsys, "--budget", "-3", "derive", "2", "3", "4")
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+    code, payload = run_json(capsys, "--budget", "0", "derive", "2", "3", "4")
+    assert code == 0
+    assert payload["status"] == "unknown"
+    assert ("Tietze step budget 0 exhausted: best presentation kept, order not enumerated"
+            in payload["evidence"])
+
+
 def test_enumerate_normal_closure_index(capsys):
     code, payload = run_json(capsys, "enumerate", "j-parent", "2", "3", "5",
                              "--subgroup", "s", "--normal-closure")

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from oracles import reference_tietze
 from toricgroups import presentations as pres
+from toricgroups import schreier
+from toricgroups.cosets import todd_coxeter
 from toricgroups.presentations import (
     FamilyParams,
     ParameterError,
@@ -12,6 +16,7 @@ from toricgroups.presentations import (
     serialize,
     tietze_simplify,
 )
+from toricgroups.words import Alphabet, Word
 
 def test_toric_234_matches_display():
     p = pres.toric(2, 3, 4)
@@ -151,3 +156,69 @@ def test_tietze_preserves_group_order_on_finite_rows(finite_rows):
     for k, n, m in finite_rows[:4]:
         p = pres.toric(k, n, m)
         assert group_order(tietze_simplify(p)) == group_order(p)
+
+
+def test_tietze_budget_zero_raises_with_normalised_input():
+    p = parse_presentation("gens: a b\nrel: a^-1 b^2 a\nrel: a b^-1\nrel: b^2\nrel: 1")
+    with pytest.raises(TietzeBudgetExceeded) as err:
+        tietze_simplify(p, budget=0)
+    assert err.value.best == parse_presentation("gens: a b\nrel: b^2\nrel: a b^-1")
+
+
+def test_tietze_budget_zero_on_fixed_point_returns_it():
+    p = pres.toric(2, 3, 4)
+    assert tietze_simplify(p, budget=0) == p
+
+
+def test_tietze_earlier_of_two_equal_relators_survives():
+    # a = b turns a^3 into b^3, equal to the last relator: the earlier copy
+    # stays, so b^3 comes before b^5
+    p = parse_presentation("gens: a b\nrel: a b^-1\nrel: a^3\nrel: b^5\nrel: b^3")
+    q = tietze_simplify(p)
+    assert q.gens == ("b",)
+    assert [str(r) for r in q.relators] == ["b^3", "b^5"]
+    assert q == reference_tietze(p)
+
+
+def test_tietze_sees_occurrences_removed_by_cyclic_reduction():
+    # g = 1 turns g a^2 b^2 a^-1 into a^2 b^2 a^-1, whose cyclic reduction
+    # a b^2 has a single a, so a is eliminated next
+    p = parse_presentation("gens: g a b\nrel: g\nrel: g a^2 b^2 a^-1")
+    q = tietze_simplify(p)
+    assert q.gens == ("b",)
+    assert q.relators == ()
+    assert q == reference_tietze(p)
+
+
+# --- Tietze against the reference elimination loop ------------------------------
+
+
+def _tietze_outcome(simplify, p: Presentation, budget: int) -> tuple[str, Presentation]:
+    try:
+        return "done", simplify(p, budget=budget)
+    except TietzeBudgetExceeded as e:
+        return "budget", e.best
+
+
+@st.composite
+def small_presentations(draw) -> Presentation:
+    n = draw(st.integers(1, 5))
+    letter = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = draw(st.lists(st.lists(letter, max_size=8), max_size=6))
+    alphabet = Alphabet([f"g{i}" for i in range(1, n + 1)])
+    return Presentation(alphabet, tuple(Word(alphabet, tuple(w)) for w in words))
+
+
+@given(small_presentations(), st.sampled_from((0, 1, 2, 10_000)))
+def test_tietze_matches_reference_on_random_presentations(p, budget):
+    assert _tietze_outcome(tietze_simplify, p, budget) == _tietze_outcome(reference_tietze, p, budget)
+
+
+@pytest.mark.parametrize("a,b,c", [(2, 3, 5), (3, 2, 3), (2, 7, 9), (3, 5, 7)])
+def test_tietze_matches_reference_on_rs_presentations(a, b, c):
+    parent = pres.j_parent(a, b, c)
+    quotient = Presentation(parent.alphabet, parent.relators + (parent.alphabet.word("s"),))
+    table = todd_coxeter(quotient)
+    tr = schreier.schreier_transversal(table, schreier.toric_column_order(parent.alphabet))
+    rs = schreier.rs_presentation(parent, table, tr).presentation
+    assert serialize(tietze_simplify(rs)) == serialize(reference_tietze(rs))
