@@ -6,7 +6,7 @@ bound (overflow is a result, not an error).
 """
 
 from toricgroups import presentations as pres
-from toricgroups.cosets import CayleyTable, element_order, group_order, reflection_class_count, todd_coxeter
+from toricgroups.cosets import CayleyTable, group_order, reflection_class_count, todd_coxeter
 from toricgroups.presentations import FamilyParams
 
 FINITE = [
@@ -24,8 +24,8 @@ for (k, n, m), name in FINITE:
 
 print("\nGenerator orders: every x_i has order k.")
 cay = CayleyTable(todd_coxeter(pres.toric(3, 2, 3)))
-print("  in W(3,2,3): order(x1) =", element_order(cay, cay.alphabet.word("x1")),
-      " order(x1 x2) =", element_order(cay, cay.alphabet.word("x1 x2")))
+print("  in W(3,2,3): order(x1) =", cay.order_of(cay.alphabet.word("x1")),
+      " order(x1 x2) =", cay.order_of(cay.alphabet.word("x1 x2")))
 
 print("\nInfinite members overflow the coset bound:")
 for k, n, m in [(6, 2, 3), (2, 3, 7)]:

@@ -7,24 +7,23 @@ alike; no floating point is involved.
 
 from toricgroups.coxeter import (
     CoxeterMatrix,
+    MinimalRootTable,
     center_check_plus,
     classify_triangle,
     maximal_finite_parabolics,
-    minimal_root_table,
-    nf,
 )
 
 for k, n, m in [(3, 2, 3), (4, 2, 3), (2, 3, 5), (2, 3, 6), (2, 3, 7), (6, 2, 3)]:
     cm = CoxeterMatrix.triangle(k, n, m)
-    table = minimal_root_table(cm)
+    table = MinimalRootTable(cm)
     print(f"triangle {(k,n,m)}: {classify_triangle(k,n,m):<11} {len(table):>3} minimal roots")
 
 print("\nNormal forms in the hyperbolic (2,3,7) triangle:")
-table = minimal_root_table(CoxeterMatrix.triangle(2, 3, 7))
+table = MinimalRootTable(CoxeterMatrix.triangle(2, 3, 7))
 ab = table.cm.alphabet()
 for text in ["r1 r1", "r2 r1 r2 r2 r1", "r1 r3 r1 r3 r1 r3 r1 r3 r1 r3 r1 r3 r1 r3"]:
     w = ab.word(text)
-    print(f"  nf({text}) = {nf(table, w)}")
+    print(f"  nf({text}) = {table.nf(w)}")
 
 print("\nr1 r3 has order exactly m = 7:")
 w = ab.word("r1 r3")

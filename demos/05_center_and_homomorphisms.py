@@ -9,7 +9,7 @@ derivation checker replays step by step.
 
 from toricgroups import maps
 from toricgroups import presentations as pres
-from toricgroups.cosets import CayleyTable, element_order, group_order, todd_coxeter
+from toricgroups.cosets import CayleyTable, group_order, todd_coxeter
 from toricgroups.schreier import chain_relators
 from toricgroups.words import check_derivation, free_reduce, invert
 
@@ -39,7 +39,7 @@ print("phi o psi fixes a and b:", maps.check_hom(comp).ok)
 print("\nfinite scale: |W(k,n,m)| = |<c>| * |W+| for every finite row")
 for kk, nn, mm in [(3, 2, 3), (2, 3, 4), (2, 3, 5)]:
     cay = CayleyTable(todd_coxeter(pres.toric(kk, nn, mm)))
-    c_ord = element_order(cay, maps.central_element(kk, nn, mm))
+    c_ord = cay.order_of(maps.central_element(kk, nn, mm))
     plus = group_order(pres.alt_plus(kk, nn, mm))
     print(f"  {(kk,nn,mm)}: {cay.size} = {c_ord} * {plus}")
 

@@ -1,10 +1,12 @@
-"""Which toric reflection groups are finite, and their classification records.
+"""Which toric reflection groups are finite, and the records built on that.
 
 W(k,n,m) with gcd(n,m) = 1 and n < m is finite exactly for six sporadic
 triples and the family (2,2,m) with m odd, which is the dihedral group
 I2(m) = G(m,m,2) (Shephard & Todd, "Finite unitary reflection groups",
 1954).  This module is the one place that decision is made; the command
-line only formats the records built here.
+line only formats the records built here: the classification of one
+triple, the sweep over a grid, and the derived presentation of W(a,b,c)
+as the normal closure of s in its parent J-group.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import coxeter, maps
+from . import coxeter, maps, schreier
 from .cosets import CayleyTable, group_order, reflection_class_count, todd_coxeter
-from .presentations import FamilyParams, ParameterError, build
+from .presentations import FamilyParams, ParameterError, TietzeBudgetExceeded, build, serialize, tietze_simplify
 
 
 @dataclass(frozen=True)
@@ -116,3 +118,40 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> list[dict]:
                                                  max_cosets=max_cosets)
                 entries.append(entry)
     return entries
+
+
+def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``derive``: ncl(s) in J(a,b,c), simplified.
+
+    With gcd(b, c) = 1 the closure is W(a,b,c), so the classification
+    decides finiteness: an infinite row reports ``order: None`` without
+    enumerating.  Otherwise the order is enumerated up to ``max_cosets``.
+    """
+    found = schreier.toric_closure_rs(a, b, c, max_cosets)
+    if found is None:
+        return {"presentation": None}, "unknown", [f"enumeration overflowed at {max_cosets}"]
+    labels, rs = found
+    evidence = [
+        f"index of the normal closure of s: {len(labels)}",
+        f"Schreier generators before simplification: {len(rs.presentation.gens)}",
+    ]
+    try:
+        simplified = tietze_simplify(rs.presentation, budget=budget)
+    except TietzeBudgetExceeded as e:
+        # the best presentation so far still presents the same group, but
+        # enumerating it unsimplified (30 generators at (2,3,5)) costs more
+        # than the whole derivation did
+        simplified, order = e.best, None
+        evidence.append(f"Tietze step budget {budget} exhausted: best presentation kept, "
+                        "order not enumerated")
+    else:
+        if gcd(b, c) == 1 and finite_toric(a, b, c) is None:
+            order = None
+            evidence.append(f"order not enumerated: W({a},{b},{c}) is not a finite-table member; "
+                            "group is infinite")
+        else:
+            order = group_order(simplified, max_cosets=max_cosets)
+            if order is None:
+                evidence.append(f"order enumeration overflowed at {max_cosets}")
+    result = {"presentation": serialize(simplified), "num_generators": len(simplified.gens), "order": order}
+    return result, "ok" if order is not None else "unknown", evidence

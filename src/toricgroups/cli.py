@@ -12,17 +12,9 @@ import argparse
 import json
 import sys
 
-from . import classify, coxeter, garside, maps, reps, schreier
-from .cosets import CayleyTable, group_order, normal_closure_table, todd_coxeter
-from .presentations import (
-    FamilyParams,
-    ParameterError,
-    ParseError,
-    TietzeBudgetExceeded,
-    build,
-    serialize,
-    tietze_simplify,
-)
+from . import classify, coxeter, garside, maps, reps
+from .cosets import CayleyTable, normal_closure_table, todd_coxeter
+from .presentations import FamilyParams, ParameterError, ParseError, build, serialize
 from .words import Word, WordSyntaxError
 
 
@@ -96,8 +88,7 @@ def cmd_enumerate(args) -> int:
     evidence = [f"strategy {args.strategy}, bound {args.max_cosets}"]
     if args.normal_closure:
         table = normal_closure_table(pres, subgens, max_cosets=args.max_cosets, strategy=args.strategy)
-        evidence.append(f"normal closure of {len(subgens)} seed(s), "
-                        f"{len(table.subgroup_gens)} closure generator(s)")
+        evidence.append(f"normal closure of {len(subgens)} seed(s)")
     else:
         table = todd_coxeter(pres, subgens, max_cosets=args.max_cosets, strategy=args.strategy)
     if table.complete:
@@ -132,7 +123,7 @@ def cmd_wp(args) -> int:
     if system == "coxeter":
         k, n, m = args.params_ints(3)
         cm = coxeter.CoxeterMatrix.triangle(k, n, m)
-        table = coxeter.minimal_root_table(cm)
+        table = coxeter.MinimalRootTable(cm)
         w = cm.alphabet().word(args.word)
         normal = table.nf(w)
         result = {"normal_form": str(normal), "identity": not normal.letters,
@@ -176,45 +167,9 @@ def cmd_wp(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    a, b, c = args.a, args.b, args.c
-    parent = build(FamilyParams("j-parent", (a, b, c)))
-    table = normal_closure_table(parent, [parent.alphabet.word("s")], max_cosets=args.max_cosets)
-    if not table.complete:
-        return _emit(args, _payload(args, "derive", {"a": a, "b": b, "c": c},
-                                    {"presentation": None}, status="unknown",
-                                    evidence=[f"enumeration overflowed at {args.max_cosets}"]))
-    order = [2 * parent.alphabet.index(g) for g in ("u", "t", "s")]
-    tr = schreier.schreier_transversal(table, order)
-    try:
-        labels = schreier.toric_coset_labels(tr)
-        namer = lambda c_, g_: f"{g_}_{labels[c_][0]}_{labels[c_][1]}"
-    except ValueError:
-        namer = None
-    rs = schreier.rs_presentation(parent, table, tr, namer=namer)
-    evidence = [
-        f"index of the normal closure of s: {table.num_cosets}",
-        f"Schreier generators before simplification: {len(rs.presentation.gens)}",
-    ]
-    try:
-        simplified = tietze_simplify(rs.presentation, budget=args.budget)
-    except TietzeBudgetExceeded as e:
-        # the best presentation so far still presents the same group, but
-        # enumerating it unsimplified (30 generators at (2,3,5)) costs more
-        # than the whole derivation did
-        simplified, derived_order = e.best, None
-        evidence.append(f"Tietze step budget {args.budget} exhausted: best presentation kept, "
-                        "order not enumerated")
-    else:
-        derived_order = group_order(simplified, max_cosets=args.max_cosets)
-        if derived_order is None:
-            evidence.append(f"order enumeration overflowed at {args.max_cosets}")
-    result = {
-        "presentation": serialize(simplified),
-        "num_generators": len(simplified.gens),
-        "order": derived_order,
-    }
-    status = "ok" if derived_order is not None else "unknown"
-    return _emit(args, _payload(args, "derive", {"a": a, "b": b, "c": c}, result, status, evidence))
+    result, status, evidence = classify.derive(args.a, args.b, args.c, args.max_cosets, args.budget)
+    return _emit(args, _payload(args, "derive", {"a": args.a, "b": args.b, "c": args.c},
+                                result, status, evidence))
 
 
 def cmd_rep(args) -> int:

@@ -14,7 +14,11 @@ the smallest equivalent index, which keeps coset numbering deterministic
 
 A complete table over the trivial subgroup doubles as a regular Cayley
 table, from which element orders, conjugacy classes and reflection-class
-counts of the finite quotients are read off.
+counts of the finite quotients are read off.  The coset table of a normal
+closure ncl(S) is such a table too: the regular representation of G/ncl(S),
+enumerated from the relators plus S (Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 2005, ch. 5).  It needs only G/ncl(S) to be
+finite, so it completes over infinite parents.
 """
 
 from __future__ import annotations
@@ -340,31 +344,15 @@ def group_order(p: Presentation, max_cosets: int = 10**6, strategy: str = "hlt")
 
 
 def normal_closure_table(p: Presentation, seeds: Sequence[Word], max_cosets: int = 10**6,
-                         max_rounds: int = 64, strategy: str = "hlt") -> CosetTable:
-    """Coset table of the normal closure of ``seeds``.
+                         strategy: str = "hlt") -> CosetTable:
+    """Coset table of the normal closure N of ``seeds``.
 
-    Enumerates over the plain subgroup, then repeatedly adjoins the first
-    conjugate w g w^-1 found to fall outside it (w running over coset
-    representatives), until every seed acts trivially on the cosets.
+    The cosets of N are the elements of G/N = <X | R, seeds>, so the table
+    is one enumeration of that quotient over the trivial subgroup: row c
+    acts on the cosets of N exactly as G does.  Complete whenever G/N is
+    finite, whether or not G is.
     """
-    gens = [free_reduce(w) for w in seeds]
-    for _ in range(max_rounds):
-        t = todd_coxeter(p, gens, max_cosets, strategy)
-        if not t.complete:
-            return t
-        reps = transversal_words(t)
-        violation = None
-        for c in range(t.num_cosets):
-            for s in seeds:
-                if t.trace(c, s) != c:
-                    violation = free_reduce(reps[c] * s * reps[c].inverse())
-                    break
-            if violation is not None:
-                break
-        if violation is None:
-            return t
-        gens.append(violation)
-    raise RuntimeError("normal closure did not stabilize within the round limit")
+    return todd_coxeter(Presentation(p.alphabet, p.relators + tuple(seeds)), (), max_cosets, strategy)
 
 
 def transversal_words(t: CosetTable) -> list[Word]:
@@ -486,11 +474,6 @@ class CayleyTable:
             a, b, c = (rng.randrange(self.size) for _ in range(3))
             if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
                 raise AssertionError("associativity fails")
-
-
-def element_order(c: CayleyTable, w: Word) -> int:
-    """Least p >= 1 with w^p trivial in the finite quotient."""
-    return c.order_of(w)
 
 
 def reflection_class_count(params: FamilyParams, c: CayleyTable) -> int:

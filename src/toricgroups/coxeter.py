@@ -219,14 +219,6 @@ class MinimalRootTable:
         return not self.reduce_word(w)
 
 
-def minimal_root_table(cm: CoxeterMatrix) -> MinimalRootTable:
-    return MinimalRootTable(cm)
-
-
-def nf(table: MinimalRootTable, w: Word) -> Word:
-    return table.nf(w)
-
-
 def parity(w: Word) -> str:
     """Length parity; well defined since all defining relators have even length."""
     return "even" if len(w.letters) % 2 == 0 else "odd"

@@ -25,7 +25,7 @@ from typing import Protocol
 
 from . import garside
 from .cosets import CayleyTable
-from .coxeter import CoxeterMatrix, MinimalRootTable, minimal_root_table
+from .coxeter import CoxeterMatrix, MinimalRootTable
 from .presentations import Presentation, alt_plus, j_parent, toric
 from .schreier import chain_implies_shift, chain_relators, delta_power_to_twist
 from .words import Derivation, GenMap, RewriteStep, Word, apply_map
@@ -119,7 +119,7 @@ def build_phi(k: int, n: int, m: int) -> Hom:
     for i in range(1, n + 1):
         images[f"x{i}"] = free_reduce(b ** (1 - i) * a * b ** (i - 1))
     gm = GenMap.from_dict(source.alphabet, target, images)
-    return Hom(source, gm, CoxeterOracle(minimal_root_table(cm)), name=f"phi({k},{n},{m})")
+    return Hom(source, gm, CoxeterOracle(MinimalRootTable(cm)), name=f"phi({k},{n},{m})")
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def parent_to_coxeter(k: int, n: int, m: int) -> Hom:
         "u": target.word("r3 r1"),
     }
     gm = GenMap.from_dict(source.alphabet, target, images)
-    return Hom(source, gm, CoxeterOracle(minimal_root_table(cm)), name=f"pi({k},{n},{m})")
+    return Hom(source, gm, CoxeterOracle(MinimalRootTable(cm)), name=f"pi({k},{n},{m})")
 
 
 def central_element(k: int, n: int, m: int) -> Word:

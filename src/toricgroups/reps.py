@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .cosets import CayleyTable, element_order, todd_coxeter
+from .cosets import CayleyTable, todd_coxeter
 from .cyclo import Cyc, zeta
 from .presentations import toric
 from .words import Word
@@ -196,7 +196,7 @@ def unfaithfulness_witness(max_cosets: int = 10**6) -> WitnessReport:
         results[name] = rho_eval(rep, cube) == mat_identity()
 
     small = CayleyTable(todd_coxeter(toric(3, 2, 3, normalize=False), max_cosets=max_cosets))
-    order = element_order(small, Word(small.alphabet, (1, 2)))
+    order = small.order_of(Word(small.alphabet, (1, 2)))
 
     rep0 = reps["zero"]
     stu = mat_mul(rep0.mat_s, mat_mul(rep0.mat_t, rep0.mat_u))

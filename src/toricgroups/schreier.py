@@ -10,7 +10,9 @@ The BFS column order is configurable.  For a parent J-group on generators
 (s, t, u) over the normal closure of s, the preset ``toric_column_order``
 explores u first, then t, which makes the representatives exactly the
 words u^i t^j; generator labels then carry the (i, j) pair so they can be
-matched against closed-form expressions.
+matched against closed-form expressions.  ``toric_closure_rs`` runs that
+chain from the parameters (a, b, c); the derivation here and the
+``derive`` result in ``classify`` both start from it.
 """
 
 from __future__ import annotations
@@ -279,6 +281,26 @@ def cyclic_canonical(w: Word) -> tuple[int, ...]:
     return best if best is not None else ()
 
 
+def toric_closure_rs(a: int, b: int, c: int, max_cosets: int = 10**6
+                     ) -> tuple[dict[int, tuple[int, int]], RSResult] | None:
+    """Reidemeister-Schreier for the normal closure of s in the parent J(a,b,c).
+
+    Enumerates the cosets of the closure, takes the {u^i t^j} transversal
+    and names each Schreier generator ``{gen}_{i}_{j}`` after the
+    representative of its coset.  Returns the (i, j) label of every coset
+    (one per coset, so their count is the index) and the RS result, or None
+    when the enumeration overflows ``max_cosets``.
+    """
+    parent = j_parent(a, b, c)
+    table = normal_closure_table(parent, [parent.alphabet.word("s")], max_cosets=max_cosets)
+    if not table.complete:
+        return None
+    tr = schreier_transversal(table, toric_column_order(parent.alphabet))
+    labels = toric_coset_labels(tr)
+    rs = rs_presentation(parent, table, tr, namer=lambda c_, g: f"{g}_{labels[c_][0]}_{labels[c_][1]}")
+    return labels, rs
+
+
 def derive_toric_presentation(k: int, n: int, m: int, max_cosets: int = 10**6) -> RSResult:
     """Derive the toric presentation of the normal closure of s in a parent J-group.
 
@@ -291,14 +313,10 @@ def derive_toric_presentation(k: int, n: int, m: int, max_cosets: int = 10**6) -
     machine-checked.  The result is the toric presentation on the renamed
     generators s_i = x_{i+1}.
     """
-    parent = j_parent(k, n, m)
-    table = normal_closure_table(parent, [parent.alphabet.word("s")], max_cosets=max_cosets)
-    if not table.complete:
+    found = toric_closure_rs(k, n, m, max_cosets)
+    if found is None:
         raise ValueError("enumeration of the parent over the normal closure overflowed")
-    tr = schreier_transversal(table, toric_column_order(parent.alphabet))
-    labels = toric_coset_labels(tr)
-    rs = rs_presentation(parent, table, tr,
-                         namer=lambda c, g: f"{g}_{labels[c][0]}_{labels[c][1]}")
+    labels, rs = found
 
     target = _s_alphabet(n)
     images: dict[str, Word] = {}

@@ -12,7 +12,7 @@ from toricgroups import presentations as pres
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 from toricgroups.cosets import CayleyTable, normal_closure_table, todd_coxeter
-from toricgroups.coxeter import CoxeterMatrix, minimal_root_table
+from toricgroups.coxeter import CoxeterMatrix, MinimalRootTable
 
 FINITE_ROWS = [
     (2, 3, 4),
@@ -59,7 +59,7 @@ def triangle_cayley(k: int, n: int, m: int) -> CayleyTable:
 
 @cache
 def root_table(k: int, n: int, m: int):
-    return minimal_root_table(CoxeterMatrix.triangle(k, n, m))
+    return MinimalRootTable(CoxeterMatrix.triangle(k, n, m))
 
 
 @cache

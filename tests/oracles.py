@@ -20,6 +20,10 @@ with the production engines they check:
   every relator and rebuilds the alphabet and every relator on each step.
   It defines the choice rule that ``presentations.tietze_simplify`` must
   reproduce exactly; it shares the word arithmetic of ``words``.
+- ``reference_normal_closure``: the original normal-closure loop, which
+  enumerates over a subgroup and adjoins one conjugate of a seed per round
+  until every seed acts trivially.  It needs a finite index at every round
+  and shares the enumerator of ``cosets``.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+from toricgroups.cosets import CosetTable, todd_coxeter, transversal_words
 from toricgroups.cyclo import Cyc, sign_real, two_cos_pi_over
 from toricgroups.presentations import Presentation, TietzeBudgetExceeded
-from toricgroups.words import Alphabet, Word, cyclic_reduce, invert
+from toricgroups.words import Alphabet, Word, cyclic_reduce, free_reduce, invert
 
 
 def _letters(w: Word) -> tuple[int, ...]:
@@ -396,3 +401,31 @@ def reference_tietze(p: Presentation, budget: int = 10_000) -> Presentation:
         relators = _normalize_relators([substituted(r) for r in relators])
         alphabet = new_alphabet
     return Presentation(alphabet, tuple(relators))
+
+
+def reference_normal_closure(p: Presentation, seeds: list[Word], max_cosets: int = 10**6,
+                             max_rounds: int = 64, strategy: str = "hlt") -> CosetTable:
+    """Coset table of the normal closure of ``seeds`` by conjugate adjunction.
+
+    Enumerates over the plain subgroup, then repeatedly adjoins the first
+    conjugate w g w^-1 found to fall outside it (w running over coset
+    representatives), until every seed acts trivially on the cosets.
+    """
+    gens = [free_reduce(w) for w in seeds]
+    for _ in range(max_rounds):
+        t = todd_coxeter(p, gens, max_cosets, strategy)
+        if not t.complete:
+            return t
+        reps = transversal_words(t)
+        violation = None
+        for c in range(t.num_cosets):
+            for s in seeds:
+                if t.trace(c, s) != c:
+                    violation = free_reduce(reps[c] * s * reps[c].inverse())
+                    break
+            if violation is not None:
+                break
+        if violation is None:
+            return t
+        gens.append(violation)
+    raise RuntimeError("normal closure did not stabilize within the round limit")

@@ -24,8 +24,8 @@ from oracles import naive_order
 from toricgroups import garside, maps, reps
 from toricgroups import presentations as pres
 from toricgroups.classify import finite_toric_parameters
-from toricgroups.cosets import element_order, group_order, reflection_class_count, todd_coxeter
-from toricgroups.coxeter import CoxeterMatrix, classify_triangle, maximal_finite_parabolics, nf
+from toricgroups.cosets import group_order, reflection_class_count, todd_coxeter
+from toricgroups.coxeter import CoxeterMatrix, classify_triangle, maximal_finite_parabolics
 from toricgroups.garside import GarsideNF, gnf, meridian, sigma
 from toricgroups.presentations import FamilyParams, serialize, tietze_simplify
 from toricgroups.schreier import (
@@ -160,7 +160,7 @@ def test_criterion_06_coxeter_oracle_equivalence():
     for k, n, m in [(3, 2, 3), (2, 2, 5)]:
         table = root_table(k, n, m)
         cay = triangle_cayley(k, n, m)
-        forms = [str(nf(table, cay.words[e])) for e in range(cay.size)]
+        forms = [str(table.nf(cay.words[e])) for e in range(cay.size)]
         for i in range(cay.size):
             for j in range(cay.size):
                 assert (forms[i] == forms[j]) == (i == j)
@@ -172,7 +172,7 @@ def test_criterion_06_coxeter_oracle_equivalence():
         for _ in range(10**4):
             u = Word(ab, tuple(rng.choice([1, 2, 3]) for _ in range(rng.randrange(0, 14))))
             v = Word(ab, tuple(rng.choice([1, 2, 3]) for _ in range(rng.randrange(0, 14))))
-            assert (nf(table, u) == nf(table, v)) == (cay.eval(u) == cay.eval(v))
+            assert (table.nf(u) == table.nf(v)) == (cay.eval(u) == cay.eval(v))
     for k, n, m in [(3, 2, 3), (2, 2, 5), (4, 2, 3), (2, 3, 5), (2, 3, 7)]:
         table = root_table(k, n, m)
         word = table.cm.alphabet().word("r1 r3")
@@ -197,7 +197,7 @@ def test_criterion_07_homomorphism_suite():
             assert phi.oracle.is_identity(diff), (k, n, m, name)
     for k, n, m in FINITE_ROWS:
         cay = toric_cayley(k, n, m)
-        c_order = element_order(cay, maps.central_element(k, n, m))
+        c_order = cay.order_of(maps.central_element(k, n, m))
         plus = group_order(pres.alt_plus(k, n, m))
         assert plus == PLUS_ORDERS[(k, n, m)], (k, n, m)
         assert cay.size == c_order * plus, (k, n, m)

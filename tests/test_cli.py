@@ -76,6 +76,14 @@ def test_enumerate_normal_closure_index(capsys):
     assert payload["result"]["index"] == 15
 
 
+def test_enumerate_normal_closure_in_infinite_parent(capsys):
+    code, payload = run_json(capsys, "--max-cosets", "100", "enumerate", "j-parent", "6", "2", "3",
+                             "--subgroup", "s", "--normal-closure")
+    assert code == 0
+    assert payload["status"] == "ok"
+    assert payload["result"]["index"] == 6
+
+
 def test_json_byte_identical_across_runs(capsys):
     _, out1, _ = run(capsys, "--format", "json", "classify", "6", "2", "3")
     _, out2, _ = run(capsys, "--format", "json", "classify", "6", "2", "3")
@@ -153,6 +161,27 @@ def test_derive_reports_presentation_and_order(capsys):
     assert code == 0
     assert payload["result"]["num_generators"] == 3
     assert payload["result"]["order"] == 48
+
+
+def test_derive_infinite_row_takes_finiteness_from_classification(capsys):
+    code, payload = run_json(capsys, "--max-cosets", "100", "derive", "6", "2", "3")
+    assert code == 0
+    assert payload["status"] == "unknown"
+    result = payload["result"]
+    assert result["order"] is None
+    assert result["presentation"].startswith("gens:")
+    assert result["num_generators"] == 2
+    assert payload["evidence"][0] == "index of the normal closure of s: 6"
+    assert ("order not enumerated: W(6,2,3) is not a finite-table member; group is infinite"
+            in payload["evidence"])
+
+
+def test_derive_enumerates_order_when_gcd_is_not_one(capsys):
+    # gcd(3,3) != 1, so the classification does not apply and the order is enumerated
+    code, payload = run_json(capsys, "derive", "2", "3", "3")
+    assert code == 0
+    assert payload["status"] == "ok"
+    assert payload["result"]["order"] == 16
 
 
 def test_derive_exhausted_budget_keeps_best_presentation(capsys):

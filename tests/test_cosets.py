@@ -1,11 +1,10 @@
 import pytest
 
 from conftest import FROZEN_TORIC_ORDERS, parent_cayley, toric_cayley
-from oracles import naive_order, matrix_group_order
+from oracles import naive_order, matrix_group_order, reference_normal_closure
 
 from toricgroups import presentations as pres
 from toricgroups.cosets import (
-    element_order,
     group_order,
     normal_closure_table,
     reflection_class_count,
@@ -41,6 +40,35 @@ def test_subgroup_index():
     p = pres.j_parent(2, 3, 5)
     table = normal_closure_table(p, [p.alphabet.word("s")])
     assert table.complete and table.num_cosets == 15
+
+
+FINITE_PARENTS = [(2, 3, 4), (2, 3, 5), (3, 2, 3), (4, 2, 3), (5, 2, 3), (3, 2, 5)]
+
+
+def test_normal_closure_matches_conjugate_adjunction():
+    # the quotient table has the rows of the round loop's table, entry for entry
+    for abc in FINITE_PARENTS:
+        p = pres.j_parent(*abc)
+        seeds = [p.alphabet.word("s")]
+        assert normal_closure_table(p, seeds).rows == reference_normal_closure(p, seeds).rows, abc
+    # and the index for conjugate seeds and several seeds at once
+    cases = [
+        (pres.j_parent(2, 3, 4), ["t s t^-1", "u^-1 s u"]),
+        (pres.j_parent(3, 2, 3), ["t u s t^-1"]),
+        (pres.j_parent(3, 2, 3), ["s", "t"]),
+        (pres.toric(3, 2, 3), ["x1 x2"]),
+        (pres.toric(3, 2, 3), ["x2^-1 x1 x2"]),
+        (pres.toric(2, 3, 4), ["x1 x2^-1", "x3^2"]),
+        (pres.coxeter_triangle(2, 3, 4), ["r1 r2"]),
+        (pres.coxeter_triangle(2, 3, 5), ["r1 r2 r3", "r2 r3 r1"]),
+    ]
+    for p, texts in cases:
+        seeds = [p.alphabet.word(w) for w in texts]
+        for strategy in ("hlt", "felsch"):
+            table = normal_closure_table(p, seeds, strategy=strategy)
+            reference = reference_normal_closure(p, seeds, strategy=strategy)
+            assert table.complete and reference.complete
+            assert table.num_cosets == reference.num_cosets, (texts, strategy)
 
 
 def test_strategies_agree_on_subgroup_enumerations():
@@ -116,14 +144,14 @@ def test_full_multiplication_table_on_a_small_group():
 def test_element_orders():
     cay = toric_cayley(3, 2, 3)
     ab = cay.alphabet
-    assert element_order(cay, ab.word("x1 x2")) == 6
-    assert element_order(cay, ab.word("1")) == 1
+    assert cay.order_of(ab.word("x1 x2")) == 6
+    assert cay.order_of(ab.word("1")) == 1
 
 
 def test_generator_order_is_k(finite_rows):
     for k, n, m in finite_rows[:6]:
         cay = toric_cayley(k, n, m)
-        assert element_order(cay, cay.alphabet.word("x1")) == k
+        assert cay.order_of(cay.alphabet.word("x1")) == k
 
 
 def test_reflection_class_counts():
@@ -143,7 +171,7 @@ def test_center_of_toric_group_is_generated_by_twist():
     central = cay.eval(c)
     center = cay.center()
     assert central in center
-    assert len(center) == element_order(cay, c)
+    assert len(center) == cay.order_of(c)
 
 
 def test_full_twist_power_identity(finite_rows):
@@ -161,4 +189,4 @@ def test_quotient_order_relation(finite_rows):
         cay = toric_cayley(k, n, m)
         c = Word(cay.alphabet, tuple(i % n + 1 for i in range(n)) * m)
         plus_order = group_order(pres.alt_plus(k, n, m))
-        assert cay.size == element_order(cay, c) * plus_order
+        assert cay.size == cay.order_of(c) * plus_order

@@ -10,7 +10,6 @@ from toricgroups.coxeter import (
     center_check_plus,
     classify_triangle,
     maximal_finite_parabolics,
-    nf,
     parity,
 )
 from toricgroups.words import Word, free_reduce, invert
@@ -54,9 +53,9 @@ def test_r1r3_has_order_m(k, n, m):
 def test_nf_examples():
     table = root_table(3, 2, 3)
     ab = table.cm.alphabet()
-    assert str(nf(table, ab.word("1"))) == "1"
-    assert str(nf(table, ab.word("r2 r2"))) == "1"
-    assert str(nf(table, ab.word("r1^-1"))) == "r1"  # involutions
+    assert str(table.nf(ab.word("1"))) == "1"
+    assert str(table.nf(ab.word("r2 r2"))) == "1"
+    assert str(table.nf(ab.word("r1^-1"))) == "r1"  # involutions
 
 
 def test_nf_soundness_random_words():
@@ -65,10 +64,10 @@ def test_nf_soundness_random_words():
     rng = random.Random(0)
     for _ in range(100):
         w = Word(ab, tuple(rng.choice([1, 2, 3]) for _ in range(rng.randrange(0, 25))))
-        normal = nf(table, w)
+        normal = table.nf(w)
         assert table.is_identity(free_reduce(w * invert(normal)))
         # normal forms are stable
-        assert nf(table, normal) == normal
+        assert table.nf(normal) == normal
 
 
 @pytest.mark.parametrize("k,n,m", [(2, 3, 7), (6, 2, 3), (3, 4, 5)])
@@ -76,7 +75,7 @@ def test_powers_have_distinct_normal_forms_in_infinite_triangles(k, n, m):
     table = root_table(k, n, m)
     ab = table.cm.alphabet()
     w = ab.word("r1 r3")
-    forms = {str(nf(table, w**j)) for j in range(m)}
+    forms = {str(table.nf(w**j)) for j in range(m)}
     assert len(forms) == m
     assert table.is_identity(free_reduce(w**5 * invert(w**5)))
 
@@ -85,10 +84,10 @@ def test_powers_have_distinct_normal_forms_in_infinite_triangles(k, n, m):
 def test_nf_equality_matches_cayley_exhaustively(k, n, m):
     table = root_table(k, n, m)
     cay = triangle_cayley(k, n, m)
-    forms = [str(nf(table, cay.words[e])) for e in range(cay.size)]
+    forms = [str(table.nf(cay.words[e])) for e in range(cay.size)]
     assert len(set(forms)) == cay.size
     for e in range(cay.size):
-        assert len(nf(table, cay.words[e]).letters) == cay.length(e)
+        assert len(table.nf(cay.words[e]).letters) == cay.length(e)
 
 
 @pytest.mark.parametrize("k,n,m", [(4, 2, 3), (2, 3, 5)])
@@ -100,7 +99,7 @@ def test_nf_equality_matches_cayley_random_pairs(k, n, m):
     for _ in range(1000):
         u = Word(ab, tuple(rng.choice([1, 2, 3]) for _ in range(rng.randrange(0, 14))))
         v = Word(ab, tuple(rng.choice([1, 2, 3]) for _ in range(rng.randrange(0, 14))))
-        assert (nf(table, u) == nf(table, v)) == (cay.eval(u) == cay.eval(v))
+        assert (table.nf(u) == table.nf(v)) == (cay.eval(u) == cay.eval(v))
 
 
 def test_length_counts_match_brute_force():
@@ -110,7 +109,7 @@ def test_length_counts_match_brute_force():
         cay = triangle_cayley(k, n, m)
         from collections import Counter
 
-        by_nf = Counter(len(nf(table, cay.words[e]).letters) for e in range(cay.size))
+        by_nf = Counter(len(table.nf(cay.words[e]).letters) for e in range(cay.size))
         by_bfs = Counter(cay.length(e) for e in range(cay.size))
         assert by_nf == by_bfs
 

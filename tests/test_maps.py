@@ -4,7 +4,7 @@ from conftest import FINITE_ROWS, parent_cayley, root_table, toric_cayley
 
 from toricgroups import maps
 from toricgroups import presentations as pres
-from toricgroups.cosets import element_order, group_order
+from toricgroups.cosets import group_order
 from toricgroups.maps import (
     CayleyOracle,
     Hom,
@@ -210,7 +210,7 @@ def test_centrality_witness_replays_under_phi():
 @pytest.mark.parametrize("k,n,m", FINITE_ROWS)
 def test_short_exact_sequence_orders(k, n, m):
     cay = toric_cayley(k, n, m)
-    c_order = element_order(cay, central_element(k, n, m))
+    c_order = cay.order_of(central_element(k, n, m))
     plus = group_order(pres.alt_plus(k, n, m))
     assert cay.size == c_order * plus
 

@@ -1,4 +1,5 @@
 import pathlib
+from math import gcd
 
 import pytest
 
@@ -209,7 +210,10 @@ def test_golden_file_234_matches_derivation_and_display():
 
 
 def test_derive_toric_presentation_all_rows(finite_rows):
-    for k, n, m in finite_rows:
+    # the default sweep grid, infinite rows included, plus the finite rows outside it
+    grid = [(k, n, m) for k in range(2, 7) for n in range(2, 7) for m in range(n + 1, 8) if gcd(n, m) == 1]
+    assert len(grid) == 55
+    for k, n, m in grid + [row for row in finite_rows if row not in grid]:
         res = derive_toric_presentation(k, n, m)
         assert len(res.presentation.gens) == n
         relabeled = serialize(res.presentation)
