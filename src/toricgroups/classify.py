@@ -123,9 +123,12 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> list[dict]:
 def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, str, list[str]]:
     """Result, status and evidence of ``derive``: ncl(s) in J(a,b,c), simplified.
 
-    With gcd(b, c) = 1 the closure is W(a,b,c), so the classification
-    decides finiteness: an infinite row reports ``order: None`` without
-    enumerating.  Otherwise the order is enumerated up to ``max_cosets``.
+    ``maps.parent_to_coxeter`` maps J(a,b,c) onto the rotation subgroup of
+    the (a,b,c) triangle group, which is infinite unless the triangle is
+    spherical; ncl(s) has finite index, so it is then infinite too, and
+    the row reports ``order: None`` without enumerating.  With gcd(b, c) = 1
+    this is the finite classification of W(a,b,c).  Spherical rows
+    enumerate the order up to ``max_cosets``.
     """
     found = schreier.toric_closure_rs(a, b, c, max_cosets)
     if found is None:
@@ -145,10 +148,16 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
         evidence.append(f"Tietze step budget {budget} exhausted: best presentation kept, "
                         "order not enumerated")
     else:
-        if gcd(b, c) == 1 and finite_toric(a, b, c) is None:
+        triangle = coxeter.classify_triangle(a, b, c)
+        if triangle != "spherical":
             order = None
-            evidence.append(f"order not enumerated: W({a},{b},{c}) is not a finite-table member; "
-                            "group is infinite")
+            if gcd(b, c) == 1:
+                evidence.append(f"order not enumerated: W({a},{b},{c}) is not a finite-table member; "
+                                "group is infinite")
+            else:
+                evidence.append(f"order not enumerated: J({a},{b},{c}) maps onto the infinite rotation "
+                                f"subgroup of the {triangle} ({a},{b},{c}) triangle group and ncl(s) "
+                                "has finite index; group is infinite")
         else:
             order = group_order(simplified, max_cosets=max_cosets)
             if order is None:

@@ -4,13 +4,25 @@ The enumerator follows the classical design: a table of cosets by columns
 (one per generator and per inverse), scan-and-fill relator processing, and
 queue-based coincidence handling over a union-find whose roots are always
 the smallest equivalent index, which keeps coset numbering deterministic
-(first-definition order).  Two strategies are provided:
+(first-definition order).  Both strategies are one walk over the rows in
+definition order (Havas, "Coset enumeration strategies", 1991; Holt, Eick
+& O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 5): a
+monotone pointer makes each live row complete, and the rows behind it stay
+complete.
 
-- ``hlt`` (default): relator-driven, with a lookahead pass when the live
-  coset count exceeds the bound; if lookahead frees no room the enumeration
-  stops with an ``overflow`` status.  Overflow is a result, not an error;
-  infinite groups are the common case in this domain.
-- ``felsch``: definition-driven with a deduction stack.
+- ``hlt`` (default): at each row, scan-fill every relator, then define the
+  row's remaining entries.
+- ``felsch``: define the row's entries in column order, processing the
+  deduction stack after each definition, so the table is kept closed under
+  the relators.
+
+One overflow rule bounds both: at the end of a row, if more than
+``max_cosets`` cosets are live, HLT runs a lookahead pass and compacts; if
+too many are still live (for Felsch, at once) the enumeration stops with
+an ``overflow`` status.  A row defines at most one coset per column, so a
+Felsch overflow holds at most ``max_cosets + 2 * ngens`` cosets.  Overflow
+is a result, not an error; infinite groups are the common case in this
+domain.
 
 A complete table over the trivial subgroup doubles as a regular Cayley
 table, from which element orders, conjugacy classes and reflection-class
@@ -77,13 +89,15 @@ class CosetTable:
 
 
 class _Enumerator:
-    def __init__(self, p: Presentation, subgens: Sequence[Word], max_cosets: int):
+    def __init__(self, p: Presentation, subgens: Sequence[Word], max_cosets: int, strategy: str):
         self.alphabet = p.alphabet
         self.ngens = len(p.alphabet)
         self.ncols = 2 * self.ngens
         for w in subgens:
             if w.alphabet != p.alphabet:
                 raise ValueError("subgroup generator over wrong alphabet")
+        if strategy not in ("hlt", "felsch"):
+            raise ValueError(f"unknown strategy {strategy!r}")
         self.relcols = [_columns(free_reduce(r)) for r in p.relators]
         self.subcols = [_columns(free_reduce(w)) for w in subgens]
         self.max_cosets = max_cosets
@@ -91,6 +105,18 @@ class _Enumerator:
         self.p = [0]  # union-find parent, p[i] <= i
         self.live = 1
         self.queue: deque[int] = deque()
+        # Felsch: the stack of (coset, column) entries still to be checked
+        # against the cyclic rotations of each relator and its inverse that
+        # start with that column (deduplicated)
+        self.deductions: list[tuple[int, int]] | None = None
+        if strategy == "felsch":
+            self.deductions = []
+            self.by_col: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
+            rotations = dict.fromkeys(base[k:] + base[:k] for r in self.relcols
+                                      for base in (r, tuple(_inv_col(c) for c in reversed(r)))
+                                      for k in range(len(base)))
+            for rot in rotations:
+                self.by_col[rot[0]].append(rot)
 
     # -- union-find ---------------------------------------------------------
 
@@ -123,7 +149,7 @@ class _Enumerator:
         self.live -= 1
         self.queue.append(hi)
 
-    def coincidence(self, a: int, b: int, deductions: list[tuple[int, int]] | None = None) -> None:
+    def coincidence(self, a: int, b: int) -> None:
         self._merge(a, b)
         while self.queue:
             dying = self.queue.popleft()
@@ -145,11 +171,10 @@ class _Enumerator:
                     else:
                         self.rows[mu][col] = nu
                         self.rows[nu][_inv_col(col)] = mu
-                        if deductions is not None:
-                            deductions.append((mu, col))
+                        if self.deductions is not None:
+                            self.deductions.append((mu, col))
 
-    def scan(self, a: int, cols: tuple[int, ...], *, fill: bool,
-             deductions: list[tuple[int, int]] | None = None) -> None:
+    def scan(self, a: int, cols: tuple[int, ...], *, fill: bool) -> None:
         """Scan a relator (or subgroup generator) path from coset a.
 
         With ``fill`` the scan defines new cosets to complete the path (HLT
@@ -164,34 +189,45 @@ class _Enumerator:
                 i += 1
             if i > j:
                 if f != b:
-                    self.coincidence(f, b, deductions)
+                    self.coincidence(f, b)
                 return
             while j >= i and self.rows[b][_inv_col(cols[j])] is not None:
                 b = self.rows[b][_inv_col(cols[j])]
                 j -= 1
             if j < i:
-                self.coincidence(f, b, deductions)
+                self.coincidence(f, b)
                 return
             if j == i:
                 self.rows[f][cols[i]] = b
                 self.rows[b][_inv_col(cols[i])] = f
-                if deductions is not None:
-                    deductions.append((f, cols[i]))
+                if self.deductions is not None:
+                    self.deductions.append((f, cols[i]))
                 return
             if not fill:
                 return
             self.define(f, cols[i])
 
+    def deduce(self) -> None:
+        """Felsch: check stacked entries against their rotations until none is left."""
+        while self.deductions:
+            a, col = self.deductions.pop()
+            a = self.rep(a)
+            for rot in self.by_col[col]:
+                if self.p[a] != a:
+                    break
+                self.scan(a, rot, fill=False)
+
+    def scan_relators(self, a: int, *, fill: bool) -> None:
+        for cols in self.relcols:
+            if self.p[a] != a:
+                return
+            self.scan(a, cols, fill=fill)
+
     # -- lookahead and compaction -------------------------------------------
 
     def lookahead(self) -> None:
         for a in range(len(self.rows)):
-            if self.p[a] != a:
-                continue
-            for cols in self.relcols:
-                self.scan(a, cols, fill=False)
-                if self.p[a] != a:
-                    break
+            self.scan_relators(a, fill=False)
 
     def compact(self) -> list[int]:
         """Drop dead rows; returns the old-index -> new-index map."""
@@ -210,83 +246,45 @@ class _Enumerator:
         self.live = len(new_rows)
         return remap
 
-    # -- strategies ----------------------------------------------------------
+    # -- the row walk --------------------------------------------------------
 
-    def run_hlt(self) -> str:
+    def run(self) -> str:
+        """Walk the rows in definition order with a monotone pointer.
+
+        Rows behind the pointer are complete, so the walk ends complete
+        when it passes the last row.  The bound is checked once per row.
+        Felsch skips the lookahead: its deductions have already closed
+        every gap one would find, so its first excess is the overflow.
+        """
+        felsch = self.deductions is not None
         for cols in self.subcols:
             self.scan(0, cols, fill=True)
+        if felsch:
+            # every edge the subgroup scans laid down is a deduction
+            self.deductions += [(a, col) for a in range(len(self.rows)) if self.p[a] == a
+                                for col in range(self.ncols) if self.rows[a][col] is not None]
+            self.deduce()
         a = 0
         while a < len(self.rows):
-            if self.p[a] != a:
-                a += 1
-                continue
-            for cols in self.relcols:
-                self.scan(a, cols, fill=True)
+            if not felsch:
+                self.scan_relators(a, fill=True)
+            for col in range(self.ncols):
                 if self.p[a] != a:
                     break
-            if self.p[a] == a:
-                for col in range(self.ncols):
-                    if self.rows[a][col] is None:
-                        self.define(a, col)
+                if self.rows[a][col] is None:
+                    b = self.define(a, col)
+                    if felsch:
+                        self.deductions += ((a, col), (b, _inv_col(col)))
+                        self.deduce()
             a += 1
             if self.live > self.max_cosets:
-                self.lookahead()
+                if not felsch:
+                    self.lookahead()
                 if self.live > self.max_cosets:
                     return "overflow"
                 remap = self.compact()
                 a = sum(1 for x in remap[:a] if x >= 0)
         return "complete"
-
-    def run_felsch(self) -> str:
-        # Cyclic rotations of each relator and its inverse, grouped by the
-        # first column, deduplicated.
-        by_col: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
-        seen: set[tuple[int, ...]] = set()
-        for cols in self.relcols:
-            for base in (cols, tuple(_inv_col(c) for c in reversed(cols))):
-                for k in range(len(base)):
-                    rot = base[k:] + base[:k]
-                    if rot and rot not in seen:
-                        seen.add(rot)
-                        by_col[rot[0]].append(rot)
-        deductions: list[tuple[int, int]] = []
-        for cols in self.subcols:
-            self.scan(0, cols, fill=True, deductions=deductions)
-        # seed with every edge laid down by the subgroup scans, so each one
-        # is processed against the relator rotations
-        for a in range(len(self.rows)):
-            if self.p[a] != a:
-                continue
-            for col in range(self.ncols):
-                if self.rows[a][col] is not None:
-                    deductions.append((a, col))
-        while True:
-            while deductions:
-                a, col = deductions.pop()
-                a = self.rep(a)
-                for rot in by_col[col]:
-                    self.scan(a, rot, fill=False, deductions=deductions)
-                    if self.p[a] != a:
-                        break
-            target = None
-            for a in range(len(self.rows)):
-                if self.p[a] != a:
-                    continue
-                row = self.rows[a]
-                for col in range(self.ncols):
-                    if row[col] is None:
-                        target = (a, col)
-                        break
-                if target:
-                    break
-            if target is None:
-                return "complete"
-            if self.live >= self.max_cosets:
-                return "overflow"
-            a, col = target
-            b = self.define(a, col)
-            deductions.append((a, col))
-            deductions.append((b, _inv_col(col)))
 
     def finish(self, status: str, subgens: Sequence[Word], bound: int) -> CosetTable:
         self.compact()
@@ -324,16 +322,15 @@ def todd_coxeter(p: Presentation, subgens: Sequence[Word] = (), max_cosets: int 
                  strategy: str = "hlt") -> CosetTable:
     """Enumerate cosets of <subgens> in the group presented by p.
 
-    Deterministic for fixed inputs.  ``status`` is ``"complete"`` with the
-    index as the row count, or ``"overflow"`` carrying the bound reached.
+    Deterministic for fixed inputs.  One row walk serves both strategies
+    (see the module docstring).  ``max_cosets`` bounds the live cosets at
+    the end of each row: past it HLT looks ahead and compacts, and the
+    result is an overflow if the count is still past it.  ``status`` is
+    ``"complete"`` with the index as the row count, or ``"overflow"`` with
+    the live cosets at the stop as rows and the bound as ``bound``.
     """
-    e = _Enumerator(p, subgens, max_cosets)
-    if strategy == "hlt":
-        status = e.run_hlt()
-    elif strategy == "felsch":
-        status = e.run_felsch()
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    e = _Enumerator(p, subgens, max_cosets, strategy)
+    status = e.run()
     return e.finish(status, subgens, max_cosets)
 
 
@@ -355,33 +352,54 @@ def normal_closure_table(p: Presentation, seeds: Sequence[Word], max_cosets: int
     return todd_coxeter(Presentation(p.alphabet, p.relators + tuple(seeds)), (), max_cosets, strategy)
 
 
-def transversal_words(t: CosetTable) -> list[Word]:
-    """BFS coset representatives (geodesic words), positive columns first."""
-    n = t.num_cosets
-    reps: list[Word | None] = [None] * n
-    empty = Word(t.alphabet, ())
-    reps[0] = empty
-    order = [2 * i for i in range(len(t.alphabet))] + [2 * i + 1 for i in range(len(t.alphabet))]
+@dataclass(frozen=True)
+class Transversal:
+    """Schreier transversal: representative word per coset plus tree edges.
+
+    Tree edges are (coset, column) pairs in the coset-table column
+    convention; both orientations of every tree edge are included.
+    """
+
+    reps: tuple[Word, ...]
+    tree: frozenset[tuple[int, int]]
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+
+def bfs_transversal(t: CosetTable, column_order: Sequence[int]) -> Transversal:
+    """Breadth-first spanning tree of the coset graph from coset 0.
+
+    Each coset is reached first along the earliest column of
+    ``column_order``, so its representative is a geodesic over those
+    columns and every prefix of a representative is a representative.
+    Raises ValueError when the columns do not reach every coset.
+    """
+    reps: list[Word | None] = [None] * t.num_cosets
+    reps[0] = Word(t.alphabet, ())
+    tree: set[tuple[int, int]] = set()
     queue = deque([0])
     while queue:
         a = queue.popleft()
-        for col in order:
+        for col in column_order:
             b = t.rows[a][col]
             if b is not None and reps[b] is None:
                 letter = col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1)
                 reps[b] = Word(t.alphabet, reps[a].letters + (letter,))
+                tree.add((a, col))
+                tree.add((b, _inv_col(col)))
                 queue.append(b)
     if any(r is None for r in reps):
-        raise ValueError("coset graph not connected (incomplete table?)")
-    return reps  # type: ignore[return-value]
+        raise ValueError("column order does not span the coset graph")
+    return Transversal(tuple(reps), frozenset(tree))  # type: ignore[arg-type]
 
 
 class CayleyTable:
     """The regular action of a finite quotient, from a trivial-subgroup table.
 
     Elements are cosets; element i is represented by the BFS transversal
-    word ``words[i]`` (a geodesic, so its length is the generator-length of
-    the element).  Products are computed by tracing words through the coset
+    word ``words[i]`` over the positive columns, then the negative ones (a
+    geodesic, so its length is the generator-length of the element).  Products are computed by tracing words through the coset
     table, so no quadratic multiplication table is materialized up front.
     """
 
@@ -392,7 +410,8 @@ class CayleyTable:
             raise ValueError("Cayley table requires the trivial subgroup")
         self.table = table
         self.alphabet = table.alphabet
-        self.words = transversal_words(table)
+        ngens = len(table.alphabet)
+        self.words = bfs_transversal(table, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)]).reps
         self.size = table.num_cosets
         self._inv: list[int] | None = None
 

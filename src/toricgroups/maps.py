@@ -13,8 +13,8 @@
 
 A homomorphism is verified by mapping every defining relator and asking a
 word-problem oracle for the target whether the image is trivial; oracles
-exist for Coxeter targets (minimal roots), finite quotients (Cayley
-tables), and torus knot groups (Garside normal forms).
+exist for Coxeter targets (minimal roots) and finite quotients (Cayley
+tables).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from . import garside
 from .cosets import CayleyTable
 from .coxeter import CoxeterMatrix, MinimalRootTable
 from .presentations import Presentation, alt_plus, j_parent, toric
@@ -51,14 +50,6 @@ class CayleyOracle:
 
     def is_identity(self, w: Word) -> bool:
         return self.cayley.eval(w) == 0
-
-
-class GarsideOracle:
-    def __init__(self, n: int, m: int):
-        self.n, self.m = n, m
-
-    def is_identity(self, w: Word) -> bool:
-        return garside.gnf(self.n, self.m, w).is_identity()
 
 
 class OracleUnavailable(RuntimeError):

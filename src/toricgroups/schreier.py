@@ -17,11 +17,10 @@ chain from the parameters (a, b, c); the derivation here and the
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cosets import CosetTable, normal_closure_table
+from .cosets import CosetTable, Transversal, bfs_transversal, normal_closure_table
 from .presentations import Presentation, j_parent, toric
 from .words import (
     Alphabet,
@@ -35,21 +34,6 @@ from .words import (
     free_reduce,
     invert,
 )
-
-
-@dataclass(frozen=True)
-class Transversal:
-    """Schreier transversal: representative word per coset plus tree edges.
-
-    Tree edges are (coset, column) pairs in the coset-table column
-    convention; both orientations of every tree edge are included.
-    """
-
-    reps: tuple[Word, ...]
-    tree: frozenset[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.reps)
 
 
 def toric_column_order(alphabet: Alphabet) -> list[int]:
@@ -86,23 +70,7 @@ def schreier_transversal(ct: CosetTable, column_order: Sequence[int] | None = No
         order = list(column_order)
         if len(set(order)) != len(order) or any(c < 0 or c >= ncols for c in order):
             raise ValueError("column order must be a list of distinct table columns")
-    reps: list[Word | None] = [None] * ct.num_cosets
-    reps[0] = Word(ct.alphabet, ())
-    tree: set[tuple[int, int]] = set()
-    queue = deque([0])
-    while queue:
-        a = queue.popleft()
-        for col in order:
-            b = ct.rows[a][col]
-            if reps[b] is None:
-                letter = col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1)
-                reps[b] = Word(ct.alphabet, reps[a].letters + (letter,))
-                tree.add((a, col))
-                tree.add((b, col ^ 1))
-                queue.append(b)
-    if any(r is None for r in reps):
-        raise ValueError("column order does not span the coset graph")
-    return Transversal(tuple(reps), frozenset(tree))  # type: ignore[arg-type]
+    return bfs_transversal(ct, order)
 
 
 @dataclass(frozen=True)

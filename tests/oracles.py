@@ -20,6 +20,11 @@ with the production engines they check:
   every relator and rebuilds the alphabet and every relator on each step.
   It defines the choice rule that ``presentations.tietze_simplify`` must
   reproduce exactly; it shares the word arithmetic of ``words``.
+- ``reference_felsch``: the original Felsch driver, which looks for the
+  first undefined entry from row 0 after every definition and stops before
+  a definition once ``max_cosets`` cosets are live.  Complete tables of
+  ``todd_coxeter(..., strategy="felsch")`` must equal its tables entry for
+  entry; it shares the primitive moves of the ``cosets`` enumerator.
 - ``reference_normal_closure``: the original normal-closure loop, which
   enumerates over a subgroup and adjoins one conjugate of a seed per round
   until every seed acts trivially.  It needs a finite index at every round
@@ -30,8 +35,9 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from typing import Sequence
 
-from toricgroups.cosets import CosetTable, todd_coxeter, transversal_words
+from toricgroups.cosets import CosetTable, _Enumerator, bfs_transversal, todd_coxeter
 from toricgroups.cyclo import Cyc, sign_real, two_cos_pi_over
 from toricgroups.presentations import Presentation, TietzeBudgetExceeded
 from toricgroups.words import Alphabet, Word, cyclic_reduce, free_reduce, invert
@@ -119,10 +125,15 @@ def naive_order(p: Presentation, cap: int = 20000) -> int | None:
                             good = False
                             break
                         back = prev
-                    if good:
-                        if read(at, rel[i]) is None:
+                    if good and read(at, rel[i]) is None:
+                        # at and the coset entering back along rel[i] both
+                        # reach back by rel[i], so they are one coset
+                        other = read(back, -rel[i])
+                        if other is None or other == at:
                             write(at, rel[i], back)
                             changed = True
+                        else:
+                            merges.append((other, at))
                 if merges:
                     break
             if merges:
@@ -416,7 +427,8 @@ def reference_normal_closure(p: Presentation, seeds: list[Word], max_cosets: int
         t = todd_coxeter(p, gens, max_cosets, strategy)
         if not t.complete:
             return t
-        reps = transversal_words(t)
+        ngens = len(t.alphabet)
+        reps = bfs_transversal(t, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)]).reps
         violation = None
         for c in range(t.num_cosets):
             for s in seeds:
@@ -429,3 +441,36 @@ def reference_normal_closure(p: Presentation, seeds: list[Word], max_cosets: int
             return t
         gens.append(violation)
     raise RuntimeError("normal closure did not stabilize within the round limit")
+
+
+def reference_felsch(p: Presentation, subgens: Sequence[Word] = (), max_cosets: int = 10**6) -> CosetTable:
+    """Felsch enumeration by the original rescanning driver."""
+    e = _Enumerator(p, subgens, max_cosets, "felsch")
+    deductions = e.deductions
+    for cols in e.subcols:
+        e.scan(0, cols, fill=True)
+    # seed with every edge laid down by the subgroup scans, so each one
+    # is processed against the relator rotations
+    for a in range(len(e.rows)):
+        if e.p[a] != a:
+            continue
+        for col in range(e.ncols):
+            if e.rows[a][col] is not None:
+                deductions.append((a, col))
+    while True:
+        while deductions:
+            a, col = deductions.pop()
+            a = e.rep(a)
+            for rot in e.by_col[col]:
+                e.scan(a, rot, fill=False)
+                if e.p[a] != a:
+                    break
+        a = next((a for a, row in enumerate(e.rows) if e.p[a] == a and None in row), None)
+        if a is None:
+            return e.finish("complete", subgens, max_cosets)
+        if e.live >= max_cosets:
+            return e.finish("overflow", subgens, max_cosets)
+        col = e.rows[a].index(None)
+        b = e.define(a, col)
+        deductions.append((a, col))
+        deductions.append((b, col ^ 1))

@@ -1,18 +1,23 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import FROZEN_TORIC_ORDERS, parent_cayley, toric_cayley
-from oracles import naive_order, matrix_group_order, reference_normal_closure
+from oracles import naive_order, matrix_group_order, reference_felsch, reference_normal_closure
 
 from toricgroups import presentations as pres
 from toricgroups.cosets import (
+    CayleyTable,
+    _columns,
+    _validate,
     group_order,
     normal_closure_table,
     reflection_class_count,
     todd_coxeter,
-    transversal_words,
 )
-from toricgroups.presentations import FamilyParams
-from toricgroups.words import Word
+from toricgroups.presentations import FamilyParams, Presentation
+from toricgroups.words import Alphabet, Word, free_reduce
 
 
 def test_toric_323_order_against_oracle():
@@ -82,11 +87,78 @@ def test_strategies_agree_on_subgroup_enumerations():
             assert t.trace(0, g) == 0
 
 
+def _random_presentation(rng: random.Random) -> tuple[Presentation, list[Word]]:
+    n = rng.randint(1, 3)
+    alphabet = Alphabet([f"g{i}" for i in range(1, n + 1)])
+
+    def word(max_len: int) -> Word:
+        return Word(alphabet, tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                                    for _ in range(rng.randint(1, max_len))))
+    relators = tuple(word(8) for _ in range(rng.randint(n, n + 3)))
+    subgens = [word(4)] if rng.random() < 0.3 else []
+    return Presentation(alphabet, relators), subgens
+
+
+def test_felsch_matches_reference(finite_rows):
+    # complete tables equal the rescanning driver's, entry for entry
+    cases = [(pres.j_parent(*abc), []) for abc in FINITE_PARENTS]
+    cases += [(pres.toric(*kmn), []) for kmn in finite_rows]
+    cases += [(pres.coxeter_triangle(*t), []) for t in ((2, 3, 4), (2, 3, 5))]
+    cases += [(p, [p.alphabet.word("s")]) for p in (pres.j_parent(2, 3, 4), pres.j_parent(3, 2, 3))]
+    for p, subgens in cases:
+        table = todd_coxeter(p, subgens, strategy="felsch")
+        reference = reference_felsch(p, subgens)
+        assert table.complete and table.rows == reference.rows, p
+    # random presentations at a small bound: a complete reference table is
+    # reproduced; an overflow passes the bound by at most one row
+    rng = random.Random(5)
+    bound = 100
+    for _ in range(1000):
+        p, subgens = _random_presentation(rng)
+        table = todd_coxeter(p, subgens, bound, "felsch")
+        reference = reference_felsch(p, subgens, bound)
+        if reference.complete:
+            assert table.complete and table.rows == reference.rows, p
+        elif not table.complete:
+            assert bound < table.num_cosets <= bound + 2 * len(p.alphabet), p
+
+
+@st.composite
+def small_presentations(draw) -> Presentation:
+    n = draw(st.integers(1, 3))
+    letter = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = draw(st.lists(st.lists(letter, min_size=1, max_size=8), min_size=n, max_size=n + 3))
+    alphabet = Alphabet([f"g{i}" for i in range(1, n + 1)])
+    return Presentation(alphabet, tuple(Word(alphabet, tuple(w)) for w in words))
+
+
+@given(small_presentations())
+def test_strategies_agree_with_naive_closure(p):
+    bound = 64
+    relcols = [_columns(free_reduce(r)) for r in p.relators]
+    orders = set()
+    for strategy in ("hlt", "felsch"):
+        table = todd_coxeter(p, (), bound, strategy)
+        if table.complete:
+            _validate(table, relcols, [])
+            orders.add(table.num_cosets)
+    oracle = naive_order(p, cap=bound)
+    if oracle is not None:
+        orders.add(oracle)
+    assert len(orders) <= 1, orders
+
+
 def test_overflow_is_a_value():
     table = todd_coxeter(pres.toric(6, 2, 3), max_cosets=10**4)
     assert table.status == "overflow"
     assert table.bound == 10**4
     assert group_order(pres.toric(6, 2, 3), max_cosets=10**4) is None
+    # the bound is checked at the end of a row, which defines at most one
+    # coset per column
+    p = pres.toric(6, 2, 3)
+    table = todd_coxeter(p, max_cosets=2000, strategy="felsch")
+    assert table.status == "overflow" and table.bound == 2000
+    assert 2000 < table.num_cosets <= 2000 + 2 * len(p.alphabet)
 
 
 def test_coxeter_triangle_order_against_matrix_closure():
@@ -111,7 +183,7 @@ def test_complete_table_properties():
 
 def test_transversal_words_are_geodesic_spanning():
     table = todd_coxeter(pres.toric(3, 2, 3))
-    reps = transversal_words(table)
+    reps = CayleyTable(table).words
     assert len(reps) == table.num_cosets
     assert reps[0].letters == ()
     for c, rep in enumerate(reps):

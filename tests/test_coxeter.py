@@ -1,10 +1,12 @@
 import random
+from math import gcd
 
 import pytest
 
 from conftest import root_table, triangle_cayley
 from oracles import gram_parabolic_verdicts, matrix_group_order, positive_roots
 
+from toricgroups.classify import finite_toric
 from toricgroups.coxeter import (
     CoxeterMatrix,
     center_check_plus,
@@ -222,3 +224,13 @@ def test_matrix_validation():
         CoxeterMatrix(((1, 2), (3, 1)))
     with pytest.raises(ValueError):
         CoxeterMatrix(((2, 2), (2, 2)))
+
+
+def test_spherical_triangles_are_the_finite_toric_rows():
+    # with gcd(n, m) = 1, W(k,n,m) is finite exactly when its triangle is
+    # spherical, the test `derive` applies to every row
+    for k in range(2, 40):
+        for n in range(2, 40):
+            for m in range(2, 40):
+                if gcd(n, m) == 1:
+                    assert (classify_triangle(k, n, m) == "spherical") == (finite_toric(k, n, m) is not None), (k, n, m)
