@@ -3,10 +3,12 @@
 W(k,n,m) with gcd(n,m) = 1 and n < m is finite exactly for six sporadic
 triples and the family (2,2,m) with m odd, which is the dihedral group
 I2(m) = G(m,m,2) (Shephard & Todd, "Finite unitary reflection groups",
-1954).  This module is the one place that decision is made; the command
-line only formats the records built here: the classification of one
-triple, the sweep over a grid, and the derived presentation of W(a,b,c)
-as the normal closure of s in its parent J-group.
+1954).  This module is the one place that decision is made, and
+``finite_quotient`` is the one place a finite row's Cayley table is built.
+The command line only formats the records built here: the classification
+of one triple, the sweep over a grid, the word problem of W(k,n,m), and
+the derived presentation of W(a,b,c) as the normal closure of s in its
+parent J-group.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import gcd
 
 from . import coxeter, maps, schreier
 from .cosets import CayleyTable, group_order, reflection_class_count, todd_coxeter
-from .presentations import FamilyParams, ParameterError, TietzeBudgetExceeded, build, serialize, tietze_simplify
+from .presentations import FamilyParams, TietzeBudgetExceeded, build, serialize, tietze_simplify, toric
 
 
 @dataclass(frozen=True)
@@ -48,16 +50,25 @@ def finite_toric_parameters(max_m: int) -> list[tuple[int, int, int]]:
     return [t for t in _SPORADIC if t[2] <= max_m] + [(2, 2, m) for m in range(3, max_m + 1, 2)]
 
 
+def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | None:
+    """Cayley table of ``toric(k, n, m, normalize=False)`` on a finite row.
+
+    None when W(k,n,m) is not a finite-table member or when the enumeration
+    overflows ``max_cosets``.
+    """
+    if finite_toric(k, n, m) is None:
+        return None
+    table = todd_coxeter(toric(k, n, m, normalize=False), max_cosets=max_cosets)
+    return CayleyTable(table) if table.complete else None
+
+
 def _parabolic_orders(k: int, n: int, m: int) -> list[int]:
     return coxeter.maximal_finite_parabolics(coxeter.CoxeterMatrix.triangle(k, n, m)).orders_multiset()
 
 
 def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, list[str]]:
     """Classification record of W(k,n,m) and the evidence for each verdict."""
-    if gcd(n, m) != 1:
-        raise ParameterError(f"gcd({n},{m}) != 1")
-    if min(k, n, m) < 2:
-        raise ParameterError("labels must be >= 2")
+    params = FamilyParams("toric", (k, n, m))  # labels >= 2, gcd(n, m) = 1
     n, m = min(n, m), max(n, m)
     fin = finite_toric(k, n, m)
     result: dict = {
@@ -78,14 +89,12 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, list[
             "confirmed by computation on the finite members)",
         ]
     evidence = [f"finite table membership: W({k},{n},{m}) = {fin.shephard_todd}"]
-    params = FamilyParams("toric", (k, n, m))
-    table = todd_coxeter(build(params), max_cosets=max_cosets)
-    if not table.complete:
+    cayley = finite_quotient(k, n, m, max_cosets)
+    if cayley is None:
         evidence.append(f"enumeration overflowed at {max_cosets}; membership retained")
     else:
-        order = table.num_cosets
+        order = cayley.size
         evidence.append(f"enumeration confirms order {order}")
-        cayley = CayleyTable(table)
         classes = reflection_class_count(params, cayley)
         evidence.append(f"reflection classes computed: {classes}")
         center = cayley.order_of(maps.central_element(k, n, m))
@@ -118,6 +127,30 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> list[dict]:
                                                  max_cosets=max_cosets)
                 entries.append(entry)
     return entries
+
+
+def toric_word_problem(k: int, n: int, m: int, w: str, max_cosets: int) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``wp toric`` for the word text ``w``.
+
+    A word with a nontrivial image under ``maps.build_phi`` (the quotient by
+    the center) is not the identity.  A central word is decided in the
+    Cayley table on a finite row, and is "unknown" on an infinite row or
+    when the finite row's enumeration overflows ``max_cosets``.
+    """
+    phi = maps.build_phi(k, n, m)
+    word = phi.source.alphabet.word(w)
+    image_nf = phi.oracle.nf(phi.apply(word))  # build_phi attaches the triangle group's MinimalRootTable
+    result = {"identity": None, "central": not image_nf.letters, "coxeter_image_nf": str(image_nf)}
+    if image_nf.letters:
+        return dict(result, identity=False), "ok", []
+    if finite_toric(k, n, m) is None:
+        return result, "unknown", ["word lies in the center; the word problem inside the center "
+                                   "of an infinite toric group is open and this tool does not guess"]
+    cayley = finite_quotient(k, n, m, max_cosets)
+    if cayley is None:
+        return result, "unknown", [f"enumeration overflowed at {max_cosets}"]
+    result["identity"] = cayley.is_identity(word)
+    return result, "ok", ["decided in the finite quotient's Cayley table"]
 
 
 def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, str, list[str]]:

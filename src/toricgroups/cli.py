@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from . import classify, coxeter, garside, maps, reps
-from .cosets import CayleyTable, normal_closure_table, todd_coxeter
+from . import classify, coxeter, garside, reps
+from .cosets import normal_closure_table, todd_coxeter
 from .presentations import FamilyParams, ParameterError, ParseError, build, serialize
 from .words import Word, WordSyntaxError
 
@@ -118,10 +118,16 @@ def cmd_sweep(args) -> int:
     return _emit(args, payload)
 
 
+def _labels(args, count: int) -> tuple[int, ...]:
+    if len(args.labels) != count:
+        raise ParameterError(f"expected {count} labels, got {len(args.labels)}")
+    return tuple(args.labels)
+
+
 def cmd_wp(args) -> int:
     system = args.system
     if system == "coxeter":
-        k, n, m = args.params_ints(3)
+        k, n, m = _labels(args, 3)
         cm = coxeter.CoxeterMatrix.triangle(k, n, m)
         table = coxeter.MinimalRootTable(cm)
         w = cm.alphabet().word(args.word)
@@ -131,7 +137,7 @@ def cmd_wp(args) -> int:
         return _emit(args, _payload(args, "wp", {"system": system, "labels": [k, n, m],
                                                  "word": args.word}, result))
     if system == "garside":
-        n, m = args.params_ints(2)
+        n, m = _labels(args, 2)
         w = garside.standard_alphabet().word(args.word)
         normal = garside.gnf(n, m, w)
         result = {"normal_form": str(normal), "identity": normal.is_identity(),
@@ -139,30 +145,10 @@ def cmd_wp(args) -> int:
         return _emit(args, _payload(args, "wp", {"system": system, "labels": [n, m],
                                                  "word": args.word}, result))
     if system == "toric":
-        k, n, m = args.params_ints(3)
-        phi = maps.build_phi(k, n, m)
-        w = phi.source.alphabet.word(args.word)
-        image_nf = phi.oracle.table.nf(phi.apply(w))
-        if image_nf.letters:
-            result = {"identity": False, "central": False,
-                      "coxeter_image_nf": str(image_nf)}
-            return _emit(args, _payload(args, "wp", {"system": system, "labels": [k, n, m],
-                                                     "word": args.word}, result))
-        # the word is central (it dies in the alternating quotient)
-        if classify.finite_toric(k, n, m) is not None:
-            pres = build(FamilyParams("toric", (k, n, m), normalize=False))
-            cayley = CayleyTable(todd_coxeter(pres, max_cosets=args.max_cosets))
-            identity = cayley.eval(w) == 0
-            result = {"identity": identity, "central": True, "coxeter_image_nf": "1"}
-            return _emit(args, _payload(args, "wp", {"system": system, "labels": [k, n, m],
-                                                     "word": args.word}, result,
-                                        evidence=["decided in the finite quotient's Cayley table"]))
-        result = {"identity": None, "central": True, "coxeter_image_nf": "1"}
-        return _emit(args, _payload(
-            args, "wp", {"system": system, "labels": [k, n, m], "word": args.word},
-            result, status="unknown",
-            evidence=["word lies in the center; the word problem inside the center "
-                      "of an infinite toric group is open and this tool does not guess"]))
+        k, n, m = _labels(args, 3)
+        result, status, evidence = classify.toric_word_problem(k, n, m, args.word, args.max_cosets)
+        return _emit(args, _payload(args, "wp", {"system": system, "labels": [k, n, m],
+                                                 "word": args.word}, result, status, evidence))
     raise ParameterError(f"unknown word-problem system {system!r}")
 
 
@@ -173,17 +159,6 @@ def cmd_derive(args) -> int:
 
 
 def cmd_rep(args) -> int:
-    rest = list(args.rest)
-    if args.action != "witness":
-        if len(rest) < 3:
-            raise ParameterError(f"rep {args.action} needs three parameters a b c")
-        try:
-            args.abc = tuple(int(v) for v in rest[:3])
-        except ValueError:
-            raise ParameterError(f"parameters must be integers, got {rest[:3]}") from None
-        args.word = rest[3] if len(rest) > 3 else None
-        if args.action == "eval" and args.word is None:
-            raise ParameterError("rep eval needs a word argument")
     if args.action == "witness":
         w = reps.unfaithfulness_witness(max_cosets=args.max_cosets)
         result = {
@@ -196,42 +171,26 @@ def cmd_rep(args) -> int:
             "unit_preset_commutes": w.unit_preset_commutes,
             "unfaithful": w.unfaithful,
         }
-        return _emit(args, _payload(args, "rep", {"action": "witness"}, result))
-    a, b, c = args.abc
-    rep = reps.build_rho_preset(a, b, c, args.qr)
+        status, evidence = ("ok", []) if w.unfaithful is not None else (
+            "unknown", [f"enumeration overflowed at {args.max_cosets}"])
+        return _emit(args, _payload(args, "rep", {"action": "witness"}, result, status, evidence))
+    rest = args.rest
+    if len(rest) < 3:
+        raise ParameterError(f"rep {args.action} needs three parameters a b c")
+    try:
+        a, b, c = (int(v) for v in rest[:3])
+    except ValueError:
+        raise ParameterError(f"parameters must be integers, got {rest[:3]}") from None
+    word = rest[3] if len(rest) > 3 else None
+    if args.action == "eval" and word is None:
+        raise ParameterError("rep eval needs a word argument")
     if args.action == "check":
-        identity = reps.mat_identity()
-        checks = {
-            "s_power": reps.mat_pow(rep.mat_s, a) == identity,
-            "t_power": reps.mat_pow(rep.mat_t, b) == identity,
-            "u_power": reps.mat_pow(rep.mat_u, c) == identity,
-        }
-        stu = reps.mat_mul(rep.mat_s, reps.mat_mul(rep.mat_t, rep.mat_u))
-        tus = reps.mat_mul(rep.mat_t, reps.mat_mul(rep.mat_u, rep.mat_s))
-        ust = reps.mat_mul(rep.mat_u, reps.mat_mul(rep.mat_s, rep.mat_t))
-        checks["chain"] = stu == tus == ust
-        checks["scalar"] = stu == reps.mat_scale(rep.scalar, identity)
-        result = {"checks": checks, "all_pass": all(checks.values()),
-                  "q": str(rep.q), "r": str(rep.r),
-                  "matrices": {"s": reps.mat_str(rep.mat_s), "t": reps.mat_str(rep.mat_t),
-                               "u": reps.mat_str(rep.mat_u)}}
-        return _emit(args, _payload(args, "rep", {"action": "check", "abc": [a, b, c],
-                                                  "qr": args.qr}, result))
+        return _emit(args, _payload(args, "rep", {"action": "check", "abc": [a, b, c], "qr": args.qr},
+                                    reps.check_record(a, b, c, args.qr)))
     if args.action == "eval":
-        from .words import Alphabet
-
-        stu_alphabet = Alphabet(["s", "t", "u"])
-        try:
-            w = stu_alphabet.word(args.word)
-        except WordSyntaxError:
-            n_gens = b  # x-words live over x1..xn with n the second parameter
-            w = Alphabet([f"x{i+1}" for i in range(n_gens)]).word(args.word)
-        matrix = reps.rho_eval(rep, w)
-        result = {"matrix": reps.mat_str(matrix),
-                  "is_identity": matrix == reps.mat_identity(),
-                  "q": str(rep.q), "r": str(rep.r)}
-        return _emit(args, _payload(args, "rep", {"action": "eval", "abc": [a, b, c],
-                                                  "qr": args.qr, "word": args.word}, result))
+        return _emit(args, _payload(args, "rep", {"action": "eval", "abc": [a, b, c], "qr": args.qr,
+                                                  "word": word},
+                                    reps.eval_record(a, b, c, args.qr, word)))
     raise ParameterError(f"unknown rep action {args.action!r}")
 
 
@@ -302,13 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    def params_ints(count: int) -> tuple[int, ...]:
-        if len(args.labels) != count:
-            raise ParameterError(f"expected {count} labels, got {len(args.labels)}")
-        return tuple(args.labels)
-
-    args.params_ints = params_ints
     try:
         if args.max_cosets < 1:
             raise ParameterError(f"--max-cosets must be >= 1, got {args.max_cosets}")

@@ -418,6 +418,9 @@ class CayleyTable:
     def eval(self, w: Word) -> int:
         return self.table.trace(0, w)
 
+    def is_identity(self, w: Word) -> bool:
+        return self.eval(w) == 0
+
     def mul(self, i: int, j: int) -> int:
         return self.table.trace(i, self.words[j])
 

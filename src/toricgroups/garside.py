@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .classify import finite_quotient, finite_toric_parameters
+from .presentations import torus_classical
 from .words import Alphabet, GenMap, Word, free_reduce
 
 _STANDARD = Alphabet(["x", "y"])
@@ -119,8 +121,6 @@ def simples(n: int, m: int) -> list[Word]:
 def sigma(n: int, m: int) -> GenMap:
     """Standard to classical: x -> x_1...x_m, y -> x_1...x_n (indices mod n)."""
     _check_params(n, m)
-    from .presentations import torus_classical
-
     target = torus_classical(n, m).alphabet
     images = {
         "x": Word(target, tuple(i % n + 1 for i in range(m))),
@@ -154,20 +154,17 @@ def separate_in_finite_quotients(n: int, m: int, u: Word, v: Word,
 
     Maps both words into every finite toric quotient W(k,n,m) sharing the
     pair (n, m) and compares images; returns "distinct" on any separation
-    and "not separated" otherwise.  There is no general decision procedure
+    and "not separated" otherwise.  A quotient whose enumeration overflows
+    ``max_cosets`` is skipped.  There is no general decision procedure
     here: "not separated" is not a proof of equality.
     """
-    from .classify import finite_toric_parameters
-    from .cosets import CayleyTable, todd_coxeter
-    from .presentations import toric
-
     if u.alphabet != v.alphabet:
         raise ValueError("words over different alphabets")
     pair = (min(n, m), max(n, m))
     ks = [k for (k, a, b) in finite_toric_parameters(pair[1]) if (a, b) == pair]
     for k in ks:
-        cay = CayleyTable(todd_coxeter(toric(k, n, m, normalize=False), max_cosets=max_cosets))
-        if cay.eval(u) != cay.eval(v):
+        cay = finite_quotient(k, n, m, max_cosets)
+        if cay is not None and cay.eval(u) != cay.eval(v):
             return "distinct"
     return "not separated"
 

@@ -12,9 +12,9 @@
   explicit machine-checkable rewriting chain.
 
 A homomorphism is verified by mapping every defining relator and asking a
-word-problem oracle for the target whether the image is trivial; oracles
-exist for Coxeter targets (minimal roots) and finite quotients (Cayley
-tables).
+word-problem oracle for the target whether the image is trivial: a
+``MinimalRootTable`` for Coxeter targets, a ``CayleyTable`` for finite
+quotients.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from .cosets import CayleyTable
 from .coxeter import CoxeterMatrix, MinimalRootTable
 from .presentations import Presentation, alt_plus, j_parent, toric
 from .schreier import chain_implies_shift, chain_relators, delta_power_to_twist
@@ -34,22 +33,6 @@ from .words import free_reduce
 
 class IdentityOracle(Protocol):
     def is_identity(self, w: Word) -> bool: ...
-
-
-class CoxeterOracle:
-    def __init__(self, table: MinimalRootTable):
-        self.table = table
-
-    def is_identity(self, w: Word) -> bool:
-        return self.table.is_identity(w)
-
-
-class CayleyOracle:
-    def __init__(self, cayley: CayleyTable):
-        self.cayley = cayley
-
-    def is_identity(self, w: Word) -> bool:
-        return self.cayley.eval(w) == 0
 
 
 class OracleUnavailable(RuntimeError):
@@ -110,7 +93,7 @@ def build_phi(k: int, n: int, m: int) -> Hom:
     for i in range(1, n + 1):
         images[f"x{i}"] = free_reduce(b ** (1 - i) * a * b ** (i - 1))
     gm = GenMap.from_dict(source.alphabet, target, images)
-    return Hom(source, gm, CoxeterOracle(MinimalRootTable(cm)), name=f"phi({k},{n},{m})")
+    return Hom(source, gm, MinimalRootTable(cm), name=f"phi({k},{n},{m})")
 
 
 @dataclass(frozen=True)
@@ -167,7 +150,7 @@ def parent_to_coxeter(k: int, n: int, m: int) -> Hom:
         "u": target.word("r3 r1"),
     }
     gm = GenMap.from_dict(source.alphabet, target, images)
-    return Hom(source, gm, CoxeterOracle(MinimalRootTable(cm)), name=f"pi({k},{n},{m})")
+    return Hom(source, gm, MinimalRootTable(cm), name=f"pi({k},{n},{m})")
 
 
 def central_element(k: int, n: int, m: int) -> Word:

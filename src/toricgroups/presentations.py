@@ -127,7 +127,7 @@ def torus_standard(n: int, m: int) -> Presentation:
     return Presentation(ab, (free_reduce(x**n * invert(y**m)),))
 
 
-def _cyclic_products(ab: Alphabet, n: int, length: int) -> list[Word]:
+def cyclic_products(ab: Alphabet, n: int, length: int) -> list[Word]:
     """The n products g_i g_{i+1} ... of the given length, indices mod n."""
     out = []
     for i in range(n):
@@ -146,14 +146,14 @@ def torus_classical(n: int, m: int) -> Presentation:
     """n meridian generators, the n-term chain of m-factor products."""
     _check("torus-classical", n, m)
     ab = Alphabet([f"x{i + 1}" for i in range(n)])
-    return Presentation(ab, tuple(_chain(_cyclic_products(ab, n, m))))
+    return Presentation(ab, tuple(_chain(cyclic_products(ab, n, m))))
 
 
 def torus_dual(n: int, m: int) -> Presentation:
     """m generators, chain of n-factor products (the dual presentation)."""
     _check("torus-dual", n, m)
     ab = Alphabet([f"y{i + 1}" for i in range(m)])
-    return Presentation(ab, tuple(_chain(_cyclic_products(ab, m, n))))
+    return Presentation(ab, tuple(_chain(cyclic_products(ab, m, n))))
 
 
 def toric(k: int, n: int, m: int, normalize: bool = True) -> Presentation:
@@ -168,7 +168,7 @@ def toric(k: int, n: int, m: int, normalize: bool = True) -> Presentation:
         n, m = m, n
     ab = Alphabet([f"x{i + 1}" for i in range(n)])
     orders = [free_reduce(Word(ab, (i + 1,) * k)) for i in range(n)]
-    return Presentation(ab, tuple(orders + _chain(_cyclic_products(ab, n, m))))
+    return Presentation(ab, tuple(orders + _chain(cyclic_products(ab, n, m))))
 
 
 def j_parent(a: int, b: int, c: int) -> Presentation:

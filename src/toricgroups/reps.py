@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .cosets import CayleyTable, todd_coxeter
+from .classify import finite_quotient
 from .cyclo import Cyc, zeta
-from .presentations import toric
-from .words import Word
+from .presentations import FamilyParams, toric
+from .words import Alphabet, Word, WordSyntaxError
 
 Mat2 = tuple[tuple[Cyc, Cyc], tuple[Cyc, Cyc]]
 
@@ -136,6 +136,7 @@ def build_rho(a: int, b: int, c: int, q: Cyc, r: Cyc) -> Rep:
 
 
 def build_rho_preset(a: int, b: int, c: int, preset: str | None = None) -> Rep:
+    FamilyParams("j-parent", (a, b, c))  # labels must be integers >= 2
     presets = qr_presets(a, b, c)
     if preset is None:
         preset = next(iter(presets))
@@ -143,6 +144,42 @@ def build_rho_preset(a: int, b: int, c: int, preset: str | None = None) -> Rep:
         raise ValueError(f"unknown (q,r) preset {preset!r}; have {sorted(presets)}")
     q, r = presets[preset]
     return build_rho(a, b, c, q, r)
+
+
+def relation_checks(rep: Rep) -> dict[str, bool]:
+    """The defining identities of the representation, checked exactly:
+    s^a = t^b = u^c = 1, the chain s t u = t u s = u s t, and s t u scalar."""
+    identity = mat_identity()
+    stu = mat_mul(rep.mat_s, mat_mul(rep.mat_t, rep.mat_u))
+    tus = mat_mul(rep.mat_t, mat_mul(rep.mat_u, rep.mat_s))
+    ust = mat_mul(rep.mat_u, mat_mul(rep.mat_s, rep.mat_t))
+    return {
+        "s_power": mat_pow(rep.mat_s, rep.a) == identity,
+        "t_power": mat_pow(rep.mat_t, rep.b) == identity,
+        "u_power": mat_pow(rep.mat_u, rep.c) == identity,
+        "chain": stu == tus == ust,
+        "scalar": stu == mat_scale(rep.scalar, identity),
+    }
+
+
+def check_record(a: int, b: int, c: int, preset: str | None) -> dict:
+    """The ``rep check`` record: relation checks, q, r and the three matrices."""
+    rep = build_rho_preset(a, b, c, preset)
+    checks = relation_checks(rep)
+    return {"checks": checks, "all_pass": all(checks.values()), "q": str(rep.q), "r": str(rep.r),
+            "matrices": {"s": mat_str(rep.mat_s), "t": mat_str(rep.mat_t), "u": mat_str(rep.mat_u)}}
+
+
+def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> dict:
+    """The ``rep eval`` record of a word over {s,t,u}, or else over x1..xb."""
+    rep = build_rho_preset(a, b, c, preset)
+    try:
+        w = Alphabet(["s", "t", "u"]).word(text)
+    except WordSyntaxError:
+        w = Alphabet([f"x{i + 1}" for i in range(b)]).word(text)
+    matrix = rho_eval(rep, w)
+    return {"matrix": mat_str(matrix), "is_identity": matrix == mat_identity(),
+            "q": str(rep.q), "r": str(rep.r)}
 
 
 def rho_eval(rep: Rep, w: Word) -> Mat2:
@@ -171,32 +208,31 @@ class WitnessReport:
     """The standard unfaithfulness example at (a, b, c) = (6, 2, 3)."""
 
     rho_of_cube_is_identity: dict[str, bool]  # per (q,r) preset
-    order_in_small_quotient: int  # order of x1 x2 in the k = 3 toric group
+    order_in_small_quotient: int | None  # order of x1 x2 in the k = 3 toric group; None on overflow
     rho_stu_order: int
     rho_stu_is_minus_identity: bool
     zero_preset_commutes: bool
     unit_preset_commutes: bool
 
     @property
-    def unfaithful(self) -> bool:
+    def unfaithful(self) -> bool | None:
+        if self.order_in_small_quotient is None:
+            return None
         return all(self.rho_of_cube_is_identity.values()) and self.order_in_small_quotient == 6
 
 
 def unfaithfulness_witness(max_cosets: int = 10**6) -> WitnessReport:
     """(x1 x2)^3 dies in every admissible representation at (6,2,3), yet the
     image of x1 x2 in the k = 3 quotient has order 6, so the element is
-    nontrivial and the representation cannot be faithful."""
+    nontrivial and the representation cannot be faithful.  The order is None
+    when the k = 3 enumeration overflows ``max_cosets``."""
     ab = toric(6, 2, 3, normalize=False).alphabet
     cube = Word(ab, (1, 2) * 3)
-    results: dict[str, bool] = {}
-    reps = {}
-    for name, (q, r) in qr_presets(6, 2, 3).items():
-        rep = build_rho(6, 2, 3, q, r)
-        reps[name] = rep
-        results[name] = rho_eval(rep, cube) == mat_identity()
+    reps = {name: build_rho(6, 2, 3, q, r) for name, (q, r) in qr_presets(6, 2, 3).items()}
+    results = {name: rho_eval(rep, cube) == mat_identity() for name, rep in reps.items()}
 
-    small = CayleyTable(todd_coxeter(toric(3, 2, 3, normalize=False), max_cosets=max_cosets))
-    order = small.order_of(Word(small.alphabet, (1, 2)))
+    small = finite_quotient(3, 2, 3, max_cosets)
+    order = None if small is None else small.order_of(Word(small.alphabet, (1, 2)))
 
     rep0 = reps["zero"]
     stu = mat_mul(rep0.mat_s, mat_mul(rep0.mat_t, rep0.mat_u))

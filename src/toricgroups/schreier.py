@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cosets import CosetTable, Transversal, bfs_transversal, normal_closure_table
-from .presentations import Presentation, j_parent, toric
+from .presentations import Presentation, cyclic_products, j_parent, toric, torus_classical
 from .words import (
     Alphabet,
     Derivation,
@@ -212,17 +212,11 @@ def closed_form_generator(k: int, n: int, m: int, which: str, ell: int, p: int) 
 # --- relation equivalence as explicit derivations ---------------------------
 
 
-def _chain_words(ab: Alphabet, n: int, m: int) -> list[Word]:
-    return [Word(ab, tuple((i + j) % n + 1 for j in range(m))) for i in range(n)]
-
-
 def chain_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
     """The anchored chain relators of the classical presentation, indexed so
     that relator j-2 says x_1...x_m = x_j...x_{j+m-1} (j = 2..n)."""
-    ab = Alphabet([f"x{i + 1}" for i in range(n)])
-    prods = _chain_words(ab, n, m)
-    rels = [free_reduce(prods[0] * invert(prods[j - 1])) for j in range(2, n + 1)]
-    return ab, rels
+    classical = torus_classical(n, m)
+    return classical.alphabet, list(classical.relators)
 
 
 def shift_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
@@ -342,7 +336,7 @@ def chain_from_shift_derivations(n: int, m: int) -> list[Derivation]:
     x_{j-1} back through delta by the shift relator and cancels.
     """
     ab, shifts = shift_relators(n, m)
-    prods = _chain_words(ab, n, m)
+    prods = cyclic_products(ab, n, m)
     delta = prods[0]
     out: list[Derivation] = []
     for j in range(2, n + 1):
@@ -377,7 +371,7 @@ def chain_implies_shift(n: int, m: int, i: int) -> Derivation:
     chain index is 1 (the rewrite is the identity).
     """
     ab, chains = chain_relators(n, m)
-    prods = _chain_words(ab, n, m)
+    prods = cyclic_products(ab, n, m)
     delta = prods[0]
     if not 1 <= i <= n:
         raise ValueError("generator index out of range")
@@ -400,7 +394,7 @@ def delta_power_to_twist(n: int, m: int) -> Derivation:
     to (x_1...x_n)^m letter by letter.
     """
     ab, chains = chain_relators(n, m)
-    prods = _chain_words(ab, n, m)
+    prods = cyclic_products(ab, n, m)
     delta = prods[0]
     start = Word(ab, delta.letters * n)
     steps = []

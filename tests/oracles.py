@@ -34,6 +34,7 @@ with the production engines they check:
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from itertools import combinations
 from typing import Sequence
 
@@ -47,8 +48,11 @@ def _letters(w: Word) -> tuple[int, ...]:
     return w.letters
 
 
+@cache
 def naive_order(p: Presentation, cap: int = 20000) -> int | None:
-    """Order of the presented group by naive coset closure, None past the cap."""
+    """Order of the presented group by naive coset closure, None past the cap.
+
+    Memoised: several tests close the same finite rows under the same cap."""
     relators = [_letters(r) for r in p.relators]
     tables: list[dict[int, int]] = [dict()]  # per coset: signed letter -> coset
     parent = [0]

@@ -1,6 +1,22 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from toricgroups.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+
+# JSON stdout captured before the `wp toric` and `rep` decisions moved out of
+# the command line into the library; these bytes are part of the CLI contract
+GOLDEN_REQUESTS = {
+    "wp_toric_4_2_3_central": ["wp", "toric", "4", "2", "3", "x1 x2 x1 x2 x1 x2"],
+    "wp_toric_6_2_3_central": ["wp", "toric", "6", "2", "3", "x1 x2 x1 x2 x1 x2"],
+    "wp_toric_2_3_7_noncentral": ["wp", "toric", "2", "3", "7", "x1 x2"],
+    "rep_check_6_2_3_unit": ["rep", "check", "6", "2", "3", "--qr", "unit"],
+    "rep_eval_6_2_3_s6": ["rep", "eval", "6", "2", "3", "s^6"],
+    "rep_witness": ["rep", "witness"],
+}
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -150,6 +166,15 @@ def test_wp_toric_infinite_central_is_unknown(capsys):
     assert payload["result"]["central"] is True
 
 
+def test_wp_toric_overflow_on_finite_row_is_unknown(capsys):
+    code, payload = run_json(capsys, "--max-cosets", "10", "wp", "toric", "3", "2", "3",
+                             "x1 x2 x1 x2 x1 x2")
+    assert code == 0
+    assert payload["status"] == "unknown"
+    assert payload["result"] == {"identity": None, "central": True, "coxeter_image_nf": "1"}
+    assert payload["evidence"] == ["enumeration overflowed at 10"]
+
+
 def test_wp_toric_noncentral_decided(capsys):
     code, payload = run_json(capsys, "wp", "toric", "6", "2", "3", "x1")
     assert code == 0
@@ -215,6 +240,23 @@ def test_rep_witness(capsys):
     assert payload["result"]["order_of_x1x2_in_k3_quotient"] == 6
 
 
+def test_rep_witness_overflow_is_unknown(capsys):
+    code, payload = run_json(capsys, "--max-cosets", "10", "rep", "witness")
+    assert code == 0
+    assert payload["status"] == "unknown"
+    assert payload["result"]["order_of_x1x2_in_k3_quotient"] is None
+    assert payload["result"]["unfaithful"] is None
+
+
+def test_rep_labels_are_validated(capsys):
+    for argv, bad in ((("check", "1", "2", "3"), "1"), (("check", "2", "3", "0"), "0"),
+                      (("eval", "1", "2", "3", "s"), "1")):
+        code, out, err = run(capsys, "rep", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"labels must be integers >= 2, got {bad}" in err
+
+
 def test_rep_check_with_preset(capsys):
     code, payload = run_json(capsys, "rep", "check", "6", "2", "3", "--qr", "unit")
     assert code == 0
@@ -244,3 +286,10 @@ def test_sweep_counts_and_distinguishes(capsys):
                e.get("shephard_todd"), e.get("order"))
         keys.add(key)
     assert len(keys) == len(entries)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REQUESTS))
+def test_json_matches_golden(capsys, name):
+    code, out, _ = run(capsys, "--format", "json", *GOLDEN_REQUESTS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

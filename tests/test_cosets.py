@@ -7,6 +7,7 @@ from conftest import FROZEN_TORIC_ORDERS, parent_cayley, toric_cayley
 from oracles import naive_order, matrix_group_order, reference_felsch, reference_normal_closure
 
 from toricgroups import presentations as pres
+from toricgroups.classify import finite_quotient
 from toricgroups.cosets import (
     CayleyTable,
     _columns,
@@ -262,3 +263,21 @@ def test_quotient_order_relation(finite_rows):
         c = Word(cay.alphabet, tuple(i % n + 1 for i in range(n)) * m)
         plus_order = group_order(pres.alt_plus(k, n, m))
         assert cay.size == cay.order_of(c) * plus_order
+
+
+def test_finite_quotient_is_the_finite_rows_cayley_table(finite_rows):
+    for k, n, m in finite_rows:
+        cay = finite_quotient(k, n, m, max_cosets=10**6)
+        assert cay.size == FROZEN_TORIC_ORDERS[(k, n, m)], (k, n, m)
+        assert cay.alphabet == pres.toric(k, n, m, normalize=False).alphabet
+    cay = finite_quotient(3, 2, 3, max_cosets=10**6)
+    twist = Word(cay.alphabet, (1, 2) * 3)
+    assert cay.is_identity(twist * twist)
+    assert not cay.is_identity(twist)
+
+
+def test_finite_quotient_is_none_on_infinite_rows_and_overflow():
+    assert finite_quotient(6, 2, 3, max_cosets=10**6) is None
+    assert finite_quotient(2, 3, 7, max_cosets=10**6) is None
+    assert finite_quotient(3, 2, 3, max_cosets=10) is None
+    assert finite_quotient(2, 2, 3, max_cosets=10).size == 6

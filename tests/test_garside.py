@@ -199,6 +199,15 @@ def test_separation_in_finite_quotients():
     assert separate_in_finite_quotients(2, 3, classical.word("x1"), classical.word("x2")) == "distinct"
 
 
+def test_separation_skips_overflowed_quotients():
+    classical = sigma(2, 3).target
+    twist, one = classical.word("x1 x2 x1 x2 x1 x2"), classical.word("1")
+    # the twist dies in W(2,2,3) = S3 but has order 2 in W(3,2,3)
+    assert separate_in_finite_quotients(2, 3, twist, one) == "distinct"
+    # at 10 cosets only W(2,2,3) completes; the larger quotients are skipped
+    assert separate_in_finite_quotients(2, 3, twist, one, max_cosets=10) == "not separated"
+
+
 def test_separation_uses_dihedral_quotients_past_m_99():
     classical = sigma(2, 101).target
     x1, x2 = classical.word("x1"), classical.word("x2")

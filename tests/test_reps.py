@@ -15,6 +15,7 @@ from toricgroups.reps import (
     mat_pow,
     mat_scale,
     qr_presets,
+    relation_checks,
     rho_eval,
     unfaithfulness_witness,
 )
@@ -117,6 +118,7 @@ def test_defining_relations_hold_exactly(a, b, c):
         ust = mat_mul(rep.mat_u, mat_mul(rep.mat_s, rep.mat_t))
         assert stu == tus == ust
         assert stu == mat_scale(rep.scalar, identity)
+        assert relation_checks(rep) == dict.fromkeys(("s_power", "t_power", "u_power", "chain", "scalar"), True)
 
 
 @pytest.mark.parametrize("a,b,c", REP_PARAMS)
