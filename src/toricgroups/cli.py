@@ -159,7 +159,10 @@ def cmd_derive(args) -> int:
 
 
 def cmd_rep(args) -> int:
+    rest = args.rest
     if args.action == "witness":
+        if rest or args.qr is not None:
+            raise ParameterError("rep witness takes no parameters and no --qr")
         w = reps.unfaithfulness_witness(max_cosets=args.max_cosets)
         result = {
             "parameters": [6, 2, 3],
@@ -174,9 +177,11 @@ def cmd_rep(args) -> int:
         status, evidence = ("ok", []) if w.unfaithful is not None else (
             "unknown", [f"enumeration overflowed at {args.max_cosets}"])
         return _emit(args, _payload(args, "rep", {"action": "witness"}, result, status, evidence))
-    rest = args.rest
     if len(rest) < 3:
         raise ParameterError(f"rep {args.action} needs three parameters a b c")
+    arity = 3 if args.action == "check" else 4
+    if len(rest) > arity:
+        raise ParameterError(f"rep {args.action} got extra arguments {rest[arity:]}")
     try:
         a, b, c = (int(v) for v in rest[:3])
     except ValueError:

@@ -69,7 +69,9 @@ class CoxeterMatrix:
         return lcm(*(2 * v for v in finite))
 
     def gram(self) -> list[list[Cyc]]:
-        """B(a_s, a_t) = -cos(pi / m(s,t)), with -1 for label infinity."""
+        """Twice the bilinear form, 2B(a_s, a_t) = -2 cos(pi / m(s,t)): 2 on
+        the diagonal and -2 for label infinity.  Doubling keeps every entry,
+        and so every root coordinate, in Z[zeta_N]."""
         n = self.rank
         out: list[list[Cyc]] = []
         for i in range(n):
@@ -77,11 +79,11 @@ class CoxeterMatrix:
             for j in range(n):
                 v = self.labels[i][j]
                 if i == j:
-                    row.append(Cyc.rational(1))
+                    row.append(Cyc.rational(2))
                 elif v is None:
-                    row.append(Cyc.rational(-1))
+                    row.append(Cyc.rational(-2))
                 else:
-                    row.append(-two_cos_pi_over(v) / 2)
+                    row.append(-two_cos_pi_over(v))
             out.append(row)
         return out
 
@@ -108,11 +110,6 @@ class MinimalRootTable:
         one = Cyc.rational(1).embed(modulus)
         zero = Cyc.rational(0).embed(modulus)
 
-        def reflect(coords: tuple[Cyc, ...], s: int, b_val: Cyc) -> tuple[Cyc, ...]:
-            out = list(coords)
-            out[s] = out[s] - 2 * b_val
-            return tuple(out)
-
         def bform(coords: tuple[Cyc, ...], s: int) -> Cyc:
             total = zero
             for t, c in enumerate(coords):
@@ -136,18 +133,18 @@ class MinimalRootTable:
                 if coords == simples[s]:
                     row.append(_NEGATIVE)
                     continue
-                b = bform(coords, s)
+                b = bform(coords, s)  # 2B(root, a_s); s(root) = root - b a_s
                 sgn_b = sign_real(b)
                 if sgn_b == 0:
                     row.append(r)
                     continue
-                if sgn_b < 0 and sign_real(b + one) <= 0:
+                if sgn_b < 0 and sign_real(b + 2) <= 0:
                     # image dominates the simple root of s: not minimal
                     row.append(_ELEVATED)
                     continue
-                if sgn_b > 0 and sign_real(b - one) >= 0:
+                if sgn_b > 0 and sign_real(b - 2) >= 0:
                     raise AssertionError("minimal root with inner product >= 1")
-                img = reflect(coords, s, b)
+                img = coords[:s] + (coords[s] - b,) + coords[s + 1:]
                 if img not in index:
                     index[img] = len(self.roots)
                     self.roots.append(img)

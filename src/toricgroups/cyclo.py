@@ -3,8 +3,16 @@
 A value is a rational linear combination of powers of a primitive N-th
 root of unity zeta_N, reduced modulo the N-th cyclotomic polynomial, so
 each element of Q(zeta_N) has exactly one coefficient vector of length
-phi(N).  Values with different moduli embed into the lcm modulus before
+phi(N) in the power basis (Bosma, "Canonical bases for cyclotomic fields",
+1990).  Values with different moduli embed into the lcm modulus before
 arithmetic.
+
+Coefficients are plain ints for elements of Z[zeta_N], which covers every
+root coordinate and representation matrix in this package; a ``Fraction``
+appears only after a true division.  Every operation writes its result as
+an exponent vector of length N (exponents mod N, since Phi_N divides
+x^N - 1) and canonicalizes it with one sparse reduction, which folds each
+coefficient above phi(N) through the few nonzero lower terms of Phi_N.
 
 Real elements (fixed by conjugation) additionally support certified sign
 determination: an exact zero test in the canonical basis, and for nonzero
@@ -61,41 +69,25 @@ def _degree(n: int) -> int:
 
 
 @cache
-def _power_basis(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Canonical coefficients of zeta_n^k for k = 0..n-1."""
-    d = _degree(n)
-    phi = cyclotomic_polynomial(n)
-    rows: list[tuple[Fraction, ...]] = []
-    for k in range(n):
-        if k < d:
-            row = [Fraction(0)] * d
-            row[k] = Fraction(1)
-            rows.append(tuple(row))
-        else:
-            # x^k = x * x^(k-1) reduced
-            prev = list(rows[k - 1])
-            shifted = [Fraction(0)] + prev
-            if len(shifted) > d:
-                top = shifted.pop()
-                if top:
-                    for j in range(d):
-                        shifted[j] -= top * phi[j]
-            rows.append(tuple(shifted + [Fraction(0)] * (d - len(shifted))))
-    return tuple(rows)
+def _phi_tail(n: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (j, c_j) below the leading term of the monic Phi_n."""
+    return tuple((j, c) for j, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c)
 
 
-def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _canon(n: int, v: list) -> tuple:
+    """Canonical coefficients of sum_i v[i] zeta_n^i, for len(v) == n.
+
+    Folds x^i = -x^(i-d) (sum_j c_j x^j) from the top down to degree d =
+    phi(n), overwriting ``v``.
+    """
     d = _degree(n)
-    phi = cyclotomic_polynomial(n)
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, d - 1, -1):
-        top = coeffs[i]
+    tail = _phi_tail(n)
+    for i in range(n - 1, d - 1, -1):
+        top = v[i]
         if top:
-            for j in range(len(phi) - 1):
-                coeffs[i - len(phi) + 1 + j] -= top * phi[j]
-        coeffs.pop()
-    coeffs += [Fraction(0)] * (d - len(coeffs))
-    return tuple(coeffs)
+            for j, c in tail:
+                v[i - d + j] -= top * c
+    return tuple(v[:d])
 
 
 @dataclass(frozen=True)
@@ -103,11 +95,11 @@ class Cyc:
     """An element of the N-th cyclotomic field in canonical form."""
 
     n: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     @staticmethod
     def rational(q) -> "Cyc":
-        return Cyc(1, (Fraction(q),))
+        return Cyc(1, (q if isinstance(q, int) else Fraction(q),))
 
     @staticmethod
     def zero() -> "Cyc":
@@ -132,14 +124,10 @@ class Cyc:
         if m % self.n != 0:
             raise ValueError(f"cannot embed modulus {self.n} into {m}")
         step = m // self.n
-        out = [Fraction(0)] * _degree(m)
-        basis = _power_basis(m)
+        v = [0] * m
         for i, c in enumerate(self.coeffs):
-            if c:
-                row = basis[(i * step) % m]
-                for j, b in enumerate(row):
-                    out[j] += c * b
-        return Cyc(m, tuple(out))
+            v[i * step] = c
+        return Cyc(m, _canon(m, v))
 
     def _common(self, other: "Cyc") -> tuple["Cyc", "Cyc"]:
         if self.n == other.n:
@@ -168,13 +156,14 @@ class Cyc:
     def __mul__(self, other) -> "Cyc":
         other = _coerce(other)
         a, b = self._common(other)
-        out = [Fraction(0)] * (2 * len(a.coeffs))
+        n = a.n
+        v = [0] * n
         for i, x in enumerate(a.coeffs):
             if x:
                 for j, y in enumerate(b.coeffs):
                     if y:
-                        out[i + j] += x * y
-        return Cyc(a.n, _reduce(a.n, out))
+                        v[(i + j) % n] += x * y
+        return Cyc(n, _canon(n, v))
 
     __rmul__ = __mul__
 
@@ -195,7 +184,8 @@ class Cyc:
         if len(r0) != 1:
             raise AssertionError("gcd with the cyclotomic polynomial must be constant")
         c = r0[0]
-        return Cyc(self.n, _reduce(self.n, [x / c for x in s0]))
+        v = [x / c for x in s0] + [0] * (self.n - len(s0))
+        return Cyc(self.n, tuple(int(x) if x.denominator == 1 else x for x in _canon(self.n, v)))
 
     def __truediv__(self, other) -> "Cyc":
         return self * _coerce(other).inv()
@@ -217,14 +207,10 @@ class Cyc:
 
     def conj(self) -> "Cyc":
         """Complex conjugation: zeta -> zeta^-1."""
-        out = [Fraction(0)] * _degree(self.n)
-        basis = _power_basis(self.n)
+        v = [0] * self.n
         for i, c in enumerate(self.coeffs):
-            if c:
-                row = basis[(self.n - i) % self.n]
-                for j, b in enumerate(row):
-                    out[j] += c * b
-        return Cyc(self.n, tuple(out))
+            v[-i % self.n] = c
+        return Cyc(self.n, _canon(self.n, v))
 
     def is_real(self) -> bool:
         return self == self.conj()
@@ -240,10 +226,11 @@ class Cyc:
         return a.coeffs == b.coeffs
 
     def __hash__(self) -> int:
-        # hash the value in a canonical small field when rational
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.n, self.coeffs))
+        # the normalized trace, the same in every field that holds the value:
+        # zeta_n^i is a primitive q-th root, q = n / gcd(i, n), and the
+        # primitive q-th roots sum to -Phi_q[-2]
+        qs = ((c, self.n // gcd(i, self.n)) for i, c in enumerate(self.coeffs) if c)
+        return hash(sum(Fraction(-c * cyclotomic_polynomial(q)[-2], _degree(q)) for c, q in qs))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -316,7 +303,9 @@ def zeta(n: int, k: int = 1) -> Cyc:
     """The primitive root of unity zeta_n raised to the k-th power."""
     if n < 1:
         raise ValueError("modulus must be positive")
-    return Cyc(n, _power_basis(n)[k % n])
+    v = [0] * n
+    v[k % n] = 1
+    return Cyc(n, _canon(n, v))
 
 
 def two_cos_pi_over(label: int) -> Cyc:
@@ -324,7 +313,10 @@ def two_cos_pi_over(label: int) -> Cyc:
     return zeta(2 * label) + zeta(2 * label, 2 * label - 1)
 
 
-def sign_real(x: Cyc, max_dps: int = 2000) -> int:
+_MAX_DPS = 2000  # precision at which sign_real gives up
+
+
+def sign_real(x: Cyc) -> int:
     """Certified sign of a real cyclotomic number: -1, 0, or +1.
 
     Zero is decided exactly in the canonical basis.  Otherwise the value
@@ -340,7 +332,7 @@ def sign_real(x: Cyc, max_dps: int = 2000) -> int:
     from mpmath import iv
 
     dps = 30
-    while dps <= max_dps:
+    while dps <= _MAX_DPS:
         old = iv.dps
         try:
             iv.dps = dps
@@ -356,4 +348,4 @@ def sign_real(x: Cyc, max_dps: int = 2000) -> int:
         finally:
             iv.dps = old
         dps *= 2
-    raise ArithmeticError(f"could not separate {x} from zero at {max_dps} digits")
+    raise ArithmeticError(f"could not separate {x} from zero at {_MAX_DPS} digits")

@@ -122,7 +122,7 @@ def build_rho(a: int, b: int, c: int, q: Cyc, r: Cyc) -> Rep:
     theta = zeta(2 * a).embed(modulus)
     phi = zeta(2 * b).embed(modulus)
     psi = zeta(2 * c).embed(modulus)
-    required = (theta * phi * (psi + psi.inv()) - theta * theta - phi * phi)
+    required = constraint_value(a, b, c)
     q = q.embed(modulus) if q.n != modulus and modulus % q.n == 0 else q
     r = r.embed(modulus) if r.n != modulus and modulus % r.n == 0 else r
     got = q * r

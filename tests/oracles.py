@@ -29,17 +29,26 @@ with the production engines they check:
   enumerates over a subgroup and adjoins one conjugate of a seed per round
   until every seed acts trivially.  It needs a finite index at every round
   and shares the enumerator of ``cosets``.
+- ``reference_cyc`` (``ReferenceCyc``, ``reference_zeta``): the original
+  cyclotomic arithmetic, with ``Fraction`` coefficients, a dense power basis
+  of zeta_n^k per modulus, and a reduction that walks every coefficient of
+  Phi_n.  ``cyclo.Cyc`` must give the same canonical coefficients and the
+  same printed form; it shares ``cyclotomic_polynomial``, ``_degree`` and
+  ``_poly_trim`` with it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 from toricgroups.cosets import CosetTable, _Enumerator, bfs_transversal, todd_coxeter
-from toricgroups.cyclo import Cyc, sign_real, two_cos_pi_over
+from toricgroups.cyclo import Cyc, _degree, _poly_trim, cyclotomic_polynomial, sign_real, two_cos_pi_over
 from toricgroups.presentations import Presentation, TietzeBudgetExceeded
 from toricgroups.words import Alphabet, Word, cyclic_reduce, free_reduce, invert
 
@@ -478,3 +487,221 @@ def reference_felsch(p: Presentation, subgens: Sequence[Word] = (), max_cosets: 
         b = e.define(a, col)
         deductions.append((a, col))
         deductions.append((b, col ^ 1))
+
+
+# --- the original Fraction power-basis cyclotomic arithmetic ------------------
+
+
+@cache
+def _ref_power_basis(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Canonical coefficients of zeta_n^k for k = 0..n-1."""
+    d = _degree(n)
+    phi = cyclotomic_polynomial(n)
+    rows: list[tuple[Fraction, ...]] = []
+    for k in range(n):
+        if k < d:
+            row = [Fraction(0)] * d
+            row[k] = Fraction(1)
+            rows.append(tuple(row))
+        else:
+            # x^k = x * x^(k-1) reduced
+            prev = list(rows[k - 1])
+            shifted = [Fraction(0)] + prev
+            if len(shifted) > d:
+                top = shifted.pop()
+                if top:
+                    for j in range(d):
+                        shifted[j] -= top * phi[j]
+            rows.append(tuple(shifted + [Fraction(0)] * (d - len(shifted))))
+    return tuple(rows)
+
+
+def _ref_reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    d = _degree(n)
+    phi = cyclotomic_polynomial(n)
+    coeffs = list(coeffs)
+    for i in range(len(coeffs) - 1, d - 1, -1):
+        top = coeffs[i]
+        if top:
+            for j in range(len(phi) - 1):
+                coeffs[i - len(phi) + 1 + j] -= top * phi[j]
+        coeffs.pop()
+    coeffs += [Fraction(0)] * (d - len(coeffs))
+    return tuple(coeffs)
+
+
+@dataclass(frozen=True)
+class ReferenceCyc:
+    """An element of the N-th cyclotomic field in canonical form."""
+
+    n: int
+    coeffs: tuple[Fraction, ...]
+
+    @staticmethod
+    def rational(q) -> "ReferenceCyc":
+        return ReferenceCyc(1, (Fraction(q),))
+
+    @staticmethod
+    def one() -> "ReferenceCyc":
+        return ReferenceCyc.rational(1)
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def embed(self, m: int) -> "ReferenceCyc":
+        """Rewrite in the m-th cyclotomic field (n must divide m)."""
+        if m == self.n:
+            return self
+        if m % self.n != 0:
+            raise ValueError(f"cannot embed modulus {self.n} into {m}")
+        step = m // self.n
+        out = [Fraction(0)] * _degree(m)
+        basis = _ref_power_basis(m)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                row = basis[(i * step) % m]
+                for j, b in enumerate(row):
+                    out[j] += c * b
+        return ReferenceCyc(m, tuple(out))
+
+    def _common(self, other: "ReferenceCyc") -> tuple["ReferenceCyc", "ReferenceCyc"]:
+        if self.n == other.n:
+            return self, other
+        m = self.n * other.n // gcd(self.n, other.n)
+        return self.embed(m), other.embed(m)
+
+    def __add__(self, other) -> "ReferenceCyc":
+        other = _ref_coerce(other)
+        a, b = self._common(other)
+        return ReferenceCyc(a.n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ReferenceCyc":
+        return ReferenceCyc(self.n, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other) -> "ReferenceCyc":
+        return self + (-_ref_coerce(other))
+
+    def __rsub__(self, other) -> "ReferenceCyc":
+        return _ref_coerce(other) - self
+
+    def __mul__(self, other) -> "ReferenceCyc":
+        other = _ref_coerce(other)
+        a, b = self._common(other)
+        out = [Fraction(0)] * (2 * len(a.coeffs))
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs):
+                    if y:
+                        out[i + j] += x * y
+        return ReferenceCyc(a.n, _ref_reduce(a.n, out))
+
+    __rmul__ = __mul__
+
+    def inv(self) -> "ReferenceCyc":
+        """Field inverse via the extended Euclidean algorithm mod Phi_n."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero cyclotomic number")
+        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
+        a = list(self.coeffs)
+        _poly_trim(a)
+        # extended gcd of a and phi over Q[x]
+        r0, r1 = a, phi
+        s0, s1 = [Fraction(1)], [Fraction(0)]
+        while r1:
+            q, r = _ref_poly_divmod_q(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _ref_poly_sub(s0, _ref_poly_mul(q, s1))
+        if len(r0) != 1:
+            raise AssertionError("gcd with the cyclotomic polynomial must be constant")
+        c = r0[0]
+        return ReferenceCyc(self.n, _ref_reduce(self.n, [x / c for x in s0]))
+
+    def conj(self) -> "ReferenceCyc":
+        """Complex conjugation: zeta -> zeta^-1."""
+        out = [Fraction(0)] * _degree(self.n)
+        basis = _ref_power_basis(self.n)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                row = basis[(self.n - i) % self.n]
+                for j, b in enumerate(row):
+                    out[j] += c * b
+        return ReferenceCyc(self.n, tuple(out))
+
+    def __eq__(self, other) -> bool:
+        try:
+            other = _ref_coerce(other)
+        except TypeError:
+            return NotImplemented
+        a, b = self._common(other)
+        return a.coeffs == b.coeffs
+
+    def __str__(self) -> str:
+        if self.is_zero():
+            return "0"
+        sym = f"z{self.n}"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                term = sym if i == 1 else f"{sym}^{i}"
+                sign = "-" if c < 0 else "+"
+                parts.append(f"{sign} {mag}{term}" if parts else (f"-{mag}{term}" if c < 0 else f"{mag}{term}"))
+        return " ".join(parts)
+
+
+def _ref_coerce(x) -> ReferenceCyc:
+    if isinstance(x, ReferenceCyc):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return ReferenceCyc.rational(x)
+    raise TypeError(f"cannot interpret {x!r} as a cyclotomic number")
+
+
+def _ref_poly_divmod_q(num: list[Fraction], den: list[Fraction]):
+    num = list(num)
+    if not den:
+        raise ZeroDivisionError
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1] / den[-1]
+        q[i] = c
+        if c:
+            for j, d in enumerate(den):
+                num[i + j] -= c * d
+    return q, _poly_trim(num)
+
+
+def _ref_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _ref_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _poly_trim(out)
+
+
+def reference_zeta(n: int, k: int = 1) -> ReferenceCyc:
+    """The primitive root of unity zeta_n raised to the k-th power."""
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    return ReferenceCyc(n, _ref_power_basis(n)[k % n])
+
+
+def reference_cyc(n: int, coeffs) -> ReferenceCyc:
+    """The reference value sum_i coeffs[i] zeta_n^i, for phi(n) canonical coefficients."""
+    return ReferenceCyc(n, tuple(Fraction(c) for c in coeffs))

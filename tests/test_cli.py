@@ -16,6 +16,11 @@ GOLDEN_REQUESTS = {
     "rep_check_6_2_3_unit": ["rep", "check", "6", "2", "3", "--qr", "unit"],
     "rep_eval_6_2_3_s6": ["rep", "eval", "6", "2", "3", "s^6"],
     "rep_witness": ["rep", "witness"],
+    # printed cyclotomics at moduli 60 and 120, captured before the sparse
+    # integer reduction replaced the Fraction power basis
+    "rep_eval_2_3_5_stus": ["rep", "eval", "2", "3", "5", "s t u s"],
+    "rep_check_3_4_5": ["rep", "check", "3", "4", "5"],
+    "wp_coxeter_7_8_9": ["wp", "coxeter", "7", "8", "9", "r1 r2 r3 r1 r2"],
 }
 
 
@@ -255,6 +260,15 @@ def test_rep_labels_are_validated(capsys):
         assert code == 2
         assert out == ""
         assert f"labels must be integers >= 2, got {bad}" in err
+
+
+def test_rep_extra_arguments_are_rejected(capsys):
+    for argv in (("witness", "7", "7", "7"), ("witness", "--qr", "bogus"), ("witness", "--qr", "zero"),
+                 ("check", "6", "2", "3", "extra", "junk"), ("eval", "6", "2", "3", "s", "t")):
+        code, out, err = run(capsys, "rep", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: rep ")
 
 
 def test_rep_check_with_preset(capsys):

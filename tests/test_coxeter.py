@@ -33,6 +33,13 @@ def test_minimal_root_table_hyperbolic_is_finite():
     assert len(root_table(2, 3, 7)) == GOLDEN_237_MINIMAL_ROOTS
 
 
+@pytest.mark.parametrize("k,n,m", [(2, 3, 7), (3, 4, 5), (4, 5, 6), (3, 3, 3), (2, 3, 5), (7, 8, 9)])
+def test_root_coordinates_have_integer_coefficients(k, n, m):
+    # 2B keeps every root in Z[zeta_N]: no division, so no Fraction
+    roots = root_table(k, n, m).roots
+    assert all(type(x) is int for root in roots for coord in root for x in coord.coeffs)
+
+
 def test_defining_relations_die():
     table = root_table(6, 2, 3)
     ab = table.cm.alphabet()

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from toricgroups.cyclo import Cyc, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
+from oracles import reference_cyc, reference_zeta
+
+from toricgroups.cyclo import Cyc, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
 from toricgroups.reps import (
     ConstraintError,
     build_rho,
@@ -22,6 +25,8 @@ from toricgroups.reps import (
 from toricgroups.words import Alphabet
 
 REP_PARAMS = [(2, 3, 4), (2, 3, 5), (3, 2, 3), (6, 2, 3), (2, 3, 7)]
+# the representation presets of the benchmark's word-problem workload
+WORKLOAD_REP_PARAMS = [(6, 2, 3), (2, 3, 5), (3, 4, 5)]
 
 
 # --- cyclotomic arithmetic -------------------------------------------------------
@@ -84,6 +89,80 @@ def test_sign_real():
         sign_real(zeta(5))
 
 
+def test_equal_values_hash_equal_across_moduli():
+    assert zeta(4) == zeta(8, 2)
+    assert len({zeta(4), zeta(8, 2)}) == 1
+    assert hash(Cyc.rational(3)) == hash(3)
+
+
+# --- the sparse reduction against the original power-basis arithmetic -----------
+
+MODULI = (1, 4, 12, 60, 120, 252)
+# (n, a proper divisor of n in MODULI), so that mixed-modulus operands embed
+MODULUS_PAIRS = [(n, d) for n in MODULI for d in MODULI if d < n and n % d == 0]
+small = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=4).filter(lambda q: abs(q) <= 5))
+
+
+@st.composite
+def elements(draw, n: int, max_terms: int = 4):
+    """Coefficients of a sparse element of Q(zeta_n), as a (Cyc, reference) pair."""
+    coeffs = [0] * _degree(n)
+    for i in draw(st.lists(st.integers(0, _degree(n) - 1), max_size=max_terms)):
+        coeffs[i] = draw(small)
+    return Cyc(n, tuple(coeffs)), reference_cyc(n, coeffs)
+
+
+@st.composite
+def element_pairs(draw):
+    n, d = draw(st.sampled_from([(n, n) for n in MODULI] + MODULUS_PAIRS))
+    return draw(elements(n)), draw(elements(d))
+
+
+def same(value: Cyc, ref) -> None:
+    assert value.n == ref.n
+    assert value.coeffs == ref.coeffs
+    assert str(value) == str(ref)
+
+
+@settings(max_examples=60)
+@given(element_pairs())
+def test_ring_operations_match_reference(pair):
+    (a, ra), (b, rb) = pair
+    same(a + b, ra + rb)
+    same(a - b, ra - rb)
+    same(b - a, rb - ra)
+    same(a * b, ra * rb)
+    same(a.conj(), ra.conj())
+    same(b.conj(), rb.conj())
+    assert (a == b) == (ra == rb)
+    assert (a + b == b) == (ra + rb == rb)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(MODULI).flatmap(lambda n: elements(n, max_terms=3)))
+def test_inverse_matches_reference(pair):
+    a, ra = pair
+    assume(not a.is_zero())
+    same(a.inv(), ra.inv())
+    assert a * a.inv() == 1
+
+
+@given(st.sampled_from(MODULUS_PAIRS).flatmap(
+    lambda nd: st.tuples(st.just(nd[0]), elements(nd[1]))))
+def test_embedding_matches_reference_and_keeps_the_hash(case):
+    m, (a, ra) = case
+    same(a.embed(m), ra.embed(m))
+    assert a.embed(m) == a
+    assert hash(a.embed(m)) == hash(a)
+
+
+@given(st.sampled_from(MODULI), st.integers(-300, 300))
+def test_zeta_matches_reference(n, k):
+    same(zeta(n, k), reference_zeta(n, k))
+    # integral inverses come back as ints, so Z[zeta_n] stays Fraction-free
+    assert all(type(c) is int for c in zeta(n, k).coeffs + zeta(n, k).inv().coeffs)
+
+
 def test_rendering_deterministic_term_order():
     value = zeta(12) + Cyc.rational(Fraction(1, 2)) - 3 * zeta(12, 5)
     assert str(value) == "1/2 + 4*z12 - 3*z12^3"
@@ -119,6 +198,16 @@ def test_defining_relations_hold_exactly(a, b, c):
         assert stu == tus == ust
         assert stu == mat_scale(rep.scalar, identity)
         assert relation_checks(rep) == dict.fromkeys(("s_power", "t_power", "u_power", "chain", "scalar"), True)
+
+
+@pytest.mark.parametrize("a,b,c", WORKLOAD_REP_PARAMS)
+def test_rho_entries_have_integer_coefficients(a, b, c):
+    stu = Alphabet(["s", "t", "u"])
+    for name, (q, r) in qr_presets(a, b, c).items():
+        rep = build_rho(a, b, c, q, r)
+        inverses = rho_eval(rep, stu.word("s^-1 t^-1 u^-1"))
+        for mat in (rep.mat_s, rep.mat_t, rep.mat_u, inverses):
+            assert all(type(x) is int for row in mat for entry in row for x in entry.coeffs), name
 
 
 @pytest.mark.parametrize("a,b,c", REP_PARAMS)
