@@ -14,10 +14,14 @@ an exponent vector of length N (exponents mod N, since Phi_N divides
 x^N - 1) and canonicalizes it with one sparse reduction, which folds each
 coefficient above phi(N) through the few nonzero lower terms of Phi_N.
 
-Real elements (fixed by conjugation) additionally support certified sign
-determination: an exact zero test in the canonical basis, and for nonzero
-values interval evaluation at escalating precision until zero is excluded.
-No floating point is trusted anywhere in a correctness path.
+Real elements (fixed by conjugation) additionally have a certified sign,
+in integers only.  Zero and rationals are decided exactly in the canonical
+basis.  A nonzero real value sum_i c_i cos(2 pi i / N) is compared with
+fixed-point cosines: integers C_i within 1 of 2^p cos(2 pi i / N), from
+Machin's pi and a Taylor series, so that S = sum_i c_i C_i is within
+sum_i |c_i| of 2^p times the value.  Its sign is certified once |S| exceeds
+that bound; otherwise p doubles.  No floating point is trusted anywhere in
+a correctness path.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 
 def _poly_trim(c: list) -> list:
@@ -168,23 +172,28 @@ class Cyc:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyc":
-        """Field inverse via the extended Euclidean algorithm mod Phi_n."""
-        if self.is_zero():
+        """Field inverse: c zeta^i -> c^-1 zeta^(n-i), else extended Euclid mod Phi_n."""
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
+        if not terms:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        a = list(self.coeffs)
-        _poly_trim(a)
-        # extended gcd of a and phi over Q[x]
-        r0, r1 = a, phi
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        while r1:
-            q, r = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if len(r0) != 1:
-            raise AssertionError("gcd with the cyclotomic polynomial must be constant")
-        c = r0[0]
-        v = [x / c for x in s0] + [0] * (self.n - len(s0))
+        v = [0] * self.n
+        if len(terms) == 1:
+            (i, c), = terms
+            v[-i % self.n] = 1 / Fraction(c)
+        else:
+            phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
+            a = list(self.coeffs)
+            _poly_trim(a)
+            # extended gcd of a and phi over Q[x]
+            r0, r1 = a, phi
+            s0, s1 = [Fraction(1)], [Fraction(0)]
+            while r1:
+                q, r = _poly_divmod_q(r0, r1)
+                r0, r1 = r1, r
+                s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+            if len(r0) != 1:
+                raise AssertionError("gcd with the cyclotomic polynomial must be constant")
+            v[:len(s0)] = [x / r0[0] for x in s0]
         return Cyc(self.n, tuple(int(x) if x.denominator == 1 else x for x in _canon(self.n, v)))
 
     def __truediv__(self, other) -> "Cyc":
@@ -313,15 +322,80 @@ def two_cos_pi_over(label: int) -> Cyc:
     return zeta(2 * label) + zeta(2 * label, 2 * label - 1)
 
 
-_MAX_DPS = 2000  # precision at which sign_real gives up
+def _atan_inv_fixed(x: int, q: int) -> int:
+    """2^q atan(1/x) for an integer x > 1, to within q / log2(x) + 2."""
+    total, k = 0, 0
+    power = (1 << q) // x  # floor(2^q / x^(2k+1)), exactly
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x * x
+        k += 1
+    return total
+
+
+@cache
+def _pi_fixed(q: int) -> int:
+    """2^q pi to within 7.4 q + 40, by Machin's formula."""
+    return 16 * _atan_inv_fixed(5, q) - 4 * _atan_inv_fixed(239, q)
+
+
+def _cos_fixed(theta: int, q: int) -> int:
+    """2^q cos(theta / 2^q) for 0 <= theta / 2^q < 3.2, to within q + 4."""
+    total = term = 1 << q
+    square = theta * theta
+    k = 0
+    while term:
+        k += 1
+        term = (term * square >> 2 * q) // ((2 * k - 1) * (2 * k))
+        total += -term if k & 1 else term
+    return total
+
+
+@cache
+def _cos_table(n: int, p: int) -> tuple[int, ...]:
+    """Integers C_i with |C_i - 2^p cos(2 pi i / n)| <= 1, for i < phi(n) and p >= 64.
+
+    The work runs at q = p + g bits, g = bitlen(p) + 6 guard bits, and the
+    result is rounded to p bits.  Every truncation is a floor, so each costs
+    less than one unit of 2^-q:
+
+    - arctan(1/x): each term floor(floor(2^q / x^(2k+1)) / (2k+1)) is off by
+      less than 2, and the series stops at the first zero power, where the
+      alternating tail is below 1; at most (q / log2(x) + 1) / 2 terms.  So
+      Machin's 16 atan(1/5) - 4 atan(1/239) is within 7.4 q + 40 of 2^q pi.
+    - theta = floor(2 j pi / n), with j = min(i, n - i) <= n / 2 because
+      cos(2 pi i / n) = cos(2 pi (n - i) / n): within 7.4 q + 41 of
+      2^q 2 pi j / n, in [0, pi].  cos is 1-Lipschitz, so the cosine of the
+      rounded angle is that close too.
+    - Taylor terms t_k = floor(t_(k-1) theta^2 / ((2k-1) 2k)) lie in
+      (T_k - 2, T_k] for the exact terms T_k, because the ratio
+      theta^2 / ((2k-1) 2k) is below 0.86 from k = 2 on; nonzero terms need
+      T_k >= 1, so k < q / 2; and the alternating tail after the first zero
+      term is below 2.  The series is within q + 4.
+
+    That is at most 8.4 q + 45 <= 9 q <= 2^(g-1) before rounding, and
+    rounding adds 1/2: the error is at most 1 at scale 2^p.
+    """
+    g = p.bit_length() + 6
+    q = p + g
+    pi = _pi_fixed(q)
+    half = 1 << (g - 1)
+    return tuple((_cos_fixed(2 * min(i, n - i) * pi // n, q) + half) >> g for i in range(_degree(n)))
 
 
 def sign_real(x: Cyc) -> int:
     """Certified sign of a real cyclotomic number: -1, 0, or +1.
 
-    Zero is decided exactly in the canonical basis.  Otherwise the value
-    sum_i c_i cos(2 pi i / n) is evaluated with interval arithmetic at
-    escalating precision until the interval excludes zero.
+    Zero and rational values are decided exactly in the canonical basis.
+    Otherwise the value V = sum_i c_i cos(2 pi i / n) is scaled to integer
+    coefficients L c_i by the positive lcm L of their denominators, and
+    S = sum_i L c_i C_i is formed from the fixed-point cosines of
+    ``_cos_table``, each within 1 of 2^p cos(2 pi i / n).  So S is within
+    sum_i |L c_i| of 2^p L V, and once |S| exceeds that bound S has the sign
+    of V.  Otherwise p doubles, starting at 64.  The loop ends: a nonzero
+    canonical form is a nonzero real number V, and 2^p L |V| outgrows twice
+    the bound.
     """
     if not x.is_real():
         raise ValueError(f"{x} is not real")
@@ -329,23 +403,13 @@ def sign_real(x: Cyc) -> int:
         return 0
     if x.is_rational():
         return 1 if x.coeffs[0] > 0 else -1
-    from mpmath import iv
-
-    dps = 30
-    while dps <= _MAX_DPS:
-        old = iv.dps
-        try:
-            iv.dps = dps
-            total = iv.mpf(0)
-            for i, c in enumerate(x.coeffs):
-                if c:
-                    coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                    total += coeff * iv.cos(2 * iv.pi * i / x.n)
-            if total > 0:
-                return 1
-            if total < 0:
-                return -1
-        finally:
-            iv.dps = old
-        dps *= 2
-    raise ArithmeticError(f"could not separate {x} from zero at {_MAX_DPS} digits")
+    scale = lcm(*(c.denominator for c in x.coeffs))
+    terms = [(i, c.numerator * (scale // c.denominator)) for i, c in enumerate(x.coeffs) if c]
+    bound = sum(abs(c) for _, c in terms)
+    p = 64
+    while True:
+        table = _cos_table(x.n, p)
+        total = sum(c * table[i] for i, c in terms)
+        if abs(total) > bound:
+            return 1 if total > 0 else -1
+        p *= 2

@@ -20,7 +20,7 @@ from math import lcm
 from .classify import finite_quotient
 from .cyclo import Cyc, zeta
 from .presentations import FamilyParams, toric
-from .words import Alphabet, Word, WordSyntaxError
+from .words import Alphabet, Word
 
 Mat2 = tuple[tuple[Cyc, Cyc], tuple[Cyc, Cyc]]
 
@@ -171,12 +171,11 @@ def check_record(a: int, b: int, c: int, preset: str | None) -> dict:
 
 
 def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> dict:
-    """The ``rep eval`` record of a word over {s,t,u}, or else over x1..xb."""
+    """The ``rep eval`` record of a word over {s,t,u} if it names no other generator, else over x1..xb."""
     rep = build_rho_preset(a, b, c, preset)
-    try:
-        w = Alphabet(["s", "t", "u"]).word(text)
-    except WordSyntaxError:
-        w = Alphabet([f"x{i + 1}" for i in range(b)]).word(text)
+    stu = ["s", "t", "u"]
+    names = {token.partition("^")[0] for token in text.split()} - {"1"}
+    w = Alphabet(stu if names <= set(stu) else [f"x{i + 1}" for i in range(b)]).word(text)
     matrix = rho_eval(rep, w)
     return {"matrix": mat_str(matrix), "is_identity": matrix == mat_identity(),
             "q": str(rep.q), "r": str(rep.r)}

@@ -35,6 +35,10 @@ with the production engines they check:
   Phi_n.  ``cyclo.Cyc`` must give the same canonical coefficients and the
   same printed form; it shares ``cyclotomic_polynomial``, ``_degree`` and
   ``_poly_trim`` with it.
+- ``reference_sign_real``: the original certified sign of a real
+  cyclotomic number, by ``mpmath`` interval cosines at escalating decimal
+  precision.  ``cyclo.sign_real`` must give the same signs; ``positive_roots``
+  and ``gram_parabolic_verdicts`` decide their signs with it.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from math import gcd
 from typing import Sequence
 
 from toricgroups.cosets import CosetTable, _Enumerator, bfs_transversal, todd_coxeter
-from toricgroups.cyclo import Cyc, _degree, _poly_trim, cyclotomic_polynomial, sign_real, two_cos_pi_over
+from toricgroups.cyclo import Cyc, _degree, _poly_trim, cyclotomic_polynomial, two_cos_pi_over
 from toricgroups.presentations import Presentation, TietzeBudgetExceeded
 from toricgroups.words import Alphabet, Word, cyclic_reduce, free_reduce, invert
 
@@ -265,7 +269,7 @@ def positive_roots(k: int, n: int, m: int, cap: int = 4000) -> int | None:
         return tuple(out)
 
     def is_positive(coords) -> bool:
-        signs = [sign_real(c) for c in coords]
+        signs = [reference_sign_real(c) for c in coords]
         return all(s >= 0 for s in signs)
 
     seen = set(simples)
@@ -317,7 +321,7 @@ def gram_parabolic_verdicts(labels) -> tuple[tuple[tuple[int, ...], bool], ...]:
     gram = [[entry(i, j) for j in range(rank)] for i in range(rank)]
 
     def positive_definite(subset: tuple[int, ...]) -> bool:
-        return all(sign_real(_det([[gram[i][j] for j in subset[:t]] for i in subset[:t]])) > 0
+        return all(reference_sign_real(_det([[gram[i][j] for j in subset[:t]] for i in subset[:t]])) > 0
                    for t in range(1, len(subset) + 1))
 
     return tuple((subset, positive_definite(subset))
@@ -705,3 +709,43 @@ def reference_zeta(n: int, k: int = 1) -> ReferenceCyc:
 def reference_cyc(n: int, coeffs) -> ReferenceCyc:
     """The reference value sum_i coeffs[i] zeta_n^i, for phi(n) canonical coefficients."""
     return ReferenceCyc(n, tuple(Fraction(c) for c in coeffs))
+
+
+# --- the original mpmath interval sign -----------------------------------------
+
+_MAX_DPS = 2000  # precision at which reference_sign_real gives up
+
+
+def reference_sign_real(x: Cyc) -> int:
+    """Certified sign of a real cyclotomic number: -1, 0, or +1.
+
+    Zero is decided exactly in the canonical basis.  Otherwise the value
+    sum_i c_i cos(2 pi i / n) is evaluated with interval arithmetic at
+    escalating precision until the interval excludes zero.
+    """
+    if not x.is_real():
+        raise ValueError(f"{x} is not real")
+    if x.is_zero():
+        return 0
+    if x.is_rational():
+        return 1 if x.coeffs[0] > 0 else -1
+    from mpmath import iv
+
+    dps = 30
+    while dps <= _MAX_DPS:
+        old = iv.dps
+        try:
+            iv.dps = dps
+            total = iv.mpf(0)
+            for i, c in enumerate(x.coeffs):
+                if c:
+                    coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
+                    total += coeff * iv.cos(2 * iv.pi * i / x.n)
+            if total > 0:
+                return 1
+            if total < 0:
+                return -1
+        finally:
+            iv.dps = old
+        dps *= 2
+    raise ArithmeticError(f"could not separate {x} from zero at {_MAX_DPS} digits")

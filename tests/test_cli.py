@@ -288,6 +288,13 @@ def test_rep_eval_requires_word(capsys):
     assert code == 2
 
 
+def test_rep_eval_reports_the_error_of_an_stu_word(capsys):
+    # a word naming only s, t, u is not parsed again over x1..xb, where the
+    # error would read "unknown generator 's'"
+    code, out, err = run(capsys, "rep", "eval", "6", "2", "3", "s^0")
+    assert (code, out, err) == (2, "", "error: zero exponent in 's^0'\n")
+
+
 def test_sweep_counts_and_distinguishes(capsys):
     code, payload = run_json(capsys, "sweep", "--max-k", "3", "--max-m", "5")
     assert code == 0

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import reference_cyc, reference_zeta
+from oracles import reference_cyc, reference_sign_real, reference_zeta
 
-from toricgroups.cyclo import Cyc, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
+from toricgroups.cyclo import Cyc, _cos_table, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
 from toricgroups.reps import (
     ConstraintError,
     build_rho,
@@ -101,14 +106,18 @@ MODULI = (1, 4, 12, 60, 120, 252)
 # (n, a proper divisor of n in MODULI), so that mixed-modulus operands embed
 MODULUS_PAIRS = [(n, d) for n in MODULI for d in MODULI if d < n and n % d == 0]
 small = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=4).filter(lambda q: abs(q) <= 5))
+nonzero_small = small.filter(bool)
 
 
 @st.composite
-def elements(draw, n: int, max_terms: int = 4):
-    """Coefficients of a sparse element of Q(zeta_n), as a (Cyc, reference) pair."""
+def elements(draw, n: int, max_terms: int = 4, min_terms: int = 0):
+    """Coefficients of a sparse element of Q(zeta_n), as a (Cyc, reference) pair.
+
+    With ``min_terms`` > 0 every drawn coefficient is nonzero, so the element is.
+    """
     coeffs = [0] * _degree(n)
-    for i in draw(st.lists(st.integers(0, _degree(n) - 1), max_size=max_terms)):
-        coeffs[i] = draw(small)
+    for i in draw(st.lists(st.integers(0, _degree(n) - 1), min_size=min_terms, max_size=max_terms)):
+        coeffs[i] = draw(nonzero_small if min_terms else small)
     return Cyc(n, tuple(coeffs)), reference_cyc(n, coeffs)
 
 
@@ -139,12 +148,21 @@ def test_ring_operations_match_reference(pair):
 
 
 @settings(max_examples=30)
-@given(st.sampled_from(MODULI).flatmap(lambda n: elements(n, max_terms=3)))
+@given(st.sampled_from(MODULI).flatmap(lambda n: elements(n, max_terms=3, min_terms=1)))
 def test_inverse_matches_reference(pair):
     a, ra = pair
-    assume(not a.is_zero())
     same(a.inv(), ra.inv())
     assert a * a.inv() == 1
+
+
+@given(st.sampled_from(MODULI).flatmap(lambda n: elements(n, max_terms=1, min_terms=1)))
+def test_monomial_inverse_matches_reference(pair):
+    # c zeta^i inverts to c^-1 zeta^(n-i), without the extended Euclid
+    a, ra = pair
+    same(a.inv(), ra.inv())
+    c = next(c for c in a.coeffs if c)
+    if c in (1, -1):
+        assert all(type(x) is int for x in a.inv().coeffs)
 
 
 @given(st.sampled_from(MODULUS_PAIRS).flatmap(
@@ -161,6 +179,73 @@ def test_zeta_matches_reference(n, k):
     same(zeta(n, k), reference_zeta(n, k))
     # integral inverses come back as ints, so Z[zeta_n] stays Fraction-free
     assert all(type(c) is int for c in zeta(n, k).coeffs + zeta(n, k).inv().coeffs)
+
+
+# --- the fixed-point sign against the mpmath interval sign ------------------------
+
+SIGN_MODULI = (1, 4, 7, 12, 60, 120, 252)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(SIGN_MODULI).flatmap(elements))
+def test_sign_real_matches_reference(pair):
+    a, _ = pair
+    x = a + a.conj()
+    assert sign_real(x) == reference_sign_real(x)
+    assert sign_real(-x) == -sign_real(x)
+
+
+@pytest.mark.parametrize("n", SIGN_MODULI + (1008,))
+def test_fixed_point_cosines_are_within_one(n):
+    with mpmath.workdps(400):
+        for p in (64, 128, 1024):
+            for i, c in enumerate(_cos_table(n, p)):
+                assert abs(c - mpmath.ldexp(mpmath.cos(2 * mpmath.pi * i / n), p)) <= 1, (n, p, i)
+
+
+def _convergents(value, count: int):
+    """The first ``count`` continued-fraction convergents (k, p, q) of a real number."""
+    p0, q0, p1, q1 = 1, 0, int(mpmath.floor(value)), 1
+    rest = value - p1
+    out = [(0, p1, q1)]
+    for k in range(1, count):
+        rest = 1 / rest
+        a = int(mpmath.floor(rest))
+        rest -= a
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        out.append((k, p1, q1))
+    return out
+
+
+def test_sign_real_near_zero_doubles_the_precision():
+    # q (zeta_7 + zeta_7^-1) - p for convergents p/q of 2 cos(2 pi / 7) with
+    # q > 2^40: even convergents lie below the value and odd ones above, and
+    # |q 2cos(2pi/7) - p| < 1/q is too small to decide at 64 bits
+    with mpmath.workdps(80):
+        cases = [(k, p, q) for k, p, q in _convergents(2 * mpmath.cos(2 * mpmath.pi / 7), 40)
+                 if 2**40 < q < 2**80]
+    assert len(cases) >= 3
+    for k, p, q in cases:
+        x = q * (zeta(7) + zeta(7, 6)) - p
+        _cos_table.cache_clear()
+        assert sign_real(x) == (1 if k % 2 == 0 else -1) == reference_sign_real(x)
+        assert _cos_table.cache_info().currsize >= 2
+        assert sign_real(x / 3) == sign_real(x)
+
+
+def test_cli_needs_no_mpmath():
+    script = (
+        "import sys\n"
+        "from toricgroups.cli import main\n"
+        "codes = [main(['wp', 'coxeter', '7', '8', '9', 'r1 r2 r3 r1 r2']),\n"
+        "         main(['rep', 'eval', '2', '3', '5', 's t u s'])]\n"
+        "print(codes, 'mpmath' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_rendering_deterministic_term_order():
