@@ -16,13 +16,28 @@ complete.
   deduction stack after each definition, so the table is kept closed under
   the relators.
 
-One overflow rule bounds both: at the end of a row, if more than
-``max_cosets`` cosets are live, HLT runs a lookahead pass and compacts; if
-too many are still live (for Felsch, at once) the enumeration stops with
-an ``overflow`` status.  A row defines at most one coset per column, so a
-Felsch overflow holds at most ``max_cosets + 2 * ngens`` cosets.  Overflow
-is a result, not an error; infinite groups are the common case in this
-domain.
+The table is stored column-major: one Python list per column, indexed by
+coset, with ``None`` where the entry is undefined, and no per-coset row
+object.  Each relator and subgroup generator is bound once to the column
+lists it reads forwards and backwards, so a scan step is one list index.
+Compaction renumbers the live cosets in order inside the same lists: a
+live coset's new index is at most its old one, so each column is rewritten
+over its own prefix and truncated, and the bindings stay valid.
+
+One overflow rule bounds both strategies, checked at the end of each row.
+If more than ``max_cosets`` cosets are live, Felsch stops with an
+``overflow`` status at once: its deductions have already closed every gap
+a lookahead would find.  HLT first runs a lookahead pass (scan every
+relator at every coset without defining) and goes on after compacting
+only if at most 9/10 of ``max_cosets`` are then live; otherwise it stops
+with ``overflow``.  A pass that frees less than a tenth of the bound buys
+less than a tenth of a bound's worth of new rows before the next pass over
+the whole table, so on an infinite group the passes would repeat at a
+growing cost for little progress.  An HLT overflow therefore
+holds between 9/10 of ``max_cosets`` and one row's definitions past it; a
+row defines at most one coset per column, so a Felsch overflow holds at
+most ``max_cosets + 2 * ngens`` cosets.  Overflow is a result, not an
+error; infinite groups are the common case in this domain.
 
 A complete table over the trivial subgroup doubles as a regular Cayley
 table, from which element orders, conjugacy classes and reflection-class
@@ -37,6 +52,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .presentations import FamilyParams, Presentation
@@ -47,76 +63,115 @@ def _columns(w: Word) -> tuple[int, ...]:
     return tuple(2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in w.letters)
 
 
-def _inv_col(c: int) -> int:
-    return c ^ 1
+# After an HLT lookahead pass, the enumeration goes on only if at most this
+# share of ``max_cosets`` is still live (see the module docstring).
+_LOOKAHEAD_CUTOFF = Fraction(9, 10)
+
+
+@dataclass(frozen=True)
+class EnumStats:
+    """What one enumeration did; the counts repeat exactly for fixed inputs.
+
+    Coset 0 exists from the start, ``defined`` cosets were added and
+    ``coincidences`` merged away, so ``1 + defined - coincidences`` are live
+    at the end: the table's ``num_cosets``.  ``peak_live`` is the largest
+    live count at any moment.  ``lookahead_passes`` HLT lookaheads freed
+    ``lookahead_freed`` cosets between them.  ``compactions`` counts the
+    renumberings of the live cosets, the final one included.
+    ``deductions`` counts the entries that a scan filled by closing a gap
+    of one letter.
+    """
+
+    defined: int
+    coincidences: int
+    peak_live: int
+    lookahead_passes: int
+    lookahead_freed: int
+    compactions: int
+    deductions: int
 
 
 @dataclass(frozen=True)
 class CosetTable:
     """A completed (or overflowed) enumeration result.
 
-    ``rows[c][col]`` is the coset reached from c by the column's letter.
-    Row 0 is the subgroup itself.  For a complete table every column is a
-    permutation of the cosets and all entries are filled.
+    Read it through ``step`` and ``trace``.  Coset 0 is the subgroup
+    itself.  ``columns[col][c]`` is the coset reached from c by the
+    column's letter (generator i at column 2i, its inverse at 2i + 1); for
+    a complete table every column is a permutation of the cosets.
+    ``stats`` holds the enumerator's counts.
     """
 
     alphabet: "object"
-    rows: tuple[tuple[int | None, ...], ...]
+    columns: tuple[tuple[int | None, ...], ...]
+    num_cosets: int
     status: str  # "complete" | "overflow"
     bound: int
     subgroup_gens: tuple[Word, ...]
+    stats: EnumStats | None = None
 
     @property
     def complete(self) -> bool:
         return self.status == "complete"
 
-    @property
-    def num_cosets(self) -> int:
-        return len(self.rows)
-
     def step(self, coset: int, letter: int) -> int:
         """Act by a single signed letter."""
-        col = 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-        dest = self.rows[coset][col]
+        dest = self.columns[2 * letter - 2 if letter > 0 else -2 * letter - 1][coset]
         if dest is None:
             raise ValueError("table entry undefined (table not complete)")
         return dest
 
     def trace(self, coset: int, w: Word) -> int:
+        columns = self.columns
         for x in w.letters:
-            coset = self.step(coset, x)
+            coset = columns[2 * x - 2 if x > 0 else -2 * x - 1][coset]
+            if coset is None:
+                raise ValueError("table entry undefined (table not complete)")
         return coset
 
 
 class _Enumerator:
+    """The state of one enumeration: the table by columns and a union-find.
+
+    ``cols[col]`` is a list indexed by coset, ``None`` where undefined.  A
+    relator (or subgroup generator) is bound once to the column lists its
+    letters read forwards and backwards, so a scan step is one list index.
+    The lists are only ever appended to and rewritten in place, which
+    keeps those bindings valid.
+    """
+
     def __init__(self, p: Presentation, subgens: Sequence[Word], max_cosets: int, strategy: str):
         self.alphabet = p.alphabet
-        self.ngens = len(p.alphabet)
-        self.ncols = 2 * self.ngens
+        self.ncols = 2 * len(p.alphabet)
         for w in subgens:
             if w.alphabet != p.alphabet:
                 raise ValueError("subgroup generator over wrong alphabet")
         if strategy not in ("hlt", "felsch"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        self.relcols = [_columns(free_reduce(r)) for r in p.relators]
-        self.subcols = [_columns(free_reduce(w)) for w in subgens]
         self.max_cosets = max_cosets
-        self.rows: list[list[int | None]] = [[None] * self.ncols]
+        self.cols: list[list[int | None]] = [[None] for _ in range(self.ncols)]
         self.p = [0]  # union-find parent, p[i] <= i
         self.live = 1
         self.queue: deque[int] = deque()
+        self.rels = [self._bind(_columns(free_reduce(r))) for r in p.relators]
+        self.subs = [self._bind(_columns(free_reduce(w))) for w in subgens]
+        self.defined = self.coincidences = self.peak_live = self.deduced = 0
+        self.lookahead_passes = self.lookahead_freed = self.compactions = 0
         # Felsch: the stack of (coset, column) entries still to be checked
         # against the cyclic rotations of each relator and its inverse that
         # start with that column (deduplicated)
         self.deductions: list[tuple[int, int]] | None = None
         if strategy == "felsch":
             self.deductions = []
-            self.by_col: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
-            rotations = dict.fromkeys(base[k:] + base[:k] for r in self.relcols
-                                      for base in (r, tuple(_inv_col(c) for c in reversed(r)))
+            self.by_col: list[list[tuple]] = [[] for _ in range(self.ncols)]
+            rotations = dict.fromkeys(base[k:] + base[:k] for rel in self.rels
+                                      for base in (rel[0], tuple(c ^ 1 for c in reversed(rel[0])))
                                       for k in range(len(base)))
             for rot in rotations:
-                self.by_col[rot[0]].append(rot)
+                self.by_col[rot[0]].append(self._bind(rot))
+
+    def _bind(self, cols: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[list, ...], tuple[list, ...]]:
+        return cols, tuple(self.cols[c] for c in cols), tuple(self.cols[c ^ 1] for c in cols)
 
     # -- union-find ---------------------------------------------------------
 
@@ -132,12 +187,14 @@ class _Enumerator:
     # -- primitive moves ----------------------------------------------------
 
     def define(self, a: int, col: int) -> int:
-        b = len(self.rows)
-        self.rows.append([None] * self.ncols)
+        b = len(self.p)
+        for column in self.cols:
+            column.append(None)
         self.p.append(b)
-        self.rows[a][col] = b
-        self.rows[b][_inv_col(col)] = a
+        self.cols[col][a] = b
+        self.cols[col ^ 1][b] = a
         self.live += 1
+        self.defined += 1
         return b
 
     def _merge(self, a: int, b: int) -> None:
@@ -146,60 +203,74 @@ class _Enumerator:
             return
         lo, hi = (a, b) if a < b else (b, a)
         self.p[hi] = lo
+        # live only grows between merges, so its peak is seen here or at the end
+        if self.live > self.peak_live:
+            self.peak_live = self.live
         self.live -= 1
+        self.coincidences += 1
         self.queue.append(hi)
 
     def coincidence(self, a: int, b: int) -> None:
         self._merge(a, b)
+        cols = self.cols
         while self.queue:
             dying = self.queue.popleft()
-            row = self.rows[dying]
             for col in range(self.ncols):
-                dest = row[col]
+                column = cols[col]
+                dest = column[dying]
                 if dest is None:
                     continue
                 # remove the mirror edge before transferring
-                self.rows[dest][_inv_col(col)] = None
+                mirror = cols[col ^ 1]
+                mirror[dest] = None
                 mu, nu = self.rep(dying), self.rep(dest)
-                mu_entry = self.rows[mu][col]
+                mu_entry = column[mu]
                 if mu_entry is not None:
                     self._merge(nu, mu_entry)
                 else:
-                    nu_entry = self.rows[nu][_inv_col(col)]
+                    nu_entry = mirror[nu]
                     if nu_entry is not None:
                         self._merge(mu, nu_entry)
                     else:
-                        self.rows[mu][col] = nu
-                        self.rows[nu][_inv_col(col)] = mu
+                        column[mu] = nu
+                        mirror[nu] = mu
                         if self.deductions is not None:
                             self.deductions.append((mu, col))
 
-    def scan(self, a: int, cols: tuple[int, ...], *, fill: bool) -> None:
-        """Scan a relator (or subgroup generator) path from coset a.
+    def scan(self, a: int, rel: tuple, *, fill: bool) -> None:
+        """Scan a bound relator (or subgroup generator) path from live coset a.
 
         With ``fill`` the scan defines new cosets to complete the path (HLT
         behaviour).  Without it, the scan only closes single gaps
         (deductions) and records mismatches as coincidences.
         """
-        f = b = self.rep(a)
+        cols, fwd, bwd = rel
+        f = b = a
         i, j = 0, len(cols) - 1
         while True:
-            while i <= j and self.rows[f][cols[i]] is not None:
-                f = self.rows[f][cols[i]]
+            while i <= j:
+                x = fwd[i][f]
+                if x is None:
+                    break
+                f = x
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and self.rows[b][_inv_col(cols[j])] is not None:
-                b = self.rows[b][_inv_col(cols[j])]
+            while j >= i:
+                x = bwd[j][b]
+                if x is None:
+                    break
+                b = x
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
-                self.rows[f][cols[i]] = b
-                self.rows[b][_inv_col(cols[i])] = f
+                fwd[i][f] = b
+                bwd[i][b] = f
+                self.deduced += 1
                 if self.deductions is not None:
                     self.deductions.append((f, cols[i]))
                 return
@@ -218,33 +289,45 @@ class _Enumerator:
                 self.scan(a, rot, fill=False)
 
     def scan_relators(self, a: int, *, fill: bool) -> None:
-        for cols in self.relcols:
-            if self.p[a] != a:
+        p = self.p
+        for rel in self.rels:
+            if p[a] != a:
                 return
-            self.scan(a, cols, fill=fill)
+            self.scan(a, rel, fill=fill)
 
     # -- lookahead and compaction -------------------------------------------
 
     def lookahead(self) -> None:
-        for a in range(len(self.rows)):
+        before = self.live
+        for a in range(len(self.p)):
             self.scan_relators(a, fill=False)
+        self.lookahead_passes += 1
+        self.lookahead_freed += before - self.live
 
-    def compact(self) -> list[int]:
-        """Drop dead rows; returns the old-index -> new-index map."""
-        remap = [-1] * len(self.rows)
-        new_rows: list[list[int | None]] = []
-        for a in range(len(self.rows)):
-            if self.p[a] == a:
-                remap[a] = len(new_rows)
-                new_rows.append(self.rows[a])
-        for row in new_rows:
-            for col in range(self.ncols):
-                if row[col] is not None:
-                    row[col] = remap[self.rep(row[col])]
-        self.rows = new_rows
-        self.p = list(range(len(new_rows)))
-        self.live = len(new_rows)
-        return remap
+    def compact(self, pointer: int = 0) -> int:
+        """Renumber the live cosets in order, in place; returns the new pointer.
+
+        The union-find list becomes the map from old to new indices (None
+        for a dead coset).  A live coset's new index is at most its old
+        one, so each column is rewritten over its own prefix and then
+        truncated.  The returned pointer is the number of live cosets below
+        ``pointer``.
+        """
+        remap: list[int | None] = self.p
+        n = 0
+        for a in range(len(remap)):
+            if remap[a] == a:
+                remap[a] = n
+                n += 1
+            else:
+                remap[a] = None
+        for column in self.cols:
+            column[:n] = [None if x is None else remap[x] for x, new in zip(column, remap) if new is not None]
+            del column[n:]
+        self.p = [new for new in remap if new is not None]
+        self.compactions += 1
+        below = remap[:pointer]
+        return len(below) - below.count(None)
 
     # -- the row walk --------------------------------------------------------
 
@@ -257,63 +340,72 @@ class _Enumerator:
         every gap one would find, so its first excess is the overflow.
         """
         felsch = self.deductions is not None
-        for cols in self.subcols:
-            self.scan(0, cols, fill=True)
+        for rel in self.subs:
+            self.scan(0, rel, fill=True)
         if felsch:
             # every edge the subgroup scans laid down is a deduction
-            self.deductions += [(a, col) for a in range(len(self.rows)) if self.p[a] == a
-                                for col in range(self.ncols) if self.rows[a][col] is not None]
+            self.deductions += [(a, col) for a in range(len(self.p)) if self.p[a] == a
+                                for col in range(self.ncols) if self.cols[col][a] is not None]
             self.deduce()
         a = 0
-        while a < len(self.rows):
+        while a < len(self.p):
             if not felsch:
                 self.scan_relators(a, fill=True)
-            for col in range(self.ncols):
+            for col, column in enumerate(self.cols):
                 if self.p[a] != a:
                     break
-                if self.rows[a][col] is None:
+                if column[a] is None:
                     b = self.define(a, col)
                     if felsch:
-                        self.deductions += ((a, col), (b, _inv_col(col)))
+                        self.deductions += ((a, col), (b, col ^ 1))
                         self.deduce()
             a += 1
             if self.live > self.max_cosets:
-                if not felsch:
-                    self.lookahead()
-                if self.live > self.max_cosets:
+                if felsch:
                     return "overflow"
-                remap = self.compact()
-                a = sum(1 for x in remap[:a] if x >= 0)
+                self.lookahead()
+                if self.live > _LOOKAHEAD_CUTOFF * self.max_cosets:
+                    return "overflow"
+                a = self.compact(a)
         return "complete"
 
     def finish(self, status: str, subgens: Sequence[Word], bound: int) -> CosetTable:
         self.compact()
-        rows = tuple(tuple(row) for row in self.rows)
-        table = CosetTable(self.alphabet, rows, status, bound, tuple(subgens))
+        n = len(self.p)
+        stats = EnumStats(self.defined, self.coincidences, max(self.peak_live, self.live),
+                          self.lookahead_passes, self.lookahead_freed, self.compactions, self.deduced)
+        relcols = [rel[0] for rel in self.rels]
+        subcols = [rel[0] for rel in self.subs]
+        # drop the bindings, so each column list is freed once it is copied
+        self.rels = self.subs = self.by_col = []
+        columns = []
+        while self.cols:
+            columns.append(tuple(self.cols.pop(0)))
+        table = CosetTable(self.alphabet, tuple(columns), n, status, bound, tuple(subgens), stats)
         if status == "complete":
-            _validate(table, self.relcols, self.subcols)
+            _validate(table, relcols, subcols)
         return table
 
 
 def _validate(t: CosetTable, relcols: Iterable[tuple[int, ...]], subcols: Iterable[tuple[int, ...]]) -> None:
     n = t.num_cosets
-    for row in t.rows:
-        if any(e is None for e in row):
+    for column in t.columns:
+        if None in column:
             raise AssertionError("incomplete row in complete table")
-    for col in range(len(t.rows[0])):
-        if sorted(row[col] for row in t.rows) != list(range(n)):
+        if sorted(column) != list(range(n)):
             raise AssertionError("column is not a permutation")
     for cols in relcols:
+        path = [t.columns[col] for col in cols]
         for a in range(n):
             c = a
-            for col in cols:
-                c = t.rows[c][col]
+            for column in path:
+                c = column[c]
             if c != a:
                 raise AssertionError("relator does not act trivially")
     for cols in subcols:
         c = 0
         for col in cols:
-            c = t.rows[c][col]
+            c = t.columns[col][c]
         if c != 0:
             raise AssertionError("subgroup generator moves coset 0")
 
@@ -324,10 +416,11 @@ def todd_coxeter(p: Presentation, subgens: Sequence[Word] = (), max_cosets: int 
 
     Deterministic for fixed inputs.  One row walk serves both strategies
     (see the module docstring).  ``max_cosets`` bounds the live cosets at
-    the end of each row: past it HLT looks ahead and compacts, and the
-    result is an overflow if the count is still past it.  ``status`` is
-    ``"complete"`` with the index as the row count, or ``"overflow"`` with
-    the live cosets at the stop as rows and the bound as ``bound``.
+    the end of each row: past it HLT looks ahead, and the result is an
+    overflow unless the lookahead leaves at most 9/10 of the bound live.
+    ``status`` is ``"complete"`` with the index as ``num_cosets``, or
+    ``"overflow"`` with the live cosets at the stop and the bound as
+    ``bound``.  ``stats`` counts what the enumeration did.
     """
     e = _Enumerator(p, subgens, max_cosets, strategy)
     status = e.run()
@@ -382,12 +475,12 @@ def bfs_transversal(t: CosetTable, column_order: Sequence[int]) -> Transversal:
     while queue:
         a = queue.popleft()
         for col in column_order:
-            b = t.rows[a][col]
+            b = t.columns[col][a]
             if b is not None and reps[b] is None:
                 letter = col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1)
                 reps[b] = Word(t.alphabet, reps[a].letters + (letter,))
                 tree.add((a, col))
-                tree.add((b, _inv_col(col)))
+                tree.add((b, col ^ 1))
                 queue.append(b)
     if any(r is None for r in reps):
         raise ValueError("column order does not span the coset graph")

@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 
 
 def _poly_trim(c: list) -> list:
@@ -38,32 +39,43 @@ def _poly_trim(c: list) -> list:
     return c
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials (denominator monic or divides)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        q, r = divmod(num[i + len(den) - 1], lead)
-        out[i] = q
-        if q:
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-    return out, _poly_trim(num)
-
-
 @cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-            if r:
-                raise AssertionError("cyclotomic division must be exact")
-            poly = q
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending.
+
+    Phi_n is the Moebius product of (x^d - 1)^mu(n/d) over the divisors d
+    of n.  mu(n/d) is nonzero only when n/d is a product of distinct primes
+    of n, so the d run over n / prod(S) for the subsets S of those primes,
+    with mu = (-1)^|S|.  The factors with mu = 1 are multiplied first; each
+    factor with mu = -1 then divides the product exactly, by the recurrence
+    q[i] = q[i - d] - p[i] of p = q (x^d - 1).
+    """
+    primes = []
+    rest, q = n, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        primes.append(rest)
+    subsets = [s for size in range(len(primes) + 1) for s in combinations(primes, size)]
+    poly = [1]
+    for s in subsets:
+        if len(s) % 2 == 0:
+            d = n // prod(s)
+            shifted = [0] * d + poly
+            for i, c in enumerate(poly):
+                shifted[i] -= c
+            poly = shifted
+    for s in subsets:
+        if len(s) % 2:
+            d = n // prod(s)
+            quotient = [0] * (len(poly) - d)
+            for i in range(len(quotient)):
+                quotient[i] = (quotient[i - d] if i >= d else 0) - poly[i]
+            poly = quotient
     return tuple(poly)
 
 

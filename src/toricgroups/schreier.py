@@ -134,7 +134,7 @@ def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
             if (c, col) in tr.tree:
                 continue
             name = namer(c, p.alphabet.gens[g].name)
-            dest = ct.rows[c][col]
+            dest = ct.step(c, g + 1)
             value = free_reduce(
                 Word(p.alphabet, tr.reps[c].letters + (g + 1,) + invert(tr.reps[dest]).letters)
             )
@@ -151,9 +151,9 @@ def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
             if x > 0:
                 if (q, 2 * g) not in tr.tree:
                     out.append(gen_index[(q, g)] + 1)
-                q = ct.rows[q][2 * g]
+                q = ct.step(q, x)
             else:
-                q2 = ct.rows[q][2 * g + 1]
+                q2 = ct.step(q, x)
                 if (q2, 2 * g) not in tr.tree:
                     out.append(-(gen_index[(q2, g)] + 1))
                 q = q2

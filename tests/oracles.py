@@ -20,11 +20,17 @@ with the production engines they check:
   every relator and rebuilds the alphabet and every relator on each step.
   It defines the choice rule that ``presentations.tietze_simplify`` must
   reproduce exactly; it shares the word arithmetic of ``words``.
+- ``reference_hlt``: the original enumerator, with the table stored as a
+  list of rows, compaction into a new row list, and a lookahead that only
+  gives up once more than ``max_cosets`` cosets are still live.  Complete
+  tables of ``todd_coxeter(..., strategy="hlt")`` must equal its tables
+  entry for entry.  It shares only ``_columns`` and ``_validate`` with
+  ``cosets``.
 - ``reference_felsch``: the original Felsch driver, which looks for the
   first undefined entry from row 0 after every definition and stops before
   a definition once ``max_cosets`` cosets are live.  Complete tables of
   ``todd_coxeter(..., strategy="felsch")`` must equal its tables entry for
-  entry; it shares the primitive moves of the ``cosets`` enumerator.
+  entry; it drives the primitive moves of the ``reference_hlt`` engine.
 - ``reference_normal_closure``: the original normal-closure loop, which
   enumerates over a subgroup and adjoins one conjugate of a seed per round
   until every seed acts trivially.  It needs a finite index at every round
@@ -35,6 +41,10 @@ with the production engines they check:
   Phi_n.  ``cyclo.Cyc`` must give the same canonical coefficients and the
   same printed form; it shares ``cyclotomic_polynomial``, ``_degree`` and
   ``_poly_trim`` with it.
+- ``reference_cyclotomic_polynomial``: the original construction of Phi_n,
+  which divides x^n - 1 by Phi_d for every proper divisor d by dense long
+  division.  ``cyclo.cyclotomic_polynomial`` must give the same
+  coefficients.
 - ``reference_sign_real``: the original certified sign of a real
   cyclotomic number, by ``mpmath`` interval cosines at escalating decimal
   precision.  ``cyclo.sign_real`` must give the same signs; ``positive_roots``
@@ -51,7 +61,7 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from toricgroups.cosets import CosetTable, _Enumerator, bfs_transversal, todd_coxeter
+from toricgroups.cosets import CosetTable, _columns, _validate, bfs_transversal, todd_coxeter
 from toricgroups.cyclo import Cyc, _degree, _poly_trim, cyclotomic_polynomial, two_cos_pi_over
 from toricgroups.presentations import Presentation, TietzeBudgetExceeded
 from toricgroups.words import Alphabet, Word, cyclic_reduce, free_reduce, invert
@@ -460,9 +470,229 @@ def reference_normal_closure(p: Presentation, seeds: list[Word], max_cosets: int
     raise RuntimeError("normal closure did not stabilize within the round limit")
 
 
+# --- the original list-of-rows enumerator ----------------------------------
+
+
+def _inv_col(c: int) -> int:
+    return c ^ 1
+
+
+class _ReferenceEnumerator:
+    def __init__(self, p: Presentation, subgens: Sequence[Word], max_cosets: int, strategy: str):
+        self.alphabet = p.alphabet
+        self.ngens = len(p.alphabet)
+        self.ncols = 2 * self.ngens
+        for w in subgens:
+            if w.alphabet != p.alphabet:
+                raise ValueError("subgroup generator over wrong alphabet")
+        if strategy not in ("hlt", "felsch"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        self.relcols = [_columns(free_reduce(r)) for r in p.relators]
+        self.subcols = [_columns(free_reduce(w)) for w in subgens]
+        self.max_cosets = max_cosets
+        self.rows: list[list[int | None]] = [[None] * self.ncols]
+        self.p = [0]  # union-find parent, p[i] <= i
+        self.live = 1
+        self.queue: deque[int] = deque()
+        # Felsch: the stack of (coset, column) entries still to be checked
+        # against the cyclic rotations of each relator and its inverse that
+        # start with that column (deduplicated)
+        self.deductions: list[tuple[int, int]] | None = None
+        if strategy == "felsch":
+            self.deductions = []
+            self.by_col: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
+            rotations = dict.fromkeys(base[k:] + base[:k] for r in self.relcols
+                                      for base in (r, tuple(_inv_col(c) for c in reversed(r)))
+                                      for k in range(len(base)))
+            for rot in rotations:
+                self.by_col[rot[0]].append(rot)
+
+    # -- union-find ---------------------------------------------------------
+
+    def rep(self, a: int) -> int:
+        p = self.p
+        root = a
+        while p[root] != root:
+            root = p[root]
+        while p[a] != root:
+            p[a], a = root, p[a]
+        return root
+
+    # -- primitive moves ----------------------------------------------------
+
+    def define(self, a: int, col: int) -> int:
+        b = len(self.rows)
+        self.rows.append([None] * self.ncols)
+        self.p.append(b)
+        self.rows[a][col] = b
+        self.rows[b][_inv_col(col)] = a
+        self.live += 1
+        return b
+
+    def _merge(self, a: int, b: int) -> None:
+        a, b = self.rep(a), self.rep(b)
+        if a == b:
+            return
+        lo, hi = (a, b) if a < b else (b, a)
+        self.p[hi] = lo
+        self.live -= 1
+        self.queue.append(hi)
+
+    def coincidence(self, a: int, b: int) -> None:
+        self._merge(a, b)
+        while self.queue:
+            dying = self.queue.popleft()
+            row = self.rows[dying]
+            for col in range(self.ncols):
+                dest = row[col]
+                if dest is None:
+                    continue
+                # remove the mirror edge before transferring
+                self.rows[dest][_inv_col(col)] = None
+                mu, nu = self.rep(dying), self.rep(dest)
+                mu_entry = self.rows[mu][col]
+                if mu_entry is not None:
+                    self._merge(nu, mu_entry)
+                else:
+                    nu_entry = self.rows[nu][_inv_col(col)]
+                    if nu_entry is not None:
+                        self._merge(mu, nu_entry)
+                    else:
+                        self.rows[mu][col] = nu
+                        self.rows[nu][_inv_col(col)] = mu
+                        if self.deductions is not None:
+                            self.deductions.append((mu, col))
+
+    def scan(self, a: int, cols: tuple[int, ...], *, fill: bool) -> None:
+        """Scan a relator (or subgroup generator) path from coset a.
+
+        With ``fill`` the scan defines new cosets to complete the path (HLT
+        behaviour).  Without it, the scan only closes single gaps
+        (deductions) and records mismatches as coincidences.
+        """
+        f = b = self.rep(a)
+        i, j = 0, len(cols) - 1
+        while True:
+            while i <= j and self.rows[f][cols[i]] is not None:
+                f = self.rows[f][cols[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i and self.rows[b][_inv_col(cols[j])] is not None:
+                b = self.rows[b][_inv_col(cols[j])]
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                self.rows[f][cols[i]] = b
+                self.rows[b][_inv_col(cols[i])] = f
+                if self.deductions is not None:
+                    self.deductions.append((f, cols[i]))
+                return
+            if not fill:
+                return
+            self.define(f, cols[i])
+
+    def deduce(self) -> None:
+        """Felsch: check stacked entries against their rotations until none is left."""
+        while self.deductions:
+            a, col = self.deductions.pop()
+            a = self.rep(a)
+            for rot in self.by_col[col]:
+                if self.p[a] != a:
+                    break
+                self.scan(a, rot, fill=False)
+
+    def scan_relators(self, a: int, *, fill: bool) -> None:
+        for cols in self.relcols:
+            if self.p[a] != a:
+                return
+            self.scan(a, cols, fill=fill)
+
+    # -- lookahead and compaction -------------------------------------------
+
+    def lookahead(self) -> None:
+        for a in range(len(self.rows)):
+            self.scan_relators(a, fill=False)
+
+    def compact(self) -> list[int]:
+        """Drop dead rows; returns the old-index -> new-index map."""
+        remap = [-1] * len(self.rows)
+        new_rows: list[list[int | None]] = []
+        for a in range(len(self.rows)):
+            if self.p[a] == a:
+                remap[a] = len(new_rows)
+                new_rows.append(self.rows[a])
+        for row in new_rows:
+            for col in range(self.ncols):
+                if row[col] is not None:
+                    row[col] = remap[self.rep(row[col])]
+        self.rows = new_rows
+        self.p = list(range(len(new_rows)))
+        self.live = len(new_rows)
+        return remap
+
+    # -- the row walk --------------------------------------------------------
+
+    def run(self) -> str:
+        """Walk the rows in definition order with a monotone pointer.
+
+        Rows behind the pointer are complete, so the walk ends complete
+        when it passes the last row.  The bound is checked once per row.
+        Felsch skips the lookahead: its deductions have already closed
+        every gap one would find, so its first excess is the overflow.
+        """
+        felsch = self.deductions is not None
+        for cols in self.subcols:
+            self.scan(0, cols, fill=True)
+        if felsch:
+            # every edge the subgroup scans laid down is a deduction
+            self.deductions += [(a, col) for a in range(len(self.rows)) if self.p[a] == a
+                                for col in range(self.ncols) if self.rows[a][col] is not None]
+            self.deduce()
+        a = 0
+        while a < len(self.rows):
+            if not felsch:
+                self.scan_relators(a, fill=True)
+            for col in range(self.ncols):
+                if self.p[a] != a:
+                    break
+                if self.rows[a][col] is None:
+                    b = self.define(a, col)
+                    if felsch:
+                        self.deductions += ((a, col), (b, _inv_col(col)))
+                        self.deduce()
+            a += 1
+            if self.live > self.max_cosets:
+                if not felsch:
+                    self.lookahead()
+                if self.live > self.max_cosets:
+                    return "overflow"
+                remap = self.compact()
+                a = sum(1 for x in remap[:a] if x >= 0)
+        return "complete"
+
+    def finish(self, status: str, subgens: Sequence[Word], bound: int) -> CosetTable:
+        self.compact()
+        columns = tuple(tuple(row[col] for row in self.rows) for col in range(self.ncols))
+        table = CosetTable(self.alphabet, columns, len(self.rows), status, bound, tuple(subgens))
+        if status == "complete":
+            _validate(table, self.relcols, self.subcols)
+        return table
+
+
+def reference_hlt(p: Presentation, subgens: Sequence[Word] = (), max_cosets: int = 10**6) -> CosetTable:
+    """HLT enumeration by the original list-of-rows engine."""
+    e = _ReferenceEnumerator(p, subgens, max_cosets, "hlt")
+    return e.finish(e.run(), subgens, max_cosets)
+
+
 def reference_felsch(p: Presentation, subgens: Sequence[Word] = (), max_cosets: int = 10**6) -> CosetTable:
     """Felsch enumeration by the original rescanning driver."""
-    e = _Enumerator(p, subgens, max_cosets, "felsch")
+    e = _ReferenceEnumerator(p, subgens, max_cosets, "felsch")
     deductions = e.deductions
     for cols in e.subcols:
         e.scan(0, cols, fill=True)
@@ -491,6 +721,39 @@ def reference_felsch(p: Presentation, subgens: Sequence[Word] = (), max_cosets: 
         b = e.define(a, col)
         deductions.append((a, col))
         deductions.append((b, col ^ 1))
+
+
+# --- the original cyclotomic polynomials, by repeated long division -----------
+
+
+def _ref_poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Exact division of integer polynomials (denominator monic or divides)."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    lead = den[-1]
+    terms = [(j, d) for j, d in enumerate(den) if d]
+    for i in range(len(num) - len(den), -1, -1):
+        q, r = divmod(num[i + len(den) - 1], lead)
+        out[i] = q
+        if q:
+            for j, d in terms:
+                num[i + j] -= q * d
+    return out, _poly_trim(num)
+
+
+@cache
+def reference_cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Phi_n as x^n - 1 divided by Phi_d for every proper divisor d."""
+    if n == 1:
+        return (-1, 1)
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            q, r = _ref_poly_divmod_int(poly, list(reference_cyclotomic_polynomial(d)))
+            if r:
+                raise AssertionError("cyclotomic division must be exact")
+            poly = q
+    return tuple(poly)
 
 
 # --- the original Fraction power-basis cyclotomic arithmetic ------------------

@@ -21,6 +21,14 @@ GOLDEN_REQUESTS = {
     "rep_eval_2_3_5_stus": ["rep", "eval", "2", "3", "5", "s t u s"],
     "rep_check_3_4_5": ["rep", "check", "3", "4", "5"],
     "wp_coxeter_7_8_9": ["wp", "coxeter", "7", "8", "9", "r1 r2 r3 r1 r2"],
+    # captured before the coset table was stored by columns
+    "enumerate_j_parent_2_3_5_hlt": ["enumerate", "j-parent", "2", "3", "5", "--strategy", "hlt"],
+    "enumerate_j_parent_2_3_5_felsch": ["enumerate", "j-parent", "2", "3", "5", "--strategy", "felsch"],
+    "enumerate_toric_5_2_3": ["enumerate", "toric", "5", "2", "3"],
+    "enumerate_normal_closure_2_3_4": ["enumerate", "j-parent", "2", "3", "4", "--subgroup", "s", "--normal-closure"],
+    # captured after: the second lookahead frees under a tenth of the bound,
+    # so the overflow holds 9342 cosets (10008 before the cutoff)
+    "enumerate_triangle_2_3_7_overflow": ["--max-cosets", "10000", "enumerate", "coxeter-triangle", "2", "3", "7"],
 }
 
 

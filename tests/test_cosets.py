@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FROZEN_TORIC_ORDERS, parent_cayley, toric_cayley
-from oracles import naive_order, matrix_group_order, reference_felsch, reference_normal_closure
+from oracles import naive_order, matrix_group_order, reference_felsch, reference_hlt, reference_normal_closure
 
 from toricgroups import presentations as pres
 from toricgroups.classify import finite_quotient
@@ -56,7 +56,7 @@ def test_normal_closure_matches_conjugate_adjunction():
     for abc in FINITE_PARENTS:
         p = pres.j_parent(*abc)
         seeds = [p.alphabet.word("s")]
-        assert normal_closure_table(p, seeds).rows == reference_normal_closure(p, seeds).rows, abc
+        assert normal_closure_table(p, seeds).columns == reference_normal_closure(p, seeds).columns, abc
     # and the index for conjugate seeds and several seeds at once
     cases = [
         (pres.j_parent(2, 3, 4), ["t s t^-1", "u^-1 s u"]),
@@ -100,28 +100,42 @@ def _random_presentation(rng: random.Random) -> tuple[Presentation, list[Word]]:
     return Presentation(alphabet, relators), subgens
 
 
-def test_felsch_matches_reference(finite_rows):
-    # complete tables equal the rescanning driver's, entry for entry
+def test_enumeration_matches_reference(finite_rows):
+    # complete tables equal the original engines', entry for entry, under
+    # both strategies
+    references = {"hlt": reference_hlt, "felsch": reference_felsch}
     cases = [(pres.j_parent(*abc), []) for abc in FINITE_PARENTS]
     cases += [(pres.toric(*kmn), []) for kmn in finite_rows]
     cases += [(pres.coxeter_triangle(*t), []) for t in ((2, 3, 4), (2, 3, 5))]
     cases += [(p, [p.alphabet.word("s")]) for p in (pres.j_parent(2, 3, 4), pres.j_parent(3, 2, 3))]
-    for p, subgens in cases:
-        table = todd_coxeter(p, subgens, strategy="felsch")
-        reference = reference_felsch(p, subgens)
-        assert table.complete and table.rows == reference.rows, p
+    for strategy, reference_engine in references.items():
+        for p, subgens in cases:
+            table = todd_coxeter(p, subgens, strategy=strategy)
+            reference = reference_engine(p, subgens)
+            assert table.complete and table.columns == reference.columns, (p, strategy)
     # random presentations at a small bound: a complete reference table is
-    # reproduced; an overflow passes the bound by at most one row
+    # reproduced, and no lookahead cutoff turns one of these into an
+    # overflow.  An HLT overflow at the first lookahead, with more than the
+    # bound still live, is the reference's overflow table; a Felsch overflow
+    # passes the bound by at most one row.
     rng = random.Random(5)
     bound = 100
+    first_lookahead_overflows = 0
     for _ in range(1000):
         p, subgens = _random_presentation(rng)
-        table = todd_coxeter(p, subgens, bound, "felsch")
-        reference = reference_felsch(p, subgens, bound)
-        if reference.complete:
-            assert table.complete and table.rows == reference.rows, p
-        elif not table.complete:
-            assert bound < table.num_cosets <= bound + 2 * len(p.alphabet), p
+        for strategy, reference_engine in references.items():
+            table = todd_coxeter(p, subgens, bound, strategy)
+            reference = reference_engine(p, subgens, bound)
+            if reference.complete:
+                assert table.complete and table.columns == reference.columns, (p, strategy)
+            elif strategy == "felsch":
+                assert not table.complete and bound < table.num_cosets <= bound + 2 * len(p.alphabet), p
+            else:
+                assert not table.complete, p
+                if table.stats.lookahead_passes == 1 and table.num_cosets > bound:
+                    assert table.columns == reference.columns, p
+                    first_lookahead_overflows += 1
+    assert first_lookahead_overflows == 42
 
 
 @st.composite
@@ -162,6 +176,39 @@ def test_overflow_is_a_value():
     assert 2000 < table.num_cosets <= 2000 + 2 * len(p.alphabet)
 
 
+def test_enum_stats_repeat_and_count_the_live_cosets():
+    runs = [(pres.j_parent(2, 3, 5), (), 10**6, "hlt"), (pres.j_parent(2, 3, 5), (), 10**6, "felsch"),
+            (pres.j_parent(2, 3, 4), ("s",), 10**6, "hlt"), (pres.toric(6, 2, 3), (), 10**4, "hlt"),
+            (pres.coxeter_triangle(2, 3, 7), (), 10**4, "hlt"), (pres.toric(6, 2, 3), (), 2000, "felsch")]
+    for p, texts, bound, strategy in runs:
+        subgens = [p.alphabet.word(w) for w in texts]
+        table = todd_coxeter(p, subgens, bound, strategy)
+        stats = table.stats
+        assert todd_coxeter(p, subgens, bound, strategy).stats == stats
+        assert 1 + stats.defined - stats.coincidences == table.num_cosets, (p, strategy)
+        assert stats.peak_live >= table.num_cosets
+        # a compaction after each lookahead that lets the walk go on, and one at the end
+        ended_by_lookahead = strategy == "hlt" and not table.complete
+        assert stats.compactions == stats.lookahead_passes - ended_by_lookahead + 1
+        if strategy == "felsch":
+            assert stats.lookahead_passes == stats.lookahead_freed == 0
+        if not table.complete:
+            assert stats.peak_live > bound
+
+
+def test_lookahead_that_frees_under_a_tenth_ends_the_enumeration():
+    # the second lookahead leaves more than 9/10 of the bound live: overflow,
+    # with fewer rows than the bound
+    table = todd_coxeter(pres.coxeter_triangle(2, 3, 7), max_cosets=10**4)
+    assert table.status == "overflow" and table.stats.lookahead_passes == 2
+    assert 9000 < table.num_cosets == 9342 <= 10**4
+    # a lookahead that frees more than a tenth lets the walk go on: the
+    # (2,3,4) triangle group has a peak of 56 live cosets
+    table = todd_coxeter(pres.coxeter_triangle(2, 3, 4), max_cosets=52)
+    assert table.complete and table.num_cosets == 48
+    assert table.stats.lookahead_passes == 1 and table.stats.lookahead_freed == 9
+
+
 def test_coxeter_triangle_order_against_matrix_closure():
     assert group_order(pres.coxeter_triangle(4, 2, 3)) == 48 == matrix_group_order(4, 2, 3)
     assert group_order(pres.coxeter_triangle(3, 2, 3)) == 24 == matrix_group_order(3, 2, 3)
@@ -176,7 +223,7 @@ def test_complete_table_properties():
     n = table.num_cosets
     # every column is a permutation and every relator traces to the identity
     for col in range(2 * len(table.alphabet)):
-        assert sorted(row[col] for row in table.rows) == list(range(n))
+        assert sorted(table.columns[col]) == list(range(n))
     for r in pres.toric(2, 3, 4).relators:
         for c in range(n):
             assert table.trace(c, r) == c

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_cyc, reference_sign_real, reference_zeta
+from oracles import reference_cyc, reference_cyclotomic_polynomial, reference_sign_real, reference_zeta
 
 from toricgroups.cyclo import Cyc, _cos_table, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
 from toricgroups.reps import (
@@ -41,6 +41,12 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polynomials_match_reference():
+    # the Moebius product against division of x^n - 1 by every Phi_d
+    for n in range(1, 1501):
+        assert cyclotomic_polynomial(n) == reference_cyclotomic_polynomial(n), n
 
 
 def test_root_of_unity_cancellation():
