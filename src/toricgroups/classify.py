@@ -8,7 +8,8 @@ I2(m) = G(m,m,2) (Shephard & Todd, "Finite unitary reflection groups",
 The command line only formats the records built here: the classification
 of one triple, the sweep over a grid, the word problem of W(k,n,m), and
 the derived presentation of W(a,b,c) as the normal closure of s in its
-parent J-group.
+parent J-group.  Each is a (result, status, evidence) triple, like the
+records of the other modules.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def _parabolic_orders(k: int, n: int, m: int) -> list[int]:
     return coxeter.maximal_finite_parabolics(coxeter.CoxeterMatrix.triangle(k, n, m)).orders_multiset()
 
 
-def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, list[str]]:
-    """Classification record of W(k,n,m) and the evidence for each verdict."""
+def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``classify``: the classification record
+    of W(k,n,m) and the evidence for each verdict."""
     params = FamilyParams("toric", (k, n, m))  # labels >= 2, gcd(n, m) = 1
     n, m = min(n, m), max(n, m)
     fin = finite_toric(k, n, m)
@@ -81,7 +83,7 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, list[
     if fin is None:
         result.update(order=None, center_order=None,
                       maximal_finite_cyclic_orders=_parabolic_orders(k, n, m))
-        return result, [
+        return result, "ok", [
             "not a finite-table member; group is infinite",
             "center order unknown in the infinite case",
             "maximal finite cyclic orders from rank-2 parabolic rotation subgroups",
@@ -101,11 +103,12 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, list[
         result.update(reflection_classes_computed=classes, center_order=center, order=order,
                       center_quotient_order=order // center, center_quotient=fin.center_quotient)
     result["shephard_todd"] = fin.shephard_todd
-    return result, evidence
+    return result, "ok", evidence
 
 
-def sweep(max_k: int, max_m: int, max_cosets: int) -> list[dict]:
-    """One entry per triple 2 <= k <= max_k, 2 <= n < m <= max_m, gcd(n, m) = 1."""
+def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``sweep``: one entry per triple
+    2 <= k <= max_k, 2 <= n < m <= max_m, gcd(n, m) = 1."""
     entries = []
     for k in range(2, max_k + 1):
         for n in range(2, max_m):
@@ -126,7 +129,7 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> list[dict]:
                     entry["order"] = group_order(build(FamilyParams("toric", (k, n, m))),
                                                  max_cosets=max_cosets)
                 entries.append(entry)
-    return entries
+    return {"entries": entries, "count": len(entries)}, "ok", []
 
 
 def toric_word_problem(k: int, n: int, m: int, w: str, max_cosets: int) -> tuple[dict, str, list[str]]:

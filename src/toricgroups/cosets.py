@@ -52,20 +52,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .presentations import FamilyParams, Presentation
+from .presentations import FamilyParams, Presentation, build
 from .words import Word, free_reduce
 
 def _columns(w: Word) -> tuple[int, ...]:
     """Translate a word into column indices: gen i -> 2i, inverse -> 2i+1."""
     return tuple(2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in w.letters)
-
-
-# After an HLT lookahead pass, the enumeration goes on only if at most this
-# share of ``max_cosets`` is still live (see the module docstring).
-_LOOKAHEAD_CUTOFF = Fraction(9, 10)
 
 
 @dataclass(frozen=True)
@@ -364,7 +358,7 @@ class _Enumerator:
                 if felsch:
                     return "overflow"
                 self.lookahead()
-                if self.live > _LOOKAHEAD_CUTOFF * self.max_cosets:
+                if 10 * self.live > 9 * self.max_cosets:
                     return "overflow"
                 a = self.compact(a)
         return "complete"
@@ -443,6 +437,28 @@ def normal_closure_table(p: Presentation, seeds: Sequence[Word], max_cosets: int
     finite, whether or not G is.
     """
     return todd_coxeter(Presentation(p.alphabet, p.relators + tuple(seeds)), (), max_cosets, strategy)
+
+
+def enumerate_record(params: FamilyParams, subgroup: str, normal_closure: bool, strategy: str,
+                     max_cosets: int) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``enumerate``.
+
+    The order of the group that ``params`` presents, or the index of the
+    subgroup generated by the semicolon-separated words of ``subgroup`` (of
+    its normal closure with ``normal_closure``).  An overflow is "unknown".
+    """
+    pres = build(params)
+    subgens = [pres.alphabet.word(part) for part in subgroup.split(";") if part.strip()]
+    evidence = [f"strategy {strategy}, bound {max_cosets}"]
+    if normal_closure:
+        table = normal_closure_table(pres, subgens, max_cosets, strategy)
+        evidence.append(f"normal closure of {len(subgens)} seed(s)")
+    else:
+        table = todd_coxeter(pres, subgens, max_cosets, strategy)
+    if not table.complete:
+        evidence.append(f"overflow at bound {table.bound}")
+        return {"order": None, "cosets": table.num_cosets}, "unknown", evidence
+    return {"index" if subgens else "order": table.num_cosets, "cosets": table.num_cosets}, "ok", evidence
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,16 @@ def parity(w: Word) -> str:
     return "even" if len(w.letters) % 2 == 0 else "odd"
 
 
+def word_problem(k: int, n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``wp coxeter``: the ShortLex normal form
+    of the word ``text`` over r1, r2, r3 in the (k, n, m) triangle group."""
+    cm = CoxeterMatrix.triangle(k, n, m)
+    table = MinimalRootTable(cm)
+    normal = table.nf(cm.alphabet().word(text))
+    return {"normal_form": str(normal), "identity": not normal.letters, "length": len(normal.letters),
+            "parity": parity(normal)}, "ok", []
+
+
 def _curvature(k: int, n: int, m: int) -> Fraction:
     return Fraction(1, k) + Fraction(1, n) + Fraction(1, m)
 

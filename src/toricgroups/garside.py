@@ -105,6 +105,14 @@ def gnf(n: int, m: int, w: Word) -> GarsideNF:
     return GarsideNF(n, m, power, tuple((s, e) for s, e in blocks))
 
 
+def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``wp garside``: the Garside normal form
+    of the word ``text`` over {x, y} in <x, y | x^n = y^m>."""
+    normal = gnf(n, m, _STANDARD.word(text))
+    return {"normal_form": str(normal), "identity": normal.is_identity(),
+            "delta_power": normal.delta_power}, "ok", []
+
+
 def gnf_equal(n: int, m: int, u: Word, v: Word) -> bool:
     return gnf(n, m, u) == gnf(n, m, v)
 

@@ -115,6 +115,13 @@ def build(params: FamilyParams) -> Presentation:
     return alt_toric(*labels)
 
 
+def present_record(params: FamilyParams) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``present``: the serialized presentation."""
+    pres = build(params)
+    return {"presentation": serialize(pres), "num_generators": len(pres.gens),
+            "num_relators": len(pres.relators)}, "ok", []
+
+
 def _check(family: str, *labels: int, normalize: bool = True) -> FamilyParams:
     return FamilyParams(family, tuple(labels), normalize=normalize)
 

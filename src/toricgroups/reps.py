@@ -162,23 +162,24 @@ def relation_checks(rep: Rep) -> dict[str, bool]:
     }
 
 
-def check_record(a: int, b: int, c: int, preset: str | None) -> dict:
-    """The ``rep check`` record: relation checks, q, r and the three matrices."""
+def check_record(a: int, b: int, c: int, preset: str | None) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``rep check``: relation checks, q, r and the three matrices."""
     rep = build_rho_preset(a, b, c, preset)
     checks = relation_checks(rep)
     return {"checks": checks, "all_pass": all(checks.values()), "q": str(rep.q), "r": str(rep.r),
-            "matrices": {"s": mat_str(rep.mat_s), "t": mat_str(rep.mat_t), "u": mat_str(rep.mat_u)}}
+            "matrices": {"s": mat_str(rep.mat_s), "t": mat_str(rep.mat_t), "u": mat_str(rep.mat_u)}}, "ok", []
 
 
-def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> dict:
-    """The ``rep eval`` record of a word over {s,t,u} if it names no other generator, else over x1..xb."""
+def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``rep eval`` for a word over {s,t,u} if
+    it names no other generator, else over x1..xb."""
     rep = build_rho_preset(a, b, c, preset)
     stu = ["s", "t", "u"]
     names = {token.partition("^")[0] for token in text.split()} - {"1"}
     w = Alphabet(stu if names <= set(stu) else [f"x{i + 1}" for i in range(b)]).word(text)
     matrix = rho_eval(rep, w)
     return {"matrix": mat_str(matrix), "is_identity": matrix == mat_identity(),
-            "q": str(rep.q), "r": str(rep.r)}
+            "q": str(rep.q), "r": str(rep.r)}, "ok", []
 
 
 def rho_eval(rep: Rep, w: Word) -> Mat2:
@@ -255,3 +256,22 @@ def unfaithfulness_witness(max_cosets: int = 10**6) -> WitnessReport:
         zero_preset_commutes=commutes(reps["zero"]),
         unit_preset_commutes=commutes(reps["unit"]),
     )
+
+
+def witness_record(max_cosets: int) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``rep witness``; "unknown" when the
+    k = 3 enumeration overflows ``max_cosets``."""
+    w = unfaithfulness_witness(max_cosets)
+    result = {
+        "parameters": [6, 2, 3],
+        "cube_dies_per_preset": w.rho_of_cube_is_identity,
+        "order_of_x1x2_in_k3_quotient": w.order_in_small_quotient,
+        "rho_stu_order": w.rho_stu_order,
+        "rho_stu_is_minus_identity": w.rho_stu_is_minus_identity,
+        "zero_preset_commutes": w.zero_preset_commutes,
+        "unit_preset_commutes": w.unit_preset_commutes,
+        "unfaithful": w.unfaithful,
+    }
+    if w.unfaithful is None:
+        return result, "unknown", [f"enumeration overflowed at {max_cosets}"]
+    return result, "ok", []

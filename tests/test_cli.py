@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from toricgroups import cli, cyclo, words
 from toricgroups.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
@@ -29,7 +30,19 @@ GOLDEN_REQUESTS = {
     # captured after: the second lookahead frees under a tenth of the bound,
     # so the overflow holds 9342 cosets (10008 before the cutoff)
     "enumerate_triangle_2_3_7_overflow": ["--max-cosets", "10000", "enumerate", "coxeter-triangle", "2", "3", "7"],
+    # captured before the parser was built once per process and every
+    # subcommand became one library call; these have text goldens too
+    "classify_6_2_3": ["classify", "6", "2", "3"],
+    "classify_4_2_3": ["classify", "4", "2", "3"],
+    "sweep_3_5": ["sweep", "--max-k", "3", "--max-m", "5"],
+    "derive_2_3_4": ["derive", "2", "3", "4"],
+    "derive_6_2_3": ["derive", "6", "2", "3"],
+    "wp_garside_2_3": ["wp", "garside", "2", "3", "x^2 y^-3"],
+    "present_toric_2_3_4": ["present", "toric", "2", "3", "4"],
 }
+# requests whose text output is pinned as well, in `<name>.txt`
+TEXT_GOLDEN = ("classify_6_2_3", "classify_4_2_3", "sweep_3_5", "derive_2_3_4", "derive_6_2_3",
+               "wp_garside_2_3", "present_toric_2_3_4", "wp_coxeter_7_8_9", "rep_witness")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -322,3 +335,52 @@ def test_json_matches_golden(capsys, name):
     code, out, _ = run(capsys, "--format", "json", *GOLDEN_REQUESTS[name])
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_reused_parser_prints_the_same_bytes(capsys):
+    # one parser serves every call in a process: no flag value, default or
+    # format may leak from one call into the next
+    good = [
+        ("classify", "6", "2", "3"),
+        ("--format", "json", "classify", "6", "2", "3"),
+        ("--max-cosets", "50", "--format", "json", "enumerate", "toric", "2", "3", "7"),
+        ("enumerate", "toric", "2", "3", "7", "--max-cosets", "50", "--format", "json"),
+        ("wp", "garside", "2", "3", "x^2 y^-3"),
+    ]
+    seen: dict[tuple, str] = {}
+    for _ in range(2):
+        for argv in good:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert seen.setdefault(argv, out) == out, argv
+            code, out, err = run(capsys, "classify", "6", "2", "3", "--format", "json", "--max-cosets", "0")
+            assert (code, out, err) == (2, "", "error: --max-cosets must be >= 1, got 0\n")
+    assert seen[good[0]].encode() == (GOLDEN / "classify_6_2_3.txt").read_bytes()
+    assert seen[good[1]].encode() == (GOLDEN / "classify_6_2_3.json").read_bytes()
+    assert seen[good[2]] == seen[good[3]]
+    assert json.loads(seen[good[2]])["bounds"]["max_cosets"] == 50
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("owner, name, argv", [
+    # each of these really fails this way when memory runs short: the word
+    # expands to 10^11 letters, and the root table and the representation
+    # live at a cyclotomic modulus near 10^9
+    pytest.param(words, "parse_word", ("wp", "garside", "2", "3", "x^99999999999"), id="wp-garside"),
+    pytest.param(cyclo.Cyc, "embed", ("wp", "coxeter", "1000", "999", "997", "r1"), id="wp-coxeter"),
+    pytest.param(cyclo.Cyc, "embed", ("rep", "check", "1000", "999", "997"), id="rep-check"),
+])
+def test_out_of_memory_is_input_error(capsys, monkeypatch, owner, name, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(owner, name, exhausted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: input too large for memory\n")
+
+
+@pytest.mark.parametrize("name", TEXT_GOLDEN)
+def test_text_matches_golden(capsys, name):
+    code, out, _ = run(capsys, *GOLDEN_REQUESTS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
