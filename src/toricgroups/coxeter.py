@@ -4,10 +4,11 @@ The word problem engine is the minimal-root (small-root) reflection table:
 the finitely many positive roots that dominate no other positive root,
 together with the action of each simple reflection on them.  Tracking which
 minimal roots a prefix sends negative gives an exact reducedness and
-descent test, from which ShortLex normal forms are computed; no floating
-point enters any decision (root coordinates live in a real cyclotomic
-ring, and the one inequality in the table construction uses certified
-sign determination).
+descent test, from which ShortLex normal forms are computed; the state of
+every prefix is kept, so deleting a letter replays only the letters after
+it.  No floating point enters any decision (root coordinates live in a
+real cyclotomic ring, and the one inequality in the table construction
+uses certified sign determination).
 
 Structure queries cover the spherical/affine/hyperbolic trichotomy of
 triangle groups, maximal finite standard parabolic subgroups (by the
@@ -20,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 
 from .cosets import CayleyTable, todd_coxeter
-from .cyclo import Cyc, sign_real, two_cos_pi_over
+from .cyclo import Cyc, label_modulus, sign_real, two_cos_pi_over
 from .presentations import coxeter_triangle
 from .words import Alphabet, Word
 
@@ -161,39 +163,38 @@ class MinimalRootTable:
         # generators are involutions; inverse letters act identically
         return [abs(x) - 1 for x in w.letters]
 
-    def _state_scan(self, letters: list[int]) -> dict[int, int]:
-        """State of a reduced word: minimal roots sent negative, with the
-        index of the creating letter."""
-        state: dict[int, int] = {}
-        for idx, s in enumerate(letters):
-            new_state: dict[int, int] = {}
-            for root, born in state.items():
-                img = self.action[root][s]
-                if img >= 0:
-                    new_state[img] = born
-                # _ELEVATED roots leave the minimal set; _NEGATIVE cannot
-                # occur because the simple root of s is handled below
-            new_state[s] = idx
-            state = new_state
-        return state
+    def _step(self, state: dict[int, int], s: int, idx: int) -> dict[int, int]:
+        """State after appending letter s (not a right descent) at index idx:
+        the minimal roots sent negative, each with the index of the letter
+        that created it."""
+        action = self.action
+        # _ELEVATED images leave the minimal set; _NEGATIVE cannot occur
+        # because s is not a descent, so a_s is not in the state
+        new_state = {img: born for root, born in state.items() if (img := action[root][s]) >= 0}
+        new_state[s] = idx
+        return new_state
+
+    def _delete(self, word: list[int], states: list[dict[int, int]], s: int) -> None:
+        """Delete the letter that created a_s from a reduced word, and replay
+        the prefix states (``states[i]`` belongs to ``word[:i]``) from there."""
+        at = states[-1][s]
+        del word[at]
+        del states[at + 1:]
+        step = self._step
+        for i in range(at, len(word)):
+            states.append(step(states[-1], word[i], i))
 
     def reduce_word(self, w: Word) -> list[int]:
         """A reduced word (letter list) for the element of w."""
         word: list[int] = []
-        state: dict[int, int] = {}
+        states: list[dict[int, int]] = [{}]
+        step = self._step
         for s in self._letters(w):
-            if s in state:  # descent: delete the letter that created a_s
-                del word[state[s]]
-                state = self._state_scan(word)
+            if s in states[-1]:  # right descent: w s deletes the creating letter
+                self._delete(word, states, s)
             else:
-                new_state: dict[int, int] = {}
-                for root, born in state.items():
-                    img = self.action[root][s]
-                    if img >= 0:
-                        new_state[img] = born
-                new_state[s] = len(word)
+                states.append(step(states[-1], s, len(word)))
                 word.append(s)
-                state = new_state
         return word
 
     def length(self, w: Word) -> int:
@@ -201,14 +202,18 @@ class MinimalRootTable:
 
     def nf(self, w: Word) -> Word:
         """ShortLex-minimal normal form (r1 < r2 < ...)."""
-        reduced = self.reduce_word(w)
+        # the right descents of the reversed word are the left descents of
+        # the element; peel off the smallest one at a time
+        v_inv = self.reduce_word(w)[::-1]
+        states: list[dict[int, int]] = [{}]
+        step = self._step
+        for i, s in enumerate(v_inv):
+            states.append(step(states[-1], s, i))
         out: list[int] = []
-        v_inv = reduced[::-1]
         while v_inv:
-            state = self._state_scan(v_inv)
-            s = min(state)  # smallest left descent of the element
+            s = min(states[-1])
             out.append(s)
-            del v_inv[state[s]]
+            self._delete(v_inv, states, s)
         ab = self.cm.alphabet()
         return Word(ab, tuple(s + 1 for s in out))
 
@@ -221,12 +226,22 @@ def parity(w: Word) -> str:
     return "even" if len(w.letters) % 2 == 0 else "odd"
 
 
+@cache
+def triangle_table(k: int, n: int, m: int) -> MinimalRootTable:
+    """The minimal-root table of the (k, n, m) triangle group, built once
+    per process; the table is never changed after it is built, so every
+    caller may share it.  Labels whose cyclotomic field is past
+    ``cyclo.MAX_DEGREE`` raise ValueError, and nothing is cached for them."""
+    cm = CoxeterMatrix.triangle(k, n, m)
+    label_modulus(k, n, m)
+    return MinimalRootTable(cm)
+
+
 def word_problem(k: int, n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
     """Result, status and evidence of ``wp coxeter``: the ShortLex normal form
     of the word ``text`` over r1, r2, r3 in the (k, n, m) triangle group."""
-    cm = CoxeterMatrix.triangle(k, n, m)
-    table = MinimalRootTable(cm)
-    normal = table.nf(cm.alphabet().word(text))
+    table = triangle_table(k, n, m)
+    normal = table.nf(table.cm.alphabet().word(text))
     return {"normal_form": str(normal), "identity": not normal.letters, "length": len(normal.letters),
             "parity": parity(normal)}, "ok", []
 

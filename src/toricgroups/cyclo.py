@@ -329,6 +329,39 @@ def zeta(n: int, k: int = 1) -> Cyc:
     return Cyc(n, _canon(n, v))
 
 
+# the largest field degree phi(N) a root table or representation may need
+MAX_DEGREE = 720
+
+
+def _totient(n: int) -> int:
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
+def label_modulus(*labels: int) -> int:
+    """N = lcm(2 l) over the labels, after checking phi(N) <= MAX_DEGREE.
+
+    Every cos(pi / l) and every e^(i pi / l) of the labels lives in
+    Q(zeta_N), of degree phi(N); past the cap an input is refused with a
+    ValueError before any field element is allocated.  Since
+    phi(N) >= sqrt(N / 2) for every N, a modulus above 2 MAX_DEGREE^2 is
+    refused without factoring it, and the rest factor by trial division.
+    """
+    n = lcm(*(2 * v for v in labels))
+    if n > 2 * MAX_DEGREE**2 or _totient(n) > MAX_DEGREE:
+        raise ValueError(f"labels {', '.join(map(str, labels))} need cyclotomic modulus N = {n}, "
+                         f"and phi(N) exceeds the supported degree {MAX_DEGREE}")
+    return n
+
+
 def two_cos_pi_over(label: int) -> Cyc:
     """2 cos(pi / label) as an exact cyclotomic number."""
     return zeta(2 * label) + zeta(2 * label, 2 * label - 1)

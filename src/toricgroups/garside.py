@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .classify import finite_quotient, finite_toric_parameters
 from .presentations import torus_classical
@@ -95,13 +96,16 @@ def gnf(n: int, m: int, w: Word) -> GarsideNF:
         if e:
             blocks.append([sym, e])
 
-    for letter in w.letters:
+    # a run of r letters x^-1 is (Delta^-1 x^(n-1))^r = Delta^-r x^(r(n-1)),
+    # since Delta is central; push carries whole Deltas into the power
+    for letter, run in groupby(w.letters):
         sym = "x" if abs(letter) == 1 else "y"
+        r = sum(1 for _ in run)
         if letter > 0:
-            push(sym, 1)
+            push(sym, r)
         else:
-            power -= 1
-            push(sym, bound[sym] - 1)
+            power -= r
+            push(sym, r * (bound[sym] - 1))
     return GarsideNF(n, m, power, tuple((s, e) for s, e in blocks))
 
 

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from .coxeter import CoxeterMatrix, MinimalRootTable
-from .presentations import Presentation, alt_plus, j_parent, toric
+from .coxeter import triangle_table
+from .presentations import FamilyParams, Presentation, alt_plus, j_parent, toric
 from .schreier import chain_implies_shift, chain_relators, delta_power_to_twist
 from .words import Derivation, GenMap, RewriteStep, Word, apply_map
 from .words import compose as compose_maps
@@ -84,16 +84,17 @@ def _require_coprime(n: int, m: int) -> None:
 def build_phi(k: int, n: int, m: int) -> Hom:
     """Toric group onto the alternating subgroup of the triangle group."""
     _require_coprime(n, m)
+    FamilyParams("toric", (k, n, m))  # the labels' own errors come before the degree cap
+    table = triangle_table(k, n, m)
     source = toric(k, n, m, normalize=False)
-    cm = CoxeterMatrix.triangle(k, n, m)
-    target = cm.alphabet()
+    target = table.cm.alphabet()
     a = target.word("r1 r2")
     b = target.word("r3 r2")
     images = {}
     for i in range(1, n + 1):
         images[f"x{i}"] = free_reduce(b ** (1 - i) * a * b ** (i - 1))
     gm = GenMap.from_dict(source.alphabet, target, images)
-    return Hom(source, gm, MinimalRootTable(cm), name=f"phi({k},{n},{m})")
+    return Hom(source, gm, table, name=f"phi({k},{n},{m})")
 
 
 @dataclass(frozen=True)
@@ -142,15 +143,15 @@ def build_embedding(k: int, n: int, m: int) -> Hom:
 def parent_to_coxeter(k: int, n: int, m: int) -> Hom:
     """s -> r1 r2, t -> r2 r3, u -> r3 r1 on the parent J-group."""
     source = j_parent(k, n, m)
-    cm = CoxeterMatrix.triangle(k, n, m)
-    target = cm.alphabet()
+    table = triangle_table(k, n, m)
+    target = table.cm.alphabet()
     images = {
         "s": target.word("r1 r2"),
         "t": target.word("r2 r3"),
         "u": target.word("r3 r1"),
     }
     gm = GenMap.from_dict(source.alphabet, target, images)
-    return Hom(source, gm, MinimalRootTable(cm), name=f"pi({k},{n},{m})")
+    return Hom(source, gm, table, name=f"pi({k},{n},{m})")
 
 
 def central_element(k: int, n: int, m: int) -> Word:

@@ -15,10 +15,9 @@ counterexample at (a, b, c) = (6, 2, 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .classify import finite_quotient
-from .cyclo import Cyc, zeta
+from .cyclo import Cyc, label_modulus, zeta
 from .presentations import FamilyParams, toric
 from .words import Alphabet, Word
 
@@ -117,8 +116,9 @@ def qr_presets(a: int, b: int, c: int) -> dict[str, tuple[Cyc, Cyc]]:
 
 
 def build_rho(a: int, b: int, c: int, q: Cyc, r: Cyc) -> Rep:
-    """Assemble the representation, enforcing the q r constraint exactly."""
-    modulus = lcm(2 * a, 2 * b, 2 * c)
+    """Assemble the representation, enforcing the q r constraint exactly.
+    Labels past ``cyclo.MAX_DEGREE`` raise ValueError."""
+    modulus = label_modulus(a, b, c)
     theta = zeta(2 * a).embed(modulus)
     phi = zeta(2 * b).embed(modulus)
     psi = zeta(2 * c).embed(modulus)
@@ -137,6 +137,7 @@ def build_rho(a: int, b: int, c: int, q: Cyc, r: Cyc) -> Rep:
 
 def build_rho_preset(a: int, b: int, c: int, preset: str | None = None) -> Rep:
     FamilyParams("j-parent", (a, b, c))  # labels must be integers >= 2
+    label_modulus(a, b, c)  # the presets already compute in the labels' field
     presets = qr_presets(a, b, c)
     if preset is None:
         preset = next(iter(presets))

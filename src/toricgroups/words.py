@@ -178,28 +178,44 @@ class WordSyntaxError(ValueError):
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse whitespace-separated tokens ``name``, ``name^K`` (K nonzero), or ``1``."""
+    tokens = text.split()
+    parsed: dict[str, tuple[int, ...] | str] = {}  # each distinct token once
     letters: list[int] = []
-    col = 0
-    for token in text.split():
-        col = text.index(token, col)
-        if token == "1":
-            col += len(token)
-            continue
-        name, sep, exp = token.partition("^")
-        if name not in alphabet:
-            raise WordSyntaxError(f"unknown generator {name!r}", column=col + 1)
-        k = 1
-        if sep:
-            try:
-                k = int(exp)
-            except ValueError:
-                raise WordSyntaxError(f"bad exponent in {token!r}", column=col + 1) from None
-            if k == 0:
-                raise WordSyntaxError(f"zero exponent in {token!r}", column=col + 1)
-        letter = alphabet.index(name) + 1
-        letters.extend([letter if k > 0 else -letter] * abs(k))
-        col += len(token)
+    for i, token in enumerate(tokens):
+        run = parsed.get(token)
+        if run is None:
+            run = parsed[token] = _token_letters(alphabet, token)
+        if isinstance(run, str):
+            raise WordSyntaxError(run, column=_column(text, tokens, i))
+        letters.extend(run)
     return Word(alphabet, tuple(letters))
+
+
+def _token_letters(alphabet: Alphabet, token: str) -> tuple[int, ...] | str:
+    """The letters of one token, or the message of its syntax error."""
+    if token == "1":
+        return ()
+    name, sep, exp = token.partition("^")
+    if name not in alphabet:
+        return f"unknown generator {name!r}"
+    k = 1
+    if sep:
+        try:
+            k = int(exp)
+        except ValueError:
+            return f"bad exponent in {token!r}"
+        if k == 0:
+            return f"zero exponent in {token!r}"
+    letter = alphabet.index(name) + 1
+    return (letter if k > 0 else -letter,) * abs(k)
+
+
+def _column(text: str, tokens: list[str], i: int) -> int:
+    """1-based column of ``tokens[i]`` in ``text``."""
+    col = 0
+    for token in tokens[:i]:
+        col = text.index(token, col) + len(token)
+    return text.index(tokens[i], col) + 1
 
 
 @dataclass(frozen=True)

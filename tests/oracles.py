@@ -49,6 +49,17 @@ with the production engines they check:
   cyclotomic number, by ``mpmath`` interval cosines at escalating decimal
   precision.  ``cyclo.sign_real`` must give the same signs; ``positive_roots``
   and ``gram_parabolic_verdicts`` decide their signs with it.
+- ``reference_reduce_word`` and ``reference_nf``: the original word problem
+  on a ``MinimalRootTable``, which rescans the whole word for its state
+  after every deletion and for every letter of the normal form.
+  ``MinimalRootTable.reduce_word`` and ``.nf`` must give the same words; the
+  references read only the table's ``action``.
+- ``reference_gnf``: the original Garside normal form, one letter at a
+  time.  ``garside.gnf`` must give the same ``GarsideNF``.
+- ``reference_parse_word``: the original word parser, which tracks the
+  column with a running ``text.index`` and expands every token as it comes.
+  ``words.parse_word`` must give the same ``Word``, or the same message and
+  column.
 """
 
 from __future__ import annotations
@@ -62,9 +73,11 @@ from math import gcd
 from typing import Sequence
 
 from toricgroups.cosets import CosetTable, _columns, _validate, bfs_transversal, todd_coxeter
+from toricgroups.coxeter import MinimalRootTable
 from toricgroups.cyclo import Cyc, _degree, _poly_trim, cyclotomic_polynomial, two_cos_pi_over
+from toricgroups.garside import _STANDARD, GarsideNF, _check_params
 from toricgroups.presentations import Presentation, TietzeBudgetExceeded
-from toricgroups.words import Alphabet, Word, cyclic_reduce, free_reduce, invert
+from toricgroups.words import Alphabet, Word, WordSyntaxError, cyclic_reduce, free_reduce, invert
 
 
 def _letters(w: Word) -> tuple[int, ...]:
@@ -1012,3 +1025,113 @@ def reference_sign_real(x: Cyc) -> int:
             iv.dps = old
         dps *= 2
     raise ArithmeticError(f"could not separate {x} from zero at {_MAX_DPS} digits")
+
+
+# --- the original rescanning word problems ---------------------------------------
+
+
+def _reference_state_scan(table: MinimalRootTable, letters: list[int]) -> dict[int, int]:
+    """State of a reduced word: minimal roots sent negative, with the
+    index of the creating letter."""
+    state: dict[int, int] = {}
+    for idx, s in enumerate(letters):
+        new_state: dict[int, int] = {}
+        for root, born in state.items():
+            img = table.action[root][s]
+            if img >= 0:
+                new_state[img] = born
+            # _ELEVATED roots leave the minimal set; _NEGATIVE cannot
+            # occur because the simple root of s is handled below
+        new_state[s] = idx
+        state = new_state
+    return state
+
+
+def reference_reduce_word(table: MinimalRootTable, w: Word) -> list[int]:
+    """A reduced word (letter list) for the element of w."""
+    word: list[int] = []
+    state: dict[int, int] = {}
+    for s in [abs(x) - 1 for x in w.letters]:
+        if s in state:  # descent: delete the letter that created a_s
+            del word[state[s]]
+            state = _reference_state_scan(table, word)
+        else:
+            new_state: dict[int, int] = {}
+            for root, born in state.items():
+                img = table.action[root][s]
+                if img >= 0:
+                    new_state[img] = born
+            new_state[s] = len(word)
+            word.append(s)
+            state = new_state
+    return word
+
+
+def reference_nf(table: MinimalRootTable, w: Word) -> Word:
+    """ShortLex-minimal normal form (r1 < r2 < ...)."""
+    reduced = reference_reduce_word(table, w)
+    out: list[int] = []
+    v_inv = reduced[::-1]
+    while v_inv:
+        state = _reference_state_scan(table, v_inv)
+        s = min(state)  # smallest left descent of the element
+        out.append(s)
+        del v_inv[state[s]]
+    ab = table.cm.alphabet()
+    return Word(ab, tuple(s + 1 for s in out))
+
+
+def reference_gnf(n: int, m: int, w: Word) -> GarsideNF:
+    """Left-greedy Garside normal form of a word over {x, y}."""
+    _check_params(n, m)
+    if w.alphabet != _STANDARD:
+        raise ValueError("word must be over the standard alphabet {x, y}")
+    bound = {"x": n, "y": m}
+    power = 0
+    blocks: list[list] = []  # [symbol, exponent], alternating
+
+    def push(sym: str, e: int) -> None:
+        # invariant: blocks alternate symbols with exponents in [1, bound-1],
+        # so one merge and one Delta extraction suffice
+        nonlocal power
+        if blocks and blocks[-1][0] == sym:
+            e += blocks.pop()[1]
+        q, e = divmod(e, bound[sym])
+        power += q
+        if e:
+            blocks.append([sym, e])
+
+    for letter in w.letters:
+        sym = "x" if abs(letter) == 1 else "y"
+        if letter > 0:
+            push(sym, 1)
+        else:
+            power -= 1
+            push(sym, bound[sym] - 1)
+    return GarsideNF(n, m, power, tuple((s, e) for s, e in blocks))
+
+
+def reference_parse_word(alphabet: Alphabet, text: str) -> Word:
+    """Parse whitespace-separated tokens ``name``, ``name^K`` (K nonzero), or ``1``."""
+    letters: list[int] = []
+    col = 0
+    for token in text.split():
+        col = text.index(token, col)
+        if token == "1":
+            col += len(token)
+            continue
+        name, sep, exp = token.partition("^")
+        if name not in alphabet:
+            raise WordSyntaxError(f"unknown generator {name!r}", column=col + 1)
+        k = 1
+        if sep:
+            try:
+                k = int(exp)
+            except ValueError:
+                raise WordSyntaxError(f"bad exponent in {token!r}", column=col + 1) from None
+            if k == 0:
+                raise WordSyntaxError(f"zero exponent in {token!r}", column=col + 1)
+        letter = alphabet.index(name) + 1
+        letters.extend([letter if k > 0 else -letter] * abs(k))
+        col += len(token)
+    return Word(alphabet, tuple(letters))

@@ -1,9 +1,11 @@
 import json
+import time
+from math import lcm
 from pathlib import Path
 
 import pytest
 
-from toricgroups import cli, cyclo, words
+from toricgroups import cli, coxeter, cyclo, words
 from toricgroups.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
@@ -363,20 +365,45 @@ def test_reused_parser_prints_the_same_bytes(capsys):
 
 
 @pytest.mark.parametrize("owner, name, argv", [
-    # each of these really fails this way when memory runs short: the word
-    # expands to 10^11 letters, and the root table and the representation
-    # live at a cyclotomic modulus near 10^9
+    # the word expands to 10^11 letters and really runs out of memory; labels
+    # whose field is too large are refused before any allocation (see
+    # test_degree_cap_refuses_before_allocating), so for the root table and
+    # the representation a failing Cyc.embed stands in for memory running
+    # short on accepted labels
     pytest.param(words, "parse_word", ("wp", "garside", "2", "3", "x^99999999999"), id="wp-garside"),
-    pytest.param(cyclo.Cyc, "embed", ("wp", "coxeter", "1000", "999", "997", "r1"), id="wp-coxeter"),
-    pytest.param(cyclo.Cyc, "embed", ("rep", "check", "1000", "999", "997"), id="rep-check"),
+    pytest.param(cyclo.Cyc, "embed", ("wp", "coxeter", "7", "9", "11", "r1"), id="wp-coxeter"),
+    pytest.param(cyclo.Cyc, "embed", ("rep", "check", "7", "9", "11"), id="rep-check"),
 ])
 def test_out_of_memory_is_input_error(capsys, monkeypatch, owner, name, argv):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
+    coxeter.triangle_table.cache_clear()  # a cached table would need no embed
     monkeypatch.setattr(owner, name, exhausted)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: input too large for memory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("wp", "coxeter", "1000", "999", "997", "r1"),
+    ("wp", "toric", "1000", "999", "997", "x1"),
+    ("rep", "check", "1000", "999", "997"),
+    ("rep", "eval", "1000", "999", "997", "s"),
+    ("wp", "coxeter", "11", "13", "15", "r1"),  # N = 4290, phi(N) = 960
+])
+def test_degree_cap_refuses_before_allocating(capsys, monkeypatch, argv):
+    # these used to run until MemoryError; now no field element is built
+    def allocating(*args):
+        raise AssertionError("a cyclotomic value was built past the degree cap")
+
+    monkeypatch.setattr(cyclo, "_canon", allocating)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    n = lcm(*(2 * int(v) for v in argv[2:5]))
+    assert (code, out) == (2, "")
+    assert err == (f"error: labels {', '.join(argv[2:5])} need cyclotomic modulus N = {n}, "
+                   f"and phi(N) exceeds the supported degree {cyclo.MAX_DEGREE}\n")
 
 
 @pytest.mark.parametrize("name", TEXT_GOLDEN)

@@ -2,17 +2,21 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import root_table, triangle_cayley
-from oracles import gram_parabolic_verdicts, matrix_group_order, positive_roots
+from oracles import gram_parabolic_verdicts, matrix_group_order, positive_roots, reference_nf, reference_reduce_word
 
+from toricgroups import cyclo
 from toricgroups.classify import finite_toric
 from toricgroups.coxeter import (
     CoxeterMatrix,
+    MinimalRootTable,
     center_check_plus,
     classify_triangle,
     maximal_finite_parabolics,
     parity,
+    triangle_table,
 )
 from toricgroups.words import Word, free_reduce, invert
 
@@ -241,3 +245,102 @@ def test_spherical_triangles_are_the_finite_toric_rows():
             for m in range(2, 40):
                 if gcd(n, m) == 1:
                     assert (classify_triangle(k, n, m) == "spherical") == (finite_toric(k, n, m) is not None), (k, n, m)
+
+
+# --- replayed prefix states against the rescanning reference -----------------
+
+# label-2 edges, spherical, affine and hyperbolic triangles
+DIFF_TRIANGLES = [(2, 2, 5), (2, 3, 3), (2, 3, 5), (2, 3, 6), (2, 3, 7), (3, 3, 3), (3, 4, 5), (4, 5, 6), (7, 8, 9)]
+# r1 r2 has infinite order; the other edges are labelled 3 and 4
+INFINITE_EDGE = MinimalRootTable(CoxeterMatrix(((1, None, 3), (None, 1, 4), (3, 4, 1))))
+
+
+coxeter_words = st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), max_size=400)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(DIFF_TRIANGLES), coxeter_words)
+def test_nf_and_reduce_word_match_rescanning_reference(tri, letters):
+    table = root_table(*tri)
+    w = Word(table.cm.alphabet(), tuple(letters))
+    assert table.reduce_word(w) == reference_reduce_word(table, w)
+    assert table.nf(w) == reference_nf(table, w)
+
+
+@settings(max_examples=40)
+@given(coxeter_words)
+def test_nf_matches_reference_with_an_infinite_label(letters):
+    w = Word(INFINITE_EDGE.cm.alphabet(), tuple(letters))
+    assert INFINITE_EDGE.reduce_word(w) == reference_reduce_word(INFINITE_EDGE, w)
+    assert INFINITE_EDGE.nf(w) == reference_nf(INFINITE_EDGE, w)
+
+
+def test_replay_steps_grow_linearly_on_padded_words(monkeypatch):
+    # a reintroduced full rescan costs about (reduced length)^2 / 2 = 180,000
+    # steps here; replaying prefix states costs a small multiple of the letters
+    table = triangle_table(4, 5, 6)
+    labels = {frozenset((0, 1)): 4, frozenset((1, 2)): 5, frozenset((0, 2)): 6}
+    rng = random.Random(11)
+    word = [rng.randrange(3)]
+    while len(word) < 600:
+        word.append(rng.choice([s for s in range(3) if s != word[-1]]))
+    while len(word) < 1200:  # pad with relators (s t)^m(s,t)
+        s, t = rng.sample(range(3), 2)
+        at = rng.randrange(1, len(word))
+        if word[at - 1] != s and word[at] != t:
+            word[at:at] = [s, t] * labels[frozenset((s, t))]
+    w = Word(table.cm.alphabet(), tuple(x + 1 for x in word))
+    expected = reference_nf(table, w)
+
+    calls = 0
+    step = MinimalRootTable._step
+
+    def counted(self, state, s, idx):
+        nonlocal calls
+        calls += 1
+        return step(self, state, s, idx)
+
+    monkeypatch.setattr(MinimalRootTable, "_step", counted)
+    assert table.nf(w) == expected
+    assert 0 < calls < 4 * len(w.letters)
+
+
+# --- one table per triangle ----------------------------------------------------
+
+
+def test_triangle_table_is_built_once():
+    assert triangle_table(3, 4, 5) is triangle_table(3, 4, 5)
+    assert triangle_table(3, 4, 5) is not triangle_table(4, 5, 6)
+
+
+def test_shared_tables_answer_like_fresh_ones():
+    rng = random.Random(7)
+    tris = [(2, 3, 7), (3, 4, 5), (4, 5, 6), (2, 2, 5)]
+    fresh = {tri: MinimalRootTable(CoxeterMatrix.triangle(*tri)) for tri in tris}
+    for _ in range(60):
+        tri = rng.choice(tris)
+        ab = fresh[tri].cm.alphabet()
+        w = Word(ab, tuple(rng.choice([1, 2, 3]) for _ in range(rng.randrange(0, 120))))
+        assert triangle_table(*tri).nf(w) == fresh[tri].nf(w)
+
+
+def test_triangle_table_caches_no_rejected_input():
+    before = triangle_table.cache_info().currsize
+    for labels in [(11, 13, 15), (1000, 999, 997), (1, 3, 4)]:
+        with pytest.raises(ValueError):
+            triangle_table(*labels)
+    assert triangle_table.cache_info().currsize == before
+
+
+def test_degree_cap_bounds_phi_of_the_modulus():
+    # every triangle of the goldens and the benchmark is accepted
+    for labels in [(7, 8, 9), (3, 4, 5), (4, 5, 6), (2, 3, 7), (6, 2, 3), (2, 3, 5), (3, 3, 3), (2, 2, 5)]:
+        assert cyclo.label_modulus(*labels) == CoxeterMatrix.triangle(*labels).modulus()
+    assert cyclo.label_modulus(9, 11, 13) == 2574  # phi = 720, the cap
+    assert cyclo.label_modulus(7, 9, 25) == 3150  # phi = 720 at the largest modulus
+    with pytest.raises(ValueError, match="phi"):
+        cyclo.label_modulus(11, 13, 15)  # phi(4290) = 960
+    with pytest.raises(ValueError, match="phi"):
+        cyclo.label_modulus(10**40, 3, 5)  # refused without factoring
+    for n in range(1, 1000):
+        assert cyclo._totient(n) == sum(1 for i in range(1, n + 1) if gcd(i, n) == 1)

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import toric_cayley
-from oracles import monoid_equal
+from oracles import monoid_equal, reference_gnf
 
 from toricgroups.classify import finite_toric_parameters
 from toricgroups.garside import (
@@ -212,3 +213,14 @@ def test_separation_uses_dihedral_quotients_past_m_99():
     classical = sigma(2, 101).target
     x1, x2 = classical.word("x1"), classical.word("x2")
     assert separate_in_finite_quotients(2, 101, x1, x2) == "distinct"
+
+
+# runs of up to 3 Deltas' worth of one letter, so runs cross the bound
+runs = st.lists(st.tuples(st.sampled_from([1, -1, 2, -2]), st.integers(1, 24)), max_size=24)
+
+
+@given(st.sampled_from([(2, 3), (3, 4), (2, 5), (3, 5), (2, 7), (5, 7)]), runs)
+def test_run_length_gnf_matches_letter_at_a_time_reference(pair, runs):
+    n, m = pair
+    w = Word(AB, tuple(letter for letter, r in runs for _ in range(r)))
+    assert gnf(n, m, w) == reference_gnf(n, m, w)

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import reference_parse_word
+
 from toricgroups.words import (
     Alphabet,
     Derivation,
@@ -83,6 +85,49 @@ def test_parse_rejects_unknown_generator():
 def test_parse_rejects_zero_exponent():
     with pytest.raises(WordSyntaxError):
         parse_word(AB, "x1^0")
+
+
+def test_parse_error_columns():
+    for text, message, column in [
+        ("x1 zz", "unknown generator 'zz'", 4),
+        ("  x1 x1^0", "zero exponent in 'x1^0'", 6),
+        ("x1^2 1 x1^x", "bad exponent in 'x1^x'", 8),
+        ("x1\tx1 x1^", "bad exponent in 'x1^'", 7),
+        ("x1^2 x1^", "bad exponent in 'x1^'", 6),
+    ]:
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(AB, text)
+        assert (str(err.value), err.value.column) == (message, column)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(AB, text)
+    except WordSyntaxError as e:
+        return str(e), e.column
+
+
+# good tokens three times as often as bad ones, which are often substrings
+# of good ones, so that a bad token's column depends on the tokens before it
+GOOD = ["1", "x1", "x2", "x3", "x1^2", "x2^-3", "x1^+2", "x3^12"]
+BAD = ["x3^0", "x1^", "x2^x", "x", "x12", "^2", "y^2", "x1^-"]
+tokens = st.sampled_from(GOOD * 3 + BAD) | st.builds("x{}^{}".format, st.integers(1, 3), st.integers(-6, 6))
+separators = st.sampled_from([" ", "  ", "\t", "\n ", " \t"])
+
+
+@given(st.lists(st.tuples(tokens, separators), max_size=30), separators)
+def test_parse_word_matches_running_index_reference(stream, lead):
+    text = lead + "".join(token + sep for token, sep in stream)
+    assert _parse_outcome(parse_word, text) == _parse_outcome(reference_parse_word, text)
+
+
+def test_word_range_check_names_the_first_bad_letter():
+    with pytest.raises(ValueError, match="letter 4 out of range"):
+        Word(AB, (1, -3, 4, 0))
+    with pytest.raises(ValueError, match="letter 0 out of range"):
+        Word(AB, (1, 0, -4))
+    with pytest.raises(ValueError, match="letter -4 out of range"):
+        Word(AB, (-4,))
 
 
 @given(letters)
