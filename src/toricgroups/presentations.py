@@ -12,6 +12,7 @@ first word, as the p-1 relators u1*u2^-1, ..., u1*up^-1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .words import Alphabet, Word, WordSyntaxError, cyclic_reduce, free_reduce, invert, parse_word, word_to_text
@@ -269,6 +270,10 @@ def parse_presentation(text: str) -> Presentation:
 # --- Tietze simplification --------------------------------------------------
 
 
+# Relators in ``tietze_simplify`` are strings of code points up to this one.
+_MAX_CODE_POINT = sys.maxunicode
+
+
 class TietzeBudgetExceeded(Exception):
     """Raised when the step budget runs out; carries the best presentation so far."""
 
@@ -277,45 +282,39 @@ class TietzeBudgetExceeded(Exception):
         super().__init__("tietze step budget exceeded")
 
 
-def _substitute(letters: tuple[int, ...], g: int, image: tuple[int, ...],
-                image_inv: tuple[int, ...]) -> tuple[tuple[int, ...], set[int]]:
-    """A cyclically reduced word with g -> image and g^-1 -> image_inv, cyclically
-    reduced, and the generators of the letters that cancelled on the way.
+def _cancel_outward(s: str, pair: str, gone: set[str]) -> str:
+    """``s`` with every occurrence of the inverse pair ``pair`` cancelled, each
+    together with the inverse pairs it exposes; cancelled letters go to ``gone``.
 
-    Every piece is freely reduced, so letters can only cancel at the seams.
+    A cancellation joins two letters that are not inverse, so it never makes a
+    new pair: one left-to-right scan finds them all.
     """
-    hits: list[int] = []
-    for x in (g, -g):
-        i = -1
-        for _ in range(letters.count(x)):
-            i = letters.index(x, i + 1)
-            hits.append(i)
-    pieces = []
-    start = 0
-    for i in sorted(hits):
-        pieces += (letters[start:i], image if letters[i] == g else image_inv)
-        start = i + 1
-    pieces.append(letters[start:])
-    out: list[int] = []
-    gone: set[int] = set()
-    for piece in pieces:
+    i = s.find(pair)
+    while i >= 0:
+        j, k = i, i + 2
+        while j and k < len(s) and ord(s[j - 1]) ^ 1 == ord(s[k]):
+            j -= 1
+            k += 1
+        gone.update(s[j:k])
+        s = s[:j] + s[k:]
+        i = s.find(pair, j)
+    return s
+
+
+def _join_cancelling(pieces: list[str], gone: set[str]) -> str:
+    """The freely reduced product of freely reduced ``pieces``; cancelled
+    letters go to ``gone``."""
+    out = pieces[0]
+    for piece in pieces[1:]:
         k, top = 0, min(len(out), len(piece))
-        while k < top and out[-1 - k] == -piece[k]:
-            gone.add(abs(piece[k]))
+        while k < top and ord(out[-1 - k]) ^ 1 == ord(piece[k]):
             k += 1
         if k:
-            del out[-k:]
-        out.extend(piece[k:])
-    i, j = 0, len(out)
-    while j - i >= 2 and out[i] == -out[j - 1]:
-        gone.add(abs(out[i]))
-        i += 1
-        j -= 1
-    return tuple(out[i:j]), gone
-
-
-def _count(letters: tuple[int, ...], h: int) -> int:
-    return letters.count(h) + letters.count(-h)
+            gone.update(piece[:k])
+            out = out[:-k] + piece[k:]
+        else:
+            out += piece
+    return out
 
 
 def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
@@ -336,61 +335,71 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
        relator.  Surviving generators keep their names and order.
 
     The budget counts eliminations.  Each move touches only the relators
-    that contain g: relators are letter tuples over the input's generator
-    indices, keyed by a stable id whose order is the relator order, and
-    every generator keeps the ids of the relators that contain it and of
-    those that contain it exactly once.
+    that contain g: relators are keyed by a stable id whose order is the
+    relator order, and every generator keeps the ids of the relators that
+    contain it and of those that contain it exactly once.  A relator is a
+    ``str`` with one code point per letter, generator h (1-based) being
+    chr(2h) and its inverse chr(2h + 1), so a substitution is two
+    ``str.replace`` calls and the letters are decoded into words only when
+    a presentation is returned or raised.  A presentation with more than
+    (``sys.maxunicode`` - 1) / 2 generators is a ``ValueError``.
     """
     n = len(p.alphabet)
-    relators: dict[int, tuple[int, ...]] = {}  # id -> letters
-    holder: dict[tuple[int, ...], int] = {}  # letters -> id, for duplicates
+    if 2 * n + 1 > _MAX_CODE_POINT:
+        raise ValueError(f"Tietze elimination takes at most {(_MAX_CODE_POINT - 1) // 2} generators, "
+                         f"got {n}")
+    symbols = [(chr(2 * h), chr(2 * h + 1)) for h in range(n + 1)]  # h -> (h, h^-1)
+    flip = {2 * h + e: 2 * h + 1 - e for h in range(1, n + 1) for e in (0, 1)}
+    relators: dict[int, str] = {}  # id -> letters
+    holder: dict[str, int] = {}  # letters -> id, for duplicates
     occurs: list[set[int]] = [set() for _ in range(n + 1)]
     once: list[set[int]] = [set() for _ in range(n + 1)]
     eliminated: set[int] = set()
 
-    def store(rid: int, letters: tuple[int, ...], touched: set[int] | None = None) -> None:
-        """Make ``letters`` relator ``rid``; () deletes it, and so does an
+    def store(rid: int, letters: str, touched: set[int] | None = None) -> None:
+        """Make ``letters`` relator ``rid``; "" deletes it, and so does an
         earlier holder of the same letters, while a later holder is deleted.
         ``touched``, when given, holds every generator whose count may differ
         from the old letters."""
-        old = relators.pop(rid, ())
+        old = relators.pop(rid, "")
         if old:
             del holder[old]
         other = holder.get(letters)
         if not letters or (other is not None and other < rid):
-            letters, touched = (), None
+            letters, touched = "", None
         else:
             if other is not None:
-                store(other, ())
+                store(other, "")
             relators[rid] = letters
             holder[letters] = rid
         if touched is None:
-            touched = set(map(abs, old + letters))
+            touched = {ord(x) >> 1 for x in set(old + letters)}
         for h in touched:
-            was, now = _count(old, h), _count(letters, h)
-            if was == now:
-                continue
+            up, down = symbols[h]
+            now = letters.count(up) + letters.count(down)
             if not now:
                 occurs[h].discard(rid)
-            elif not was:
+                once[h].discard(rid)
+            elif now == 1:
                 occurs[h].add(rid)
-            if now == 1:
                 once[h].add(rid)
-            elif was == 1:
+            else:
+                occurs[h].add(rid)
                 once[h].discard(rid)
 
     def presentation() -> Presentation:
         keep = [h for h in range(1, n + 1) if h not in eliminated]
-        alphabet = Alphabet([p.alphabet.gens[h - 1].name for h in keep])
-        new = {h: i for i, h in enumerate(keep, start=1)}
+        alphabet = Alphabet([p.alphabet.names[h - 1] for h in keep])
+        decode = {}
+        for i, h in enumerate(keep, start=1):
+            decode[symbols[h][0]], decode[symbols[h][1]] = i, -i
         return Presentation(alphabet, tuple(
-            Word(alphabet, tuple(new[x] if x > 0 else -new[-x] for x in relators[rid]))
-            for rid in sorted(relators)))
+            Word(alphabet, tuple(map(decode.__getitem__, relators[rid]))) for rid in sorted(relators)))
 
     for rid, r in enumerate(p.relators):
-        store(rid, cyclic_reduce(r).letters)
+        store(rid, "".join([chr(2 * x if x > 0 else 1 - 2 * x) for x in cyclic_reduce(r).letters]))
     while True:
-        g = next((h for h in range(1, n + 1) if once[h]), None)
+        g = next(filter(once.__getitem__, range(1, n + 1)), None)
         if g is None:
             return presentation()
         if len(eliminated) >= budget:
@@ -398,14 +407,37 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
         eliminated.add(g)
         defining = min(once[g], key=lambda rid: (len(relators[rid]), rid))
         rel = relators[defining]
-        store(defining, ())
-        pos = rel.index(g) if g in rel else rel.index(-g)
+        store(defining, "")
+        up, down = symbols[g]
+        pos = rel.find(up)
+        if pos < 0:
+            pos = rel.find(down)
         # Rotate so the eliminated letter is first: rel ~ g^e * w, so g^e = w^-1.
         tail = rel[pos + 1:] + rel[:pos]
-        tail_inv = tuple(-x for x in reversed(tail))
-        image, image_inv = (tail_inv, tail) if rel[pos] > 0 else (tail, tail_inv)
-        touched = {g, *map(abs, tail)}
+        tail_inv = tail[::-1].translate(flip)
+        image, image_inv = (tail_inv, tail) if rel[pos] == up else (tail, tail_inv)
+        touched = {ord(x) >> 1 for x in set(tail)}
+        # Every relator and image is freely reduced, so an inverse pair can only
+        # form at a seam: as inv(image[0]) image[0] or image[-1] inv(image[-1]).
+        if image:
+            pairs = (chr(ord(image[0]) ^ 1) + image[0], image[-1] + chr(ord(image[-1]) ^ 1))
         # the new letters lack g, so they never equal a relator still waiting here
         for rid in sorted(occurs[g]):
-            letters, gone = _substitute(relators[rid], g, image, image_inv)
-            store(rid, letters, touched | gone)
+            gone: set[str] = set()
+            if image:
+                s = relators[rid].replace(up, image).replace(down, image_inv)
+                for pair in pairs:
+                    if pair in s:
+                        s = _cancel_outward(s, pair, gone)
+            else:
+                s = _join_cancelling(relators[rid].replace(down, up).split(up), gone)
+            i, j = 0, len(s)
+            while j - i >= 2 and ord(s[i]) ^ 1 == ord(s[j - 1]):
+                i += 1
+                j -= 1
+            if i:
+                gone.update(s[:i])
+                s = s[i:j]
+            store(rid, s, touched | {ord(x) >> 1 for x in gone} if gone else touched)
+        # g has left every relator, but the loop above did not count it
+        once[g].clear()

@@ -25,7 +25,7 @@ class Gen:
 class Alphabet:
     """An ordered list of uniquely named generators."""
 
-    __slots__ = ("gens", "_by_name")
+    __slots__ = ("gens", "names", "_by_name")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -36,12 +36,9 @@ class Alphabet:
                 raise ValueError(f"invalid generator name {nm!r}")
             if nm == "1":
                 raise ValueError("'1' is reserved for the empty word")
+        self.names = names
         self.gens = tuple(Gen(nm, i) for i, nm in enumerate(names))
         self._by_name = {nm: i for i, nm in enumerate(names)}
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.gens)
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -59,7 +56,7 @@ class Alphabet:
             raise KeyError(f"unknown generator {name!r}") from None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.names == other.names
+        return self is other or (isinstance(other, Alphabet) and self.names == other.names)
 
     def __hash__(self) -> int:
         return hash(self.names)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -190,6 +192,24 @@ def test_tietze_sees_occurrences_removed_by_cyclic_reduction():
     assert q == reference_tietze(p)
 
 
+def test_tietze_cancels_every_seam_of_a_substitution():
+    # a = b makes b^-1 a b^-1 a c^2 into b^-1 b b^-1 b c^2: two cancelling
+    # seams side by side, leaving c^2
+    p = parse_presentation("gens: a b c\nrel: a b^-1\nrel: b^-1 a b^-1 a c^2")
+    q = tietze_simplify(p)
+    assert q == parse_presentation("gens: b c\nrel: c^2")
+    assert q == reference_tietze(p)
+
+
+def test_tietze_cancels_through_a_deleted_generator():
+    # g = 1 makes x y g y^-1 x^-1 z^2 into x y y^-1 x^-1 z^2, which cancels
+    # two letters deep
+    p = parse_presentation("gens: g x y z\nrel: g\nrel: x y g y^-1 x^-1 z^2")
+    q = tietze_simplify(p)
+    assert q == parse_presentation("gens: x y z\nrel: z^2")
+    assert q == reference_tietze(p)
+
+
 # --- Tietze against the reference elimination loop ------------------------------
 
 
@@ -214,11 +234,43 @@ def test_tietze_matches_reference_on_random_presentations(p, budget):
     assert _tietze_outcome(tietze_simplify, p, budget) == _tietze_outcome(reference_tietze, p, budget)
 
 
-@pytest.mark.parametrize("a,b,c", [(2, 3, 5), (3, 2, 3), (2, 7, 9), (3, 5, 7)])
+@pytest.mark.parametrize("a,b,c", [(2, 3, 5), (3, 2, 3), (2, 7, 9), (3, 5, 7), (2, 9, 11)])
 def test_tietze_matches_reference_on_rs_presentations(a, b, c):
     parent = pres.j_parent(a, b, c)
     quotient = Presentation(parent.alphabet, parent.relators + (parent.alphabet.word("s"),))
     table = todd_coxeter(quotient)
     tr = schreier.schreier_transversal(table, schreier.toric_column_order(parent.alphabet))
     rs = schreier.rs_presentation(parent, table, tr).presentation
-    assert serialize(tietze_simplify(rs)) == serialize(reference_tietze(rs))
+    for budget in (0, 1, 5, 17, 10_000):
+        status, got = _tietze_outcome(tietze_simplify, rs, budget)
+        want_status, want = _tietze_outcome(reference_tietze, rs, budget)
+        assert (status, serialize(got)) == (want_status, serialize(want))
+
+
+def test_tietze_letters_straddle_the_surrogate_block():
+    # generator h is code point 2h, so h from 27,647 to 28,672 runs from just
+    # below 0xD800 to just above 0xDFFF
+    alphabet = Alphabet([f"g{i}" for i in range(1, 28_673)])
+    gens = (27_647, 27_648, 27_649, 28_000, 28_670, 28_671, 28_672)
+    rng = random.Random(7)
+    for budget in (10_000, 10_000, 1):
+        words = [[rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randrange(1, 7))]
+                 for _ in range(rng.randrange(2, 6))]
+        p = Presentation(alphabet, tuple(Word(alphabet, tuple(w)) for w in words))
+        assert _tietze_outcome(tietze_simplify, p, budget) == _tietze_outcome(reference_tietze, p, budget)
+
+
+def test_tietze_refuses_more_generators_than_code_points(monkeypatch):
+    # generator h is code point 2h and its inverse 2h + 1, so a limit of 9
+    # holds 4 generators
+    monkeypatch.setattr(pres, "_MAX_CODE_POINT", 9)
+    p = parse_presentation("gens: a b c d\nrel: a b^-1\nrel: b^3")
+    assert tietze_simplify(p) == parse_presentation("gens: b c d\nrel: b^3")
+
+    def no_work(w):
+        raise AssertionError("work began before the generator count was checked")
+
+    monkeypatch.setattr(pres, "cyclic_reduce", no_work)
+    p = parse_presentation("gens: a b c d e\nrel: a b^-1")
+    with pytest.raises(ValueError, match="at most 4 generators, got 5"):
+        tietze_simplify(p)

@@ -30,6 +30,37 @@ def w(text: str) -> Word:
 letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=40)
 
 
+def test_alphabets_with_equal_names_are_equal_and_hash_equal():
+    other = Alphabet(["x1", "x2", "x3"])
+    assert other is not AB
+    assert other == AB and not other != AB
+    assert hash(other) == hash(AB)
+    assert other.names == AB.names == ("x1", "x2", "x3")
+    assert len({AB, other}) == 1
+
+
+def test_alphabets_with_reordered_names_are_unequal():
+    other = Alphabet(["x2", "x1", "x3"])
+    assert other != AB and not other == AB
+    assert Alphabet(["x1", "x2"]) != AB
+
+
+def test_alphabet_is_unequal_to_other_types():
+    assert AB != ("x1", "x2", "x3")
+    assert not AB == ["x1", "x2", "x3"]
+    assert AB != "x1 x2 x3"
+
+
+def test_words_over_equal_but_distinct_alphabets_are_equal():
+    other = Alphabet(["x1", "x2", "x3"])
+    u, v = w("x1 x2^-1 x3^2"), other.word("x1 x2^-1 x3^2")
+    assert u.alphabet is not v.alphabet
+    assert u == v and hash(u) == hash(v)
+    assert {u: 1}[v] == 1
+    assert u * v == w("x1 x2^-1 x3^2 x1 x2^-1 x3^2")
+    assert u != Alphabet(["x2", "x1", "x3"]).word("x1 x2^-1 x3^2")
+
+
 def test_free_reduce_cancellation():
     assert free_reduce(w("x1 x1^-1 x2")) == w("x2")
 
