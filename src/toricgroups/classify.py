@@ -19,7 +19,7 @@ from math import gcd
 
 from . import coxeter, maps, schreier
 from .cosets import CayleyTable, group_order, reflection_class_count, todd_coxeter
-from .presentations import FamilyParams, TietzeBudgetExceeded, build, serialize, tietze_simplify, toric
+from .presentations import FamilyParams, TietzeBudgetExceeded, serialize, tietze_simplify, toric
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,8 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]
                 if fin is None:
                     entry["maximal_finite_cyclic_orders"] = _parabolic_orders(k, n, m)
                 else:
-                    entry["order"] = group_order(build(FamilyParams("toric", (k, n, m))),
-                                                 max_cosets=max_cosets)
+                    cayley = finite_quotient(k, n, m, max_cosets)
+                    entry["order"] = None if cayley is None else cayley.size
                 entries.append(entry)
     return {"entries": entries, "count": len(entries)}, "ok", []
 
@@ -157,14 +157,14 @@ def toric_word_problem(k: int, n: int, m: int, w: str, max_cosets: int) -> tuple
 
 
 def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, str, list[str]]:
-    """Result, status and evidence of ``derive``: ncl(s) in J(a,b,c), simplified.
+    """Result, status and evidence of ``derive``: a presentation of ncl(s) in J(a,b,c).
 
-    ``maps.parent_to_coxeter`` maps J(a,b,c) onto the rotation subgroup of
-    the (a,b,c) triangle group, which is infinite unless the triangle is
-    spherical; ncl(s) has finite index, so it is then infinite too, and
-    the row reports ``order: None`` without enumerating.  With gcd(b, c) = 1
-    this is the finite classification of W(a,b,c).  Spherical rows
-    enumerate the order up to ``max_cosets``.
+    A gcd(b, c) = 1 row answers with the toric presentation of W(a,b,c) that
+    ``schreier.check_toric_presentation`` checks, the other rows with Tietze
+    within ``budget`` steps.  J(a,b,c) maps onto the rotation subgroup of
+    the (a,b,c) triangle group (``maps.parent_to_coxeter``) and ncl(s) has
+    finite index, so a row whose triangle is not spherical is infinite and
+    reports ``order: None``; a spherical row enumerates its order.
     """
     found = schreier.toric_closure_rs(a, b, c, max_cosets)
     if found is None:
@@ -174,29 +174,35 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
         f"index of the normal closure of s: {len(labels)}",
         f"Schreier generators before simplification: {len(rs.presentation.gens)}",
     ]
-    try:
-        simplified = tietze_simplify(rs.presentation, budget=budget)
-    except TietzeBudgetExceeded as e:
-        # the best presentation so far still presents the same group, but
-        # enumerating it unsimplified (30 generators at (2,3,5)) costs more
-        # than the whole derivation did
-        simplified, order = e.best, None
-        evidence.append(f"Tietze step budget {budget} exhausted: best presentation kept, "
-                        "order not enumerated")
+    coprime = gcd(b, c) == 1
+    triangle = coxeter.classify_triangle(a, b, c)
+    order = None
+    if coprime:
+        presentation = schreier.check_toric_presentation(a, b, c, labels, rs).presentation
+        evidence.append("every rewritten relator is a toric relator or a shift relator "
+                        "with a checked derivation from the chain relators")
+        cayley = finite_quotient(a, b, c, max_cosets)  # None on the rows that are not spherical
+        order = None if cayley is None else cayley.size
     else:
-        triangle = coxeter.classify_triangle(a, b, c)
-        if triangle != "spherical":
-            order = None
-            if gcd(b, c) == 1:
-                evidence.append(f"order not enumerated: W({a},{b},{c}) is not a finite-table member; "
-                                "group is infinite")
-            else:
-                evidence.append(f"order not enumerated: J({a},{b},{c}) maps onto the infinite rotation "
-                                f"subgroup of the {triangle} ({a},{b},{c}) triangle group and ncl(s) "
-                                "has finite index; group is infinite")
-        else:
-            order = group_order(simplified, max_cosets=max_cosets)
-            if order is None:
-                evidence.append(f"order enumeration overflowed at {max_cosets}")
-    result = {"presentation": serialize(simplified), "num_generators": len(simplified.gens), "order": order}
-    return result, "ok" if order is not None else "unknown", evidence
+        try:
+            presentation = tietze_simplify(rs.presentation, budget=budget)
+        except TietzeBudgetExceeded as e:
+            # the best presentation so far still presents the same group, but
+            # enumerating it unsimplified (18 generators at (2,3,3)) costs more
+            # than the whole derivation did
+            evidence.append(f"Tietze step budget {budget} exhausted: best presentation kept, "
+                            "order not enumerated")
+            result = {"presentation": serialize(e.best), "num_generators": len(e.best.gens), "order": None}
+            return result, "unknown", evidence
+        if triangle == "spherical":
+            order = group_order(presentation, max_cosets=max_cosets)
+    if triangle != "spherical":
+        evidence.append(f"order not enumerated: J({a},{b},{c}) maps onto the infinite rotation "
+                        f"subgroup of the {triangle} ({a},{b},{c}) triangle group and ncl(s) "
+                        "has finite index; group is infinite")
+    elif order is None:
+        evidence.append(f"order enumeration overflowed at {max_cosets}")
+    # an infinite row is "ok" where the checked toric presentation names its group
+    known = order is not None or (coprime and triangle != "spherical")
+    result = {"presentation": serialize(presentation), "num_generators": len(presentation.gens), "order": order}
+    return result, "ok" if known else "unknown", evidence

@@ -264,22 +264,26 @@ def toric_closure_rs(a: int, b: int, c: int, max_cosets: int = 10**6
 
 
 def derive_toric_presentation(k: int, n: int, m: int, max_cosets: int = 10**6) -> RSResult:
-    """Derive the toric presentation of the normal closure of s in a parent J-group.
-
-    Runs Reidemeister-Schreier over the {u^i t^j} transversal, substitutes
-    the closed form of every Schreier generator (a word in s_0..s_{n-1}),
-    and reduces.  The surviving relators are checked to be, up to rotation
-    and inversion, exactly the toric relators plus shift relators
-    x_i d = d x_{i+m} (d the m-factor product); each shift relator is
-    deleted only after its derivation from the chain relators has been
-    machine-checked.  The result is the toric presentation on the renamed
-    generators s_i = x_{i+1}.
-    """
+    """``check_toric_presentation`` of ``toric_closure_rs``; ValueError when it overflows."""
     found = toric_closure_rs(k, n, m, max_cosets)
     if found is None:
         raise ValueError("enumeration of the parent over the normal closure overflowed")
-    labels, rs = found
+    return check_toric_presentation(k, n, m, *found)
 
+
+def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int, int]],
+                             rs: RSResult) -> RSResult:
+    """The toric presentation of ncl(s), checked against the RS presentation.
+
+    Substitutes the closed form of every Schreier generator (a word in
+    s_0..s_{n-1}) into the RS relators of ``toric_closure_rs(k, n, m)`` and
+    reduces.  The surviving relators are checked to be, up to rotation and
+    inversion, exactly the toric relators plus shift relators
+    x_i d = d x_{i+m} (d the m-factor product); each shift relator is
+    deleted only after its derivation from the chain relators has been
+    machine-checked.  The result is the toric presentation on the renamed
+    generators s_i = x_{i+1}.  A failed check raises AssertionError.
+    """
     target = _s_alphabet(n)
     images: dict[str, Word] = {}
     for g in rs.generators:
@@ -292,33 +296,29 @@ def derive_toric_presentation(k: int, n: int, m: int, max_cosets: int = 10**6) -
             images[g.name] = Word(target, ())
     gm = GenMap.from_dict(rs.presentation.alphabet, target, images)
 
-    rewritten: list[Word] = []
-    seen: set[tuple[int, ...]] = set()
+    reference = toric(k, n, m, normalize=False)
+    ref_canon = {cyclic_canonical(r) for r in reference.relators}
+    _, chains = chain_relators(n, m)
+    _, shifts = shift_relators(n, m)
+    shift_canon = {cyclic_canonical(r): i for i, r in enumerate(shifts, start=1)}
+    found: set[tuple[int, ...]] = set()
     for r in rs.presentation.relators:
         w = cyclic_reduce(apply_map(gm, r))
         key = cyclic_canonical(w)
-        if key and key not in seen:
-            seen.add(key)
-            rewritten.append(w)
-
-    reference = toric(k, n, m, normalize=False)
-    ref_canon = {cyclic_canonical(r): r for r in reference.relators}
-    _, chains = chain_relators(n, m)
-    shift_canon = {}
-    _, shifts = shift_relators(n, m)
-    for i, r in enumerate(shifts, start=1):
-        shift_canon[cyclic_canonical(r)] = i
-    found: set[tuple[int, ...]] = set()
-    for w in rewritten:
-        key = cyclic_canonical(w)
-        if key in ref_canon:
-            found.add(key)
-        elif key in shift_canon:
+        if not key or key in found:
+            continue
+        found.add(key)
+        if key in shift_canon:
             d = chain_implies_shift(n, m, shift_canon[key])
-            check_derivation(d, chains)  # justified deletion
-        else:
+            try:
+                check_derivation(d, chains)  # justified deletion
+            except ValueError as e:  # a fault of this derivation, not of the input
+                raise AssertionError(f"derivation of {w}: {e}") from e
+            if cyclic_canonical(d.start * invert(d.end())) != key:
+                raise AssertionError(f"the derivation cited for {w} derives another relator")
+        elif key not in ref_canon:
             raise AssertionError(f"unexpected relator {w} in rewritten presentation")
-    if found != set(ref_canon):
+    if not ref_canon <= found:
         raise AssertionError("rewriting did not produce every toric relator")
 
     out = Presentation(target, tuple(Word(target, r.letters) for r in reference.relators))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 from math import lcm
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from toricgroups import cli, coxeter, cyclo, words
+from toricgroups import cli, coxeter, cyclo, presentations, schreier, words
 from toricgroups.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
@@ -37,10 +38,12 @@ GOLDEN_REQUESTS = {
     "classify_6_2_3": ["classify", "6", "2", "3"],
     "classify_4_2_3": ["classify", "4", "2", "3"],
     "sweep_3_5": ["sweep", "--max-k", "3", "--max-m", "5"],
-    "derive_2_3_4": ["derive", "2", "3", "4"],
-    "derive_6_2_3": ["derive", "6", "2", "3"],
     "wp_garside_2_3": ["wp", "garside", "2", "3", "x^2 y^-3"],
     "present_toric_2_3_4": ["present", "toric", "2", "3", "4"],
+    # captured when coprime rows began to answer with the checked toric
+    # presentation; these have text goldens too
+    "derive_2_3_4": ["derive", "2", "3", "4"],
+    "derive_6_2_3": ["derive", "6", "2", "3"],
 }
 # requests whose text output is pinned as well, in `<name>.txt`
 TEXT_GOLDEN = ("classify_6_2_3", "classify_4_2_3", "sweep_3_5", "derive_2_3_4", "derive_6_2_3",
@@ -106,7 +109,8 @@ def test_budget_below_zero_is_input_error(capsys):
     assert code == 2
     assert out == ""
     assert "--budget" in err
-    code, payload = run_json(capsys, "--budget", "0", "derive", "2", "3", "4")
+    # the budget bounds Tietze, which runs only where gcd(b, c) != 1
+    code, payload = run_json(capsys, "--budget", "0", "derive", "2", "3", "3")
     assert code == 0
     assert payload["status"] == "unknown"
     assert ("Tietze step budget 0 exhausted: best presentation kept, order not enumerated"
@@ -219,14 +223,16 @@ def test_derive_reports_presentation_and_order(capsys):
 def test_derive_infinite_row_takes_finiteness_from_classification(capsys):
     code, payload = run_json(capsys, "--max-cosets", "100", "derive", "6", "2", "3")
     assert code == 0
-    assert payload["status"] == "unknown"
+    assert payload["status"] == "ok"
     result = payload["result"]
     assert result["order"] is None
-    assert result["presentation"].startswith("gens:")
     assert result["num_generators"] == 2
+    # the checked toric presentation, relabelled s_j -> x_{j+1}
+    relabeled = result["presentation"].replace("s0", "x1").replace("s1", "x2")
+    assert relabeled == presentations.serialize(presentations.toric(6, 2, 3, normalize=False))
     assert payload["evidence"][0] == "index of the normal closure of s: 6"
-    assert ("order not enumerated: W(6,2,3) is not a finite-table member; group is infinite"
-            in payload["evidence"])
+    assert ("order not enumerated: J(6,2,3) maps onto the infinite rotation subgroup of the affine "
+            "(6,2,3) triangle group and ncl(s) has finite index; group is infinite" in payload["evidence"])
 
 
 def test_derive_enumerates_order_when_gcd_is_not_one(capsys):
@@ -251,14 +257,43 @@ def test_derive_infinite_row_with_gcd_above_one_is_not_enumerated(capsys):
 
 
 def test_derive_exhausted_budget_keeps_best_presentation(capsys):
-    code, payload = run_json(capsys, "--budget", "1", "derive", "2", "3", "5")
+    code, payload = run_json(capsys, "--budget", "1", "derive", "2", "3", "3")
     assert code == 0
     assert payload["status"] == "unknown"
     assert payload["result"]["order"] is None
-    assert payload["result"]["num_generators"] == 30
+    assert payload["result"]["num_generators"] == 18
     assert payload["result"]["presentation"].startswith("gens:")
     assert ("Tietze step budget 1 exhausted: best presentation kept, order not enumerated"
             in payload["evidence"])
+    # a coprime row runs no Tietze, so the budget does not apply
+    code, payload = run_json(capsys, "--budget", "1", "derive", "2", "3", "5")
+    assert code == 0
+    assert payload["status"] == "ok"
+    assert payload["result"]["order"] == 240
+    assert payload["result"]["num_generators"] == 3
+
+
+def _miscited(real, n, m, i):
+    # the shift relator 2 of (2,3,4) is derived citing chain relators 1 and
+    # 0; citing them the other way round is no derivation
+    d = real(n, m, i)
+    return words.Derivation(d.start, tuple(dataclasses.replace(s, relator_index=1 - s.relator_index)
+                                           if s.relator_index is not None else s for s in d.steps))
+
+
+@pytest.mark.parametrize("fake, message", [
+    pytest.param(_miscited, "not an instance of relator", id="miscited"),
+    # a valid derivation, but of another shift relator
+    pytest.param(lambda real, n, m, i: real(n, m, i % n + 1), "derives another relator", id="other-shift"),
+])
+def test_failed_derivation_check_is_an_internal_error(monkeypatch, fake, message):
+    # a failed check is a fault of the derivation, never exit 2; (2,3,4)
+    # deletes a shift relator, while (6,2,3) deletes none and would never
+    # call the patched function
+    real = schreier.chain_implies_shift
+    monkeypatch.setattr(schreier, "chain_implies_shift", lambda n, m, i: fake(real, n, m, i))
+    with pytest.raises(AssertionError, match=message):
+        main(["derive", "2", "3", "4"])
 
 
 def test_rep_witness(capsys):

@@ -5,13 +5,17 @@ import pytest
 
 from conftest import closure_table, parent_cayley
 
+from toricgroups import classify
 from toricgroups import presentations as pres
+from toricgroups.coxeter import classify_triangle
 from toricgroups.cosets import group_order, todd_coxeter
 from toricgroups.presentations import parse_presentation, serialize, tietze_simplify
 from toricgroups.schreier import (
+    RSResult,
     chain_from_shift_derivations,
     chain_implies_shift,
     chain_relators,
+    check_toric_presentation,
     closed_form_generator,
     cyclic_canonical,
     delta_power_to_twist,
@@ -20,6 +24,7 @@ from toricgroups.schreier import (
     schreier_transversal,
     shift_relators,
     toric_column_order,
+    toric_closure_rs,
     toric_coset_labels,
 )
 from toricgroups.words import Word, apply_map, check_derivation, free_reduce, invert
@@ -209,9 +214,13 @@ def test_golden_file_234_matches_derivation_and_display():
     assert relabeled == serialize(pres.toric(2, 3, 4, normalize=False))
 
 
+# the default sweep grid, infinite rows included
+SWEEP_GRID = [(k, n, m) for k in range(2, 7) for n in range(2, 7) for m in range(n + 1, 8) if gcd(n, m) == 1]
+
+
 def test_derive_toric_presentation_all_rows(finite_rows):
-    # the default sweep grid, infinite rows included, plus the finite rows outside it
-    grid = [(k, n, m) for k in range(2, 7) for n in range(2, 7) for m in range(n + 1, 8) if gcd(n, m) == 1]
+    # the sweep grid plus the finite rows outside it
+    grid = SWEEP_GRID
     assert len(grid) == 55
     for k, n, m in grid + [row for row in finite_rows if row not in grid]:
         res = derive_toric_presentation(k, n, m)
@@ -220,6 +229,42 @@ def test_derive_toric_presentation_all_rows(finite_rows):
         for j in range(n):
             relabeled = relabeled.replace(f"s{j}", f"x{j + 1}")
         assert relabeled == serialize(pres.toric(k, n, m, normalize=False))
+
+
+def test_derive_agrees_with_rs_then_tietze(finite_rows):
+    # the checked toric presentation that `derive` prints against the order
+    # of the library's RS -> Tietze pipeline, which it no longer runs
+    for a, b, c in SWEEP_GRID + [row for row in finite_rows if row not in SWEEP_GRID]:
+        result, status, _ = classify.derive(a, b, c, max_cosets=10**6, budget=10**5)
+        assert status == "ok", (a, b, c)
+        relabeled = result["presentation"]
+        for j in range(b):
+            relabeled = relabeled.replace(f"s{j}", f"x{j + 1}")
+        assert relabeled == serialize(pres.toric(a, b, c, normalize=False)), (a, b, c)
+        if classify_triangle(a, b, c) == "spherical":
+            _, rs = toric_closure_rs(a, b, c)
+            assert result["order"] == group_order(tietze_simplify(rs.presentation)), (a, b, c)
+        else:
+            assert result["order"] is None, (a, b, c)
+
+
+def test_check_toric_presentation_refuses_a_wrong_rs_presentation():
+    labels, rs = toric_closure_rs(2, 3, 4)
+    s_gen = next(i for i, g in enumerate(rs.generators, start=1) if g.gen_name == "s")
+    for relators, message in (((), "did not produce every toric relator"),
+                              ((Word(rs.presentation.alphabet, (s_gen,)),), "unexpected relator")):
+        wrong = RSResult(pres.Presentation(rs.presentation.alphabet, relators), rs.generators)
+        with pytest.raises(AssertionError, match=message):
+            check_toric_presentation(2, 3, 4, labels, wrong)
+
+
+def test_spherical_coprime_rows_are_the_finite_table():
+    # `derive` reads finiteness off the triangle and the order off the finite table
+    for a in range(2, 30):
+        for b in range(2, 30):
+            for c in range(2, 30):
+                if gcd(b, c) == 1:
+                    assert (classify.finite_toric(a, b, c) is not None) == (classify_triangle(a, b, c) == "spherical")
 
 
 # --- relation equivalence as derivations -----------------------------------------

@@ -1,0 +1,128 @@
+"""Compare the command line output of two commits, request by request.
+
+    python3 tools/cli_diff.py [--parent HEAD~1] [--change HEAD]
+
+The requests are every ``cli`` request of ``perfbench/workloads.generate``
+for the workloads grid, words and subgroups at seeds 1 and 2, and every
+request of ``GOLDEN_REQUESTS`` in ``tests/test_cli.py``, each taken from the
+``--change`` tree and run once with ``--format json`` and once with
+``--format text``.  Each side is exported with ``git archive`` into a fresh
+temporary directory (``TMPDIR`` chooses where), and all of its requests run
+through ``toricgroups.cli.main`` in one subprocess, which records stdout,
+stderr and the exit code (or the exception that escaped).  The script
+prints how many outputs it compared and, for each one that differs, the
+request and its first differing line, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("grid", "words", "subgroups")
+SEEDS = (1, 2)
+
+# runs in each tree with src/ on the path: the argument lists on stdin, one
+# record per request on stdout
+RUNNER = """
+import contextlib, io, json, sys
+from toricgroups import cli
+
+records = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    except Exception as e:
+        code = f"raised {type(e).__name__}: {e}"
+    records.append({"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code})
+sys.stdout.write(json.dumps(records))
+"""
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True).stdout
+
+
+def requests(tree: str) -> list[list[str]]:
+    """Every request without its format, in first-seen order and without repeats."""
+    sys.path.insert(0, os.path.join(tree, "perfbench"))
+    import workloads
+
+    argvs = []
+    for w in WORKLOADS:
+        for seed in SEEDS:
+            for req in workloads.generate(w, seed):
+                if req["input"]["kind"] == "cli":
+                    argv = req["input"]["argv"]
+                    assert argv[:2] == ["--format", "json"], argv
+                    argvs.append(argv[2:])
+    with open(os.path.join(tree, "tests", "test_cli.py")) as f:
+        module = ast.parse(f.read())
+    golden = next(node.value for node in module.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "GOLDEN_REQUESTS" for t in node.targets))
+    argvs += ast.literal_eval(golden).values()
+    return list({tuple(a): list(a) for a in argvs}.values())
+
+
+def run_side(tree: str, argvs: list[list[str]]) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, "-c", RUNNER], cwd=tree, env=env, input=json.dumps(argvs),
+                          capture_output=True, text=True, timeout=1800)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: the requests in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def first_difference(a: dict, b: dict) -> str:
+    for field in ("code", "stderr", "stdout"):
+        if a[field] != b[field]:
+            if field == "code":
+                return f"exit code {a['code']!r} -> {b['code']!r}"
+            la, lb = a[field].splitlines(), b[field].splitlines()
+            k = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+            x = la[k] if k < len(la) else "<end>"
+            y = lb[k] if k < len(lb) else "<end>"
+            return f"{field} line {k + 1}: {x!r} -> {y!r}"
+    return ""
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", default="HEAD~1")
+    ap.add_argument("--change", default="HEAD")
+    args = ap.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="cli_diff_") as tmp:
+        trees = {}
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            trees[side] = os.path.join(tmp, side)
+            with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+                tar.extractall(trees[side])
+        argvs = [["--format", fmt, *a] for a in requests(trees["change"]) for fmt in ("json", "text")]
+        outputs = {side: run_side(tree, argvs) for side, tree in trees.items()}
+
+    differing = 0
+    for a, before, after in zip(argvs, outputs["parent"], outputs["change"]):
+        diff = first_difference(before, after)
+        if diff:
+            differing += 1
+            print(f"differs: {' '.join(a)}\n  {diff}")
+    print(f"compared {len(argvs)} outputs ({len(argvs) // 2} requests in json and text) "
+          f"of {args.parent} and {args.change}: {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
