@@ -220,9 +220,8 @@ SWEEP_GRID = [(k, n, m) for k in range(2, 7) for n in range(2, 7) for m in range
 
 def test_derive_toric_presentation_all_rows(finite_rows):
     # the sweep grid plus the finite rows outside it
-    grid = SWEEP_GRID
-    assert len(grid) == 55
-    for k, n, m in grid + [row for row in finite_rows if row not in grid]:
+    assert len(SWEEP_GRID) == 55
+    for k, n, m in SWEEP_GRID + [row for row in finite_rows if row not in SWEEP_GRID]:
         res = derive_toric_presentation(k, n, m)
         assert len(res.presentation.gens) == n
         relabeled = serialize(res.presentation)
