@@ -508,7 +508,8 @@ class CayleyTable:
 
     Elements are cosets; element i is represented by the BFS transversal
     word ``words[i]`` over the positive columns, then the negative ones (a
-    geodesic, so its length is the generator-length of the element).  Products are computed by tracing words through the coset
+    geodesic, so its length is the generator-length of the element), built
+    on first use.  Products are computed by tracing words through the coset
     table, so no quadratic multiplication table is materialized up front.
     """
 
@@ -519,10 +520,17 @@ class CayleyTable:
             raise ValueError("Cayley table requires the trivial subgroup")
         self.table = table
         self.alphabet = table.alphabet
-        ngens = len(table.alphabet)
-        self.words = bfs_transversal(table, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)]).reps
         self.size = table.num_cosets
+        self._words: tuple[Word, ...] | None = None
         self._inv: list[int] | None = None
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        if self._words is None:
+            ngens = len(self.alphabet)
+            self._words = bfs_transversal(self.table, [2 * i for i in range(ngens)]
+                                          + [2 * i + 1 for i in range(ngens)]).reps
+        return self._words
 
     def eval(self, w: Word) -> int:
         return self.table.trace(0, w)

@@ -174,17 +174,19 @@ class Cyc:
         a, b = self._common(other)
         n = a.n
         v = [0] * n
+        terms = [(j, y) for j, y in enumerate(b.coeffs) if y]
         for i, x in enumerate(a.coeffs):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        v[(i + j) % n] += x * y
+                for j, y in terms:
+                    v[(i + j) % n] += x * y
         return Cyc(n, _canon(n, v))
 
     __rmul__ = __mul__
 
     def inv(self) -> "Cyc":
-        """Field inverse: c zeta^i -> c^-1 zeta^(n-i), else extended Euclid mod Phi_n."""
+        """Field inverse: c zeta^i -> c^-1 zeta^(n-i); x -> conj(x) when
+        x conj(x) = 1 exactly, as for every product of roots of unity; else
+        extended Euclid mod Phi_n."""
         terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
         if not terms:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
@@ -192,6 +194,8 @@ class Cyc:
         if len(terms) == 1:
             (i, c), = terms
             v[-i % self.n] = 1 / Fraction(c)
+        elif self * (bar := self.conj()) == 1:
+            v[:len(bar.coeffs)] = bar.coeffs
         else:
             phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
             a = list(self.coeffs)

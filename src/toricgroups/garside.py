@@ -29,6 +29,7 @@ from .presentations import torus_classical
 from .words import Alphabet, GenMap, Word, free_reduce
 
 _STANDARD = Alphabet(["x", "y"])
+_SYMBOLS = (None, "x", "y")  # the name of each letter
 
 
 def standard_alphabet() -> Alphabet:
@@ -81,32 +82,28 @@ def gnf(n: int, m: int, w: Word) -> GarsideNF:
     _check_params(n, m)
     if w.alphabet != _STANDARD:
         raise ValueError("word must be over the standard alphabet {x, y}")
-    bound = {"x": n, "y": m}
     power = 0
-    blocks: list[list] = []  # [symbol, exponent], alternating
-
-    def push(sym: str, e: int) -> None:
-        # invariant: blocks alternate symbols with exponents in [1, bound-1],
-        # so one merge and one Delta extraction suffice
-        nonlocal power
-        if blocks and blocks[-1][0] == sym:
-            e += blocks.pop()[1]
-        q, e = divmod(e, bound[sym])
-        power += q
-        if e:
-            blocks.append([sym, e])
-
-    # a run of r letters x^-1 is (Delta^-1 x^(n-1))^r = Delta^-r x^(r(n-1)),
-    # since Delta is central; push carries whole Deltas into the power
+    # alternating blocks: symbol 1 (x) or 2 (y), exponent in [1, bound - 1],
+    # so one merge and one Delta extraction per run suffice
+    syms: list[int] = []
+    exps: list[int] = []
     for letter, run in groupby(w.letters):
-        sym = "x" if abs(letter) == 1 else "y"
-        r = sum(1 for _ in run)
-        if letter > 0:
-            push(sym, r)
-        else:
+        r = len(list(run))
+        sym = abs(letter)
+        bound = n if sym == 1 else m
+        if letter < 0:
+            # x^-r = (Delta^-1 x^(n-1))^r = Delta^-r x^(r(n-1)), since Delta is central
             power -= r
-            push(sym, r * (bound[sym] - 1))
-    return GarsideNF(n, m, power, tuple((s, e) for s, e in blocks))
+            r *= bound - 1
+        if syms and syms[-1] == sym:
+            syms.pop()
+            r += exps.pop()
+        q, r = divmod(r, bound)
+        power += q
+        if r:
+            syms.append(sym)
+            exps.append(r)
+    return GarsideNF(n, m, power, tuple(zip(map(_SYMBOLS.__getitem__, syms), exps)))
 
 
 def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:

@@ -36,10 +36,10 @@ def mat_det(a: Mat2) -> Cyc:
 
 
 def mat_inv(a: Mat2) -> Mat2:
-    d = mat_det(a)
+    d = mat_det(a).inv()
     return (
-        (a[1][1] / d, -a[0][1] / d),
-        (-a[1][0] / d, a[0][0] / d),
+        (a[1][1] * d, -a[0][1] * d),
+        (-a[1][0] * d, a[0][0] * d),
     )
 
 

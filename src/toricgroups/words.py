@@ -11,6 +11,7 @@ reduction logic never has to treat syllables specially.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -25,7 +26,7 @@ class Gen:
 class Alphabet:
     """An ordered list of uniquely named generators."""
 
-    __slots__ = ("gens", "names", "_by_name")
+    __slots__ = ("gens", "names", "letters", "_by_name")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -38,6 +39,8 @@ class Alphabet:
                 raise ValueError("'1' is reserved for the empty word")
         self.names = names
         self.gens = tuple(Gen(nm, i) for i, nm in enumerate(names))
+        # the letters a word over this alphabet may hold: +-1 .. +-len
+        self.letters = frozenset(range(1, len(names) + 1)) | frozenset(range(-len(names), 0))
         self._by_name = {nm: i for i, nm in enumerate(names)}
 
     def __len__(self) -> int:
@@ -82,10 +85,10 @@ class Word:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.alphabet)
-        for x in self.letters:
-            if x == 0 or abs(x) > n:
-                raise ValueError(f"letter {x} out of range for {self.alphabet!r}")
+        valid = self.alphabet.letters
+        if not valid.issuperset(self.letters):
+            bad = next(x for x in self.letters if x not in valid)
+            raise ValueError(f"letter {bad} out of range for {self.alphabet!r}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -176,22 +179,22 @@ class WordSyntaxError(ValueError):
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse whitespace-separated tokens ``name``, ``name^K`` (K nonzero), or ``1``."""
     tokens = text.split()
-    parsed: dict[str, tuple[int, ...] | str] = {}  # each distinct token once
-    letters: list[int] = []
-    for i, token in enumerate(tokens):
-        run = parsed.get(token)
-        if run is None:
-            run = parsed[token] = _token_letters(alphabet, token)
-        if isinstance(run, str):
-            raise WordSyntaxError(run, column=_column(text, tokens, i))
-        letters.extend(run)
-    return Word(alphabet, tuple(letters))
+    # each distinct token once, in order of first occurrence, so the first
+    # bad one is the first bad token of the text
+    runs = {token: _token_run(alphabet, token) for token in dict.fromkeys(tokens)}
+    bad = next((token for token, run in runs.items() if isinstance(run, str)), None)
+    if bad is not None:
+        raise WordSyntaxError(runs[bad], column=_column(text, tokens, tokens.index(bad)))
+    # no exponent is expanded before every token is known to be valid
+    expanded = {token: (letter,) * count for token, (letter, count) in runs.items()}
+    return Word(alphabet, tuple(chain.from_iterable(map(expanded.__getitem__, tokens))))
 
 
-def _token_letters(alphabet: Alphabet, token: str) -> tuple[int, ...] | str:
-    """The letters of one token, or the message of its syntax error."""
+def _token_run(alphabet: Alphabet, token: str) -> tuple[int, int] | str:
+    """The signed letter of one token and its repeat count (0 for ``1``),
+    or the message of its syntax error."""
     if token == "1":
-        return ()
+        return 0, 0
     name, sep, exp = token.partition("^")
     if name not in alphabet:
         return f"unknown generator {name!r}"
@@ -204,7 +207,7 @@ def _token_letters(alphabet: Alphabet, token: str) -> tuple[int, ...] | str:
         if k == 0:
             return f"zero exponent in {token!r}"
     letter = alphabet.index(name) + 1
-    return (letter if k > 0 else -letter,) * abs(k)
+    return (letter if k > 0 else -letter), abs(k)
 
 
 def _column(text: str, tokens: list[str], i: int) -> int:

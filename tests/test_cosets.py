@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import FROZEN_TORIC_ORDERS, parent_cayley, toric_cayley
 from oracles import naive_order, matrix_group_order, reference_felsch, reference_hlt, reference_normal_closure
 
-from toricgroups import presentations as pres
+from toricgroups import classify, cosets, presentations as pres
 from toricgroups.classify import finite_quotient
 from toricgroups.cosets import (
     CayleyTable,
@@ -239,6 +239,20 @@ def test_transversal_words_are_geodesic_spanning():
 
 
 # --- Cayley table ------------------------------------------------------------
+
+
+def test_cayley_table_builds_its_words_on_first_use(monkeypatch):
+    # derive and sweep read only the order, so they never need the transversal
+    built = []
+    transversal = cosets.bfs_transversal
+    monkeypatch.setattr(cosets, "bfs_transversal", lambda t, order: built.append(t) or transversal(t, order))
+    assert classify.derive(2, 3, 4, 10**6, 10_000)[0]["order"] == 48
+    assert classify.sweep(2, 5, 10**6)[0]["entries"][0]["order"] == 6
+    cay = finite_quotient(3, 2, 3, 10**6)
+    assert (cay.size, built) == (24, [])
+    assert cay.mul(5, 7) == cay.eval(cay.words[5] * cay.words[7])
+    assert cay.length(cay.inv(5)) == cay.length(5)
+    assert built == [cay.table]
 
 
 def test_cayley_validates_group_axioms():

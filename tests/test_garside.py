@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import toric_cayley
-from oracles import monoid_equal, reference_gnf
+from oracles import monoid_equal, reference_gnf, reference_parse_word
 
 from toricgroups.classify import finite_toric_parameters
 from toricgroups.garside import (
@@ -19,7 +19,7 @@ from toricgroups.garside import (
     simples,
     standard_alphabet,
 )
-from toricgroups.words import Word, apply_map, free_reduce
+from toricgroups.words import Word, WordSyntaxError, apply_map, free_reduce, parse_word
 
 AB = standard_alphabet()
 PAIRS = [(2, 3), (3, 4), (2, 5), (3, 5)]
@@ -224,3 +224,46 @@ def test_run_length_gnf_matches_letter_at_a_time_reference(pair, runs):
     n, m = pair
     w = Word(AB, tuple(letter for letter, r in runs for _ in range(r)))
     assert gnf(n, m, w) == reference_gnf(n, m, w)
+
+
+def _long_text(rng: random.Random, tokens: int) -> list[str]:
+    """Tokens over {x, y}: single letters, signed exponents up to 9, and ``1``."""
+    out = []
+    for _ in range(tokens):
+        name, k = rng.choice("xy"), rng.choice([1, 1, 1, -1, -1, 2, -2, 3, -5, 9, -9])
+        out.append("1" if rng.random() < 0.02 else name if k == 1 else f"{name}^{k}")
+    return out
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(AB, text)
+    except WordSyntaxError as e:
+        return str(e), e.column
+
+
+def test_long_words_match_the_references():
+    # far past the hypothesis sizes: 12,000 tokens, runs of many lengths
+    rng = random.Random(15)
+    tokens = _long_text(rng, 12_000)
+    text = " ".join(tokens)
+    w = parse_word(AB, text)
+    assert w == reference_parse_word(AB, text)
+    assert len(w) > len(tokens)
+    for n, m in [(2, 3), (3, 5), (2, 7), (5, 7)]:
+        assert gnf(n, m, w) == reference_gnf(n, m, w)
+
+
+def test_long_word_reports_the_first_bad_token_in_text_order():
+    # "x^" is a prefix of good tokens, so its column depends on all before it
+    rng = random.Random(16)
+    tokens = _long_text(rng, 12_000)
+    for first, second in [("x^", "y^0"), ("y^0", "x^")]:
+        bad = list(tokens)
+        bad[9_000] = bad[11_500] = first  # a bad token that repeats
+        bad[10_000] = second  # and a distinct one between its occurrences
+        text = "\t".join(bad)
+        outcome = _parse_outcome(parse_word, text)
+        assert outcome == _parse_outcome(reference_parse_word, text)
+        assert outcome[0] in (f"bad exponent in {first!r}", f"zero exponent in {first!r}")
+        assert outcome[1] == len("\t".join(bad[:9_000])) + 2

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import reference_cyc, reference_cyclotomic_polynomial, reference_sign_real, reference_zeta
 
+from toricgroups import cyclo
 from toricgroups.cyclo import Cyc, _cos_table, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
 from toricgroups.reps import (
     ConstraintError,
@@ -185,6 +187,87 @@ def test_zeta_matches_reference(n, k):
     same(zeta(n, k), reference_zeta(n, k))
     # integral inverses come back as ints, so Z[zeta_n] stays Fraction-free
     assert all(type(c) is int for c in zeta(n, k).coeffs + zeta(n, k).inv().coeffs)
+
+
+# --- the unit-modulus inverse: x^-1 = conj(x) when x conj(x) = 1 -------------------
+
+# the field of rho at each workload triangle: N = lcm(2a, 2b, 2c)
+RHO_MODULI = {(2, 3, 7): 84, (3, 4, 5): 120, (2, 3, 5): 60}
+
+
+@pytest.fixture
+def euclid_calls(monkeypatch):
+    """A list that grows by one with every polynomial division of the extended Euclid."""
+    calls = []
+    divide = cyclo._poly_divmod_q
+
+    def counted(num, den):
+        calls.append(len(num))
+        return divide(num, den)
+
+    monkeypatch.setattr(cyclo, "_poly_divmod_q", counted)
+    return calls
+
+
+def check_inverse(a: Cyc, ra) -> None:
+    same(a.inv(), ra.inv())
+    assert a * a.inv() == 1
+
+
+@pytest.mark.parametrize("n", sorted(RHO_MODULI.values()))
+def test_folded_roots_of_unity_invert_by_conjugation(n, euclid_calls):
+    folded = 0
+    for k in range(_degree(n), n):
+        a = zeta(n, k)
+        folded += sum(1 for c in a.coeffs if c) > 1
+        check_inverse(a, reference_zeta(n, k))
+        assert all(type(c) is int for c in a.inv().coeffs)
+    assert folded > 0  # some of them are sums, not the monomial case
+    assert euclid_calls == []
+
+
+@pytest.mark.parametrize("abc", sorted(RHO_MODULI))
+def test_products_of_rho_roots_invert_by_conjugation(abc, euclid_calls):
+    n = RHO_MODULI[abc]
+    roots = [zeta(2 * v).embed(n) for v in abc]  # theta, phi, psi
+    rng = random.Random(f"{abc}")
+    powers = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]  # the determinants of rho's generators
+    powers += [tuple(rng.randrange(2 * v) for v in abc) for _ in range(12)]
+    for ijk in powers:
+        a = roots[0] ** ijk[0] * roots[1] ** ijk[1] * roots[2] ** ijk[2]
+        e = sum(p * n // (2 * v) for p, v in zip(ijk, abc))
+        assert a == zeta(n, e)
+        check_inverse(a, reference_zeta(n, e))
+    assert euclid_calls == []
+
+
+def test_unit_modulus_non_root_of_unity_inverts_by_conjugation(euclid_calls):
+    # (3 + 4i) / 5 has modulus 1, but no power of it is 1
+    coeffs = (Fraction(3, 5), Fraction(4, 5))
+    a = Cyc(4, coeffs)
+    assert all(a ** k != 1 for k in range(1, 9))
+    check_inverse(a, reference_cyc(4, coeffs))
+    assert a.inv() == a.conj() == Cyc(4, (Fraction(3, 5), Fraction(-4, 5)))
+    assert euclid_calls == []
+
+
+def a_inverse_needs_euclid(a: Cyc, ra, calls: list) -> bool:
+    before = len(calls)
+    check_inverse(a, ra)
+    return a.inv() != a.conj() and len(calls) > before
+
+
+@pytest.mark.parametrize("n", sorted(RHO_MODULI.values()))
+def test_non_units_still_invert_by_extended_euclid(n, euclid_calls):
+    one_plus = Cyc.one().embed(n) + zeta(n)
+    assert a_inverse_needs_euclid(one_plus, reference_zeta(n) + 1, euclid_calls)
+    # 2 zeta^k folded into a sum: modulus 2, like the monomial 2
+    k = _degree(n)
+    assert a_inverse_needs_euclid(2 * zeta(n, k), reference_zeta(n, k) * 2, euclid_calls)
+    # the monomial 2 takes the monomial path, not the conjugate
+    two = Cyc.rational(2).embed(n)
+    check_inverse(two, reference_cyc(n, two.coeffs))
+    assert two.inv() != two.conj()
 
 
 # --- the fixed-point sign against the mpmath interval sign ------------------------

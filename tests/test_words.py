@@ -125,6 +125,8 @@ def test_parse_error_columns():
         ("x1^2 1 x1^x", "bad exponent in 'x1^x'", 8),
         ("x1\tx1 x1^", "bad exponent in 'x1^'", 7),
         ("x1^2 x1^", "bad exponent in 'x1^'", 6),
+        # a valid exponent after the first bad token is never expanded
+        ("zz x1^100000000000000000000", "unknown generator 'zz'", 1),
     ]:
         with pytest.raises(WordSyntaxError) as err:
             parse_word(AB, text)

@@ -1,0 +1,90 @@
+"""The latency of every request in one pass of a benchmark workload, slowest first.
+
+    python3 tools/request_times.py --workload words --seed 1
+
+The requests are those of ``perfbench/workloads.generate`` for the workload
+and seed.  They run once, in workload order, in this process, with the
+package imported from ``src/`` of this checkout: a ``cli`` request through
+``toricgroups.cli.main`` with its output discarded, an ``rs-tietze``
+request through the pipeline ``perfbench/child.py`` runs (enumerate the
+normal closure of s, RS, Tietze).  As in a benchmark pass, the caches of
+the package start empty, so the request that fills one pays for it.  The
+script prints each request's wall time in ms, its share of the pass and
+its arguments (long ones cut), slowest first, and then the time per
+request kind.  Times are plain ``perf_counter`` differences, not scaled by
+the benchmark's speed probe.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import workloads  # noqa: E402
+from toricgroups import cli, cosets, presentations, schreier  # noqa: E402
+
+WIDTH = 72  # characters of a request's arguments to print
+
+
+def rs_tietze(a: int, b: int, c: int) -> None:
+    """Normal closure of s by enumerating <X | R, s>, then RS and Tietze."""
+    parent = presentations.j_parent(a, b, c)
+    quotient = presentations.Presentation(parent.alphabet, parent.relators + (parent.alphabet.word("s"),))
+    table = cosets.todd_coxeter(quotient)
+    tr = schreier.schreier_transversal(table, schreier.toric_column_order(parent.alphabet))
+    rs = schreier.rs_presentation(parent, table, tr).presentation
+    presentations.tietze_simplify(rs)
+
+
+def run(req: dict) -> None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if req["kind"] == "cli":
+            try:
+                cli.main(req["argv"])
+            except SystemExit:  # argparse rejects its input this way
+                pass
+        else:
+            rs_tietze(*req["abc"])
+
+
+def label(req: dict) -> str:
+    text = " ".join(req["argv"][2:]) if req["kind"] == "cli" else "rs-tietze " + " ".join(map(str, req["abc"]))
+    return text if len(text) <= WIDTH else text[:WIDTH - 3] + "..."
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+
+    reqs = workloads.generate(args.workload, args.seed)
+    timed = []
+    for req in reqs:
+        t0 = time.perf_counter()
+        run(req["input"])
+        timed.append(((time.perf_counter() - t0) * 1e3, req["props"]["kind"], label(req["input"])))
+    total = sum(ms for ms, _, _ in timed)
+
+    print(f"{args.workload} seed {args.seed}: {len(timed)} requests in {total:.1f} ms")
+    print(f"{'ms':>9} {'share':>6}  {'kind':<26} request")
+    for ms, kind, text in sorted(timed, reverse=True):
+        print(f"{ms:9.2f} {ms / total:6.1%}  {kind:<26} {text}")
+    by_kind: dict[str, list[float]] = {}
+    for ms, kind, _ in timed:
+        by_kind.setdefault(kind, []).append(ms)
+    print(f"\n{'ms':>9} {'share':>6}  {'kind':<26} requests")
+    for kind, times in sorted(by_kind.items(), key=lambda kv: -sum(kv[1])):
+        print(f"{sum(times):9.2f} {sum(times) / total:6.1%}  {kind:<26} {len(times)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
