@@ -11,7 +11,8 @@ monotone pointer makes each live row complete, and the rows behind it stay
 complete.
 
 - ``hlt`` (default): at each row, scan-fill every relator, then define the
-  row's remaining entries.
+  row's remaining entries.  The scan-fill of one row runs in one frame,
+  with the definitions inlined.
 - ``felsch``: define the row's entries in column order, processing the
   deduction stack after each definition, so the table is kept closed under
   the relators.
@@ -28,16 +29,20 @@ One overflow rule bounds both strategies, checked at the end of each row.
 If more than ``max_cosets`` cosets are live, Felsch stops with an
 ``overflow`` status at once: its deductions have already closed every gap
 a lookahead would find.  HLT first runs a lookahead pass (scan every
-relator at every coset without defining) and goes on after compacting
-only if at most 9/10 of ``max_cosets`` are then live; otherwise it stops
-with ``overflow``.  A pass that frees less than a tenth of the bound buys
-less than a tenth of a bound's worth of new rows before the next pass over
-the whole table, so on an infinite group the passes would repeat at a
-growing cost for little progress.  An HLT overflow therefore
-holds between 9/10 of ``max_cosets`` and one row's definitions past it; a
-row defines at most one coset per column, so a Felsch overflow holds at
-most ``max_cosets + 2 * ngens`` cosets.  Overflow is a result, not an
-error; infinite groups are the common case in this domain.
+relator without defining at every coset from the walk's pointer on) and
+goes on after compacting only if at most 9/10 of ``max_cosets`` are then
+live; otherwise it stops with ``overflow``.  The rows behind the pointer
+need no lookahead scan: each had every relator scan-filled, so its
+relator paths are closed, and definitions, deductions and coincidences
+keep closed paths closed, so a scan there would change nothing.  A pass
+that frees less than a tenth of the bound buys less than a tenth of a
+bound's worth of new rows before the next pass over the table, so on an
+infinite group the passes would repeat at a growing cost for little
+progress.  An HLT overflow therefore holds between 9/10 of ``max_cosets``
+and one row's definitions past it; a row defines at most one coset per
+column, so a Felsch overflow holds at most ``max_cosets + 2 * ngens``
+cosets.  Overflow is a result, not an error; infinite groups are the
+common case in this domain.
 
 A complete table over the trivial subgroup doubles as a regular Cayley
 table, from which element orders, conjugacy classes and reflection-class
@@ -231,17 +236,74 @@ class _Enumerator:
                         if self.deductions is not None:
                             self.deductions.append((mu, col))
 
-    def scan(self, a: int, rel: tuple, *, fill: bool) -> None:
-        """Scan a bound relator (or subgroup generator) path from live coset a.
+    def fill_row(self, a: int, rels: Sequence[tuple]) -> None:
+        """Scan-fill each bound path of ``rels`` from coset a, defining cosets as needed.
 
-        With ``fill`` the scan defines new cosets to complete the path (HLT
-        behaviour).  Without it, the scan only closes single gaps
-        (deductions) and records mismatches as coincidences.
+        HLT calls it on every relator at each row of the walk, and on the
+        subgroup generators at coset 0.  Each path ends closed (through a
+        coincidence if its ends meet apart), unless coset a dies first.
+        ``define`` is inlined: a new coset is a fresh row of ``None`` plus
+        the edge that reaches it.
         """
-        cols, fwd, bwd = rel
-        f = b = a
-        i, j = 0, len(cols) - 1
-        while True:
+        p, cols, deductions = self.p, self.cols, self.deductions
+        defined = 0
+        for relcols, fwd, bwd in rels:
+            if p[a] != a:
+                break
+            f = b = a
+            i, j = 0, len(relcols) - 1
+            while True:
+                while i <= j:
+                    x = fwd[i][f]
+                    if x is None:
+                        break
+                    f = x
+                    i += 1
+                if i > j:
+                    if f != b:
+                        self.coincidence(f, b)
+                    break
+                while j >= i:
+                    x = bwd[j][b]
+                    if x is None:
+                        break
+                    b = x
+                    j -= 1
+                if j < i:
+                    self.coincidence(f, b)
+                    break
+                if j == i:
+                    fwd[i][f] = b
+                    bwd[i][b] = f
+                    self.deduced += 1
+                    if deductions is not None:
+                        deductions.append((f, relcols[i]))
+                    break
+                c = len(p)
+                for column in cols:
+                    column.append(None)
+                p.append(c)
+                fwd[i][f] = c
+                bwd[i][c] = f
+                f = c
+                i += 1
+                self.live += 1
+                defined += 1
+        self.defined += defined
+
+    def scan(self, a: int, rels: Sequence[tuple]) -> None:
+        """Scan each bound path of ``rels`` from live coset a without defining.
+
+        A path with one gap left is closed by a deduction, one whose ends
+        meet apart by a coincidence; a longer gap is left open.  Stops when
+        coset a dies.
+        """
+        p, deductions = self.p, self.deductions
+        for relcols, fwd, bwd in rels:
+            if p[a] != a:
+                return
+            f = b = a
+            i, j = 0, len(relcols) - 1
             while i <= j:
                 x = fwd[i][f]
                 if x is None:
@@ -251,7 +313,7 @@ class _Enumerator:
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
-                return
+                continue
             while j >= i:
                 x = bwd[j][b]
                 if x is None:
@@ -260,41 +322,32 @@ class _Enumerator:
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
-                return
-            if j == i:
+            elif j == i:
                 fwd[i][f] = b
                 bwd[i][b] = f
                 self.deduced += 1
-                if self.deductions is not None:
-                    self.deductions.append((f, cols[i]))
-                return
-            if not fill:
-                return
-            self.define(f, cols[i])
+                if deductions is not None:
+                    deductions.append((f, relcols[i]))
 
     def deduce(self) -> None:
         """Felsch: check stacked entries against their rotations until none is left."""
         while self.deductions:
             a, col = self.deductions.pop()
-            a = self.rep(a)
-            for rot in self.by_col[col]:
-                if self.p[a] != a:
-                    break
-                self.scan(a, rot, fill=False)
-
-    def scan_relators(self, a: int, *, fill: bool) -> None:
-        p = self.p
-        for rel in self.rels:
-            if p[a] != a:
-                return
-            self.scan(a, rel, fill=fill)
+            self.scan(self.rep(a), self.by_col[col])
 
     # -- lookahead and compaction -------------------------------------------
 
-    def lookahead(self) -> None:
+    def lookahead(self, start: int) -> None:
+        """Scan every relator without defining at each coset from ``start`` on.
+
+        The rows below the pointer ``start`` need no scan: each had every
+        relator scan-filled, so its relator paths are closed, and
+        definitions, deductions and coincidences keep them closed.
+        """
         before = self.live
-        for a in range(len(self.p)):
-            self.scan_relators(a, fill=False)
+        rels = self.rels
+        for a in range(start, len(self.p)):
+            self.scan(a, rels)
         self.lookahead_passes += 1
         self.lookahead_freed += before - self.live
 
@@ -329,26 +382,28 @@ class _Enumerator:
         """Walk the rows in definition order with a monotone pointer.
 
         Rows behind the pointer are complete, so the walk ends complete
-        when it passes the last row.  The bound is checked once per row.
-        Felsch skips the lookahead: its deductions have already closed
-        every gap one would find, so its first excess is the overflow.
+        when it passes the last row.  The bound is checked once per row;
+        HLT then looks ahead from the pointer, since the rows behind it
+        have closed relator paths.  Felsch skips the lookahead: its
+        deductions have already closed every gap one would find, so its
+        first excess is the overflow.
         """
         felsch = self.deductions is not None
-        for rel in self.subs:
-            self.scan(0, rel, fill=True)
+        self.fill_row(0, self.subs)
         if felsch:
             # every edge the subgroup scans laid down is a deduction
             self.deductions += [(a, col) for a in range(len(self.p)) if self.p[a] == a
                                 for col in range(self.ncols) if self.cols[col][a] is not None]
             self.deduce()
+        cols, rels, p = self.cols, self.rels, self.p
         a = 0
-        while a < len(self.p):
+        while a < len(p):
             if not felsch:
-                self.scan_relators(a, fill=True)
-            for col, column in enumerate(self.cols):
-                if self.p[a] != a:
-                    break
+                self.fill_row(a, rels)
+            for col, column in enumerate(cols):
                 if column[a] is None:
+                    if p[a] != a:
+                        break
                     b = self.define(a, col)
                     if felsch:
                         self.deductions += ((a, col), (b, col ^ 1))
@@ -357,10 +412,11 @@ class _Enumerator:
             if self.live > self.max_cosets:
                 if felsch:
                     return "overflow"
-                self.lookahead()
+                self.lookahead(a)
                 if 10 * self.live > 9 * self.max_cosets:
                     return "overflow"
                 a = self.compact(a)
+                p = self.p
         return "complete"
 
     def finish(self, status: str, subgens: Sequence[Word], bound: int) -> CosetTable:
@@ -565,6 +621,10 @@ class CayleyTable:
 
     def conjugacy_class_ids(self) -> list[int]:
         """Class id per element: orbits of conjugation by the generators."""
+        table, words = self.table, self.words
+        # g^-1 * e * g: step from coset 0 by g^-1, trace e's word, step by g
+        conjugators = [(table.step(0, -letter), letter) for g in range(1, len(self.alphabet) + 1)
+                       for letter in (g, -g)]
         ids = [-1] * self.size
         for start in range(self.size):
             if ids[start] >= 0:
@@ -573,14 +633,11 @@ class CayleyTable:
             stack = [start]
             while stack:
                 e = stack.pop()
-                for g in range(1, len(self.alphabet) + 1):
-                    for letter in (g, -g):
-                        # g^-1 * e * g
-                        w = Word(self.alphabet, (-letter,) + self.words[e].letters + (letter,))
-                        c = self.eval(w)
-                        if ids[c] < 0:
-                            ids[c] = start
-                            stack.append(c)
+                for first, letter in conjugators:
+                    c = table.step(table.trace(first, words[e]), letter)
+                    if ids[c] < 0:
+                        ids[c] = start
+                        stack.append(c)
         return ids
 
     def center(self) -> list[int]:
@@ -590,7 +647,7 @@ class CayleyTable:
             ok = True
             for g in range(1, len(self.alphabet) + 1):
                 left = self.table.step(e, g)
-                right = self.table.trace(self.eval(Word(self.alphabet, (g,))), self.words[e])
+                right = self.table.trace(self.table.step(0, g), self.words[e])
                 if left != right:
                     ok = False
                     break

@@ -44,7 +44,11 @@ with the production engines they check:
 - ``reference_cyclotomic_polynomial``: the original construction of Phi_n,
   which divides x^n - 1 by Phi_d for every proper divisor d by dense long
   division.  ``cyclo.cyclotomic_polynomial`` must give the same
-  coefficients.
+  coefficients.  It is slow past a few hundred, so the full range is
+  checked against ``cyclotomic_by_identities``, which builds Phi_n from
+  Phi_rad(n)(x^(n/rad n)) and, for a squarefree n = mp with p its largest
+  prime, Phi_m(x^p)/Phi_m(x): one exact division per n, and no Moebius
+  product.  The two references agree on a prefix.
 - ``reference_sign_real``: the original certified sign of a real
   cyclotomic number, by ``mpmath`` interval cosines at escalating decimal
   precision.  ``cyclo.sign_real`` must give the same signs; ``positive_roots``
@@ -767,6 +771,38 @@ def reference_cyclotomic_polynomial(n: int) -> tuple[int, ...]:
                 raise AssertionError("cyclotomic division must be exact")
             poly = q
     return tuple(poly)
+
+
+def _at_power(poly: Sequence[int], k: int) -> list[int]:
+    """poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
+
+
+@cache
+def cyclotomic_by_identities(n: int) -> tuple[int, ...]:
+    """Phi_n from Phi_n(x) = Phi_rad(n)(x^(n/rad n)) and Phi_mp(x) = Phi_m(x^p)/Phi_m(x), p prime, p not | m."""
+    if n == 1:
+        return (-1, 1)
+    primes, rest, q = [], n, 2
+    while rest > 1:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    rad = 1
+    for q in primes:
+        rad *= q
+    if rad < n:
+        return tuple(_at_power(cyclotomic_by_identities(rad), n // rad))
+    p = primes[-1]
+    phi_m = cyclotomic_by_identities(n // p)
+    quotient, remainder = _ref_poly_divmod_int(_at_power(phi_m, p), list(phi_m))
+    if remainder:
+        raise AssertionError("Phi_m(x) must divide Phi_m(x^p)")
+    return tuple(quotient)
 
 
 # --- the original Fraction power-basis cyclotomic arithmetic ------------------

@@ -9,7 +9,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_cyc, reference_cyclotomic_polynomial, reference_sign_real, reference_zeta
+from oracles import (
+    cyclotomic_by_identities,
+    reference_cyc,
+    reference_cyclotomic_polynomial,
+    reference_sign_real,
+    reference_zeta,
+)
 
 from toricgroups import cyclo
 from toricgroups.cyclo import Cyc, _cos_table, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
@@ -46,9 +52,12 @@ def test_cyclotomic_polynomials():
 
 
 def test_cyclotomic_polynomials_match_reference():
-    # the Moebius product against division of x^n - 1 by every Phi_d
+    # the Moebius product against Phi_rad(n)(x^(n/rad n)) and Phi_m(x^p)/Phi_m(x)
     for n in range(1, 1501):
-        assert cyclotomic_polynomial(n) == reference_cyclotomic_polynomial(n), n
+        assert cyclotomic_polynomial(n) == cyclotomic_by_identities(n), n
+    # the identities against division of x^n - 1 by every Phi_d, where that is cheap
+    for n in range(1, 301):
+        assert cyclotomic_by_identities(n) == reference_cyclotomic_polynomial(n), n
 
 
 def test_root_of_unity_cancellation():
