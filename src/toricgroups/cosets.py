@@ -239,11 +239,11 @@ class _Enumerator:
     def fill_row(self, a: int, rels: Sequence[tuple]) -> None:
         """Scan-fill each bound path of ``rels`` from coset a, defining cosets as needed.
 
-        HLT calls it on every relator at each row of the walk, and on the
-        subgroup generators at coset 0.  Each path ends closed (through a
-        coincidence if its ends meet apart), unless coset a dies first.
-        ``define`` is inlined: a new coset is a fresh row of ``None`` plus
-        the edge that reaches it.
+        The HLT walk calls it on the relators at each row, and both
+        strategies on the subgroup generators at coset 0.  Each path ends
+        closed (through a coincidence if its ends meet apart), unless
+        coset a dies first.  ``define`` is inlined: a new coset is a fresh
+        row of ``None`` plus the edge that reaches it.
         """
         p, cols, deductions = self.p, self.cols, self.deductions
         defined = 0

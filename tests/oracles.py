@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from toricgroups.cosets import CosetTable, _columns, _validate, bfs_transversal, todd_coxeter
@@ -792,9 +792,7 @@ def cyclotomic_by_identities(n: int) -> tuple[int, ...]:
             while rest % q == 0:
                 rest //= q
         q += 1
-    rad = 1
-    for q in primes:
-        rad *= q
+    rad = prod(primes)
     if rad < n:
         return tuple(_at_power(cyclotomic_by_identities(rad), n // rad))
     p = primes[-1]
