@@ -23,7 +23,11 @@ object.  Each relator and subgroup generator is bound once to the column
 lists it reads forwards and backwards, so a scan step is one list index.
 Compaction renumbers the live cosets in order inside the same lists: a
 live coset's new index is at most its old one, so each column is rewritten
-over its own prefix and truncated, and the bindings stay valid.
+over its own prefix and truncated, and the bindings stay valid.  The
+result's final numbering, a compaction and then a copy of each column into
+a tuple, is made on the first read of ``CosetTable.columns``: at once for a
+complete table, which is then validated, and for an overflow only if its
+columns are read.
 
 One overflow rule bounds both strategies, checked at the end of each row.
 If more than ``max_cosets`` cosets are live, Felsch stops with an
@@ -42,7 +46,9 @@ progress.  An HLT overflow therefore holds between 9/10 of ``max_cosets``
 and one row's definitions past it; a row defines at most one coset per
 column, so a Felsch overflow holds at most ``max_cosets + 2 * ngens``
 cosets.  Overflow is a result, not an error; infinite groups are the
-common case in this domain.
+common case in this domain.  Its answer is a count, the live cosets at the
+stop, so the walk's lists are neither renumbered nor copied to give it: at
+the default bound that would add half again to the walk's memory.
 
 A complete table over the trivial subgroup doubles as a regular Cayley
 table, from which element orders, conjugacy classes and reflection-class
@@ -57,10 +63,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from .presentations import FamilyParams, Presentation, build
 from .words import Word, free_reduce
+
+Columns = tuple[tuple[int | None, ...], ...]
+
 
 def _columns(w: Word) -> tuple[int, ...]:
     """Translate a word into column indices: gen i -> 2i, inverse -> 2i+1."""
@@ -76,7 +86,9 @@ class EnumStats:
     at the end: the table's ``num_cosets``.  ``peak_live`` is the largest
     live count at any moment.  ``lookahead_passes`` HLT lookaheads freed
     ``lookahead_freed`` cosets between them.  ``compactions`` counts the
-    renumberings of the live cosets, the final one included.
+    renumberings of the live cosets, the final one included, though that
+    one is made only when the table's ``columns`` are first read (at once
+    for a complete table).
     ``deductions`` counts the entries that a scan filled by closing a gap
     of one letter.
     """
@@ -90,7 +102,6 @@ class EnumStats:
     deductions: int
 
 
-@dataclass(frozen=True)
 class CosetTable:
     """A completed (or overflowed) enumeration result.
 
@@ -98,16 +109,25 @@ class CosetTable:
     itself.  ``columns[col][c]`` is the coset reached from c by the
     column's letter (generator i at column 2i, its inverse at 2i + 1); for
     a complete table every column is a permutation of the cosets.
-    ``stats`` holds the enumerator's counts.
+    ``columns`` may be given as a function that returns it: it is called on
+    the first read of ``columns``, and the result is kept.  ``stats`` holds
+    the enumerator's counts.
     """
 
-    alphabet: "object"
-    columns: tuple[tuple[int | None, ...], ...]
-    num_cosets: int
-    status: str  # "complete" | "overflow"
-    bound: int
-    subgroup_gens: tuple[Word, ...]
-    stats: EnumStats | None = None
+    def __init__(self, alphabet: "object", columns: Columns | Callable[[], Columns], num_cosets: int,
+                 status: str, bound: int, subgroup_gens: tuple[Word, ...], stats: EnumStats | None = None):
+        self.alphabet = alphabet
+        self._source = columns
+        self.num_cosets = num_cosets
+        self.status = status  # "complete" | "overflow"
+        self.bound = bound
+        self.subgroup_gens = subgroup_gens
+        self.stats = stats
+
+    @cached_property
+    def columns(self) -> Columns:
+        columns, self._source = self._source, None
+        return columns() if callable(columns) else columns
 
     @property
     def complete(self) -> bool:
@@ -420,21 +440,31 @@ class _Enumerator:
         return "complete"
 
     def finish(self, status: str, subgens: Sequence[Word], bound: int) -> CosetTable:
-        self.compact()
-        n = len(self.p)
+        """The result of the walk, with ``columns`` computed on first read.
+
+        A complete table is read at once, to validate it.  Callers read an
+        overflow's count only, so its table is never renumbered or copied
+        unless its ``columns`` are read.  ``compactions`` counts the final
+        renumbering either way.
+        """
         stats = EnumStats(self.defined, self.coincidences, max(self.peak_live, self.live),
-                          self.lookahead_passes, self.lookahead_freed, self.compactions, self.deduced)
+                          self.lookahead_passes, self.lookahead_freed, self.compactions + 1, self.deduced)
         relcols = [rel[0] for rel in self.rels]
         subcols = [rel[0] for rel in self.subs]
         # drop the bindings, so each column list is freed once it is copied
         self.rels = self.subs = self.by_col = []
-        columns = []
-        while self.cols:
-            columns.append(tuple(self.cols.pop(0)))
-        table = CosetTable(self.alphabet, tuple(columns), n, status, bound, tuple(subgens), stats)
+        table = CosetTable(self.alphabet, self.final_columns, self.live, status, bound, tuple(subgens), stats)
         if status == "complete":
             _validate(table, relcols, subcols)
         return table
+
+    def final_columns(self) -> Columns:
+        """Renumber the live cosets in order, then copy the columns into tuples."""
+        self.compact()
+        columns = []
+        while self.cols:
+            columns.append(tuple(self.cols.pop(0)))
+        return tuple(columns)
 
 
 def _validate(t: CosetTable, relcols: Iterable[tuple[int, ...]], subcols: Iterable[tuple[int, ...]]) -> None:
@@ -532,6 +562,25 @@ class Transversal:
         return len(self.reps)
 
 
+def _bfs_edges(t: CosetTable, column_order: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The edges (parent, column, child) of a breadth-first spanning tree of
+    the coset graph from coset 0, in BFS order; each coset is reached first
+    along the earliest column of ``column_order``."""
+    seen = [False] * t.num_cosets
+    seen[0] = True
+    edges = []
+    queue = deque([0])
+    while queue:
+        a = queue.popleft()
+        for col in column_order:
+            b = t.columns[col][a]
+            if b is not None and not seen[b]:
+                seen[b] = True
+                edges.append((a, col, b))
+                queue.append(b)
+    return edges
+
+
 def bfs_transversal(t: CosetTable, column_order: Sequence[int]) -> Transversal:
     """Breadth-first spanning tree of the coset graph from coset 0.
 
@@ -540,23 +589,17 @@ def bfs_transversal(t: CosetTable, column_order: Sequence[int]) -> Transversal:
     columns and every prefix of a representative is a representative.
     Raises ValueError when the columns do not reach every coset.
     """
-    reps: list[Word | None] = [None] * t.num_cosets
-    reps[0] = Word(t.alphabet, ())
-    tree: set[tuple[int, int]] = set()
-    queue = deque([0])
-    while queue:
-        a = queue.popleft()
-        for col in column_order:
-            b = t.columns[col][a]
-            if b is not None and reps[b] is None:
-                letter = col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1)
-                reps[b] = Word(t.alphabet, reps[a].letters + (letter,))
-                tree.add((a, col))
-                tree.add((b, col ^ 1))
-                queue.append(b)
-    if any(r is None for r in reps):
+    edges = _bfs_edges(t, column_order)
+    if len(edges) != t.num_cosets - 1:
         raise ValueError("column order does not span the coset graph")
-    return Transversal(tuple(reps), frozenset(tree))  # type: ignore[arg-type]
+    reps: list[Word] = [Word(t.alphabet, ())] * t.num_cosets
+    tree: set[tuple[int, int]] = set()
+    for a, col, b in edges:
+        letter = col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1)
+        reps[b] = Word(t.alphabet, reps[a].letters + (letter,))
+        tree.add((a, col))
+        tree.add((b, col ^ 1))
+    return Transversal(tuple(reps), frozenset(tree))
 
 
 class CayleyTable:
@@ -620,11 +663,24 @@ class CayleyTable:
         return len(self.words[i])
 
     def conjugacy_class_ids(self) -> list[int]:
-        """Class id per element: orbits of conjugation by the generators."""
-        table, words = self.table, self.words
-        # g^-1 * e * g: step from coset 0 by g^-1, trace e's word, step by g
-        conjugators = [(table.step(0, -letter), letter) for g in range(1, len(self.alphabet) + 1)
-                       for letter in (g, -g)]
+        """Class id per element, the least element of its class: orbits of
+        conjugation by the generators and their inverses.
+
+        The conjugate of e by a letter g is g^-1 * e * g.  Left and right
+        multiplication commute, so the left translate g^-1 * e is the
+        translate of e's parent in a BFS tree from the identity, stepped
+        along the tree edge that reaches e: two steps per element for each
+        letter, and no words.
+        """
+        columns = self.table.columns
+        edges = _bfs_edges(self.table, range(len(columns)))
+        conjugations = []
+        for col, column in enumerate(columns):
+            left = [0] * self.size
+            left[0] = columns[col ^ 1][0]
+            for a, c, b in edges:
+                left[b] = columns[c][left[a]]
+            conjugations.append([column[x] for x in left])
         ids = [-1] * self.size
         for start in range(self.size):
             if ids[start] >= 0:
@@ -633,8 +689,8 @@ class CayleyTable:
             stack = [start]
             while stack:
                 e = stack.pop()
-                for first, letter in conjugators:
-                    c = table.step(table.trace(first, words[e]), letter)
+                for conj in conjugations:
+                    c = conj[e]
                     if ids[c] < 0:
                         ids[c] = start
                         stack.append(c)

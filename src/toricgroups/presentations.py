@@ -368,8 +368,11 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
         if not letters or (other is not None and other < rid):
             letters, touched = "", None
         else:
-            if other is not None:
-                store(other, "")
+            if other is not None:  # the later holder goes
+                del relators[other]
+                for h in {ord(x) >> 1 for x in letters}:
+                    occurs[h].discard(other)
+                    once[h].discard(other)
             relators[rid] = letters
             holder[letters] = rid
         if touched is None:

@@ -35,6 +35,11 @@ with the production engines they check:
   enumerates over a subgroup and adjoins one conjugate of a seed per round
   until every seed acts trivially.  It needs a finite index at every round
   and shares the enumerator of ``cosets``.
+- ``reference_conjugacy_class_ids``: the original class ids of a Cayley
+  table, which trace every element's whole transversal word once per
+  signed generator.  ``CayleyTable.conjugacy_class_ids`` must give the same
+  ids; the reference reads only the table's ``step``, ``trace`` and
+  ``words``.
 - ``reference_cyc`` (``ReferenceCyc``, ``reference_zeta``): the original
   cyclotomic arithmetic, with ``Fraction`` coefficients, a dense power basis
   of zeta_n^k per modulus, and a reduction that walks every coefficient of
@@ -76,7 +81,7 @@ from itertools import combinations
 from math import gcd, prod
 from typing import Sequence
 
-from toricgroups.cosets import CosetTable, _columns, _validate, bfs_transversal, todd_coxeter
+from toricgroups.cosets import CayleyTable, CosetTable, _columns, _validate, bfs_transversal, todd_coxeter
 from toricgroups.coxeter import MinimalRootTable
 from toricgroups.cyclo import Cyc, _degree, _poly_trim, cyclotomic_polynomial, two_cos_pi_over
 from toricgroups.garside import _STANDARD, GarsideNF, _check_params
@@ -738,6 +743,28 @@ def reference_felsch(p: Presentation, subgens: Sequence[Word] = (), max_cosets: 
         b = e.define(a, col)
         deductions.append((a, col))
         deductions.append((b, col ^ 1))
+
+
+def reference_conjugacy_class_ids(cay: CayleyTable) -> list[int]:
+    """Class id per element, the least element of its class, by tracing words."""
+    table, words = cay.table, cay.words
+    # g^-1 * e * g: step from coset 0 by g^-1, trace e's word, step by g
+    conjugators = [(table.step(0, -letter), letter) for g in range(1, len(cay.alphabet) + 1)
+                   for letter in (g, -g)]
+    ids = [-1] * cay.size
+    for start in range(cay.size):
+        if ids[start] >= 0:
+            continue
+        ids[start] = start
+        stack = [start]
+        while stack:
+            e = stack.pop()
+            for first, letter in conjugators:
+                c = table.step(table.trace(first, words[e]), letter)
+                if ids[c] < 0:
+                    ids[c] = start
+                    stack.append(c)
+    return ids
 
 
 # --- the original cyclotomic polynomials, by repeated long division -----------

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FROZEN_TORIC_ORDERS, parent_cayley, toric_cayley
-from oracles import naive_order, matrix_group_order, reference_felsch, reference_hlt, reference_normal_closure
+from oracles import (
+    matrix_group_order,
+    naive_order,
+    reference_conjugacy_class_ids,
+    reference_felsch,
+    reference_hlt,
+    reference_normal_closure,
+)
 
 from toricgroups import classify, cosets, presentations as pres
 from toricgroups.classify import finite_quotient
@@ -197,6 +204,31 @@ def test_enum_stats_repeat_and_count_the_live_cosets():
             assert stats.peak_live > bound
 
 
+def test_an_overflow_is_not_renumbered_until_its_columns_are_read(monkeypatch):
+    # enumerate reads only an overflow's count, so the final compaction
+    # that stats.compactions counts waits for the first read of columns
+    compact, finish = cosets._Enumerator.compact, cosets._Enumerator.finish
+    calls, tables = [], []
+    monkeypatch.setattr(cosets._Enumerator, "compact",
+                        lambda self, pointer=0: calls.append(pointer) or compact(self, pointer))
+    monkeypatch.setattr(cosets._Enumerator, "finish",
+                        lambda self, *args: tables.append(finish(self, *args)) or tables[-1])
+    result, status, _ = cosets.enumerate_record(FamilyParams("coxeter-triangle", (2, 3, 7)), "", False, "hlt",
+                                                10**4)
+    (table,) = tables
+    assert (status, result["cosets"], table.status) == ("unknown", 9342, "overflow")
+    assert len(calls) == table.stats.compactions - 1
+    columns = table.columns
+    assert table.columns is columns
+    assert len(calls) == table.stats.compactions
+    assert all(len(column) == 9342 for column in columns)
+    # a complete table is renumbered at once, to be validated
+    calls.clear()
+    table = todd_coxeter(pres.j_parent(2, 3, 5))
+    assert table.complete and len(calls) == table.stats.compactions
+    assert table.columns is table.columns
+
+
 def test_lookahead_that_frees_under_a_tenth_ends_the_enumeration():
     # the second lookahead leaves more than 9/10 of the bound live: overflow,
     # with fewer rows than the bound
@@ -300,6 +332,12 @@ def test_generator_order_is_k(finite_rows):
     for k, n, m in finite_rows[:6]:
         cay = toric_cayley(k, n, m)
         assert cay.order_of(cay.alphabet.word("x1")) == k
+
+
+def test_conjugacy_class_ids_match_the_word_tracing_reference(finite_rows):
+    cases = [toric_cayley(k, n, m) for k, n, m in finite_rows] + [parent_cayley(*abc) for abc in FINITE_PARENTS]
+    for cay in cases:
+        assert cay.conjugacy_class_ids() == reference_conjugacy_class_ids(cay), cay.alphabet
 
 
 def test_reflection_class_counts():

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -245,6 +246,23 @@ def test_tietze_matches_reference_on_rs_presentations(a, b, c):
         status, got = _tietze_outcome(tietze_simplify, rs, budget)
         want_status, want = _tietze_outcome(reference_tietze, rs, budget)
         assert (status, serialize(got)) == (want_status, serialize(want))
+
+
+def test_tietze_leaves_no_reference_cycle():
+    # its working state goes when it returns, without waiting for a full
+    # garbage collection
+    parent = pres.j_parent(2, 9, 11)
+    quotient = Presentation(parent.alphabet, parent.relators + (parent.alphabet.word("s"),))
+    table = todd_coxeter(quotient)
+    tr = schreier.schreier_transversal(table, schreier.toric_column_order(parent.alphabet))
+    rs = schreier.rs_presentation(parent, table, tr).presentation
+    gc.collect()
+    gc.disable()
+    try:
+        tietze_simplify(rs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tietze_letters_straddle_the_surrogate_block():

@@ -12,7 +12,10 @@ the package start empty, so the request that fills one pays for it.  The
 script prints each request's wall time in ms, its share of the pass and
 its arguments (long ones cut), slowest first, and then the time per
 request kind.  Times are plain ``perf_counter`` differences, not scaled by
-the benchmark's speed probe.
+the benchmark's speed probe.  Last come the requests that raised the
+process's peak RSS (``ru_maxrss``, the figure behind the benchmark's
+``peak_rss_mb``), in pass order, each with the new peak in MB; the first
+line is the peak after import, before any request.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import contextlib
 import io
 import os
+import resource
 import sys
 import time
 
@@ -59,6 +63,10 @@ def label(req: dict) -> str:
     return text if len(text) <= WIDTH else text[:WIDTH - 3] + "..."
 
 
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
@@ -67,10 +75,13 @@ def main(argv: list[str] | None = None) -> int:
 
     reqs = workloads.generate(args.workload, args.seed)
     timed = []
+    peaks = [(peak_rss_mb(), "(import)")]
     for req in reqs:
         t0 = time.perf_counter()
         run(req["input"])
         timed.append(((time.perf_counter() - t0) * 1e3, req["props"]["kind"], label(req["input"])))
+        if (mb := peak_rss_mb()) > peaks[-1][0]:
+            peaks.append((mb, label(req["input"])))
     total = sum(ms for ms, _, _ in timed)
 
     print(f"{args.workload} seed {args.seed}: {len(timed)} requests in {total:.1f} ms")
@@ -83,6 +94,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\n{'ms':>9} {'share':>6}  {'kind':<26} requests")
     for kind, times in sorted(by_kind.items(), key=lambda kv: -sum(kv[1])):
         print(f"{sum(times):9.2f} {sum(times) / total:6.1%}  {kind:<26} {len(times)}")
+    print(f"\n{'peak MB':>9}  raised by")
+    for mb, text in peaks:
+        print(f"{mb:9.1f}  {text}")
     return 0
 
 
