@@ -14,18 +14,20 @@ records of the other modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import coxeter, maps, schreier
 from .cosets import CayleyTable, group_order, reflection_class_count, todd_coxeter
 from .presentations import FamilyParams, TietzeBudgetExceeded, serialize, tietze_simplify, toric
+from .words import Value
 
 
-@dataclass(frozen=True)
-class FiniteToric:
-    shephard_todd: str
-    center_quotient: str  # W/Z, the alternating subgroup of the triangle group
+class FiniteToric(Value):
+    __slots__ = ("shephard_todd", "center_quotient")
+
+    def __init__(self, shephard_todd: str, center_quotient: str):
+        # center_quotient: W/Z, the alternating subgroup of the triangle group
+        super().__init__(shephard_todd, center_quotient)
 
 
 _SPORADIC = {

@@ -62,12 +62,11 @@ finite, so it completes over infinite parents.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .presentations import FamilyParams, Presentation, build
-from .words import Word, free_reduce
+from .words import Value, Word, free_reduce
 
 Columns = tuple[tuple[int | None, ...], ...]
 
@@ -77,8 +76,7 @@ def _columns(w: Word) -> tuple[int, ...]:
     return tuple(2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in w.letters)
 
 
-@dataclass(frozen=True)
-class EnumStats:
+class EnumStats(Value):
     """What one enumeration did; the counts repeat exactly for fixed inputs.
 
     Coset 0 exists from the start, ``defined`` cosets were added and
@@ -93,13 +91,13 @@ class EnumStats:
     of one letter.
     """
 
-    defined: int
-    coincidences: int
-    peak_live: int
-    lookahead_passes: int
-    lookahead_freed: int
-    compactions: int
-    deductions: int
+    __slots__ = ("defined", "coincidences", "peak_live", "lookahead_passes", "lookahead_freed", "compactions",
+                 "deductions")
+
+    def __init__(self, defined: int, coincidences: int, peak_live: int, lookahead_passes: int,
+                 lookahead_freed: int, compactions: int, deductions: int):
+        super().__init__(defined, coincidences, peak_live, lookahead_passes, lookahead_freed, compactions,
+                         deductions)
 
 
 class CosetTable:
@@ -547,16 +545,17 @@ def enumerate_record(params: FamilyParams, subgroup: str, normal_closure: bool, 
     return {"index" if subgens else "order": table.num_cosets, "cosets": table.num_cosets}, "ok", evidence
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(Value):
     """Schreier transversal: representative word per coset plus tree edges.
 
     Tree edges are (coset, column) pairs in the coset-table column
     convention; both orientations of every tree edge are included.
     """
 
-    reps: tuple[Word, ...]
-    tree: frozenset[tuple[int, int]]
+    __slots__ = ("reps", "tree")
+
+    def __init__(self, reps: tuple[Word, ...], tree: frozenset[tuple[int, int]]):
+        super().__init__(reps, tree)
 
     def __len__(self) -> int:
         return len(self.reps)

@@ -19,7 +19,6 @@ alternating subgroup of the finite triangle groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -28,26 +27,26 @@ from math import lcm
 from .cosets import CayleyTable, todd_coxeter
 from .cyclo import Cyc, label_modulus, sign_real, two_cos_pi_over
 from .presentations import coxeter_triangle
-from .words import Alphabet, Word
+from .words import Alphabet, Value, Word, _set
 
 INFINITY = None  # edge label for m(s,t) = infinity
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
+class CoxeterMatrix(Value):
     """Symmetric matrix of braid labels; diagonal 1, off-diagonal >= 2 or None."""
 
-    labels: tuple[tuple[int | None, ...], ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        n = len(self.labels)
-        for i, row in enumerate(self.labels):
+    def __init__(self, labels: tuple[tuple[int | None, ...], ...]):
+        _set(self, "labels", labels)
+        n = len(labels)
+        for i, row in enumerate(labels):
             if len(row) != n:
                 raise ValueError("matrix must be square")
             if row[i] != 1:
                 raise ValueError("diagonal labels must be 1")
             for j, v in enumerate(row):
-                if v != self.labels[j][i]:
+                if v != labels[j][i]:
                     raise ValueError("matrix must be symmetric")
                 if i != j and v is not None and v < 2:
                     raise ValueError("off-diagonal labels must be >= 2 (or None)")
@@ -262,11 +261,15 @@ def classify_triangle(k: int, n: int, m: int) -> str:
     return "hyperbolic"
 
 
-@dataclass(frozen=True)
-class ParabolicReport:
-    verdicts: tuple[tuple[tuple[int, ...], bool], ...]  # subset -> finite?
-    maximal_finite: tuple[tuple[int, ...], ...]
-    rotation_orders: tuple[tuple[tuple[int, ...], int], ...]  # rank-2 members of M_W
+class ParabolicReport(Value):
+    __slots__ = ("verdicts", "maximal_finite", "rotation_orders")
+
+    def __init__(self, verdicts: tuple[tuple[tuple[int, ...], bool], ...],  # subset -> finite?
+                 maximal_finite: tuple[tuple[int, ...], ...],
+                 rotation_orders: tuple[tuple[tuple[int, ...], int], ...]):  # rank-2 members of M_W
+        _set(self, "verdicts", verdicts)
+        _set(self, "maximal_finite", maximal_finite)
+        _set(self, "rotation_orders", rotation_orders)
 
     def maximal_sets(self) -> list[tuple[int, ...]]:
         return list(self.maximal_finite)
@@ -309,14 +312,12 @@ def maximal_finite_parabolics(cm: CoxeterMatrix) -> ParabolicReport:
     return ParabolicReport(tuple(verdicts), tuple(maximal), tuple(rotation))
 
 
-@dataclass(frozen=True)
-class CenterReport:
-    group_order: int
-    plus_order: int
-    z_w_order: int
-    z_w_plus_order: int
-    contained: bool
-    z_w_lengths: tuple[int, ...]  # generator-lengths of the elements of Z(W)
+class CenterReport(Value):
+    __slots__ = ("group_order", "plus_order", "z_w_order", "z_w_plus_order", "contained", "z_w_lengths")
+
+    def __init__(self, group_order: int, plus_order: int, z_w_order: int, z_w_plus_order: int, contained: bool,
+                 z_w_lengths: tuple[int, ...]):  # generator-lengths of the elements of Z(W)
+        super().__init__(group_order, plus_order, z_w_order, z_w_plus_order, contained, z_w_lengths)
 
 
 def center_check_plus(cm: CoxeterMatrix, max_cosets: int = 10**6) -> CenterReport:

@@ -26,11 +26,12 @@ a correctness path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, lcm, prod
+
+from .words import Value, _set
 
 
 def _poly_trim(c: list) -> list:
@@ -106,12 +107,14 @@ def _canon(n: int, v: list) -> tuple:
     return tuple(v[:d])
 
 
-@dataclass(frozen=True)
-class Cyc:
+class Cyc(Value):
     """An element of the N-th cyclotomic field in canonical form."""
 
-    n: int
-    coeffs: tuple[int | Fraction, ...]
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: tuple[int | Fraction, ...]):
+        _set(self, "n", n)
+        _set(self, "coeffs", coeffs)
 
     @staticmethod
     def rational(q) -> "Cyc":

@@ -21,12 +21,11 @@ problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 
 from .classify import finite_quotient, finite_toric_parameters
 from .presentations import torus_classical
-from .words import Alphabet, GenMap, Word, free_reduce
+from .words import Alphabet, GenMap, Value, Word, free_reduce
 
 _STANDARD = Alphabet(["x", "y"])
 _SYMBOLS = (None, "x", "y")  # the name of each letter
@@ -44,14 +43,16 @@ def _check_params(n: int, m: int) -> None:
         raise ValueError(f"gcd({n},{m}) != 1")
 
 
-@dataclass(frozen=True)
-class GarsideNF:
-    """Normal form Delta^p * f1 | f2 | ... with simple factors f_i not 1, Delta."""
+class GarsideNF(Value):
+    """Normal form Delta^p * f1 | f2 | ... with simple factors f_i not 1, Delta.
 
-    n: int
-    m: int
-    delta_power: int
-    factors: tuple[tuple[str, int], ...]  # ("x", a) with 1 <= a < n, or ("y", b)
+    Each factor is ("x", a) with 1 <= a < n, or ("y", b).
+    """
+
+    __slots__ = ("n", "m", "delta_power", "factors")
+
+    def __init__(self, n: int, m: int, delta_power: int, factors: tuple[tuple[str, int], ...]):
+        super().__init__(n, m, delta_power, factors)
 
     def is_identity(self) -> bool:
         return self.delta_power == 0 and not self.factors

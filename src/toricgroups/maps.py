@@ -20,13 +20,12 @@ quotients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Protocol
 
 from .coxeter import triangle_table
 from .presentations import FamilyParams, Presentation, alt_plus, j_parent, toric
 from .schreier import chain_implies_shift, chain_relators, delta_power_to_twist
-from .words import Derivation, GenMap, RewriteStep, Word, apply_map
+from .words import Derivation, GenMap, RewriteStep, Value, Word, apply_map
 from .words import compose as compose_maps
 from .words import free_reduce
 
@@ -39,12 +38,11 @@ class OracleUnavailable(RuntimeError):
     """The target's word problem is not decided by any attached oracle."""
 
 
-@dataclass(frozen=True)
-class Hom:
-    source: Presentation
-    genmap: GenMap
-    oracle: IdentityOracle | None
-    name: str = ""
+class Hom(Value):
+    __slots__ = ("source", "genmap", "oracle", "name")
+
+    def __init__(self, source: Presentation, genmap: GenMap, oracle: IdentityOracle | None, name: str = ""):
+        super().__init__(source, genmap, oracle, name)
 
     def apply(self, w: Word) -> Word:
         return apply_map(self.genmap, w)
@@ -53,11 +51,11 @@ class Hom:
         return Hom(self.source, self.genmap, oracle, self.name)
 
 
-@dataclass(frozen=True)
-class HomReport:
-    ok: bool
-    failing_relator: Word | None = None
-    failing_image: Word | None = None
+class HomReport(Value):
+    __slots__ = ("ok", "failing_relator", "failing_image")
+
+    def __init__(self, ok: bool, failing_relator: Word | None = None, failing_image: Word | None = None):
+        super().__init__(ok, failing_relator, failing_image)
 
 
 def check_hom(h: Hom) -> HomReport:
@@ -97,11 +95,11 @@ def build_phi(k: int, n: int, m: int) -> Hom:
     return Hom(source, gm, table, name=f"phi({k},{n},{m})")
 
 
-@dataclass(frozen=True)
-class PsiParams:
-    q: int
-    r: int
-    ell: int
+class PsiParams(Value):
+    __slots__ = ("q", "r", "ell")
+
+    def __init__(self, q: int, r: int, ell: int):
+        super().__init__(q, r, ell)
 
 
 def psi_params(n: int, m: int) -> PsiParams:

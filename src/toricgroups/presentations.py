@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .words import Alphabet, Word, WordSyntaxError, cyclic_reduce, free_reduce, invert, parse_word, word_to_text
+from .words import (Alphabet, Value, Word, WordSyntaxError, _set, cyclic_reduce, free_reduce, invert, parse_word,
+                    word_to_text)
 
 
 class ParameterError(ValueError):
@@ -29,14 +29,14 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-@dataclass(frozen=True)
-class Presentation:
-    alphabet: Alphabet
-    relators: tuple[Word, ...]
+class Presentation(Value):
+    __slots__ = ("alphabet", "relators")
 
-    def __post_init__(self):
-        for r in self.relators:
-            if r.alphabet != self.alphabet:
+    def __init__(self, alphabet: Alphabet, relators: tuple[Word, ...]):
+        _set(self, "alphabet", alphabet)
+        _set(self, "relators", relators)
+        for r in relators:
+            if r.alphabet != alphabet:
                 raise ValueError("relator over wrong alphabet")
 
     @property
@@ -74,24 +74,23 @@ _ARITY = {
 _COPRIME = {"torus-standard", "torus-classical", "torus-dual", "toric", "alt-toric"}
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    family: str
-    labels: tuple[int, ...]
-    normalize: bool = True  # toric only: swap (n, m) when n > m
+class FamilyParams(Value):
+    __slots__ = ("family", "labels", "normalize")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterError(f"unknown family {self.family!r}")
-        if len(self.labels) != _ARITY[self.family]:
-            raise ParameterError(
-                f"{self.family} takes {_ARITY[self.family]} labels, got {len(self.labels)}"
-            )
-        for v in self.labels:
+    def __init__(self, family: str, labels: tuple[int, ...], normalize: bool = True):
+        # normalize, toric only: swap (n, m) when n > m
+        _set(self, "family", family)
+        _set(self, "labels", labels)
+        _set(self, "normalize", normalize)
+        if family not in FAMILIES:
+            raise ParameterError(f"unknown family {family!r}")
+        if len(labels) != _ARITY[family]:
+            raise ParameterError(f"{family} takes {_ARITY[family]} labels, got {len(labels)}")
+        for v in labels:
             if not isinstance(v, int) or v < 2:
                 raise ParameterError(f"labels must be integers >= 2, got {v!r}")
-        if self.family in _COPRIME:
-            n, m = self.labels[-2:]
+        if family in _COPRIME:
+            n, m = labels[-2:]
             if math.gcd(n, m) != 1:
                 raise ParameterError(f"gcd({n},{m}) != 1")
 

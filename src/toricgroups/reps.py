@@ -14,12 +14,10 @@ counterexample at (a, b, c) = (6, 2, 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classify import finite_quotient
 from .cyclo import Cyc, label_modulus, zeta
 from .presentations import FamilyParams, toric
-from .words import Alphabet, Word
+from .words import Alphabet, Value, Word
 
 Mat2 = tuple[tuple[Cyc, Cyc], tuple[Cyc, Cyc]]
 
@@ -77,19 +75,12 @@ class ConstraintError(ValueError):
         super().__init__(f"q*r = {got} but the constraint requires {required}")
 
 
-@dataclass(frozen=True)
-class Rep:
-    a: int
-    b: int
-    c: int
-    theta: Cyc
-    phi: Cyc
-    psi: Cyc
-    q: Cyc
-    r: Cyc
-    mat_s: Mat2
-    mat_t: Mat2
-    mat_u: Mat2
+class Rep(Value):
+    __slots__ = ("a", "b", "c", "theta", "phi", "psi", "q", "r", "mat_s", "mat_t", "mat_u")
+
+    def __init__(self, a: int, b: int, c: int, theta: Cyc, phi: Cyc, psi: Cyc, q: Cyc, r: Cyc,
+                 mat_s: Mat2, mat_t: Mat2, mat_u: Mat2):
+        super().__init__(a, b, c, theta, phi, psi, q, r, mat_s, mat_t, mat_u)
 
     @property
     def scalar(self) -> Cyc:
@@ -204,16 +195,22 @@ def rho_eval(rep: Rep, w: Word) -> Mat2:
     return out
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """The standard unfaithfulness example at (a, b, c) = (6, 2, 3)."""
+class WitnessReport(Value):
+    """The standard unfaithfulness example at (a, b, c) = (6, 2, 3).
 
-    rho_of_cube_is_identity: dict[str, bool]  # per (q,r) preset
-    order_in_small_quotient: int | None  # order of x1 x2 in the k = 3 toric group; None on overflow
-    rho_stu_order: int
-    rho_stu_is_minus_identity: bool
-    zero_preset_commutes: bool
-    unit_preset_commutes: bool
+    ``rho_of_cube_is_identity`` is keyed by (q,r) preset;
+    ``order_in_small_quotient`` is the order of x1 x2 in the k = 3 toric
+    group, None on overflow.
+    """
+
+    __slots__ = ("rho_of_cube_is_identity", "order_in_small_quotient", "rho_stu_order", "rho_stu_is_minus_identity",
+                 "zero_preset_commutes", "unit_preset_commutes")
+
+    def __init__(self, rho_of_cube_is_identity: dict[str, bool], order_in_small_quotient: int | None,
+                 rho_stu_order: int, rho_stu_is_minus_identity: bool, zero_preset_commutes: bool,
+                 unit_preset_commutes: bool):
+        super().__init__(rho_of_cube_is_identity, order_in_small_quotient, rho_stu_order, rho_stu_is_minus_identity,
+                         zero_preset_commutes, unit_preset_commutes)
 
     @property
     def unfaithful(self) -> bool | None:

@@ -17,7 +17,6 @@ chain from the parameters (a, b, c); the derivation here and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cosets import CosetTable, Transversal, bfs_transversal, normal_closure_table
@@ -27,6 +26,7 @@ from .words import (
     Derivation,
     GenMap,
     RewriteStep,
+    Value,
     Word,
     apply_map,
     check_derivation,
@@ -73,8 +73,7 @@ def schreier_transversal(ct: CosetTable, column_order: Sequence[int] | None = No
     return bfs_transversal(ct, order)
 
 
-@dataclass(frozen=True)
-class SubgroupGenerator:
+class SubgroupGenerator(Value):
     """A Schreier generator with its provenance.
 
     ``value`` is the word k * x * (bar(kx))^-1 in the ambient group, where
@@ -82,16 +81,17 @@ class SubgroupGenerator:
     ``gen_name``; it traces coset 0 to itself.
     """
 
-    name: str
-    coset: int
-    gen_name: str
-    value: Word
+    __slots__ = ("name", "coset", "gen_name", "value")
+
+    def __init__(self, name: str, coset: int, gen_name: str, value: Word):
+        super().__init__(name, coset, gen_name, value)
 
 
-@dataclass(frozen=True)
-class RSResult:
-    presentation: Presentation
-    generators: tuple[SubgroupGenerator, ...]
+class RSResult(Value):
+    __slots__ = ("presentation", "generators")
+
+    def __init__(self, presentation: Presentation, generators: tuple[SubgroupGenerator, ...]):
+        super().__init__(presentation, generators)
 
 
 def toric_coset_labels(tr: Transversal) -> dict[int, tuple[int, int]]:

@@ -10,17 +10,67 @@ reduction logic never has to treat syllables specially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
+# sets a field of a Value, past the __setattr__ that refuses assignment
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Gen:
+
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in the order of its
+    constructor's parameters, and sets them in ``__init__`` through
+    ``Value.__init__``, or through ``_set`` one by one where that loop's
+    cost would show: in ``Word``, ``Cyc``, ``Gen`` and ``Presentation``,
+    built per letter or per product, and in ``FamilyParams``,
+    ``CoxeterMatrix`` and ``ParabolicReport``, built by nearly every CLI
+    request.  Assignment and deletion raise ``AttributeError``;
+    equality, hash and repr are those of a frozen dataclass with these
+    fields: instances of the same class are equal when their fields are.
+    No code is generated, so importing the package stays cheap.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Gen(Value):
     """A named generator together with its position in its alphabet."""
 
-    name: str
-    index: int
+    __slots__ = ("name", "index")
+
+    def __init__(self, name: str, index: int):
+        _set(self, "name", name)
+        _set(self, "index", index)
 
 
 class Alphabet:
@@ -72,8 +122,7 @@ class Alphabet:
         return parse_word(self, text)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A word in the free group on an alphabet.
 
     ``letters`` holds nonzero signed indices; the empty tuple is the
@@ -81,14 +130,15 @@ class Word:
     arithmetic operators, which reduce their results.
     """
 
-    alphabet: Alphabet
-    letters: tuple[int, ...]
+    __slots__ = ("alphabet", "letters")
 
-    def __post_init__(self):
-        valid = self.alphabet.letters
-        if not valid.issuperset(self.letters):
-            bad = next(x for x in self.letters if x not in valid)
-            raise ValueError(f"letter {bad} out of range for {self.alphabet!r}")
+    def __init__(self, alphabet: Alphabet, letters: tuple[int, ...]):
+        _set(self, "alphabet", alphabet)
+        _set(self, "letters", letters)
+        valid = alphabet.letters
+        if not valid.issuperset(letters):
+            bad = next(x for x in letters if x not in valid)
+            raise ValueError(f"letter {bad} out of range for {alphabet!r}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -218,23 +268,21 @@ def _column(text: str, tokens: list[str], i: int) -> int:
     return text.index(tokens[i], col) + 1
 
 
-@dataclass(frozen=True)
-class GenMap:
+class GenMap(Value):
     """A map of generators, the carrier of a homomorphism of free groups.
 
     Total on the source alphabet: ``images[i]`` is the image of source
     generator ``i`` as a word over the target alphabet.
     """
 
-    source: Alphabet
-    target: Alphabet
-    images: tuple[Word, ...]
+    __slots__ = ("source", "target", "images")
 
-    def __post_init__(self):
-        if len(self.images) != len(self.source):
+    def __init__(self, source: Alphabet, target: Alphabet, images: tuple[Word, ...]):
+        super().__init__(source, target, images)
+        if len(images) != len(source):
             raise ValueError("one image required per source generator")
-        for w in self.images:
-            if w.alphabet != self.target:
+        for w in images:
+            if w.alphabet != target:
                 raise ValueError("image word over wrong alphabet")
 
     @staticmethod
@@ -282,18 +330,19 @@ def compose(outer: GenMap, inner: GenMap) -> GenMap:
 # (relation equivalence, centrality of the full twist).
 
 
-@dataclass(frozen=True)
-class RewriteStep:
-    position: int
-    old: Word
-    new: Word
-    relator_index: int | None  # None marks a purely free step
+class RewriteStep(Value):
+    __slots__ = ("position", "old", "new", "relator_index")
+
+    def __init__(self, position: int, old: Word, new: Word, relator_index: int | None):
+        # relator_index None marks a purely free step
+        super().__init__(position, old, new, relator_index)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    start: Word
-    steps: tuple[RewriteStep, ...]
+class Derivation(Value):
+    __slots__ = ("start", "steps")
+
+    def __init__(self, start: Word, steps: tuple[RewriteStep, ...]):
+        super().__init__(start, steps)
 
     def words(self) -> list[Word]:
         ws = [self.start]

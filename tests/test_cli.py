@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import time
 from math import lcm
@@ -277,7 +276,7 @@ def _miscited(real, n, m, i):
     # the shift relator 2 of (2,3,4) is derived citing chain relators 1 and
     # 0; citing them the other way round is no derivation
     d = real(n, m, i)
-    return words.Derivation(d.start, tuple(dataclasses.replace(s, relator_index=1 - s.relator_index)
+    return words.Derivation(d.start, tuple(words.RewriteStep(s.position, s.old, s.new, 1 - s.relator_index)
                                            if s.relator_index is not None else s for s in d.steps))
 
 

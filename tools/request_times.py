@@ -15,14 +15,17 @@ request kind.  Times are plain ``perf_counter`` differences, not scaled by
 the benchmark's speed probe.  Last come the requests that raised the
 process's peak RSS (``ru_maxrss``, the figure behind the benchmark's
 ``peak_rss_mb``), in pass order, each with the new peak in MB; the first
-line is the peak after import, before any request.
+line is the peak before the first request.
+
+Before the table, the script prints what importing the package cost: its
+wall time in ms, the number of modules it loaded and the peak RSS after it.
+The package is imported first, before the script's other modules, so that
+the modules it needs count as its own (bytecode is compiled on the first
+run of a checkout and read from ``__pycache__`` after that).
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import io
 import os
 import resource
 import sys
@@ -31,8 +34,19 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-import workloads  # noqa: E402
+_modules_before = len(sys.modules)
+_import_start = time.perf_counter()
 from toricgroups import cli, cosets, presentations, schreier  # noqa: E402
+
+IMPORT_MS = (time.perf_counter() - _import_start) * 1e3
+IMPORT_MODULES = len(sys.modules) - _modules_before
+IMPORT_PEAK_MB = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
+
+import workloads  # noqa: E402
 
 WIDTH = 72  # characters of a request's arguments to print
 
@@ -75,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
 
     reqs = workloads.generate(args.workload, args.seed)
     timed = []
-    peaks = [(peak_rss_mb(), "(import)")]
+    peaks = [(peak_rss_mb(), "(before the first request)")]
     for req in reqs:
         t0 = time.perf_counter()
         run(req["input"])
@@ -84,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             peaks.append((mb, label(req["input"])))
     total = sum(ms for ms, _, _ in timed)
 
+    print(f"import toricgroups: {IMPORT_MS:.1f} ms, {IMPORT_MODULES} modules, peak RSS {IMPORT_PEAK_MB:.1f} MB")
     print(f"{args.workload} seed {args.seed}: {len(timed)} requests in {total:.1f} ms")
     print(f"{'ms':>9} {'share':>6}  {'kind':<26} request")
     for ms, kind, text in sorted(timed, reverse=True):
