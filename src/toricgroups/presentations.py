@@ -281,9 +281,9 @@ class TietzeBudgetExceeded(Exception):
         super().__init__("tietze step budget exceeded")
 
 
-def _cancel_outward(s: str, pair: str, gone: set[str]) -> str:
+def _cancel_outward(s: str, pair: str) -> str:
     """``s`` with every occurrence of the inverse pair ``pair`` cancelled, each
-    together with the inverse pairs it exposes; cancelled letters go to ``gone``.
+    together with the inverse pairs it exposes.
 
     A cancellation joins two letters that are not inverse, so it never makes a
     new pair: one left-to-right scan finds them all.
@@ -294,25 +294,19 @@ def _cancel_outward(s: str, pair: str, gone: set[str]) -> str:
         while j and k < len(s) and ord(s[j - 1]) ^ 1 == ord(s[k]):
             j -= 1
             k += 1
-        gone.update(s[j:k])
         s = s[:j] + s[k:]
         i = s.find(pair, j)
     return s
 
 
-def _join_cancelling(pieces: list[str], gone: set[str]) -> str:
-    """The freely reduced product of freely reduced ``pieces``; cancelled
-    letters go to ``gone``."""
+def _join_cancelling(pieces: list[str]) -> str:
+    """The freely reduced product of freely reduced ``pieces``."""
     out = pieces[0]
     for piece in pieces[1:]:
         k, top = 0, min(len(out), len(piece))
         while k < top and ord(out[-1 - k]) ^ 1 == ord(piece[k]):
             k += 1
-        if k:
-            gone.update(piece[:k])
-            out = out[:-k] + piece[k:]
-        else:
-            out += piece
+        out = out[:-k] + piece[k:] if k else out + piece
     return out
 
 
@@ -333,15 +327,22 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
     4. Steps 2 and 3 repeat until no generator occurs exactly once in any
        relator.  Surviving generators keep their names and order.
 
-    The budget counts eliminations.  Each move touches only the relators
-    that contain g: relators are keyed by a stable id whose order is the
-    relator order, and every generator keeps the ids of the relators that
-    contain it and of those that contain it exactly once.  A relator is a
-    ``str`` with one code point per letter, generator h (1-based) being
-    chr(2h) and its inverse chr(2h + 1), so a substitution is two
-    ``str.replace`` calls and the letters are decoded into words only when
-    a presentation is returned or raised.  A presentation with more than
-    (``sys.maxunicode`` - 1) / 2 generators is a ``ValueError``.
+    The budget counts eliminations.  Relators are keyed by a stable id whose
+    order is the relator order, and each generator h keeps a set of ids
+    that holds every relator containing h, and maybe some that no longer
+    do (a move adds the ids it rewrote to the set of each generator of the
+    substituted word, and removes nothing).  So a move touches only the
+    relators in the set of g, and "exactly once" is tested only when a
+    generator is chosen: the choice counts h in the live relators of its
+    set, from the lowest generator up.  A generator found not to occur
+    exactly once anywhere can only become eligible through a relator
+    rewritten since, so it is then rechecked only against the log of
+    rewritten ids written after that check.  A relator is a ``str`` with
+    one code point per letter, generator h (1-based) being chr(2h) and its
+    inverse chr(2h + 1), so a substitution is two ``str.replace`` calls and
+    the letters are decoded into words only when a presentation is returned
+    or raised.  A presentation with more than (``sys.maxunicode`` - 1) / 2
+    generators is a ``ValueError``.
     """
     n = len(p.alphabet)
     if 2 * n + 1 > _MAX_CODE_POINT:
@@ -351,43 +352,10 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
     flip = {2 * h + e: 2 * h + 1 - e for h in range(1, n + 1) for e in (0, 1)}
     relators: dict[int, str] = {}  # id -> letters
     holder: dict[str, int] = {}  # letters -> id, for duplicates
-    occurs: list[set[int]] = [set() for _ in range(n + 1)]
-    once: list[set[int]] = [set() for _ in range(n + 1)]
+    occurs: list[set[int]] = [set() for _ in range(n + 1)]  # h -> ids, a superset
+    log: list[int] = []  # ids of rewritten relators, in the order rewritten
+    checked: list[int | None] = [None] * (n + 1)  # h -> len(log) when h was last found ineligible
     eliminated: set[int] = set()
-
-    def store(rid: int, letters: str, touched: set[int] | None = None) -> None:
-        """Make ``letters`` relator ``rid``; "" deletes it, and so does an
-        earlier holder of the same letters, while a later holder is deleted.
-        ``touched``, when given, holds every generator whose count may differ
-        from the old letters."""
-        old = relators.pop(rid, "")
-        if old:
-            del holder[old]
-        other = holder.get(letters)
-        if not letters or (other is not None and other < rid):
-            letters, touched = "", None
-        else:
-            if other is not None:  # the later holder goes
-                del relators[other]
-                for h in {ord(x) >> 1 for x in letters}:
-                    occurs[h].discard(other)
-                    once[h].discard(other)
-            relators[rid] = letters
-            holder[letters] = rid
-        if touched is None:
-            touched = {ord(x) >> 1 for x in set(old + letters)}
-        for h in touched:
-            up, down = symbols[h]
-            now = letters.count(up) + letters.count(down)
-            if not now:
-                occurs[h].discard(rid)
-                once[h].discard(rid)
-            elif now == 1:
-                occurs[h].add(rid)
-                once[h].add(rid)
-            else:
-                occurs[h].add(rid)
-                once[h].discard(rid)
 
     def presentation() -> Presentation:
         keep = [h for h in range(1, n + 1) if h not in eliminated]
@@ -399,18 +367,31 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
             Word(alphabet, tuple(map(decode.__getitem__, relators[rid]))) for rid in sorted(relators)))
 
     for rid, r in enumerate(p.relators):
-        store(rid, "".join([chr(2 * x if x > 0 else 1 - 2 * x) for x in cyclic_reduce(r).letters]))
+        letters = "".join([chr(2 * x if x > 0 else 1 - 2 * x) for x in cyclic_reduce(r).letters])
+        if letters and letters not in holder:
+            relators[rid] = letters
+            holder[letters] = rid
+            for h in {ord(x) >> 1 for x in letters}:
+                occurs[h].add(rid)
+    live = [h for h in range(1, n + 1) if occurs[h]]  # a generator in no relator stays in none
     while True:
-        g = next(filter(once.__getitem__, range(1, n + 1)), None)
-        if g is None:
+        for g in live:
+            up, down = symbols[g]
+            since = checked[g]
+            once = [rid for rid in (occurs[g] if since is None else occurs[g].intersection(log[since:]))
+                    if (r := relators.get(rid)) and r.count(up) + r.count(down) == 1]
+            if once:
+                break
+            checked[g] = len(log)
+        else:
             return presentation()
         if len(eliminated) >= budget:
             raise TietzeBudgetExceeded(presentation())
         eliminated.add(g)
-        defining = min(once[g], key=lambda rid: (len(relators[rid]), rid))
-        rel = relators[defining]
-        store(defining, "")
-        up, down = symbols[g]
+        live.remove(g)
+        defining = min(once, key=lambda rid: (len(relators[rid]), rid))
+        rel = relators.pop(defining)
+        del holder[rel]
         pos = rel.find(up)
         if pos < 0:
             pos = rel.find(down)
@@ -418,28 +399,37 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
         tail = rel[pos + 1:] + rel[:pos]
         tail_inv = tail[::-1].translate(flip)
         image, image_inv = (tail_inv, tail) if rel[pos] == up else (tail, tail_inv)
-        touched = {ord(x) >> 1 for x in set(tail)}
         # Every relator and image is freely reduced, so an inverse pair can only
         # form at a seam: as inv(image[0]) image[0] or image[-1] inv(image[-1]).
         if image:
             pairs = (chr(ord(image[0]) ^ 1) + image[0], image[-1] + chr(ord(image[-1]) ^ 1))
+        rewritten = []
         # the new letters lack g, so they never equal a relator still waiting here
         for rid in sorted(occurs[g]):
-            gone: set[str] = set()
+            old = relators.get(rid)
+            if old is None or (up not in old and down not in old):
+                continue
             if image:
-                s = relators[rid].replace(up, image).replace(down, image_inv)
+                s = old.replace(up, image).replace(down, image_inv)
                 for pair in pairs:
                     if pair in s:
-                        s = _cancel_outward(s, pair, gone)
+                        s = _cancel_outward(s, pair)
             else:
-                s = _join_cancelling(relators[rid].replace(down, up).split(up), gone)
+                s = _join_cancelling(old.replace(down, up).split(up))
             i, j = 0, len(s)
             while j - i >= 2 and ord(s[i]) ^ 1 == ord(s[j - 1]):
                 i += 1
                 j -= 1
-            if i:
-                gone.update(s[:i])
-                s = s[i:j]
-            store(rid, s, touched | {ord(x) >> 1 for x in gone} if gone else touched)
-        # g has left every relator, but the loop above did not count it
-        once[g].clear()
+            s = s[i:j]
+            del relators[rid], holder[old]
+            other = holder.get(s)
+            if s and (other is None or other > rid):
+                if other is not None:  # the later holder goes
+                    del relators[other]
+                relators[rid] = s
+                holder[s] = rid
+            rewritten.append(rid)
+        for h in {ord(x) >> 1 for x in tail}:
+            occurs[h].update(rewritten)
+        log += rewritten
+        occurs[g].clear()  # g has left every relator

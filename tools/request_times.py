@@ -10,12 +10,14 @@ request through the pipeline ``perfbench/child.py`` runs (enumerate the
 normal closure of s, RS, Tietze).  As in a benchmark pass, the caches of
 the package start empty, so the request that fills one pays for it.  The
 script prints each request's wall time in ms, its share of the pass and
-its arguments (long ones cut), slowest first, and then the time per
-request kind.  Times are plain ``perf_counter`` differences, not scaled by
-the benchmark's speed probe.  Last come the requests that raised the
-process's peak RSS (``ru_maxrss``, the figure behind the benchmark's
-``peak_rss_mb``), in pass order, each with the new peak in MB; the first
-line is the peak before the first request.
+its arguments (long ones cut), slowest first; under each ``rs-tietze``
+request a second line splits its time into the enumeration, RS and
+Tietze.  Then comes the time per request kind.  Times are plain
+``perf_counter`` differences, not scaled by the benchmark's speed probe.
+Last come the requests that raised the process's peak RSS (``ru_maxrss``,
+the figure behind the benchmark's ``peak_rss_mb``), in pass order, each
+with the new peak in MB; the first line is the peak before the first
+request.
 
 Before the table, the script prints what importing the package cost: its
 wall time in ms, the number of modules it loaded and the peak RSS after it.
@@ -51,25 +53,32 @@ import workloads  # noqa: E402
 WIDTH = 72  # characters of a request's arguments to print
 
 
-def rs_tietze(a: int, b: int, c: int) -> None:
-    """Normal closure of s by enumerating <X | R, s>, then RS and Tietze."""
+def rs_tietze(a: int, b: int, c: int) -> str:
+    """Normal closure of s by enumerating <X | R, s>, then RS and Tietze;
+    returns the time of each phase."""
+    t0 = time.perf_counter()
     parent = presentations.j_parent(a, b, c)
     quotient = presentations.Presentation(parent.alphabet, parent.relators + (parent.alphabet.word("s"),))
     table = cosets.todd_coxeter(quotient)
+    t1 = time.perf_counter()
     tr = schreier.schreier_transversal(table, schreier.toric_column_order(parent.alphabet))
     rs = schreier.rs_presentation(parent, table, tr).presentation
+    t2 = time.perf_counter()
     presentations.tietze_simplify(rs)
+    t3 = time.perf_counter()
+    return f"enumerate {(t1 - t0) * 1e3:.1f} ms, RS {(t2 - t1) * 1e3:.1f} ms, Tietze {(t3 - t2) * 1e3:.1f} ms"
 
 
-def run(req: dict) -> None:
+def run(req: dict) -> str | None:
+    """Runs one request; an ``rs-tietze`` request returns its phase times."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        if req["kind"] == "cli":
-            try:
-                cli.main(req["argv"])
-            except SystemExit:  # argparse rejects its input this way
-                pass
-        else:
-            rs_tietze(*req["abc"])
+        if req["kind"] != "cli":
+            return rs_tietze(*req["abc"])
+        try:
+            cli.main(req["argv"])
+        except SystemExit:  # argparse rejects its input this way
+            pass
+    return None
 
 
 def label(req: dict) -> str:
@@ -92,19 +101,21 @@ def main(argv: list[str] | None = None) -> int:
     peaks = [(peak_rss_mb(), "(before the first request)")]
     for req in reqs:
         t0 = time.perf_counter()
-        run(req["input"])
-        timed.append(((time.perf_counter() - t0) * 1e3, req["props"]["kind"], label(req["input"])))
+        phases = run(req["input"])
+        timed.append(((time.perf_counter() - t0) * 1e3, req["props"]["kind"], label(req["input"]), phases))
         if (mb := peak_rss_mb()) > peaks[-1][0]:
             peaks.append((mb, label(req["input"])))
-    total = sum(ms for ms, _, _ in timed)
+    total = sum(ms for ms, *_ in timed)
 
     print(f"import toricgroups: {IMPORT_MS:.1f} ms, {IMPORT_MODULES} modules, peak RSS {IMPORT_PEAK_MB:.1f} MB")
     print(f"{args.workload} seed {args.seed}: {len(timed)} requests in {total:.1f} ms")
     print(f"{'ms':>9} {'share':>6}  {'kind':<26} request")
-    for ms, kind, text in sorted(timed, reverse=True):
+    for ms, kind, text, phases in sorted(timed, key=lambda t: t[0], reverse=True):
         print(f"{ms:9.2f} {ms / total:6.1%}  {kind:<26} {text}")
+        if phases:
+            print(f"{'':>43}{phases}")
     by_kind: dict[str, list[float]] = {}
-    for ms, kind, _ in timed:
+    for ms, kind, *_ in timed:
         by_kind.setdefault(kind, []).append(ms)
     print(f"\n{'ms':>9} {'share':>6}  {'kind':<26} requests")
     for kind, times in sorted(by_kind.items(), key=lambda kv: -sum(kv[1])):
