@@ -4,7 +4,10 @@ Given a complete coset table for a subgroup H, a breadth-first spanning
 tree of the coset graph yields a Schreier transversal (every prefix of a
 representative is itself a representative).  The non-tree edges carry the
 Schreier generators k*x*(bar(kx))^-1 of H, and rewriting every conjugate of
-every relator through the tree produces defining relations for H.
+every relator through the tree produces defining relations for H.  For a
+relator R = v^q, the rewrites from the cosets of one orbit of <v> are cyclic
+rotations of one another, so ``rs_presentation`` keeps one per orbit: that
+of its least coset (Havas, "A Reidemeister-Schreier program", 1974).
 
 The BFS column order is configurable.  For a parent J-group on generators
 (s, t, u) over the normal closure of s, the preset ``toric_column_order``
@@ -116,9 +119,14 @@ def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
                     namer: Callable[[int, str], str] | None = None) -> RSResult:
     """Subgroup presentation on the nontrivial Schreier generators.
 
-    Relators are the rewrites of k R k^-1 for every relator R of p and every
-    representative k, processed in coset-index order, freely reduced, with
-    tree (trivial) generators dropped.
+    Relators are the rewrites of k R k^-1 for the relators R of p and the
+    representatives k, processed in coset-index order, freely reduced, with
+    tree (trivial) generators dropped.  When R = v^q for a primitive root v,
+    the rewrites from cosets c and c.v are, before free reduction, cyclic
+    rotations of each other, so R is rewritten only from the least coset of
+    each orbit of <v>; an empty or non-power relator is rewritten from every
+    coset.  The relators kept are thus a subsequence of the all-cosets list,
+    each the earliest of its rotation class, with the same normal closure.
     """
     if not ct.complete:
         raise ValueError("coset table is not complete")
@@ -159,13 +167,38 @@ def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
                 q = q2
         return free_reduce(Word(sub_alphabet, tuple(out)))
 
+    # leaders[i][c]: c is the least coset of its orbit under the root of relator i
+    leaders: list[list[bool]] = []
+    for r in p.relators:
+        root = _primitive_root(r.letters)
+        lead = [True] * ct.num_cosets
+        if len(root) < len(r.letters):  # a non-power has one-coset orbits
+            v = Word(p.alphabet, root)
+            for c in range(ct.num_cosets):
+                if lead[c]:
+                    d = ct.trace(c, v)
+                    while d != c:
+                        lead[d] = False
+                        d = ct.trace(d, v)
+        leaders.append(lead)
+
     relators: list[Word] = []
     for c in range(ct.num_cosets):
-        for r in p.relators:
-            w = rewrite_from(c, r)
-            if w.letters:
-                relators.append(w)
+        for r, lead in zip(p.relators, leaders):
+            if lead[c]:
+                w = rewrite_from(c, r)
+                if w.letters:
+                    relators.append(w)
     return RSResult(Presentation(sub_alphabet, tuple(relators)), tuple(sub_gens))
+
+
+def _primitive_root(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The shortest v with letters = v^q; an empty word is its own root."""
+    n = len(letters)
+    for p in range(1, n):
+        if n % p == 0 and letters == letters[:p] * (n // p):
+            return letters[:p]
+    return letters
 
 
 # --- closed-form Schreier generators for the toric transversal --------------

@@ -31,6 +31,13 @@ with the production engines they check:
   a definition once ``max_cosets`` cosets are live.  Complete tables of
   ``todd_coxeter(..., strategy="felsch")`` must equal its tables entry for
   entry; it drives the primitive moves of the ``reference_hlt`` engine.
+- ``reference_rs_presentation``: the original Reidemeister-Schreier
+  rewrite, which rewrites every relator from every coset.
+  ``schreier.rs_presentation`` rewrites a relator v^q only from the least
+  coset of each orbit of <v>, so its relators must be a subsequence of the
+  reference's, in order, and every reference relator a cyclic rotation of
+  a kept one once both are cyclically reduced.  It reads only the table's
+  ``step`` and the transversal's ``tree`` and ``reps``.
 - ``reference_normal_closure``: the original normal-closure loop, which
   enumerates over a subgroup and adjoins one conjugate of a seed per round
   until every seed acts trivially.  It needs a finite index at every round
@@ -81,11 +88,13 @@ from itertools import combinations
 from math import gcd, prod
 from typing import Sequence
 
-from toricgroups.cosets import CayleyTable, CosetTable, _columns, _validate, bfs_transversal, todd_coxeter
+from toricgroups.cosets import (CayleyTable, CosetTable, Transversal, _columns, _validate, bfs_transversal,
+                                todd_coxeter)
 from toricgroups.coxeter import MinimalRootTable
 from toricgroups.cyclo import Cyc, _degree, _poly_trim, cyclotomic_polynomial, two_cos_pi_over
 from toricgroups.garside import _STANDARD, GarsideNF, _check_params
 from toricgroups.presentations import Presentation, TietzeBudgetExceeded
+from toricgroups.schreier import RSResult, SubgroupGenerator
 from toricgroups.words import Alphabet, Word, WordSyntaxError, cyclic_reduce, free_reduce, invert
 
 
@@ -461,6 +470,44 @@ def reference_tietze(p: Presentation, budget: int = 10_000) -> Presentation:
         relators = _normalize_relators([substituted(r) for r in relators])
         alphabet = new_alphabet
     return Presentation(alphabet, tuple(relators))
+
+
+def reference_rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal) -> RSResult:
+    """The original Reidemeister-Schreier rewrite: every relator from every
+    coset, in coset-major order, freely reduced, empty rewrites dropped.
+    Generators are named as by ``rs_presentation``'s default namer."""
+    gen_index: dict[tuple[int, int], int] = {}
+    sub_gens: list[SubgroupGenerator] = []
+    for c in range(ct.num_cosets):
+        for g in range(len(p.alphabet)):
+            if (c, 2 * g) in tr.tree:
+                continue
+            dest = ct.step(c, g + 1)
+            value = free_reduce(Word(p.alphabet, tr.reps[c].letters + (g + 1,) + invert(tr.reps[dest]).letters))
+            gen_index[(c, g)] = len(sub_gens)
+            name = p.alphabet.gens[g].name
+            sub_gens.append(SubgroupGenerator(f"{name}_c{c}", c, name, value))
+    sub_alphabet = Alphabet([g.name for g in sub_gens])
+
+    relators: list[Word] = []
+    for c in range(ct.num_cosets):
+        for r in p.relators:
+            out: list[int] = []
+            q = c
+            for x in r.letters:
+                g = abs(x) - 1
+                if x > 0:
+                    if (q, 2 * g) not in tr.tree:
+                        out.append(gen_index[(q, g)] + 1)
+                    q = ct.step(q, x)
+                else:
+                    q = ct.step(q, x)
+                    if (q, 2 * g) not in tr.tree:
+                        out.append(-(gen_index[(q, g)] + 1))
+            w = free_reduce(Word(sub_alphabet, tuple(out)))
+            if w.letters:
+                relators.append(w)
+    return RSResult(Presentation(sub_alphabet, tuple(relators)), tuple(sub_gens))
 
 
 def reference_normal_closure(p: Presentation, seeds: list[Word], max_cosets: int = 10**6,

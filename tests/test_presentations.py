@@ -273,7 +273,9 @@ def _rs(a: int, b: int, c: int) -> Presentation:
     return schreier.rs_presentation(parent, table, tr).presentation
 
 
-@pytest.mark.parametrize("a,b,c", [(2, 3, 5), (3, 2, 3), (2, 7, 9), (3, 5, 7), (2, 9, 11)])
+# the last three are gcd(b, c) != 1 rows, where `derive` runs Tietze
+@pytest.mark.parametrize("a,b,c", [(2, 3, 5), (3, 2, 3), (2, 7, 9), (3, 5, 7), (2, 9, 11),
+                                   (2, 3, 3), (6, 2, 4), (2, 4, 6)])
 def test_tietze_matches_reference_on_rs_presentations(a, b, c):
     rs = _rs(a, b, c)
     for budget in (0, 1, 5, 17, 10_000):

@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from conftest import closure_table, parent_cayley
+from conftest import FINITE_ROWS, closure_table, parent_cayley
+from oracles import reference_rs_presentation
 
 from toricgroups import classify
 from toricgroups import presentations as pres
@@ -27,7 +28,7 @@ from toricgroups.schreier import (
     toric_closure_rs,
     toric_coset_labels,
 )
-from toricgroups.words import Word, apply_map, check_derivation, free_reduce, invert
+from toricgroups.words import Word, apply_map, check_derivation, cyclic_reduce, free_reduce, invert
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -113,6 +114,57 @@ def test_rs_on_j323_gives_two_generator_order_24():
     simplified = tietze_simplify(rs.presentation)
     assert len(simplified.gens) == 2
     assert group_order(simplified) == 24
+
+
+def _rs_against_reference(p: pres.Presentation, table, column_order=None) -> None:
+    """The relators of rs_presentation are a subsequence of the all-cosets
+    rewrite, in order, and every relator of it is a cyclic rotation of a
+    kept one once both are cyclically reduced."""
+    tr = schreier_transversal(table, column_order)
+    got, want = rs_presentation(p, table, tr), reference_rs_presentation(p, table, tr)
+    assert got.generators == want.generators
+    assert got.presentation.alphabet == want.presentation.alphabet
+    kept = iter(want.presentation.relators)
+    assert all(any(r == w for w in kept) for r in got.presentation.relators)
+    rotations = set()
+    for r in got.presentation.relators:
+        letters = cyclic_reduce(r).letters
+        rotations.update(letters[k:] + letters[:k] for k in range(len(letters)))
+    assert all(cyclic_reduce(w).letters in rotations for w in want.presentation.relators)
+
+
+@pytest.mark.parametrize("a,b,c", FINITE_ROWS + [(2, 3, 3), (6, 2, 4), (2, 4, 6)])
+def test_rs_is_the_all_cosets_rewrite_less_rotated_copies(a, b, c):
+    parent = pres.j_parent(a, b, c)
+    _rs_against_reference(parent, closure_table(a, b, c), toric_column_order(parent.alphabet))
+
+
+def test_rs_keeps_one_rewrite_per_orbit_of_a_two_letter_root():
+    # (r1 r2)^2 has the root r1 r2, which moves the cosets of <r1> in
+    # orbits of two
+    p = pres.coxeter_triangle(2, 3, 4)
+    table = todd_coxeter(p, [p.alphabet.word("r1")])
+    assert table.num_cosets == 24
+    _rs_against_reference(p, table)
+    tr = schreier_transversal(table)
+    only = pres.Presentation(p.alphabet, (p.alphabet.word("r1 r2 r1 r2"),))
+    got, want = rs_presentation(only, table, tr), reference_rs_presentation(only, table, tr)
+    assert (len(got.presentation.relators), len(want.presentation.relators)) == (12, 24)
+
+
+def test_rs_rewrites_empty_and_non_power_relators_from_every_coset():
+    # x^2 y^2 x^-2 y^-2 and x y x^-1 y are no proper powers, so each of
+    # their orbits is a single coset; the empty relator rewrites to nothing
+    base = pres.parse_presentation("gens: x y\nrel: x^4\nrel: y^2\nrel: x y x^-1 y")
+    ab = base.alphabet
+    extra = (Word(ab, ()), ab.word("x^2 y^2 x^-2 y^-2"), ab.word("x y x^-1 y"))
+    p = pres.Presentation(ab, base.relators + extra)
+    table = todd_coxeter(p)  # the trivial subgroup of the dihedral group of order 8
+    assert table.num_cosets == 8
+    _rs_against_reference(p, table)
+    tr = schreier_transversal(table)
+    only = pres.Presentation(ab, extra)
+    assert rs_presentation(only, table, tr) == reference_rs_presentation(only, table, tr)
 
 
 # --- closed forms ---------------------------------------------------------------

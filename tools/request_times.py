@@ -12,8 +12,10 @@ the package start empty, so the request that fills one pays for it.  The
 script prints each request's wall time in ms, its share of the pass and
 its arguments (long ones cut), slowest first; under each ``rs-tietze``
 request a second line splits its time into the enumeration, RS and
-Tietze.  Then comes the time per request kind.  Times are plain
-``perf_counter`` differences, not scaled by the benchmark's speed probe.
+Tietze, and gives the size of the RS presentation that Tietze starts
+from: its generators, relators and letters.  Then comes the time per
+request kind.  Times are plain ``perf_counter`` differences, not scaled by
+the benchmark's speed probe.
 Last come the requests that raised the process's peak RSS (``ru_maxrss``,
 the figure behind the benchmark's ``peak_rss_mb``), in pass order, each
 with the new peak in MB; the first line is the peak before the first
@@ -55,7 +57,7 @@ WIDTH = 72  # characters of a request's arguments to print
 
 def rs_tietze(a: int, b: int, c: int) -> str:
     """Normal closure of s by enumerating <X | R, s>, then RS and Tietze;
-    returns the time of each phase."""
+    returns the time of each phase and the size of Tietze's input."""
     t0 = time.perf_counter()
     parent = presentations.j_parent(a, b, c)
     quotient = presentations.Presentation(parent.alphabet, parent.relators + (parent.alphabet.word("s"),))
@@ -66,7 +68,9 @@ def rs_tietze(a: int, b: int, c: int) -> str:
     t2 = time.perf_counter()
     presentations.tietze_simplify(rs)
     t3 = time.perf_counter()
-    return f"enumerate {(t1 - t0) * 1e3:.1f} ms, RS {(t2 - t1) * 1e3:.1f} ms, Tietze {(t3 - t2) * 1e3:.1f} ms"
+    letters = sum(len(r.letters) for r in rs.relators)
+    return (f"enumerate {(t1 - t0) * 1e3:.1f} ms, RS {(t2 - t1) * 1e3:.1f} ms, Tietze {(t3 - t2) * 1e3:.1f} ms; "
+            f"RS out {len(rs.gens)} gens, {len(rs.relators)} relators, {letters} letters")
 
 
 def run(req: dict) -> str | None:
