@@ -10,7 +10,7 @@ from toricgroups import presentations as pres
 from toricgroups.cosets import group_order, normal_closure_table
 from toricgroups.presentations import serialize, tietze_simplify
 from toricgroups.schreier import (
-    derive_toric_presentation,
+    check_toric_presentation,
     rs_presentation,
     schreier_transversal,
     toric_column_order,
@@ -37,6 +37,6 @@ print(f"\nafter Tietze simplification: {len(simplified.gens)} generators, "
       f"group order {group_order(simplified)} (toric order {group_order(pres.toric(k, n, m))})")
 
 print("\nThe closed-form substitution route lands on the display presentation exactly:")
-derived = derive_toric_presentation(k, n, m)
+derived = check_toric_presentation(k, n, m, labels, rs)
 print(serialize(derived.presentation))
 print("relabel s_j -> x_{j+1} and this is the toric presentation verbatim.")

@@ -2,13 +2,15 @@
 
 Every element of G(n,m) = <x,y | x^n = y^m> is uniquely Delta^p times an
 alternating sequence of proper simple factors; computing that pair decides
-equality of arbitrary words.
+equality of arbitrary words, and through tau, the inverse of sigma, of words
+over the meridians x1 ... xn as well.
 """
 
 import random
 
-from toricgroups.garside import gnf, gnf_equal, meridian, sigma, standard_alphabet
-from toricgroups.words import Word, apply_map
+from toricgroups.garside import gnf, gnf_equal, meridian, meridian_derivation, sigma, standard_alphabet, tau
+from toricgroups.schreier import chain_relators
+from toricgroups.words import Word, apply_map, check_derivation
 
 ab = standard_alphabet()
 n, m = 2, 3
@@ -33,7 +35,15 @@ for _ in range(300):
     clean += gnf(n, m, w) == gnf(n, m, w2)
 print(f"  {clean}/300 trials unchanged")
 
-print("\nmeridians: y^a x^-b with a n - b m = 1 maps to a meridian generator class")
+print("\nmeridians: y^a x^-b with a n - b m = 1 maps to the meridian x1")
 mer = meridian(2, 3, 2, 1)
 print("  meridian(2,3,2,1) =", mer)
 print("  classical image:", apply_map(sigma(2, 3), mer))
+derivation = meridian_derivation(2, 3)
+check_derivation(derivation, chain_relators(2, 3)[1])
+print(f"  rewritten to {derivation.end()} in {len(derivation.steps)} checked steps")
+
+print("\nwords over the meridians, through tau:")
+to_standard = tau(2, 3)
+for text in ["x1 x2 x1", "x2 x1 x2", "x1", "x2", "x1 x2 x1 x2 x1 x2"]:
+    print(f"  gnf(tau({text})) = {gnf(n, m, apply_map(to_standard, to_standard.source.word(text)))}")

@@ -48,11 +48,6 @@ def finite_toric(k: int, n: int, m: int) -> FiniteToric | None:
     return _SPORADIC.get((k, n, m))
 
 
-def finite_toric_parameters(max_m: int) -> list[tuple[int, int, int]]:
-    """Every finite toric triple (k, n, m), n < m, with m <= max_m."""
-    return [t for t in _SPORADIC if t[2] <= max_m] + [(2, 2, m) for m in range(3, max_m + 1, 2)]
-
-
 def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | None:
     """Cayley table of ``toric(k, n, m, normalize=False)`` on a finite row.
 
@@ -176,15 +171,11 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
         f"index of the normal closure of s: {len(labels)}",
         f"Schreier generators before simplification: {len(rs.presentation.gens)}",
     ]
-    coprime = gcd(b, c) == 1
     triangle = coxeter.classify_triangle(a, b, c)
-    order = None
-    if coprime:
+    if gcd(b, c) == 1:
         presentation = schreier.check_toric_presentation(a, b, c, labels, rs).presentation
         evidence.append("every rewritten relator is a toric relator or a shift relator "
                         "with a checked derivation from the chain relators")
-        cayley = finite_quotient(a, b, c, max_cosets)  # None on the rows that are not spherical
-        order = None if cayley is None else cayley.size
     else:
         try:
             presentation = tietze_simplify(rs.presentation, budget=budget)
@@ -196,8 +187,7 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
                             "order not enumerated")
             result = {"presentation": serialize(e.best), "num_generators": len(e.best.gens), "order": None}
             return result, "unknown", evidence
-        if triangle == "spherical":
-            order = group_order(presentation, max_cosets=max_cosets)
+    order = group_order(presentation, max_cosets=max_cosets) if triangle == "spherical" else None
     if triangle != "spherical":
         evidence.append(f"order not enumerated: J({a},{b},{c}) maps onto the infinite rotation "
                         f"subgroup of the {triangle} ({a},{b},{c}) triangle group and ncl(s) "

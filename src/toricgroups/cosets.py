@@ -644,12 +644,6 @@ class CayleyTable:
             self._inv = [self.table.trace(0, self.words[a].inverse()) for a in range(self.size)]
         return self._inv[i]
 
-    def multiplication_table(self, max_size: int = 2000) -> list[list[int]]:
-        """Materialize the full size x size product table (small groups only)."""
-        if self.size > max_size:
-            raise ValueError(f"group of order {self.size} exceeds the table cap {max_size}")
-        return [[self.mul(i, j) for j in range(self.size)] for i in range(self.size)]
-
     def order_of(self, w: Word) -> int:
         start = self.eval(w)
         k, cur = 1, start

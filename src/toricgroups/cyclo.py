@@ -279,13 +279,6 @@ class Cyc(Value):
 
     __repr__ = __str__
 
-    def approx(self) -> complex:
-        """Floating approximation, for diagnostics only."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.n)
-        return sum(complex(c) * z**i for i, c in enumerate(self.coeffs))
-
 
 def _coerce(x) -> Cyc:
     if isinstance(x, Cyc):

@@ -16,16 +16,21 @@ Delta^-1 factors migrate to the front.  The resulting pair
 
 is a complete invariant of the group element, which settles the word
 problem.
+
+The classical presentation on the meridians x_1 ... x_n presents the same
+group: ``sigma`` and ``tau`` are inverse isomorphisms, so the normal form of
+tau(u) decides the word problem for a classical word u as well.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from itertools import chain, groupby
 
-from .classify import finite_quotient, finite_toric_parameters
-from .presentations import torus_classical
-from .words import Alphabet, GenMap, Value, Word, free_reduce
+from .presentations import cyclic_products
+from .schreier import chain_implies_shift, chain_relators
+from .words import (Alphabet, Derivation, GenMap, RewriteStep, Value, Word, WordSyntaxError, apply_map, free_reduce,
+                    invert)
 
 _STANDARD = Alphabet(["x", "y"])
 _SYMBOLS = (None, "x", "y")  # the name of each letter
@@ -66,17 +71,6 @@ class GarsideNF(Value):
             parts.append(body)
         return " · ".join(parts) if parts else "D^0"
 
-    def to_word(self) -> Word:
-        """Render back to a word over {x, y}."""
-        letters: list[int] = []
-        if self.delta_power >= 0:
-            letters.extend([1] * (self.n * self.delta_power))
-        else:
-            letters.extend([-1] * (self.n * -self.delta_power))
-        for sym, e in self.factors:
-            letters.extend([1 if sym == "x" else 2] * e)
-        return Word(_STANDARD, tuple(letters))
-
 
 def gnf(n: int, m: int, w: Word) -> GarsideNF:
     """Left-greedy Garside normal form of a word over {x, y}."""
@@ -109,34 +103,74 @@ def gnf(n: int, m: int, w: Word) -> GarsideNF:
 
 def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
     """Result, status and evidence of ``wp garside``: the Garside normal form
-    of the word ``text`` over {x, y} in <x, y | x^n = y^m>."""
-    normal = gnf(n, m, _STANDARD.word(text))
+    of the word ``text`` over {x, y} in <x, y | x^n = y^m>, or, when the text
+    is not a word over {x, y}, of its image under ``tau`` as a word over
+    x1 ... xn."""
+    evidence = []
+    try:
+        word = _STANDARD.word(text)
+    except WordSyntaxError as standard_error:
+        word = _classical_image(n, m, text, standard_error)
+        evidence.append(f"a word over x1 ... x{n}, mapped to {{x, y}} by tau, the inverse of sigma")
+    normal = gnf(n, m, word)
     return {"normal_form": str(normal), "identity": normal.is_identity(),
-            "delta_power": normal.delta_power}, "ok", []
+            "delta_power": normal.delta_power}, "ok", evidence
 
 
 def gnf_equal(n: int, m: int, u: Word, v: Word) -> bool:
     return gnf(n, m, u) == gnf(n, m, v)
 
 
-def simples(n: int, m: int) -> list[Word]:
-    """All simple elements as positive words: 1, x^i, y^j, Delta = x^n."""
-    out = [Word(_STANDARD, ())]
-    out += [Word(_STANDARD, (1,) * i) for i in range(1, n)]
-    out += [Word(_STANDARD, (2,) * j) for j in range(1, m)]
-    out.append(Word(_STANDARD, (1,) * n))
-    return out
-
-
 def sigma(n: int, m: int) -> GenMap:
     """Standard to classical: x -> x_1...x_m, y -> x_1...x_n (indices mod n)."""
     _check_params(n, m)
-    target = torus_classical(n, m).alphabet
-    images = {
-        "x": Word(target, tuple(i % n + 1 for i in range(m))),
-        "y": Word(target, tuple(i % n + 1 for i in range(n))),
-    }
-    return GenMap.from_dict(_STANDARD, target, images)
+    target = _classical_alphabet(n)
+    images = (Word(target, tuple(i % n + 1 for i in range(m))), Word(target, tuple(i % n + 1 for i in range(n))))
+    return GenMap(_STANDARD, target, images)
+
+
+def _classical_alphabet(n: int) -> Alphabet:
+    """The meridians x1 ... xn, the alphabet of ``torus_classical(n, m)``."""
+    return Alphabet([f"x{i + 1}" for i in range(n)])
+
+
+def _tau_letters(n: int, m: int, i: int) -> tuple[int, ...]:
+    """The letters of tau(x_i) = x^-j y^a x^(j-b), where i = 1 + jm mod n and
+    0 <= j < n: fewer than 2n + m, since a < m and b < n."""
+    a = pow(n, -1, m)
+    b = (a * n - 1) // m
+    j = (i - 1) * pow(m, -1, n) % n
+    return (-1,) * j + (2,) * a + ((1,) * (j - b) if j >= b else (-1,) * (b - j))
+
+
+def tau(n: int, m: int) -> GenMap:
+    """Classical to standard: x_{1+jm mod n} -> x^-j mu x^j, for the meridian
+    mu = y^a x^-b with a = n^-1 mod m and b = (an - 1)/m.
+
+    tau inverts ``sigma``: sigma kills x^n y^-m (``delta_power_to_twist``),
+    sigma(tau(x_{1+jm})) = Q^-j sigma(mu) Q^j is x_{1+jm} by
+    ``meridian_derivation`` and the shift lemma, and the tests check under
+    ``gnf`` that tau kills the chain relators and fixes x and y through sigma.
+    """
+    _check_params(n, m)
+    images = tuple(Word(_STANDARD, _tau_letters(n, m, i)) for i in range(1, n + 1))
+    return GenMap(_classical_alphabet(n), _STANDARD, images)
+
+
+def _classical_image(n: int, m: int, text: str, standard_error: WordSyntaxError) -> Word:
+    """tau(u), unreduced, for the word u that ``text`` spells over x1 ... xn,
+    from the images of u's own letters; or the syntax error of the alphabet
+    that read ``text`` further, the standard one on a tie."""
+    _check_params(n, m)
+    try:
+        u = _classical_alphabet(n).word(text)
+    except WordSyntaxError as e:
+        raise (e if e.column > standard_error.column else standard_error) from None
+    images = {}
+    for x in set(u.letters):
+        letters = _tau_letters(n, m, abs(x))
+        images[x] = letters if x > 0 else tuple(-y for y in reversed(letters))
+    return Word(_STANDARD, tuple(chain.from_iterable(map(images.__getitem__, u.letters))))
 
 
 def meridian(n: int, m: int, a: int, b: int) -> Word:
@@ -149,32 +183,32 @@ def meridian(n: int, m: int, a: int, b: int) -> Word:
     return free_reduce(y**a * x**-b)
 
 
-def abelianized(w: Word, n: int, m: int) -> int:
-    """Image in the infinite cyclic abelianization: x -> m, y -> n."""
-    total = 0
-    for letter in w.letters:
-        weight = m if abs(letter) == 1 else n
-        total += weight if letter > 0 else -weight
-    return total
+def meridian_derivation(n: int, m: int) -> Derivation:
+    """Rewriting chain sigma(mu) -> x_1 for mu = tau(x_1), citing only the
+    chain relators: check with ``check_derivation(d, chain_relators(n, m)[1])``.
 
-
-def separate_in_finite_quotients(n: int, m: int, u: Word, v: Word,
-                                 max_cosets: int = 10**6) -> str:
-    """Partial equality test for classical-presentation words.
-
-    Maps both words into every finite toric quotient W(k,n,m) sharing the
-    pair (n, m) and compares images; returns "distinct" on any separation
-    and "not separated" otherwise.  A quotient whose enumeration overflows
-    ``max_cosets`` is skipped.  There is no general decision procedure
-    here: "not separated" is not a proof of equality.
+    sigma(mu) = P^a Q^-b (P = x_1...x_n, Q = x_1...x_m), and P^a is the word
+    x_1 x_2 ... x_{bm+1}, indices mod n.  Chain rewrites of its b blocks of m
+    letters leave Q^b x_n Q^-b; the shift lemma x_i Q -> Q x_{i+m}, reversed,
+    moves x_n left through each Q to x_{n-bm} = x_1; Q^b Q^-b cancels freely.
     """
-    if u.alphabet != v.alphabet:
-        raise ValueError("words over different alphabets")
-    pair = (min(n, m), max(n, m))
-    ks = [k for (k, a, b) in finite_toric_parameters(pair[1]) if (a, b) == pair]
-    for k in ks:
-        cay = finite_quotient(k, n, m, max_cosets)
-        if cay is not None and cay.eval(u) != cay.eval(v):
-            return "distinct"
-    return "not separated"
-
+    _check_params(n, m)
+    a = pow(n, -1, m)
+    b = (a * n - 1) // m
+    ab, _ = chain_relators(n, m)
+    prods = cyclic_products(ab, n, m)
+    delta = prods[0]
+    start = apply_map(sigma(n, m), meridian(n, m, a, b))
+    steps: list[RewriteStep] = []
+    for t in range(b):
+        j = t * m % n + 1  # the block starting at x_{tm+1} is chain j's product
+        if j != 1:
+            steps.append(RewriteStep(t * m, prods[j - 1], delta, j - 2))
+    i = n
+    for t in reversed(range(b)):
+        i = (i - m - 1) % n + 1
+        lemma = chain_implies_shift(n, m, i)
+        steps.extend(RewriteStep(s.position + t * m, s.new, s.old, s.relator_index) for s in reversed(lemma.steps))
+    cancel = Word(ab, delta.letters * b + invert(delta).letters * b)
+    steps.append(RewriteStep(1, cancel, Word(ab, ()), None))
+    return Derivation(start, tuple(steps))

@@ -47,9 +47,6 @@ class Hom(Value):
     def apply(self, w: Word) -> Word:
         return apply_map(self.genmap, w)
 
-    def with_oracle(self, oracle: IdentityOracle) -> "Hom":
-        return Hom(self.source, self.genmap, oracle, self.name)
-
 
 class HomReport(Value):
     __slots__ = ("ok", "failing_relator", "failing_image")

@@ -296,14 +296,6 @@ def toric_closure_rs(a: int, b: int, c: int, max_cosets: int = 10**6
     return labels, rs
 
 
-def derive_toric_presentation(k: int, n: int, m: int, max_cosets: int = 10**6) -> RSResult:
-    """``check_toric_presentation`` of ``toric_closure_rs``; ValueError when it overflows."""
-    found = toric_closure_rs(k, n, m, max_cosets)
-    if found is None:
-        raise ValueError("enumeration of the parent over the normal closure overflowed")
-    return check_toric_presentation(k, n, m, *found)
-
-
 def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int, int]],
                              rs: RSResult) -> RSResult:
     """The toric presentation of ncl(s), checked against the RS presentation.

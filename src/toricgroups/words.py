@@ -155,10 +155,6 @@ class Word(Value):
     def inverse(self) -> "Word":
         return invert(self)
 
-    @property
-    def is_reduced(self) -> bool:
-        return all(a != -b for a, b in zip(self.letters, self.letters[1:]))
-
     def is_identity(self) -> bool:
         return not free_reduce(self).letters
 

@@ -72,6 +72,9 @@ with the production engines they check:
   references read only the table's ``action``.
 - ``reference_gnf``: the original Garside normal form, one letter at a
   time.  ``garside.gnf`` must give the same ``GarsideNF``.
+  ``garside_nf_word`` renders a ``GarsideNF`` back as the word
+  x^(n delta_power) followed by its factors, so a normal form can be fed
+  to ``gnf`` again.
 - ``reference_parse_word``: the original word parser, which tracks the
   column with a running ``text.index`` and expands every token as it comes.
   ``words.parse_word`` must give the same ``Word``, or the same message and
@@ -1217,6 +1220,14 @@ def reference_gnf(n: int, m: int, w: Word) -> GarsideNF:
             power -= 1
             push(sym, bound[sym] - 1)
     return GarsideNF(n, m, power, tuple((s, e) for s, e in blocks))
+
+
+def garside_nf_word(nf: GarsideNF) -> Word:
+    """The word x^(n delta_power) f1 f2 ... over {x, y} of a normal form."""
+    letters = [1 if nf.delta_power >= 0 else -1] * (nf.n * abs(nf.delta_power))
+    for sym, e in nf.factors:
+        letters += [1 if sym == "x" else 2] * e
+    return Word(_STANDARD, tuple(letters))
 
 
 def reference_parse_word(alphabet: Alphabet, text: str) -> Word:

@@ -23,16 +23,16 @@ from oracles import naive_order
 
 from toricgroups import garside, maps, reps
 from toricgroups import presentations as pres
-from toricgroups.classify import finite_toric_parameters
 from toricgroups.cosets import group_order, reflection_class_count, todd_coxeter
 from toricgroups.coxeter import CoxeterMatrix, classify_triangle, maximal_finite_parabolics
 from toricgroups.garside import GarsideNF, gnf, meridian, sigma
 from toricgroups.presentations import FamilyParams, serialize, tietze_simplify
 from toricgroups.schreier import (
+    check_toric_presentation,
     closed_form_generator,
-    derive_toric_presentation,
     rs_presentation,
     schreier_transversal,
+    toric_closure_rs,
     toric_column_order,
     toric_coset_labels,
 )
@@ -94,7 +94,7 @@ def test_criterion_03_rs_round_trip():
         simplified = tietze_simplify(rs.presentation)
         assert len(simplified.gens) == n, (k, n, m)
         assert group_order(simplified) == FROZEN_TORIC_ORDERS[(k, n, m)], (k, n, m)
-    derived = derive_toric_presentation(2, 3, 4)
+    derived = check_toric_presentation(2, 3, 4, *toric_closure_rs(2, 3, 4))
     golden = (DATA / "rs_234_golden.txt").read_text()
     assert serialize(derived.presentation) == golden
     relabeled = golden
@@ -253,7 +253,7 @@ def test_criterion_09_garside_suite():
             assert gnf(n, m, g * delta) == gnf(n, m, delta * g)
     # quotient consistency: gnf-equal words agree in every finite toric quotient
     for n, m in [(2, 3), (3, 4), (2, 5), (3, 5)]:
-        ks = [k for (k, nn, mm) in finite_toric_parameters(9) if (nn, mm) == (n, m)]
+        ks = [k for (k, nn, mm) in FINITE_ROWS if (nn, mm) == (n, m)]
         to_classical = sigma(n, m)
         rng = random.Random(7)
         rel = tuple([1] * n + [-2] * m)
@@ -268,7 +268,7 @@ def test_criterion_09_garside_suite():
     # meridian images land in a generator's conjugacy class
     for n, m, a, b in [(2, 3, 2, 1), (3, 4, 3, 2), (2, 5, 3, 1), (3, 5, 2, 1)]:
         image = apply_map(sigma(n, m), meridian(n, m, a, b))
-        for k, nn, mm in finite_toric_parameters(9):
+        for k, nn, mm in FINITE_ROWS:
             if (nn, mm) != (n, m):
                 continue
             cay = toric_cayley(k, n, m)

@@ -53,11 +53,14 @@ GOLDEN_REQUESTS = {
     # u_1_1 u_2_1 u_0_1 and u_2_1 u_0_1 u_1_1 of u_0_1 u_1_1 u_2_1 (nor those
     # of u_0_2 u_1_2 u_2_2); its 18 generators are unchanged
     "derive_2_3_3_budget_1": ["--budget", "1", "derive", "2", "3", "3"],
+    # captured when `wp garside` began to read a word over the meridians
+    # x1 ... xn through tau; this has a text golden too
+    "wp_garside_classical_2_3": ["wp", "garside", "2", "3", "x1 x2 x1"],
 }
 # requests whose text output is pinned as well, in `<name>.txt`
 TEXT_GOLDEN = ("classify_6_2_3", "classify_4_2_3", "sweep_3_5", "derive_2_3_4", "derive_6_2_3",
                "derive_2_3_3", "derive_6_2_4", "wp_garside_2_3", "present_toric_2_3_4",
-               "wp_coxeter_7_8_9", "rep_witness")
+               "wp_coxeter_7_8_9", "rep_witness", "wp_garside_classical_2_3")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -192,6 +195,30 @@ def test_wp_garside(capsys):
     assert payload["result"]["identity"] is True
     code, payload = run_json(capsys, "wp", "garside", "2", "3", "x y")
     assert payload["result"]["identity"] is False
+
+
+def test_wp_garside_reads_meridian_words(capsys):
+    # both sides of the defining relation x1 x2 x1 = x2 x1 x2 are x
+    forms = [run_json(capsys, "wp", "garside", "2", "3", w)[1]["result"]["normal_form"]
+             for w in ("x1 x2 x1", "x2 x1 x2")]
+    assert forms == ["x", "x"]
+    forms = [run_json(capsys, "wp", "garside", "2", "101", w)[1]["result"]["normal_form"] for w in ("x1", "x2")]
+    assert forms[0] != forms[1]
+    code, payload = run_json(capsys, "wp", "garside", "2", "3", "x1 x2 x1 x2^-1 x1^-1 x2^-1")
+    assert (code, payload["result"]["identity"]) == (0, True)
+
+
+@pytest.mark.parametrize("word, message", [
+    ("x1 z", "unknown generator 'z'"),  # the meridians read further
+    ("x z", "unknown generator 'z'"),  # {x, y} read further
+    ("z", "unknown generator 'z'"),  # a tie: the error over {x, y}
+    ("x1 x2^0", "zero exponent in 'x2^0'"),
+    ("x y^0", "zero exponent in 'y^0'"),
+    ("x3", "unknown generator 'x3'"),  # a meridian past n
+])
+def test_wp_garside_reports_the_alphabet_that_read_further(capsys, word, message):
+    code, out, err = run(capsys, "wp", "garside", "2", "3", word)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_wp_toric_finite_decides(capsys):

@@ -4,22 +4,23 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import toric_cayley
-from oracles import monoid_equal, reference_gnf, reference_parse_word
+from conftest import FINITE_ROWS, toric_cayley
+from oracles import garside_nf_word, monoid_equal, reference_gnf, reference_parse_word
 
-from toricgroups.classify import finite_toric_parameters
 from toricgroups.garside import (
     GarsideNF,
-    abelianized,
     gnf,
     gnf_equal,
     meridian,
-    separate_in_finite_quotients,
+    meridian_derivation,
     sigma,
-    simples,
     standard_alphabet,
+    tau,
+    word_problem,
 )
-from toricgroups.words import Word, WordSyntaxError, apply_map, free_reduce, parse_word
+from toricgroups.schreier import chain_relators, delta_power_to_twist
+from toricgroups.words import (Derivation, RewriteStep, Word, WordSyntaxError, apply_map, check_derivation,
+                               free_reduce, parse_word)
 
 AB = standard_alphabet()
 PAIRS = [(2, 3), (3, 4), (2, 5), (3, 5)]
@@ -27,6 +28,17 @@ PAIRS = [(2, 3), (3, 4), (2, 5), (3, 5)]
 
 def rand_word(rng, max_len=30) -> Word:
     return Word(AB, tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(0, max_len))))
+
+
+def simples(n: int, m: int) -> list[Word]:
+    """All simple elements as positive words: 1, x^i, y^j, Delta = x^n."""
+    return ([Word(AB, ())] + [Word(AB, (1,) * i) for i in range(1, n)] + [Word(AB, (2,) * j) for j in range(1, m)]
+            + [Word(AB, (1,) * n)])
+
+
+def abelianized(w: Word, n: int, m: int) -> int:
+    """Image in the infinite cyclic abelianization: x -> m, y -> n."""
+    return sum((m if abs(x) == 1 else n) * (1 if x > 0 else -1) for x in w.letters)
 
 
 def insert_relator(rng, w: Word, n: int, m: int) -> Word:
@@ -84,7 +96,7 @@ def test_round_trip_idempotence(n, m):
     rng = random.Random(1)
     for _ in range(300):
         nf = gnf(n, m, rand_word(rng))
-        assert gnf(n, m, nf.to_word()) == nf
+        assert gnf(n, m, garside_nf_word(nf)) == nf
 
 
 @pytest.mark.parametrize("n,m", PAIRS)
@@ -105,7 +117,7 @@ def test_simple_products_match_monoid_oracle():
                 for s2 in simples(n, m):
                     product = s1 * s2
                     nf = gnf(n, m, product)
-                    rendered = nf.to_word()
+                    rendered = garside_nf_word(nf)
                     assert all(x > 0 for x in rendered.letters)
                     assert monoid_equal(
                         n, m,
@@ -142,7 +154,7 @@ def test_abelianization_is_gnf_invariant(n, m):
 def test_quotient_consistency_against_finite_toric_groups():
     rng = random.Random(11)
     for n, m in PAIRS:
-        ks = [k for (k, nn, mm) in finite_toric_parameters(9) if (nn, mm) == (n, m)]
+        ks = [k for (k, nn, mm) in FINITE_ROWS if (nn, mm) == (n, m)]
         maps_ = sigma(n, m)
         for k in ks:
             cay = toric_cayley(k, n, m)
@@ -163,7 +175,7 @@ def test_sigma_sends_standard_relator_to_identity_in_quotients():
         s = sigma(n, m)
         rel = free_reduce(AB.word("x") ** n * (AB.word("y") ** m).inverse())
         image = apply_map(s, rel)
-        ks = [k for (k, nn, mm) in finite_toric_parameters(9) if (nn, mm) == (n, m)]
+        ks = [k for (k, nn, mm) in FINITE_ROWS if (nn, mm) == (n, m)]
         for k in ks:
             assert toric_cayley(k, n, m).eval(image) == 0
 
@@ -178,7 +190,7 @@ def test_meridian_image_is_conjugate_to_a_generator():
     for n, m, a, b in [(2, 3, 2, 1), (3, 4, 3, 2), (2, 5, 3, 1), (3, 5, 2, 1)]:
         assert a * n - b * m == 1
         mer = apply_map(sigma(n, m), meridian(n, m, a, b))
-        ks = [k for (k, nn, mm) in finite_toric_parameters(9) if (nn, mm) == (n, m)]
+        ks = [k for (k, nn, mm) in FINITE_ROWS if (nn, mm) == (n, m)]
         for k in ks:
             cay = toric_cayley(k, n, m)
             ids = cay.conjugacy_class_ids()
@@ -190,29 +202,110 @@ def test_meridian_image_is_conjugate_to_a_generator():
             assert ids[cay.eval(mer)] in target_classes, (n, m, k)
 
 
-def test_separation_in_finite_quotients():
-    classical = sigma(2, 3).target
-    # the defining relation: equal in the group, so never separated
-    w = classical.word("x1 x2 x1")
-    w2 = classical.word("x2 x1 x2")
-    assert separate_in_finite_quotients(2, 3, w, w2) == "not separated"
-    # distinct generators are told apart in some finite quotient
-    assert separate_in_finite_quotients(2, 3, classical.word("x1"), classical.word("x2")) == "distinct"
+# every coprime pair up to 12, and one past the m <= 99 of the finite table
+CLASSICAL_PAIRS = [(n, m) for n in range(2, 13) for m in range(2, 13) if math.gcd(n, m) == 1] + [(2, 101)]
 
 
-def test_separation_skips_overflowed_quotients():
-    classical = sigma(2, 3).target
-    twist, one = classical.word("x1 x2 x1 x2 x1 x2"), classical.word("1")
-    # the twist dies in W(2,2,3) = S3 but has order 2 in W(3,2,3)
-    assert separate_in_finite_quotients(2, 3, twist, one) == "distinct"
-    # at 10 cosets only W(2,2,3) completes; the larger quotients are skipped
-    assert separate_in_finite_quotients(2, 3, twist, one, max_cosets=10) == "not separated"
+@pytest.mark.parametrize("n,m", CLASSICAL_PAIRS)
+def test_tau_and_sigma_are_inverse_isomorphisms(n, m):
+    t, s = tau(n, m), sigma(n, m)
+    _, chains = chain_relators(n, m)
+    # tau is a homomorphism: it kills every classical relator
+    for r in chains:
+        assert gnf(n, m, apply_map(t, r)).is_identity(), r
+    # sigma is one: x^n and y^m map to words the chain relators make equal
+    twist = delta_power_to_twist(n, m)
+    check_derivation(twist, chains)
+    x, y = AB.word("x"), AB.word("y")
+    assert (twist.start, twist.end()) == (apply_map(s, x**n), apply_map(s, y**m))
+    # tau(sigma(g)) = g, and sigma(tau(x1)) = x1 by relators, which with the
+    # shift lemma gives sigma(tau(x_i)) = x_i
+    for g in (x, y):
+        assert gnf_equal(n, m, apply_map(t, apply_map(s, g)), g)
+    d = meridian_derivation(n, m)
+    check_derivation(d, chains)
+    assert d.start == apply_map(s, t.image_of("x1"))
+    assert d.end() == s.target.word("x1")
+    assert all(len(w) < 2 * n + m for w in t.images)
 
 
-def test_separation_uses_dihedral_quotients_past_m_99():
-    classical = sigma(2, 101).target
-    x1, x2 = classical.word("x1"), classical.word("x2")
-    assert separate_in_finite_quotients(2, 101, x1, x2) == "distinct"
+def test_meridian_derivation_rejects_a_wrong_relator_index():
+    n, m = 3, 5
+    _, chains = chain_relators(n, m)
+    d = meridian_derivation(n, m)
+    cited = [k for k, step in enumerate(d.steps) if step.relator_index is not None]
+    assert cited
+    for k in cited:
+        step = d.steps[k]
+        wrong = RewriteStep(step.position, step.old, step.new, (step.relator_index + 1) % len(chains))
+        with pytest.raises(ValueError):
+            check_derivation(Derivation(d.start, d.steps[:k] + (wrong,) + d.steps[k + 1:]), chains)
+
+
+def _classical_word(rng, t, max_len=16) -> Word:
+    """A random word over the meridians, the source alphabet of ``t = tau(n, m)``."""
+    n = len(t.source)
+    return Word(t.source, tuple(rng.choice([i for i in range(-n, n + 1) if i]) for _ in range(rng.randrange(max_len))))
+
+
+def test_equal_normal_forms_agree_in_finite_quotients():
+    rng = random.Random(21)
+    for k, a, b in FINITE_ROWS:
+        for n, m in ((a, b), (b, a)):
+            cay = toric_cayley(k, n, m)
+            t = tau(n, m)
+            _, chains = chain_relators(n, m)
+            for _ in range(60):
+                u = _classical_word(rng, t)
+                # an equal word (a conjugate of a relator inserted) and a random one
+                r = rng.choice(chains) ** rng.choice([1, -1])
+                c = _classical_word(rng, t, 4)
+                pos = rng.randrange(len(u) + 1)
+                equal = Word(u.alphabet, u.letters[:pos] + (c * r * c.inverse()).letters + u.letters[pos:])
+                for v in (equal, _classical_word(rng, t)):
+                    same = gnf(n, m, apply_map(t, u)) == gnf(n, m, apply_map(t, v))
+                    if same:
+                        assert cay.eval(u) == cay.eval(v), (k, n, m, u, v)
+                    if v is equal:
+                        assert same, (n, m, u, v)
+
+
+def test_word_problem_reads_classical_words_through_tau():
+    rng = random.Random(22)
+    for n, m in [(2, 3), (3, 2), (3, 5), (5, 7), (2, 101)]:
+        t = tau(n, m)
+        for _ in range(30):
+            u = _classical_word(rng, t, 30)
+            result, status, _ = word_problem(n, m, str(u))
+            normal = gnf(n, m, apply_map(t, u))
+            assert (result, status) == ({"normal_form": str(normal), "identity": normal.is_identity(),
+                                         "delta_power": normal.delta_power}, "ok")
+    assert word_problem(3, 5, "x3^-2 x1")[2] == ["a word over x1 ... x3, mapped to {x, y} by tau, the inverse of sigma"]
+    assert word_problem(3, 5, "x^3 y^-5")[2] == []
+
+
+def test_classical_words_decided_through_tau():
+    t = tau(2, 3)
+    # the defining relation holds: both sides have the normal form x
+    assert str(gnf(2, 3, apply_map(t, t.source.word("x1 x2 x1")))) == "x"
+    assert str(gnf(2, 3, apply_map(t, t.source.word("x2 x1 x2")))) == "x"
+    assert not gnf_equal(2, 3, apply_map(t, t.source.word("x1")), apply_map(t, t.source.word("x2")))
+
+
+def test_twist_is_not_the_identity_in_the_classical_group():
+    # the twist dies in W(2,2,3) = S3 and has order 2 in W(3,2,3); in the
+    # torus knot group it is Delta, of infinite order
+    t = tau(2, 3)
+    twist = t.source.word("x1 x2 x1 x2 x1 x2")
+    assert gnf(2, 3, apply_map(t, twist)) == GarsideNF(2, 3, 1, ())
+    assert not gnf(2, 3, apply_map(t, twist**5)).is_identity()
+
+
+def test_classical_words_decided_past_m_99():
+    t = tau(2, 101)
+    x1, x2 = t.source.word("x1"), t.source.word("x2")
+    assert not gnf_equal(2, 101, apply_map(t, x1), apply_map(t, x2))
+    assert word_problem(2, 101, "x1")[0]["normal_form"] != word_problem(2, 101, "x2")[0]["normal_form"]
 
 
 # runs of up to 3 Deltas' worth of one letter, so runs cross the bound

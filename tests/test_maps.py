@@ -103,7 +103,7 @@ def test_embedding_images():
 @pytest.mark.parametrize("k,n,m", [(3, 2, 3), (2, 3, 4), (2, 2, 5)])
 def test_embedding_well_defined_in_finite_parent(k, n, m):
     emb = build_embedding(k, n, m)
-    report = check_hom(emb.with_oracle(parent_cayley(k, n, m)))
+    report = check_hom(Hom(emb.source, emb.genmap, parent_cayley(k, n, m), emb.name))
     assert report.ok
 
 

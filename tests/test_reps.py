@@ -70,9 +70,8 @@ def test_half_turn():
 
 
 def test_two_cos_pi_over_three_is_one():
-    # float cross-check, then exact canonical equality
     value = zeta(6) + zeta(6).inv()
-    assert abs(value.approx() - 1) < 1e-12
+    assert value == 1
     assert value == Cyc.rational(1)
 
 

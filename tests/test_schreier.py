@@ -20,7 +20,6 @@ from toricgroups.schreier import (
     closed_form_generator,
     cyclic_canonical,
     delta_power_to_twist,
-    derive_toric_presentation,
     rs_presentation,
     schreier_transversal,
     shift_relators,
@@ -255,7 +254,7 @@ def test_closed_forms_satisfy_recurrences_freely(k, n, m):
 
 
 def test_golden_file_234_matches_derivation_and_display():
-    res = derive_toric_presentation(2, 3, 4)
+    res = check_toric_presentation(2, 3, 4, *toric_closure_rs(2, 3, 4))
     golden = (DATA / "rs_234_golden.txt").read_text()
     assert serialize(res.presentation) == golden
     # Documented relabeling s_j -> x_{j+1} turns the golden file into the
@@ -274,7 +273,7 @@ def test_derive_toric_presentation_all_rows(finite_rows):
     # the sweep grid plus the finite rows outside it
     assert len(SWEEP_GRID) == 55
     for k, n, m in SWEEP_GRID + [row for row in finite_rows if row not in SWEEP_GRID]:
-        res = derive_toric_presentation(k, n, m)
+        res = check_toric_presentation(k, n, m, *toric_closure_rs(k, n, m))
         assert len(res.presentation.gens) == n
         relabeled = serialize(res.presentation)
         for j in range(n):
