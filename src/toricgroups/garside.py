@@ -102,10 +102,9 @@ def gnf(n: int, m: int, w: Word) -> GarsideNF:
 
 
 def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
-    """Result, status and evidence of ``wp garside``: the Garside normal form
-    of the word ``text`` over {x, y} in <x, y | x^n = y^m>, or, when the text
-    is not a word over {x, y}, of its image under ``tau`` as a word over
-    x1 ... xn."""
+    """Result, status and evidence of ``wp garside``: the Garside normal form in
+    <x, y | x^n = y^m> of the word ``text`` over {x, y}, or else over x1 ...
+    xn mapped by ``tau``."""
     evidence = []
     try:
         word = _STANDARD.word(text)
@@ -147,10 +146,14 @@ def tau(n: int, m: int) -> GenMap:
     """Classical to standard: x_{1+jm mod n} -> x^-j mu x^j, for the meridian
     mu = y^a x^-b with a = n^-1 mod m and b = (an - 1)/m.
 
-    tau inverts ``sigma``: sigma kills x^n y^-m (``delta_power_to_twist``),
+    tau inverts ``sigma``.  With e = m^-1 mod n, the meridians x_i, x_{i+1},
+    ... go to the conjugates of mu by x^j, x^(j+e), ... (x^n is central), so
+    an m-factor product goes to x^-j (mu x^-e)^m x^(j+me).  Now b + e = hn
+    for an integer h, so mu x^-e = y^a x^-hn has m-th power x^(an-hmn) =
+    x^(1-me), and every m-factor product goes to x: tau kills the chain
+    relators and tau(sigma(x)) = x; likewise tau(sigma(y)) = y.  And
     sigma(tau(x_{1+jm})) = Q^-j sigma(mu) Q^j is x_{1+jm} by
-    ``meridian_derivation`` and the shift lemma, and the tests check under
-    ``gnf`` that tau kills the chain relators and fixes x and y through sigma.
+    ``meridian_derivation`` and the shift lemma.
     """
     _check_params(n, m)
     images = tuple(Word(_STANDARD, _tau_letters(n, m, i)) for i in range(1, n + 1))
@@ -192,10 +195,9 @@ def meridian_derivation(n: int, m: int) -> Derivation:
     letters leave Q^b x_n Q^-b; the shift lemma x_i Q -> Q x_{i+m}, reversed,
     moves x_n left through each Q to x_{n-bm} = x_1; Q^b Q^-b cancels freely.
     """
-    _check_params(n, m)
+    ab, _ = chain_relators(n, m)  # checks n and m
     a = pow(n, -1, m)
     b = (a * n - 1) // m
-    ab, _ = chain_relators(n, m)
     prods = cyclic_products(ab, n, m)
     delta = prods[0]
     start = apply_map(sigma(n, m), meridian(n, m, a, b))
