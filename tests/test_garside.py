@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -306,6 +310,15 @@ def test_classical_words_decided_past_m_99():
     x1, x2 = t.source.word("x1"), t.source.word("x2")
     assert not gnf_equal(2, 101, apply_map(t, x1), apply_map(t, x2))
     assert word_problem(2, 101, "x1")[0]["normal_form"] != word_problem(2, 101, "x2")[0]["normal_form"]
+
+
+def test_importing_garside_loads_no_enumeration_of_finite_quotients():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, toricgroups.garside; print(sorted(m for m in sys.modules if m.startswith('toricgroups.')))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "toricgroups.classify" not in proc.stdout and "toricgroups.garside" in proc.stdout
 
 
 # runs of up to 3 Deltas' worth of one letter, so runs cross the bound
