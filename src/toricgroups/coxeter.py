@@ -19,7 +19,6 @@ alternating subgroup of the finite triangle groups.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import lcm
@@ -69,10 +68,10 @@ class CoxeterMatrix(Value):
         finite = [v for row in self.labels for v in row if v is not None]
         return lcm(*(2 * v for v in finite))
 
-    def gram(self) -> list[list[Cyc]]:
-        """Twice the bilinear form, 2B(a_s, a_t) = -2 cos(pi / m(s,t)): 2 on
-        the diagonal and -2 for label infinity.  Doubling keeps every entry,
-        and so every root coordinate, in Z[zeta_N]."""
+    def gram(self, modulus: int) -> list[list[Cyc]]:
+        """Twice the bilinear form, 2B(a_s, a_t) = -2 cos(pi / m(s,t)), in
+        Z[zeta_modulus]: 2 on the diagonal and -2 for label infinity.
+        Doubling keeps every entry, and so every root coordinate, integral."""
         n = self.rank
         out: list[list[Cyc]] = []
         for i in range(n):
@@ -80,11 +79,11 @@ class CoxeterMatrix(Value):
             for j in range(n):
                 v = self.labels[i][j]
                 if i == j:
-                    row.append(Cyc.rational(2))
+                    row.append(Cyc.rational(2, modulus))
                 elif v is None:
-                    row.append(Cyc.rational(-2))
+                    row.append(Cyc.rational(-2, modulus))
                 else:
-                    row.append(-two_cos_pi_over(v))
+                    row.append(-two_cos_pi_over(v, modulus))
             out.append(row)
         return out
 
@@ -107,9 +106,9 @@ class MinimalRootTable:
         # one fixed modulus for every coordinate, so equal values always
         # have identical canonical forms (roots are dictionary keys)
         modulus = cm.modulus()
-        gram = [[entry.embed(modulus) for entry in row] for row in cm.gram()]
-        one = Cyc.rational(1).embed(modulus)
-        zero = Cyc.rational(0).embed(modulus)
+        gram = cm.gram(modulus)
+        one = Cyc.one(modulus)
+        zero = Cyc.zero(modulus)
 
         def bform(coords: tuple[Cyc, ...], s: int) -> Cyc:
             total = zero
@@ -245,8 +244,9 @@ def word_problem(k: int, n: int, m: int, text: str) -> tuple[dict, str, list[str
             "parity": parity(normal)}, "ok", []
 
 
-def _curvature(k: int, n: int, m: int) -> Fraction:
-    return Fraction(1, k) + Fraction(1, n) + Fraction(1, m)
+def _curvature(k: int, n: int, m: int) -> int:
+    """kmn (1/k + 1/n + 1/m - 1): its sign is that of the curvature."""
+    return n * m + k * m + k * n - k * n * m
 
 
 def classify_triangle(k: int, n: int, m: int) -> str:
@@ -254,9 +254,9 @@ def classify_triangle(k: int, n: int, m: int) -> str:
     if min(k, n, m) < 2:
         raise ValueError("labels must be >= 2")
     s = _curvature(k, n, m)
-    if s > 1:
+    if s > 0:
         return "spherical"
-    if s == 1:
+    if s == 0:
         return "affine"
     return "hyperbolic"
 
@@ -295,7 +295,7 @@ def maximal_finite_parabolics(cm: CoxeterMatrix) -> ParabolicReport:
     for size in range(n + 1):
         for subset in combinations(range(n), size):
             edges = [cm.labels[i][j] for i, j in combinations(subset, 2)]
-            ok = None not in edges and (size < 3 or _curvature(*edges) > 1)
+            ok = None not in edges and (size < 3 or _curvature(*edges) > 0)
             finite[subset] = ok
             verdicts.append((subset, ok))
     maximal = [

@@ -1,18 +1,17 @@
-"""Exact arithmetic in cyclotomic fields.
+"""Exact arithmetic in Z[zeta_N], one modulus per computation.
 
-A value is a rational linear combination of powers of a primitive N-th
-root of unity zeta_N, reduced modulo the N-th cyclotomic polynomial, so
-each element of Q(zeta_N) has exactly one coefficient vector of length
-phi(N) in the power basis (Bosma, "Canonical bases for cyclotomic fields",
-1990).  Values with different moduli embed into the lcm modulus before
-arithmetic.
-
-Coefficients are plain ints for elements of Z[zeta_N], which covers every
-root coordinate and representation matrix in this package; a ``Fraction``
-appears only after a true division.  Every operation writes its result as
-an exponent vector of length N (exponents mod N, since Phi_N divides
-x^N - 1) and canonicalizes it with one sparse reduction, which folds each
-coefficient above phi(N) through the few nonzero lower terms of Phi_N.
+A value is an integer combination of powers of a primitive N-th root of
+unity zeta_N, reduced modulo the N-th cyclotomic polynomial, so it has
+exactly one coefficient vector of length phi(N) in the power basis (Bosma,
+"Canonical bases for cyclotomic fields", 1990).  A root table or a
+representation lives in Z[zeta_N] for N = lcm(2a, 2b, 2c) of its labels
+(``label_modulus``).  Coefficients are ints only.  The operands of ``+``,
+``-``, ``*`` and ``==`` share their modulus: an int is read in the other
+operand's field, another modulus raises ValueError, and ``embed`` is the
+one explicit change of field.  Only roots of unity are inverted, by
+conjugation.  A product is an exponent vector of length N (Phi_N divides
+x^N - 1), canonicalized by one sparse reduction that folds each coefficient
+above phi(N) through the few nonzero lower terms of Phi_N.
 
 Real elements (fixed by conjugation) additionally have a certified sign,
 in integers only.  Zero and rationals are decided exactly in the canonical
@@ -26,18 +25,11 @@ a correctness path.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .words import Value, _set
-
-
-def _poly_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 @cache
@@ -108,33 +100,32 @@ def _canon(n: int, v: list) -> tuple:
 
 
 class Cyc(Value):
-    """An element of the N-th cyclotomic field in canonical form."""
+    """An element of Z[zeta_n] in canonical form: ``phi(n)`` int coefficients."""
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: tuple[int | Fraction, ...]):
+    def __init__(self, n: int, coeffs: tuple[int, ...]):
         _set(self, "n", n)
         _set(self, "coeffs", coeffs)
 
     @staticmethod
-    def rational(q) -> "Cyc":
-        return Cyc(1, (q if isinstance(q, int) else Fraction(q),))
+    def rational(q: int, n: int) -> "Cyc":
+        """The integer q in the n-th cyclotomic field."""
+        return Cyc(n, (q,) + (0,) * (_degree(n) - 1))
 
     @staticmethod
-    def zero() -> "Cyc":
-        return Cyc.rational(0)
+    def zero(n: int) -> "Cyc":
+        return Cyc.rational(0, n)
 
     @staticmethod
-    def one() -> "Cyc":
-        return Cyc.rational(1)
+    def one(n: int) -> "Cyc":
+        return Cyc.rational(1, n)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    # -- modulus management ---------------------------------------------------
+        return not any(self.coeffs[1:])
 
     def embed(self, m: int) -> "Cyc":
         """Rewrite in the m-th cyclotomic field (n must divide m)."""
@@ -148,37 +139,37 @@ class Cyc(Value):
             v[i * step] = c
         return Cyc(m, _canon(m, v))
 
-    def _common(self, other: "Cyc") -> tuple["Cyc", "Cyc"]:
-        if self.n == other.n:
-            return self, other
-        m = self.n * other.n // gcd(self.n, other.n)
-        return self.embed(m), other.embed(m)
+    def _operand(self, other: "Cyc | int") -> tuple[int, ...]:
+        """The coefficients of ``other`` in this field: an int is read here,
+        and a Cyc must share the modulus."""
+        if isinstance(other, int):
+            return (other,) + (0,) * (len(self.coeffs) - 1)
+        if other.n != self.n:
+            raise ValueError(f"cyclotomic moduli {self.n} and {other.n} differ; embed one first")
+        return other.coeffs
 
     # -- ring operations --------------------------------------------------------
 
-    def __add__(self, other) -> "Cyc":
-        other = _coerce(other)
-        a, b = self._common(other)
-        return Cyc(a.n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    def __add__(self, other: "Cyc | int") -> "Cyc":
+        return Cyc(self.n, tuple(x + y for x, y in zip(self.coeffs, self._operand(other))))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
         return Cyc(self.n, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other) -> "Cyc":
-        return self + (-_coerce(other))
+    def __sub__(self, other: "Cyc | int") -> "Cyc":
+        return self + -other
 
-    def __rsub__(self, other) -> "Cyc":
-        return _coerce(other) - self
+    def __rsub__(self, other: int) -> "Cyc":
+        return -self + other
 
-    def __mul__(self, other) -> "Cyc":
-        other = _coerce(other)
-        a, b = self._common(other)
-        n = a.n
+    def __mul__(self, other: "Cyc | int") -> "Cyc":
+        b = self._operand(other)
+        n = self.n
         v = [0] * n
-        terms = [(j, y) for j, y in enumerate(b.coeffs) if y]
-        for i, x in enumerate(a.coeffs):
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(self.coeffs):
             if x:
                 for j, y in terms:
                     v[(i + j) % n] += x * y
@@ -187,51 +178,15 @@ class Cyc(Value):
     __rmul__ = __mul__
 
     def inv(self) -> "Cyc":
-        """Field inverse: c zeta^i -> c^-1 zeta^(n-i); x -> conj(x) when
-        x conj(x) = 1 exactly, as for every product of roots of unity; else
-        extended Euclid mod Phi_n."""
-        terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        if not terms:
+        """The inverse of a root of unity, its conjugate, after checking
+        x conj(x) = 1, which in Z[zeta_n] holds for the roots of unity alone
+        (Kronecker); any other nonzero value raises ValueError."""
+        if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        v = [0] * self.n
-        if len(terms) == 1:
-            (i, c), = terms
-            v[-i % self.n] = 1 / Fraction(c)
-        elif self * (bar := self.conj()) == 1:
-            v[:len(bar.coeffs)] = bar.coeffs
-        else:
-            phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-            a = list(self.coeffs)
-            _poly_trim(a)
-            # extended gcd of a and phi over Q[x]
-            r0, r1 = a, phi
-            s0, s1 = [Fraction(1)], [Fraction(0)]
-            while r1:
-                q, r = _poly_divmod_q(r0, r1)
-                r0, r1 = r1, r
-                s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            if len(r0) != 1:
-                raise AssertionError("gcd with the cyclotomic polynomial must be constant")
-            v[:len(s0)] = [x / r0[0] for x in s0]
-        return Cyc(self.n, tuple(int(x) if x.denominator == 1 else x for x in _canon(self.n, v)))
-
-    def __truediv__(self, other) -> "Cyc":
-        return self * _coerce(other).inv()
-
-    def __rtruediv__(self, other) -> "Cyc":
-        return _coerce(other) / self
-
-    def __pow__(self, k: int) -> "Cyc":
-        if k < 0:
-            return self.inv() ** (-k)
-        result = Cyc.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        bar = self.conj()
+        if self * bar != 1:
+            raise ValueError(f"{self} is not a root of unity")
+        return bar
 
     def conj(self) -> "Cyc":
         """Complex conjugation: zeta -> zeta^-1."""
@@ -246,19 +201,13 @@ class Cyc(Value):
     # -- comparisons and rendering ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        try:
-            other = _coerce(other)
-        except TypeError:
+        if not isinstance(other, (Cyc, int)):
             return NotImplemented
-        a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return self.coeffs == self._operand(other)
 
     def __hash__(self) -> int:
-        # the normalized trace, the same in every field that holds the value:
-        # zeta_n^i is a primitive q-th root, q = n / gcd(i, n), and the
-        # primitive q-th roots sum to -Phi_q[-2]
-        qs = ((c, self.n // gcd(i, self.n)) for i, c in enumerate(self.coeffs) if c)
-        return hash(sum(Fraction(-c * cyclotomic_polynomial(q)[-2], _degree(q)) for c, q in qs))
+        # a rational value hashes as the int it equals
+        return hash(self.coeffs) if any(self.coeffs[1:]) else hash(self.coeffs[0])
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -278,46 +227,6 @@ class Cyc(Value):
         return " ".join(parts)
 
     __repr__ = __str__
-
-
-def _coerce(x) -> Cyc:
-    if isinstance(x, Cyc):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Cyc.rational(x)
-    raise TypeError(f"cannot interpret {x!r} as a cyclotomic number")
-
-
-def _poly_divmod_q(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    if not den:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return q, _poly_trim(num)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
 
 
 def zeta(n: int, k: int = 1) -> Cyc:
@@ -362,9 +271,13 @@ def label_modulus(*labels: int) -> int:
     return n
 
 
-def two_cos_pi_over(label: int) -> Cyc:
-    """2 cos(pi / label) as an exact cyclotomic number."""
-    return zeta(2 * label) + zeta(2 * label, 2 * label - 1)
+def two_cos_pi_over(label: int, n: int) -> Cyc:
+    """2 cos(pi / label) = zeta_n^k + zeta_n^-k with k = n / (2 label), in the
+    n-th cyclotomic field; 2 label must divide n."""
+    k, rest = divmod(n, 2 * label)
+    if rest:
+        raise ValueError(f"modulus {n} is not a multiple of 2 * {label}")
+    return zeta(n, k) + zeta(n, -k)
 
 
 def _atan_inv_fixed(x: int, q: int) -> int:
@@ -433,14 +346,12 @@ def sign_real(x: Cyc) -> int:
     """Certified sign of a real cyclotomic number: -1, 0, or +1.
 
     Zero and rational values are decided exactly in the canonical basis.
-    Otherwise the value V = sum_i c_i cos(2 pi i / n) is scaled to integer
-    coefficients L c_i by the positive lcm L of their denominators, and
-    S = sum_i L c_i C_i is formed from the fixed-point cosines of
-    ``_cos_table``, each within 1 of 2^p cos(2 pi i / n).  So S is within
-    sum_i |L c_i| of 2^p L V, and once |S| exceeds that bound S has the sign
-    of V.  Otherwise p doubles, starting at 64.  The loop ends: a nonzero
-    canonical form is a nonzero real number V, and 2^p L |V| outgrows twice
-    the bound.
+    Otherwise the value V = sum_i c_i cos(2 pi i / n) gives
+    S = sum_i c_i C_i from the fixed-point cosines of ``_cos_table``, each
+    within 1 of 2^p cos(2 pi i / n).  So S is within sum_i |c_i| of 2^p V,
+    and once |S| exceeds that bound S has the sign of V.  Otherwise p
+    doubles, starting at 64.  The loop ends: a nonzero canonical form is a
+    nonzero real number V, and 2^p |V| outgrows twice the bound.
     """
     if not x.is_real():
         raise ValueError(f"{x} is not real")
@@ -448,8 +359,7 @@ def sign_real(x: Cyc) -> int:
         return 0
     if x.is_rational():
         return 1 if x.coeffs[0] > 0 else -1
-    scale = lcm(*(c.denominator for c in x.coeffs))
-    terms = [(i, c.numerator * (scale // c.denominator)) for i, c in enumerate(x.coeffs) if c]
+    terms = [(i, c) for i, c in enumerate(x.coeffs) if c]
     bound = sum(abs(c) for _, c in terms)
     p = 64
     while True:

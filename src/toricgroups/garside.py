@@ -163,12 +163,15 @@ def tau(n: int, m: int) -> GenMap:
 def _classical_image(n: int, m: int, text: str, standard_error: WordSyntaxError) -> Word:
     """tau(u), unreduced, for the word u that ``text`` spells over x1 ... xn,
     from the images of u's own letters; or the syntax error of the alphabet
-    that read ``text`` further, the standard one on a tie."""
+    that read ``text`` further; on a tie, of the one that knows the token's
+    generator, the standard one if neither does."""
     _check_params(n, m)
+    meridians = _classical_alphabet(n)
     try:
-        u = _classical_alphabet(n).word(text)
+        u = meridians.word(text)
     except WordSyntaxError as e:
-        raise (e if e.column > standard_error.column else standard_error) from None
+        known = e.column == standard_error.column and text[e.column - 1:].split()[0].partition("^")[0] in meridians
+        raise (e if e.column > standard_error.column or known else standard_error) from None
     images = {}
     for x in set(u.letters):
         letters = _tau_letters(n, m, abs(x))

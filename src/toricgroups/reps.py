@@ -45,15 +45,16 @@ def mat_scale(c: Cyc, a: Mat2) -> Mat2:
     return ((c * a[0][0], c * a[0][1]), (c * a[1][0], c * a[1][1]))
 
 
-def mat_identity() -> Mat2:
-    one, nil = Cyc.one(), Cyc.zero()
+def mat_identity(n: int) -> Mat2:
+    """The identity matrix over Z[zeta_n]."""
+    one, nil = Cyc.one(n), Cyc.zero(n)
     return ((one, nil), (nil, one))
 
 
 def mat_pow(a: Mat2, k: int) -> Mat2:
     if k < 0:
         return mat_pow(mat_inv(a), -k)
-    out = mat_identity()
+    out = mat_identity(a[0][0].n)
     while k:
         if k & 1:
             out = mat_mul(out, a)
@@ -88,8 +89,14 @@ class Rep(Value):
         return self.theta * self.phi * self.psi
 
 
+def _label_roots(a: int, b: int, c: int) -> tuple[Cyc, Cyc, Cyc]:
+    """theta, phi, psi in Z[zeta_N], N = ``label_modulus(a, b, c)``."""
+    n = label_modulus(a, b, c)
+    return zeta(n, n // (2 * a)), zeta(n, n // (2 * b)), zeta(n, n // (2 * c))
+
+
 def constraint_value(a: int, b: int, c: int) -> Cyc:
-    theta, phi, psi = zeta(2 * a), zeta(2 * b), zeta(2 * c)
+    theta, phi, psi = _label_roots(a, b, c)
     return theta * phi * (psi + psi.inv()) - theta * theta - phi * phi
 
 
@@ -101,25 +108,24 @@ def qr_presets(a: int, b: int, c: int) -> dict[str, tuple[Cyc, Cyc]]:
     the two give non-isomorphic representations.
     """
     value = constraint_value(a, b, c)
+    zero, one = Cyc.zero(value.n), Cyc.one(value.n)
     if value.is_zero():
-        return {"zero": (Cyc.zero(), Cyc.zero()), "unit": (Cyc.one(), Cyc.zero())}
-    return {"standard": (value, Cyc.one()), "swapped": (Cyc.one(), value)}
+        return {"zero": (zero, zero), "unit": (one, zero)}
+    return {"standard": (value, one), "swapped": (one, value)}
 
 
 def build_rho(a: int, b: int, c: int, q: Cyc, r: Cyc) -> Rep:
-    """Assemble the representation, enforcing the q r constraint exactly.
+    """Assemble the representation over Z[zeta_N], N = lcm(2a, 2b, 2c),
+    enforcing the q r constraint exactly; q and r are embedded there.
     Labels past ``cyclo.MAX_DEGREE`` raise ValueError."""
-    modulus = label_modulus(a, b, c)
-    theta = zeta(2 * a).embed(modulus)
-    phi = zeta(2 * b).embed(modulus)
-    psi = zeta(2 * c).embed(modulus)
+    theta, phi, psi = _label_roots(a, b, c)
+    modulus = theta.n
     required = constraint_value(a, b, c)
-    q = q.embed(modulus) if q.n != modulus and modulus % q.n == 0 else q
-    r = r.embed(modulus) if r.n != modulus and modulus % r.n == 0 else r
+    q, r = q.embed(modulus), r.embed(modulus)
     got = q * r
     if got != required:
         raise ConstraintError(got, required)
-    one, nil = Cyc.one().embed(modulus), Cyc.zero().embed(modulus)
+    one, nil = Cyc.one(modulus), Cyc.zero(modulus)
     mat_s: Mat2 = ((theta * theta, q), (nil, one))
     mat_t: Mat2 = ((one, nil), (r, phi * phi))
     mat_u = mat_scale(theta * phi * psi, mat_mul(mat_inv(mat_t), mat_inv(mat_s)))
@@ -128,7 +134,6 @@ def build_rho(a: int, b: int, c: int, q: Cyc, r: Cyc) -> Rep:
 
 def build_rho_preset(a: int, b: int, c: int, preset: str | None = None) -> Rep:
     FamilyParams("j-parent", (a, b, c))  # labels must be integers >= 2
-    label_modulus(a, b, c)  # the presets already compute in the labels' field
     presets = qr_presets(a, b, c)
     if preset is None:
         preset = next(iter(presets))
@@ -141,7 +146,7 @@ def build_rho_preset(a: int, b: int, c: int, preset: str | None = None) -> Rep:
 def relation_checks(rep: Rep) -> dict[str, bool]:
     """The defining identities of the representation, checked exactly:
     s^a = t^b = u^c = 1, the chain s t u = t u s = u s t, and s t u scalar."""
-    identity = mat_identity()
+    identity = mat_identity(rep.theta.n)
     stu = mat_mul(rep.mat_s, mat_mul(rep.mat_t, rep.mat_u))
     tus = mat_mul(rep.mat_t, mat_mul(rep.mat_u, rep.mat_s))
     ust = mat_mul(rep.mat_u, mat_mul(rep.mat_s, rep.mat_t))
@@ -170,7 +175,7 @@ def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> tuple[
     names = {token.partition("^")[0] for token in text.split()} - {"1"}
     w = Alphabet(stu if names <= set(stu) else [f"x{i + 1}" for i in range(b)]).word(text)
     matrix = rho_eval(rep, w)
-    return {"matrix": mat_str(matrix), "is_identity": matrix == mat_identity(),
+    return {"matrix": mat_str(matrix), "is_identity": matrix == mat_identity(rep.theta.n),
             "q": str(rep.q), "r": str(rep.r)}, "ok", []
 
 
@@ -188,7 +193,7 @@ def rho_eval(rep: Rep, w: Word) -> Mat2:
             mats.append(conj)
     else:
         raise ValueError(f"cannot resolve alphabet {names} to the representation")
-    out = mat_identity()
+    out = mat_identity(rep.theta.n)
     inverses = [mat_inv(m) for m in mats]
     for letter in w.letters:
         out = mat_mul(out, mats[letter - 1] if letter > 0 else inverses[-letter - 1])
@@ -227,17 +232,19 @@ def unfaithfulness_witness(max_cosets: int = 10**6) -> WitnessReport:
     ab = toric(6, 2, 3, normalize=False).alphabet
     cube = Word(ab, (1, 2) * 3)
     reps = {name: build_rho(6, 2, 3, q, r) for name, (q, r) in qr_presets(6, 2, 3).items()}
-    results = {name: rho_eval(rep, cube) == mat_identity() for name, rep in reps.items()}
+    n = label_modulus(6, 2, 3)
+    identity = mat_identity(n)
+    results = {name: rho_eval(rep, cube) == identity for name, rep in reps.items()}
 
     small = finite_quotient(3, 2, 3, max_cosets)
     order = None if small is None else small.order_of(Word(small.alphabet, (1, 2)))
 
     rep0 = reps["zero"]
     stu = mat_mul(rep0.mat_s, mat_mul(rep0.mat_t, rep0.mat_u))
-    minus_id = mat_scale(Cyc.rational(-1), mat_identity())
+    minus_id = mat_scale(Cyc.rational(-1, n), identity)
     stu_order = 1
     acc = stu
-    while acc != mat_identity():
+    while acc != identity:
         acc = mat_mul(acc, stu)
         stu_order += 1
         if stu_order > 64:

@@ -9,11 +9,15 @@ with the production engines they check:
   lookahead.
 - ``matrix_group_order``: closure of exact reflection matrices under
   multiplication (the geometric representation of a Coxeter system is
-  faithful), for triangle group orders.
+  faithful), for triangle group orders.  Its entries are ``ReferenceCyc``
+  values with ``Fraction`` coefficients, B(a_s, a_t) = -cos(pi / m(s,t))
+  itself rather than the doubled form of the engine.
 - ``positive_roots``: orbit closure of the simple roots, for counting the
-  positive roots of a finite Coxeter system.
+  positive roots of a finite Coxeter system, on ``ReferenceCyc`` and with
+  the signs of ``reference_sign_real``.
 - ``gram_parabolic_verdicts``: finiteness of every standard parabolic
-  subgroup by exact positive-definiteness of its Gram matrix.
+  subgroup by exact positive-definiteness of its Gram matrix, with
+  ``ReferenceCyc`` determinants and ``reference_sign_real`` signs.
 - ``monoid_equal``: breadth-first closure of single x^n <-> y^m rewrites,
   deciding equality of positive words in the torus knot monoid.
 - ``reference_tietze``: the original Tietze elimination loop, which rescans
@@ -48,11 +52,15 @@ with the production engines they check:
   ids; the reference reads only the table's ``step``, ``trace`` and
   ``words``.
 - ``reference_cyc`` (``ReferenceCyc``, ``reference_zeta``): the original
-  cyclotomic arithmetic, with ``Fraction`` coefficients, a dense power basis
-  of zeta_n^k per modulus, and a reduction that walks every coefficient of
-  Phi_n.  ``cyclo.Cyc`` must give the same canonical coefficients and the
-  same printed form; it shares ``cyclotomic_polynomial``, ``_degree`` and
-  ``_poly_trim`` with it.
+  cyclotomic arithmetic, over all of Q(zeta_n): ``Fraction`` coefficients,
+  operands at mixed moduli embedded into their lcm, a dense power basis of
+  zeta_n^k per modulus, a reduction that walks every coefficient of Phi_n,
+  and inverses by the extended Euclid over Q[x].  ``cyclo.Cyc`` works in
+  Z[zeta_N] at one modulus, inverts only roots of unity (by conjugation)
+  and holds ints only; on those values it must give the same canonical
+  coefficients and the same printed form, once the operands of a
+  comparison are embedded into one modulus.  It shares only
+  ``cyclotomic_polynomial`` and ``_degree`` with the reference.
 - ``reference_cyclotomic_polynomial``: the original construction of Phi_n,
   which divides x^n - 1 by Phi_d for every proper divisor d by dense long
   division.  ``cyclo.cyclotomic_polynomial`` must give the same
@@ -88,13 +96,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from toricgroups.cosets import (CayleyTable, CosetTable, Transversal, _columns, _validate, bfs_transversal,
                                 todd_coxeter)
 from toricgroups.coxeter import MinimalRootTable
-from toricgroups.cyclo import Cyc, _degree, _poly_trim, cyclotomic_polynomial, two_cos_pi_over
+from toricgroups.cyclo import _degree, cyclotomic_polynomial
 from toricgroups.garside import _STANDARD, GarsideNF, _check_params
 from toricgroups.presentations import Presentation, TietzeBudgetExceeded
 from toricgroups.schreier import RSResult, SubgroupGenerator
@@ -226,26 +234,33 @@ def naive_order(p: Presentation, cap: int = 20000) -> int | None:
 # --- exact matrix closure for Coxeter systems ---------------------------------
 
 
-def _reflection_matrices(labels: list[list[int]]) -> list[tuple[tuple[Cyc, ...], ...]]:
+def _reference_gram(labels) -> list[list[ReferenceCyc]]:
+    """B(a_s, a_t) = -cos(pi / m(s,t)), -1 for an infinite label (None), at
+    the one modulus lcm(2 m(s,t)) over the finite labels."""
+    rank = len(labels)
+    modulus = lcm(*(2 * v for row in labels for v in row if v is not None))
+
+    def entry(i: int, j: int) -> ReferenceCyc:
+        if labels[i][j] is None:
+            return ReferenceCyc.rational(-1).embed(modulus)
+        k = modulus // (2 * labels[i][j])  # cos(pi / m) = (zeta^k + zeta^-k) / 2
+        return (reference_zeta(modulus, k) + reference_zeta(modulus, -k)) * Fraction(-1, 2)
+
+    return [[entry(i, j) for j in range(rank)] for i in range(rank)]
+
+
+def _reflection_matrices(labels: list[list[int]]) -> list[tuple[tuple[ReferenceCyc, ...], ...]]:
     """Generators of the geometric representation, rows as matrix rows."""
     rank = len(labels)
-    from math import lcm
-
-    modulus = lcm(*(2 * v for row in labels for v in row))
-    gram = [
-        [
-            (Cyc.rational(1) if i == j else -two_cos_pi_over(labels[i][j]) / 2).embed(modulus)
-            for j in range(rank)
-        ]
-        for i in range(rank)
-    ]
+    gram = _reference_gram(labels)
+    modulus = gram[0][0].n
     mats = []
     for s in range(rank):
         rows = []
         for i in range(rank):
             row = []
             for j in range(rank):
-                base = Cyc.rational(1 if i == j else 0).embed(modulus)
+                base = ReferenceCyc.rational(1 if i == j else 0).embed(modulus)
                 if i == s:
                     base = base - 2 * gram[s][j]
                 row.append(base)
@@ -256,8 +271,9 @@ def _reflection_matrices(labels: list[list[int]]) -> list[tuple[tuple[Cyc, ...],
 
 def _mat_mul(a, b):
     n = len(a)
+    zero = ReferenceCyc.rational(0).embed(a[0][0].n)
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Cyc.rational(0)) for j in range(n))
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), zero) for j in range(n))
         for i in range(n)
     )
 
@@ -286,18 +302,10 @@ def positive_roots(k: int, n: int, m: int, cap: int = 4000) -> int | None:
     """Count the positive roots of a finite triangle system by orbit closure."""
     labels = [[1, k, m], [k, 1, n], [m, n, 1]]
     rank = 3
-    from math import lcm
-
-    modulus = lcm(*(2 * v for row in labels for v in row))
-    gram = [
-        [
-            (Cyc.rational(1) if i == j else -two_cos_pi_over(labels[i][j]) / 2).embed(modulus)
-            for j in range(rank)
-        ]
-        for i in range(rank)
-    ]
-    one = Cyc.rational(1).embed(modulus)
-    zero = Cyc.rational(0).embed(modulus)
+    gram = _reference_gram(labels)
+    modulus = gram[0][0].n
+    one = ReferenceCyc.rational(1).embed(modulus)
+    zero = ReferenceCyc.rational(0).embed(modulus)
     simples = []
     for s in range(rank):
         v = [zero] * rank
@@ -335,10 +343,10 @@ def positive_roots(k: int, n: int, m: int, cap: int = 4000) -> int | None:
 # --- Gram-matrix finiteness of standard parabolic subgroups -------------------
 
 
-def _det(mat: list[list[Cyc]]) -> Cyc:
+def _det(mat: list[list[ReferenceCyc]]) -> ReferenceCyc:
     if len(mat) == 1:
         return mat[0][0]
-    total = Cyc.rational(0)
+    total = ReferenceCyc.rational(0).embed(mat[0][0].n)
     for j in range(len(mat)):
         minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
         term = mat[0][j] * _det(minor)
@@ -354,15 +362,7 @@ def gram_parabolic_verdicts(labels) -> tuple[tuple[tuple[int, ...], bool], ...]:
     criterion decides that with exact signs of the leading minors.
     """
     rank = len(labels)
-
-    def entry(i: int, j: int) -> Cyc:
-        if i == j:
-            return Cyc.rational(1)
-        if labels[i][j] is None:
-            return Cyc.rational(-1)
-        return -two_cos_pi_over(labels[i][j]) / 2
-
-    gram = [[entry(i, j) for j in range(rank)] for i in range(rank)]
+    gram = _reference_gram(labels)
 
     def positive_definite(subset: tuple[int, ...]) -> bool:
         return all(reference_sign_real(_det([[gram[i][j] for j in subset[:t]] for i in subset[:t]])) > 0
@@ -820,6 +820,12 @@ def reference_conjugacy_class_ids(cay: CayleyTable) -> list[int]:
 # --- the original cyclotomic polynomials, by repeated long division -----------
 
 
+def _poly_trim(c: list) -> list:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
 def _ref_poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Exact division of integer polynomials (denominator monic or divides)."""
     num = list(num)
@@ -938,6 +944,12 @@ class ReferenceCyc:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    def is_rational(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def is_real(self) -> bool:
+        return self == self.conj()
 
     def embed(self, m: int) -> "ReferenceCyc":
         """Rewrite in the m-th cyclotomic field (n must divide m)."""
@@ -1103,7 +1115,7 @@ def reference_cyc(n: int, coeffs) -> ReferenceCyc:
 _MAX_DPS = 2000  # precision at which reference_sign_real gives up
 
 
-def reference_sign_real(x: Cyc) -> int:
+def reference_sign_real(x) -> int:
     """Certified sign of a real cyclotomic number: -1, 0, or +1.
 
     Zero is decided exactly in the canonical basis.  Otherwise the value

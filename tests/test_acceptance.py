@@ -206,8 +206,8 @@ def test_criterion_07_homomorphism_suite():
 
 def test_criterion_08_representation_suite():
     """Exact relation verification and the unfaithfulness counterexample."""
-    identity = reps.mat_identity()
     for a, b, c in [(2, 3, 4), (2, 3, 5), (3, 2, 3), (6, 2, 3), (2, 3, 7)]:
+        identity = reps.mat_identity(math.lcm(2 * a, 2 * b, 2 * c))
         for name, (q, r) in reps.qr_presets(a, b, c).items():
             rep = reps.build_rho(a, b, c, q, r)
             assert reps.mat_pow(rep.mat_s, a) == identity

@@ -56,11 +56,17 @@ GOLDEN_REQUESTS = {
     # captured when `wp garside` began to read a word over the meridians
     # x1 ... xn through tau; this has a text golden too
     "wp_garside_classical_2_3": ["wp", "garside", "2", "3", "x1 x2 x1"],
+    # captured before the cyclotomic numbers of one computation moved to a
+    # single modulus: the meridian alphabet and mat_inv of rep eval, and the
+    # swapped preset of rep check; these have text goldens too
+    "rep_eval_2_3_7_meridians": ["rep", "eval", "2", "3", "7", "x1 x2^-1 x3 x1^-2"],
+    "rep_check_2_3_7_swapped": ["rep", "check", "2", "3", "7", "--qr", "swapped"],
 }
 # requests whose text output is pinned as well, in `<name>.txt`
 TEXT_GOLDEN = ("classify_6_2_3", "classify_4_2_3", "sweep_3_5", "derive_2_3_4", "derive_6_2_3",
                "derive_2_3_3", "derive_6_2_4", "wp_garside_2_3", "present_toric_2_3_4",
-               "wp_coxeter_7_8_9", "rep_witness", "wp_garside_classical_2_3")
+               "wp_coxeter_7_8_9", "rep_witness", "wp_garside_classical_2_3", "rep_eval_2_3_7_meridians",
+               "rep_check_2_3_7_swapped")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -215,6 +221,7 @@ def test_wp_garside_reads_meridian_words(capsys):
     ("x1 x2^0", "zero exponent in 'x2^0'"),
     ("x y^0", "zero exponent in 'y^0'"),
     ("x3", "unknown generator 'x3'"),  # a meridian past n
+    ("x1^0", "zero exponent in 'x1^0'"),  # a tie: the meridians know x1
 ])
 def test_wp_garside_reports_the_alphabet_that_read_further(capsys, word, message):
     code, out, err = run(capsys, "wp", "garside", "2", "3", word)
@@ -441,17 +448,17 @@ def test_reused_parser_prints_the_same_bytes(capsys):
     # the word expands to 10^11 letters and really runs out of memory; labels
     # whose field is too large are refused before any allocation (see
     # test_degree_cap_refuses_before_allocating), so for the root table and
-    # the representation a failing Cyc.embed stands in for memory running
-    # short on accepted labels
+    # the representation a failing cyclo._canon, which reduces every root of
+    # unity and product, stands in for memory running short on accepted labels
     pytest.param(words, "parse_word", ("wp", "garside", "2", "3", "x^99999999999"), id="wp-garside"),
-    pytest.param(cyclo.Cyc, "embed", ("wp", "coxeter", "7", "9", "11", "r1"), id="wp-coxeter"),
-    pytest.param(cyclo.Cyc, "embed", ("rep", "check", "7", "9", "11"), id="rep-check"),
+    pytest.param(cyclo, "_canon", ("wp", "coxeter", "7", "9", "11", "r1"), id="wp-coxeter"),
+    pytest.param(cyclo, "_canon", ("rep", "check", "7", "9", "11"), id="rep-check"),
 ])
 def test_out_of_memory_is_input_error(capsys, monkeypatch, owner, name, argv):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    coxeter.triangle_table.cache_clear()  # a cached table would need no embed
+    coxeter.triangle_table.cache_clear()  # a cached table would build no value
     monkeypatch.setattr(owner, name, exhausted)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: input too large for memory\n")

@@ -1,8 +1,10 @@
+import operator
 import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
+from functools import reduce
+from math import lcm
 from pathlib import Path
 
 import mpmath
@@ -17,7 +19,6 @@ from oracles import (
     reference_zeta,
 )
 
-from toricgroups import cyclo
 from toricgroups.cyclo import Cyc, _cos_table, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
 from toricgroups.reps import (
     ConstraintError,
@@ -62,72 +63,84 @@ def test_cyclotomic_polynomials_match_reference():
 
 def test_root_of_unity_cancellation():
     for n in (5, 8, 12):
-        assert zeta(n) * zeta(n, n - 1) == Cyc.rational(1)
+        assert zeta(n) * zeta(n, n - 1) == Cyc.one(n) == 1
 
 
 def test_half_turn():
-    assert zeta(6) ** 3 == Cyc.rational(-1)
+    assert zeta(6) * zeta(6) * zeta(6) == Cyc.rational(-1, 6) == -1
 
 
 def test_two_cos_pi_over_three_is_one():
     value = zeta(6) + zeta(6).inv()
     assert value == 1
-    assert value == Cyc.rational(1)
+    assert value == Cyc.rational(1, 6)
+    assert two_cos_pi_over(3, 6) == value
+    with pytest.raises(ValueError, match="not a multiple"):
+        two_cos_pi_over(4, 6)
 
 
 def test_field_axioms_spot():
-    a = zeta(12) + Cyc.rational(Fraction(1, 2))
-    b = zeta(12, 5) - Cyc.rational(3)
-    c = zeta(8)
+    a = zeta(24, 2) + 2
+    b = zeta(24, 10) - Cyc.rational(3, 24)
+    c = zeta(24, 3)
     assert (a + b) * c == a * c + b * c
-    assert a * a.inv() == Cyc.rational(1)
+    assert a * b == b * a
+    assert c * c.inv() == Cyc.one(24)
     assert (a * b) * c == a * (b * c)
 
 
 def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        Cyc.rational(0).inv()
+    for n in (1, 12):
+        with pytest.raises(ZeroDivisionError):
+            Cyc.zero(n).inv()
 
 
 def test_conjugation_is_involution_and_fixes_reals():
     a = zeta(7) + 2 * zeta(7, 3)
     assert a.conj().conj() == a
-    r = two_cos_pi_over(7)
+    r = two_cos_pi_over(7, 14)
     assert r.is_real()
     assert not zeta(7).is_real()
 
 
 def test_cross_modulus_equality():
-    assert zeta(3) == zeta(6, 2)
-    assert zeta(4) == zeta(12, 3)
+    # one modulus per computation: a value at another modulus is embedded first
+    assert zeta(3).embed(6) == zeta(6, 2)
+    assert zeta(4).embed(12) == zeta(12, 3)
+    for op in (operator.eq, operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="moduli 3 and 6 differ"):
+            op(zeta(3), zeta(6, 2))
 
 
 def test_sign_real():
-    assert sign_real(two_cos_pi_over(7) - 1) == 1
-    assert sign_real(two_cos_pi_over(7) - 2) == -1
-    assert sign_real(Cyc.rational(0)) == 0
+    assert sign_real(two_cos_pi_over(7, 14) - 1) == 1
+    assert sign_real(two_cos_pi_over(7, 14) - 2) == -1
+    assert sign_real(Cyc.zero(14)) == 0
     with pytest.raises(ValueError):
         sign_real(zeta(5))
 
 
 def test_equal_values_hash_equal_across_moduli():
-    assert zeta(4) == zeta(8, 2)
-    assert len({zeta(4), zeta(8, 2)}) == 1
-    assert hash(Cyc.rational(3)) == hash(3)
+    assert zeta(4).embed(8) == zeta(8, 2)
+    assert len({zeta(4).embed(8), zeta(8, 2)}) == 1
+    # a rational value hashes as its int, at every modulus
+    for n in (1, 4, 12, 60):
+        assert Cyc.rational(3, n) == 3
+        assert hash(Cyc.rational(3, n)) == hash(3)
 
 
 # --- the sparse reduction against the original power-basis arithmetic -----------
 
 MODULI = (1, 4, 12, 60, 120, 252)
-# (n, a proper divisor of n in MODULI), so that mixed-modulus operands embed
+# (n, a proper divisor of n in MODULI): the operand at d is embedded into n
 MODULUS_PAIRS = [(n, d) for n in MODULI for d in MODULI if d < n and n % d == 0]
-small = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=4).filter(lambda q: abs(q) <= 5))
+small = st.integers(-5, 5)
 nonzero_small = small.filter(bool)
 
 
 @st.composite
 def elements(draw, n: int, max_terms: int = 4, min_terms: int = 0):
-    """Coefficients of a sparse element of Q(zeta_n), as a (Cyc, reference) pair.
+    """Coefficients of a sparse element of Z[zeta_n], as a (Cyc, reference) pair.
 
     With ``min_terms`` > 0 every drawn coefficient is nonzero, so the element is.
     """
@@ -152,7 +165,12 @@ def same(value: Cyc, ref) -> None:
 @settings(max_examples=60)
 @given(element_pairs())
 def test_ring_operations_match_reference(pair):
+    # an operand at a proper divisor is refused, and embedded first
     (a, ra), (b, rb) = pair
+    if b.n != a.n:
+        with pytest.raises(ValueError, match="differ"):
+            a + b
+    b, rb = b.embed(a.n), rb.embed(a.n)
     same(a + b, ra + rb)
     same(a - b, ra - rb)
     same(b - a, rb - ra)
@@ -163,67 +181,69 @@ def test_ring_operations_match_reference(pair):
     assert (a + b == b) == (ra + rb == rb)
 
 
-@settings(max_examples=30)
-@given(st.sampled_from(MODULI).flatmap(lambda n: elements(n, max_terms=3, min_terms=1)))
-def test_inverse_matches_reference(pair):
-    a, ra = pair
+def check_inverse(a: Cyc, ra) -> None:
     same(a.inv(), ra.inv())
     assert a * a.inv() == 1
+    assert a.inv() == a.conj()
+
+
+def check_no_inverse(a: Cyc, ra) -> None:
+    # the reference inverts every nonzero value of the field; the engine only roots of unity
+    assert ra.inv() != ra.conj()
+    with pytest.raises(ValueError, match="not a root of unity"):
+        a.inv()
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(MODULI).flatmap(lambda n: st.tuples(
+    elements(n, max_terms=3, min_terms=1), st.integers(0, n - 1), st.sampled_from((1, -1)))))
+def test_inverse_matches_reference(case):
+    (a, ra), k, sign = case
+    check_inverse(sign * zeta(a.n, k), reference_zeta(a.n, k) * sign)
+    if a * a.conj() == 1:
+        check_inverse(a, ra)
+    else:
+        check_no_inverse(a, ra)
 
 
 @given(st.sampled_from(MODULI).flatmap(lambda n: elements(n, max_terms=1, min_terms=1)))
 def test_monomial_inverse_matches_reference(pair):
-    # c zeta^i inverts to c^-1 zeta^(n-i), without the extended Euclid
+    # +-zeta^i inverts to +-zeta^(n-i); c zeta^i with |c| > 1 is no root of unity
     a, ra = pair
-    same(a.inv(), ra.inv())
     c = next(c for c in a.coeffs if c)
     if c in (1, -1):
+        check_inverse(a, ra)
         assert all(type(x) is int for x in a.inv().coeffs)
+    else:
+        check_no_inverse(a, ra)
 
 
 @given(st.sampled_from(MODULUS_PAIRS).flatmap(
     lambda nd: st.tuples(st.just(nd[0]), elements(nd[1]))))
-def test_embedding_matches_reference_and_keeps_the_hash(case):
+def test_embedding_matches_reference(case):
     m, (a, ra) = case
     same(a.embed(m), ra.embed(m))
-    assert a.embed(m) == a
-    assert hash(a.embed(m)) == hash(a)
+    assert a.embed(m).embed(m) == a.embed(m)
+    assert a.embed(m).is_rational() == a.is_rational()
+    if a.is_rational():  # the one hash that agrees across moduli
+        assert hash(a.embed(m)) == hash(a) == hash(a.coeffs[0])
 
 
 @given(st.sampled_from(MODULI), st.integers(-300, 300))
 def test_zeta_matches_reference(n, k):
     same(zeta(n, k), reference_zeta(n, k))
-    # integral inverses come back as ints, so Z[zeta_n] stays Fraction-free
+    # the inverse of a root of unity is its conjugate, with int coefficients
     assert all(type(c) is int for c in zeta(n, k).coeffs + zeta(n, k).inv().coeffs)
 
 
-# --- the unit-modulus inverse: x^-1 = conj(x) when x conj(x) = 1 -------------------
+# --- the one inverse: x^-1 = conj(x) when x conj(x) = 1 ----------------------------
 
 # the field of rho at each workload triangle: N = lcm(2a, 2b, 2c)
 RHO_MODULI = {(2, 3, 7): 84, (3, 4, 5): 120, (2, 3, 5): 60}
 
 
-@pytest.fixture
-def euclid_calls(monkeypatch):
-    """A list that grows by one with every polynomial division of the extended Euclid."""
-    calls = []
-    divide = cyclo._poly_divmod_q
-
-    def counted(num, den):
-        calls.append(len(num))
-        return divide(num, den)
-
-    monkeypatch.setattr(cyclo, "_poly_divmod_q", counted)
-    return calls
-
-
-def check_inverse(a: Cyc, ra) -> None:
-    same(a.inv(), ra.inv())
-    assert a * a.inv() == 1
-
-
 @pytest.mark.parametrize("n", sorted(RHO_MODULI.values()))
-def test_folded_roots_of_unity_invert_by_conjugation(n, euclid_calls):
+def test_folded_roots_of_unity_invert_by_conjugation(n):
     folded = 0
     for k in range(_degree(n), n):
         a = zeta(n, k)
@@ -231,51 +251,35 @@ def test_folded_roots_of_unity_invert_by_conjugation(n, euclid_calls):
         check_inverse(a, reference_zeta(n, k))
         assert all(type(c) is int for c in a.inv().coeffs)
     assert folded > 0  # some of them are sums, not the monomial case
-    assert euclid_calls == []
 
 
 @pytest.mark.parametrize("abc", sorted(RHO_MODULI))
-def test_products_of_rho_roots_invert_by_conjugation(abc, euclid_calls):
+def test_products_of_rho_roots_invert_by_conjugation(abc):
     n = RHO_MODULI[abc]
-    roots = [zeta(2 * v).embed(n) for v in abc]  # theta, phi, psi
+    roots = [zeta(n, n // (2 * v)) for v in abc]  # theta, phi, psi
     rng = random.Random(f"{abc}")
     powers = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]  # the determinants of rho's generators
     powers += [tuple(rng.randrange(2 * v) for v in abc) for _ in range(12)]
     for ijk in powers:
-        a = roots[0] ** ijk[0] * roots[1] ** ijk[1] * roots[2] ** ijk[2]
+        factors = [root for root, p in zip(roots, ijk) for _ in range(p)]
+        a = reduce(operator.mul, factors, Cyc.one(n))
         e = sum(p * n // (2 * v) for p, v in zip(ijk, abc))
         assert a == zeta(n, e)
         check_inverse(a, reference_zeta(n, e))
-    assert euclid_calls == []
-
-
-def test_unit_modulus_non_root_of_unity_inverts_by_conjugation(euclid_calls):
-    # (3 + 4i) / 5 has modulus 1, but no power of it is 1
-    coeffs = (Fraction(3, 5), Fraction(4, 5))
-    a = Cyc(4, coeffs)
-    assert all(a ** k != 1 for k in range(1, 9))
-    check_inverse(a, reference_cyc(4, coeffs))
-    assert a.inv() == a.conj() == Cyc(4, (Fraction(3, 5), Fraction(-4, 5)))
-    assert euclid_calls == []
-
-
-def a_inverse_needs_euclid(a: Cyc, ra, calls: list) -> bool:
-    before = len(calls)
-    check_inverse(a, ra)
-    return a.inv() != a.conj() and len(calls) > before
 
 
 @pytest.mark.parametrize("n", sorted(RHO_MODULI.values()))
-def test_non_units_still_invert_by_extended_euclid(n, euclid_calls):
-    one_plus = Cyc.one().embed(n) + zeta(n)
-    assert a_inverse_needs_euclid(one_plus, reference_zeta(n) + 1, euclid_calls)
-    # 2 zeta^k folded into a sum: modulus 2, like the monomial 2
+def test_non_roots_of_unity_raise_value_error(n):
+    # 1 + zeta_n is a unit of Z[zeta_n] but no root of unity
+    check_no_inverse(1 + zeta(n), reference_zeta(n) + 1)
+    # 2 zeta^k folded into a sum, and the monomial 2: x conj(x) = 4
     k = _degree(n)
-    assert a_inverse_needs_euclid(2 * zeta(n, k), reference_zeta(n, k) * 2, euclid_calls)
-    # the monomial 2 takes the monomial path, not the conjugate
-    two = Cyc.rational(2).embed(n)
-    check_inverse(two, reference_cyc(n, two.coeffs))
-    assert two.inv() != two.conj()
+    check_no_inverse(2 * zeta(n, k), reference_zeta(n, k) * 2)
+    check_no_inverse(Cyc.rational(2, n), reference_cyc(n, Cyc.rational(2, n).coeffs))
+    # 3 + 4i, i = zeta_n^(n/4): absolute value 5 in every embedding
+    i = zeta(n, n // 4)
+    assert (3 + 4 * i) * (3 + 4 * i).conj() == 25
+    check_no_inverse(3 + 4 * i, reference_zeta(n, n // 4) * 4 + 3)
 
 
 # --- the fixed-point sign against the mpmath interval sign ------------------------
@@ -327,7 +331,7 @@ def test_sign_real_near_zero_doubles_the_precision():
         _cos_table.cache_clear()
         assert sign_real(x) == (1 if k % 2 == 0 else -1) == reference_sign_real(x)
         assert _cos_table.cache_info().currsize >= 2
-        assert sign_real(x / 3) == sign_real(x)
+        assert sign_real(3 * x) == sign_real(x) == -sign_real(-x)
 
 
 def test_cli_needs_no_mpmath():
@@ -336,19 +340,20 @@ def test_cli_needs_no_mpmath():
         "from toricgroups.cli import main\n"
         "codes = [main(['wp', 'coxeter', '7', '8', '9', 'r1 r2 r3 r1 r2']),\n"
         "         main(['rep', 'eval', '2', '3', '5', 's t u s'])]\n"
-        "print(codes, 'mpmath' in sys.modules)\n"
+        "print(codes, 'mpmath' in sys.modules, 'fractions' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False False"
 
 
 def test_rendering_deterministic_term_order():
-    value = zeta(12) + Cyc.rational(Fraction(1, 2)) - 3 * zeta(12, 5)
-    assert str(value) == "1/2 + 4*z12 - 3*z12^3"
-    assert str(Cyc.rational(0)) == "0"
+    value = zeta(12) + 2 - 3 * zeta(12, 5)
+    assert str(value) == "2 + 4*z12 - 3*z12^3"
+    assert str(Cyc.rational(-7, 12)) == "-7"
+    assert str(Cyc.zero(12)) == "0"
 
 
 # --- the representation ----------------------------------------------------------
@@ -361,14 +366,14 @@ def test_constraint_vanishes_at_623():
 
 def test_constraint_violation_rejected_with_both_sides():
     with pytest.raises(ConstraintError) as err:
-        build_rho(6, 2, 3, Cyc.one(), Cyc.one())
-    assert err.value.got == Cyc.rational(1)
+        build_rho(6, 2, 3, Cyc.one(1), Cyc.one(1))  # embedded into Z[zeta_12]
+    assert err.value.got == Cyc.one(12)
     assert err.value.required.is_zero()
 
 
 @pytest.mark.parametrize("a,b,c", REP_PARAMS)
 def test_defining_relations_hold_exactly(a, b, c):
-    identity = mat_identity()
+    identity = mat_identity(lcm(2 * a, 2 * b, 2 * c))
     for name, (q, r) in qr_presets(a, b, c).items():
         rep = build_rho(a, b, c, q, r)
         assert mat_pow(rep.mat_s, a) == identity
@@ -402,23 +407,26 @@ def test_determinants(a, b, c):
 def test_rho_eval_identity_and_powers():
     rep = build_rho_preset(3, 2, 3)
     stu = Alphabet(["s", "t", "u"])
-    assert rho_eval(rep, stu.word("1")) == mat_identity()
-    assert rho_eval(rep, stu.word("s^3")) == mat_identity()
-    assert rho_eval(rep, stu.word("s s^-1")) == mat_identity()
+    identity = mat_identity(12)
+    assert rho_eval(rep, stu.word("1")) == identity
+    assert rho_eval(rep, stu.word("s^3")) == identity
+    assert rho_eval(rep, stu.word("s s^-1")) == identity
 
 
 def test_rho_eval_on_toric_generators():
     rep = build_rho_preset(6, 2, 3, "zero")
     xs = Alphabet(["x1", "x2"])
-    assert rho_eval(rep, xs.word("x1^6")) == mat_identity()
-    assert rho_eval(rep, xs.word("x2^6")) == mat_identity()
+    identity = mat_identity(12)
+    assert rho_eval(rep, xs.word("x1^6")) == identity
+    assert rho_eval(rep, xs.word("x2^6")) == identity
     cube = xs.word("x1 x2") ** 3
-    assert rho_eval(rep, cube) == mat_identity()
+    assert rho_eval(rep, cube) == identity
 
 
 def test_matrix_inverse():
     rep = build_rho_preset(2, 3, 5)
-    assert mat_mul(rep.mat_u, mat_inv(rep.mat_u)) == mat_identity()
+    assert mat_mul(rep.mat_u, mat_inv(rep.mat_u)) == mat_identity(60)
+    assert mat_pow(rep.mat_u, -1) == mat_inv(rep.mat_u)
 
 
 def test_witness_reproduces_the_counterexample():

@@ -81,7 +81,7 @@ def test_equal_fields_give_equal_values_and_hashes(cls, make, make_other):
             hash(a)
         return
     assert hash(a) == hash(b)
-    if cls is not cyclo.Cyc:  # Cyc keeps its own equality and hash across moduli
+    if cls is not cyclo.Cyc:  # Cyc keeps its own hash (a rational hashes as its int) and repr
         twin = _frozen_dataclass_twin(a)
         assert hash(a) == hash(twin)
         assert repr(a) == repr(twin)
