@@ -276,10 +276,14 @@ def test_non_roots_of_unity_raise_value_error(n):
     k = _degree(n)
     check_no_inverse(2 * zeta(n, k), reference_zeta(n, k) * 2)
     check_no_inverse(Cyc.rational(2, n), reference_cyc(n, Cyc.rational(2, n).coeffs))
+
+
+def test_three_plus_four_i_raises_value_error():
     # 3 + 4i, i = zeta_n^(n/4): absolute value 5 in every embedding
-    i = zeta(n, n // 4)
-    assert (3 + 4 * i) * (3 + 4 * i).conj() == 25
-    check_no_inverse(3 + 4 * i, reference_zeta(n, n // 4) * 4 + 3)
+    for n in sorted(RHO_MODULI.values()):
+        i = zeta(n, n // 4)
+        assert (3 + 4 * i) * (3 + 4 * i).conj() == 25
+        check_no_inverse(3 + 4 * i, reference_zeta(n, n // 4) * 4 + 3)
 
 
 # --- the fixed-point sign against the mpmath interval sign ------------------------
