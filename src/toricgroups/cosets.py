@@ -11,11 +11,16 @@ monotone pointer makes each live row complete, and the rows behind it stay
 complete.
 
 - ``hlt`` (default): at each row, scan-fill every relator, then define the
-  row's remaining entries.  The scan-fill of one row runs in one frame,
-  with the definitions inlined.
+  row's remaining entries.
 - ``felsch``: define the row's entries in column order, processing the
   deduction stack after each definition, so the table is kept closed under
   the relators.
+
+One scan loop, ``_Enumerator.scan``, serves both, in one frame per row.
+Its two callers differ only at a gap of two or more letters: the
+scan-fill of a row (the HLT relators, and the subgroup generators at
+coset 0) defines cosets there, with the definitions inlined, while the
+HLT lookahead and Felsch's deductions leave it open.
 
 The table is stored column-major: one Python list per column, indexed by
 coset, with ``None`` where the entry is undefined, and no per-coset row
@@ -154,7 +159,9 @@ class _Enumerator:
     relator (or subgroup generator) is bound once to the column lists its
     letters read forwards and backwards, so a scan step is one list index.
     The lists are only ever appended to and rewritten in place, which
-    keeps those bindings valid.
+    keeps those bindings valid.  ``scan`` is the one loop over a bound
+    path: the row walk calls it with ``fill`` to scan-fill a row, and the
+    lookahead and ``deduce`` call it without.
     """
 
     def __init__(self, p: Presentation, subgens: Sequence[Word], max_cosets: int, strategy: str):
@@ -254,14 +261,17 @@ class _Enumerator:
                         if self.deductions is not None:
                             self.deductions.append((mu, col))
 
-    def fill_row(self, a: int, rels: Sequence[tuple]) -> None:
-        """Scan-fill each bound path of ``rels`` from coset a, defining cosets as needed.
+    def scan(self, a: int, rels: Sequence[tuple], fill: bool = False) -> None:
+        """Scan each bound path of ``rels`` from live coset a; stops when coset a dies.
 
-        The HLT walk calls it on the relators at each row, and both
-        strategies on the subgroup generators at coset 0.  Each path ends
-        closed (through a coincidence if its ends meet apart), unless
-        coset a dies first.  ``define`` is inlined: a new coset is a fresh
-        row of ``None`` plus the edge that reaches it.
+        A path whose ends meet apart is closed by a coincidence, one with a
+        gap of one letter by a deduction.  A longer gap is filled with new
+        cosets when ``fill`` is set, so the path ends closed, and is left
+        open otherwise.  The HLT walk fills the relators at each row, and
+        both strategies the subgroup generators at coset 0; the lookahead
+        and Felsch's deductions scan without filling.  ``define`` is
+        inlined: a new coset is a fresh row of ``None`` plus the edge that
+        reaches it.
         """
         p, cols, deductions = self.p, self.cols, self.deductions
         defined = 0
@@ -297,6 +307,8 @@ class _Enumerator:
                     if deductions is not None:
                         deductions.append((f, relcols[i]))
                     break
+                if not fill:
+                    break
                 c = len(p)
                 for column in cols:
                     column.append(None)
@@ -308,44 +320,6 @@ class _Enumerator:
                 self.live += 1
                 defined += 1
         self.defined += defined
-
-    def scan(self, a: int, rels: Sequence[tuple]) -> None:
-        """Scan each bound path of ``rels`` from live coset a without defining.
-
-        A path with one gap left is closed by a deduction, one whose ends
-        meet apart by a coincidence; a longer gap is left open.  Stops when
-        coset a dies.
-        """
-        p, deductions = self.p, self.deductions
-        for relcols, fwd, bwd in rels:
-            if p[a] != a:
-                return
-            f = b = a
-            i, j = 0, len(relcols) - 1
-            while i <= j:
-                x = fwd[i][f]
-                if x is None:
-                    break
-                f = x
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                continue
-            while j >= i:
-                x = bwd[j][b]
-                if x is None:
-                    break
-                b = x
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-            elif j == i:
-                fwd[i][f] = b
-                bwd[i][b] = f
-                self.deduced += 1
-                if deductions is not None:
-                    deductions.append((f, relcols[i]))
 
     def deduce(self) -> None:
         """Felsch: check stacked entries against their rotations until none is left."""
@@ -407,7 +381,7 @@ class _Enumerator:
         first excess is the overflow.
         """
         felsch = self.deductions is not None
-        self.fill_row(0, self.subs)
+        self.scan(0, self.subs, fill=True)
         if felsch:
             # every edge the subgroup scans laid down is a deduction
             self.deductions += [(a, col) for a in range(len(self.p)) if self.p[a] == a
@@ -417,7 +391,7 @@ class _Enumerator:
         a = 0
         while a < len(p):
             if not felsch:
-                self.fill_row(a, rels)
+                self.scan(a, rels, fill=True)
             for col, column in enumerate(cols):
                 if column[a] is None:
                     if p[a] != a:

@@ -24,10 +24,9 @@ tau(u) decides the word problem for a classical word u as well.
 
 from __future__ import annotations
 
-import math
 from itertools import chain, groupby
 
-from .presentations import cyclic_products
+from .presentations import FamilyParams, cyclic_products
 from .schreier import chain_implies_shift, chain_relators
 from .words import (Alphabet, Derivation, GenMap, RewriteStep, Value, Word, WordSyntaxError, apply_map, free_reduce,
                     invert)
@@ -39,13 +38,6 @@ _SYMBOLS = (None, "x", "y")  # the name of each letter
 def standard_alphabet() -> Alphabet:
     """The alphabet {x, y} of the standard torus knot presentation."""
     return _STANDARD
-
-
-def _check_params(n: int, m: int) -> None:
-    if n < 2 or m < 2:
-        raise ValueError("parameters must be >= 2")
-    if math.gcd(n, m) != 1:
-        raise ValueError(f"gcd({n},{m}) != 1")
 
 
 class GarsideNF(Value):
@@ -74,7 +66,7 @@ class GarsideNF(Value):
 
 def gnf(n: int, m: int, w: Word) -> GarsideNF:
     """Left-greedy Garside normal form of a word over {x, y}."""
-    _check_params(n, m)
+    FamilyParams("torus-standard", (n, m))
     if w.alphabet != _STANDARD:
         raise ValueError("word must be over the standard alphabet {x, y}")
     power = 0
@@ -122,7 +114,7 @@ def gnf_equal(n: int, m: int, u: Word, v: Word) -> bool:
 
 def sigma(n: int, m: int) -> GenMap:
     """Standard to classical: x -> x_1...x_m, y -> x_1...x_n (indices mod n)."""
-    _check_params(n, m)
+    FamilyParams("torus-standard", (n, m))
     target = _classical_alphabet(n)
     images = (Word(target, tuple(i % n + 1 for i in range(m))), Word(target, tuple(i % n + 1 for i in range(n))))
     return GenMap(_STANDARD, target, images)
@@ -155,7 +147,7 @@ def tau(n: int, m: int) -> GenMap:
     sigma(tau(x_{1+jm})) = Q^-j sigma(mu) Q^j is x_{1+jm} by
     ``meridian_derivation`` and the shift lemma.
     """
-    _check_params(n, m)
+    FamilyParams("torus-standard", (n, m))
     images = tuple(Word(_STANDARD, _tau_letters(n, m, i)) for i in range(1, n + 1))
     return GenMap(_classical_alphabet(n), _STANDARD, images)
 
@@ -165,7 +157,7 @@ def _classical_image(n: int, m: int, text: str, standard_error: WordSyntaxError)
     from the images of u's own letters; or the syntax error of the alphabet
     that read ``text`` further; on a tie, of the one that knows the token's
     generator, the standard one if neither does."""
-    _check_params(n, m)
+    FamilyParams("torus-standard", (n, m))
     meridians = _classical_alphabet(n)
     try:
         u = meridians.word(text)
@@ -181,7 +173,7 @@ def _classical_image(n: int, m: int, text: str, standard_error: WordSyntaxError)
 
 def meridian(n: int, m: int, a: int, b: int) -> Word:
     """The meridian y^a x^-b, valid when a n - b m = 1."""
-    _check_params(n, m)
+    FamilyParams("torus-standard", (n, m))
     if a * n - b * m != 1:
         raise ValueError(f"{a}*{n} - {b}*{m} != 1 (not a Bezout pair)")
     y = Word(_STANDARD, (2,))

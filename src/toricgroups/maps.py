@@ -19,7 +19,6 @@ quotients.
 
 from __future__ import annotations
 
-import math
 from typing import Protocol
 
 from .coxeter import triangle_table
@@ -71,14 +70,8 @@ def compose_homs(outer: Hom, inner: Hom) -> Hom:
                name=f"{outer.name} o {inner.name}")
 
 
-def _require_coprime(n: int, m: int) -> None:
-    if math.gcd(n, m) != 1:
-        raise ValueError(f"gcd({n},{m}) != 1")
-
-
 def build_phi(k: int, n: int, m: int) -> Hom:
     """Toric group onto the alternating subgroup of the triangle group."""
-    _require_coprime(n, m)
     FamilyParams("toric", (k, n, m))  # the labels' own errors come before the degree cap
     table = triangle_table(k, n, m)
     source = toric(k, n, m, normalize=False)
@@ -101,7 +94,7 @@ class PsiParams(Value):
 
 def psi_params(n: int, m: int) -> PsiParams:
     """Euclidean data m = q n + r and the least ell with r ell = 1 mod n."""
-    _require_coprime(n, m)
+    FamilyParams("torus-standard", (n, m))
     q, r = divmod(m, n)
     ell = next(e for e in range(1, n + 1) if (r * e) % n == 1 % n)
     return PsiParams(q, r, ell)
@@ -125,7 +118,6 @@ def build_psi(k: int, n: int, m: int) -> Hom:
 
 def build_embedding(k: int, n: int, m: int) -> Hom:
     """x_i = t^(i-1) s t^(1-i): the toric group inside its parent J-group."""
-    _require_coprime(n, m)
     source = toric(k, n, m, normalize=False)
     parent = j_parent(k, n, m)
     t = parent.alphabet.word("t")
@@ -151,7 +143,6 @@ def parent_to_coxeter(k: int, n: int, m: int) -> Hom:
 
 def central_element(k: int, n: int, m: int) -> Word:
     """The full twist c = (x_1 ... x_n)^m in the toric alphabet."""
-    _require_coprime(n, m)
     ab = toric(k, n, m, normalize=False).alphabet
     return Word(ab, tuple(i % n + 1 for i in range(n)) * m)
 
@@ -168,10 +159,9 @@ def centrality_witness(k: int, n: int, m: int, i: int) -> Derivation:
     pushes x_i through one delta at a time (each pass shifts the index by
     m mod n; after n passes the index returns to i), and finally restores c.
     """
-    _require_coprime(n, m)
+    ab, chains = chain_relators(n, m)
     if not 1 <= i <= n:
         raise ValueError("generator index out of range")
-    ab, chains = chain_relators(n, m)
     c = Word(ab, tuple(j % n + 1 for j in range(n)) * m)
     start = free_reduce(Word(ab, (i,)) * c)
     steps: list[RewriteStep] = []

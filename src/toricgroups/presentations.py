@@ -247,14 +247,19 @@ def parse_presentation(text: str) -> Presentation:
             if alphabet is None:
                 raise ParseError("rel line before gens line", lineno)
             sides = rest.split("=")
+            # where the side starts in the raw line, 0-based
+            offset = len(raw) - len(raw.lstrip()) + line.index(":") + 1
             words = []
-            for side in sides:
+            for k, side in enumerate(sides):
                 if not side.split():
-                    raise ParseError("empty word in relation", lineno, column=raw.index("=") + 1 if "=" in raw else 1)
+                    # the '=' that borders it: the one before, or after the first side
+                    column = 1 if len(sides) == 1 else offset if k else offset + len(side) + 1
+                    raise ParseError("empty word in relation", lineno, column=column)
                 try:
                     words.append(parse_word(alphabet, side))
                 except WordSyntaxError as e:
-                    raise ParseError(str(e), lineno, column=e.column or 1) from None
+                    raise ParseError(str(e), lineno, column=offset + (e.column or 1)) from None
+                offset += len(side) + 1
             if len(words) == 1:
                 relators.append(free_reduce(words[0]))
             else:

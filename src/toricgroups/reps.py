@@ -35,10 +35,7 @@ def mat_det(a: Mat2) -> Cyc:
 
 def mat_inv(a: Mat2) -> Mat2:
     d = mat_det(a).inv()
-    return (
-        (a[1][1] * d, -a[0][1] * d),
-        (-a[1][0] * d, a[0][0] * d),
-    )
+    return ((a[1][1] * d, -a[0][1] * d), (-a[1][0] * d, a[0][0] * d))
 
 
 def mat_scale(c: Cyc, a: Mat2) -> Mat2:
@@ -95,19 +92,20 @@ def _label_roots(a: int, b: int, c: int) -> tuple[Cyc, Cyc, Cyc]:
     return zeta(n, n // (2 * a)), zeta(n, n // (2 * b)), zeta(n, n // (2 * c))
 
 
-def constraint_value(a: int, b: int, c: int) -> Cyc:
-    theta, phi, psi = _label_roots(a, b, c)
+def constraint_value(a: int, b: int, c: int, roots: tuple[Cyc, Cyc, Cyc] | None = None) -> Cyc:
+    """The q r that the representation requires, from ``roots`` = ``_label_roots(a, b, c)`` (built if not given)."""
+    theta, phi, psi = roots or _label_roots(a, b, c)
     return theta * phi * (psi + psi.inv()) - theta * theta - phi * phi
 
 
-def qr_presets(a: int, b: int, c: int) -> dict[str, tuple[Cyc, Cyc]]:
-    """Named (q, r) choices.
+def qr_presets(a: int, b: int, c: int, value: Cyc | None = None) -> dict[str, tuple[Cyc, Cyc]]:
+    """Named (q, r) choices for ``value`` = ``constraint_value(a, b, c)`` (computed if not given).
 
     When the constraint value is nonzero the canonical choices put it on
     either side; when it vanishes both (0,0) and (1,0) are admissible, and
     the two give non-isomorphic representations.
     """
-    value = constraint_value(a, b, c)
+    value = constraint_value(a, b, c) if value is None else value
     zero, one = Cyc.zero(value.n), Cyc.one(value.n)
     if value.is_zero():
         return {"zero": (zero, zero), "unit": (one, zero)}
@@ -118,9 +116,13 @@ def build_rho(a: int, b: int, c: int, q: Cyc, r: Cyc) -> Rep:
     """Assemble the representation over Z[zeta_N], N = lcm(2a, 2b, 2c),
     enforcing the q r constraint exactly; q and r are embedded there.
     Labels past ``cyclo.MAX_DEGREE`` raise ValueError."""
-    theta, phi, psi = _label_roots(a, b, c)
+    roots = _label_roots(a, b, c)
+    return _rho(a, b, c, q, r, roots, constraint_value(a, b, c, roots))
+
+
+def _rho(a: int, b: int, c: int, q: Cyc, r: Cyc, roots: tuple[Cyc, Cyc, Cyc], required: Cyc) -> Rep:
+    theta, phi, psi = roots
     modulus = theta.n
-    required = constraint_value(a, b, c)
     q, r = q.embed(modulus), r.embed(modulus)
     got = q * r
     if got != required:
@@ -134,13 +136,13 @@ def build_rho(a: int, b: int, c: int, q: Cyc, r: Cyc) -> Rep:
 
 def build_rho_preset(a: int, b: int, c: int, preset: str | None = None) -> Rep:
     FamilyParams("j-parent", (a, b, c))  # labels must be integers >= 2
-    presets = qr_presets(a, b, c)
-    if preset is None:
-        preset = next(iter(presets))
+    roots = _label_roots(a, b, c)
+    required = constraint_value(a, b, c, roots)
+    presets = qr_presets(a, b, c, required)
+    preset = next(iter(presets)) if preset is None else preset
     if preset not in presets:
         raise ValueError(f"unknown (q,r) preset {preset!r}; have {sorted(presets)}")
-    q, r = presets[preset]
-    return build_rho(a, b, c, q, r)
+    return _rho(a, b, c, *presets[preset], roots, required)
 
 
 def relation_checks(rep: Rep) -> dict[str, bool]:
@@ -187,10 +189,7 @@ def rho_eval(rep: Rep, w: Word) -> Mat2:
         mats = [base[g] for g in names]
     elif all(g.startswith("x") for g in names):
         t_inv = mat_inv(rep.mat_t)
-        mats = []
-        for i in range(1, len(names) + 1):
-            conj = mat_mul(mat_pow(rep.mat_t, i - 1), mat_mul(rep.mat_s, mat_pow(t_inv, i - 1)))
-            mats.append(conj)
+        mats = [mat_mul(mat_pow(rep.mat_t, i), mat_mul(rep.mat_s, mat_pow(t_inv, i))) for i in range(len(names))]
     else:
         raise ValueError(f"cannot resolve alphabet {names} to the representation")
     out = mat_identity(rep.theta.n)

@@ -103,8 +103,8 @@ from toricgroups.cosets import (CayleyTable, CosetTable, Transversal, _columns, 
                                 todd_coxeter)
 from toricgroups.coxeter import MinimalRootTable
 from toricgroups.cyclo import _degree, cyclotomic_polynomial
-from toricgroups.garside import _STANDARD, GarsideNF, _check_params
-from toricgroups.presentations import Presentation, TietzeBudgetExceeded
+from toricgroups.garside import _STANDARD, GarsideNF
+from toricgroups.presentations import FamilyParams, Presentation, TietzeBudgetExceeded
 from toricgroups.schreier import RSResult, SubgroupGenerator
 from toricgroups.words import Alphabet, Word, WordSyntaxError, cyclic_reduce, free_reduce, invert
 
@@ -1206,7 +1206,7 @@ def reference_nf(table: MinimalRootTable, w: Word) -> Word:
 
 def reference_gnf(n: int, m: int, w: Word) -> GarsideNF:
     """Left-greedy Garside normal form of a word over {x, y}."""
-    _check_params(n, m)
+    FamilyParams("torus-standard", (n, m))
     if w.alphabet != _STANDARD:
         raise ValueError("word must be over the standard alphabet {x, y}")
     bound = {"x": n, "y": m}

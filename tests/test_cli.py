@@ -228,6 +228,16 @@ def test_wp_garside_reports_the_alphabet_that_read_further(capsys, word, message
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("1", "3", "x"), "labels must be integers >= 2, got 1"),  # as `derive` and `rep` say it
+    (("3", "1", "x1"), "labels must be integers >= 2, got 1"),  # a meridian word is checked the same way
+    (("2", "4", "x"), "gcd(2,4) != 1"),
+])
+def test_wp_garside_rejects_labels_as_the_families_do(capsys, argv, message):
+    code, out, err = run(capsys, "wp", "garside", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_wp_toric_finite_decides(capsys):
     code, payload = run_json(capsys, "wp", "toric", "3", "2", "3", "x1^3")
     assert code == 0

@@ -204,6 +204,34 @@ def test_enum_stats_repeat_and_count_the_live_cosets():
             assert stats.peak_live > bound
 
 
+# (family, labels, subgroup, bound, strategy) -> (status, live cosets,
+# (defined, coincidences, peak_live, lookahead_passes, lookahead_freed,
+# compactions, deductions)), as the enumerator counts them: a change to the
+# scan, the fill or the walk that alters any count shows here
+PINNED_STATS = [
+    (("j_parent", (2, 3, 5), (), 10**6, "hlt"), ("complete", 3600, (5156, 1557, 3600, 0, 0, 1, 6086))),
+    (("j_parent", (2, 3, 5), (), 10**6, "felsch"), ("complete", 3600, (3620, 21, 3600, 0, 0, 1, 7180))),
+    (("j_parent", (2, 3, 4), ("s",), 10**6, "hlt"), ("complete", 288, (413, 126, 288, 0, 0, 1, 499))),
+    (("j_parent", (2, 3, 4), ("s",), 10**6, "felsch"), ("complete", 288, (290, 3, 288, 0, 0, 1, 574))),
+    (("toric", (6, 2, 3), (), 10**4, "hlt"), ("overflow", 9921, (10772, 852, 10005, 1, 84, 1, 6991))),
+    (("toric", (6, 2, 3), (), 2000, "felsch"), ("overflow", 2002, (2001, 0, 2002, 0, 0, 1, 1262))),
+    (("coxeter_triangle", (2, 3, 7), (), 10**4, "hlt"), ("overflow", 9342, (16020, 6679, 10009, 2, 2189, 2, 10004))),
+    (("coxeter_triangle", (2, 3, 4), (), 52, "hlt"), ("complete", 48, (78, 31, 53, 1, 9, 2, 66))),
+]
+
+
+@pytest.mark.parametrize("run, expected", PINNED_STATS,
+                         ids=["-".join(map(str, (f, *labels, *texts, bound, strategy)))
+                              for (f, labels, texts, bound, strategy), _ in PINNED_STATS])
+def test_enum_stats_are_pinned(run, expected):
+    family, labels, texts, bound, strategy = run
+    p = getattr(pres, family)(*labels)
+    table = todd_coxeter(p, [p.alphabet.word(w) for w in texts], bound, strategy)
+    stats = table.stats
+    assert (table.status, table.num_cosets, (stats.defined, stats.coincidences, stats.peak_live,
+            stats.lookahead_passes, stats.lookahead_freed, stats.compactions, stats.deductions)) == expected
+
+
 def test_an_overflow_is_not_renumbered_until_its_columns_are_read(monkeypatch):
     # enumerate reads only an overflow's count, so the final compaction
     # that stats.compactions counts waits for the first read of columns

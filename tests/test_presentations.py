@@ -101,6 +101,19 @@ def test_parse_malformed_equality():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, column", [
+    ("gens: a b\nrel: a b = b c", 14),  # the unknown c, on the second side
+    ("gens: a b\nrel:   a^0", 8),  # the zero exponent after the indent
+    ("gens: a b\nrel: a = b = ", 12),  # the '=' before the empty side
+    ("gens: a b\nrel: = a", 6),  # the '=' after an empty first side
+    ("gens: a b\n  rel : a\t d", 12),  # past an indent and a spaced key
+])
+def test_parse_error_columns_count_from_the_line(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.column) == (2, column)
+
+
 def test_parse_reports_line_of_unknown_generator():
     with pytest.raises(ParseError) as err:
         parse_presentation("gens: x\nrel: x\nrel: q")

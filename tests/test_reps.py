@@ -19,6 +19,7 @@ from oracles import (
     reference_zeta,
 )
 
+from toricgroups import reps
 from toricgroups.cyclo import Cyc, _cos_table, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
 from toricgroups.reps import (
     ConstraintError,
@@ -406,6 +407,26 @@ def test_determinants(a, b, c):
     rep = build_rho_preset(a, b, c)
     assert mat_det(rep.mat_s) == rep.theta * rep.theta
     assert mat_det(rep.mat_t) == rep.phi * rep.phi
+
+
+@pytest.mark.parametrize("a,b,c", WORKLOAD_REP_PARAMS)
+def test_rho_builds_its_label_roots_and_constraint_value_once(monkeypatch, a, b, c):
+    calls = dict.fromkeys(("constraint_value", "_label_roots", "label_modulus", "zeta"), 0)
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(reps, name, counted(name, getattr(reps, name)))
+    rep = build_rho_preset(a, b, c)
+    assert calls == {"constraint_value": 1, "_label_roots": 1, "label_modulus": 1, "zeta": 3}
+    # the same representation as the public parts build, constraint checked
+    monkeypatch.undo()
+    q, r = next(iter(qr_presets(a, b, c).values()))
+    assert rep == build_rho(a, b, c, q, r)
 
 
 def test_rho_eval_identity_and_powers():

@@ -1,0 +1,57 @@
+"""Count the lines of the Python files of two commits, file by file.
+
+    python3 tools/line_counts.py [--parent HEAD~1] [--change HEAD]
+
+Every ``*.py`` file under ``src/toricgroups/``, ``tests/`` and ``tools/`` is
+listed with ``git ls-tree`` and read with ``git show`` at both revisions, so
+nothing is checked out and the working tree is not read.  A line is a
+newline, as ``wc -l`` counts them.  The script prints each file's lines at
+``--parent`` and ``--change`` and the change (``-`` where the file does not
+exist), then each directory's totals and net change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIRS = ("src/toricgroups", "tests", "tools")
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True).stdout
+
+
+def line_counts(rev: str, directory: str) -> dict[str, int]:
+    """Lines of each Python file under ``directory`` at ``rev``, by path."""
+    paths = git("ls-tree", "-r", "-z", "--name-only", rev, "--", directory + "/").decode().split("\0")
+    return {path: git("show", f"{rev}:{path}").count(b"\n") for path in paths if path.endswith(".py")}
+
+
+def row(name: str, old: int | None, new: int | None) -> str:
+    delta = "-" if old is None or new is None else f"{new - old:+d}"
+    return f"{name:<44} {'-' if old is None else old:>7} {'-' if new is None else new:>7} {delta:>7}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", default="HEAD~1")
+    ap.add_argument("--change", default="HEAD")
+    args = ap.parse_args(argv)
+    print(f"{'file':<44} {args.parent:>7} {args.change:>7} {'change':>7}")
+    totals = []
+    for directory in DIRS:
+        before, after = line_counts(args.parent, directory), line_counts(args.change, directory)
+        for path in sorted(before.keys() | after.keys()):
+            print(row(path, before.get(path), after.get(path)))
+        totals.append((directory, sum(before.values()), sum(after.values())))
+    print()
+    for directory, old, new in totals:
+        print(row(directory + "/", old, new))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
