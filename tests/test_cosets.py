@@ -184,26 +184,6 @@ def test_overflow_is_a_value():
     assert 2000 < table.num_cosets <= 2000 + 2 * len(p.alphabet)
 
 
-def test_enum_stats_repeat_and_count_the_live_cosets():
-    runs = [(pres.j_parent(2, 3, 5), (), 10**6, "hlt"), (pres.j_parent(2, 3, 5), (), 10**6, "felsch"),
-            (pres.j_parent(2, 3, 4), ("s",), 10**6, "hlt"), (pres.toric(6, 2, 3), (), 10**4, "hlt"),
-            (pres.coxeter_triangle(2, 3, 7), (), 10**4, "hlt"), (pres.toric(6, 2, 3), (), 2000, "felsch")]
-    for p, texts, bound, strategy in runs:
-        subgens = [p.alphabet.word(w) for w in texts]
-        table = todd_coxeter(p, subgens, bound, strategy)
-        stats = table.stats
-        assert todd_coxeter(p, subgens, bound, strategy).stats == stats
-        assert 1 + stats.defined - stats.coincidences == table.num_cosets, (p, strategy)
-        assert stats.peak_live >= table.num_cosets
-        # a compaction after each lookahead that lets the walk go on, and one at the end
-        ended_by_lookahead = strategy == "hlt" and not table.complete
-        assert stats.compactions == stats.lookahead_passes - ended_by_lookahead + 1
-        if strategy == "felsch":
-            assert stats.lookahead_passes == stats.lookahead_freed == 0
-        if not table.complete:
-            assert stats.peak_live > bound
-
-
 # (family, labels, subgroup, bound, strategy) -> (status, live cosets,
 # (defined, coincidences, peak_live, lookahead_passes, lookahead_freed,
 # compactions, deductions)), as the enumerator counts them: a change to the
@@ -230,6 +210,24 @@ def test_enum_stats_are_pinned(run, expected):
     stats = table.stats
     assert (table.status, table.num_cosets, (stats.defined, stats.coincidences, stats.peak_live,
             stats.lookahead_passes, stats.lookahead_freed, stats.compactions, stats.deductions)) == expected
+
+
+def test_enum_stats_repeat_and_count_the_live_cosets():
+    for (family, labels, texts, bound, strategy), _ in PINNED_STATS:
+        p = getattr(pres, family)(*labels)
+        subgens = [p.alphabet.word(w) for w in texts]
+        table = todd_coxeter(p, subgens, bound, strategy)
+        stats = table.stats
+        assert todd_coxeter(p, subgens, bound, strategy).stats == stats
+        assert 1 + stats.defined - stats.coincidences == table.num_cosets, (p, strategy)
+        assert stats.peak_live >= table.num_cosets
+        # a compaction after each lookahead that lets the walk go on, and one at the end
+        ended_by_lookahead = strategy == "hlt" and not table.complete
+        assert stats.compactions == stats.lookahead_passes - ended_by_lookahead + 1
+        if strategy == "felsch":
+            assert stats.lookahead_passes == stats.lookahead_freed == 0
+        if not table.complete:
+            assert stats.peak_live > bound
 
 
 def test_an_overflow_is_not_renumbered_until_its_columns_are_read(monkeypatch):
