@@ -49,19 +49,15 @@ def finite_toric(k: int, n: int, m: int) -> FiniteToric | None:
 
 
 def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | None:
-    """Cayley table of ``toric(k, n, m, normalize=False)`` on a finite row.
+    """Cayley table of ``toric(k, n, m)`` on a finite row.
 
     None when W(k,n,m) is not a finite-table member or when the enumeration
     overflows ``max_cosets``.
     """
     if finite_toric(k, n, m) is None:
         return None
-    table = todd_coxeter(toric(k, n, m, normalize=False), max_cosets=max_cosets)
+    table = todd_coxeter(toric(k, n, m), max_cosets=max_cosets)
     return CayleyTable(table) if table.complete else None
-
-
-def _parabolic_orders(k: int, n: int, m: int) -> list[int]:
-    return coxeter.maximal_finite_parabolics(coxeter.CoxeterMatrix.triangle(k, n, m)).orders_multiset()
 
 
 def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
@@ -78,8 +74,10 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, 
         "finite": fin is not None,
     }
     if fin is None:
-        result.update(order=None, center_order=None,
-                      maximal_finite_cyclic_orders=_parabolic_orders(k, n, m))
+        # an infinite row's triangle is not spherical, so its maximal finite
+        # parabolics are its three edges, whose rotation subgroups are cyclic
+        # of orders k, n and m (``coxeter.maximal_finite_parabolics``)
+        result.update(order=None, center_order=None, maximal_finite_cyclic_orders=sorted((k, n, m)))
         return result, "ok", [
             "not a finite-table member; group is infinite",
             "center order unknown in the infinite case",
@@ -121,7 +119,7 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]
                     "triangle_type": coxeter.classify_triangle(k, n, m),
                 }
                 if fin is None:
-                    entry["maximal_finite_cyclic_orders"] = _parabolic_orders(k, n, m)
+                    entry["maximal_finite_cyclic_orders"] = sorted((k, n, m))  # as in classify_toric
                 else:
                     cayley = finite_quotient(k, n, m, max_cosets)
                     entry["order"] = None if cayley is None else cayley.size

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from math import lcm
 
 from .cosets import CayleyTable, todd_coxeter
 from .cyclo import Cyc, label_modulus, sign_real, two_cos_pi_over
@@ -64,10 +63,6 @@ class CoxeterMatrix(Value):
     def alphabet(self) -> Alphabet:
         return Alphabet([f"r{i + 1}" for i in range(self.rank)])
 
-    def modulus(self) -> int:
-        finite = [v for row in self.labels for v in row if v is not None]
-        return lcm(*(2 * v for v in finite))
-
     def gram(self, modulus: int) -> list[list[Cyc]]:
         """Twice the bilinear form, 2B(a_s, a_t) = -2 cos(pi / m(s,t)), in
         Z[zeta_modulus]: 2 on the diagonal and -2 for label infinity.
@@ -104,8 +99,13 @@ class MinimalRootTable:
         self.cm = cm
         self.rank = cm.rank
         # one fixed modulus for every coordinate, so equal values always
-        # have identical canonical forms (roots are dictionary keys)
-        modulus = cm.modulus()
+        # have identical canonical forms (roots are dictionary keys); it is
+        # checked against the degree cap before any value is built.  The
+        # finite labels are taken edge by edge around the diagram, so a
+        # triangle's are k, n, m as ``CoxeterMatrix.triangle`` takes them.
+        labels = cm.labels
+        modulus = label_modulus(*(v for d in range(1, self.rank) for i in range(self.rank - d)
+                                  if (v := labels[i][i + d]) is not None))
         gram = cm.gram(modulus)
         one = Cyc.one(modulus)
         zero = Cyc.zero(modulus)
@@ -230,9 +230,7 @@ def triangle_table(k: int, n: int, m: int) -> MinimalRootTable:
     per process; the table is never changed after it is built, so every
     caller may share it.  Labels whose cyclotomic field is past
     ``cyclo.MAX_DEGREE`` raise ValueError, and nothing is cached for them."""
-    cm = CoxeterMatrix.triangle(k, n, m)
-    label_modulus(k, n, m)
-    return MinimalRootTable(cm)
+    return MinimalRootTable(CoxeterMatrix.triangle(k, n, m))
 
 
 def word_problem(k: int, n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
@@ -267,9 +265,7 @@ class ParabolicReport(Value):
     def __init__(self, verdicts: tuple[tuple[tuple[int, ...], bool], ...],  # subset -> finite?
                  maximal_finite: tuple[tuple[int, ...], ...],
                  rotation_orders: tuple[tuple[tuple[int, ...], int], ...]):  # rank-2 members of M_W
-        _set(self, "verdicts", verdicts)
-        _set(self, "maximal_finite", maximal_finite)
-        _set(self, "rotation_orders", rotation_orders)
+        super().__init__(verdicts, maximal_finite, rotation_orders)
 
     def maximal_sets(self) -> list[tuple[int, ...]]:
         return list(self.maximal_finite)

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from itertools import chain, groupby
 
-from .presentations import FamilyParams, cyclic_products
+from .presentations import FamilyParams, cyclic_products, meridians
 from .schreier import chain_implies_shift, chain_relators
-from .words import (Alphabet, Derivation, GenMap, RewriteStep, Value, Word, WordSyntaxError, apply_map, free_reduce,
-                    invert)
+from .words import (Alphabet, Derivation, GenMap, RewriteStep, Value, Word, apply_map, free_reduce, invert,
+                    parse_either)
 
 _STANDARD = Alphabet(["x", "y"])
 _SYMBOLS = (None, "x", "y")  # the name of each letter
@@ -97,11 +97,11 @@ def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
     """Result, status and evidence of ``wp garside``: the Garside normal form in
     <x, y | x^n = y^m> of the word ``text`` over {x, y}, or else over x1 ...
     xn mapped by ``tau``."""
+    FamilyParams("torus-standard", (n, m))
     evidence = []
-    try:
-        word = _STANDARD.word(text)
-    except WordSyntaxError as standard_error:
-        word = _classical_image(n, m, text, standard_error)
+    word = parse_either(_STANDARD, lambda: meridians(n), text)
+    if word.alphabet is not _STANDARD:
+        word = _tau_image(n, m, word)
         evidence.append(f"a word over x1 ... x{n}, mapped to {{x, y}} by tau, the inverse of sigma")
     normal = gnf(n, m, word)
     return {"normal_form": str(normal), "identity": normal.is_identity(),
@@ -115,14 +115,9 @@ def gnf_equal(n: int, m: int, u: Word, v: Word) -> bool:
 def sigma(n: int, m: int) -> GenMap:
     """Standard to classical: x -> x_1...x_m, y -> x_1...x_n (indices mod n)."""
     FamilyParams("torus-standard", (n, m))
-    target = _classical_alphabet(n)
+    target = meridians(n)
     images = (Word(target, tuple(i % n + 1 for i in range(m))), Word(target, tuple(i % n + 1 for i in range(n))))
     return GenMap(_STANDARD, target, images)
-
-
-def _classical_alphabet(n: int) -> Alphabet:
-    """The meridians x1 ... xn, the alphabet of ``torus_classical(n, m)``."""
-    return Alphabet([f"x{i + 1}" for i in range(n)])
 
 
 def _tau_letters(n: int, m: int, i: int) -> tuple[int, ...]:
@@ -149,21 +144,12 @@ def tau(n: int, m: int) -> GenMap:
     """
     FamilyParams("torus-standard", (n, m))
     images = tuple(Word(_STANDARD, _tau_letters(n, m, i)) for i in range(1, n + 1))
-    return GenMap(_classical_alphabet(n), _STANDARD, images)
+    return GenMap(meridians(n), _STANDARD, images)
 
 
-def _classical_image(n: int, m: int, text: str, standard_error: WordSyntaxError) -> Word:
-    """tau(u), unreduced, for the word u that ``text`` spells over x1 ... xn,
-    from the images of u's own letters; or the syntax error of the alphabet
-    that read ``text`` further; on a tie, of the one that knows the token's
-    generator, the standard one if neither does."""
-    FamilyParams("torus-standard", (n, m))
-    meridians = _classical_alphabet(n)
-    try:
-        u = meridians.word(text)
-    except WordSyntaxError as e:
-        known = e.column == standard_error.column and text[e.column - 1:].split()[0].partition("^")[0] in meridians
-        raise (e if e.column > standard_error.column or known else standard_error) from None
+def _tau_image(n: int, m: int, u: Word) -> Word:
+    """tau(u), unreduced, for a word u over x1 ... xn, from the images of
+    u's own letters."""
     images = {}
     for x in set(u.letters):
         letters = _tau_letters(n, m, abs(x))

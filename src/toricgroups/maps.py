@@ -74,7 +74,7 @@ def build_phi(k: int, n: int, m: int) -> Hom:
     """Toric group onto the alternating subgroup of the triangle group."""
     FamilyParams("toric", (k, n, m))  # the labels' own errors come before the degree cap
     table = triangle_table(k, n, m)
-    source = toric(k, n, m, normalize=False)
+    source = toric(k, n, m)
     target = table.cm.alphabet()
     a = target.word("r1 r2")
     b = target.word("r3 r2")
@@ -109,7 +109,7 @@ def build_psi(k: int, n: int, m: int) -> Hom:
     """
     params = psi_params(n, m)
     source = alt_plus(k, n, m)
-    tor = toric(k, n, m, normalize=False)
+    tor = toric(k, n, m)
     delta = Word(tor.alphabet, tuple(j % n + 1 for j in range(m)))
     images = {"a": tor.alphabet.word("x1"), "b": free_reduce(delta**params.ell)}
     gm = GenMap.from_dict(source.alphabet, tor.alphabet, images)
@@ -118,7 +118,7 @@ def build_psi(k: int, n: int, m: int) -> Hom:
 
 def build_embedding(k: int, n: int, m: int) -> Hom:
     """x_i = t^(i-1) s t^(1-i): the toric group inside its parent J-group."""
-    source = toric(k, n, m, normalize=False)
+    source = toric(k, n, m)
     parent = j_parent(k, n, m)
     t = parent.alphabet.word("t")
     s = parent.alphabet.word("s")
@@ -143,7 +143,7 @@ def parent_to_coxeter(k: int, n: int, m: int) -> Hom:
 
 def central_element(k: int, n: int, m: int) -> Word:
     """The full twist c = (x_1 ... x_n)^m in the toric alphabet."""
-    ab = toric(k, n, m, normalize=False).alphabet
+    ab = toric(k, n, m).alphabet
     return Word(ab, tuple(i % n + 1 for i in range(n)) * m)
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .words import (Alphabet, Value, Word, WordSyntaxError, _set, cyclic_reduce, free_reduce, invert, parse_word,
-                    word_to_text)
+from .words import (Alphabet, Value, Word, WordSyntaxError, _column, _set, bad_name, cyclic_reduce, free_reduce,
+                    invert, parse_word, word_to_text)
 
 
 class ParameterError(ValueError):
@@ -47,72 +47,38 @@ class Presentation(Value):
         return serialize(self)
 
 
-FAMILIES = (
-    "torus-standard",
-    "torus-classical",
-    "torus-dual",
-    "toric",
-    "j-parent",
-    "coxeter-triangle",
-    "alt-plus",
-    "alt-toric",
-)
-
-# Number of integer labels each family takes.
-_ARITY = {
-    "torus-standard": 2,
-    "torus-classical": 2,
-    "torus-dual": 2,
-    "toric": 3,
-    "j-parent": 3,
-    "coxeter-triangle": 3,
-    "alt-plus": 3,
-    "alt-toric": 3,
-}
-
-# Families whose (n, m) pair must be coprime.
-_COPRIME = {"torus-standard", "torus-classical", "torus-dual", "toric", "alt-toric"}
-
-
 class FamilyParams(Value):
     __slots__ = ("family", "labels", "normalize")
 
     def __init__(self, family: str, labels: tuple[int, ...], normalize: bool = True):
-        # normalize, toric only: swap (n, m) when n > m
+        # normalize, toric only: build swaps (n, m) when n > m
         _set(self, "family", family)
         _set(self, "labels", labels)
         _set(self, "normalize", normalize)
         if family not in FAMILIES:
             raise ParameterError(f"unknown family {family!r}")
-        if len(labels) != _ARITY[family]:
-            raise ParameterError(f"{family} takes {_ARITY[family]} labels, got {len(labels)}")
+        _, arity, coprime = FAMILIES[family]
+        if len(labels) != arity:
+            raise ParameterError(f"{family} takes {arity} labels, got {len(labels)}")
         for v in labels:
             if not isinstance(v, int) or v < 2:
                 raise ParameterError(f"labels must be integers >= 2, got {v!r}")
-        if family in _COPRIME:
+        if coprime:
             n, m = labels[-2:]
             if math.gcd(n, m) != 1:
                 raise ParameterError(f"gcd({n},{m}) != 1")
 
 
 def build(params: FamilyParams) -> Presentation:
-    """Construct the presentation for a validated parameter set."""
-    fam, labels = params.family, params.labels
-    if fam == "torus-standard":
-        return torus_standard(*labels)
-    if fam == "torus-classical":
-        return torus_classical(*labels)
-    if fam == "torus-dual":
-        return torus_dual(*labels)
-    if fam == "toric":
-        return toric(*labels, normalize=params.normalize)
-    if fam == "j-parent":
-        return j_parent(*labels)
-    if fam == "coxeter-triangle":
-        return coxeter_triangle(*labels)
-    if fam == "alt-plus":
-        return alt_plus(*labels)
-    return alt_toric(*labels)
+    """Construct the presentation for a validated parameter set.
+
+    W(k,n,m) and W(k,m,n) are reflection isomorphic, so a toric row with
+    n > m is built as W(k,m,n) unless ``params.normalize`` is false.
+    """
+    labels = params.labels
+    if params.family == "toric" and params.normalize and labels[1] > labels[2]:
+        labels = (labels[0], labels[2], labels[1])
+    return FAMILIES[params.family][0](*labels)
 
 
 def present_record(params: FamilyParams) -> tuple[dict, str, list[str]]:
@@ -122,13 +88,15 @@ def present_record(params: FamilyParams) -> tuple[dict, str, list[str]]:
             "num_relators": len(pres.relators)}, "ok", []
 
 
-def _check(family: str, *labels: int, normalize: bool = True) -> FamilyParams:
-    return FamilyParams(family, tuple(labels), normalize=normalize)
+def meridians(n: int) -> Alphabet:
+    """The meridians x1 ... xn, the alphabet of ``torus_classical(n, m)`` and
+    ``toric(k, n, m)``."""
+    return Alphabet([f"x{i + 1}" for i in range(n)])
 
 
 def torus_standard(n: int, m: int) -> Presentation:
     """The two-generator torus knot group presentation: x^n = y^m."""
-    _check("torus-standard", n, m)
+    FamilyParams("torus-standard", (n, m))
     ab = Alphabet(["x", "y"])
     x, y = ab.word("x"), ab.word("y")
     return Presentation(ab, (free_reduce(x**n * invert(y**m)),))
@@ -151,36 +119,29 @@ def _chain(words: list[Word]) -> list[Word]:
 
 def torus_classical(n: int, m: int) -> Presentation:
     """n meridian generators, the n-term chain of m-factor products."""
-    _check("torus-classical", n, m)
-    ab = Alphabet([f"x{i + 1}" for i in range(n)])
+    FamilyParams("torus-classical", (n, m))
+    ab = meridians(n)
     return Presentation(ab, tuple(_chain(cyclic_products(ab, n, m))))
 
 
 def torus_dual(n: int, m: int) -> Presentation:
     """m generators, chain of n-factor products (the dual presentation)."""
-    _check("torus-dual", n, m)
+    FamilyParams("torus-dual", (n, m))
     ab = Alphabet([f"y{i + 1}" for i in range(m)])
     return Presentation(ab, tuple(_chain(cyclic_products(ab, m, n))))
 
 
-def toric(k: int, n: int, m: int, normalize: bool = True) -> Presentation:
-    """The toric reflection group W(k,n,m): classical presentation plus x_i^k.
-
-    W(k,n,m) and W(k,m,n) are reflection isomorphic, so by default n > m is
-    normalized by swapping; pass ``normalize=False`` to keep the literal
-    parameters (useful when comparing against rewriting output).
-    """
-    _check("toric", k, n, m, normalize=normalize)
-    if normalize and n > m:
-        n, m = m, n
-    ab = Alphabet([f"x{i + 1}" for i in range(n)])
+def toric(k: int, n: int, m: int) -> Presentation:
+    """The toric reflection group W(k,n,m): classical presentation plus x_i^k."""
+    FamilyParams("toric", (k, n, m))
+    ab = meridians(n)
     orders = [free_reduce(Word(ab, (i + 1,) * k)) for i in range(n)]
     return Presentation(ab, tuple(orders + _chain(cyclic_products(ab, n, m))))
 
 
 def j_parent(a: int, b: int, c: int) -> Presentation:
     """The parent J-group <s,t,u | s^a = t^b = u^c = 1, stu = tus = ust>."""
-    _check("j-parent", a, b, c)
+    FamilyParams("j-parent", (a, b, c))
     ab = Alphabet(["s", "t", "u"])
     s, t, u = (ab.word(nm) for nm in "stu")
     chain = _chain([s * t * u, t * u * s, u * s * t])
@@ -189,7 +150,7 @@ def j_parent(a: int, b: int, c: int) -> Presentation:
 
 def coxeter_triangle(k: int, n: int, m: int) -> Presentation:
     """Rank-3 Coxeter group whose diagram is a triangle labelled k, n, m."""
-    _check("coxeter-triangle", k, n, m)
+    FamilyParams("coxeter-triangle", (k, n, m))
     ab = Alphabet(["r1", "r2", "r3"])
     r1, r2, r3 = (ab.word(f"r{i}") for i in (1, 2, 3))
     rels = (r1**2, r2**2, r3**2, (r1 * r2) ** k, (r2 * r3) ** n, (r3 * r1) ** m)
@@ -198,7 +159,7 @@ def coxeter_triangle(k: int, n: int, m: int) -> Presentation:
 
 def alt_plus(k: int, n: int, m: int) -> Presentation:
     """Two-generator presentation of the alternating subgroup of a triangle group."""
-    _check("alt-plus", k, n, m)
+    FamilyParams("alt-plus", (k, n, m))
     ab = Alphabet(["a", "b"])
     a, b = ab.word("a"), ab.word("b")
     return Presentation(ab, (a**k, b**n, (b * a.inverse()) ** m))
@@ -206,10 +167,23 @@ def alt_plus(k: int, n: int, m: int) -> Presentation:
 
 def alt_toric(k: int, n: int, m: int) -> Presentation:
     """The toric presentation with the full twist (x1...xn)^m killed."""
-    _check("alt-toric", k, n, m)
-    base = toric(k, n, m, normalize=False)
+    FamilyParams("alt-toric", (k, n, m))
+    base = toric(k, n, m)
     twist = Word(base.alphabet, tuple(i + 1 for i in range(n)) * m)
     return Presentation(base.alphabet, base.relators + (twist,))
+
+
+# family -> (builder, number of labels, whether the last two must be coprime)
+FAMILIES = {
+    "torus-standard": (torus_standard, 2, True),
+    "torus-classical": (torus_classical, 2, True),
+    "torus-dual": (torus_dual, 2, True),
+    "toric": (toric, 3, True),
+    "j-parent": (j_parent, 3, False),
+    "coxeter-triangle": (coxeter_triangle, 3, False),
+    "alt-plus": (alt_plus, 3, False),
+    "alt-toric": (alt_toric, 3, True),
+}
 
 
 # --- file format ------------------------------------------------------------
@@ -233,27 +207,28 @@ def parse_presentation(text: str) -> Presentation:
         key = key.strip()
         if not sep:
             raise ParseError("expected 'gens:' or 'rel:' line", lineno)
+        # where the text after the colon starts in the raw line, 0-based
+        offset = len(raw) - len(raw.lstrip()) + line.index(":") + 1
         if key == "gens":
             if alphabet is not None:
                 raise ParseError("duplicate gens line", lineno)
             names = rest.split()
             if not names:
                 raise ParseError("empty generator list", lineno)
-            try:
-                alphabet = Alphabet(names)
-            except ValueError as e:
-                raise ParseError(str(e), lineno) from None
+            bad = bad_name(names)
+            if bad is not None:
+                raise ParseError(bad[1], lineno, column=offset + _column(raw[offset:], names, bad[0]))
+            alphabet = Alphabet(names)
         elif key == "rel":
             if alphabet is None:
                 raise ParseError("rel line before gens line", lineno)
             sides = rest.split("=")
-            # where the side starts in the raw line, 0-based
-            offset = len(raw) - len(raw.lstrip()) + line.index(":") + 1
             words = []
             for k, side in enumerate(sides):
                 if not side.split():
-                    # the '=' that borders it: the one before, or after the first side
-                    column = 1 if len(sides) == 1 else offset if k else offset + len(side) + 1
+                    # just past the colon, or the '=' that borders it: the one
+                    # before, or after the first side
+                    column = offset + 1 if len(sides) == 1 else offset if k else offset + len(side) + 1
                     raise ParseError("empty word in relation", lineno, column=column)
                 try:
                     words.append(parse_word(alphabet, side))

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 from .classify import finite_quotient
 from .cyclo import Cyc, label_modulus, zeta
-from .presentations import FamilyParams, toric
-from .words import Alphabet, Value, Word
+from .presentations import FamilyParams, meridians
+from .words import Alphabet, Value, Word, parse_either
 
 Mat2 = tuple[tuple[Cyc, Cyc], tuple[Cyc, Cyc]]
+
+# the generators of the parent J-group, which rep eval reads a word over first
+_STU = Alphabet(["s", "t", "u"])
 
 
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
@@ -173,9 +176,7 @@ def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> tuple[
     """Result, status and evidence of ``rep eval`` for a word over {s,t,u} if
     it names no other generator, else over x1..xb."""
     rep = build_rho_preset(a, b, c, preset)
-    stu = ["s", "t", "u"]
-    names = {token.partition("^")[0] for token in text.split()} - {"1"}
-    w = Alphabet(stu if names <= set(stu) else [f"x{i + 1}" for i in range(b)]).word(text)
+    w = parse_either(_STU, lambda: meridians(b), text)
     matrix = rho_eval(rep, w)
     return {"matrix": mat_str(matrix), "is_identity": matrix == mat_identity(rep.theta.n),
             "q": str(rep.q), "r": str(rep.r)}, "ok", []
@@ -228,8 +229,7 @@ def unfaithfulness_witness(max_cosets: int = 10**6) -> WitnessReport:
     image of x1 x2 in the k = 3 quotient has order 6, so the element is
     nontrivial and the representation cannot be faithful.  The order is None
     when the k = 3 enumeration overflows ``max_cosets``."""
-    ab = toric(6, 2, 3, normalize=False).alphabet
-    cube = Word(ab, (1, 2) * 3)
+    cube = Word(meridians(2), (1, 2) * 3)
     reps = {name: build_rho(6, 2, 3, q, r) for name, (q, r) in qr_presets(6, 2, 3).items()}
     n = label_modulus(6, 2, 3)
     identity = mat_identity(n)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .cosets import CosetTable, Transversal, bfs_transversal, normal_closure_table
-from .presentations import Presentation, cyclic_products, j_parent, toric, torus_classical
+from .presentations import Presentation, cyclic_products, j_parent, meridians, toric, torus_classical
 from .words import (
     Alphabet,
     Derivation,
@@ -141,13 +141,13 @@ def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
             col = 2 * g
             if (c, col) in tr.tree:
                 continue
-            name = namer(c, p.alphabet.gens[g].name)
+            name = namer(c, p.alphabet.names[g])
             dest = ct.step(c, g + 1)
             value = free_reduce(
                 Word(p.alphabet, tr.reps[c].letters + (g + 1,) + invert(tr.reps[dest]).letters)
             )
             gen_index[(c, g)] = len(sub_gens)
-            sub_gens.append(SubgroupGenerator(name, c, p.alphabet.gens[g].name, value))
+            sub_gens.append(SubgroupGenerator(name, c, p.alphabet.names[g], value))
 
     sub_alphabet = Alphabet([g.name for g in sub_gens])
 
@@ -254,7 +254,7 @@ def chain_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
 
 def shift_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
     """Relators saying x_i (x_1...x_m) = (x_1...x_m) x_{i+m}, for i = 1..n."""
-    ab = Alphabet([f"x{i + 1}" for i in range(n)])
+    ab = meridians(n)
     delta = Word(ab, tuple(j % n + 1 for j in range(m)))
     rels = []
     for i in range(1, n + 1):
@@ -321,7 +321,7 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
             images[g.name] = Word(target, ())
     gm = GenMap.from_dict(rs.presentation.alphabet, target, images)
 
-    reference = toric(k, n, m, normalize=False)
+    reference = toric(k, n, m)
     ref_canon = {cyclic_canonical(r) for r in reference.relators}
     _, chains = chain_relators(n, m)
     _, shifts = shift_relators(n, m)

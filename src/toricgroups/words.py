@@ -11,7 +11,7 @@ reduction logic never has to treat syllables specially.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 # sets a field of a Value, past the __setattr__ that refuses assignment
 _set = object.__setattr__
@@ -23,13 +23,13 @@ class Value:
     A subclass names its fields in ``__slots__``, in the order of its
     constructor's parameters, and sets them in ``__init__`` through
     ``Value.__init__``, or through ``_set`` one by one where that loop's
-    cost would show: in ``Word``, ``Cyc``, ``Gen`` and ``Presentation``,
-    built per letter or per product, and in ``FamilyParams``,
-    ``CoxeterMatrix`` and ``ParabolicReport``, built by nearly every CLI
-    request.  Assignment and deletion raise ``AttributeError``;
-    equality, hash and repr are those of a frozen dataclass with these
-    fields: instances of the same class are equal when their fields are.
-    No code is generated, so importing the package stays cheap.
+    cost would show: in ``Word``, ``Cyc`` and ``Presentation``, built per
+    letter or per product, and in ``FamilyParams`` and ``CoxeterMatrix``,
+    built by nearly every CLI request.  Assignment and deletion raise
+    ``AttributeError``; equality, hash and repr are those of a frozen
+    dataclass with these fields: instances of the same class are equal when
+    their fields are.  No code is generated, so importing the package stays
+    cheap.
     """
 
     __slots__ = ()
@@ -63,41 +63,38 @@ class Value:
         return type(self), self._fields()
 
 
-class Gen(Value):
-    """A named generator together with its position in its alphabet."""
-
-    __slots__ = ("name", "index")
-
-    def __init__(self, name: str, index: int):
-        _set(self, "name", name)
-        _set(self, "index", index)
+def bad_name(names: Sequence[str]) -> tuple[int, str] | None:
+    """The position of the first name that an alphabet of ``names`` cannot
+    hold, and why; None when it can hold them all."""
+    seen = set()
+    for i, nm in enumerate(names):
+        if nm in seen:
+            return i, f"duplicate generator names in {tuple(names)!r}"
+        if not nm or any(ch.isspace() for ch in nm) or "^" in nm or "=" in nm or "#" in nm:
+            return i, f"invalid generator name {nm!r}"
+        if nm == "1":
+            return i, "'1' is reserved for the empty word"
+        seen.add(nm)
+    return None
 
 
 class Alphabet:
     """An ordered list of uniquely named generators."""
 
-    __slots__ = ("gens", "names", "letters", "_by_name")
+    __slots__ = ("names", "letters", "_by_name")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names!r}")
-        for nm in names:
-            if not nm or any(ch.isspace() for ch in nm) or "^" in nm or "=" in nm or "#" in nm:
-                raise ValueError(f"invalid generator name {nm!r}")
-            if nm == "1":
-                raise ValueError("'1' is reserved for the empty word")
+        bad = bad_name(names)
+        if bad is not None:
+            raise ValueError(bad[1])
         self.names = names
-        self.gens = tuple(Gen(nm, i) for i, nm in enumerate(names))
         # the letters a word over this alphabet may hold: +-1 .. +-len
         self.letters = frozenset(range(1, len(names) + 1)) | frozenset(range(-len(names), 0))
         self._by_name = {nm: i for i, nm in enumerate(names)}
 
     def __len__(self) -> int:
-        return len(self.gens)
-
-    def __iter__(self) -> Iterator[Gen]:
-        return iter(self.gens)
+        return len(self.names)
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -162,7 +159,7 @@ class Word(Value):
         return word_to_text(self)
 
     def gen_name(self, letter: int) -> str:
-        return self.alphabet.gens[abs(letter) - 1].name
+        return self.alphabet.names[abs(letter) - 1]
 
 
 def free_reduce(w: Word) -> Word:
@@ -236,6 +233,22 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     return Word(alphabet, tuple(chain.from_iterable(map(expanded.__getitem__, tokens))))
 
 
+def parse_either(first: Alphabet, second: Callable[[], Alphabet], text: str) -> Word:
+    """The word ``text`` spells over ``first``, else over ``second()``, which
+    is built only then.  When neither alphabet reads it, the syntax error of
+    the one that read further; on a tie, of the one that knows the token's
+    generator, ``first`` if neither does."""
+    try:
+        return parse_word(first, text)
+    except WordSyntaxError as first_error:
+        alphabet = second()
+        try:
+            return parse_word(alphabet, text)
+        except WordSyntaxError as e:
+            known = e.column == first_error.column and text[e.column - 1:].split()[0].partition("^")[0] in alphabet
+            raise (e if e.column > first_error.column or known else first_error) from None
+
+
 def _token_run(alphabet: Alphabet, token: str) -> tuple[int, int] | str:
     """The signed letter of one token and its repeat count (0 for ``1``),
     or the message of its syntax error."""
@@ -287,10 +300,10 @@ class GenMap(Value):
 
     @staticmethod
     def from_dict(source: Alphabet, target: Alphabet, images: Mapping[str, Word]) -> "GenMap":
-        missing = [g.name for g in source if g.name not in images]
+        missing = [name for name in source.names if name not in images]
         if missing:
             raise ValueError(f"no image for generators {missing}")
-        return GenMap(source, target, tuple(images[g.name] for g in source))
+        return GenMap(source, target, tuple(images[name] for name in source.names))
 
     def image_of(self, name: str) -> Word:
         return self.images[self.source.index(name)]

@@ -44,7 +44,7 @@ FROZEN_TORIC_ORDERS = {
 
 @cache
 def toric_cayley(k: int, n: int, m: int) -> CayleyTable:
-    return CayleyTable(todd_coxeter(pres.toric(k, n, m, normalize=False)))
+    return CayleyTable(todd_coxeter(pres.toric(k, n, m)))
 
 
 @cache

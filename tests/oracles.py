@@ -458,7 +458,7 @@ def reference_tietze(p: Presentation, budget: int = 10_000) -> Presentation:
         image = invert(tail) if e == 1 else tail
 
         keep = [i for i in range(1, len(alphabet) + 1) if i != g]
-        new_alphabet = Alphabet([alphabet.gens[i - 1].name for i in keep])
+        new_alphabet = Alphabet([alphabet.names[i - 1] for i in keep])
         remap = {old: new + 1 for new, old in enumerate(keep)}
 
         def substituted(w: Word) -> Word:
@@ -488,7 +488,7 @@ def reference_rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal) 
             dest = ct.step(c, g + 1)
             value = free_reduce(Word(p.alphabet, tr.reps[c].letters + (g + 1,) + invert(tr.reps[dest]).letters))
             gen_index[(c, g)] = len(sub_gens)
-            name = p.alphabet.gens[g].name
+            name = p.alphabet.names[g]
             sub_gens.append(SubgroupGenerator(f"{name}_c{c}", c, name, value))
     sub_alphabet = Alphabet([g.name for g in sub_gens])
 

@@ -61,12 +61,22 @@ GOLDEN_REQUESTS = {
     # swapped preset of rep check; these have text goldens too
     "rep_eval_2_3_7_meridians": ["rep", "eval", "2", "3", "7", "x1 x2^-1 x3 x1^-2"],
     "rep_check_2_3_7_swapped": ["rep", "check", "2", "3", "7", "--qr", "swapped"],
+    # captured before the families moved into one table and toric() stopped
+    # swapping n > m itself: build swaps for present and enumerate unless
+    # --no-normalize; the sweep covers every row of the grid workload, and its
+    # text pins the key order of each entry; these have text goldens too
+    "present_toric_2_5_3": ["present", "toric", "2", "5", "3"],
+    "present_toric_2_5_3_no_normalize": ["present", "toric", "2", "5", "3", "--no-normalize"],
+    "enumerate_toric_3_5_2": ["enumerate", "toric", "3", "5", "2"],
+    "enumerate_toric_3_5_2_no_normalize": ["enumerate", "toric", "3", "5", "2", "--no-normalize"],
+    "sweep_7_9": ["sweep", "--max-k", "7", "--max-m", "9"],
 }
 # requests whose text output is pinned as well, in `<name>.txt`
 TEXT_GOLDEN = ("classify_6_2_3", "classify_4_2_3", "sweep_3_5", "derive_2_3_4", "derive_6_2_3",
                "derive_2_3_3", "derive_6_2_4", "wp_garside_2_3", "present_toric_2_3_4",
                "wp_coxeter_7_8_9", "rep_witness", "wp_garside_classical_2_3", "rep_eval_2_3_7_meridians",
-               "rep_check_2_3_7_swapped")
+               "rep_check_2_3_7_swapped", "present_toric_2_5_3", "present_toric_2_5_3_no_normalize",
+               "enumerate_toric_3_5_2", "enumerate_toric_3_5_2_no_normalize", "sweep_7_9")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -283,7 +293,7 @@ def test_derive_infinite_row_takes_finiteness_from_classification(capsys):
     assert result["num_generators"] == 2
     # the checked toric presentation, relabelled s_j -> x_{j+1}
     relabeled = result["presentation"].replace("s0", "x1").replace("s1", "x2")
-    assert relabeled == presentations.serialize(presentations.toric(6, 2, 3, normalize=False))
+    assert relabeled == presentations.serialize(presentations.toric(6, 2, 3))
     assert payload["evidence"][0] == "index of the normal closure of s: 6"
     assert ("order not enumerated: J(6,2,3) maps onto the infinite rotation subgroup of the affine "
             "(6,2,3) triangle group and ncl(s) has finite index; group is infinite" in payload["evidence"])
@@ -406,6 +416,19 @@ def test_rep_eval_reports_the_error_of_an_stu_word(capsys):
     # error would read "unknown generator 's'"
     code, out, err = run(capsys, "rep", "eval", "6", "2", "3", "s^0")
     assert (code, out, err) == (2, "", "error: zero exponent in 's^0'\n")
+
+
+@pytest.mark.parametrize("word, message", [
+    ("s t v", "unknown generator 'v'"),  # {s, t, u} read further; it used to blame 's'
+    ("x1 v", "unknown generator 'v'"),  # the meridians read further
+    ("v", "unknown generator 'v'"),  # a tie that neither alphabet knows
+    ("x1^0", "zero exponent in 'x1^0'"),  # a tie: the meridians know x1
+    ("x3", "unknown generator 'x3'"),  # a meridian past b
+])
+def test_rep_eval_reports_the_alphabet_that_read_further(capsys, word, message):
+    # rep eval and wp garside share one reader for a word over two alphabets
+    code, out, err = run(capsys, "rep", "eval", "6", "2", "3", word)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_sweep_counts_and_distinguishes(capsys):

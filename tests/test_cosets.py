@@ -408,7 +408,7 @@ def test_finite_quotient_is_the_finite_rows_cayley_table(finite_rows):
     for k, n, m in finite_rows:
         cay = finite_quotient(k, n, m, max_cosets=10**6)
         assert cay.size == FROZEN_TORIC_ORDERS[(k, n, m)], (k, n, m)
-        assert cay.alphabet == pres.toric(k, n, m, normalize=False).alphabet
+        assert cay.alphabet == pres.toric(k, n, m).alphabet
     cay = finite_quotient(3, 2, 3, max_cosets=10**6)
     twist = Word(cay.alphabet, (1, 2) * 3)
     assert cay.is_identity(twist * twist)

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,7 @@ from conftest import root_table, triangle_cayley
 from oracles import gram_parabolic_verdicts, matrix_group_order, positive_roots, reference_nf, reference_reduce_word
 
 from toricgroups import cyclo
-from toricgroups.classify import finite_toric
+from toricgroups.classify import classify_toric, finite_toric
 from toricgroups.coxeter import (
     CoxeterMatrix,
     MinimalRootTable,
@@ -247,6 +247,26 @@ def test_spherical_triangles_are_the_finite_toric_rows():
                     assert (classify_triangle(k, n, m) == "spherical") == (finite_toric(k, n, m) is not None), (k, n, m)
 
 
+def test_classify_reads_the_parabolic_orders_off_the_labels():
+    # classify and sweep name the rotation orders of the three edges without
+    # building the Coxeter matrix; that holds because a row is infinite
+    # exactly when its triangle is not spherical
+    rows = 0
+    for k in range(2, 13):
+        for n in range(2, 30):
+            for m in range(n + 1, 31):
+                if gcd(n, m) != 1:
+                    continue
+                infinite = finite_toric(k, n, m) is None
+                assert infinite == (classify_triangle(k, n, m) != "spherical"), (k, n, m)
+                if infinite:
+                    result, status, _ = classify_toric(k, n, m, max_cosets=1)
+                    report = maximal_finite_parabolics(CoxeterMatrix.triangle(k, n, m))
+                    assert (status, result["maximal_finite_cyclic_orders"]) == ("ok", report.orders_multiset())
+                    rows += 1
+    assert rows > 2500
+
+
 # --- replayed prefix states against the rescanning reference -----------------
 
 # label-2 edges, spherical, affine and hyperbolic triangles
@@ -332,10 +352,20 @@ def test_triangle_table_caches_no_rejected_input():
     assert triangle_table.cache_info().currsize == before
 
 
+def test_root_table_refuses_past_the_degree_cap_before_allocating(monkeypatch):
+    # the table checks its own modulus: no caller has to check it first
+    def allocating(*args):
+        raise AssertionError("a cyclotomic value was built past the degree cap")
+
+    monkeypatch.setattr(cyclo.Cyc, "__init__", allocating)
+    with pytest.raises(ValueError, match="labels 11, 13, 15 need cyclotomic modulus N = 4290"):
+        MinimalRootTable(CoxeterMatrix.triangle(11, 13, 15))
+
+
 def test_degree_cap_bounds_phi_of_the_modulus():
     # every triangle of the goldens and the benchmark is accepted
     for labels in [(7, 8, 9), (3, 4, 5), (4, 5, 6), (2, 3, 7), (6, 2, 3), (2, 3, 5), (3, 3, 3), (2, 2, 5)]:
-        assert cyclo.label_modulus(*labels) == CoxeterMatrix.triangle(*labels).modulus()
+        assert cyclo.label_modulus(*labels) == lcm(*(2 * v for v in labels))
     assert cyclo.label_modulus(9, 11, 13) == 2574  # phi = 720, the cap
     assert cyclo.label_modulus(7, 9, 25) == 3150  # phi = 720 at the largest modulus
     with pytest.raises(ValueError, match="phi"):

@@ -60,8 +60,10 @@ def test_relator_counts_across_families():
 
 
 def test_toric_normalizes_n_greater_m():
-    assert pres.toric(2, 4, 3) == pres.toric(2, 3, 4)
-    assert pres.toric(2, 4, 3, normalize=False).gens == ("x1", "x2", "x3", "x4")
+    # build swaps n > m unless told not to; toric itself is literal
+    assert build(FamilyParams("toric", (2, 4, 3))) == pres.toric(2, 3, 4)
+    assert build(FamilyParams("toric", (2, 4, 3), normalize=False)) == pres.toric(2, 4, 3)
+    assert pres.toric(2, 4, 3).gens == ("x1", "x2", "x3", "x4")
 
 
 def test_parameter_domain_errors():
@@ -112,6 +114,20 @@ def test_parse_error_columns_count_from_the_line(text, column):
     with pytest.raises(ParseError) as err:
         parse_presentation(text)
     assert (err.value.line, err.value.column) == (2, column)
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("gens: a a", 1, 9, "duplicate generator names in ('a', 'a')"),  # the repeated a
+    ("gens: a 1", 1, 9, "'1' is reserved for the empty word"),
+    ("gens: a b=c", 1, 9, "invalid generator name 'b=c'"),
+    ("  gens :\ta  b a", 1, 15, "duplicate generator names in ('a', 'b', 'a')"),  # past an indent and a spaced key
+    ("gens: a\nrel:", 2, 5, "empty word in relation"),  # just past the colon
+    ("gens: a\n rel:  # nothing", 2, 6, "empty word in relation"),
+])
+def test_parse_error_columns_on_gens_lines_and_bare_rels(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.column, str(err.value)) == (line, column, f"line {line}, column {column}: {message}")
 
 
 def test_parse_reports_line_of_unknown_generator():

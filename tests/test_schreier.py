@@ -74,10 +74,10 @@ def test_index_one_subgroup_reproduces_presentation():
     rs = rs_presentation(p, table, tr)
     assert len(rs.presentation.gens) == len(p.gens)
     relabel = dict(zip(rs.presentation.gens, p.gens))
-    got = {tuple(relabel[rs.presentation.alphabet.gens[abs(x) - 1].name] + ("+" if x > 0 else "-")
+    got = {tuple(relabel[rs.presentation.alphabet.names[abs(x) - 1]] + ("+" if x > 0 else "-")
                  for x in r.letters)
            for r in rs.presentation.relators}
-    want = {tuple(p.alphabet.gens[abs(x) - 1].name + ("+" if x > 0 else "-") for x in r.letters)
+    want = {tuple(p.alphabet.names[abs(x) - 1] + ("+" if x > 0 else "-") for x in r.letters)
             for r in p.relators}
     assert got == want
 
@@ -262,7 +262,7 @@ def test_golden_file_234_matches_derivation_and_display():
     relabeled = golden
     for j in range(3):
         relabeled = relabeled.replace(f"s{j}", f"x{j + 1}")
-    assert relabeled == serialize(pres.toric(2, 3, 4, normalize=False))
+    assert relabeled == serialize(pres.toric(2, 3, 4))
 
 
 # the default sweep grid, infinite rows included
@@ -278,7 +278,7 @@ def test_derive_toric_presentation_all_rows(finite_rows):
         relabeled = serialize(res.presentation)
         for j in range(n):
             relabeled = relabeled.replace(f"s{j}", f"x{j + 1}")
-        assert relabeled == serialize(pres.toric(k, n, m, normalize=False))
+        assert relabeled == serialize(pres.toric(k, n, m))
 
 
 def test_derive_agrees_with_rs_then_tietze(finite_rows):
@@ -290,7 +290,7 @@ def test_derive_agrees_with_rs_then_tietze(finite_rows):
         relabeled = result["presentation"]
         for j in range(b):
             relabeled = relabeled.replace(f"s{j}", f"x{j + 1}")
-        assert relabeled == serialize(pres.toric(a, b, c, normalize=False)), (a, b, c)
+        assert relabeled == serialize(pres.toric(a, b, c)), (a, b, c)
         if classify_triangle(a, b, c) == "spherical":
             _, rs = toric_closure_rs(a, b, c)
             assert result["order"] == group_order(tietze_simplify(rs.presentation)), (a, b, c)
@@ -361,7 +361,7 @@ def test_rewritten_relators_are_chains_or_shifts(n, m):
         else:
             images[g.name] = Word(target, ())
     gm = GenMap.from_dict(rs.presentation.alphabet, target, images)
-    allowed = {cyclic_canonical(Word(target, r.letters)) for r in pres.toric(k, n, m, normalize=False).relators}
+    allowed = {cyclic_canonical(Word(target, r.letters)) for r in pres.toric(k, n, m).relators}
     allowed |= {cyclic_canonical(Word(target, r.letters)) for r in shift_relators(n, m)[1]}
     allowed.add(())
     for r in rs.presentation.relators:

@@ -22,7 +22,6 @@ SG = schreier.SubgroupGenerator("s0", 0, "x", XY)
 
 # each class with two instances whose fields differ
 SAMPLES = [
-    (words.Gen, lambda: words.Gen("x", 0), lambda: words.Gen("y", 1)),
     (words.Word, lambda: words.Word(AB, (1, -2)), lambda: words.Word(AB, (2, 1))),
     (words.GenMap, lambda: words.GenMap.identity(AB), lambda: words.GenMap(AB, AB, (YX, XY))),
     (words.RewriteStep, lambda: words.RewriteStep(0, XY, YX, None), lambda: words.RewriteStep(1, XY, YX, 0)),
@@ -122,7 +121,6 @@ def test_values_survive_pickle(cls, make, make_other):
 
 def test_repr_keeps_the_dataclass_form():
     assert repr(XY) == "Word(alphabet=Alphabet(x y), letters=(1, -2))"
-    assert repr(AB.gens[1]) == "Gen(name='y', index=1)"
     assert repr(maps.PsiParams(1, 2, 3)) == "PsiParams(q=1, r=2, ell=3)"
     # Cyc's repr was always its text form
     assert repr(cyclo.Cyc(4, (1, 2))) == str(cyclo.Cyc(4, (1, 2))) == "1 + 2*z4"

@@ -7,12 +7,17 @@ listed with ``git ls-tree`` and read with ``git show`` at both revisions, so
 nothing is checked out and the working tree is not read.  A line is a
 newline, as ``wc -l`` counts them.  The script prints each file's lines at
 ``--parent`` and ``--change`` and the change (``-`` where the file does not
-exist), then each directory's totals and net change.
+exist), then each directory's totals and net change, then two option
+counts at both revisions: the parameters with a default value in the
+functions and methods of ``src/toricgroups/``, and the options (the
+``add_argument`` calls whose first name starts with ``-``) of
+``src/toricgroups/cli.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import subprocess
 
@@ -28,6 +33,21 @@ def line_counts(rev: str, directory: str) -> dict[str, int]:
     """Lines of each Python file under ``directory`` at ``rev``, by path."""
     paths = git("ls-tree", "-r", "-z", "--name-only", rev, "--", directory + "/").decode().split("\0")
     return {path: git("show", f"{rev}:{path}").count(b"\n") for path in paths if path.endswith(".py")}
+
+
+def knob_counts(rev: str) -> tuple[int, int]:
+    """Parameters with defaults in ``src/toricgroups/``, and CLI options, at ``rev``."""
+    defaults = options = 0
+    for path in line_counts(rev, DIRS[0]):
+        tree = ast.parse(git("show", f"{rev}:{path}"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defaults += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif (path.endswith("/cli.py") and isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "add_argument" and node.args
+                  and isinstance(node.args[0], ast.Constant) and str(node.args[0].value).startswith("-")):
+                options += 1
+    return defaults, options
 
 
 def row(name: str, old: int | None, new: int | None) -> str:
@@ -50,6 +70,10 @@ def main(argv: list[str] | None = None) -> int:
     print()
     for directory, old, new in totals:
         print(row(directory + "/", old, new))
+    print()
+    before, after = knob_counts(args.parent), knob_counts(args.change)
+    print(row("parameters with defaults, src/toricgroups/", before[0], after[0]))
+    print(row("options, src/toricgroups/cli.py", before[1], after[1]))
     return 0
 
 
