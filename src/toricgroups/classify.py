@@ -60,6 +60,13 @@ def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | No
     return CayleyTable(table) if table.complete else None
 
 
+def _parabolic_orders(k: int, n: int, m: int) -> list[int]:
+    # for infinite rows only: a triangle that is not spherical has its three
+    # edges as maximal finite parabolics, with rotation subgroups cyclic of
+    # orders k, n and m (``coxeter.maximal_finite_parabolics``)
+    return sorted((k, n, m))
+
+
 def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
     """Result, status and evidence of ``classify``: the classification record
     of W(k,n,m) and the evidence for each verdict."""
@@ -74,10 +81,8 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, 
         "finite": fin is not None,
     }
     if fin is None:
-        # an infinite row's triangle is not spherical, so its maximal finite
-        # parabolics are its three edges, whose rotation subgroups are cyclic
-        # of orders k, n and m (``coxeter.maximal_finite_parabolics``)
-        result.update(order=None, center_order=None, maximal_finite_cyclic_orders=sorted((k, n, m)))
+        result.update(order=None, center_order=None,
+                      maximal_finite_cyclic_orders=_parabolic_orders(k, n, m))
         return result, "ok", [
             "not a finite-table member; group is infinite",
             "center order unknown in the infinite case",
@@ -119,7 +124,7 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]
                     "triangle_type": coxeter.classify_triangle(k, n, m),
                 }
                 if fin is None:
-                    entry["maximal_finite_cyclic_orders"] = sorted((k, n, m))  # as in classify_toric
+                    entry["maximal_finite_cyclic_orders"] = _parabolic_orders(k, n, m)
                 else:
                     cayley = finite_quotient(k, n, m, max_cosets)
                     entry["order"] = None if cayley is None else cayley.size
