@@ -173,8 +173,8 @@ def check_record(a: int, b: int, c: int, preset: str | None) -> tuple[dict, str,
 
 
 def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> tuple[dict, str, list[str]]:
-    """Result, status and evidence of ``rep eval`` for a word over {s,t,u} if
-    it names no other generator, else over x1..xb."""
+    """Result, status and evidence of ``rep eval`` for a word over {s,t,u},
+    else over x1..xb."""
     rep = build_rho_preset(a, b, c, preset)
     w = parse_either(_STU, lambda: meridians(b), text)
     matrix = rho_eval(rep, w)
