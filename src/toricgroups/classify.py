@@ -63,7 +63,7 @@ def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | No
 def _parabolic_orders(k: int, n: int, m: int) -> list[int]:
     # for infinite rows only: a triangle that is not spherical has its three
     # edges as maximal finite parabolics, with rotation subgroups cyclic of
-    # orders k, n and m (``coxeter.maximal_finite_parabolics``)
+    # orders k, n and m (Humphreys, Reflection Groups and Coxeter Groups)
     return sorted((k, n, m))
 
 
