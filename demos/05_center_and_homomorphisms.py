@@ -16,8 +16,8 @@ from toricgroups.words import check_derivation, free_reduce, invert
 k, n, m = 2, 3, 4
 phi = maps.build_phi(k, n, m)
 print(f"phi on W{(k,n,m)} generators:")
-for i in range(1, n + 1):
-    print(f"  x{i} -> {phi.genmap.image_of(f'x{i}')}")
+for name, image in zip(phi.genmap.source.names, phi.genmap.images):
+    print(f"  {name} -> {image}")
 print("well-defined:", maps.check_hom(phi).ok)
 
 c = maps.central_element(k, n, m)
@@ -33,7 +33,8 @@ for w in witness.words():
 
 psi = maps.build_psi(k, n, m)
 comp = maps.compose_homs(phi, psi)
-print("\npsi section: a ->", psi.genmap.image_of("a"), "  b ->", psi.genmap.image_of("b"))
+a_image, b_image = psi.genmap.images
+print("\npsi section: a ->", a_image, "  b ->", b_image)
 print("phi o psi fixes a and b:", maps.check_hom(comp).ok)
 
 print("\nfinite scale: |W(k,n,m)| = |<c>| * |W+| for every finite row")

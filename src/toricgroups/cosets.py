@@ -1,20 +1,23 @@
 """Todd-Coxeter coset enumeration and derived finite-group machinery.
 
 The enumerator follows the classical design: a table of cosets by columns
-(one per generator and per inverse), scan-and-fill relator processing, and
-queue-based coincidence handling over a union-find whose roots are always
-the smallest equivalent index, which keeps coset numbering deterministic
-(first-definition order).  Both strategies are one walk over the rows in
-definition order (Havas, "Coset enumeration strategies", 1991; Holt, Eick
-& O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 5): a
-monotone pointer makes each live row complete, and the rows behind it stay
-complete.
+(one per generator and per inverse, one for both of an involution),
+scan-and-fill relator processing, and queue-based coincidence handling
+over a union-find whose roots are always the smallest equivalent index,
+which keeps coset numbering deterministic (first-definition order).  Both
+strategies are one walk over the rows in definition order (Havas, "Coset
+enumeration strategies", 1991; Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 2005, ch. 5): a monotone pointer makes each
+live row complete, and the rows behind it stay complete.
 
 - ``hlt`` (default): at each row, scan-fill every relator, then define the
   row's remaining entries.
 - ``felsch``: define the row's entries in column order, processing the
   deduction stack after each definition, so the table is kept closed under
-  the relators.
+  the relators.  A definition a -> b stacks one deduction, b's entry in
+  the inverse column: the relator cycles through the new edge are the
+  same read from either end, since the rotations of each relator's inverse
+  are checked too.
 
 One scan loop, ``_Enumerator.scan``, serves both, in one frame per row.
 Its two callers differ only at a gap of two or more letters: the
@@ -24,8 +27,16 @@ HLT lookahead and Felsch's deductions leave it open.
 
 The table is stored column-major: one Python list per column, indexed by
 coset, with ``None`` where the entry is undefined, and no per-coset row
-object.  Each relator and subgroup generator is bound once to the column
-lists it reads forwards and backwards, so a scan step is one list index.
+object.  An involution, a generator g with a relator whose free reduction
+is g^2 or g^-2, has one list for its two columns, as in ACE (Havas &
+Ramsay): every edge a -> b by g is stored with its mirror b -> a in the
+same list, so g acts as an involution by construction, its relator is
+never scanned (it stays in the validation of a complete table), and the
+table holds one list fewer per involution.  Every generator of a Coxeter
+triangle group is one, as are s in J(2,b,c) and the meridians of a toric
+row with k = 2.  Each relator and subgroup generator is bound once to the
+column lists it reads forwards and backwards, so a scan step is one list
+index.
 Compaction renumbers the live cosets in order inside the same lists: a
 live coset's new index is at most its old one, so each column is rewritten
 over its own prefix and truncated, and the bindings stay valid.  The
@@ -49,11 +60,12 @@ bound's worth of new rows before the next pass over the table, so on an
 infinite group the passes would repeat at a growing cost for little
 progress.  An HLT overflow therefore holds between 9/10 of ``max_cosets``
 and one row's definitions past it; a row defines at most one coset per
-column, so a Felsch overflow holds at most ``max_cosets + 2 * ngens``
-cosets.  Overflow is a result, not an error; infinite groups are the
-common case in this domain.  Its answer is a count, the live cosets at the
-stop, so the walk's lists are neither renumbered nor copied to give it: at
-the default bound that would add half again to the walk's memory.
+column list, so a Felsch overflow holds at most ``max_cosets + 2 * ngens``
+cosets, and an involution's shared list only lowers that.  Overflow is a
+result, not an error; infinite groups are the common case in this domain.
+Its answer is a count, the live cosets at the stop, so the walk's lists
+are neither renumbered nor copied to give it: at the default bound that
+would add half again to the walk's memory.
 
 A complete table over the trivial subgroup doubles as a regular Cayley
 table, from which element orders, conjugacy classes and reflection-class
@@ -93,7 +105,10 @@ class EnumStats(Value):
     one is made only when the table's ``columns`` are first read (at once
     for a complete table).
     ``deductions`` counts the entries that a scan filled by closing a gap
-    of one letter.
+    of one letter.  An involution's relator is never scanned and its one
+    column fills both directions of an edge at once, so on a presentation
+    with one every count but ``num_cosets`` of a complete table can differ
+    from a two-column enumeration of it.
     """
 
     __slots__ = ("defined", "coincidences", "peak_live", "lookahead_passes", "lookahead_freed", "compactions",
@@ -155,13 +170,18 @@ class CosetTable:
 class _Enumerator:
     """The state of one enumeration: the table by columns and a union-find.
 
-    ``cols[col]`` is a list indexed by coset, ``None`` where undefined.  A
-    relator (or subgroup generator) is bound once to the column lists its
-    letters read forwards and backwards, so a scan step is one list index.
-    The lists are only ever appended to and rewritten in place, which
-    keeps those bindings valid.  ``scan`` is the one loop over a bound
-    path: the row walk calls it with ``fill`` to scan-fill a row, and the
-    lookahead and ``deduce`` call it without.
+    ``cols[col]`` is a list indexed by coset, ``None`` where undefined;
+    an involution's two columns 2i and 2i + 1 are the same list, so every
+    loop that appends to or rewrites the lists runs over ``lists``, each
+    distinct list once, and a path reads an involution's letters as column
+    2i (``canon``).  ``inverse[col]`` is the column of the inverse letter,
+    ``col`` itself for an involution.  A relator (or subgroup generator)
+    is bound once to the column lists its letters read forwards and
+    backwards, so a scan step is one list index.  The lists are only ever
+    appended to and rewritten in place, which keeps those bindings valid.
+    ``scan`` is the one loop over a bound path: the row walk calls it with
+    ``fill`` to scan-fill a row, and the lookahead and ``deduce`` call it
+    without.
     """
 
     def __init__(self, p: Presentation, subgens: Sequence[Word], max_cosets: int, strategy: str):
@@ -173,11 +193,21 @@ class _Enumerator:
         if strategy not in ("hlt", "felsch"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.max_cosets = max_cosets
-        self.cols: list[list[int | None]] = [[None] for _ in range(self.ncols)]
+        # an involution's relator holds by construction: it is not scanned
+        self.relcols = [_columns(free_reduce(r)) for r in p.relators]
+        squares = {cols for cols in self.relcols if len(cols) == 2 and cols[0] == cols[1]}
+        involutions = {cols[0] // 2 for cols in squares}
+        self.canon = [c & ~1 if c // 2 in involutions else c for c in range(self.ncols)]
+        self.inverse = [self.canon[c ^ 1] for c in range(self.ncols)]
+        self.own = [c for c in range(self.ncols) if self.canon[c] == c]
+        self.cols: list[list[int | None]] = []
+        for g in range(len(p.alphabet)):
+            self.cols += [[None]] * 2 if g in involutions else [[None], [None]]
+        self.lists = [self.cols[c] for c in self.own]  # each distinct list once
         self.p = [0]  # union-find parent, p[i] <= i
         self.live = 1
         self.queue: deque[int] = deque()
-        self.rels = [self._bind(_columns(free_reduce(r))) for r in p.relators]
+        self.rels = [self._bind(cols) for cols in self.relcols if cols not in squares]
         self.subs = [self._bind(_columns(free_reduce(w))) for w in subgens]
         self.defined = self.coincidences = self.peak_live = self.deduced = 0
         self.lookahead_passes = self.lookahead_freed = self.compactions = 0
@@ -188,13 +218,17 @@ class _Enumerator:
         if strategy == "felsch":
             self.deductions = []
             self.by_col: list[list[tuple]] = [[] for _ in range(self.ncols)]
+            inverse = self.inverse
             rotations = dict.fromkeys(base[k:] + base[:k] for rel in self.rels
-                                      for base in (rel[0], tuple(c ^ 1 for c in reversed(rel[0])))
+                                      for base in (rel[0], tuple(inverse[c] for c in reversed(rel[0])))
                                       for k in range(len(base)))
             for rot in rotations:
                 self.by_col[rot[0]].append(self._bind(rot))
 
     def _bind(self, cols: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[list, ...], tuple[list, ...]]:
+        """A path's columns, with an involution's read as its first column,
+        and the lists it reads forwards and backwards."""
+        cols = tuple(self.canon[c] for c in cols)
         return cols, tuple(self.cols[c] for c in cols), tuple(self.cols[c ^ 1] for c in cols)
 
     # -- union-find ---------------------------------------------------------
@@ -212,7 +246,7 @@ class _Enumerator:
 
     def define(self, a: int, col: int) -> int:
         b = len(self.p)
-        for column in self.cols:
+        for column in self.lists:
             column.append(None)
         self.p.append(b)
         self.cols[col][a] = b
@@ -239,7 +273,7 @@ class _Enumerator:
         cols = self.cols
         while self.queue:
             dying = self.queue.popleft()
-            for col in range(self.ncols):
+            for col in self.own:
                 column = cols[col]
                 dest = column[dying]
                 if dest is None:
@@ -273,7 +307,7 @@ class _Enumerator:
         inlined: a new coset is a fresh row of ``None`` plus the edge that
         reaches it.
         """
-        p, cols, deductions = self.p, self.cols, self.deductions
+        p, lists, deductions = self.p, self.lists, self.deductions
         defined = 0
         for relcols, fwd, bwd in rels:
             if p[a] != a:
@@ -310,7 +344,7 @@ class _Enumerator:
                 if not fill:
                     break
                 c = len(p)
-                for column in cols:
+                for column in lists:
                     column.append(None)
                 p.append(c)
                 fwd[i][f] = c
@@ -360,7 +394,7 @@ class _Enumerator:
                 n += 1
             else:
                 remap[a] = None
-        for column in self.cols:
+        for column in self.lists:
             column[:n] = [None if x is None else remap[x] for x, new in zip(column, remap) if new is not None]
             del column[n:]
         self.p = [new for new in remap if new is not None]
@@ -385,20 +419,23 @@ class _Enumerator:
         if felsch:
             # every edge the subgroup scans laid down is a deduction
             self.deductions += [(a, col) for a in range(len(self.p)) if self.p[a] == a
-                                for col in range(self.ncols) if self.cols[col][a] is not None]
+                                for col in self.own if self.cols[col][a] is not None]
             self.deduce()
-        cols, rels, p = self.cols, self.rels, self.p
+        rels, p, inverse = self.rels, self.p, self.inverse
+        own = [(col, self.cols[col]) for col in self.own]
         a = 0
         while a < len(p):
             if not felsch:
                 self.scan(a, rels, fill=True)
-            for col, column in enumerate(cols):
+            for col, column in own:
                 if column[a] is None:
                     if p[a] != a:
                         break
                     b = self.define(a, col)
                     if felsch:
-                        self.deductions += ((a, col), (b, col ^ 1))
+                        # the relator cycles through the new edge are those
+                        # that leave b by the inverse column
+                        self.deductions.append((b, inverse[col]))
                         self.deduce()
             a += 1
             if self.live > self.max_cosets:
@@ -421,7 +458,7 @@ class _Enumerator:
         """
         stats = EnumStats(self.defined, self.coincidences, max(self.peak_live, self.live),
                           self.lookahead_passes, self.lookahead_freed, self.compactions + 1, self.deduced)
-        relcols = [rel[0] for rel in self.rels]
+        relcols = self.relcols
         subcols = [rel[0] for rel in self.subs]
         # drop the bindings, so each column list is freed once it is copied
         self.rels = self.subs = self.by_col = []
@@ -433,9 +470,12 @@ class _Enumerator:
     def final_columns(self) -> Columns:
         """Renumber the live cosets in order, then copy the columns into tuples."""
         self.compact()
-        columns = []
+        self.lists = []
+        columns: list[tuple[int | None, ...]] = []
         while self.cols:
-            columns.append(tuple(self.cols.pop(0)))
+            column = self.cols.pop(0)
+            # an involution's second column is its first
+            columns.append(tuple(column) if self.canon[len(columns)] == len(columns) else columns[-1])
         return tuple(columns)
 
 
@@ -677,22 +717,6 @@ class CayleyTable:
             if ok:
                 out.append(e)
         return out
-
-    def validate(self, samples: int = 64, seed: int = 0) -> None:
-        """Spot-check the group axioms (identity, inverses, associativity)."""
-        import random
-
-        rng = random.Random(seed)
-        for i in range(self.size):
-            if self.mul(i, 0) != i or self.mul(0, i) != i:
-                raise AssertionError("identity fails")
-            j = self.inv(i)
-            if self.mul(i, j) != 0 or self.mul(j, i) != 0:
-                raise AssertionError("inverse fails")
-        for _ in range(samples):
-            a, b, c = (rng.randrange(self.size) for _ in range(3))
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise AssertionError("associativity fails")
 
 
 def reflection_class_count(params: FamilyParams, c: CayleyTable) -> int:

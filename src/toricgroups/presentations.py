@@ -214,7 +214,7 @@ def parse_presentation(text: str) -> Presentation:
                 raise ParseError("duplicate gens line", lineno)
             names = rest.split()
             if not names:
-                raise ParseError("empty generator list", lineno)
+                raise ParseError("empty generator list", lineno, column=offset + 1)  # just past the colon
             bad = bad_name(names)
             if bad is not None:
                 raise ParseError(bad[1], lineno, column=offset + _column(raw[offset:], names, bad[0]))

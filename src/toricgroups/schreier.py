@@ -350,43 +350,6 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
     return RSResult(out, rs.generators)
 
 
-def chain_from_shift_derivations(n: int, m: int) -> list[Derivation]:
-    """Derivations of x_j...x_{j+m-1} -> x_1...x_m for j = 2..n from the shifts.
-
-    The j-th derivation cites the shift relators followed by the already
-    derived chain relators d_2, ..., d_{j-1} (the inductive hypothesis), so
-    check it against ``shift_relators(n, m)[1] + chain_relators(n, m)[1][:j-2]``.
-    Each derivation inserts x_{j-1}^-1 x_{j-1} in front, rewrites the m-factor
-    product starting at x_{j-1} to delta by the previous chain, then pushes
-    x_{j-1} back through delta by the shift relator and cancels.
-    """
-    ab, shifts = shift_relators(n, m)
-    prods = cyclic_products(ab, n, m)
-    delta = prods[0]
-    out: list[Derivation] = []
-    for j in range(2, n + 1):
-        i = j - 1  # the generator inserted in front
-        start = prods[j - 1]
-        steps: list[RewriteStep] = []
-        steps.append(RewriteStep(0, Word(ab, ()), Word(ab, (-i, i)), None))
-        if i != 1:
-            # x_i x_j ... has prefix (after the inserted pair) x_i x_{i+1} ...
-            steps.append(RewriteStep(1, prods[i - 1], delta, len(shifts) + (i - 2)))
-        # now the word is x_i^-1 * delta * x_{i+m}; rewrite by the shift i
-        shifted_letter = (i + m - 1) % n + 1
-        steps.append(
-            RewriteStep(
-                1,
-                free_reduce(delta * Word(ab, (shifted_letter,))),
-                free_reduce(Word(ab, (i,)) * delta),
-                i - 1,
-            )
-        )
-        steps.append(RewriteStep(0, Word(ab, (-i, i)), Word(ab, ()), None))
-        out.append(Derivation(start, tuple(steps)))
-    return out
-
-
 def chain_implies_shift(n: int, m: int, i: int) -> Derivation:
     """Derivation of x_i * delta -> delta * x_{i+m} using chain relators only.
 

@@ -305,9 +305,6 @@ class GenMap(Value):
             raise ValueError(f"no image for generators {missing}")
         return GenMap(source, target, tuple(images[name] for name in source.names))
 
-    def image_of(self, name: str) -> Word:
-        return self.images[self.source.index(name)]
-
     def __call__(self, w: Word) -> Word:
         return apply_map(self, w)
 

@@ -13,6 +13,7 @@ settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 from toricgroups.cosets import CayleyTable, normal_closure_table, todd_coxeter
 from toricgroups.coxeter import CoxeterMatrix, MinimalRootTable
+from toricgroups.words import GenMap, Word
 
 FINITE_ROWS = [
     (2, 3, 4),
@@ -40,6 +41,11 @@ FROZEN_TORIC_ORDERS = {
     (2, 2, 7): 14,
     (2, 2, 9): 18,
 }
+
+
+def image_of(f: GenMap, name: str) -> Word:
+    """The image under ``f`` of the source generator called ``name``."""
+    return f.images[f.source.index(name)]
 
 
 @cache

@@ -26,15 +26,25 @@ with the production engines they check:
   reproduce exactly; it shares the word arithmetic of ``words``.
 - ``reference_hlt``: the original enumerator, with the table stored as a
   list of rows, compaction into a new row list, and a lookahead that only
-  gives up once more than ``max_cosets`` cosets are still live.  Complete
-  tables of ``todd_coxeter(..., strategy="hlt")`` must equal its tables
-  entry for entry.  It shares only ``_columns`` and ``_validate`` with
-  ``cosets``.
+  gives up once more than ``max_cosets`` cosets are still live.  It keeps
+  two columns for every generator, an involution's too, and scans every
+  relator.  On a presentation with no involution (a generator g with a
+  relator whose free reduction is g^2 or g^-2, see ``involutions``),
+  complete tables of ``todd_coxeter(..., strategy="hlt")`` must equal its
+  tables entry for entry; with one, they must equal them once both are put
+  in ``standardize``'s numbering.  It shares only ``_columns`` and
+  ``_validate`` with ``cosets``.
 - ``reference_felsch``: the original Felsch driver, which looks for the
-  first undefined entry from row 0 after every definition and stops before
-  a definition once ``max_cosets`` cosets are live.  Complete tables of
-  ``todd_coxeter(..., strategy="felsch")`` must equal its tables entry for
-  entry; it drives the primitive moves of the ``reference_hlt`` engine.
+  first undefined entry from row 0 after every definition, pushes both
+  entries of each definition as deductions, and stops before a definition
+  once ``max_cosets`` cosets are live.  Complete tables of
+  ``todd_coxeter(..., strategy="felsch")`` must equal its tables as
+  ``reference_hlt``'s do; it drives the primitive moves of the
+  ``reference_hlt`` engine.
+- ``standardize``: a complete coset table renumbered breadth first from
+  coset 0, columns in order, each coset numbered when first reached.  Two
+  complete tables of one subgroup are the same action exactly when their
+  standard forms are equal.
 - ``reference_rs_presentation``: the original Reidemeister-Schreier
   rewrite, which rewrites every relator from every coset.
   ``schreier.rs_presentation`` rewrites a relator v^q only from the least
@@ -83,6 +93,10 @@ with the production engines they check:
   ``garside_nf_word`` renders a ``GarsideNF`` back as the word
   x^(n delta_power) followed by its factors, so a normal form can be fed
   to ``gnf`` again.
+- ``abelian_invariants``: the invariant factors of a presentation's
+  abelianization, from the Smith normal form of its relator exponent
+  matrix by integer row and column operations.  Two presentations of one
+  group have the same invariants.
 - ``reference_parse_word``: the original word parser, which tracks the
   column with a running ``text.index`` and expands every token as it comes.
   ``words.parse_word`` must give the same ``Word``, or the same message and
@@ -543,6 +557,23 @@ def reference_normal_closure(p: Presentation, seeds: list[Word], max_cosets: int
 
 
 # --- the original list-of-rows enumerator ----------------------------------
+
+
+def involutions(p: Presentation) -> set[int]:
+    """The generators g (1-based) with a relator whose free reduction is g^2 or g^-2."""
+    return {abs(w.letters[0]) for w in map(free_reduce, p.relators)
+            if len(w.letters) == 2 and w.letters[0] == w.letters[1]}
+
+
+def standardize(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """A complete table renumbered breadth first from coset 0, columns in order."""
+    order, number = [0], {0: 0}
+    for a in order:  # grows while it is read: the breadth-first queue
+        for column in columns:
+            if column[a] not in number:
+                number[column[a]] = len(order)
+                order.append(column[a])
+    return tuple(tuple(number[column[a]] for a in order) for column in columns)
 
 
 def _inv_col(c: int) -> int:
@@ -1266,3 +1297,44 @@ def reference_parse_word(alphabet: Alphabet, text: str) -> Word:
         letters.extend([letter if k > 0 else -letter] * abs(k))
         col += len(token)
     return Word(alphabet, tuple(letters))
+
+
+def abelian_invariants(p: Presentation) -> tuple[int, ...]:
+    """The invariant factors d_1 | d_2 | ... of G/[G, G], 1s left out and 0
+    for each free factor Z: the Smith normal form of the exponent sums."""
+    ngens = len(p.alphabet)
+    m = []
+    for r in p.relators:
+        row = [0] * ngens
+        for x in r.letters:
+            row[abs(x) - 1] += 1 if x > 0 else -1
+        m.append(row)
+    factors = []
+    while True:
+        entries = [(abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        m[0], m[i] = m[i], m[0]
+        for row in m:
+            row[0], row[j] = row[j], row[0]
+        pivot = m[0][0]
+        # reduce the pivot's column and row; a remainder is a smaller pivot
+        for row in m[1:]:
+            q = row[0] // pivot
+            for k in range(len(row)):
+                row[k] -= q * m[0][k]
+        for k in range(1, len(m[0])):
+            q = m[0][k] // pivot
+            for row in m:
+                row[k] -= q * row[0]
+        if any(row[0] for row in m[1:]) or any(m[0][1:]):
+            continue
+        # the pivot must divide the rest, or a row with a remainder joins it
+        bad = next((row for row in m[1:] if any(v % pivot for v in row)), None)
+        if bad is not None:
+            m[0] = [a + b for a, b in zip(m[0], bad)]
+            continue
+        factors.append(abs(pivot))
+        m = [row[1:] for row in m[1:]]
+    return tuple(d for d in factors if d != 1) + (0,) * (ngens - len(factors))

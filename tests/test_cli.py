@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import abelian_invariants
+
 from toricgroups import cli, coxeter, cyclo, presentations, schreier, words
 from toricgroups.cli import main
 
@@ -319,6 +321,27 @@ def test_derive_infinite_row_with_gcd_above_one_is_not_enumerated(capsys):
         assert payload["result"]["presentation"].startswith("gens:")
         assert not any("overflowed" in line for line in payload["evidence"]), abc
         assert any(line.startswith("order not enumerated:") for line in payload["evidence"]), abc
+
+
+# derive 6 2 4 under another numbering of the cosets of ncl(s): the
+# presentation reads each coset's Schreier generators in coset order
+DERIVE_6_2_4_RENUMBERED = """gens: u_2_1 s_3_1
+rel: s_3_1^6
+rel: u_2_1 s_3_1 u_2_1 s_3_1 u_2_1 s_3_1 u_2_1 s_3_1 u_2_1 s_3_1 u_2_1 s_3_1
+rel: u_2_1 s_3_1^2 u_2_1 s_3_1 u_2_1^-1 s_3_1^-2 u_2_1^-1 s_3_1^-1
+rel: s_3_1 u_2_1 s_3_1^2 u_2_1 s_3_1^-1 u_2_1^-1 s_3_1^-2 u_2_1^-1
+"""
+
+
+def test_derive_6_2_4_has_the_abelian_invariants_of_a_renumbered_run(capsys):
+    # the subgroup presentation follows the coset numbering, which the
+    # enumerator's walk decides; the group it presents does not
+    code, out = run_json(capsys, "--max-cosets", "2000", "derive", "6", "2", "4")
+    assert code == 0
+    derived = presentations.parse_presentation(out["result"]["presentation"])
+    other = presentations.parse_presentation(DERIVE_6_2_4_RENUMBERED)
+    assert len(derived.relators) == 5 and len(other.relators) == 4
+    assert abelian_invariants(derived) == abelian_invariants(other) == (6, 6)
 
 
 def test_derive_exhausted_budget_keeps_best_presentation(capsys):

@@ -6,12 +6,14 @@ from hypothesis import given, strategies as st
 
 from conftest import FROZEN_TORIC_ORDERS, parent_cayley, toric_cayley
 from oracles import (
+    involutions,
     matrix_group_order,
     naive_order,
     reference_conjugacy_class_ids,
     reference_felsch,
     reference_hlt,
     reference_normal_closure,
+    standardize,
 )
 
 from toricgroups import classify, cosets, presentations as pres
@@ -108,9 +110,18 @@ def _random_presentation(rng: random.Random) -> tuple[Presentation, list[Word]]:
     return Presentation(alphabet, relators), subgens
 
 
+def _same_table(p: Presentation, table, reference) -> bool:
+    """Entry for entry; in standard numbering when an involution's one
+    column changes the order in which the cosets are defined."""
+    if involutions(p):
+        return standardize(table.columns) == standardize(reference.columns)
+    return table.columns == reference.columns
+
+
 def test_enumeration_matches_reference(finite_rows):
-    # complete tables equal the original engines', entry for entry, under
-    # both strategies
+    # complete tables equal the original engines', under both strategies:
+    # entry for entry, or in standard numbering on a presentation with an
+    # involution
     references = {"hlt": reference_hlt, "felsch": reference_felsch}
     cases = [(pres.j_parent(*abc), []) for abc in FINITE_PARENTS]
     cases += [(pres.toric(*kmn), []) for kmn in finite_rows]
@@ -120,12 +131,13 @@ def test_enumeration_matches_reference(finite_rows):
         for p, subgens in cases:
             table = todd_coxeter(p, subgens, strategy=strategy)
             reference = reference_engine(p, subgens)
-            assert table.complete and table.columns == reference.columns, (p, strategy)
+            assert table.complete and _same_table(p, table, reference), (p, strategy)
     # random presentations at a small bound: a complete reference table is
     # reproduced, and no lookahead cutoff turns one of these into an
     # overflow.  An HLT overflow at the first lookahead, with more than the
-    # bound still live, is the reference's overflow table; a Felsch overflow
-    # passes the bound by at most one row.
+    # bound still live, is the reference's overflow table when no
+    # involution changes the walk; a Felsch overflow passes the bound by at
+    # most one row.
     rng = random.Random(5)
     bound = 100
     first_lookahead_overflows = 0
@@ -135,15 +147,15 @@ def test_enumeration_matches_reference(finite_rows):
             table = todd_coxeter(p, subgens, bound, strategy)
             reference = reference_engine(p, subgens, bound)
             if reference.complete:
-                assert table.complete and table.columns == reference.columns, (p, strategy)
+                assert table.complete and _same_table(p, table, reference), (p, strategy)
             elif strategy == "felsch":
                 assert not table.complete and bound < table.num_cosets <= bound + 2 * len(p.alphabet), p
             else:
                 assert not table.complete, p
-                if table.stats.lookahead_passes == 1 and table.num_cosets > bound:
+                if table.stats.lookahead_passes == 1 and table.num_cosets > bound and not involutions(p):
                     assert table.columns == reference.columns, p
                     first_lookahead_overflows += 1
-    assert first_lookahead_overflows == 42
+    assert first_lookahead_overflows == 31
 
 
 @st.composite
@@ -153,6 +165,53 @@ def small_presentations(draw) -> Presentation:
     words = draw(st.lists(st.lists(letter, min_size=1, max_size=8), min_size=n, max_size=n + 3))
     alphabet = Alphabet([f"g{i}" for i in range(1, n + 1)])
     return Presentation(alphabet, tuple(Word(alphabet, tuple(w)) for w in words))
+
+
+def test_an_involution_has_one_column_and_an_involutive_permutation(finite_rows):
+    # the enumerator's one list serves both columns of an involution, and
+    # the table it leaves is the action of an element of order at most 2
+    cases = [(pres.toric(*kmn), []) for kmn in finite_rows]
+    cases += [(pres.j_parent(*abc), []) for abc in FINITE_PARENTS]
+    cases += [(pres.coxeter_triangle(*t), []) for t in ((2, 3, 4), (2, 3, 5), (2, 2, 7))]
+    cases += [(pres.alt_plus(2, 3, 5), [])]
+    cases += [(p, [p.alphabet.word("s")]) for p in (pres.j_parent(2, 3, 4), pres.j_parent(3, 2, 3))]
+    rng = random.Random(7)
+    while len(cases) < 400:
+        p, subgens = _random_presentation(rng)
+        if involutions(p):
+            cases.append((p, subgens))
+    seen = 0
+    for p, subgens in cases:
+        for strategy in ("hlt", "felsch"):
+            table = todd_coxeter(p, subgens, 200, strategy)
+            if not table.complete:
+                continue
+            seen += 1
+            columns = table.columns
+            for g in involutions(p):
+                column = columns[2 * g - 2]
+                assert columns[2 * g - 1] == column, (p, g)
+                assert all(column[column[c]] == c for c in range(table.num_cosets)), (p, g)
+    assert seen > 400
+
+
+@given(small_presentations(), st.integers(20, 200))
+def test_felsch_pushes_one_deduction_per_definition(p, bound):
+    # a new edge a -> b and its mirror b -> a lie on the same relator
+    # cycles, so checking the rotations at b alone, from the inverse
+    # column, leaves the same table as checking both ends
+    define = cosets._Enumerator.define
+
+    def define_and_push(self, a, col):
+        if self.deductions is not None:
+            self.deductions.append((a, col))
+        return define(self, a, col)
+
+    table = todd_coxeter(p, (), bound, "felsch")
+    with mock.patch.object(cosets._Enumerator, "define", define_and_push):
+        both = todd_coxeter(p, (), bound, "felsch")
+    assert (table.columns, table.num_cosets, table.status) == (both.columns, both.num_cosets, both.status)
+    assert table.stats == both.stats
 
 
 @given(small_presentations())
@@ -184,19 +243,38 @@ def test_overflow_is_a_value():
     assert 2000 < table.num_cosets <= 2000 + 2 * len(p.alphabet)
 
 
+def fibonacci(r: int, n: int) -> Presentation:
+    """Conway's Fibonacci group F(r, n): x_i ... x_{i+r-1} = x_{i+r}, indices mod n.
+
+    F(2, 5) is cyclic of order 11, and HLT defines many more cosets than
+    that on the way, so small bounds make it look ahead and compact in
+    mid-walk."""
+    ab = Alphabet([f"x{i}" for i in range(1, n + 1)])
+    return Presentation(ab, tuple(Word(ab, tuple((i + j) % n + 1 for j in range(r)) + (-((i + r) % n + 1),))
+                                  for i in range(n)))
+
+
+def _presentation(family: str, labels: tuple[int, ...]) -> Presentation:
+    return fibonacci(*labels) if family == "fibonacci" else getattr(pres, family)(*labels)
+
+
 # (family, labels, subgroup, bound, strategy) -> (status, live cosets,
 # (defined, coincidences, peak_live, lookahead_passes, lookahead_freed,
 # compactions, deductions)), as the enumerator counts them: a change to the
-# scan, the fill or the walk that alters any count shows here
+# scan, the fill or the walk that alters any count shows here.  Every
+# coxeter_triangle generator and s in j_parent are involutions, with one
+# column each; toric (6, 2, 3) and F(2, 5) have none.
 PINNED_STATS = [
-    (("j_parent", (2, 3, 5), (), 10**6, "hlt"), ("complete", 3600, (5156, 1557, 3600, 0, 0, 1, 6086))),
-    (("j_parent", (2, 3, 5), (), 10**6, "felsch"), ("complete", 3600, (3620, 21, 3600, 0, 0, 1, 7180))),
-    (("j_parent", (2, 3, 4), ("s",), 10**6, "hlt"), ("complete", 288, (413, 126, 288, 0, 0, 1, 499))),
-    (("j_parent", (2, 3, 4), ("s",), 10**6, "felsch"), ("complete", 288, (290, 3, 288, 0, 0, 1, 574))),
+    (("j_parent", (2, 3, 5), (), 10**6, "hlt"), ("complete", 3600, (4686, 1087, 3600, 0, 0, 1, 4811))),
+    (("j_parent", (2, 3, 5), (), 10**6, "felsch"), ("complete", 3600, (3620, 21, 3600, 0, 0, 1, 5380))),
+    (("j_parent", (2, 3, 4), ("s",), 10**6, "hlt"), ("complete", 288, (385, 98, 288, 0, 0, 1, 394))),
+    (("j_parent", (2, 3, 4), ("s",), 10**6, "felsch"), ("complete", 288, (290, 3, 288, 0, 0, 1, 442))),
     (("toric", (6, 2, 3), (), 10**4, "hlt"), ("overflow", 9921, (10772, 852, 10005, 1, 84, 1, 6991))),
     (("toric", (6, 2, 3), (), 2000, "felsch"), ("overflow", 2002, (2001, 0, 2002, 0, 0, 1, 1262))),
-    (("coxeter_triangle", (2, 3, 7), (), 10**4, "hlt"), ("overflow", 9342, (16020, 6679, 10009, 2, 2189, 2, 10004))),
-    (("coxeter_triangle", (2, 3, 4), (), 52, "hlt"), ("complete", 48, (78, 31, 53, 1, 9, 2, 66))),
+    (("coxeter_triangle", (2, 3, 7), (), 10**4, "hlt"), ("overflow", 10008, (10007, 0, 10008, 1, 0, 1, 3816))),
+    (("coxeter_triangle", (2, 3, 4), (), 52, "hlt"), ("complete", 48, (47, 0, 48, 0, 0, 1, 25))),
+    (("fibonacci", (2, 5), (), 45, "hlt"), ("overflow", 45, (67, 23, 47, 2, 9, 2, 104))),
+    (("fibonacci", (2, 5), (), 57, "hlt"), ("complete", 11, (83, 73, 59, 1, 48, 2, 94))),
 ]
 
 
@@ -205,7 +283,7 @@ PINNED_STATS = [
                               for (f, labels, texts, bound, strategy), _ in PINNED_STATS])
 def test_enum_stats_are_pinned(run, expected):
     family, labels, texts, bound, strategy = run
-    p = getattr(pres, family)(*labels)
+    p = _presentation(family, labels)
     table = todd_coxeter(p, [p.alphabet.word(w) for w in texts], bound, strategy)
     stats = table.stats
     assert (table.status, table.num_cosets, (stats.defined, stats.coincidences, stats.peak_live,
@@ -214,7 +292,7 @@ def test_enum_stats_are_pinned(run, expected):
 
 def test_enum_stats_repeat_and_count_the_live_cosets():
     for (family, labels, texts, bound, strategy), _ in PINNED_STATS:
-        p = getattr(pres, family)(*labels)
+        p = _presentation(family, labels)
         subgens = [p.alphabet.word(w) for w in texts]
         table = todd_coxeter(p, subgens, bound, strategy)
         stats = table.stats
@@ -242,12 +320,17 @@ def test_an_overflow_is_not_renumbered_until_its_columns_are_read(monkeypatch):
     result, status, _ = cosets.enumerate_record(FamilyParams("coxeter-triangle", (2, 3, 7)), "", False, "hlt",
                                                 10**4)
     (table,) = tables
-    assert (status, result["cosets"], table.status) == ("unknown", 9342, "overflow")
+    assert (status, result["cosets"], table.status) == ("unknown", 10008, "overflow")
+    assert calls == [] and table.stats.compactions == 1
+    # F(2, 5) compacts once in mid-walk, after its first lookahead, and
+    # overflows at its second
+    table = todd_coxeter(fibonacci(2, 5), max_cosets=45)
+    assert table.status == "overflow" and table.stats.compactions == 2
     assert len(calls) == table.stats.compactions - 1
     columns = table.columns
     assert table.columns is columns
     assert len(calls) == table.stats.compactions
-    assert all(len(column) == 9342 for column in columns)
+    assert all(len(column) == table.num_cosets == 45 for column in columns)
     # a complete table is renumbered at once, to be validated
     calls.clear()
     table = todd_coxeter(pres.j_parent(2, 3, 5))
@@ -258,14 +341,14 @@ def test_an_overflow_is_not_renumbered_until_its_columns_are_read(monkeypatch):
 def test_lookahead_that_frees_under_a_tenth_ends_the_enumeration():
     # the second lookahead leaves more than 9/10 of the bound live: overflow,
     # with fewer rows than the bound
-    table = todd_coxeter(pres.coxeter_triangle(2, 3, 7), max_cosets=10**4)
+    table = todd_coxeter(fibonacci(2, 5), max_cosets=45)
     assert table.status == "overflow" and table.stats.lookahead_passes == 2
-    assert 9000 < table.num_cosets == 9342 <= 10**4
-    # a lookahead that frees more than a tenth lets the walk go on: the
-    # (2,3,4) triangle group has a peak of 56 live cosets
-    table = todd_coxeter(pres.coxeter_triangle(2, 3, 4), max_cosets=52)
-    assert table.complete and table.num_cosets == 48
-    assert table.stats.lookahead_passes == 1 and table.stats.lookahead_freed == 9
+    assert 10 * table.num_cosets > 9 * 45 and table.num_cosets == 45
+    # a lookahead that frees more than a tenth lets the walk go on: F(2, 5),
+    # cyclic of order 11, has a peak of 92 live cosets
+    table = todd_coxeter(fibonacci(2, 5), max_cosets=57)
+    assert table.complete and table.num_cosets == 11
+    assert table.stats.lookahead_passes == 1 and table.stats.lookahead_freed == 48
 
 
 @given(small_presentations(), st.integers(20, 200))
@@ -327,9 +410,25 @@ def test_cayley_table_builds_its_words_on_first_use(monkeypatch):
     assert built == [cay.table]
 
 
+def check_group_axioms(cay: CayleyTable, samples: int, seed: int) -> None:
+    """Every element's identity and inverse laws, and associativity on
+    random triples."""
+    rng = random.Random(seed)
+    for i in range(cay.size):
+        if cay.mul(i, 0) != i or cay.mul(0, i) != i:
+            raise AssertionError("identity fails")
+        j = cay.inv(i)
+        if cay.mul(i, j) != 0 or cay.mul(j, i) != 0:
+            raise AssertionError("inverse fails")
+    for _ in range(samples):
+        a, b, c = (rng.randrange(cay.size) for _ in range(3))
+        if cay.mul(cay.mul(a, b), c) != cay.mul(a, cay.mul(b, c)):
+            raise AssertionError("associativity fails")
+
+
 def test_cayley_validates_group_axioms():
     cay = toric_cayley(3, 2, 3)
-    cay.validate(samples=128, seed=1)
+    check_group_axioms(cay, samples=128, seed=1)
 
 
 def test_full_multiplication_table_on_a_small_group():

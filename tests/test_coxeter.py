@@ -4,7 +4,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import root_table, triangle_cayley
+from conftest import image_of, root_table, triangle_cayley
 from oracles import gram_parabolic_verdicts, matrix_group_order, positive_roots, reference_nf, reference_reduce_word
 
 from toricgroups import cyclo
@@ -155,7 +155,7 @@ def test_phi_images_have_even_parity():
 
     phi = build_phi(3, 2, 3)
     for i in (1, 2):
-        assert parity(phi.genmap.image_of(f"x{i}")) == "even"
+        assert parity(image_of(phi.genmap, f"x{i}")) == "even"
 
 
 def test_maximal_finite_parabolics_infinite_triangle():

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FINITE_ROWS, toric_cayley
+from conftest import FINITE_ROWS, image_of, toric_cayley
 from oracles import garside_nf_word, monoid_equal, reference_gnf, reference_parse_word
 
 from toricgroups.garside import (
@@ -170,8 +170,8 @@ def test_quotient_consistency_against_finite_toric_groups():
 
 def test_sigma_images():
     s = sigma(2, 3)
-    assert str(s.image_of("x")) == "x1 x2 x1"
-    assert str(s.image_of("y")) == "x1 x2"
+    assert str(image_of(s, "x")) == "x1 x2 x1"
+    assert str(image_of(s, "y")) == "x1 x2"
 
 
 def test_sigma_sends_standard_relator_to_identity_in_quotients():
@@ -228,7 +228,7 @@ def test_tau_and_sigma_are_inverse_isomorphisms(n, m):
         assert gnf_equal(n, m, apply_map(t, apply_map(s, g)), g)
     d = meridian_derivation(n, m)
     check_derivation(d, chains)
-    assert d.start == apply_map(s, t.image_of("x1"))
+    assert d.start == apply_map(s, image_of(t, "x1"))
     assert d.end() == s.target.word("x1")
     assert all(len(w) < 2 * n + m for w in t.images)
 

@@ -130,6 +130,13 @@ def test_parse_error_columns_on_gens_lines_and_bare_rels(text, line, column, mes
     assert (err.value.line, err.value.column, str(err.value)) == (line, column, f"line {line}, column {column}: {message}")
 
 
+@pytest.mark.parametrize("text, column", [("gens:", 6), ("  gens :  # none", 9), ("gens:\t", 6)])
+def test_an_empty_gens_line_points_just_past_its_colon(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert str(err.value) == f"line 1, column {column}: empty generator list"
+
+
 def test_parse_reports_line_of_unknown_generator():
     with pytest.raises(ParseError) as err:
         parse_presentation("gens: x\nrel: x\nrel: q")
