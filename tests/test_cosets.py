@@ -182,6 +182,9 @@ def test_an_involution_has_one_column_and_an_involutive_permutation(finite_rows)
             cases.append((p, subgens))
     seen = 0
     for p, subgens in cases:
+        e = cosets._Enumerator(p, subgens, 200, "hlt")
+        shared = {g for g in range(1, len(p.alphabet) + 1) if e.cols[2 * g - 2] is e.cols[2 * g - 1]}
+        assert shared == involutions(p), p
         for strategy in ("hlt", "felsch"):
             table = todd_coxeter(p, subgens, 200, strategy)
             if not table.complete:
