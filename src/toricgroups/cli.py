@@ -4,14 +4,16 @@ Every subcommand is one library call that returns (result, status,
 evidence).  The command line parses, prints either human-readable text or
 a stable JSON object with the shape {command, params, bounds, result,
 status, evidence}, and exits 0 for computed results (including "unknown"
-and overflow verdicts) or 2 for input errors.  Identical inputs produce
-byte-identical JSON.
+and overflow verdicts), 2 for input errors, or 1, silently, when stdout
+closes before the output is written (as under ``| head``).  Identical
+inputs produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -177,16 +179,23 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: input too large for memory", file=sys.stderr)
         return 2
-    if args.format == "text" and args.command == "present":
-        sys.stdout.write(result["presentation"])
-    else:
-        payload = {"command": args.command, "params": params,
-                   "bounds": {"max_cosets": args.max_cosets, "budget": args.budget},
-                   "result": result, "status": status, "evidence": evidence}
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True, indent=2))
+    try:
+        if args.format == "text" and args.command == "present":
+            sys.stdout.write(result["presentation"])
         else:
-            _emit_text(payload)
+            payload = {"command": args.command, "params": params,
+                       "bounds": {"max_cosets": args.max_cosets, "budget": args.budget},
+                       "result": result, "status": status, "evidence": evidence}
+            if args.format == "json":
+                print(json.dumps(payload, sort_keys=True, indent=2))
+            else:
+                _emit_text(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: point it at /dev/null so
+        # the flush at exit does not fail again, and stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -480,24 +480,25 @@ class _Enumerator:
 
 
 def _validate(t: CosetTable, relcols: Iterable[tuple[int, ...]], subcols: Iterable[tuple[int, ...]]) -> None:
-    n = t.num_cosets
-    for column in t.columns:
+    columns = t.columns
+    cosets = list(range(t.num_cosets))
+    for column in columns:
         if None in column:
             raise AssertionError("incomplete row in complete table")
-        if sorted(column) != list(range(n)):
+        if sorted(column) != cosets:
             raise AssertionError("column is not a permutation")
     for cols in relcols:
-        path = [t.columns[col] for col in cols]
-        for a in range(n):
-            c = a
-            for column in path:
-                c = column[c]
-            if c != a:
-                raise AssertionError("relator does not act trivially")
+        # every coset walks the relator at once, one letter at a time
+        cur = cosets
+        for col in cols:
+            column = columns[col]
+            cur = [column[x] for x in cur]
+        if cur != cosets:
+            raise AssertionError("relator does not act trivially")
     for cols in subcols:
         c = 0
         for col in cols:
-            c = t.columns[col][c]
+            c = columns[col][c]
         if c != 0:
             raise AssertionError("subgroup generator moves coset 0")
 

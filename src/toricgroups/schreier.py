@@ -20,23 +20,12 @@ chain from the parameters (a, b, c); the derivation here and the
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 from .cosets import CosetTable, Transversal, bfs_transversal, normal_closure_table
 from .presentations import Presentation, cyclic_products, j_parent, meridians, toric, torus_classical
-from .words import (
-    Alphabet,
-    Derivation,
-    GenMap,
-    RewriteStep,
-    Value,
-    Word,
-    apply_map,
-    check_derivation,
-    cyclic_reduce,
-    free_reduce,
-    invert,
-)
+from .words import Alphabet, Derivation, RewriteStep, Value, Word, check_derivation, free_reduce, invert
 
 
 def toric_column_order(alphabet: Alphabet) -> list[int]:
@@ -133,39 +122,25 @@ def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
     if namer is None:
         namer = lambda coset, gen: f"{gen}_c{coset}"
 
+    columns = ct.columns
+    reps = tr.reps
     ngens = len(p.alphabet)
-    gen_index: dict[tuple[int, int], int] = {}
     sub_gens: list[SubgroupGenerator] = []
+    # gen_at[col][q]: the signed Schreier generator read along the edge from
+    # coset q by table column col, 0 on a tree edge
+    gen_at = [[0] * ct.num_cosets for _ in range(2 * ngens)]
     for c in range(ct.num_cosets):
         for g in range(ngens):
-            col = 2 * g
-            if (c, col) in tr.tree:
+            if (c, 2 * g) in tr.tree:
                 continue
-            name = namer(c, p.alphabet.names[g])
-            dest = ct.step(c, g + 1)
-            value = free_reduce(
-                Word(p.alphabet, tr.reps[c].letters + (g + 1,) + invert(tr.reps[dest]).letters)
-            )
-            gen_index[(c, g)] = len(sub_gens)
-            sub_gens.append(SubgroupGenerator(name, c, p.alphabet.names[g], value))
+            dest = columns[2 * g][c]
+            value = _freely_reduced(reps[c].letters + (g + 1,) + tuple(-x for x in reversed(reps[dest].letters)))
+            sub_gens.append(SubgroupGenerator(namer(c, p.alphabet.names[g]), c, p.alphabet.names[g],
+                                              Word(p.alphabet, tuple(value))))
+            gen_at[2 * g][c] = len(sub_gens)
+            gen_at[2 * g + 1][dest] = -len(sub_gens)
 
     sub_alphabet = Alphabet([g.name for g in sub_gens])
-
-    def rewrite_from(coset: int, w: Word) -> Word:
-        out: list[int] = []
-        q = coset
-        for x in w.letters:
-            g = abs(x) - 1
-            if x > 0:
-                if (q, 2 * g) not in tr.tree:
-                    out.append(gen_index[(q, g)] + 1)
-                q = ct.step(q, x)
-            else:
-                q2 = ct.step(q, x)
-                if (q2, 2 * g) not in tr.tree:
-                    out.append(-(gen_index[(q2, g)] + 1))
-                q = q2
-        return free_reduce(Word(sub_alphabet, tuple(out)))
 
     # leaders[i][c]: c is the least coset of its orbit under the root of relator i
     leaders: list[list[bool]] = []
@@ -182,13 +157,26 @@ def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
                         d = ct.trace(d, v)
         leaders.append(lead)
 
+    # each relator as the pairs (gen_at[col], columns[col]) of its letters
+    paths = [[(gen_at[col], columns[col]) for col in (2 * x - 2 if x > 0 else -2 * x - 1 for x in r.letters)]
+             for r in p.relators]
     relators: list[Word] = []
     for c in range(ct.num_cosets):
-        for r, lead in zip(p.relators, leaders):
+        for path, lead in zip(paths, leaders):
             if lead[c]:
-                w = rewrite_from(c, r)
-                if w.letters:
-                    relators.append(w)
+                # the rewrite from coset c, freely reduced as it is read
+                out: list[int] = []
+                q = c
+                for gens, column in path:
+                    x = gens[q]
+                    if x:
+                        if out and out[-1] == -x:
+                            out.pop()
+                        else:
+                            out.append(x)
+                    q = column[q]
+                if out:
+                    relators.append(Word(sub_alphabet, tuple(out)))
     return RSResult(Presentation(sub_alphabet, tuple(relators)), tuple(sub_gens))
 
 
@@ -201,11 +189,63 @@ def _primitive_root(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters
 
 
+def _freely_reduced(letters: Iterable[int]) -> list[int]:
+    """Free reduction of a letter sequence, in one stack pass."""
+    stack: list[int] = []
+    for x in letters:
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+    return stack
+
+
+def _cyclically_reduced(letters: Iterable[int]) -> tuple[int, ...]:
+    """Free reduction, then matching first and last letters trimmed."""
+    stack = _freely_reduced(letters)
+    i, j = 0, len(stack)
+    while j - i >= 2 and stack[i] == -stack[j - 1]:
+        i += 1
+        j -= 1
+    return tuple(stack[i:j])
+
+
+def _rotation_key(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of a cyclically reduced word or of its inverse.
+
+    It starts with the least letter of either, so only those rotations are
+    compared."""
+    if not letters:
+        return ()
+    inverse = tuple(-x for x in reversed(letters))
+    low = min(min(letters), min(inverse))
+    return min(w[k:] + w[:k] for w in (letters, inverse) for k in range(len(w)) if w[k] == low)
+
+
 # --- closed-form Schreier generators for the toric transversal --------------
 
 
 def _s_alphabet(n: int) -> Alphabet:
     return Alphabet([f"s{i}" for i in range(n)])
+
+
+def _closed_form_letters(n: int, m: int, which: str, ell: int, p: int) -> tuple[int, ...]:
+    """The letters of ``closed_form_generator``'s word, freely reduced."""
+    if which not in ("s", "u"):
+        raise ValueError("which must be 's' or 'u'")
+    if not 0 <= ell <= m - 1:
+        raise ValueError(f"ell out of range: {ell}")
+    top = n if which == "s" else n - 1
+    if not 1 <= p <= top:
+        raise ValueError(f"p out of range for the {which} family: {p}")
+    prefix = [i % n + 1 for i in range(ell + 1)]
+    if which == "s":
+        middle = [(p + ell) % n + 1]
+        suffix = [-(i % n + 1) for i in range(ell, -1, -1)]
+    else:
+        middle = [-((p + ell) % n + 1)]
+        suffix = [-(i % n + 1) for i in range(ell - 1, -1, -1)]
+    return tuple(_freely_reduced(prefix + middle + suffix))
 
 
 def closed_form_generator(k: int, n: int, m: int, which: str, ell: int, p: int) -> Word:
@@ -224,22 +264,7 @@ def closed_form_generator(k: int, n: int, m: int, which: str, ell: int, p: int) 
     with s indices taken modulo n.  Ranges: 0 <= ell <= m-1, and
     1 <= p <= n for the s family, 1 <= p <= n-1 for the u family.
     """
-    if which not in ("s", "u"):
-        raise ValueError("which must be 's' or 'u'")
-    if not 0 <= ell <= m - 1:
-        raise ValueError(f"ell out of range: {ell}")
-    top = n if which == "s" else n - 1
-    if not 1 <= p <= top:
-        raise ValueError(f"p out of range for the {which} family: {p}")
-    ab = _s_alphabet(n)
-    prefix = [i % n + 1 for i in range(ell + 1)]
-    if which == "s":
-        middle = [(p + ell) % n + 1]
-        suffix = [-(i % n + 1) for i in range(ell, -1, -1)]
-    else:
-        middle = [-((p + ell) % n + 1)]
-        suffix = [-(i % n + 1) for i in range(ell - 1, -1, -1)]
-    return free_reduce(Word(ab, tuple(prefix + middle + suffix)))
+    return Word(_s_alphabet(n), _closed_form_letters(n, m, which, ell, p))
 
 
 # --- relation equivalence as explicit derivations ---------------------------
@@ -255,25 +280,18 @@ def chain_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
 def shift_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
     """Relators saying x_i (x_1...x_m) = (x_1...x_m) x_{i+m}, for i = 1..n."""
     ab = meridians(n)
-    delta = Word(ab, tuple(j % n + 1 for j in range(m)))
-    rels = []
-    for i in range(1, n + 1):
-        lhs = Word(ab, (i,)) * delta
-        rhs = delta * Word(ab, ((i + m - 1) % n + 1,))
-        rels.append(free_reduce(lhs * invert(rhs)))
-    return ab, rels
+    return ab, [Word(ab, _shift_letters(n, m, i)) for i in range(1, n + 1)]
+
+
+def _shift_letters(n: int, m: int, i: int) -> tuple[int, ...]:
+    """The letters of the i-th shift relator x_i d x_{i+m}^-1 d^-1, freely reduced."""
+    delta = [j % n + 1 for j in range(m)]
+    return tuple(_freely_reduced([i] + delta + [-((i + m - 1) % n + 1)] + [-x for x in reversed(delta)]))
 
 
 def cyclic_canonical(w: Word) -> tuple[int, ...]:
     """Canonical letter tuple among all rotations of a relator and its inverse."""
-    w = cyclic_reduce(w)
-    best: tuple[int, ...] | None = None
-    for cand in (w.letters, invert(w).letters):
-        for k in range(max(1, len(cand))):
-            rot = cand[k:] + cand[:k]
-            if best is None or rot < best:
-                best = rot
-    return best if best is not None else ()
+    return _rotation_key(_cyclically_reduced(w.letters))
 
 
 def toric_closure_rs(a: int, b: int, c: int, max_cosets: int = 10**6
@@ -309,41 +327,48 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
     machine-checked.  The result is the toric presentation on the renamed
     generators s_i = x_{i+1}.  A failed check raises AssertionError.
     """
-    target = _s_alphabet(n)
-    images: dict[str, Word] = {}
+    # the closed form of every Schreier generator and its inverse, as letters
+    images: dict[str, tuple[int, ...]] = {}
     for g in rs.generators:
         i, j = labels[g.coset]
         if g.gen_name == "s":
-            images[g.name] = closed_form_generator(k, n, m, "s", m - 1 - i, j + 1)
-        elif g.gen_name == "u":
-            images[g.name] = Word(target, ()) if j == 0 else closed_form_generator(k, n, m, "u", m - 1 - i, j)
-        else:  # t wrap generators are trivial in the subgroup
-            images[g.name] = Word(target, ())
-    gm = GenMap.from_dict(rs.presentation.alphabet, target, images)
+            images[g.name] = _closed_form_letters(n, m, "s", m - 1 - i, j + 1)
+        elif g.gen_name == "u" and j != 0:
+            images[g.name] = _closed_form_letters(n, m, "u", m - 1 - i, j)
+        else:  # u at j = 0 and the t wrap generators are trivial in the subgroup
+            images[g.name] = ()
+    names = rs.presentation.alphabet.names
+    missing = [name for name in names if name not in images]
+    if missing:
+        raise ValueError(f"no image for generators {missing}")
+    subst: dict[int, tuple[int, ...]] = {}
+    for x, name in enumerate(names, start=1):
+        subst[x] = images[name]
+        subst[-x] = tuple(-y for y in reversed(images[name]))
 
+    target = _s_alphabet(n)  # for the messages and the result
     reference = toric(k, n, m)
-    ref_canon = {cyclic_canonical(r) for r in reference.relators}
+    ref_keys = {_rotation_key(_cyclically_reduced(r.letters)) for r in reference.relators}
     _, chains = chain_relators(n, m)
-    _, shifts = shift_relators(n, m)
-    shift_canon = {cyclic_canonical(r): i for i, r in enumerate(shifts, start=1)}
+    shift_keys = {_rotation_key(_cyclically_reduced(_shift_letters(n, m, i))): i for i in range(1, n + 1)}
     found: set[tuple[int, ...]] = set()
     for r in rs.presentation.relators:
-        w = cyclic_reduce(apply_map(gm, r))
-        key = cyclic_canonical(w)
+        w = _cyclically_reduced(chain.from_iterable(map(subst.__getitem__, r.letters)))
+        key = _rotation_key(w)
         if not key or key in found:
             continue
         found.add(key)
-        if key in shift_canon:
-            d = chain_implies_shift(n, m, shift_canon[key])
+        if key in shift_keys:
+            d = chain_implies_shift(n, m, shift_keys[key])
             try:
                 check_derivation(d, chains)  # justified deletion
             except ValueError as e:  # a fault of this derivation, not of the input
-                raise AssertionError(f"derivation of {w}: {e}") from e
+                raise AssertionError(f"derivation of {Word(target, w)}: {e}") from e
             if cyclic_canonical(d.start * invert(d.end())) != key:
-                raise AssertionError(f"the derivation cited for {w} derives another relator")
-        elif key not in ref_canon:
-            raise AssertionError(f"unexpected relator {w} in rewritten presentation")
-    if not ref_canon <= found:
+                raise AssertionError(f"the derivation cited for {Word(target, w)} derives another relator")
+        elif key not in ref_keys:
+            raise AssertionError(f"unexpected relator {Word(target, w)} in rewritten presentation")
+    if not ref_keys <= found:
         raise AssertionError("rewriting did not produce every toric relator")
 
     out = Presentation(target, tuple(Word(target, r.letters) for r in reference.relators))
@@ -358,7 +383,7 @@ def chain_implies_shift(n: int, m: int, i: int) -> Derivation:
     starting at x_i back to delta.  Either substitution is skipped when its
     chain index is 1 (the rewrite is the identity).
     """
-    ab, chains = chain_relators(n, m)
+    ab = meridians(n)
     prods = cyclic_products(ab, n, m)
     delta = prods[0]
     if not 1 <= i <= n:
@@ -381,7 +406,7 @@ def delta_power_to_twist(n: int, m: int) -> Derivation:
     literal word x_1 x_2 ... x_{nm} with indices mod n, which is identical
     to (x_1...x_n)^m letter by letter.
     """
-    ab, chains = chain_relators(n, m)
+    ab = meridians(n)
     prods = cyclic_products(ab, n, m)
     delta = prods[0]
     start = Word(ab, delta.letters * n)

@@ -52,6 +52,15 @@ with the production engines they check:
   reference's, in order, and every reference relator a cyclic rotation of
   a kept one once both are cyclically reduced.  It reads only the table's
   ``step`` and the transversal's ``tree`` and ``reps``.
+- ``reference_check_toric_presentation``: the original check of the toric
+  presentation on Word objects: each closed form a ``Word`` through
+  ``GenMap``, each relator mapped by ``apply_map`` and keyed by the
+  original ``cyclic_canonical``, which compares every rotation of the
+  word and of its inverse.  ``schreier.check_toric_presentation`` works
+  on letter tuples; it must return the same presentation, or raise an
+  ``AssertionError`` with the same message.  It shares the closed forms
+  (``closed_form_generator``), the relators and ``chain_implies_shift``
+  with the check, which are one source of truth.
 - ``reference_normal_closure``: the original normal-closure loop, which
   enumerates over a subgroup and adjoins one conjugate of a seed per round
   until every seed acts trivially.  It needs a finite index at every round
@@ -113,14 +122,16 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Sequence
 
+from toricgroups import schreier
 from toricgroups.cosets import (CayleyTable, CosetTable, Transversal, _columns, _validate, bfs_transversal,
                                 todd_coxeter)
 from toricgroups.coxeter import MinimalRootTable
 from toricgroups.cyclo import _degree, cyclotomic_polynomial
 from toricgroups.garside import _STANDARD, GarsideNF
-from toricgroups.presentations import FamilyParams, Presentation, TietzeBudgetExceeded
-from toricgroups.schreier import RSResult, SubgroupGenerator
-from toricgroups.words import Alphabet, Word, WordSyntaxError, cyclic_reduce, free_reduce, invert
+from toricgroups.presentations import FamilyParams, Presentation, TietzeBudgetExceeded, toric
+from toricgroups.schreier import RSResult, SubgroupGenerator, chain_relators, closed_form_generator, shift_relators
+from toricgroups.words import (Alphabet, GenMap, Word, WordSyntaxError, apply_map, check_derivation, cyclic_reduce,
+                               free_reduce, invert)
 
 
 def _letters(w: Word) -> tuple[int, ...]:
@@ -525,6 +536,62 @@ def reference_rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal) 
             if w.letters:
                 relators.append(w)
     return RSResult(Presentation(sub_alphabet, tuple(relators)), tuple(sub_gens))
+
+
+def _reference_cyclic_canonical(w: Word) -> tuple[int, ...]:
+    """Canonical letter tuple among all rotations of a relator and its inverse."""
+    w = cyclic_reduce(w)
+    best: tuple[int, ...] | None = None
+    for cand in (w.letters, invert(w).letters):
+        for k in range(max(1, len(cand))):
+            rot = cand[k:] + cand[:k]
+            if best is None or rot < best:
+                best = rot
+    return best if best is not None else ()
+
+
+def reference_check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int, int]],
+                                       rs: RSResult) -> RSResult:
+    """The original ``check_toric_presentation``, on Word objects throughout."""
+    target = Alphabet([f"s{i}" for i in range(n)])
+    images: dict[str, Word] = {}
+    for g in rs.generators:
+        i, j = labels[g.coset]
+        if g.gen_name == "s":
+            images[g.name] = closed_form_generator(k, n, m, "s", m - 1 - i, j + 1)
+        elif g.gen_name == "u":
+            images[g.name] = Word(target, ()) if j == 0 else closed_form_generator(k, n, m, "u", m - 1 - i, j)
+        else:  # t wrap generators are trivial in the subgroup
+            images[g.name] = Word(target, ())
+    gm = GenMap.from_dict(rs.presentation.alphabet, target, images)
+
+    reference = toric(k, n, m)
+    ref_canon = {_reference_cyclic_canonical(r) for r in reference.relators}
+    _, chains = chain_relators(n, m)
+    _, shifts = shift_relators(n, m)
+    shift_canon = {_reference_cyclic_canonical(r): i for i, r in enumerate(shifts, start=1)}
+    found: set[tuple[int, ...]] = set()
+    for r in rs.presentation.relators:
+        w = cyclic_reduce(apply_map(gm, r))
+        key = _reference_cyclic_canonical(w)
+        if not key or key in found:
+            continue
+        found.add(key)
+        if key in shift_canon:
+            d = schreier.chain_implies_shift(n, m, shift_canon[key])
+            try:
+                check_derivation(d, chains)  # justified deletion
+            except ValueError as e:  # a fault of this derivation, not of the input
+                raise AssertionError(f"derivation of {w}: {e}") from e
+            if _reference_cyclic_canonical(d.start * invert(d.end())) != key:
+                raise AssertionError(f"the derivation cited for {w} derives another relator")
+        elif key not in ref_canon:
+            raise AssertionError(f"unexpected relator {w} in rewritten presentation")
+    if not ref_canon <= found:
+        raise AssertionError("rewriting did not produce every toric relator")
+
+    out = Presentation(target, tuple(Word(target, r.letters) for r in reference.relators))
+    return RSResult(out, rs.generators)
 
 
 def reference_normal_closure(p: Presentation, seeds: list[Word], max_cosets: int = 10**6,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from math import lcm
 from pathlib import Path
@@ -540,6 +543,25 @@ def test_degree_cap_refuses_before_allocating(capsys, monkeypatch, argv):
     assert (code, out) == (2, "")
     assert err == (f"error: labels {', '.join(argv[2:5])} need cyclotomic modulus N = {n}, "
                    f"and phi(N) exceeds the supported degree {cyclo.MAX_DEGREE}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # 18 KB of text, so a print fails once the first 8 KB block is written
+    pytest.param(("sweep", "--max-k", "7", "--max-m", "9"), id="sweep-text"),
+    # a short output, which fails only when it is flushed
+    pytest.param(("--format", "json", "derive", "2", "3", "4"), id="derive-json"),
+])
+def test_closed_stdout_exits_one_with_nothing_on_stderr(argv):
+    # the reader goes away first, as `| head` does; the CLI's start-up takes
+    # far longer than closing the pipe, so every write meets a closed pipe
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen([sys.executable, "-m", "toricgroups.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 @pytest.mark.parametrize("name", TEXT_GOLDEN)

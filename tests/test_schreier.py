@@ -4,15 +4,16 @@ from math import gcd
 import pytest
 
 from conftest import FINITE_ROWS, closure_table, parent_cayley
-from oracles import reference_rs_presentation
+from oracles import reference_check_toric_presentation, reference_rs_presentation
 
-from toricgroups import classify
+from toricgroups import classify, schreier
 from toricgroups import presentations as pres
 from toricgroups.coxeter import classify_triangle
 from toricgroups.cosets import group_order, todd_coxeter
 from toricgroups.presentations import cyclic_products, parse_presentation, serialize, tietze_simplify
 from toricgroups.schreier import (
     RSResult,
+    SubgroupGenerator,
     chain_implies_shift,
     chain_relators,
     check_toric_presentation,
@@ -26,10 +27,13 @@ from toricgroups.schreier import (
     toric_closure_rs,
     toric_coset_labels,
 )
-from toricgroups.words import (Derivation, RewriteStep, Word, apply_map, check_derivation, cyclic_reduce, free_reduce,
+from toricgroups.words import (Alphabet, Derivation, RewriteStep, Word, apply_map, check_derivation, cyclic_reduce, free_reduce,
                               invert)
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# the default sweep grid, infinite rows included
+SWEEP_GRID = [(k, n, m) for k in range(2, 7) for n in range(2, 7) for m in range(n + 1, 8) if gcd(n, m) == 1]
 
 
 def chain_from_shift_derivations(n: int, m: int) -> list[Derivation]:
@@ -152,12 +156,19 @@ def test_rs_on_j323_gives_two_generator_order_24():
     assert group_order(simplified) == 24
 
 
-def _rs_against_reference(p: pres.Presentation, table, column_order=None) -> None:
+def _rs_against_reference(p: pres.Presentation, table, column_order=None, namer=None) -> RSResult:
     """The relators of rs_presentation are a subsequence of the all-cosets
     rewrite, in order, and every relator of it is a cyclic rotation of a
-    kept one once both are cyclically reduced."""
+    kept one once both are cyclically reduced.  The reference names its
+    generators by the default namer, so ``namer`` renames them first."""
     tr = schreier_transversal(table, column_order)
-    got, want = rs_presentation(p, table, tr), reference_rs_presentation(p, table, tr)
+    got, want = rs_presentation(p, table, tr, namer), reference_rs_presentation(p, table, tr)
+    if namer is not None:
+        gens = tuple(SubgroupGenerator(namer(g.coset, g.gen_name), g.coset, g.gen_name, g.value)
+                     for g in want.generators)
+        alphabet = Alphabet([g.name for g in gens])
+        want = RSResult(pres.Presentation(alphabet, tuple(Word(alphabet, r.letters)
+                                                          for r in want.presentation.relators)), gens)
     assert got.generators == want.generators
     assert got.presentation.alphabet == want.presentation.alphabet
     kept = iter(want.presentation.relators)
@@ -167,12 +178,24 @@ def _rs_against_reference(p: pres.Presentation, table, column_order=None) -> Non
         letters = cyclic_reduce(r).letters
         rotations.update(letters[k:] + letters[:k] for k in range(len(letters)))
     assert all(cyclic_reduce(w).letters in rotations for w in want.presentation.relators)
+    return got
 
 
 @pytest.mark.parametrize("a,b,c", FINITE_ROWS + [(2, 3, 3), (6, 2, 4), (2, 4, 6)])
 def test_rs_is_the_all_cosets_rewrite_less_rotated_copies(a, b, c):
     parent = pres.j_parent(a, b, c)
     _rs_against_reference(parent, closure_table(a, b, c), toric_column_order(parent.alphabet))
+
+
+@pytest.mark.parametrize("a,b,c", SWEEP_GRID)
+def test_rs_of_the_closure_tables_is_the_all_cosets_rewrite(a, b, c):
+    # the named-generator path that `derive` takes, on the table it reads
+    parent = pres.j_parent(a, b, c)
+    table = closure_table(a, b, c)
+    labels = toric_coset_labels(schreier_transversal(table, toric_column_order(parent.alphabet)))
+    got = _rs_against_reference(parent, table, toric_column_order(parent.alphabet),
+                                lambda coset, g: f"{g}_{labels[coset][0]}_{labels[coset][1]}")
+    assert toric_closure_rs(a, b, c) == (labels, got)
 
 
 def test_rs_keeps_one_rewrite_per_orbit_of_a_two_letter_root():
@@ -302,10 +325,6 @@ def test_golden_file_234_matches_derivation_and_display():
     assert relabeled == serialize(pres.toric(2, 3, 4))
 
 
-# the default sweep grid, infinite rows included
-SWEEP_GRID = [(k, n, m) for k in range(2, 7) for n in range(2, 7) for m in range(n + 1, 8) if gcd(n, m) == 1]
-
-
 def test_derive_toric_presentation_all_rows(finite_rows):
     # the sweep grid plus the finite rows outside it
     assert len(SWEEP_GRID) == 55
@@ -343,6 +362,81 @@ def test_check_toric_presentation_refuses_a_wrong_rs_presentation():
         wrong = RSResult(pres.Presentation(rs.presentation.alphabet, relators), rs.generators)
         with pytest.raises(AssertionError, match=message):
             check_toric_presentation(2, 3, 4, labels, wrong)
+
+
+def _outcome(check, k, n, m, labels, rs):
+    """The presentation a check returns, or the message of its AssertionError."""
+    try:
+        return check(k, n, m, labels, rs).presentation
+    except AssertionError as e:
+        return f"AssertionError: {e}"
+
+
+def test_check_agrees_with_the_word_based_reference(finite_rows):
+    for row in SWEEP_GRID + [row for row in finite_rows if row not in SWEEP_GRID]:
+        found = toric_closure_rs(*row)
+        got = _outcome(check_toric_presentation, *row, *found)
+        assert got == _outcome(reference_check_toric_presentation, *row, *found), row
+        assert isinstance(got, pres.Presentation), row
+
+
+def _tampered(rs: RSResult) -> dict[str, list[RSResult]]:
+    """RS presentations that differ from ``rs`` by one relator dropped, by
+    the relators past a prefix dropped, by one foreign relator added, or by
+    one generator given another's closed form."""
+    ab, relators, gens = rs.presentation.alphabet, rs.presentation.relators, rs.generators
+    s_gen = next(i for i, g in enumerate(gens, start=1) if g.gen_name == "s")
+    return {
+        "dropped": [RSResult(pres.Presentation(ab, relators[:i] + relators[i + 1:]), gens)
+                    for i in range(len(relators))],
+        "prefix": [RSResult(pres.Presentation(ab, relators[:i]), gens) for i in range(len(relators))],
+        "foreign": [RSResult(pres.Presentation(ab, relators + (Word(ab, (s_gen,)),)), gens)],
+        "swapped": [RSResult(rs.presentation, gens[:i] + (SubgroupGenerator(g.name, other.coset, other.gen_name,
+                                                                            g.value),) + gens[i + 1:])
+                    for i, (g, other) in enumerate(zip(gens, gens[1:] + gens[:1]))],
+    }
+
+
+@pytest.mark.parametrize("k,n,m", [(2, 3, 4), (3, 2, 5), (2, 3, 7)])
+def test_check_agrees_with_the_word_based_reference_on_tampered_rs(k, n, m):
+    labels, rs = toric_closure_rs(k, n, m)
+    refused = {}
+    for kind, variants in _tampered(rs).items():
+        outcomes = [_outcome(check_toric_presentation, k, n, m, labels, wrong) for wrong in variants]
+        assert outcomes == [_outcome(reference_check_toric_presentation, k, n, m, labels, wrong)
+                            for wrong in variants], kind
+        refused[kind] = {o.split(" ", 2)[1] for o in outcomes if isinstance(o, str)}
+    # each toric relator has more than one rewrite, so one relator dropped is
+    # no fault; the other kinds are caught, each by the check it targets
+    assert refused["dropped"] == set()
+    assert "rewriting" in refused["prefix"]
+    assert refused["foreign"] == {"unexpected"}
+    assert "unexpected" in refused["swapped"]
+
+
+@pytest.mark.parametrize("k,n,m", [(2, 3, 4), (3, 4, 5), (2, 3, 7)])
+def test_check_refuses_the_derivation_of_another_shift_relator(monkeypatch, k, n, m):
+    real = schreier.chain_implies_shift
+    monkeypatch.setattr(schreier, "chain_implies_shift", lambda n_, m_, i: real(n_, m_, i % n_ + 1))
+    with pytest.raises(AssertionError, match="^the derivation cited for .* derives another relator$"):
+        check_toric_presentation(k, n, m, *toric_closure_rs(k, n, m))
+
+
+@pytest.mark.parametrize("k,n,m", [(2, 3, 4), (3, 4, 5), (2, 3, 7)])
+def test_check_refuses_a_derivation_with_a_corrupted_step(monkeypatch, k, n, m):
+    # the step cites another chain relator: the words, and so the relator
+    # derived, stay the same, and only the step check can see it
+    real = schreier.chain_implies_shift
+
+    def corrupted(n_, m_, i):
+        d = real(n_, m_, i)
+        first = d.steps[0]
+        wrong = RewriteStep(first.position, first.old, first.new, (first.relator_index + 1) % (n_ - 1))
+        return Derivation(d.start, (wrong,) + d.steps[1:])
+
+    monkeypatch.setattr(schreier, "chain_implies_shift", corrupted)
+    with pytest.raises(AssertionError, match="^derivation of .*: step 0: not an instance of relator"):
+        check_toric_presentation(k, n, m, *toric_closure_rs(k, n, m))
 
 
 def test_spherical_coprime_rows_are_the_finite_table():
