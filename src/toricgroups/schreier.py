@@ -21,11 +21,12 @@ chain from the parameters (a, b, c); the derivation here and the
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .cosets import CosetTable, Transversal, bfs_transversal, normal_closure_table
 from .presentations import Presentation, cyclic_products, j_parent, meridians, toric, torus_classical
-from .words import Alphabet, Derivation, RewriteStep, Value, Word, check_derivation, free_reduce, invert
+from .words import (Alphabet, Derivation, RewriteStep, Value, Word, check_derivation, cyclic_reduce_letters,
+                    free_reduce, free_reduce_letters, invert)
 
 
 def toric_column_order(alphabet: Alphabet) -> list[int]:
@@ -134,7 +135,7 @@ def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
             if (c, 2 * g) in tr.tree:
                 continue
             dest = columns[2 * g][c]
-            value = _freely_reduced(reps[c].letters + (g + 1,) + tuple(-x for x in reversed(reps[dest].letters)))
+            value = free_reduce_letters(reps[c].letters + (g + 1,) + tuple(-x for x in reversed(reps[dest].letters)))
             sub_gens.append(SubgroupGenerator(namer(c, p.alphabet.names[g]), c, p.alphabet.names[g],
                                               Word(p.alphabet, tuple(value))))
             gen_at[2 * g][c] = len(sub_gens)
@@ -164,17 +165,13 @@ def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
     for c in range(ct.num_cosets):
         for path, lead in zip(paths, leaders):
             if lead[c]:
-                # the rewrite from coset c, freely reduced as it is read
                 out: list[int] = []
                 q = c
                 for gens, column in path:
-                    x = gens[q]
-                    if x:
-                        if out and out[-1] == -x:
-                            out.pop()
-                        else:
-                            out.append(x)
+                    if gens[q]:
+                        out.append(gens[q])
                     q = column[q]
+                out = free_reduce_letters(out)
                 if out:
                     relators.append(Word(sub_alphabet, tuple(out)))
     return RSResult(Presentation(sub_alphabet, tuple(relators)), tuple(sub_gens))
@@ -187,27 +184,6 @@ def _primitive_root(letters: tuple[int, ...]) -> tuple[int, ...]:
         if n % p == 0 and letters == letters[:p] * (n // p):
             return letters[:p]
     return letters
-
-
-def _freely_reduced(letters: Iterable[int]) -> list[int]:
-    """Free reduction of a letter sequence, in one stack pass."""
-    stack: list[int] = []
-    for x in letters:
-        if stack and stack[-1] == -x:
-            stack.pop()
-        else:
-            stack.append(x)
-    return stack
-
-
-def _cyclically_reduced(letters: Iterable[int]) -> tuple[int, ...]:
-    """Free reduction, then matching first and last letters trimmed."""
-    stack = _freely_reduced(letters)
-    i, j = 0, len(stack)
-    while j - i >= 2 and stack[i] == -stack[j - 1]:
-        i += 1
-        j -= 1
-    return tuple(stack[i:j])
 
 
 def _rotation_key(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -245,7 +221,7 @@ def _closed_form_letters(n: int, m: int, which: str, ell: int, p: int) -> tuple[
     else:
         middle = [-((p + ell) % n + 1)]
         suffix = [-(i % n + 1) for i in range(ell - 1, -1, -1)]
-    return tuple(_freely_reduced(prefix + middle + suffix))
+    return tuple(free_reduce_letters(prefix + middle + suffix))
 
 
 def closed_form_generator(k: int, n: int, m: int, which: str, ell: int, p: int) -> Word:
@@ -286,12 +262,12 @@ def shift_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
 def _shift_letters(n: int, m: int, i: int) -> tuple[int, ...]:
     """The letters of the i-th shift relator x_i d x_{i+m}^-1 d^-1, freely reduced."""
     delta = [j % n + 1 for j in range(m)]
-    return tuple(_freely_reduced([i] + delta + [-((i + m - 1) % n + 1)] + [-x for x in reversed(delta)]))
+    return tuple(free_reduce_letters([i] + delta + [-((i + m - 1) % n + 1)] + [-x for x in reversed(delta)]))
 
 
 def cyclic_canonical(w: Word) -> tuple[int, ...]:
     """Canonical letter tuple among all rotations of a relator and its inverse."""
-    return _rotation_key(_cyclically_reduced(w.letters))
+    return _rotation_key(cyclic_reduce_letters(w.letters))
 
 
 def toric_closure_rs(a: int, b: int, c: int, max_cosets: int = 10**6
@@ -348,12 +324,12 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
 
     target = _s_alphabet(n)  # for the messages and the result
     reference = toric(k, n, m)
-    ref_keys = {_rotation_key(_cyclically_reduced(r.letters)) for r in reference.relators}
+    ref_keys = {_rotation_key(cyclic_reduce_letters(r.letters)) for r in reference.relators}
     _, chains = chain_relators(n, m)
-    shift_keys = {_rotation_key(_cyclically_reduced(_shift_letters(n, m, i))): i for i in range(1, n + 1)}
+    shift_keys = {_rotation_key(cyclic_reduce_letters(_shift_letters(n, m, i))): i for i in range(1, n + 1)}
     found: set[tuple[int, ...]] = set()
     for r in rs.presentation.relators:
-        w = _cyclically_reduced(chain.from_iterable(map(subst.__getitem__, r.letters)))
+        w = cyclic_reduce_letters(chain.from_iterable(map(subst.__getitem__, r.letters)))
         key = _rotation_key(w)
         if not key or key in found:
             continue

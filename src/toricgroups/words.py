@@ -162,14 +162,20 @@ class Word(Value):
         return self.alphabet.names[abs(letter) - 1]
 
 
-def free_reduce(w: Word) -> Word:
+def free_reduce_letters(letters: Iterable[int]) -> list[int]:
     """Delete adjacent inverse pairs until none remain (single stack pass)."""
     stack: list[int] = []
-    for x in w.letters:
+    for x in letters:
         if stack and stack[-1] == -x:
             stack.pop()
         else:
             stack.append(x)
+    return stack
+
+
+def free_reduce(w: Word) -> Word:
+    """The word with its letters reduced by :func:`free_reduce_letters`."""
+    stack = free_reduce_letters(w.letters)
     if len(stack) == len(w.letters):
         return w
     return Word(w.alphabet, tuple(stack))
@@ -179,15 +185,20 @@ def invert(w: Word) -> Word:
     return Word(w.alphabet, tuple(-x for x in reversed(w.letters)))
 
 
-def cyclic_reduce(w: Word) -> Word:
+def cyclic_reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     """Free reduction followed by trimming matching first/last letters."""
-    r = free_reduce(w)
-    letters = r.letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
+    stack = free_reduce_letters(letters)
+    i, j = 0, len(stack)
+    while j - i >= 2 and stack[i] == -stack[j - 1]:
         i += 1
         j -= 1
-    return Word(w.alphabet, letters[i:j]) if (i, j) != (0, len(letters)) else r
+    return tuple(stack[i:j])
+
+
+def cyclic_reduce(w: Word) -> Word:
+    """The word with its letters reduced by :func:`cyclic_reduce_letters`."""
+    letters = cyclic_reduce_letters(w.letters)
+    return w if letters == w.letters else Word(w.alphabet, letters)
 
 
 def word_to_text(w: Word) -> str:

@@ -27,8 +27,8 @@ from toricgroups.schreier import (
     toric_closure_rs,
     toric_coset_labels,
 )
-from toricgroups.words import (Alphabet, Derivation, RewriteStep, Word, apply_map, check_derivation, cyclic_reduce, free_reduce,
-                              invert)
+from toricgroups.words import (Alphabet, Derivation, RewriteStep, Word, apply_map, check_derivation, cyclic_reduce,
+                              free_reduce, invert)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
