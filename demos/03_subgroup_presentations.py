@@ -38,5 +38,5 @@ print(f"\nafter Tietze simplification: {len(simplified.gens)} generators, "
 
 print("\nThe closed-form substitution route lands on the display presentation exactly:")
 derived = check_toric_presentation(k, n, m, labels, rs)
-print(serialize(derived.presentation))
+print(serialize(derived))
 print("relabel s_j -> x_{j+1} and this is the toric presentation verbatim.")

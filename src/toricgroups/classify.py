@@ -176,7 +176,7 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
     ]
     triangle = coxeter.classify_triangle(a, b, c)
     if gcd(b, c) == 1:
-        presentation = schreier.check_toric_presentation(a, b, c, labels, rs).presentation
+        presentation = schreier.check_toric_presentation(a, b, c, labels, rs)
         evidence.append("every rewritten relator is a toric relator or a shift relator "
                         "with a checked derivation from the chain relators")
     else:

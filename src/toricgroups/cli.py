@@ -18,11 +18,10 @@ import sys
 from functools import cache
 
 from . import classify, coxeter, cosets, garside, presentations, reps
-from .presentations import FamilyParams, ParameterError, ParseError
-from .words import WordSyntaxError
+from .presentations import FamilyParams, ParameterError
 
 # the global flags' values when they are not given
-_DEFAULTS = {"format": "text", "max_cosets": 10**6, "budget": 10**5}
+_DEFAULTS = {"format": "text", "max_cosets": cosets.MAX_COSETS, "budget": presentations.TIETZE_BUDGET}
 
 
 def _emit_text(payload: dict) -> None:
@@ -173,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ParameterError(f"--budget must be >= 0, got {args.budget}")
         params = args.params(args)
         result, status, evidence = args.run(args, params)
-    except (ParameterError, ParseError, WordSyntaxError, ValueError) as e:
+    except ValueError as e:  # ParameterError and WordSyntaxError among them
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -87,6 +87,9 @@ from .words import Value, Word, free_reduce
 
 Columns = tuple[tuple[int | None, ...], ...]
 
+# The default bound on live cosets of every enumeration.
+MAX_COSETS = 10**6
+
 
 def _columns(w: Word) -> tuple[int, ...]:
     """Translate a word into column indices: gen i -> 2i, inverse -> 2i+1."""
@@ -482,10 +485,11 @@ class _Enumerator:
 def _validate(t: CosetTable, relcols: Iterable[tuple[int, ...]], subcols: Iterable[tuple[int, ...]]) -> None:
     columns = t.columns
     cosets = list(range(t.num_cosets))
+    every = set(cosets)
     for column in columns:
         if None in column:
             raise AssertionError("incomplete row in complete table")
-        if sorted(column) != cosets:
+        if len(column) != len(cosets) or set(column) != every:
             raise AssertionError("column is not a permutation")
     for cols in relcols:
         # every coset walks the relator at once, one letter at a time
@@ -503,7 +507,7 @@ def _validate(t: CosetTable, relcols: Iterable[tuple[int, ...]], subcols: Iterab
             raise AssertionError("subgroup generator moves coset 0")
 
 
-def todd_coxeter(p: Presentation, subgens: Sequence[Word] = (), max_cosets: int = 10**6,
+def todd_coxeter(p: Presentation, subgens: Sequence[Word] = (), max_cosets: int = MAX_COSETS,
                  strategy: str = "hlt") -> CosetTable:
     """Enumerate cosets of <subgens> in the group presented by p.
 
@@ -520,13 +524,13 @@ def todd_coxeter(p: Presentation, subgens: Sequence[Word] = (), max_cosets: int 
     return e.finish(status, subgens, max_cosets)
 
 
-def group_order(p: Presentation, max_cosets: int = 10**6, strategy: str = "hlt") -> int | None:
+def group_order(p: Presentation, max_cosets: int = MAX_COSETS, strategy: str = "hlt") -> int | None:
     """Order of the presented group, or None when enumeration overflows."""
     t = todd_coxeter(p, (), max_cosets, strategy)
     return t.num_cosets if t.complete else None
 
 
-def normal_closure_table(p: Presentation, seeds: Sequence[Word], max_cosets: int = 10**6,
+def normal_closure_table(p: Presentation, seeds: Sequence[Word], max_cosets: int = MAX_COSETS,
                          strategy: str = "hlt") -> CosetTable:
     """Coset table of the normal closure N of ``seeds``.
 

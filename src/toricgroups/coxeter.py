@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 
-from .cosets import CayleyTable, todd_coxeter
+from .cosets import MAX_COSETS, CayleyTable, todd_coxeter
 from .cyclo import Cyc, label_modulus, sign_real, two_cos_pi_over
 from .presentations import coxeter_triangle
 from .words import Alphabet, Value, Word, _set
@@ -282,6 +282,7 @@ def maximal_finite_parabolics(cm: CoxeterMatrix) -> ParabolicReport:
     finite, and the triple iff every label is finite and 1/k + 1/n + 1/m > 1.
     For an infinite rank-3 triangle the maximal finite subsets are the three
     pairs, whose rotation subgroups are cyclic of the three edge orders.
+    A capability of the paper kept for the tests and demos, its only callers.
     """
     n = cm.rank
     if n > 3:
@@ -316,11 +317,12 @@ class CenterReport(Value):
         super().__init__(group_order, plus_order, z_w_order, z_w_plus_order, contained, z_w_lengths)
 
 
-def center_check_plus(cm: CoxeterMatrix, max_cosets: int = 10**6) -> CenterReport:
+def center_check_plus(cm: CoxeterMatrix, max_cosets: int = MAX_COSETS) -> CenterReport:
     """Brute-force check that Z(W+) is contained in Z(W), for finite W.
 
     Raises ValueError for infinite systems; containment in the infinite
-    irreducible case is a theorem, not an exhaustible computation.
+    irreducible case is a theorem, not an exhaustible computation.  A
+    capability of the paper kept for the tests and demos, its only callers.
     """
     if cm.rank != 3:
         raise ValueError("center check implemented for rank-3 triangles")

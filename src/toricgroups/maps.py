@@ -158,6 +158,7 @@ def centrality_witness(k: int, n: int, m: int, i: int) -> Derivation:
     first rewrites c as the n-th power of the m-factor product delta, then
     pushes x_i through one delta at a time (each pass shifts the index by
     m mod n; after n passes the index returns to i), and finally restores c.
+    A capability of the paper kept for the tests and demos, its only callers.
     """
     ab, chains = chain_relators(n, m)
     if not 1 <= i <= n:

@@ -252,6 +252,9 @@ def parse_presentation(text: str) -> Presentation:
 # Relators in ``tietze_simplify`` are strings of code points up to this one.
 _MAX_CODE_POINT = sys.maxunicode
 
+# The default number of eliminations ``tietze_simplify`` may make.
+TIETZE_BUDGET = 10**5
+
 
 class TietzeBudgetExceeded(Exception):
     """Raised when the step budget runs out; carries the best presentation so far."""
@@ -290,7 +293,7 @@ def _join_cancelling(pieces: list[str]) -> str:
     return out
 
 
-def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
+def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> Presentation:
     """Shrink a presentation by generator elimination, deterministically.
 
     1. Each relator is cyclically reduced, in order; empty relators and
@@ -314,10 +317,7 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
     substituted word, and removes nothing).  So a move touches only the
     relators in the set of g, and "exactly once" is tested only when a
     generator is chosen: the choice counts h in the live relators of its
-    set, from the lowest generator up.  A generator found not to occur
-    exactly once anywhere can only become eligible through a relator
-    rewritten since, so it is then rechecked only against the log of
-    rewritten ids written after that check.  A relator is a ``str`` with
+    set, from the lowest generator up.  A relator is a ``str`` with
     one code point per letter, generator h (1-based) being chr(2h) and its
     inverse chr(2h + 1), so a substitution is two ``str.replace`` calls and
     the letters are decoded into words only when a presentation is returned
@@ -333,8 +333,6 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
     relators: dict[int, str] = {}  # id -> letters
     holder: dict[str, int] = {}  # letters -> id, for duplicates
     occurs: list[set[int]] = [set() for _ in range(n + 1)]  # h -> ids, a superset
-    log: list[int] = []  # ids of rewritten relators, in the order rewritten
-    checked: list[int | None] = [None] * (n + 1)  # h -> len(log) when h was last found ineligible
     eliminated: set[int] = set()
 
     def presentation() -> Presentation:
@@ -357,12 +355,9 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
     while True:
         for g in live:
             up, down = symbols[g]
-            since = checked[g]
-            once = [rid for rid in (occurs[g] if since is None else occurs[g].intersection(log[since:]))
-                    if (r := relators.get(rid)) and r.count(up) + r.count(down) == 1]
+            once = [rid for rid in occurs[g] if (r := relators.get(rid)) and r.count(up) + r.count(down) == 1]
             if once:
                 break
-            checked[g] = len(log)
         else:
             return presentation()
         if len(eliminated) >= budget:
@@ -384,8 +379,9 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
         if image:
             pairs = (chr(ord(image[0]) ^ 1) + image[0], image[-1] + chr(ord(image[-1]) ^ 1))
         rewritten = []
-        # the new letters lack g, so they never equal a relator still waiting here
-        for rid in sorted(occurs[g]):
+        # the new letters lack g, so they never equal a relator still waiting
+        # here, and the earlier id keeps equal letters in any visiting order
+        for rid in occurs[g]:
             old = relators.get(rid)
             if old is None or (up not in old and down not in old):
                 continue
@@ -411,5 +407,4 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
             rewritten.append(rid)
         for h in {ord(x) >> 1 for x in tail}:
             occurs[h].update(rewritten)
-        log += rewritten
         occurs[g].clear()  # g has left every relator

@@ -15,6 +15,7 @@ counterexample at (a, b, c) = (6, 2, 3).
 from __future__ import annotations
 
 from .classify import finite_quotient
+from .cosets import MAX_COSETS
 from .cyclo import Cyc, label_modulus, zeta
 from .presentations import FamilyParams, meridians
 from .words import Alphabet, Value, Word, parse_either
@@ -224,7 +225,7 @@ class WitnessReport(Value):
         return all(self.rho_of_cube_is_identity.values()) and self.order_in_small_quotient == 6
 
 
-def unfaithfulness_witness(max_cosets: int = 10**6) -> WitnessReport:
+def unfaithfulness_witness(max_cosets: int = MAX_COSETS) -> WitnessReport:
     """(x1 x2)^3 dies in every admissible representation at (6,2,3), yet the
     image of x1 x2 in the k = 3 quotient has order 6, so the element is
     nontrivial and the representation cannot be faithful.  The order is None

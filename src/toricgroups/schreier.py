@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Sequence
 
-from .cosets import CosetTable, Transversal, bfs_transversal, normal_closure_table
+from .cosets import MAX_COSETS, CosetTable, Transversal, bfs_transversal, normal_closure_table
 from .presentations import Presentation, cyclic_products, j_parent, meridians, toric, torus_classical
 from .words import (Alphabet, Derivation, RewriteStep, Value, Word, check_derivation, cyclic_reduce_letters,
                     free_reduce, free_reduce_letters, invert)
@@ -95,11 +95,8 @@ def toric_coset_labels(tr: Transversal) -> dict[int, tuple[int, int]]:
     labels: dict[int, tuple[int, int]] = {}
     for c, rep in enumerate(tr.reps):
         names = [rep.gen_name(x) for x in rep.letters]
-        if any(x < 0 for x in rep.letters) or names != sorted(names, reverse=True):
-            raise ValueError(f"representative {rep} is not of the form u^i t^j")
-        i = names.count("u")
-        j = names.count("t")
-        if names != ["u"] * i + ["t"] * j:
+        i, j = names.count("u"), names.count("t")
+        if any(x < 0 for x in rep.letters) or names != ["u"] * i + ["t"] * j:
             raise ValueError(f"representative {rep} is not of the form u^i t^j")
         labels[c] = (i, j)
     return labels
@@ -270,7 +267,7 @@ def cyclic_canonical(w: Word) -> tuple[int, ...]:
     return _rotation_key(cyclic_reduce_letters(w.letters))
 
 
-def toric_closure_rs(a: int, b: int, c: int, max_cosets: int = 10**6
+def toric_closure_rs(a: int, b: int, c: int, max_cosets: int = MAX_COSETS
                      ) -> tuple[dict[int, tuple[int, int]], RSResult] | None:
     """Reidemeister-Schreier for the normal closure of s in the parent J(a,b,c).
 
@@ -291,7 +288,7 @@ def toric_closure_rs(a: int, b: int, c: int, max_cosets: int = 10**6
 
 
 def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int, int]],
-                             rs: RSResult) -> RSResult:
+                             rs: RSResult) -> Presentation:
     """The toric presentation of ncl(s), checked against the RS presentation.
 
     Substitutes the closed form of every Schreier generator (a word in
@@ -300,32 +297,30 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
     inversion, exactly the toric relators plus shift relators
     x_i d = d x_{i+m} (d the m-factor product); each shift relator is
     deleted only after its derivation from the chain relators has been
-    machine-checked.  The result is the toric presentation on the renamed
-    generators s_i = x_{i+1}.  A failed check raises AssertionError.
+    machine-checked.  Returns the toric presentation on the renamed
+    generators s_i = x_{i+1}.  Schreier generators that do not name the
+    alphabet's letters in order are a ValueError; a failed check raises
+    AssertionError.
     """
-    # the closed form of every Schreier generator and its inverse, as letters
-    images: dict[str, tuple[int, ...]] = {}
-    for g in rs.generators:
+    if tuple(g.name for g in rs.generators) != rs.presentation.alphabet.names:
+        raise ValueError("the Schreier generators do not name the RS alphabet's letters in order")
+    # letter x and -x to the closed form of generator x and its inverse
+    subst: dict[int, tuple[int, ...]] = {}
+    for x, g in enumerate(rs.generators, start=1):
         i, j = labels[g.coset]
         if g.gen_name == "s":
-            images[g.name] = _closed_form_letters(n, m, "s", m - 1 - i, j + 1)
+            image = _closed_form_letters(n, m, "s", m - 1 - i, j + 1)
         elif g.gen_name == "u" and j != 0:
-            images[g.name] = _closed_form_letters(n, m, "u", m - 1 - i, j)
+            image = _closed_form_letters(n, m, "u", m - 1 - i, j)
         else:  # u at j = 0 and the t wrap generators are trivial in the subgroup
-            images[g.name] = ()
-    names = rs.presentation.alphabet.names
-    missing = [name for name in names if name not in images]
-    if missing:
-        raise ValueError(f"no image for generators {missing}")
-    subst: dict[int, tuple[int, ...]] = {}
-    for x, name in enumerate(names, start=1):
-        subst[x] = images[name]
-        subst[-x] = tuple(-y for y in reversed(images[name]))
+            image = ()
+        subst[x] = image
+        subst[-x] = tuple(-y for y in reversed(image))
 
     target = _s_alphabet(n)  # for the messages and the result
     reference = toric(k, n, m)
     ref_keys = {_rotation_key(cyclic_reduce_letters(r.letters)) for r in reference.relators}
-    _, chains = chain_relators(n, m)
+    chains = reference.relators[n:]  # after the n power relators x_i^k
     shift_keys = {_rotation_key(cyclic_reduce_letters(_shift_letters(n, m, i))): i for i in range(1, n + 1)}
     found: set[tuple[int, ...]] = set()
     for r in rs.presentation.relators:
@@ -346,9 +341,7 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
             raise AssertionError(f"unexpected relator {Word(target, w)} in rewritten presentation")
     if not ref_keys <= found:
         raise AssertionError("rewriting did not produce every toric relator")
-
-    out = Presentation(target, tuple(Word(target, r.letters) for r in reference.relators))
-    return RSResult(out, rs.generators)
+    return Presentation(target, tuple(Word(target, r.letters) for r in reference.relators))
 
 
 def chain_implies_shift(n: int, m: int, i: int) -> Derivation:

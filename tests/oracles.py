@@ -551,7 +551,7 @@ def _reference_cyclic_canonical(w: Word) -> tuple[int, ...]:
 
 
 def reference_check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int, int]],
-                                       rs: RSResult) -> RSResult:
+                                       rs: RSResult) -> Presentation:
     """The original ``check_toric_presentation``, on Word objects throughout."""
     target = Alphabet([f"s{i}" for i in range(n)])
     images: dict[str, Word] = {}
@@ -590,8 +590,7 @@ def reference_check_toric_presentation(k: int, n: int, m: int, labels: dict[int,
     if not ref_canon <= found:
         raise AssertionError("rewriting did not produce every toric relator")
 
-    out = Presentation(target, tuple(Word(target, r.letters) for r in reference.relators))
-    return RSResult(out, rs.generators)
+    return Presentation(target, tuple(Word(target, r.letters) for r in reference.relators))
 
 
 def reference_normal_closure(p: Presentation, seeds: list[Word], max_cosets: int = 10**6,

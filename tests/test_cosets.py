@@ -233,6 +233,29 @@ def test_strategies_agree_with_naive_closure(p):
     assert len(orders) <= 1, orders
 
 
+# each table is broken for one refusal of `_validate`: one generator a, whose
+# columns are a and a^-1, on three cosets; a^3 acts trivially, a^2 does not
+_A = Alphabet(["a"])
+_ROTATE = ((1, 2, 0), (2, 0, 1))
+
+
+@pytest.mark.parametrize("columns,relcols,subcols,message", [
+    (((1, 2, None), (2, 0, 1)), [(0, 0, 0)], [], "incomplete row in complete table"),
+    (((0, 0, 2), (0, 1, 2)), [], [], "column is not a permutation"),
+    (((0, 1, 5), (0, 1, 2)), [], [], "column is not a permutation"),
+    (_ROTATE, [(0, 0, 0), (0, 0)], [], "relator does not act trivially"),
+    (_ROTATE, [(0, 0, 0)], [(0,)], "subgroup generator moves coset 0"),
+])
+def test_validate_refuses_a_broken_table(columns, relcols, subcols, message):
+    table = cosets.CosetTable(_A, columns, 3, "complete", 3, ())
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        _validate(table, relcols, subcols)
+
+
+def test_validate_accepts_the_unbroken_table():
+    _validate(cosets.CosetTable(_A, _ROTATE, 3, "complete", 3, ()), [(0, 0, 0), (1, 1, 1)], [(0, 0, 0)])
+
+
 def test_overflow_is_a_value():
     table = todd_coxeter(pres.toric(6, 2, 3), max_cosets=10**4)
     assert table.status == "overflow"

@@ -316,7 +316,7 @@ def test_closed_forms_satisfy_recurrences_freely(k, n, m):
 def test_golden_file_234_matches_derivation_and_display():
     res = check_toric_presentation(2, 3, 4, *toric_closure_rs(2, 3, 4))
     golden = (DATA / "rs_234_golden.txt").read_text()
-    assert serialize(res.presentation) == golden
+    assert serialize(res) == golden
     # Documented relabeling s_j -> x_{j+1} turns the golden file into the
     # display presentation of the toric group, relator for relator.
     relabeled = golden
@@ -330,8 +330,8 @@ def test_derive_toric_presentation_all_rows(finite_rows):
     assert len(SWEEP_GRID) == 55
     for k, n, m in SWEEP_GRID + [row for row in finite_rows if row not in SWEEP_GRID]:
         res = check_toric_presentation(k, n, m, *toric_closure_rs(k, n, m))
-        assert len(res.presentation.gens) == n
-        relabeled = serialize(res.presentation)
+        assert len(res.gens) == n
+        relabeled = serialize(res)
         for j in range(n):
             relabeled = relabeled.replace(f"s{j}", f"x{j + 1}")
         assert relabeled == serialize(pres.toric(k, n, m))
@@ -364,10 +364,18 @@ def test_check_toric_presentation_refuses_a_wrong_rs_presentation():
             check_toric_presentation(2, 3, 4, labels, wrong)
 
 
+def test_check_refuses_schreier_generators_out_of_alphabet_order():
+    labels, rs = toric_closure_rs(2, 3, 4)
+    gens = list(rs.generators)
+    gens[0], gens[1] = gens[1], gens[0]
+    with pytest.raises(ValueError, match="do not name the RS alphabet's letters in order"):
+        check_toric_presentation(2, 3, 4, labels, RSResult(rs.presentation, tuple(gens)))
+
+
 def _outcome(check, k, n, m, labels, rs):
     """The presentation a check returns, or the message of its AssertionError."""
     try:
-        return check(k, n, m, labels, rs).presentation
+        return check(k, n, m, labels, rs)
     except AssertionError as e:
         return f"AssertionError: {e}"
 
@@ -440,7 +448,8 @@ def test_check_refuses_a_derivation_with_a_corrupted_step(monkeypatch, k, n, m):
 
 
 def test_spherical_coprime_rows_are_the_finite_table():
-    # `derive` reads finiteness off the triangle and the order off the finite table
+    # `derive` enumerates the order of the checked presentation (`group_order`)
+    # only on a spherical row; on a coprime row that is exactly a finite toric group
     for a in range(2, 30):
         for b in range(2, 30):
             for c in range(2, 30):

@@ -13,7 +13,12 @@ script prints each request's wall time in ms, its share of the pass and
 its arguments (long ones cut), slowest first; under each ``rs-tietze``
 request a second line splits its time into the enumeration, RS and
 Tietze, and gives the size of the RS presentation that Tietze starts
-from: its generators, relators and letters.  Then comes the time per
+from: its generators, relators and letters.  Under each ``derive``
+request a second line splits its time into the closure enumeration plus
+RS (``schreier.toric_closure_rs``), the check of the toric presentation
+or Tietze, and the order enumeration (``group_order``), each timed by
+wrapping that call for the one request; a phase the request did not
+reach is left out.  Then comes the time per
 request kind.  Times are plain ``perf_counter`` differences, not scaled by
 the benchmark's speed probe.
 Last come the requests that raised the process's peak RSS (``ru_maxrss``,
@@ -40,7 +45,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 _modules_before = len(sys.modules)
 _import_start = time.perf_counter()
-from toricgroups import cli, cosets, presentations, schreier  # noqa: E402
+from toricgroups import classify, cli, cosets, presentations, schreier  # noqa: E402
 
 IMPORT_MS = (time.perf_counter() - _import_start) * 1e3
 IMPORT_MODULES = len(sys.modules) - _modules_before
@@ -53,6 +58,10 @@ import io  # noqa: E402
 import workloads  # noqa: E402
 
 WIDTH = 72  # characters of a request's arguments to print
+
+# the calls `classify.derive` makes, as (module, attribute, phase name)
+DERIVE_PHASES = ((schreier, "toric_closure_rs", "closure+RS"), (schreier, "check_toric_presentation", "check"),
+                 (classify, "tietze_simplify", "Tietze"), (classify, "group_order", "order"))
 
 
 def rs_tietze(a: int, b: int, c: int) -> str:
@@ -73,16 +82,42 @@ def rs_tietze(a: int, b: int, c: int) -> str:
             f"RS out {len(rs.gens)} gens, {len(rs.relators)} relators, {letters} letters")
 
 
+@contextlib.contextmanager
+def timed_calls(phases):
+    """Wraps each (module, attribute, name) call to add its wall time, in ms,
+    to the yielded dict under its name; restores the originals on exit."""
+    spent: dict[str, float] = {}
+    originals = [(module, attr, getattr(module, attr)) for module, attr, _ in phases]
+
+    def timed(fn, name):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] = spent.get(name, 0.0) + (time.perf_counter() - t0) * 1e3
+        return call
+
+    for (module, attr, fn), (*_, name) in zip(originals, phases):
+        setattr(module, attr, timed(fn, name))
+    try:
+        yield spent
+    finally:
+        for module, attr, fn in originals:
+            setattr(module, attr, fn)
+
+
 def run(req: dict) -> str | None:
-    """Runs one request; an ``rs-tietze`` request returns its phase times."""
+    """Runs one request; an ``rs-tietze`` or ``derive`` request returns its phase times."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         if req["kind"] != "cli":
             return rs_tietze(*req["abc"])
-        try:
-            cli.main(req["argv"])
-        except SystemExit:  # argparse rejects its input this way
-            pass
-    return None
+        with timed_calls(DERIVE_PHASES if "derive" in req["argv"] else ()) as spent:
+            try:
+                cli.main(req["argv"])
+            except SystemExit:  # argparse rejects its input this way
+                pass
+    return ", ".join(f"{name} {ms:.2f} ms" for name, ms in spent.items()) or None
 
 
 def label(req: dict) -> str:
