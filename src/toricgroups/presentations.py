@@ -330,7 +330,7 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> Presentatio
                          f"got {n}")
     symbols = [(chr(2 * h), chr(2 * h + 1)) for h in range(n + 1)]  # h -> (h, h^-1)
     flip = {2 * h + e: 2 * h + 1 - e for h in range(1, n + 1) for e in (0, 1)}
-    relators: dict[int, str] = {}  # id -> letters
+    relators: dict[int, str] = {}  # id -> letters; filled in id order, then only updated or deleted
     holder: dict[str, int] = {}  # letters -> id, for duplicates
     occurs: list[set[int]] = [set() for _ in range(n + 1)]  # h -> ids, a superset
     eliminated: set[int] = set()
@@ -342,7 +342,7 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> Presentatio
         for i, h in enumerate(keep, start=1):
             decode[symbols[h][0]], decode[symbols[h][1]] = i, -i
         return Presentation(alphabet, tuple(
-            Word(alphabet, tuple(map(decode.__getitem__, relators[rid]))) for rid in sorted(relators)))
+            Word(alphabet, tuple(map(decode.__getitem__, r))) for r in relators.values()))
 
     for rid, r in enumerate(p.relators):
         letters = "".join([chr(2 * x if x > 0 else 1 - 2 * x) for x in cyclic_reduce(r).letters])
@@ -397,13 +397,15 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> Presentatio
                 i += 1
                 j -= 1
             s = s[i:j]
-            del relators[rid], holder[old]
+            del holder[old]
             other = holder.get(s)
             if s and (other is None or other > rid):
                 if other is not None:  # the later holder goes
                     del relators[other]
                 relators[rid] = s
                 holder[s] = rid
+            else:
+                del relators[rid]
             rewritten.append(rid)
         for h in {ord(x) >> 1 for x in tail}:
             occurs[h].update(rewritten)
