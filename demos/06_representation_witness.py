@@ -8,6 +8,7 @@ where x1 x2 has order 6).
 """
 
 from toricgroups import reps
+from toricgroups.cosets import MAX_COSETS
 from toricgroups.cyclo import Cyc
 
 a, b, c = 6, 2, 3
@@ -28,8 +29,8 @@ for name in ("zero", "unit"):
     print("  s and t commute:", st == ts)
 
 print("\nwitness report:")
-w = reps.unfaithfulness_witness()
-print("  (x1 x2)^3 dies under every preset:", w.rho_of_cube_is_identity)
-print("  order of x1 x2 in the k=3 quotient:", w.order_in_small_quotient)
-print("  image of s t u is -Id of order:", w.rho_stu_order)
-print("  => the representation is unfaithful at (6,2,3):", w.unfaithful)
+w = reps.witness_record(MAX_COSETS)[0]
+print("  (x1 x2)^3 dies under every preset:", w["cube_dies_per_preset"])
+print("  order of x1 x2 in the k=3 quotient:", w["order_of_x1x2_in_k3_quotient"])
+print("  image of s t u is -Id of order:", w["rho_stu_order"])
+print("  => the representation is unfaithful at (6,2,3):", w["unfaithful"])

@@ -638,16 +638,15 @@ class CayleyTable:
         self.table = table
         self.alphabet = table.alphabet
         self.size = table.num_cosets
-        self._words: tuple[Word, ...] | None = None
-        self._inv: list[int] | None = None
 
-    @property
+    @cached_property
     def words(self) -> tuple[Word, ...]:
-        if self._words is None:
-            ngens = len(self.alphabet)
-            self._words = bfs_transversal(self.table, [2 * i for i in range(ngens)]
-                                          + [2 * i + 1 for i in range(ngens)]).reps
-        return self._words
+        ngens = len(self.alphabet)
+        return bfs_transversal(self.table, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)]).reps
+
+    @cached_property
+    def _inverses(self) -> list[int]:
+        return [self.table.trace(0, w.inverse()) for w in self.words]
 
     def eval(self, w: Word) -> int:
         return self.table.trace(0, w)
@@ -659,9 +658,7 @@ class CayleyTable:
         return self.table.trace(i, self.words[j])
 
     def inv(self, i: int) -> int:
-        if self._inv is None:
-            self._inv = [self.table.trace(0, self.words[a].inverse()) for a in range(self.size)]
-        return self._inv[i]
+        return self._inverses[i]
 
     def order_of(self, w: Word) -> int:
         start = self.eval(w)

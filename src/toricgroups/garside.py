@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from itertools import chain, groupby
 
-from .presentations import FamilyParams, cyclic_products, meridians
+from .presentations import FamilyParams, cyclic_product, cyclic_products, meridians
 from .schreier import chain_implies_shift, chain_relators
 from .words import (Alphabet, Derivation, GenMap, RewriteStep, Value, Word, apply_map, free_reduce, invert,
-                    parse_either)
+                    parse_either, signed_images)
 
 _STANDARD = Alphabet(["x", "y"])
 _SYMBOLS = (None, "x", "y")  # the name of each letter
@@ -101,7 +101,8 @@ def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
     evidence = []
     word = parse_either(_STANDARD, lambda: meridians(n), text)
     if word.alphabet is not _STANDARD:
-        word = _tau_image(n, m, word)
+        table = signed_images([image.letters for image in tau(n, m).images])  # tau(word), unreduced
+        word = Word(_STANDARD, tuple(chain.from_iterable(map(table.__getitem__, word.letters))))
         evidence.append(f"a word over x1 ... x{n}, mapped to {{x, y}} by tau, the inverse of sigma")
     normal = gnf(n, m, word)
     return {"normal_form": str(normal), "identity": normal.is_identity(),
@@ -116,8 +117,7 @@ def sigma(n: int, m: int) -> GenMap:
     """Standard to classical: x -> x_1...x_m, y -> x_1...x_n (indices mod n)."""
     FamilyParams("torus-standard", (n, m))
     target = meridians(n)
-    images = (Word(target, tuple(i % n + 1 for i in range(m))), Word(target, tuple(i % n + 1 for i in range(n))))
-    return GenMap(_STANDARD, target, images)
+    return GenMap(_STANDARD, target, (Word(target, cyclic_product(n, 0, m)), Word(target, cyclic_product(n, 0, n))))
 
 
 def _tau_letters(n: int, m: int, i: int) -> tuple[int, ...]:
@@ -145,16 +145,6 @@ def tau(n: int, m: int) -> GenMap:
     FamilyParams("torus-standard", (n, m))
     images = tuple(Word(_STANDARD, _tau_letters(n, m, i)) for i in range(1, n + 1))
     return GenMap(meridians(n), _STANDARD, images)
-
-
-def _tau_image(n: int, m: int, u: Word) -> Word:
-    """tau(u), unreduced, for a word u over x1 ... xn, from the images of
-    u's own letters."""
-    images = {}
-    for x in set(u.letters):
-        letters = _tau_letters(n, m, abs(x))
-        images[x] = letters if x > 0 else tuple(-y for y in reversed(letters))
-    return Word(_STANDARD, tuple(chain.from_iterable(map(images.__getitem__, u.letters))))
 
 
 def meridian(n: int, m: int, a: int, b: int) -> Word:

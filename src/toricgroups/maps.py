@@ -7,7 +7,7 @@
   the alternating subgroup (a maps to x_1, b to the ell-th power of the
   m-factor product, where ell inverts m mod n).
 - ``build_embedding``: the toric group as the normal closure of s in its
-  parent J-group (x_i maps to t^(i-1) s t^(1-i)).
+  parent J-group, by ``meridian_embedding`` (x_i maps to t^(i-1) s t^(1-i)).
 - ``central_element``: the full twist (x_1...x_n)^m, central by an
   explicit machine-checkable rewriting chain.
 
@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Protocol
 
 from .coxeter import triangle_table
-from .presentations import FamilyParams, Presentation, alt_plus, j_parent, toric
+from .presentations import FamilyParams, Presentation, alt_plus, cyclic_product, j_parent, meridians, toric
 from .schreier import chain_implies_shift, chain_relators, delta_power_to_twist
-from .words import Derivation, GenMap, RewriteStep, Value, Word, apply_map
+from .words import Alphabet, Derivation, GenMap, RewriteStep, Value, Word, apply_map
 from .words import compose as compose_maps
 from .words import free_reduce
 
@@ -110,21 +110,22 @@ def build_psi(k: int, n: int, m: int) -> Hom:
     params = psi_params(n, m)
     source = alt_plus(k, n, m)
     tor = toric(k, n, m)
-    delta = Word(tor.alphabet, tuple(j % n + 1 for j in range(m)))
+    delta = Word(tor.alphabet, cyclic_product(n, 0, m))
     images = {"a": tor.alphabet.word("x1"), "b": free_reduce(delta**params.ell)}
     gm = GenMap.from_dict(source.alphabet, tor.alphabet, images)
     return Hom(source, gm, None, name=f"psi({k},{n},{m})")
 
 
+def meridian_embedding(n: int) -> GenMap:
+    """x_i = t^(i-1) s t^(1-i): the meridians x1 ... xn as words over the
+    generators s, t, u of a parent J-group."""
+    target = Alphabet(["s", "t", "u"])
+    return GenMap(meridians(n), target, tuple(Word(target, (2,) * i + (1,) + (-2,) * i) for i in range(n)))
+
+
 def build_embedding(k: int, n: int, m: int) -> Hom:
-    """x_i = t^(i-1) s t^(1-i): the toric group inside its parent J-group."""
-    source = toric(k, n, m)
-    parent = j_parent(k, n, m)
-    t = parent.alphabet.word("t")
-    s = parent.alphabet.word("s")
-    images = {f"x{i}": free_reduce(t ** (i - 1) * s * t ** (1 - i)) for i in range(1, n + 1)}
-    gm = GenMap.from_dict(source.alphabet, parent.alphabet, images)
-    return Hom(source, gm, None, name=f"embed({k},{n},{m})")
+    """The toric group inside its parent J-group, by ``meridian_embedding(n)``."""
+    return Hom(toric(k, n, m), meridian_embedding(n), None, name=f"embed({k},{n},{m})")
 
 
 def parent_to_coxeter(k: int, n: int, m: int) -> Hom:
@@ -143,8 +144,8 @@ def parent_to_coxeter(k: int, n: int, m: int) -> Hom:
 
 def central_element(k: int, n: int, m: int) -> Word:
     """The full twist c = (x_1 ... x_n)^m in the toric alphabet."""
-    ab = toric(k, n, m).alphabet
-    return Word(ab, tuple(i % n + 1 for i in range(n)) * m)
+    FamilyParams("toric", (k, n, m))
+    return Word(meridians(n), cyclic_product(n, 0, n * m))
 
 
 def _offset_steps(d: Derivation, offset: int) -> list[RewriteStep]:
@@ -163,7 +164,7 @@ def centrality_witness(k: int, n: int, m: int, i: int) -> Derivation:
     ab, chains = chain_relators(n, m)
     if not 1 <= i <= n:
         raise ValueError("generator index out of range")
-    c = Word(ab, tuple(j % n + 1 for j in range(n)) * m)
+    c = Word(ab, cyclic_product(n, 0, n * m))
     start = free_reduce(Word(ab, (i,)) * c)
     steps: list[RewriteStep] = []
     # c -> delta^n, applied after the leading x_i (offset 1), in reverse

@@ -102,13 +102,15 @@ def torus_standard(n: int, m: int) -> Presentation:
     return Presentation(ab, (free_reduce(x**n * invert(y**m)),))
 
 
+def cyclic_product(n: int, start: int, length: int) -> tuple[int, ...]:
+    """The letters of the product g_{start+1} g_{start+2} ... of ``length``
+    generators, indices mod n."""
+    return tuple((start + j) % n + 1 for j in range(length))
+
+
 def cyclic_products(ab: Alphabet, n: int, length: int) -> list[Word]:
     """The n products g_i g_{i+1} ... of the given length, indices mod n."""
-    out = []
-    for i in range(n):
-        letters = tuple((i + j) % n + 1 for j in range(length))
-        out.append(Word(ab, letters))
-    return out
+    return [Word(ab, cyclic_product(n, i, length)) for i in range(n)]
 
 
 def _chain(words: list[Word]) -> list[Word]:
@@ -169,7 +171,7 @@ def alt_toric(k: int, n: int, m: int) -> Presentation:
     """The toric presentation with the full twist (x1...xn)^m killed."""
     FamilyParams("alt-toric", (k, n, m))
     base = toric(k, n, m)
-    twist = Word(base.alphabet, tuple(i + 1 for i in range(n)) * m)
+    twist = Word(base.alphabet, cyclic_product(n, 0, n * m))
     return Presentation(base.alphabet, base.relators + (twist,))
 
 

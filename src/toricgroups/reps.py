@@ -8,15 +8,15 @@ cyclotomic numbers, any q, r satisfying
 define a representation  s -> [[theta^2, q], [0, 1]],
 t -> [[1, 0], [r, phi^2]],  u -> theta phi psi (t s)^-1  in which the
 three generators act by pseudo-reflections.  The representation is not
-faithful in general; ``unfaithfulness_witness`` reproduces the standard
+faithful in general; ``witness_record`` reproduces the standard
 counterexample at (a, b, c) = (6, 2, 3).
 """
 
 from __future__ import annotations
 
 from .classify import finite_quotient
-from .cosets import MAX_COSETS
 from .cyclo import Cyc, label_modulus, zeta
+from .maps import meridian_embedding
 from .presentations import FamilyParams, meridians
 from .words import Alphabet, Value, Word, parse_either
 
@@ -184,64 +184,49 @@ def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> tuple[
 
 
 def rho_eval(rep: Rep, w: Word) -> Mat2:
-    """Evaluate a word over {s,t,u}, or over {x1..xn} via x_i = t^(i-1) s t^(1-i)."""
+    """Evaluate a word over {s,t,u}, or over the meridians x1..xn through
+    their images under ``maps.meridian_embedding(n)``."""
     names = w.alphabet.names
-    if set(names) <= {"s", "t", "u"}:
-        base = {"s": rep.mat_s, "t": rep.mat_t, "u": rep.mat_u}
+    base = {"s": rep.mat_s, "t": rep.mat_t, "u": rep.mat_u}
+    identity = mat_identity(rep.theta.n)
+    if set(names) <= base.keys():
         mats = [base[g] for g in names]
-    elif all(g.startswith("x") for g in names):
-        t_inv = mat_inv(rep.mat_t)
-        mats = [mat_mul(mat_pow(rep.mat_t, i), mat_mul(rep.mat_s, mat_pow(t_inv, i))) for i in range(len(names))]
+    elif w.alphabet == meridians(len(names)):
+        stu = [rep.mat_s, rep.mat_t, rep.mat_u]
+        stu_inverses = [mat_inv(m) for m in stu]
+        mats = [_product(stu, stu_inverses, image.letters, identity)
+                for image in meridian_embedding(len(names)).images]
     else:
         raise ValueError(f"cannot resolve alphabet {names} to the representation")
-    out = mat_identity(rep.theta.n)
-    inverses = [mat_inv(m) for m in mats]
-    for letter in w.letters:
+    return _product(mats, [mat_inv(m) for m in mats], w.letters, identity)
+
+
+def _product(mats: list[Mat2], inverses: list[Mat2], letters: tuple[int, ...], identity: Mat2) -> Mat2:
+    """The product of the matrices of ``letters``: ``mats[x - 1]`` for a
+    letter x > 0, ``inverses[-x - 1]`` for x < 0."""
+    out = identity
+    for letter in letters:
         out = mat_mul(out, mats[letter - 1] if letter > 0 else inverses[-letter - 1])
     return out
 
 
-class WitnessReport(Value):
-    """The standard unfaithfulness example at (a, b, c) = (6, 2, 3).
-
-    ``rho_of_cube_is_identity`` is keyed by (q,r) preset;
-    ``order_in_small_quotient`` is the order of x1 x2 in the k = 3 toric
-    group, None on overflow.
-    """
-
-    __slots__ = ("rho_of_cube_is_identity", "order_in_small_quotient", "rho_stu_order", "rho_stu_is_minus_identity",
-                 "zero_preset_commutes", "unit_preset_commutes")
-
-    def __init__(self, rho_of_cube_is_identity: dict[str, bool], order_in_small_quotient: int | None,
-                 rho_stu_order: int, rho_stu_is_minus_identity: bool, zero_preset_commutes: bool,
-                 unit_preset_commutes: bool):
-        super().__init__(rho_of_cube_is_identity, order_in_small_quotient, rho_stu_order, rho_stu_is_minus_identity,
-                         zero_preset_commutes, unit_preset_commutes)
-
-    @property
-    def unfaithful(self) -> bool | None:
-        if self.order_in_small_quotient is None:
-            return None
-        return all(self.rho_of_cube_is_identity.values()) and self.order_in_small_quotient == 6
-
-
-def unfaithfulness_witness(max_cosets: int = MAX_COSETS) -> WitnessReport:
-    """(x1 x2)^3 dies in every admissible representation at (6,2,3), yet the
-    image of x1 x2 in the k = 3 quotient has order 6, so the element is
-    nontrivial and the representation cannot be faithful.  The order is None
-    when the k = 3 enumeration overflows ``max_cosets``."""
+def witness_record(max_cosets: int) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``rep witness``, the standard example
+    at (a, b, c) = (6, 2, 3): (x1 x2)^3 dies in every admissible
+    representation, yet x1 x2 has order 6 in the k = 3 quotient, so the
+    representation is not faithful.  "unknown", with that order and
+    ``unfaithful`` None, when the k = 3 enumeration overflows ``max_cosets``."""
     cube = Word(meridians(2), (1, 2) * 3)
     reps = {name: build_rho(6, 2, 3, q, r) for name, (q, r) in qr_presets(6, 2, 3).items()}
     n = label_modulus(6, 2, 3)
     identity = mat_identity(n)
-    results = {name: rho_eval(rep, cube) == identity for name, rep in reps.items()}
+    cube_dies = {name: rho_eval(rep, cube) == identity for name, rep in reps.items()}
 
     small = finite_quotient(3, 2, 3, max_cosets)
     order = None if small is None else small.order_of(Word(small.alphabet, (1, 2)))
 
     rep0 = reps["zero"]
     stu = mat_mul(rep0.mat_s, mat_mul(rep0.mat_t, rep0.mat_u))
-    minus_id = mat_scale(Cyc.rational(-1, n), identity)
     stu_order = 1
     acc = stu
     while acc != identity:
@@ -253,30 +238,17 @@ def unfaithfulness_witness(max_cosets: int = MAX_COSETS) -> WitnessReport:
     def commutes(rep: Rep) -> bool:
         return mat_mul(rep.mat_s, rep.mat_t) == mat_mul(rep.mat_t, rep.mat_s)
 
-    return WitnessReport(
-        rho_of_cube_is_identity=results,
-        order_in_small_quotient=order,
-        rho_stu_order=stu_order,
-        rho_stu_is_minus_identity=(stu == minus_id),
-        zero_preset_commutes=commutes(reps["zero"]),
-        unit_preset_commutes=commutes(reps["unit"]),
-    )
-
-
-def witness_record(max_cosets: int) -> tuple[dict, str, list[str]]:
-    """Result, status and evidence of ``rep witness``; "unknown" when the
-    k = 3 enumeration overflows ``max_cosets``."""
-    w = unfaithfulness_witness(max_cosets)
+    unfaithful = None if order is None else all(cube_dies.values()) and order == 6
     result = {
         "parameters": [6, 2, 3],
-        "cube_dies_per_preset": w.rho_of_cube_is_identity,
-        "order_of_x1x2_in_k3_quotient": w.order_in_small_quotient,
-        "rho_stu_order": w.rho_stu_order,
-        "rho_stu_is_minus_identity": w.rho_stu_is_minus_identity,
-        "zero_preset_commutes": w.zero_preset_commutes,
-        "unit_preset_commutes": w.unit_preset_commutes,
-        "unfaithful": w.unfaithful,
+        "cube_dies_per_preset": cube_dies,
+        "order_of_x1x2_in_k3_quotient": order,
+        "rho_stu_order": stu_order,
+        "rho_stu_is_minus_identity": stu == mat_scale(Cyc.rational(-1, n), identity),
+        "zero_preset_commutes": commutes(reps["zero"]),
+        "unit_preset_commutes": commutes(reps["unit"]),
+        "unfaithful": unfaithful,
     }
-    if w.unfaithful is None:
+    if unfaithful is None:
         return result, "unknown", [f"enumeration overflowed at {max_cosets}"]
     return result, "ok", []

@@ -24,9 +24,9 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .cosets import MAX_COSETS, CosetTable, Transversal, bfs_transversal, normal_closure_table
-from .presentations import Presentation, cyclic_products, j_parent, meridians, toric, torus_classical
+from .presentations import Presentation, cyclic_product, cyclic_products, j_parent, meridians, toric, torus_classical
 from .words import (Alphabet, Derivation, RewriteStep, Value, Word, check_derivation, cyclic_reduce_letters,
-                    free_reduce, free_reduce_letters, invert)
+                    free_reduce, free_reduce_letters, invert, signed_images)
 
 
 def toric_column_order(alphabet: Alphabet) -> list[int]:
@@ -211,14 +211,11 @@ def _closed_form_letters(n: int, m: int, which: str, ell: int, p: int) -> tuple[
     top = n if which == "s" else n - 1
     if not 1 <= p <= top:
         raise ValueError(f"p out of range for the {which} family: {p}")
-    prefix = [i % n + 1 for i in range(ell + 1)]
+    prefix = cyclic_product(n, 0, ell + 1)
+    middle = (p + ell) % n + 1
     if which == "s":
-        middle = [(p + ell) % n + 1]
-        suffix = [-(i % n + 1) for i in range(ell, -1, -1)]
-    else:
-        middle = [-((p + ell) % n + 1)]
-        suffix = [-(i % n + 1) for i in range(ell - 1, -1, -1)]
-    return tuple(free_reduce_letters(prefix + middle + suffix))
+        return tuple(free_reduce_letters([*prefix, middle, *(-x for x in reversed(prefix))]))
+    return tuple(free_reduce_letters([*prefix, -middle, *(-x for x in reversed(prefix[:-1]))]))
 
 
 def closed_form_generator(k: int, n: int, m: int, which: str, ell: int, p: int) -> Word:
@@ -258,8 +255,8 @@ def shift_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
 
 def _shift_letters(n: int, m: int, i: int) -> tuple[int, ...]:
     """The letters of the i-th shift relator x_i d x_{i+m}^-1 d^-1, freely reduced."""
-    delta = [j % n + 1 for j in range(m)]
-    return tuple(free_reduce_letters([i] + delta + [-((i + m - 1) % n + 1)] + [-x for x in reversed(delta)]))
+    delta = cyclic_product(n, 0, m)
+    return tuple(free_reduce_letters([i, *delta, -((i + m - 1) % n + 1), *(-x for x in reversed(delta))]))
 
 
 def cyclic_canonical(w: Word) -> tuple[int, ...]:
@@ -304,18 +301,17 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
     """
     if tuple(g.name for g in rs.generators) != rs.presentation.alphabet.names:
         raise ValueError("the Schreier generators do not name the RS alphabet's letters in order")
-    # letter x and -x to the closed form of generator x and its inverse
-    subst: dict[int, tuple[int, ...]] = {}
-    for x, g in enumerate(rs.generators, start=1):
+    # letter x to the closed form of generator x
+    images: list[tuple[int, ...]] = []
+    for g in rs.generators:
         i, j = labels[g.coset]
         if g.gen_name == "s":
-            image = _closed_form_letters(n, m, "s", m - 1 - i, j + 1)
+            images.append(_closed_form_letters(n, m, "s", m - 1 - i, j + 1))
         elif g.gen_name == "u" and j != 0:
-            image = _closed_form_letters(n, m, "u", m - 1 - i, j)
+            images.append(_closed_form_letters(n, m, "u", m - 1 - i, j))
         else:  # u at j = 0 and the t wrap generators are trivial in the subgroup
-            image = ()
-        subst[x] = image
-        subst[-x] = tuple(-y for y in reversed(image))
+            images.append(())
+    subst = signed_images(images)
 
     target = _s_alphabet(n)  # for the messages and the result
     reference = toric(k, n, m)
@@ -332,10 +328,10 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
         if key in shift_keys:
             d = chain_implies_shift(n, m, shift_keys[key])
             try:
-                check_derivation(d, chains)  # justified deletion
+                end = check_derivation(d, chains)  # justified deletion
             except ValueError as e:  # a fault of this derivation, not of the input
                 raise AssertionError(f"derivation of {Word(target, w)}: {e}") from e
-            if cyclic_canonical(d.start * invert(d.end())) != key:
+            if cyclic_canonical(d.start * invert(end)) != key:
                 raise AssertionError(f"the derivation cited for {Word(target, w)} derives another relator")
         elif key not in ref_keys:
             raise AssertionError(f"unexpected relator {Word(target, w)} in rewritten presentation")

@@ -320,15 +320,18 @@ class GenMap(Value):
         return apply_map(self, w)
 
 
+def signed_images(images: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The substitution table of the letter images ``images``: entry x holds
+    the image of letter x, entry -x (from the end) its inverse, entry 0 none."""
+    return [(), *images, *(tuple(-y for y in reversed(image)) for image in reversed(images))]
+
+
 def apply_map(f: GenMap, w: Word) -> Word:
     """Letter-wise substitution followed by free reduction."""
     if w.alphabet != f.source:
         raise ValueError("word is not over the map's source alphabet")
-    out: list[int] = []
-    for x in w.letters:
-        img = f.images[abs(x) - 1]
-        out.extend(img.letters if x > 0 else tuple(-y for y in reversed(img.letters)))
-    return free_reduce(Word(f.target, tuple(out)))
+    table = signed_images([image.letters for image in f.images])
+    return free_reduce(Word(f.target, tuple(chain.from_iterable(map(table.__getitem__, w.letters)))))
 
 
 def compose(outer: GenMap, inner: GenMap) -> GenMap:
@@ -379,8 +382,9 @@ def _apply_step(w: Word, step: RewriteStep) -> Word:
     return Word(w.alphabet, w.letters[:i] + new.letters + w.letters[i + len(old.letters) :])
 
 
-def check_derivation(d: Derivation, relators: Sequence[Word]) -> None:
-    """Raise ValueError unless every step is justified by its citation."""
+def check_derivation(d: Derivation, relators: Sequence[Word]) -> Word:
+    """The word the last step reaches; ValueError unless every step is
+    justified by its citation."""
     cur = d.start
     for k, step in enumerate(d.steps):
         nxt = _apply_step(cur, step)
@@ -393,3 +397,4 @@ def check_derivation(d: Derivation, relators: Sequence[Word]) -> None:
             if diff.letters not in (rel.letters, invert(rel).letters):
                 raise ValueError(f"step {k}: not an instance of relator {step.relator_index}")
         cur = nxt
+    return cur

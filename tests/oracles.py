@@ -106,6 +106,10 @@ with the production engines they check:
   abelianization, from the Smith normal form of its relator exponent
   matrix by integer row and column operations.  Two presentations of one
   group have the same invariants.
+- ``reference_apply_map``: the original letter-wise substitution, which
+  inverts a letter's image each time an inverse letter comes.
+  ``words.apply_map`` reads one table of signed images; it must give the
+  same ``Word``.
 - ``reference_parse_word``: the original word parser, which tracks the
   column with a running ``text.index`` and expands every token as it comes.
   ``words.parse_word`` must give the same ``Word``, or the same message and
@@ -1337,6 +1341,16 @@ def garside_nf_word(nf: GarsideNF) -> Word:
     for sym, e in nf.factors:
         letters += [1 if sym == "x" else 2] * e
     return Word(_STANDARD, tuple(letters))
+
+
+def reference_apply_map(f: GenMap, w: Word) -> Word:
+    if w.alphabet != f.source:
+        raise ValueError("word is not over the map's source alphabet")
+    out: list[int] = []
+    for x in w.letters:
+        img = f.images[abs(x) - 1]
+        out.extend(img.letters if x > 0 else tuple(-y for y in reversed(img.letters)))
+    return free_reduce(Word(f.target, tuple(out)))
 
 
 def reference_parse_word(alphabet: Alphabet, text: str) -> Word:

@@ -24,7 +24,7 @@ from oracles import naive_order
 
 from toricgroups import garside, maps, reps
 from toricgroups import presentations as pres
-from toricgroups.cosets import group_order, reflection_class_count, todd_coxeter
+from toricgroups.cosets import MAX_COSETS, group_order, reflection_class_count, todd_coxeter
 from toricgroups.coxeter import CoxeterMatrix, classify_triangle, maximal_finite_parabolics
 from toricgroups.garside import GarsideNF, gnf, meridian, sigma
 from toricgroups.presentations import FamilyParams, serialize, tietze_simplify
@@ -220,12 +220,12 @@ def test_criterion_08_representation_suite():
             assert stu == tus == ust == reps.mat_scale(rep.scalar, identity)
             assert reps.mat_det(rep.mat_s) == rep.theta * rep.theta
             assert reps.mat_det(rep.mat_t) == rep.phi * rep.phi
-    witness = reps.unfaithfulness_witness()
-    assert witness.rho_of_cube_is_identity == {"zero": True, "unit": True}
-    assert witness.order_in_small_quotient == 6
-    assert witness.rho_stu_is_minus_identity and witness.rho_stu_order == 2
-    assert witness.zero_preset_commutes and not witness.unit_preset_commutes
-    assert witness.unfaithful
+    witness = reps.witness_record(MAX_COSETS)[0]
+    assert witness["cube_dies_per_preset"] == {"zero": True, "unit": True}
+    assert witness["order_of_x1x2_in_k3_quotient"] == 6
+    assert witness["rho_stu_is_minus_identity"] and witness["rho_stu_order"] == 2
+    assert witness["zero_preset_commutes"] and not witness["unit_preset_commutes"]
+    assert witness["unfaithful"]
     print("\n[criterion 8] PASS: representation relations exact; counterexample reproduced")
 
 

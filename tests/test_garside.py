@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +25,7 @@ from toricgroups.garside import (
 )
 from toricgroups.schreier import chain_relators, delta_power_to_twist
 from toricgroups.words import (Derivation, RewriteStep, Word, WordSyntaxError, apply_map, check_derivation,
-                               free_reduce, parse_word)
+                               free_reduce, parse_word, signed_images)
 
 AB = standard_alphabet()
 PAIRS = [(2, 3), (3, 4), (2, 5), (3, 5)]
@@ -286,6 +287,23 @@ def test_word_problem_reads_classical_words_through_tau():
                                          "delta_power": normal.delta_power}, "ok")
     assert word_problem(3, 5, "x3^-2 x1")[2] == ["a word over x1 ... x3, mapped to {x, y} by tau, the inverse of sigma"]
     assert word_problem(3, 5, "x^3 y^-5")[2] == []
+
+
+def test_the_unreduced_table_image_has_the_normal_form_of_tau():
+    # wp garside substitutes tau's signed image table without free reduction
+    rng = random.Random(29)
+    for n in range(2, 13):
+        for m in range(2, 13):
+            if math.gcd(n, m) != 1:
+                continue
+            t = tau(n, m)
+            table = signed_images([image.letters for image in t.images])
+            for _ in range(10):
+                u = Word(t.source, tuple(rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(rng.randint(1, 20))))
+                unreduced = Word(AB, tuple(chain.from_iterable(map(table.__getitem__, u.letters))))
+                normal = gnf(n, m, apply_map(t, u))
+                assert gnf(n, m, unreduced) == normal, (n, m, u)
+                assert word_problem(n, m, str(u))[0]["normal_form"] == str(normal), (n, m, u)
 
 
 def test_classical_words_decided_through_tau():

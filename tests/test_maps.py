@@ -167,6 +167,19 @@ def test_central_element_examples():
     assert str(c) == "x1 x2 x1 x2 x1 x2"
 
 
+@pytest.mark.parametrize("k,n,m", SWEEP + [(2, 5, 3), (3, 7, 9)])
+def test_central_element_is_the_full_twist(k, n, m):
+    ab = pres.meridians(n)
+    assert central_element(k, n, m) == Word(ab, tuple(range(1, n + 1))) ** m
+
+
+@pytest.mark.parametrize("kmn, message", [((1, 2, 3), "labels must be integers >= 2, got 1"),
+                                          ((2, 2, 4), r"gcd\(2,4\) != 1"), ((2, 6, 9), r"gcd\(6,9\) != 1")])
+def test_central_element_refuses_the_labels_toric_refuses(kmn, message):
+    with pytest.raises(pres.ParameterError, match=message):
+        central_element(*kmn)
+
+
 @pytest.mark.parametrize("k,n,m", FINITE_ROWS)
 def test_central_element_is_central_in_cayley(k, n, m):
     cay = toric_cayley(k, n, m)

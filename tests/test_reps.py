@@ -20,6 +20,7 @@ from oracles import (
 )
 
 from toricgroups import reps
+from toricgroups.cosets import MAX_COSETS
 from toricgroups.cyclo import Cyc, _cos_table, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
 from toricgroups.reps import (
     ConstraintError,
@@ -35,9 +36,10 @@ from toricgroups.reps import (
     qr_presets,
     relation_checks,
     rho_eval,
-    unfaithfulness_witness,
+    witness_record,
 )
-from toricgroups.words import Alphabet
+from toricgroups.maps import meridian_embedding
+from toricgroups.words import Alphabet, Word, apply_map
 
 REP_PARAMS = [(2, 3, 4), (2, 3, 5), (3, 2, 3), (6, 2, 3), (2, 3, 7)]
 # the representation presets of the benchmark's word-problem workload
@@ -448,6 +450,25 @@ def test_rho_eval_on_toric_generators():
     assert rho_eval(rep, cube) == identity
 
 
+@pytest.mark.parametrize("names", [["x2", "x1"], ["xa", "xb"], ["x1", "x3"]])
+def test_rho_eval_refuses_an_alphabet_other_than_the_meridians(names):
+    # the meridian branch reads x1 ... xn in order and nothing else
+    rep = build_rho_preset(6, 2, 3, "zero")
+    with pytest.raises(ValueError, match="cannot resolve alphabet"):
+        rho_eval(rep, Alphabet(names).word(names[0]))
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(REP_PARAMS), st.data())
+def test_rho_eval_on_meridians_is_rho_eval_of_the_embedding(abc, data):
+    a, b, c = abc
+    rep = build_rho_preset(a, b, c)
+    embedding = meridian_embedding(b)
+    word = Word(embedding.source, tuple(data.draw(st.lists(st.sampled_from([*range(-b, 0), *range(1, b + 1)]),
+                                                          max_size=12))))
+    assert rho_eval(rep, word) == rho_eval(rep, apply_map(embedding, word))
+
+
 def test_matrix_inverse():
     rep = build_rho_preset(2, 3, 5)
     assert mat_mul(rep.mat_u, mat_inv(rep.mat_u)) == mat_identity(60)
@@ -455,11 +476,12 @@ def test_matrix_inverse():
 
 
 def test_witness_reproduces_the_counterexample():
-    w = unfaithfulness_witness()
-    assert w.rho_of_cube_is_identity == {"zero": True, "unit": True}
-    assert w.order_in_small_quotient == 6
-    assert w.rho_stu_order == 2
-    assert w.rho_stu_is_minus_identity
-    assert w.zero_preset_commutes
-    assert not w.unit_preset_commutes
-    assert w.unfaithful
+    w, status, evidence = witness_record(MAX_COSETS)
+    assert (status, evidence) == ("ok", [])
+    assert w["cube_dies_per_preset"] == {"zero": True, "unit": True}
+    assert w["order_of_x1x2_in_k3_quotient"] == 6
+    assert w["rho_stu_order"] == 2
+    assert w["rho_stu_is_minus_identity"]
+    assert w["zero_preset_commutes"]
+    assert not w["unit_preset_commutes"]
+    assert w["unfaithful"]

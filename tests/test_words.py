@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import reference_parse_word
+from oracles import reference_apply_map, reference_parse_word
 
 from toricgroups.words import (
     Alphabet,
@@ -234,3 +234,21 @@ def test_derivation_free_step():
     d = Derivation(w("x1"), (RewriteStep(1, w("1"), w("x2 x2^-1"), None),))
     check_derivation(d, [])
     assert free_reduce(d.end()) == w("x1")
+
+
+@st.composite
+def maps_and_words(draw):
+    """A GenMap from an alphabet of 1 to 4 generators into AB, empty images
+    included, and a word over its source with inverse letters."""
+    n = draw(st.integers(1, 4))
+    source = Alphabet([f"g{i}" for i in range(1, n + 1)])
+    images = tuple(Word(AB, tuple(draw(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6))))
+                   for _ in range(n))
+    word = Word(source, tuple(draw(st.lists(st.sampled_from([*range(-n, 0), *range(1, n + 1)]), max_size=30))))
+    return GenMap(source, AB, images), word
+
+
+@given(maps_and_words())
+def test_apply_map_matches_the_letter_wise_reference(case):
+    f, word = case
+    assert apply_map(f, word) == reference_apply_map(f, word)

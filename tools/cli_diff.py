@@ -9,9 +9,12 @@ request of ``GOLDEN_REQUESTS`` in ``tests/test_cli.py``, each taken from the
 ``--format text``.  Each side is exported with ``git archive`` into a fresh
 temporary directory (``TMPDIR`` chooses where), and all of its requests run
 through ``toricgroups.cli.main`` in one subprocess, which records stdout,
-stderr and the exit code (or the exception that escaped).  The script
-prints how many outputs it compared and, for each one that differs, the
-request and its first differing line, and exits 1 on any difference.
+stderr and the exit code (or the exception that escaped).  Then every
+``demos/*.py`` of the ``--change`` tree runs as a script in each tree, with
+that tree's ``src/`` on the path, and its exit code, stderr and stdout are
+compared byte for byte.  The script prints how many outputs and demos it
+compared and, for each one that differs, the request or demo and its first
+differing line, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -85,6 +88,21 @@ def run_side(tree: str, argvs: list[list[str]]) -> list[dict]:
     return json.loads(proc.stdout)
 
 
+def run_demos(tree: str, demos: list[str]) -> list[dict]:
+    """The stdout, stderr and exit code of each demo, run as a script in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    records = []
+    for demo in demos:
+        path = os.path.join(tree, "demos", demo)
+        if not os.path.exists(path):
+            records.append({"stdout": "", "stderr": "", "code": "missing"})
+            continue
+        proc = subprocess.run([sys.executable, path], cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=600)
+        records.append({"stdout": proc.stdout, "stderr": proc.stderr, "code": proc.returncode})
+    return records
+
+
 def first_difference(a: dict, b: dict) -> str:
     for field in ("code", "stderr", "stdout"):
         if a[field] != b[field]:
@@ -112,6 +130,8 @@ def main(argv: list[str] | None = None) -> int:
                 tar.extractall(trees[side])
         argvs = [["--format", fmt, *a] for a in requests(trees["change"]) for fmt in ("json", "text")]
         outputs = {side: run_side(tree, argvs) for side, tree in trees.items()}
+        demos = sorted(f for f in os.listdir(os.path.join(trees["change"], "demos")) if f.endswith(".py"))
+        demo_outputs = {side: run_demos(tree, demos) for side, tree in trees.items()}
 
     differing = 0
     for a, before, after in zip(argvs, outputs["parent"], outputs["change"]):
@@ -121,7 +141,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"differs: {' '.join(a)}\n  {diff}")
     print(f"compared {len(argvs)} outputs ({len(argvs) // 2} requests in json and text) "
           f"of {args.parent} and {args.change}: {differing} differ")
-    return 1 if differing else 0
+    demos_differing = 0
+    for demo, before, after in zip(demos, demo_outputs["parent"], demo_outputs["change"]):
+        diff = first_difference(before, after)
+        if diff:
+            demos_differing += 1
+            print(f"differs: demos/{demo}\n  {diff}")
+    print(f"compared the output of {len(demos)} demos: {demos_differing} differ")
+    return 1 if differing or demos_differing else 0
 
 
 if __name__ == "__main__":
