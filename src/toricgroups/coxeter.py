@@ -195,9 +195,6 @@ class MinimalRootTable:
                 word.append(s)
         return word
 
-    def length(self, w: Word) -> int:
-        return len(self.reduce_word(w))
-
     def nf(self, w: Word) -> Word:
         """ShortLex-minimal normal form (r1 < r2 < ...)."""
         # the right descents of the reversed word are the left descents of

@@ -33,16 +33,8 @@ from .words import Value, _set
 
 
 @cache
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending.
-
-    Phi_n is the Moebius product of (x^d - 1)^mu(n/d) over the divisors d
-    of n.  mu(n/d) is nonzero only when n/d is a product of distinct primes
-    of n, so the d run over n / prod(S) for the subsets S of those primes,
-    with mu = (-1)^|S|.  The factors with mu = 1 are multiplied first; each
-    factor with mu = -1 then divides the product exactly, by the recurrence
-    q[i] = q[i - d] - p[i] of p = q (x^d - 1).
-    """
+def _primes(n: int) -> tuple[int, ...]:
+    """The distinct primes of n, ascending, by trial division."""
     primes = []
     rest, q = n, 2
     while q * q <= rest:
@@ -53,6 +45,21 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         q += 1
     if rest > 1:
         primes.append(rest)
+    return tuple(primes)
+
+
+@cache
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending.
+
+    Phi_n is the Moebius product of (x^d - 1)^mu(n/d) over the divisors d
+    of n.  mu(n/d) is nonzero only when n/d is a product of distinct primes
+    of n, so the d run over n / prod(S) for the subsets S of those primes,
+    with mu = (-1)^|S|.  The factors with mu = 1 are multiplied first; each
+    factor with mu = -1 then divides the product exactly, by the recurrence
+    q[i] = q[i - d] - p[i] of p = q (x^d - 1).
+    """
+    primes = _primes(n)
     subsets = [s for size in range(len(primes) + 1) for s in combinations(primes, size)]
     poly = [1]
     for s in subsets:
@@ -74,7 +81,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @cache
 def _degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    """phi(n), the degree of Phi_n: n times (1 - 1/p) over the primes p of n."""
+    primes = _primes(n)
+    return n // prod(primes) * prod(p - 1 for p in primes)
 
 
 @cache
@@ -161,9 +170,6 @@ class Cyc(Value):
     def __sub__(self, other: "Cyc | int") -> "Cyc":
         return self + -other
 
-    def __rsub__(self, other: int) -> "Cyc":
-        return -self + other
-
     def __mul__(self, other: "Cyc | int") -> "Cyc":
         b = self._operand(other)
         n = self.n
@@ -242,19 +248,6 @@ def zeta(n: int, k: int = 1) -> Cyc:
 MAX_DEGREE = 720
 
 
-def _totient(n: int) -> int:
-    out, p = n, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            out -= out // p
-        p += 1
-    if n > 1:
-        out -= out // n
-    return out
-
-
 def label_modulus(*labels: int) -> int:
     """N = lcm(2 l) over the labels, after checking phi(N) <= MAX_DEGREE.
 
@@ -265,7 +258,7 @@ def label_modulus(*labels: int) -> int:
     refused without factoring it, and the rest factor by trial division.
     """
     n = lcm(*(2 * v for v in labels))
-    if n > 2 * MAX_DEGREE**2 or _totient(n) > MAX_DEGREE:
+    if n > 2 * MAX_DEGREE**2 or _degree(n) > MAX_DEGREE:
         raise ValueError(f"labels {', '.join(map(str, labels))} need cyclotomic modulus N = {n}, "
                          f"and phi(N) exceeds the supported degree {MAX_DEGREE}")
     return n

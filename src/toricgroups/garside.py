@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from itertools import chain, groupby
 
-from .presentations import FamilyParams, cyclic_product, cyclic_products, meridians
-from .schreier import chain_implies_shift, chain_relators
-from .words import (Alphabet, Derivation, GenMap, RewriteStep, Value, Word, apply_map, free_reduce, invert,
-                    parse_either, signed_images)
+from .presentations import XY, FamilyParams, cyclic_product, meridians
+from .schreier import chain_implies_shift, chain_relators, chain_step
+from .words import (Alphabet, Derivation, GenMap, RewriteStep, Value, Word, apply_map, free_reduce, parse_either,
+                    signed_images, undone)
 
-_STANDARD = Alphabet(["x", "y"])
+_STANDARD = XY
 _SYMBOLS = (None, "x", "y")  # the name of each letter
 
 
@@ -169,19 +169,15 @@ def meridian_derivation(n: int, m: int) -> Derivation:
     ab, _ = chain_relators(n, m)  # checks n and m
     a = pow(n, -1, m)
     b = (a * n - 1) // m
-    prods = cyclic_products(ab, n, m)
-    delta = prods[0]
     start = apply_map(sigma(n, m), meridian(n, m, a, b))
     steps: list[RewriteStep] = []
-    for t in range(b):
-        j = t * m % n + 1  # the block starting at x_{tm+1} is chain j's product
-        if j != 1:
-            steps.append(RewriteStep(t * m, prods[j - 1], delta, j - 2))
+    for t in range(b):  # the block x_{tm+1} ... x_{tm+m} back to Q
+        steps += undone(chain_step(n, m, t * m, t * m % n + 1), 0)
     i = n
     for t in reversed(range(b)):
         i = (i - m - 1) % n + 1
-        lemma = chain_implies_shift(n, m, i)
-        steps.extend(RewriteStep(s.position + t * m, s.new, s.old, s.relator_index) for s in reversed(lemma.steps))
-    cancel = Word(ab, delta.letters * b + invert(delta).letters * b)
+        steps += undone(chain_implies_shift(n, m, i).steps, t * m)
+    delta = cyclic_product(n, 0, m)
+    cancel = Word(ab, delta * b + tuple(-x for x in reversed(delta)) * b)
     steps.append(RewriteStep(1, cancel, Word(ab, ()), None))
     return Derivation(start, tuple(steps))

@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Protocol
 
 from .coxeter import triangle_table
-from .presentations import FamilyParams, Presentation, alt_plus, cyclic_product, j_parent, meridians, toric
+from .presentations import STU, FamilyParams, Presentation, alt_plus, cyclic_product, j_parent, meridians, toric
 from .schreier import chain_implies_shift, chain_relators, delta_power_to_twist
-from .words import Alphabet, Derivation, GenMap, RewriteStep, Value, Word, apply_map
+from .words import Derivation, GenMap, Value, Word, apply_map, moved, undone
 from .words import compose as compose_maps
 from .words import free_reduce
 
@@ -119,8 +119,7 @@ def build_psi(k: int, n: int, m: int) -> Hom:
 def meridian_embedding(n: int) -> GenMap:
     """x_i = t^(i-1) s t^(1-i): the meridians x1 ... xn as words over the
     generators s, t, u of a parent J-group."""
-    target = Alphabet(["s", "t", "u"])
-    return GenMap(meridians(n), target, tuple(Word(target, (2,) * i + (1,) + (-2,) * i) for i in range(n)))
+    return GenMap(meridians(n), STU, tuple(Word(STU, (2,) * i + (1,) + (-2,) * i) for i in range(n)))
 
 
 def build_embedding(k: int, n: int, m: int) -> Hom:
@@ -148,10 +147,6 @@ def central_element(k: int, n: int, m: int) -> Word:
     return Word(meridians(n), cyclic_product(n, 0, n * m))
 
 
-def _offset_steps(d: Derivation, offset: int) -> list[RewriteStep]:
-    return [RewriteStep(s.position + offset, s.old, s.new, s.relator_index) for s in d.steps]
-
-
 def centrality_witness(k: int, n: int, m: int, i: int) -> Derivation:
     """Explicit rewriting chain x_i c -> c x_i, citing only the chain relators.
 
@@ -161,22 +156,17 @@ def centrality_witness(k: int, n: int, m: int, i: int) -> Derivation:
     m mod n; after n passes the index returns to i), and finally restores c.
     A capability of the paper kept for the tests and demos, its only callers.
     """
-    ab, chains = chain_relators(n, m)
+    ab, _ = chain_relators(n, m)
     if not 1 <= i <= n:
         raise ValueError("generator index out of range")
-    c = Word(ab, cyclic_product(n, 0, n * m))
-    start = free_reduce(Word(ab, (i,)) * c)
-    steps: list[RewriteStep] = []
-    # c -> delta^n, applied after the leading x_i (offset 1), in reverse
-    to_twist = delta_power_to_twist(n, m)
-    for s in reversed(to_twist.steps):
-        steps.append(RewriteStep(s.position + 1, s.new, s.old, s.relator_index))
+    start = Word(ab, (i, *cyclic_product(n, 0, n * m)))
+    to_twist = delta_power_to_twist(n, m).steps
+    steps = list(undone(to_twist, 1))  # c -> delta^n, after the leading x_i
     cur = i
     for block in range(n):
-        lemma = chain_implies_shift(n, m, cur)
-        steps.extend(_offset_steps(lemma, block * m))
+        steps += moved(chain_implies_shift(n, m, cur).steps, block * m)
         cur = (cur + m - 1) % n + 1
     if cur != i:
         raise AssertionError("index did not return after n passes")
-    steps.extend(_offset_steps(to_twist, 0))
+    steps += to_twist
     return Derivation(start, tuple(steps))

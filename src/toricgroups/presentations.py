@@ -43,9 +43,6 @@ class Presentation(Value):
     def gens(self) -> tuple[str, ...]:
         return self.alphabet.names
 
-    def __str__(self) -> str:
-        return serialize(self)
-
 
 class FamilyParams(Value):
     __slots__ = ("family", "labels", "normalize")
@@ -88,6 +85,11 @@ def present_record(params: FamilyParams) -> tuple[dict, str, list[str]]:
             "num_relators": len(pres.relators)}, "ok", []
 
 
+# the generators of ``torus_standard`` and of ``j_parent``
+XY = Alphabet(["x", "y"])
+STU = Alphabet(["s", "t", "u"])
+
+
 def meridians(n: int) -> Alphabet:
     """The meridians x1 ... xn, the alphabet of ``torus_classical(n, m)`` and
     ``toric(k, n, m)``."""
@@ -97,9 +99,8 @@ def meridians(n: int) -> Alphabet:
 def torus_standard(n: int, m: int) -> Presentation:
     """The two-generator torus knot group presentation: x^n = y^m."""
     FamilyParams("torus-standard", (n, m))
-    ab = Alphabet(["x", "y"])
-    x, y = ab.word("x"), ab.word("y")
-    return Presentation(ab, (free_reduce(x**n * invert(y**m)),))
+    x, y = XY.word("x"), XY.word("y")
+    return Presentation(XY, (free_reduce(x**n * invert(y**m)),))
 
 
 def cyclic_product(n: int, start: int, length: int) -> tuple[int, ...]:
@@ -144,10 +145,9 @@ def toric(k: int, n: int, m: int) -> Presentation:
 def j_parent(a: int, b: int, c: int) -> Presentation:
     """The parent J-group <s,t,u | s^a = t^b = u^c = 1, stu = tus = ust>."""
     FamilyParams("j-parent", (a, b, c))
-    ab = Alphabet(["s", "t", "u"])
-    s, t, u = (ab.word(nm) for nm in "stu")
+    s, t, u = (STU.word(nm) for nm in "stu")
     chain = _chain([s * t * u, t * u * s, u * s * t])
-    return Presentation(ab, (s**a, t**b, u**c) + tuple(chain))
+    return Presentation(STU, (s**a, t**b, u**c) + tuple(chain))
 
 
 def coxeter_triangle(k: int, n: int, m: int) -> Presentation:
@@ -237,10 +237,7 @@ def parse_presentation(text: str) -> Presentation:
                 except WordSyntaxError as e:
                     raise ParseError(str(e), lineno, column=offset + (e.column or 1)) from None
                 offset += len(side) + 1
-            if len(words) == 1:
-                relators.append(free_reduce(words[0]))
-            else:
-                relators.extend(free_reduce(words[0] * invert(w)) for w in words[1:])
+            relators.extend(_chain(words) if len(words) > 1 else [free_reduce(words[0])])
         else:
             raise ParseError(f"unknown key {key!r}", lineno)
     if alphabet is None:

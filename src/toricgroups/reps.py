@@ -17,13 +17,10 @@ from __future__ import annotations
 from .classify import finite_quotient
 from .cyclo import Cyc, label_modulus, zeta
 from .maps import meridian_embedding
-from .presentations import FamilyParams, meridians
-from .words import Alphabet, Value, Word, parse_either
+from .presentations import STU, FamilyParams, meridians
+from .words import Value, Word, parse_either
 
 Mat2 = tuple[tuple[Cyc, Cyc], tuple[Cyc, Cyc]]
-
-# the generators of the parent J-group, which rep eval reads a word over first
-_STU = Alphabet(["s", "t", "u"])
 
 
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
@@ -177,7 +174,7 @@ def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> tuple[
     """Result, status and evidence of ``rep eval`` for a word over {s,t,u},
     else over x1..xb."""
     rep = build_rho_preset(a, b, c, preset)
-    w = parse_either(_STU, lambda: meridians(b), text)
+    w = parse_either(STU, lambda: meridians(b), text)
     matrix = rho_eval(rep, w)
     return {"matrix": mat_str(matrix), "is_identity": matrix == mat_identity(rep.theta.n),
             "q": str(rep.q), "r": str(rep.r)}, "ok", []
@@ -185,28 +182,34 @@ def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> tuple[
 
 def rho_eval(rep: Rep, w: Word) -> Mat2:
     """Evaluate a word over {s,t,u}, or over the meridians x1..xn through
-    their images under ``maps.meridian_embedding(n)``."""
+    their images under ``maps.meridian_embedding(n)``, built only for the
+    meridians the word holds."""
     names = w.alphabet.names
     base = {"s": rep.mat_s, "t": rep.mat_t, "u": rep.mat_u}
     identity = mat_identity(rep.theta.n)
     if set(names) <= base.keys():
         mats = [base[g] for g in names]
     elif w.alphabet == meridians(len(names)):
-        stu = [rep.mat_s, rep.mat_t, rep.mat_u]
-        stu_inverses = [mat_inv(m) for m in stu]
-        mats = [_product(stu, stu_inverses, image.letters, identity)
-                for image in meridian_embedding(len(names)).images]
+        stu = _signed_table([rep.mat_s, rep.mat_t, rep.mat_u])
+        held = {abs(x) for x in w.letters}
+        mats = [_product(stu, image.letters, identity) if x in held else None
+                for x, image in enumerate(meridian_embedding(len(names)).images, start=1)]
     else:
         raise ValueError(f"cannot resolve alphabet {names} to the representation")
-    return _product(mats, [mat_inv(m) for m in mats], w.letters, identity)
+    return _product(_signed_table(mats), w.letters, identity)
 
 
-def _product(mats: list[Mat2], inverses: list[Mat2], letters: tuple[int, ...], identity: Mat2) -> Mat2:
-    """The product of the matrices of ``letters``: ``mats[x - 1]`` for a
-    letter x > 0, ``inverses[-x - 1]`` for x < 0."""
+def _signed_table(mats: list[Mat2 | None]) -> list[Mat2 | None]:
+    """Entry x holds ``mats[x - 1]`` and entry -x (from the end) its inverse,
+    as in ``words.signed_images``; a None matrix has no inverse."""
+    return [None, *mats, *(None if a is None else mat_inv(a) for a in reversed(mats))]
+
+
+def _product(table: list[Mat2 | None], letters: tuple[int, ...], identity: Mat2) -> Mat2:
+    """The product of the matrices ``table[x]`` of the ``letters`` x."""
     out = identity
     for letter in letters:
-        out = mat_mul(out, mats[letter - 1] if letter > 0 else inverses[-letter - 1])
+        out = mat_mul(out, table[letter])
     return out
 
 

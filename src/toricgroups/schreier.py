@@ -24,9 +24,9 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .cosets import MAX_COSETS, CosetTable, Transversal, bfs_transversal, normal_closure_table
-from .presentations import Presentation, cyclic_product, cyclic_products, j_parent, meridians, toric, torus_classical
+from .presentations import Presentation, cyclic_product, j_parent, meridians, toric, torus_classical
 from .words import (Alphabet, Derivation, RewriteStep, Value, Word, check_derivation, cyclic_reduce_letters,
-                    free_reduce, free_reduce_letters, invert, signed_images)
+                    free_reduce_letters, invert, signed_images, undone)
 
 
 def toric_column_order(alphabet: Alphabet) -> list[int]:
@@ -340,28 +340,27 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
     return Presentation(target, tuple(Word(target, r.letters) for r in reference.relators))
 
 
+def chain_step(n: int, m: int, position: int, j: int) -> tuple[RewriteStep, ...]:
+    """The step rewriting delta = x_1...x_m at ``position`` as the m-factor
+    product x_j...x_{j+m-1} (indices mod n), citing chain relator j - 2; no
+    step for j = 1, where the two words agree."""
+    if j == 1:
+        return ()
+    ab = meridians(n)
+    return (RewriteStep(position, Word(ab, cyclic_product(n, 0, m)), Word(ab, cyclic_product(n, j - 1, m)), j - 2),)
+
+
 def chain_implies_shift(n: int, m: int, i: int) -> Derivation:
     """Derivation of x_i * delta -> delta * x_{i+m} using chain relators only.
 
-    delta = x_1...x_m with indices mod n.  Two substitutions: rewrite delta
+    delta = x_1...x_m with indices mod n.  Two chain steps: rewrite delta
     as the product starting at x_{i+1}, then rewrite the m-factor prefix
-    starting at x_i back to delta.  Either substitution is skipped when its
-    chain index is 1 (the rewrite is the identity).
+    starting at x_i back to delta.
     """
-    ab = meridians(n)
-    prods = cyclic_products(ab, n, m)
-    delta = prods[0]
     if not 1 <= i <= n:
         raise ValueError("generator index out of range")
-    start = free_reduce(Word(ab, (i,)) * delta)
-    steps: list[RewriteStep] = []
-    j1 = (i % n) + 1  # chain index for the product starting at x_{i+1}
-    if j1 != 1:
-        steps.append(RewriteStep(1, delta, prods[j1 - 1], j1 - 2))
-    j2 = i  # chain index for the product starting at x_i
-    if j2 != 1:
-        steps.append(RewriteStep(0, prods[j2 - 1], delta, j2 - 2))
-    return Derivation(start, tuple(steps))
+    start = Word(meridians(n), (i, *cyclic_product(n, 0, m)))
+    return Derivation(start, chain_step(n, m, 1, i % n + 1) + undone(chain_step(n, m, 0, i), 0))
 
 
 def delta_power_to_twist(n: int, m: int) -> Derivation:
@@ -371,13 +370,5 @@ def delta_power_to_twist(n: int, m: int) -> Derivation:
     literal word x_1 x_2 ... x_{nm} with indices mod n, which is identical
     to (x_1...x_n)^m letter by letter.
     """
-    ab = meridians(n)
-    prods = cyclic_products(ab, n, m)
-    delta = prods[0]
-    start = Word(ab, delta.letters * n)
-    steps = []
-    for t in range(n):
-        j = (t * m) % n + 1
-        if j != 1:
-            steps.append(RewriteStep(t * m, delta, prods[j - 1], j - 2))
-    return Derivation(start, tuple(steps))
+    start = Word(meridians(n), cyclic_product(n, 0, m) * n)
+    return Derivation(start, tuple(chain.from_iterable(chain_step(n, m, t * m, t * m % n + 1) for t in range(n))))

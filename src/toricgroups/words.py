@@ -152,9 +152,6 @@ class Word(Value):
     def inverse(self) -> "Word":
         return invert(self)
 
-    def is_identity(self) -> bool:
-        return not free_reduce(self).letters
-
     def __str__(self) -> str:
         return word_to_text(self)
 
@@ -316,9 +313,6 @@ class GenMap(Value):
             raise ValueError(f"no image for generators {missing}")
         return GenMap(source, target, tuple(images[name] for name in source.names))
 
-    def __call__(self, w: Word) -> Word:
-        return apply_map(self, w)
-
 
 def signed_images(images: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The substitution table of the letter images ``images``: entry x holds
@@ -373,6 +367,17 @@ class Derivation(Value):
 
     def end(self) -> Word:
         return self.words()[-1]
+
+
+def moved(steps: Iterable[RewriteStep], offset: int) -> tuple[RewriteStep, ...]:
+    """The steps applied ``offset`` letters further right."""
+    return tuple(RewriteStep(s.position + offset, s.old, s.new, s.relator_index) for s in steps)
+
+
+def undone(steps: Sequence[RewriteStep], offset: int) -> tuple[RewriteStep, ...]:
+    """The steps taken back, last first, ``offset`` letters further right:
+    from the word they reach to the word they start from."""
+    return tuple(RewriteStep(s.position + offset, s.new, s.old, s.relator_index) for s in reversed(steps))
 
 
 def _apply_step(w: Word, step: RewriteStep) -> Word:

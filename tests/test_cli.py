@@ -420,6 +420,27 @@ def test_rep_extra_arguments_are_rejected(capsys):
         assert err.startswith("error: rep ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("wp", "toric", "2", "3", "x1"), "error: expected 3 labels, got 2"),
+    (("rep", "check", "6", "2"), "error: rep check needs three parameters a b c"),
+    (("rep", "check", "a", "b", "c"), "error: parameters must be integers, got ['a', 'b', 'c']"),
+])
+def test_argument_refusals_name_their_fault(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv, status, evidence", [
+    (("--max-cosets", "1", "classify", "5", "2", "3"), "ok", "enumeration overflowed at 1; membership retained"),
+    (("--max-cosets", "1", "derive", "2", "3", "5"), "unknown", "enumeration overflowed at 1"),
+    (("--max-cosets", "100", "derive", "2", "3", "5"), "unknown", "order enumeration overflowed at 100"),
+])
+def test_overflows_are_named_in_the_evidence(capsys, argv, status, evidence):
+    code, payload = run_json(capsys, *argv)
+    assert (code, payload["status"]) == (0, status)
+    assert payload["evidence"][-1] == evidence
+
+
 def test_rep_check_with_preset(capsys):
     code, payload = run_json(capsys, "rep", "check", "6", "2", "3", "--qr", "unit")
     assert code == 0

@@ -373,4 +373,4 @@ def test_degree_cap_bounds_phi_of_the_modulus():
     with pytest.raises(ValueError, match="phi"):
         cyclo.label_modulus(10**40, 3, 5)  # refused without factoring
     for n in range(1, 1000):
-        assert cyclo._totient(n) == sum(1 for i in range(1, n + 1) if gcd(i, n) == 1)
+        assert cyclo._degree(n) == sum(1 for i in range(1, n + 1) if gcd(i, n) == 1)

@@ -1,0 +1,79 @@
+"""Input refusals that no other test reaches, one (call, exception, message)
+row each; ``tools/line_coverage.py`` lists the raise lines a suite never runs."""
+
+import re
+
+import pytest
+
+from toricgroups import cosets, coxeter, cyclo, garside, maps, reps, schreier, words
+from toricgroups.presentations import ParseError, parse_presentation, toric
+
+AB = words.Alphabet(["x", "y"])
+STU = words.Alphabet(["s", "t", "u"])
+X, Y, XY = AB.word("x"), AB.word("y"), AB.word("x y")
+
+
+def overflowed():
+    """An enumeration of W(6,2,3) stopped at 10 cosets; x1 is undefined on coset 7."""
+    return cosets.todd_coxeter(toric(6, 2, 3), max_cosets=10)
+
+
+def complete():
+    """W(3,2,3), of order 24, over the trivial subgroup."""
+    return cosets.todd_coxeter(toric(3, 2, 3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # parse_presentation
+    (lambda: parse_presentation("gens a b"), ParseError, "line 1, column 1: expected 'gens:' or 'rel:' line"),
+    (lambda: parse_presentation("gens: a\ngens: b"), ParseError, "line 2, column 1: duplicate gens line"),
+    (lambda: parse_presentation("rel: a"), ParseError, "line 1, column 1: rel line before gens line"),
+    (lambda: parse_presentation("gens: a\nrels: a"), ParseError, "line 2, column 1: unknown key 'rels'"),
+    (lambda: parse_presentation("# no generators\n"), ParseError, "line 1, column 1: missing gens line"),
+    # the coset layer
+    (lambda: cosets.todd_coxeter(toric(3, 2, 3), strategy="dfs"), ValueError, "unknown strategy 'dfs'"),
+    (lambda: cosets.todd_coxeter(toric(3, 2, 3), [STU.word("s")]), ValueError,
+     "subgroup generator over wrong alphabet"),
+    (lambda: cosets.CayleyTable(overflowed()), ValueError, "need a complete table"),
+    (lambda: cosets.CayleyTable(cosets.todd_coxeter(toric(3, 2, 3), [toric(3, 2, 3).alphabet.word("x1")])),
+     ValueError, "Cayley table requires the trivial subgroup"),
+    (lambda: overflowed().step(7, 1), ValueError, "table entry undefined (table not complete)"),
+    (lambda: overflowed().trace(7, toric(6, 2, 3).alphabet.word("x1")), ValueError,
+     "table entry undefined (table not complete)"),
+    (lambda: cosets.bfs_transversal(complete(), [0]), ValueError, "column order does not span the coset graph"),
+    # Reidemeister-Schreier and the rewriting lemmas
+    (lambda: schreier.schreier_transversal(complete(), [0, 0]), ValueError,
+     "column order must be a list of distinct table columns"),
+    (lambda: schreier.toric_column_order(words.Alphabet(["s", "t"])), ValueError,
+     "toric column order needs generators s, t, u"),
+    (lambda: schreier.toric_coset_labels(cosets.Transversal((STU.word("1"), STU.word("s")), frozenset())),
+     ValueError, "representative s is not of the form u^i t^j"),
+    (lambda: schreier.rs_presentation(toric(6, 2, 3), overflowed(), cosets.Transversal((), frozenset())),
+     ValueError, "coset table is not complete"),
+    (lambda: schreier.chain_implies_shift(3, 4, 0), ValueError, "generator index out of range"),
+    (lambda: schreier.chain_implies_shift(3, 4, 4), ValueError, "generator index out of range"),
+    (lambda: maps.centrality_witness(2, 3, 4, 4), ValueError, "generator index out of range"),
+    # words, maps and derivations
+    (lambda: words.Alphabet(["a", "a"]), ValueError, "duplicate generator names in ('a', 'a')"),
+    (lambda: AB.index("z"), KeyError, "unknown generator 'z'"),
+    (lambda: X * STU.word("s"), ValueError, "cannot multiply words over different alphabets"),
+    (lambda: words.GenMap.from_dict(AB, AB, {"x": Y}), ValueError, "no image for generators ['y']"),
+    (lambda: words.compose(words.GenMap.identity(AB), words.GenMap.identity(STU)), ValueError,
+     "alphabets do not compose"),
+    (lambda: words.check_derivation(words.Derivation(XY, (words.RewriteStep(0, X, Y, None),)), []), ValueError,
+     "step 0: claimed free but differs by x y^-1"),
+    (lambda: words.check_derivation(words.Derivation(XY, (words.RewriteStep(1, X, Y, 0),)), [X * Y**-1]),
+     ValueError, "step does not match word at position 1"),
+    # cyclotomics, Coxeter groups, Garside forms and the representation
+    (lambda: cyclo.zeta(4).embed(6), ValueError, "cannot embed modulus 4 into 6"),
+    (lambda: cyclo.zeta(0), ValueError, "modulus must be positive"),
+    (lambda: garside.gnf(2, 3, STU.word("s")), ValueError, "word must be over the standard alphabet {x, y}"),
+    (lambda: coxeter.classify_triangle(1, 3, 5), ValueError, "labels must be >= 2"),
+    (lambda: coxeter.center_check_plus(coxeter.CoxeterMatrix(((1, 3), (3, 1)))), ValueError,
+     "center check implemented for rank-3 triangles"),
+    (lambda: reps.build_rho_preset(2, 3, 5, "bogus"), ValueError,
+     "unknown (q,r) preset 'bogus'; have ['standard', 'swapped']"),
+])
+def test_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

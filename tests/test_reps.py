@@ -450,6 +450,23 @@ def test_rho_eval_on_toric_generators():
     assert rho_eval(rep, cube) == identity
 
 
+def test_rho_eval_builds_only_the_meridians_a_word_holds(monkeypatch):
+    # x1 = s and x2 = t s t^-1 of the nine meridians at (2,9,7): four products
+    # build them and two read the word, where all nine took 81 + 2
+    rep = build_rho_preset(2, 9, 7)
+    s, t = rep.mat_s, rep.mat_t
+    expected = mat_mul(s, mat_mul(t, mat_mul(mat_inv(s), mat_inv(t))))
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(reps, "mat_mul", counted)
+    assert rho_eval(rep, Alphabet([f"x{i}" for i in range(1, 10)]).word("x1 x2^-1")) == expected
+    assert len(calls) <= 6
+
+
 @pytest.mark.parametrize("names", [["x2", "x1"], ["xa", "xb"], ["x1", "x3"]])
 def test_rho_eval_refuses_an_alphabet_other_than_the_meridians(names):
     # the meridian branch reads x1 ... xn in order and nothing else

@@ -2,11 +2,14 @@ import pathlib
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import FINITE_ROWS, closure_table, parent_cayley
 from oracles import reference_check_toric_presentation, reference_rs_presentation
 
 from toricgroups import classify, schreier
+from toricgroups.garside import meridian_derivation
+from toricgroups.maps import centrality_witness
 from toricgroups import presentations as pres
 from toricgroups.coxeter import classify_triangle
 from toricgroups.cosets import group_order, todd_coxeter
@@ -16,6 +19,7 @@ from toricgroups.schreier import (
     SubgroupGenerator,
     chain_implies_shift,
     chain_relators,
+    chain_step,
     check_toric_presentation,
     closed_form_generator,
     cyclic_canonical,
@@ -28,7 +32,7 @@ from toricgroups.schreier import (
     toric_coset_labels,
 )
 from toricgroups.words import (Alphabet, Derivation, RewriteStep, Word, apply_map, check_derivation, cyclic_reduce,
-                              free_reduce, invert)
+                              free_reduce, invert, moved, undone)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -515,3 +519,51 @@ def test_delta_power_to_twist_derivation():
         check_derivation(d, chains)
         twist = Word(ab, tuple(i % n + 1 for i in range(n)) * m)
         assert d.end() == twist
+
+
+# --- the one chain step and the step helpers --------------------------------------
+
+COPRIME_PAIRS = st.tuples(st.integers(2, 12), st.integers(2, 12)).filter(lambda p: gcd(*p) == 1)
+
+# each rewriting lemma at (n, m) and a generator index i in 1..n
+LEMMAS = {
+    "chain_implies_shift": chain_implies_shift,
+    "delta_power_to_twist": lambda n, m, i: delta_power_to_twist(n, m),
+    "centrality_witness": lambda n, m, i: centrality_witness(2, n, m, i),
+    "meridian_derivation": lambda n, m, i: meridian_derivation(n, m),
+}
+
+
+@given(COPRIME_PAIRS, st.integers(1, 12), st.sampled_from(sorted(LEMMAS)))
+def test_undone_steps_take_every_lemma_back_to_its_start(pair, i, lemma):
+    n, m = pair
+    d = LEMMAS[lemma](n, m, (i - 1) % n + 1)
+    chains = chain_relators(n, m)[1]
+    back = Derivation(check_derivation(d, chains), undone(d.steps, 0))
+    assert check_derivation(back, chains) == d.start
+
+
+@given(COPRIME_PAIRS, st.integers(1, 12), st.sampled_from(sorted(LEMMAS)), st.data())
+def test_moved_steps_replay_a_lemma_inside_a_padded_word(pair, i, lemma, data):
+    n, m = pair
+    d = LEMMAS[lemma](n, m, (i - 1) % n + 1)
+    ab, chains = chain_relators(n, m)
+    letters = st.sampled_from(sorted(ab.letters))
+    left = tuple(data.draw(st.lists(letters, max_size=4)))
+    right = tuple(data.draw(st.lists(letters, max_size=4)))
+    padded = Derivation(Word(ab, left + d.start.letters + right), moved(d.steps, len(left)))
+    assert check_derivation(padded, chains).letters == left + d.end().letters + right
+
+
+@given(COPRIME_PAIRS, st.integers(0, 3))
+def test_chain_step_rewrites_delta_by_chain_relator_j_minus_2(pair, position):
+    n, m = pair
+    ab, chains = chain_relators(n, m)
+    assert chain_step(n, m, position, 1) == ()
+    for j in range(2, n + 1):
+        (step,) = chain_step(n, m, position, j)
+        assert step.relator_index == j - 2
+        pad = (1,) * position
+        delta = tuple(t % n + 1 for t in range(m))
+        end = check_derivation(Derivation(Word(ab, pad + delta), (step,)), chains)
+        assert end.letters == pad + tuple((j - 1 + t) % n + 1 for t in range(m))
