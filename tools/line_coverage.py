@@ -13,10 +13,9 @@ then the total; it exits with pytest's exit code.
 
 Only this process is traced: the demos (``tests/test_demos.py``) and every
 test that runs the CLI in a subprocess are not seen.  So a line that only a
-demo or a subprocess runs is listed although it ran; ``Derivation.words``
-(printed by demo 05) and the CLI's broken-pipe branch are two such lines.
-No coverage package is needed.  The trace makes the suite several times
-slower than a plain run.
+demo or a subprocess runs is listed although it ran, such as the CLI's
+broken-pipe branch and its ``__main__`` line.  No coverage package is
+needed.  The trace makes the suite about six times slower than a plain run.
 """
 
 from __future__ import annotations
