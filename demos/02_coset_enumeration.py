@@ -7,7 +7,6 @@ bound (overflow is a result, not an error).
 
 from toricgroups import presentations as pres
 from toricgroups.cosets import CayleyTable, group_order, reflection_class_count, todd_coxeter
-from toricgroups.presentations import FamilyParams
 
 FINITE = [
     ((2, 3, 4), "G12"), ((2, 3, 5), "G22"), ((3, 2, 3), "G4"),
@@ -19,7 +18,7 @@ print(f"{'(k,n,m)':<12}{'name':<8}{'order':>6}   {'reflection classes':>18}")
 for (k, n, m), name in FINITE:
     p = pres.toric(k, n, m)
     cay = CayleyTable(todd_coxeter(p))
-    classes = reflection_class_count(FamilyParams("toric", (k, n, m)), cay)
+    classes = reflection_class_count(cay)
     print(f"{str((k,n,m)):<12}{name:<8}{cay.size:>6}   {classes:>18}")
 
 print("\nGenerator orders: every x_i has order k.")
@@ -35,4 +34,4 @@ for k, n, m in [(6, 2, 3), (2, 3, 7)]:
 print("\nBoth strategies agree on every complete enumeration:")
 for (k, n, m), _ in FINITE[:4]:
     p = pres.toric(k, n, m)
-    print(f"  {(k,n,m)}: hlt={group_order(p, strategy='hlt')} felsch={group_order(p, strategy='felsch')}")
+    print(f"  {(k,n,m)}: hlt={group_order(p)} felsch={todd_coxeter(p, strategy='felsch').num_cosets}")

@@ -70,7 +70,7 @@ def _parabolic_orders(k: int, n: int, m: int) -> list[int]:
 def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
     """Result, status and evidence of ``classify``: the classification record
     of W(k,n,m) and the evidence for each verdict."""
-    params = FamilyParams("toric", (k, n, m))  # labels >= 2, gcd(n, m) = 1
+    FamilyParams("toric", (k, n, m))  # labels >= 2, gcd(n, m) = 1
     n, m = min(n, m), max(n, m)
     fin = finite_toric(k, n, m)
     result: dict = {
@@ -97,7 +97,7 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, 
     else:
         order = cayley.size
         evidence.append(f"enumeration confirms order {order}")
-        classes = reflection_class_count(params, cayley)
+        classes = reflection_class_count(cayley)
         evidence.append(f"reflection classes computed: {classes}")
         center = cayley.order_of(maps.central_element(k, n, m))
         result.update(reflection_classes_computed=classes, center_order=center, order=order,
@@ -142,7 +142,7 @@ def toric_word_problem(k: int, n: int, m: int, w: str, max_cosets: int) -> tuple
     """
     phi = maps.build_phi(k, n, m)
     word = phi.source.alphabet.word(w)
-    image_nf = phi.oracle.nf(phi.apply(word))  # build_phi attaches the triangle group's MinimalRootTable
+    image_nf = coxeter.triangle_table(k, n, m).nf(phi.apply(word))
     result = {"identity": None, "central": not image_nf.letters, "coxeter_image_nf": str(image_nf)}
     if image_nf.letters:
         return dict(result, identity=False), "ok", []

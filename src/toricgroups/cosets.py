@@ -524,9 +524,9 @@ def todd_coxeter(p: Presentation, subgens: Sequence[Word] = (), max_cosets: int 
     return e.finish(status, subgens, max_cosets)
 
 
-def group_order(p: Presentation, max_cosets: int = MAX_COSETS, strategy: str = "hlt") -> int | None:
-    """Order of the presented group, or None when enumeration overflows."""
-    t = todd_coxeter(p, (), max_cosets, strategy)
+def group_order(p: Presentation, max_cosets: int = MAX_COSETS) -> int | None:
+    """Order of the presented group by HLT, or None when enumeration overflows."""
+    t = todd_coxeter(p, (), max_cosets)
     return t.num_cosets if t.complete else None
 
 
@@ -627,7 +627,9 @@ class CayleyTable:
     word ``words[i]`` over the positive columns, then the negative ones (a
     geodesic, so its length is the generator-length of the element), built
     on first use.  Products are computed by tracing words through the coset
-    table, so no quadratic multiplication table is materialized up front.
+    table, so no quadratic multiplication table is materialized up front;
+    conjugation by each letter is one cached permutation, from which the
+    classes and the center are read.
     """
 
     def __init__(self, table: CosetTable):
@@ -671,15 +673,15 @@ class CayleyTable:
     def length(self, i: int) -> int:
         return len(self.words[i])
 
-    def conjugacy_class_ids(self) -> list[int]:
-        """Class id per element, the least element of its class: orbits of
-        conjugation by the generators and their inverses.
+    @cached_property
+    def conjugations(self) -> list[list[int]]:
+        """Per column, the permutation e -> g^-1 * e * g of conjugation by
+        its letter g.
 
-        The conjugate of e by a letter g is g^-1 * e * g.  Left and right
-        multiplication commute, so the left translate g^-1 * e is the
-        translate of e's parent in a BFS tree from the identity, stepped
-        along the tree edge that reaches e: two steps per element for each
-        letter, and no words.
+        Left and right multiplication commute, so the left translate
+        g^-1 * e is the translate of e's parent in a BFS tree from the
+        identity, stepped along the tree edge that reaches e: two steps per
+        element for each letter, and no words.
         """
         columns = self.table.columns
         edges = _bfs_edges(self.table, range(len(columns)))
@@ -690,6 +692,12 @@ class CayleyTable:
             for a, c, b in edges:
                 left[b] = columns[c][left[a]]
             conjugations.append([column[x] for x in left])
+        return conjugations
+
+    def conjugacy_class_ids(self) -> list[int]:
+        """Class id per element, the least element of its class: the orbits
+        of ``conjugations``."""
+        conjugations = self.conjugations
         ids = [-1] * self.size
         for start in range(self.size):
             if ids[start] >= 0:
@@ -706,41 +714,24 @@ class CayleyTable:
         return ids
 
     def center(self) -> list[int]:
-        """Indices of elements commuting with every generator."""
-        out = []
-        for e in range(self.size):
-            ok = True
-            for g in range(1, len(self.alphabet) + 1):
-                left = self.table.step(e, g)
-                right = self.table.trace(self.table.step(0, g), self.words[e])
-                if left != right:
-                    ok = False
-                    break
-            if ok:
-                out.append(e)
-        return out
+        """Indices of the elements that every conjugation fixes."""
+        return [e for e in range(self.size) if all(conj[e] == e for conj in self.conjugations)]
 
 
-def reflection_class_count(params: FamilyParams, c: CayleyTable) -> int:
-    """Conjugacy classes meeting the reflections of a toric or parent J-group.
+def reflection_class_count(c: CayleyTable) -> int:
+    """Conjugacy classes meeting the reflections: the conjugates of the
+    nontrivial powers of every generator.
 
-    Reflections are the conjugates of nontrivial powers of the designated
-    generators: every x_i for the toric family, and s, t, u for j-parent.
+    The toric and j-parent families designate all their generators (every
+    x_i, and s, t, u), and on a Coxeter group these are the reflection
+    classes.  Each generator's column is walked from the identity until it
+    returns.
     """
-    if params.family == "toric":
-        designated = list(range(1, len(c.alphabet) + 1))
-    elif params.family == "j-parent":
-        designated = [1, 2, 3]
-    else:
-        raise ValueError(f"no designated reflections for family {params.family!r}")
     ids = c.conjugacy_class_ids()
     classes: set[int] = set()
-    for g in designated:
-        gen_word = Word(c.alphabet, (g,))
-        k = c.order_of(gen_word)
-        e = c.eval(gen_word)
-        cur = e
-        for _ in range(1, k):
+    for column in c.table.columns[::2]:
+        cur = column[0]
+        while cur != 0:
             classes.add(ids[cur])
-            cur = c.table.trace(cur, gen_word)
+            cur = column[cur]
     return len(classes)

@@ -11,37 +11,29 @@
 - ``central_element``: the full twist (x_1...x_n)^m, central by an
   explicit machine-checkable rewriting chain.
 
-A homomorphism is verified by mapping every defining relator and asking a
-word-problem oracle for the target whether the image is trivial: a
+A homomorphism is a source presentation and a generator map.  It is
+verified by ``check_hom(h, oracle)``, which maps every defining relator and
+asks the target's word-problem oracle whether the image is trivial: a
 ``MinimalRootTable`` for Coxeter targets, a ``CayleyTable`` for finite
 quotients.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
-
-from .coxeter import triangle_table
-from .presentations import STU, FamilyParams, Presentation, alt_plus, cyclic_product, j_parent, meridians, toric
+from .cyclo import label_modulus
+from .presentations import (STU, TRIANGLE, FamilyParams, Presentation, alt_plus, cyclic_product, j_parent, meridians,
+                            toric)
 from .schreier import chain_implies_shift, chain_relators, delta_power_to_twist
 from .words import Derivation, GenMap, Value, Word, apply_map, moved, undone
 from .words import compose as compose_maps
 from .words import free_reduce
 
 
-class IdentityOracle(Protocol):
-    def is_identity(self, w: Word) -> bool: ...
-
-
-class OracleUnavailable(RuntimeError):
-    """The target's word problem is not decided by any attached oracle."""
-
-
 class Hom(Value):
-    __slots__ = ("source", "genmap", "oracle", "name")
+    __slots__ = ("source", "genmap")
 
-    def __init__(self, source: Presentation, genmap: GenMap, oracle: IdentityOracle | None, name: str = ""):
-        super().__init__(source, genmap, oracle, name)
+    def __init__(self, source: Presentation, genmap: GenMap):
+        super().__init__(source, genmap)
 
     def apply(self, w: Word) -> Word:
         return apply_map(self.genmap, w)
@@ -54,35 +46,31 @@ class HomReport(Value):
         super().__init__(ok, failing_relator, failing_image)
 
 
-def check_hom(h: Hom) -> HomReport:
-    """A generator map extends to a homomorphism iff every relator dies."""
-    if h.oracle is None:
-        raise OracleUnavailable(f"no word-problem oracle attached to {h.name or 'hom'}")
+def check_hom(h: Hom, oracle) -> HomReport:
+    """A generator map extends to a homomorphism iff every relator dies in
+    the target, whose word problem ``oracle.is_identity`` decides."""
     for r in h.source.relators:
         image = h.apply(r)
-        if not h.oracle.is_identity(image):
+        if not oracle.is_identity(image):
             return HomReport(False, r, image)
     return HomReport(True)
 
 
 def compose_homs(outer: Hom, inner: Hom) -> Hom:
-    return Hom(inner.source, compose_maps(outer.genmap, inner.genmap), outer.oracle,
-               name=f"{outer.name} o {inner.name}")
+    return Hom(inner.source, compose_maps(outer.genmap, inner.genmap))
 
 
 def build_phi(k: int, n: int, m: int) -> Hom:
     """Toric group onto the alternating subgroup of the triangle group."""
     FamilyParams("toric", (k, n, m))  # the labels' own errors come before the degree cap
-    table = triangle_table(k, n, m)
+    label_modulus(k, n, m)
     source = toric(k, n, m)
-    target = table.cm.alphabet()
-    a = target.word("r1 r2")
-    b = target.word("r3 r2")
+    a = TRIANGLE.word("r1 r2")
+    b = TRIANGLE.word("r3 r2")
     images = {}
     for i in range(1, n + 1):
         images[f"x{i}"] = free_reduce(b ** (1 - i) * a * b ** (i - 1))
-    gm = GenMap.from_dict(source.alphabet, target, images)
-    return Hom(source, gm, table, name=f"phi({k},{n},{m})")
+    return Hom(source, GenMap.from_dict(source.alphabet, TRIANGLE, images))
 
 
 class PsiParams(Value):
@@ -101,19 +89,13 @@ def psi_params(n: int, m: int) -> PsiParams:
 
 
 def build_psi(k: int, n: int, m: int) -> Hom:
-    """Section of phi: two-generator alternating presentation into the toric group.
-
-    No oracle is attached: the word problem in an infinite toric group is
-    open, and well-definedness is checked through phi images instead (see
-    ``check_hom(compose_homs(build_phi(...), build_psi(...)))``).
-    """
+    """Section of phi: two-generator alternating presentation into the toric group."""
     params = psi_params(n, m)
     source = alt_plus(k, n, m)
     tor = toric(k, n, m)
     delta = Word(tor.alphabet, cyclic_product(n, 0, m))
     images = {"a": tor.alphabet.word("x1"), "b": free_reduce(delta**params.ell)}
-    gm = GenMap.from_dict(source.alphabet, tor.alphabet, images)
-    return Hom(source, gm, None, name=f"psi({k},{n},{m})")
+    return Hom(source, GenMap.from_dict(source.alphabet, tor.alphabet, images))
 
 
 def meridian_embedding(n: int) -> GenMap:
@@ -124,21 +106,18 @@ def meridian_embedding(n: int) -> GenMap:
 
 def build_embedding(k: int, n: int, m: int) -> Hom:
     """The toric group inside its parent J-group, by ``meridian_embedding(n)``."""
-    return Hom(toric(k, n, m), meridian_embedding(n), None, name=f"embed({k},{n},{m})")
+    return Hom(toric(k, n, m), meridian_embedding(n))
 
 
 def parent_to_coxeter(k: int, n: int, m: int) -> Hom:
     """s -> r1 r2, t -> r2 r3, u -> r3 r1 on the parent J-group."""
     source = j_parent(k, n, m)
-    table = triangle_table(k, n, m)
-    target = table.cm.alphabet()
     images = {
-        "s": target.word("r1 r2"),
-        "t": target.word("r2 r3"),
-        "u": target.word("r3 r1"),
+        "s": TRIANGLE.word("r1 r2"),
+        "t": TRIANGLE.word("r2 r3"),
+        "u": TRIANGLE.word("r3 r1"),
     }
-    gm = GenMap.from_dict(source.alphabet, target, images)
-    return Hom(source, gm, table, name=f"pi({k},{n},{m})")
+    return Hom(source, GenMap.from_dict(source.alphabet, TRIANGLE, images))
 
 
 def central_element(k: int, n: int, m: int) -> Word:
@@ -166,7 +145,6 @@ def centrality_witness(k: int, n: int, m: int, i: int) -> Derivation:
     for block in range(n):
         steps += moved(chain_implies_shift(n, m, cur).steps, block * m)
         cur = (cur + m - 1) % n + 1
-    if cur != i:
-        raise AssertionError("index did not return after n passes")
+    # cur is now i + n m reduced mod n, which is i again
     steps += to_twist
     return Derivation(start, tuple(steps))

@@ -85,9 +85,10 @@ def present_record(params: FamilyParams) -> tuple[dict, str, list[str]]:
             "num_relators": len(pres.relators)}, "ok", []
 
 
-# the generators of ``torus_standard`` and of ``j_parent``
+# the generators of ``torus_standard``, of ``j_parent`` and of ``coxeter_triangle``
 XY = Alphabet(["x", "y"])
 STU = Alphabet(["s", "t", "u"])
+TRIANGLE = Alphabet(["r1", "r2", "r3"])
 
 
 def meridians(n: int) -> Alphabet:
@@ -153,10 +154,9 @@ def j_parent(a: int, b: int, c: int) -> Presentation:
 def coxeter_triangle(k: int, n: int, m: int) -> Presentation:
     """Rank-3 Coxeter group whose diagram is a triangle labelled k, n, m."""
     FamilyParams("coxeter-triangle", (k, n, m))
-    ab = Alphabet(["r1", "r2", "r3"])
-    r1, r2, r3 = (ab.word(f"r{i}") for i in (1, 2, 3))
+    r1, r2, r3 = (TRIANGLE.word(f"r{i}") for i in (1, 2, 3))
     rels = (r1**2, r2**2, r3**2, (r1 * r2) ** k, (r2 * r3) ** n, (r3 * r1) ** m)
-    return Presentation(ab, rels)
+    return Presentation(TRIANGLE, rels)
 
 
 def alt_plus(k: int, n: int, m: int) -> Presentation:

@@ -28,6 +28,9 @@ FINITE_ROWS = [
     (2, 2, 9),
 ]
 
+# the spherical triangles whose Cayley tables the center and class tests read
+FINITE_TRIANGLES = [(2, 2, m) for m in range(2, 8)] + [(2, 3, 3), (2, 3, 4), (2, 3, 5)]
+
 # orders frozen from the first verified run of the brute-force closure oracle
 FROZEN_TORIC_ORDERS = {
     (2, 3, 4): 48,

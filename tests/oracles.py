@@ -70,6 +70,11 @@ with the production engines they check:
   signed generator.  ``CayleyTable.conjugacy_class_ids`` must give the same
   ids; the reference reads only the table's ``step``, ``trace`` and
   ``words``.
+- ``reference_center`` and ``reference_center_plus_order``: the original
+  center of a Cayley table, which traces every element's transversal word
+  once per generator, and the order of Z(W+) of a Coxeter table by
+  comparing ``mul`` both ways over every pair of even elements.
+  ``CayleyTable.center`` and ``coxeter.center_check_plus`` must agree.
 - ``reference_cyc`` (``ReferenceCyc``, ``reference_zeta``): the original
   cyclotomic arithmetic, over all of Q(zeta_n): ``Fraction`` coefficients,
   operands at mixed moduli embedded into their lcm, a dense power basis of
@@ -916,6 +921,30 @@ def reference_conjugacy_class_ids(cay: CayleyTable) -> list[int]:
                     ids[c] = start
                     stack.append(c)
     return ids
+
+
+def reference_center(cay: CayleyTable) -> list[int]:
+    """Indices of the elements commuting with every generator, by tracing words."""
+    table = cay.table
+    out = []
+    for e in range(cay.size):
+        ok = True
+        for g in range(1, len(cay.alphabet) + 1):
+            left = table.step(e, g)
+            right = table.trace(table.step(0, g), cay.words[e])
+            if left != right:
+                ok = False
+                break
+        if ok:
+            out.append(e)
+    return out
+
+
+def reference_center_plus_order(cay: CayleyTable) -> int:
+    """|Z(W+)| of a Coxeter group's Cayley table: the even-length elements
+    commuting with every even-length element, over all pairs."""
+    plus = [e for e in range(cay.size) if cay.length(e) % 2 == 0]
+    return sum(all(cay.mul(e, f) == cay.mul(f, e) for f in plus) for e in plus)
 
 
 # --- the original cyclotomic polynomials, by repeated long division -----------

@@ -27,7 +27,7 @@ from toricgroups import presentations as pres
 from toricgroups.cosets import MAX_COSETS, group_order, reflection_class_count, todd_coxeter
 from toricgroups.coxeter import CoxeterMatrix, classify_triangle, maximal_finite_parabolics
 from toricgroups.garside import GarsideNF, gnf, meridian, sigma
-from toricgroups.presentations import FamilyParams, serialize, tietze_simplify
+from toricgroups.presentations import serialize, tietze_simplify
 from toricgroups.schreier import (
     check_toric_presentation,
     closed_form_generator,
@@ -148,9 +148,9 @@ def test_criterion_04_closed_form_cross_check(k, n, m):
 def test_criterion_05_reflection_class_counts():
     """k-1 classes for every finite toric row; a+b+c-3 = 5 for the (2,3,3) parent."""
     for k, n, m in FINITE_ROWS:
-        count = reflection_class_count(FamilyParams("toric", (k, n, m)), toric_cayley(k, n, m))
+        count = reflection_class_count(toric_cayley(k, n, m))
         assert count == k - 1, (k, n, m)
-    parent_count = reflection_class_count(FamilyParams("j-parent", (2, 3, 3)), parent_cayley(2, 3, 3))
+    parent_count = reflection_class_count(parent_cayley(2, 3, 3))
     assert parent_count == 5
     print("\n[criterion 5] PASS: reflection class counts exact on all rows")
 
@@ -188,14 +188,15 @@ def test_criterion_07_homomorphism_suite():
     sweep = FINITE_ROWS + [(6, 2, 3), (2, 3, 7), (4, 2, 5)]
     for k, n, m in sweep:
         phi = maps.build_phi(k, n, m)
-        assert maps.check_hom(phi).ok, (k, n, m)
-        assert phi.oracle.is_identity(phi.apply(maps.central_element(k, n, m))), (k, n, m)
+        table = root_table(k, n, m)
+        assert maps.check_hom(phi, table).ok, (k, n, m)
+        assert table.is_identity(phi.apply(maps.central_element(k, n, m))), (k, n, m)
         comp = maps.compose_homs(phi, maps.build_psi(k, n, m))
-        assert maps.check_hom(comp).ok, (k, n, m)
+        assert maps.check_hom(comp, table).ok, (k, n, m)
         target = phi.genmap.target
         for name, image in (("a", target.word("r1 r2")), ("b", target.word("r3 r2"))):
             diff = free_reduce(image_of(comp.genmap, name) * invert(image))
-            assert phi.oracle.is_identity(diff), (k, n, m, name)
+            assert table.is_identity(diff), (k, n, m, name)
     for k, n, m in FINITE_ROWS:
         cay = toric_cayley(k, n, m)
         c_order = cay.order_of(maps.central_element(k, n, m))
@@ -308,7 +309,7 @@ def test_criterion_10_classification_invariants():
         finite = (k, n, m) in FROZEN_TORIC_ORDERS or (k == 2 and n == 2 and m % 2 == 1)
         if finite:
             cay = toric_cayley(k, n, m)
-            classes = reflection_class_count(FamilyParams("toric", (k, n, m)), cay)
+            classes = reflection_class_count(cay)
             assert classes == k - 1, (k, n, m)
         else:
             classes = k - 1  # derived: holds for every toric reflection group

@@ -4,11 +4,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FROZEN_TORIC_ORDERS, parent_cayley, toric_cayley
+from conftest import FINITE_TRIANGLES, FROZEN_TORIC_ORDERS, parent_cayley, toric_cayley, triangle_cayley
 from oracles import (
     involutions,
     matrix_group_order,
     naive_order,
+    reference_center,
     reference_conjugacy_class_ids,
     reference_felsch,
     reference_hlt,
@@ -49,7 +50,7 @@ def test_all_finite_rows_match_oracle(finite_rows):
 def test_hlt_and_felsch_agree(finite_rows):
     for k, n, m in finite_rows:
         p = pres.toric(k, n, m)
-        assert group_order(p, strategy="hlt") == group_order(p, strategy="felsch")
+        assert group_order(p) == todd_coxeter(p, strategy="felsch").num_cosets
 
 
 def test_subgroup_index():
@@ -59,6 +60,7 @@ def test_subgroup_index():
 
 
 FINITE_PARENTS = [(2, 3, 4), (2, 3, 5), (3, 2, 3), (4, 2, 3), (5, 2, 3), (3, 2, 5)]
+FINITE_CENTER_PARENTS = [(2, 3, 4), (3, 2, 3), (2, 3, 5)]
 
 
 def test_normal_closure_matches_conjugate_adjunction():
@@ -492,14 +494,30 @@ def test_conjugacy_class_ids_match_the_word_tracing_reference(finite_rows):
 
 
 def test_reflection_class_counts():
-    assert reflection_class_count(FamilyParams("toric", (3, 2, 3)), toric_cayley(3, 2, 3)) == 2
-    assert reflection_class_count(FamilyParams("toric", (2, 3, 4)), toric_cayley(2, 3, 4)) == 1
-    assert reflection_class_count(FamilyParams("j-parent", (2, 3, 3)), parent_cayley(2, 3, 3)) == 5
+    assert reflection_class_count(toric_cayley(3, 2, 3)) == 2
+    assert reflection_class_count(toric_cayley(2, 3, 4)) == 1
+    assert reflection_class_count(parent_cayley(2, 3, 3)) == 5
 
 
-def test_reflection_class_count_requires_designated_family():
-    with pytest.raises(ValueError):
-        reflection_class_count(FamilyParams("coxeter-triangle", (2, 3, 5)), toric_cayley(3, 2, 3))
+def _odd_label_components(k: int, n: int, m: int) -> int:
+    # r_i and r_j are conjugate iff a path of odd labels joins them (Humphreys,
+    # Reflection Groups and Coxeter Groups, 1990); on a triangle, each of the
+    # first two odd edges joins two components
+    return max(1, 3 - sum(label % 2 for label in (k, n, m)))
+
+
+def test_reflection_class_count_on_coxeter_tables():
+    # every generator of a Coxeter table is a reflection, so this counts its reflection classes
+    assert [reflection_class_count(triangle_cayley(*kmn)) for kmn in [(2, 3, 4), (2, 3, 5), (2, 2, 3)]] == [2, 1, 2]
+    for kmn in FINITE_TRIANGLES:
+        assert reflection_class_count(triangle_cayley(*kmn)) == _odd_label_components(*kmn), kmn
+
+
+def test_center_matches_the_word_tracing_reference(finite_rows):
+    cases = ([toric_cayley(*kmn) for kmn in finite_rows] + [parent_cayley(*abc) for abc in FINITE_CENTER_PARENTS]
+             + [triangle_cayley(*kmn) for kmn in FINITE_TRIANGLES])
+    for cay in cases:
+        assert cay.center() == reference_center(cay), (cay.alphabet, cay.size)
 
 
 def test_center_of_toric_group_is_generated_by_twist():

@@ -4,10 +4,11 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import image_of, root_table, triangle_cayley
-from oracles import gram_parabolic_verdicts, matrix_group_order, positive_roots, reference_nf, reference_reduce_word
+from conftest import FINITE_TRIANGLES, image_of, root_table, triangle_cayley
+from oracles import (gram_parabolic_verdicts, matrix_group_order, positive_roots, reference_center,
+                     reference_center_plus_order, reference_nf, reference_reduce_word)
 
-from toricgroups import cyclo
+from toricgroups import coxeter, cyclo
 from toricgroups.classify import classify_toric, finite_toric
 from toricgroups.coxeter import (
     CoxeterMatrix,
@@ -225,6 +226,14 @@ def test_center_check_plus_examples():
     assert sorted(r.z_w_lengths) == [0, 1]  # generated by a simple reflection
 
 
+@pytest.mark.parametrize("k,n,m", FINITE_TRIANGLES)
+def test_center_check_plus_matches_the_pairwise_brute_force(k, n, m):
+    r = center_check_plus(CoxeterMatrix.triangle(k, n, m))
+    cay = triangle_cayley(k, n, m)
+    assert r.z_w_plus_order == reference_center_plus_order(cay)
+    assert r.z_w_order == len(reference_center(cay))
+
+
 def test_center_check_rejects_infinite():
     with pytest.raises(ValueError):
         center_check_plus(CoxeterMatrix.triangle(2, 3, 7))
@@ -360,6 +369,13 @@ def test_root_table_refuses_past_the_degree_cap_before_allocating(monkeypatch):
     monkeypatch.setattr(cyclo.Cyc, "__init__", allocating)
     with pytest.raises(ValueError, match="labels 11, 13, 15 need cyclotomic modulus N = 4290"):
         MinimalRootTable(CoxeterMatrix.triangle(11, 13, 15))
+
+
+def test_root_table_asserts_on_a_tampered_sign(monkeypatch):
+    # a sign that always reads +1 makes a minimal root look like it dominates a simple root
+    monkeypatch.setattr(coxeter, "sign_real", lambda x: 1)
+    with pytest.raises(AssertionError, match="minimal root with inner product >= 1"):
+        MinimalRootTable(CoxeterMatrix.triangle(2, 3, 5))
 
 
 def test_degree_cap_bounds_phi_of_the_modulus():

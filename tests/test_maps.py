@@ -7,7 +7,6 @@ from toricgroups import presentations as pres
 from toricgroups.cosets import group_order
 from toricgroups.maps import (
     Hom,
-    OracleUnavailable,
     build_embedding,
     build_phi,
     build_psi,
@@ -32,13 +31,13 @@ def test_phi_on_generators():
 @pytest.mark.parametrize("k,n,m", SWEEP)
 def test_phi_well_defined(k, n, m):
     phi = build_phi(k, n, m)
-    assert check_hom(phi).ok
+    assert check_hom(phi, root_table(k, n, m)).ok
 
 
 @pytest.mark.parametrize("k,n,m", SWEEP)
 def test_phi_kills_central_element(k, n, m):
     phi = build_phi(k, n, m)
-    assert phi.oracle.is_identity(phi.apply(central_element(k, n, m)))
+    assert root_table(k, n, m).is_identity(phi.apply(central_element(k, n, m)))
 
 
 def test_phi_of_delta_is_b_to_the_r():
@@ -47,7 +46,7 @@ def test_phi_of_delta_is_b_to_the_r():
     delta = Word(phi.source.alphabet, tuple(j % n + 1 for j in range(m)))
     b = phi.genmap.target.word("r3 r2")
     r = m % n
-    assert phi.oracle.is_identity(free_reduce(phi.apply(delta) * invert(b**r)))
+    assert root_table(k, n, m).is_identity(free_reduce(phi.apply(delta) * invert(b**r)))
 
 
 def test_phi_of_x1_to_xn_is_r1r3_power_n():
@@ -55,7 +54,7 @@ def test_phi_of_x1_to_xn_is_r1r3_power_n():
     phi = build_phi(k, n, m)
     prod = Word(phi.source.alphabet, tuple(range(1, n + 1)))
     target = free_reduce(phi.genmap.target.word("r1 r3") ** n)
-    assert phi.oracle.is_identity(free_reduce(phi.apply(prod) * invert(target)))
+    assert root_table(k, n, m).is_identity(free_reduce(phi.apply(prod) * invert(target)))
 
 
 def test_phi_finite_bijectivity_onto_alternating_subgroup():
@@ -78,20 +77,24 @@ def test_psi_image_of_b():
     assert str(image_of(psi.genmap, "b")) == "x1 x2 x3 x1"
 
 
-def test_psi_has_no_oracle():
-    psi = build_psi(6, 2, 3)
-    with pytest.raises(OracleUnavailable):
-        check_hom(psi)
+def test_psi_is_a_section_not_a_homomorphism_into_w():
+    # b^2 maps to delta^2, the full twist c, which is central of order 2 in W(3,2,3)
+    cay = toric_cayley(3, 2, 3)
+    report = check_hom(build_psi(3, 2, 3), cay)
+    assert not report.ok
+    assert str(report.failing_relator) == "b^2"
+    assert cay.eval(report.failing_image) == cay.eval(central_element(3, 2, 3)) != 0
 
 
 @pytest.mark.parametrize("k,n,m", SWEEP)
 def test_phi_after_psi_fixes_a_and_b(k, n, m):
     phi = build_phi(k, n, m)
     comp = compose_homs(phi, build_psi(k, n, m))
-    assert check_hom(comp).ok
+    table = root_table(k, n, m)
+    assert check_hom(comp, table).ok
     target = phi.genmap.target
     for name, word in (("a", target.word("r1 r2")), ("b", target.word("r3 r2"))):
-        assert phi.oracle.is_identity(free_reduce(image_of(comp.genmap, name) * invert(word)))
+        assert table.is_identity(free_reduce(image_of(comp.genmap, name) * invert(word)))
 
 
 def test_embedding_images():
@@ -103,7 +106,7 @@ def test_embedding_images():
 @pytest.mark.parametrize("k,n,m", [(3, 2, 3), (2, 3, 4), (2, 2, 5)])
 def test_embedding_well_defined_in_finite_parent(k, n, m):
     emb = build_embedding(k, n, m)
-    report = check_hom(Hom(emb.source, emb.genmap, parent_cayley(k, n, m), emb.name))
+    report = check_hom(emb, parent_cayley(k, n, m))
     assert report.ok
 
 
@@ -115,7 +118,7 @@ def test_embedding_composed_with_projection_is_phi():
     phi = build_phi(k, n, m)
     for i in range(1, n + 1):
         diff = free_reduce(image_of(comp.genmap, f"x{i}") * invert(image_of(phi.genmap, f"x{i}")))
-        assert phi.oracle.is_identity(diff)
+        assert root_table(k, n, m).is_identity(diff)
 
 
 @pytest.mark.parametrize("k,n,m", [(3, 2, 3), (2, 3, 4), (2, 2, 5), (2, 3, 5)])
@@ -192,9 +195,8 @@ def test_corrupted_map_reports_failing_relator():
     phi = build_phi(3, 2, 3)
     images = {f"x{i}": image_of(phi.genmap, f"x{i}") for i in (1, 2)}
     images["x1"] = phi.genmap.target.word("r1")
-    bad = Hom(phi.source, GenMap.from_dict(phi.source.alphabet, phi.genmap.target, images),
-              phi.oracle)
-    report = check_hom(bad)
+    bad = Hom(phi.source, GenMap.from_dict(phi.source.alphabet, phi.genmap.target, images))
+    report = check_hom(bad, root_table(3, 2, 3))
     assert not report.ok
     assert str(report.failing_relator) == "x1^3"
 
@@ -216,7 +218,7 @@ def test_centrality_witness_replays_under_phi():
     d = centrality_witness(k, n, m, 1)
     steps = d.words()
     for w1, w2 in zip(steps, steps[1:]):
-        assert phi.oracle.is_identity(free_reduce(phi.apply(w1) * invert(phi.apply(w2))))
+        assert root_table(k, n, m).is_identity(free_reduce(phi.apply(w1) * invert(phi.apply(w2))))
 
 
 @pytest.mark.parametrize("k,n,m", FINITE_ROWS)

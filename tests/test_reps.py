@@ -502,3 +502,10 @@ def test_witness_reproduces_the_counterexample():
     assert w["zero_preset_commutes"]
     assert not w["unit_preset_commutes"]
     assert w["unfaithful"]
+
+
+def test_witness_asserts_on_a_tampered_identity(monkeypatch):
+    # rho(s t u) is -I, so none of its powers is the tampered identity zeta_12 I
+    monkeypatch.setattr(reps, "mat_identity", lambda n: ((zeta(n), Cyc.zero(n)), (Cyc.zero(n), zeta(n))))
+    with pytest.raises(AssertionError, match="stu image has large order"):
+        witness_record(MAX_COSETS)

@@ -42,8 +42,7 @@ SAMPLES = [
     (coxeter.CenterReport, lambda: coxeter.CenterReport(120, 60, 2, 1, True, (0, 15)),
      lambda: coxeter.CenterReport(group_order=24, plus_order=12, z_w_order=1, z_w_plus_order=1, contained=True,
                                   z_w_lengths=(0,))),
-    (maps.Hom, lambda: maps.Hom(P, words.GenMap.identity(AB), None), lambda: maps.Hom(Q, words.GenMap.identity(AB),
-                                                                                      None, name="id")),
+    (maps.Hom, lambda: maps.Hom(P, words.GenMap.identity(AB)), lambda: maps.Hom(Q, words.GenMap.identity(AB))),
     (maps.HomReport, lambda: maps.HomReport(True), lambda: maps.HomReport(False, XY, YX)),
     (maps.PsiParams, lambda: maps.PsiParams(1, 1, 1), lambda: maps.PsiParams(q=1, r=2, ell=2)),
     (reps.Rep, lambda: reps.build_rho_preset(2, 3, 5), lambda: reps.build_rho_preset(6, 2, 3)),

@@ -7,11 +7,14 @@ listed with ``git ls-tree`` and read with ``git show`` at both revisions, so
 nothing is checked out and the working tree is not read.  A line is a
 newline, as ``wc -l`` counts them.  The script prints each file's lines at
 ``--parent`` and ``--change`` and the change (``-`` where the file does not
-exist), then each directory's totals and net change, then two option
-counts at both revisions: the parameters with a default value in the
-functions and methods of ``src/toricgroups/``, and the options (the
-``add_argument`` calls whose first name starts with ``-``) of
-``src/toricgroups/cli.py``.
+exist), then each directory's totals and net change, then four counts of
+``src/toricgroups/`` at both revisions, each read with ``ast``: the
+parameters with a default value in its functions and methods; the options
+(the ``add_argument`` calls whose first name starts with ``-``) of
+``cli.py``; the record fields, the ``__slots__`` entries of its classes;
+and its public names, the module-level functions and classes whose names
+do not start with ``_``, plus the methods and properties of those classes
+whose names do not.
 """
 
 from __future__ import annotations
@@ -36,19 +39,36 @@ def line_counts(rev: str, directory: str) -> dict[str, int]:
     return {path: git("show", f"{rev}:{path}").count(b"\n") for path in paths if path.endswith(".py")}
 
 
-def knob_counts(rev: str) -> tuple[int, int]:
-    """Parameters with defaults in ``src/toricgroups/``, and CLI options, at ``rev``."""
-    defaults = options = 0
+def _public(node: ast.AST) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_"))
+
+
+def api_counts(rev: str) -> tuple[int, int, int, int]:
+    """Parameters with defaults, CLI options, ``__slots__`` entries and public
+    names in ``src/toricgroups/`` at ``rev``."""
+    defaults = options = fields = public = 0
     for path in line_counts(rev, DIRS[0]):
         tree = ast.parse(git("show", f"{rev}:{path}"))
+        for node in tree.body:
+            if _public(node):
+                public += 1
+                if isinstance(node, ast.ClassDef):
+                    public += sum(_public(item) and not isinstance(item, ast.ClassDef) for item in node.body)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defaults += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.Assign)
+                            and any(getattr(t, "id", None) == "__slots__" for t in item.targets)):
+                        value = item.value
+                        fields += len(value.elts) if isinstance(value, (ast.Tuple, ast.List)) else 1
             elif (path.endswith("/cli.py") and isinstance(node, ast.Call)
                   and getattr(node.func, "attr", None) == "add_argument" and node.args
                   and isinstance(node.args[0], ast.Constant) and str(node.args[0].value).startswith("-")):
                 options += 1
-    return defaults, options
+    return defaults, options, fields, public
 
 
 def row(name: str, old: int | None, new: int | None) -> str:
@@ -72,9 +92,11 @@ def main(argv: list[str] | None = None) -> int:
     for directory, old, new in totals:
         print(row(directory + "/", old, new))
     print()
-    before, after = knob_counts(args.parent), knob_counts(args.change)
-    print(row("parameters with defaults, src/toricgroups/", before[0], after[0]))
-    print(row("options, src/toricgroups/cli.py", before[1], after[1]))
+    before, after = api_counts(args.parent), api_counts(args.change)
+    names = ("parameters with defaults, src/toricgroups/", "options, src/toricgroups/cli.py",
+             "record fields (__slots__), src/toricgroups/", "public names, src/toricgroups/")
+    for name, old, new in zip(names, before, after):
+        print(row(name, old, new))
     return 0
 
 
