@@ -372,7 +372,7 @@ def test_root_table_refuses_past_the_degree_cap_before_allocating(monkeypatch):
 
 
 def test_root_table_asserts_on_a_tampered_sign(monkeypatch):
-    # a sign that always reads +1 makes a minimal root look like it dominates a simple root
+    # a sign that always reads +1 makes every inner product with a simple root look >= 1
     monkeypatch.setattr(coxeter, "sign_real", lambda x: 1)
     with pytest.raises(AssertionError, match="minimal root with inner product >= 1"):
         MinimalRootTable(CoxeterMatrix.triangle(2, 3, 5))
