@@ -23,7 +23,7 @@ table = normal_closure_table(parent, [parent.alphabet.word("s")])
 print(f"[G : ncl(s)] in the ({k},{n},{m}) parent = {table.num_cosets}  (expected n*m = {n*m})")
 
 tr = schreier_transversal(table, toric_column_order(parent.alphabet))
-print("transversal:", ", ".join(str(w) for w in tr.reps))
+print("transversal:", ", ".join(str(w) for w in tr))
 
 labels = toric_coset_labels(tr)
 rs = rs_presentation(parent, table, tr, namer=lambda c, g: f"{g}_{labels[c][0]}_{labels[c][1]}")

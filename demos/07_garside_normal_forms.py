@@ -8,11 +8,12 @@ over the meridians x1 ... xn as well.
 
 import random
 
-from toricgroups.garside import gnf, gnf_equal, meridian, meridian_derivation, sigma, standard_alphabet, tau
+from toricgroups.garside import gnf, meridian, meridian_derivation, sigma, tau
+from toricgroups.presentations import XY
 from toricgroups.schreier import chain_relators
 from toricgroups.words import Word, apply_map, check_derivation
 
-ab = standard_alphabet()
+ab = XY
 n, m = 2, 3
 
 print(f"G({n},{m}), Delta = x^{n} = y^{m}:")
@@ -21,8 +22,8 @@ for text in ["x^2", "y^3", "x y x", "y x^-1 x", "x^-1 y^2", "x y x y x y"]:
     print(f"  gnf({text:<12}) = {gnf(n, m, w)}")
 
 print("\nequality tests:")
-print("  x Delta == Delta x:", gnf_equal(n, m, ab.word("x x^2"), ab.word("x^2 x")))
-print("  x == y:", gnf_equal(n, m, ab.word("x"), ab.word("y")))
+print("  x Delta == Delta x:", gnf(n, m, ab.word("x x^2")) == gnf(n, m, ab.word("x^2 x")))
+print("  x == y:", gnf(n, m, ab.word("x")) == gnf(n, m, ab.word("y")))
 
 print("\ninserting conjugated relators never changes a normal form:")
 rng = random.Random(0)

@@ -564,22 +564,6 @@ def enumerate_record(params: FamilyParams, subgroup: str, normal_closure: bool, 
     return {"index" if subgens else "order": table.num_cosets, "cosets": table.num_cosets}, "ok", evidence
 
 
-class Transversal(Value):
-    """Schreier transversal: representative word per coset plus tree edges.
-
-    Tree edges are (coset, column) pairs in the coset-table column
-    convention; both orientations of every tree edge are included.
-    """
-
-    __slots__ = ("reps", "tree")
-
-    def __init__(self, reps: tuple[Word, ...], tree: frozenset[tuple[int, int]]):
-        super().__init__(reps, tree)
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-
 def _bfs_edges(t: CosetTable, column_order: Sequence[int]) -> list[tuple[int, int, int]]:
     """The edges (parent, column, child) of a breadth-first spanning tree of
     the coset graph from coset 0, in BFS order; each coset is reached first
@@ -599,25 +583,24 @@ def _bfs_edges(t: CosetTable, column_order: Sequence[int]) -> list[tuple[int, in
     return edges
 
 
-def bfs_transversal(t: CosetTable, column_order: Sequence[int]) -> Transversal:
-    """Breadth-first spanning tree of the coset graph from coset 0.
+def bfs_transversal(t: CosetTable, column_order: Sequence[int]) -> tuple[Word, ...]:
+    """The representative word of each coset, along a breadth-first
+    spanning tree of the coset graph from coset 0.
 
     Each coset is reached first along the earliest column of
     ``column_order``, so its representative is a geodesic over those
-    columns and every prefix of a representative is a representative.
-    Raises ValueError when the columns do not reach every coset.
+    columns and every prefix of a representative is a representative: the
+    tree edge into a coset is its representative's last letter.  Raises
+    ValueError when the columns do not reach every coset.
     """
     edges = _bfs_edges(t, column_order)
     if len(edges) != t.num_cosets - 1:
         raise ValueError("column order does not span the coset graph")
     reps: list[Word] = [Word(t.alphabet, ())] * t.num_cosets
-    tree: set[tuple[int, int]] = set()
     for a, col, b in edges:
         letter = col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1)
         reps[b] = Word(t.alphabet, reps[a].letters + (letter,))
-        tree.add((a, col))
-        tree.add((b, col ^ 1))
-    return Transversal(tuple(reps), frozenset(tree))
+    return tuple(reps)
 
 
 class CayleyTable:
@@ -626,10 +609,9 @@ class CayleyTable:
     Elements are cosets; element i is represented by the BFS transversal
     word ``words[i]`` over the positive columns, then the negative ones (a
     geodesic, so its length is the generator-length of the element), built
-    on first use.  Products are computed by tracing words through the coset
-    table, so no quadratic multiplication table is materialized up front;
-    conjugation by each letter is one cached permutation, from which the
-    classes and the center are read.
+    on first use.  No multiplication table is materialized: a product i * j
+    is ``table.trace(i, words[j])``, and conjugation by each generator is
+    one cached permutation, from which the classes and the center are read.
     """
 
     def __init__(self, table: CosetTable):
@@ -644,23 +626,13 @@ class CayleyTable:
     @cached_property
     def words(self) -> tuple[Word, ...]:
         ngens = len(self.alphabet)
-        return bfs_transversal(self.table, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)]).reps
-
-    @cached_property
-    def _inverses(self) -> list[int]:
-        return [self.table.trace(0, w.inverse()) for w in self.words]
+        return bfs_transversal(self.table, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)])
 
     def eval(self, w: Word) -> int:
         return self.table.trace(0, w)
 
     def is_identity(self, w: Word) -> bool:
         return self.eval(w) == 0
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table.trace(i, self.words[j])
-
-    def inv(self, i: int) -> int:
-        return self._inverses[i]
 
     def order_of(self, w: Word) -> int:
         start = self.eval(w)
@@ -675,23 +647,24 @@ class CayleyTable:
 
     @cached_property
     def conjugations(self) -> list[list[int]]:
-        """Per column, the permutation e -> g^-1 * e * g of conjugation by
-        its letter g.
+        """Per generator g, the permutation e -> g^-1 * e * g.
 
-        Left and right multiplication commute, so the left translate
-        g^-1 * e is the translate of e's parent in a BFS tree from the
-        identity, stepped along the tree edge that reaches e: two steps per
-        element for each letter, and no words.
+        Conjugation by g^-1 is the inverse permutation, so these have the
+        classes and the center of all the letters' conjugations.  Left and
+        right multiplication commute, so the left translate g^-1 * e is the
+        translate of e's parent in a BFS tree from the identity, stepped
+        along the tree edge that reaches e: two steps per element for each
+        generator, and no words.
         """
         columns = self.table.columns
         edges = _bfs_edges(self.table, range(len(columns)))
         conjugations = []
-        for col, column in enumerate(columns):
+        for g in range(len(self.alphabet)):
             left = [0] * self.size
-            left[0] = columns[col ^ 1][0]
+            left[0] = columns[2 * g + 1][0]
             for a, c, b in edges:
                 left[b] = columns[c][left[a]]
-            conjugations.append([column[x] for x in left])
+            conjugations.append([columns[2 * g][x] for x in left])
         return conjugations
 
     def conjugacy_class_ids(self) -> list[int]:

@@ -332,7 +332,7 @@ def center_check_plus(cm: CoxeterMatrix, max_cosets: int = MAX_COSETS) -> Center
     center = set(cayley.center())
     plus = [e for e in range(cayley.size) if cayley.length(e) % 2 == 0]
     # W+ = <r1 r2, r2 r3>, and conjugation by g h is conjugation by g, then by h
-    r1, r2, r3 = cayley.conjugations[::2]
+    r1, r2, r3 = cayley.conjugations
     z_plus = [e for e in plus if r2[r1[e]] == e and r3[r2[e]] == e]
     contained = all(e in center for e in z_plus)
     return CenterReport(

@@ -28,16 +28,10 @@ from itertools import chain, groupby
 
 from .presentations import XY, FamilyParams, cyclic_product, meridians
 from .schreier import chain_implies_shift, chain_relators, chain_step
-from .words import (Alphabet, Derivation, GenMap, RewriteStep, Value, Word, apply_map, free_reduce, parse_either,
+from .words import (Derivation, GenMap, RewriteStep, Value, Word, apply_map, free_reduce, parse_either,
                     signed_images, undone)
 
-_STANDARD = XY
 _SYMBOLS = (None, "x", "y")  # the name of each letter
-
-
-def standard_alphabet() -> Alphabet:
-    """The alphabet {x, y} of the standard torus knot presentation."""
-    return _STANDARD
 
 
 class GarsideNF(Value):
@@ -67,7 +61,7 @@ class GarsideNF(Value):
 def gnf(n: int, m: int, w: Word) -> GarsideNF:
     """Left-greedy Garside normal form of a word over {x, y}."""
     FamilyParams("torus-standard", (n, m))
-    if w.alphabet != _STANDARD:
+    if w.alphabet != XY:
         raise ValueError("word must be over the standard alphabet {x, y}")
     power = 0
     # alternating blocks: symbol 1 (x) or 2 (y), exponent in [1, bound - 1],
@@ -99,25 +93,21 @@ def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
     xn mapped by ``tau``."""
     FamilyParams("torus-standard", (n, m))
     evidence = []
-    word = parse_either(_STANDARD, lambda: meridians(n), text)
-    if word.alphabet is not _STANDARD:
+    word = parse_either(XY, lambda: meridians(n), text)
+    if word.alphabet is not XY:
         table = signed_images([image.letters for image in tau(n, m).images])  # tau(word), unreduced
-        word = Word(_STANDARD, tuple(chain.from_iterable(map(table.__getitem__, word.letters))))
+        word = Word(XY, tuple(chain.from_iterable(map(table.__getitem__, word.letters))))
         evidence.append(f"a word over x1 ... x{n}, mapped to {{x, y}} by tau, the inverse of sigma")
     normal = gnf(n, m, word)
     return {"normal_form": str(normal), "identity": normal.is_identity(),
             "delta_power": normal.delta_power}, "ok", evidence
 
 
-def gnf_equal(n: int, m: int, u: Word, v: Word) -> bool:
-    return gnf(n, m, u) == gnf(n, m, v)
-
-
 def sigma(n: int, m: int) -> GenMap:
     """Standard to classical: x -> x_1...x_m, y -> x_1...x_n (indices mod n)."""
     FamilyParams("torus-standard", (n, m))
     target = meridians(n)
-    return GenMap(_STANDARD, target, (Word(target, cyclic_product(n, 0, m)), Word(target, cyclic_product(n, 0, n))))
+    return GenMap(XY, target, (Word(target, cyclic_product(n, 0, m)), Word(target, cyclic_product(n, 0, n))))
 
 
 def _tau_letters(n: int, m: int, i: int) -> tuple[int, ...]:
@@ -143,8 +133,8 @@ def tau(n: int, m: int) -> GenMap:
     ``meridian_derivation`` and the shift lemma.
     """
     FamilyParams("torus-standard", (n, m))
-    images = tuple(Word(_STANDARD, _tau_letters(n, m, i)) for i in range(1, n + 1))
-    return GenMap(meridians(n), _STANDARD, images)
+    images = tuple(Word(XY, _tau_letters(n, m, i)) for i in range(1, n + 1))
+    return GenMap(meridians(n), XY, images)
 
 
 def meridian(n: int, m: int, a: int, b: int) -> Word:
@@ -152,8 +142,8 @@ def meridian(n: int, m: int, a: int, b: int) -> Word:
     FamilyParams("torus-standard", (n, m))
     if a * n - b * m != 1:
         raise ValueError(f"{a}*{n} - {b}*{m} != 1 (not a Bezout pair)")
-    y = Word(_STANDARD, (2,))
-    x = Word(_STANDARD, (1,))
+    y = Word(XY, (2,))
+    x = Word(XY, (1,))
     return free_reduce(y**a * x**-b)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Sequence
 
-from .cosets import MAX_COSETS, CosetTable, Transversal, bfs_transversal, normal_closure_table
+from .cosets import MAX_COSETS, CosetTable, bfs_transversal, normal_closure_table
 from .presentations import Presentation, cyclic_product, j_parent, meridians, toric, torus_classical
 from .words import (Alphabet, Derivation, RewriteStep, Value, Word, check_derivation, cyclic_reduce_letters,
                     free_reduce_letters, invert, signed_images, undone)
@@ -45,9 +45,11 @@ def toric_column_order(alphabet: Alphabet) -> list[int]:
     return [2 * i for i in pref]
 
 
-def schreier_transversal(ct: CosetTable, column_order: Sequence[int] | None = None) -> Transversal:
-    """BFS spanning tree with deterministic edge order.
+def schreier_transversal(ct: CosetTable, column_order: Sequence[int] | None = None) -> tuple[Word, ...]:
+    """The representative word of each coset, along a BFS spanning tree
+    with deterministic edge order.
 
+    The representatives are prefix-closed, and the tree is read off them.
     The default order walks the positive generator columns in alphabet
     order; in a complete table every column is a permutation, so positive
     words already reach every coset.  A custom ``column_order`` (a sequence
@@ -87,13 +89,13 @@ class RSResult(Value):
         super().__init__(presentation, generators)
 
 
-def toric_coset_labels(tr: Transversal) -> dict[int, tuple[int, int]]:
+def toric_coset_labels(reps: Sequence[Word]) -> dict[int, tuple[int, int]]:
     """Read (i, j) off representatives of the form u^i t^j.
 
     Raises ValueError when a representative has any other shape.
     """
     labels: dict[int, tuple[int, int]] = {}
-    for c, rep in enumerate(tr.reps):
+    for c, rep in enumerate(reps):
         names = [rep.gen_name(x) for x in rep.letters]
         i, j = names.count("u"), names.count("t")
         if any(x < 0 for x in rep.letters) or names != ["u"] * i + ["t"] * j:
@@ -102,7 +104,7 @@ def toric_coset_labels(tr: Transversal) -> dict[int, tuple[int, int]]:
     return labels
 
 
-def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
+def rs_presentation(p: Presentation, ct: CosetTable, reps: Sequence[Word],
                     namer: Callable[[int, str], str] | None = None) -> RSResult:
     """Subgroup presentation on the nontrivial Schreier generators.
 
@@ -114,6 +116,13 @@ def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
     each orbit of <v>; an empty or non-power relator is rewritten from every
     coset.  The relators kept are thus a subsequence of the all-cosets list,
     each the earliest of its rotation class, with the same normal closure.
+
+    ``reps`` is a prefix-closed transversal, as ``schreier_transversal``
+    returns.  The edge from coset c by generator g to d is a tree edge when
+    d's representative is c's followed by g, or c's is d's followed by
+    g^-1.  Since every column is a permutation, the two lengths and the
+    last letter decide this, and these are exactly the edges whose
+    Schreier generator is freely trivial.
     """
     if not ct.complete:
         raise ValueError("coset table is not complete")
@@ -121,18 +130,20 @@ def rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal,
         namer = lambda coset, gen: f"{gen}_c{coset}"
 
     columns = ct.columns
-    reps = tr.reps
     ngens = len(p.alphabet)
     sub_gens: list[SubgroupGenerator] = []
     # gen_at[col][q]: the signed Schreier generator read along the edge from
     # coset q by table column col, 0 on a tree edge
     gen_at = [[0] * ct.num_cosets for _ in range(2 * ngens)]
     for c in range(ct.num_cosets):
+        here = reps[c].letters
         for g in range(ngens):
-            if (c, 2 * g) in tr.tree:
-                continue
             dest = columns[2 * g][c]
-            value = free_reduce_letters(reps[c].letters + (g + 1,) + tuple(-x for x in reversed(reps[dest].letters)))
+            there = reps[dest].letters
+            if (len(there) == len(here) + 1 and there[-1] == g + 1
+                    or len(here) == len(there) + 1 and here[-1] == -g - 1):
+                continue
+            value = free_reduce_letters(here + (g + 1,) + tuple(-x for x in reversed(there)))
             sub_gens.append(SubgroupGenerator(namer(c, p.alphabet.names[g]), c, p.alphabet.names[g],
                                               Word(p.alphabet, tuple(value))))
             gen_at[2 * g][c] = len(sub_gens)
@@ -278,9 +289,9 @@ def toric_closure_rs(a: int, b: int, c: int, max_cosets: int = MAX_COSETS
     table = normal_closure_table(parent, [parent.alphabet.word("s")], max_cosets=max_cosets)
     if not table.complete:
         return None
-    tr = schreier_transversal(table, toric_column_order(parent.alphabet))
-    labels = toric_coset_labels(tr)
-    rs = rs_presentation(parent, table, tr, namer=lambda c_, g: f"{g}_{labels[c_][0]}_{labels[c_][1]}")
+    reps = schreier_transversal(table, toric_column_order(parent.alphabet))
+    labels = toric_coset_labels(reps)
+    rs = rs_presentation(parent, table, reps, namer=lambda c_, g: f"{g}_{labels[c_][0]}_{labels[c_][1]}")
     return labels, rs
 
 

@@ -51,7 +51,8 @@ with the production engines they check:
   coset of each orbit of <v>, so its relators must be a subsequence of the
   reference's, in order, and every reference relator a cyclic rotation of
   a kept one once both are cyclically reduced.  It reads only the table's
-  ``step`` and the transversal's ``tree`` and ``reps``.
+  ``step`` and ``trace`` and the representatives, and builds its own set
+  of tree edges from each representative's last letter.
 - ``reference_check_toric_presentation``: the original check of the toric
   presentation on Word objects: each closed form a ``Word`` through
   ``GenMap``, each relator mapped by ``apply_map`` and keyed by the
@@ -132,12 +133,11 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from toricgroups import schreier
-from toricgroups.cosets import (CayleyTable, CosetTable, Transversal, _columns, _validate, bfs_transversal,
-                                todd_coxeter)
+from toricgroups.cosets import CayleyTable, CosetTable, _columns, _validate, bfs_transversal, todd_coxeter
 from toricgroups.coxeter import MinimalRootTable
 from toricgroups.cyclo import _degree, cyclotomic_polynomial
-from toricgroups.garside import _STANDARD, GarsideNF
-from toricgroups.presentations import FamilyParams, Presentation, TietzeBudgetExceeded, toric
+from toricgroups.garside import GarsideNF
+from toricgroups.presentations import XY, FamilyParams, Presentation, TietzeBudgetExceeded, toric
 from toricgroups.schreier import RSResult, SubgroupGenerator, chain_relators, closed_form_generator, shift_relators
 from toricgroups.words import (Alphabet, GenMap, Word, WordSyntaxError, apply_map, check_derivation, cyclic_reduce,
                                free_reduce, invert)
@@ -509,18 +509,26 @@ def reference_tietze(p: Presentation, budget: int = 10_000) -> Presentation:
     return Presentation(alphabet, tuple(relators))
 
 
-def reference_rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal) -> RSResult:
+def reference_rs_presentation(p: Presentation, ct: CosetTable, reps: Sequence[Word]) -> RSResult:
     """The original Reidemeister-Schreier rewrite: every relator from every
     coset, in coset-major order, freely reduced, empty rewrites dropped.
-    Generators are named as by ``rs_presentation``'s default namer."""
+    Generators are named as by ``rs_presentation``'s default namer.  The
+    tree edges, in both orientations, are read off each representative's
+    last letter, from the coset its prefix traces to."""
+    tree: set[tuple[int, int]] = set()
+    for b, rep in enumerate(reps):
+        if rep.letters:
+            a = ct.trace(0, Word(p.alphabet, rep.letters[:-1]))
+            (col,) = _columns(Word(p.alphabet, rep.letters[-1:]))
+            tree |= {(a, col), (b, col ^ 1)}
     gen_index: dict[tuple[int, int], int] = {}
     sub_gens: list[SubgroupGenerator] = []
     for c in range(ct.num_cosets):
         for g in range(len(p.alphabet)):
-            if (c, 2 * g) in tr.tree:
+            if (c, 2 * g) in tree:
                 continue
             dest = ct.step(c, g + 1)
-            value = free_reduce(Word(p.alphabet, tr.reps[c].letters + (g + 1,) + invert(tr.reps[dest]).letters))
+            value = free_reduce(Word(p.alphabet, reps[c].letters + (g + 1,) + invert(reps[dest]).letters))
             gen_index[(c, g)] = len(sub_gens)
             name = p.alphabet.names[g]
             sub_gens.append(SubgroupGenerator(f"{name}_c{c}", c, name, value))
@@ -534,12 +542,12 @@ def reference_rs_presentation(p: Presentation, ct: CosetTable, tr: Transversal) 
             for x in r.letters:
                 g = abs(x) - 1
                 if x > 0:
-                    if (q, 2 * g) not in tr.tree:
+                    if (q, 2 * g) not in tree:
                         out.append(gen_index[(q, g)] + 1)
                     q = ct.step(q, x)
                 else:
                     q = ct.step(q, x)
-                    if (q, 2 * g) not in tr.tree:
+                    if (q, 2 * g) not in tree:
                         out.append(-(gen_index[(q, g)] + 1))
             w = free_reduce(Word(sub_alphabet, tuple(out)))
             if w.letters:
@@ -616,7 +624,7 @@ def reference_normal_closure(p: Presentation, seeds: list[Word], max_cosets: int
         if not t.complete:
             return t
         ngens = len(t.alphabet)
-        reps = bfs_transversal(t, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)]).reps
+        reps = bfs_transversal(t, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)])
         violation = None
         for c in range(t.num_cosets):
             for s in seeds:
@@ -944,7 +952,8 @@ def reference_center_plus_order(cay: CayleyTable) -> int:
     """|Z(W+)| of a Coxeter group's Cayley table: the even-length elements
     commuting with every even-length element, over all pairs."""
     plus = [e for e in range(cay.size) if cay.length(e) % 2 == 0]
-    return sum(all(cay.mul(e, f) == cay.mul(f, e) for f in plus) for e in plus)
+    trace, words = cay.table.trace, cay.words
+    return sum(all(trace(e, words[f]) == trace(f, words[e]) for f in plus) for e in plus)
 
 
 # --- the original cyclotomic polynomials, by repeated long division -----------
@@ -1337,7 +1346,7 @@ def reference_nf(table: MinimalRootTable, w: Word) -> Word:
 def reference_gnf(n: int, m: int, w: Word) -> GarsideNF:
     """Left-greedy Garside normal form of a word over {x, y}."""
     FamilyParams("torus-standard", (n, m))
-    if w.alphabet != _STANDARD:
+    if w.alphabet != XY:
         raise ValueError("word must be over the standard alphabet {x, y}")
     bound = {"x": n, "y": m}
     power = 0
@@ -1369,7 +1378,7 @@ def garside_nf_word(nf: GarsideNF) -> Word:
     letters = [1 if nf.delta_power >= 0 else -1] * (nf.n * abs(nf.delta_power))
     for sym, e in nf.factors:
         letters += [1 if sym == "x" else 2] * e
-    return Word(_STANDARD, tuple(letters))
+    return Word(XY, tuple(letters))
 
 
 def reference_apply_map(f: GenMap, w: Word) -> Word:

@@ -22,12 +22,12 @@ from conftest import (
 )
 from oracles import naive_order
 
-from toricgroups import garside, maps, reps
+from toricgroups import maps, reps
 from toricgroups import presentations as pres
 from toricgroups.cosets import MAX_COSETS, group_order, reflection_class_count, todd_coxeter
 from toricgroups.coxeter import CoxeterMatrix, classify_triangle, maximal_finite_parabolics
 from toricgroups.garside import GarsideNF, gnf, meridian, sigma
-from toricgroups.presentations import serialize, tietze_simplify
+from toricgroups.presentations import XY, serialize, tietze_simplify
 from toricgroups.schreier import (
     check_toric_presentation,
     closed_form_generator,
@@ -233,7 +233,7 @@ def test_criterion_08_representation_suite():
 def test_criterion_09_garside_suite():
     """Fixed-seed relator-insertion trials, Delta identities, quotient
     consistency, and meridian conjugacy."""
-    ab = garside.standard_alphabet()
+    ab = XY
     for n, m in [(2, 3), (3, 4), (2, 5), (3, 5)]:
         rng = random.Random(1000 * n + m)
         rel = tuple([1] * n + [-2] * m)
@@ -277,9 +277,9 @@ def test_criterion_09_garside_suite():
             ids = cay.conjugacy_class_ids()
             targets = set()
             for i in range(1, n + 1):
-                e = cay.eval(Word(cay.alphabet, (i,)))
-                targets.add(ids[e])
-                targets.add(ids[cay.inv(e)])
+                gen = Word(cay.alphabet, (i,))
+                targets.add(ids[cay.eval(gen)])
+                targets.add(ids[cay.eval(gen.inverse())])
             assert ids[cay.eval(image)] in targets, (n, m, k)
     print("\n[criterion 9] PASS: 4000 insertion trials clean; Delta, quotient, meridian checks hold")
 

@@ -46,10 +46,9 @@ def complete():
      "column order must be a list of distinct table columns"),
     (lambda: schreier.toric_column_order(words.Alphabet(["s", "t"])), ValueError,
      "toric column order needs generators s, t, u"),
-    (lambda: schreier.toric_coset_labels(cosets.Transversal((STU.word("1"), STU.word("s")), frozenset())),
-     ValueError, "representative s is not of the form u^i t^j"),
-    (lambda: schreier.rs_presentation(toric(6, 2, 3), overflowed(), cosets.Transversal((), frozenset())),
-     ValueError, "coset table is not complete"),
+    (lambda: schreier.toric_coset_labels((STU.word("1"), STU.word("s"))), ValueError,
+     "representative s is not of the form u^i t^j"),
+    (lambda: schreier.rs_presentation(toric(6, 2, 3), overflowed(), ()), ValueError, "coset table is not complete"),
     (lambda: schreier.chain_implies_shift(3, 4, 0), ValueError, "generator index out of range"),
     (lambda: schreier.chain_implies_shift(3, 4, 4), ValueError, "generator index out of range"),
     (lambda: maps.centrality_witness(2, 3, 4, 4), ValueError, "generator index out of range"),

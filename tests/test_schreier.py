@@ -80,7 +80,7 @@ def chain_from_shift_derivations(n: int, m: int) -> list[Derivation]:
 def test_cyclic_group_transversal():
     p = parse_presentation("gens: x\nrel: x^3")
     tr = schreier_transversal(todd_coxeter(p))
-    assert [str(w) for w in tr.reps] == ["1", "x", "x^2"]
+    assert [str(w) for w in tr] == ["1", "x", "x^2"]
 
 
 def test_transversal_size_matches_table():
@@ -103,10 +103,10 @@ def test_toric_preset_gives_u_then_t_representatives():
     assert len(labels) == 12
     for coset, (i, j) in labels.items():
         expected = Word(parent.alphabet, (3,) * i + (2,) * j)  # u^i t^j
-        assert tr.reps[coset] == expected
+        assert tr[coset] == expected
     # Schreier property: every prefix of a representative is a representative
-    rep_set = {w.letters for w in tr.reps}
-    for w in tr.reps:
+    rep_set = {w.letters for w in tr}
+    for w in tr:
         for cut in range(len(w.letters)):
             assert w.letters[:cut] in rep_set
 
@@ -200,6 +200,14 @@ def test_rs_of_the_closure_tables_is_the_all_cosets_rewrite(a, b, c):
     got = _rs_against_reference(parent, table, toric_column_order(parent.alphabet),
                                 lambda coset, g: f"{g}_{labels[coset][0]}_{labels[coset][1]}")
     assert toric_closure_rs(a, b, c) == (labels, got)
+
+
+@pytest.mark.parametrize("column_order", [[1, 3, 5], [5, 2, 1, 0]])
+@pytest.mark.parametrize("a,b,c", [(2, 3, 4), (3, 2, 3), (2, 3, 5)])
+def test_rs_over_inverse_columns_is_the_all_cosets_rewrite(a, b, c, column_order):
+    # representatives that end in an inverse letter: their tree edges are
+    # read from the far end, as c's representative ending in g^-1
+    _rs_against_reference(pres.j_parent(a, b, c), closure_table(a, b, c), column_order)
 
 
 def test_rs_keeps_one_rewrite_per_orbit_of_a_two_letter_root():

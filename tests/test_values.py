@@ -33,8 +33,6 @@ SAMPLES = [
     (presentations.FamilyParams, lambda: presentations.FamilyParams("toric", (3, 2, 3)),
      lambda: presentations.FamilyParams("toric", (3, 2, 3), normalize=False)),
     (cosets.EnumStats, lambda: cosets.EnumStats(1, 2, 3, 4, 5, 6, 7), lambda: cosets.EnumStats(1, 2, 3, 4, 5, 6, 8)),
-    (cosets.Transversal, lambda: cosets.Transversal((XY,), frozenset({(0, 1)})),
-     lambda: cosets.Transversal((YX,), frozenset({(0, 1)}))),
     (coxeter.CoxeterMatrix, lambda: coxeter.CoxeterMatrix.triangle(2, 3, 5),
      lambda: coxeter.CoxeterMatrix.triangle(2, 3, 7)),
     (coxeter.ParabolicReport, lambda: coxeter.maximal_finite_parabolics(coxeter.CoxeterMatrix.triangle(2, 3, 5)),

@@ -9,12 +9,17 @@ request of ``GOLDEN_REQUESTS`` in ``tests/test_cli.py``, each taken from the
 ``--format text``.  Each side is exported with ``git archive`` into a fresh
 temporary directory (``TMPDIR`` chooses where), and all of its requests run
 through ``toricgroups.cli.main`` in one subprocess, which records stdout,
-stderr and the exit code (or the exception that escaped).  Then every
-``demos/*.py`` of the ``--change`` tree runs as a script in each tree, with
-that tree's ``src/`` on the path, and its exit code, stderr and stdout are
-compared byte for byte.  The script prints how many outputs and demos it
-compared and, for each one that differs, the request or demo and its first
-differing line, and exits 1 on any difference.
+stderr and the exit code (or the exception that escaped).  The
+``rs-tietze`` requests of the same workloads and seeds (normal closure,
+Reidemeister-Schreier and Tietze at the indices of the ``subgroups``
+workload) run through the ``--change`` tree's ``perfbench/child.py``, once
+with each side's export as its ``root``; each result's output (the index and
+both presentations), exit code and escaped exception are compared.  Then
+every ``demos/*.py`` of the ``--change`` tree runs as a script in each tree,
+with that tree's ``src/`` on the path, and its exit code, stderr and stdout
+are compared byte for byte.  The script prints how many outputs, pipeline
+results and demos it compared and, for each one that differs, the request
+or demo and its first differing line, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -58,12 +63,13 @@ def git(*args: str) -> bytes:
     return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True).stdout
 
 
-def requests(tree: str) -> list[list[str]]:
-    """Every request without its format, in first-seen order and without repeats."""
+def requests(tree: str) -> tuple[list[list[str]], list[dict]]:
+    """Every cli request without its format, and every rs-tietze request's
+    input, in first-seen order and without repeats."""
     sys.path.insert(0, os.path.join(tree, "perfbench"))
     import workloads
 
-    argvs = []
+    argvs, pipelines = [], {}
     for w in WORKLOADS:
         for seed in SEEDS:
             for req in workloads.generate(w, seed):
@@ -71,12 +77,14 @@ def requests(tree: str) -> list[list[str]]:
                     argv = req["input"]["argv"]
                     assert argv[:2] == ["--format", "json"], argv
                     argvs.append(argv[2:])
+                else:
+                    pipelines[tuple(req["input"]["abc"])] = req["input"]
     with open(os.path.join(tree, "tests", "test_cli.py")) as f:
         module = ast.parse(f.read())
     golden = next(node.value for node in module.body if isinstance(node, ast.Assign)
                   and any(getattr(t, "id", None) == "GOLDEN_REQUESTS" for t in node.targets))
     argvs += ast.literal_eval(golden).values()
-    return list({tuple(a): list(a) for a in argvs}.values())
+    return list({tuple(a): list(a) for a in argvs}.values()), list(pipelines.values())
 
 
 def run_side(tree: str, argvs: list[list[str]]) -> list[dict]:
@@ -86,6 +94,17 @@ def run_side(tree: str, argvs: list[list[str]]) -> list[dict]:
     if proc.returncode != 0:
         raise SystemExit(f"error: the requests in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def run_pipelines(child: str, tree: str, inputs: list[dict]) -> list[dict]:
+    """The output, exit code and escaped exception of each rs-tietze
+    request, run by ``child`` (a ``perfbench/child.py``) on ``tree``."""
+    job = json.dumps({"root": tree, "requests": inputs, "trace": False})
+    proc = subprocess.run([sys.executable, child], cwd=tree, input=job, capture_output=True, text=True,
+                          timeout=1800)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: the rs-tietze requests on {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return [{"code": r["code"], "exc": r["exc"], "out": r["out"]} for r in json.loads(proc.stdout)["results"]]
 
 
 def run_demos(tree: str, demos: list[str]) -> list[dict]:
@@ -103,11 +122,13 @@ def run_demos(tree: str, demos: list[str]) -> list[dict]:
     return records
 
 
-def first_difference(a: dict, b: dict) -> str:
-    for field in ("code", "stderr", "stdout"):
+def first_difference(a: dict, b: dict, fields: tuple[str, ...] = ("code", "stderr", "stdout")) -> str:
+    for field in fields:
         if a[field] != b[field]:
             if field == "code":
                 return f"exit code {a['code']!r} -> {b['code']!r}"
+            if field == "exc":
+                return f"exception {a['exc']!r} -> {b['exc']!r}"
             la, lb = a[field].splitlines(), b[field].splitlines()
             k = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
             x = la[k] if k < len(la) else "<end>"
@@ -128,8 +149,11 @@ def main(argv: list[str] | None = None) -> int:
             trees[side] = os.path.join(tmp, side)
             with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
                 tar.extractall(trees[side])
-        argvs = [["--format", fmt, *a] for a in requests(trees["change"]) for fmt in ("json", "text")]
+        cli_argvs, pipelines = requests(trees["change"])
+        argvs = [["--format", fmt, *a] for a in cli_argvs for fmt in ("json", "text")]
         outputs = {side: run_side(tree, argvs) for side, tree in trees.items()}
+        child = os.path.join(trees["change"], "perfbench", "child.py")
+        pipeline_outputs = {side: run_pipelines(child, tree, pipelines) for side, tree in trees.items()}
         demos = sorted(f for f in os.listdir(os.path.join(trees["change"], "demos")) if f.endswith(".py"))
         demo_outputs = {side: run_demos(tree, demos) for side, tree in trees.items()}
 
@@ -141,6 +165,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"differs: {' '.join(a)}\n  {diff}")
     print(f"compared {len(argvs)} outputs ({len(argvs) // 2} requests in json and text) "
           f"of {args.parent} and {args.change}: {differing} differ")
+    pipelines_differing = 0
+    for req, before, after in zip(pipelines, pipeline_outputs["parent"], pipeline_outputs["change"]):
+        diff = first_difference(before, after, ("code", "exc", "out"))
+        if diff:
+            pipelines_differing += 1
+            print(f"differs: rs-tietze {' '.join(map(str, req['abc']))}\n  {diff}")
+    print(f"compared {len(pipelines)} rs-tietze results: {pipelines_differing} differ")
     demos_differing = 0
     for demo, before, after in zip(demos, demo_outputs["parent"], demo_outputs["change"]):
         diff = first_difference(before, after)
@@ -148,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
             demos_differing += 1
             print(f"differs: demos/{demo}\n  {diff}")
     print(f"compared the output of {len(demos)} demos: {demos_differing} differ")
-    return 1 if differing or demos_differing else 0
+    return 1 if differing or pipelines_differing or demos_differing else 0
 
 
 if __name__ == "__main__":
