@@ -97,14 +97,16 @@ def run_side(tree: str, argvs: list[list[str]]) -> list[dict]:
 
 
 def run_pipelines(child: str, tree: str, inputs: list[dict]) -> list[dict]:
-    """The output, exit code and escaped exception of each rs-tietze
-    request, run by ``child`` (a ``perfbench/child.py``) on ``tree``."""
+    """The output and exit code of each rs-tietze request, run by ``child``
+    (a ``perfbench/child.py``) on ``tree``; an escaped exception is its
+    code, as in ``RUNNER``."""
     job = json.dumps({"root": tree, "requests": inputs, "trace": False})
     proc = subprocess.run([sys.executable, child], cwd=tree, input=job, capture_output=True, text=True,
                           timeout=1800)
     if proc.returncode != 0:
         raise SystemExit(f"error: the rs-tietze requests on {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return [{"code": r["code"], "exc": r["exc"], "out": r["out"]} for r in json.loads(proc.stdout)["results"]]
+    return [{"code": r["code"] if r["exc"] is None else f"raised {r['exc']}", "stderr": "", "stdout": r["out"]}
+            for r in json.loads(proc.stdout)["results"]]
 
 
 def run_demos(tree: str, demos: list[str]) -> list[dict]:
@@ -122,13 +124,11 @@ def run_demos(tree: str, demos: list[str]) -> list[dict]:
     return records
 
 
-def first_difference(a: dict, b: dict, fields: tuple[str, ...] = ("code", "stderr", "stdout")) -> str:
-    for field in fields:
+def first_difference(a: dict, b: dict) -> str:
+    for field in ("code", "stderr", "stdout"):
         if a[field] != b[field]:
             if field == "code":
                 return f"exit code {a['code']!r} -> {b['code']!r}"
-            if field == "exc":
-                return f"exception {a['exc']!r} -> {b['exc']!r}"
             la, lb = a[field].splitlines(), b[field].splitlines()
             k = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
             x = la[k] if k < len(la) else "<end>"
@@ -167,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
           f"of {args.parent} and {args.change}: {differing} differ")
     pipelines_differing = 0
     for req, before, after in zip(pipelines, pipeline_outputs["parent"], pipeline_outputs["change"]):
-        diff = first_difference(before, after, ("code", "exc", "out"))
+        diff = first_difference(before, after)
         if diff:
             pipelines_differing += 1
             print(f"differs: rs-tietze {' '.join(map(str, req['abc']))}\n  {diff}")
