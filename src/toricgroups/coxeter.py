@@ -2,13 +2,16 @@
 
 The word problem engine is the minimal-root (small-root) reflection table:
 the finitely many positive roots that dominate no other positive root,
-together with the action of each simple reflection on them.  Tracking which
-minimal roots a prefix sends negative gives an exact reducedness and
-descent test, from which ShortLex normal forms are computed; the state of
-every prefix is kept, so deleting a letter replays only the letters after
-it.  No floating point enters any decision (root coordinates live in a
-real cyclotomic ring, and the one inequality in the table construction
-uses certified sign determination).
+together with the action of each simple reflection on them.  The set of
+minimal roots a prefix sends negative is the state of a finite automaton
+(Brink & Howlett, Math. Ann. 1993) and gives an exact reducedness and
+descent test, from which ShortLex normal forms are computed (Casselman,
+1994).  Each table numbers the sets it meets and fills in its transitions
+on first use; a word keeps one state number per prefix, so deleting a
+letter replays only the letters after it, by lookups.  No floating point
+enters any decision (root coordinates live in a real cyclotomic ring, and
+the one inequality in the table construction uses certified sign
+determination).
 
 Structure queries cover the spherical/affine/hyperbolic trichotomy of
 triangle groups, maximal finite standard parabolic subgroups (by the
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from threading import Lock
 
 from .cosets import MAX_COSETS, CayleyTable, todd_coxeter
 from .cyclo import Cyc, label_modulus, sign_real, two_cos_pi_over
@@ -85,6 +89,9 @@ class CoxeterMatrix(Value):
 
 _NEGATIVE = -1
 _ELEVATED = -2
+# entries of a table's transitions that name no state
+_DESCENT = -1
+_UNSEEN = -2
 
 
 class MinimalRootTable:
@@ -93,6 +100,16 @@ class MinimalRootTable:
     ``action[r][s]`` is the index of s(root r), or ``_NEGATIVE`` when
     root r is the s-th simple root (sent negative), or ``_ELEVATED`` when
     the image dominates a simple root and leaves the minimal set.
+
+    The word problem walks the automaton of Brink & Howlett (Math. Ann.
+    1993): the state of a reduced prefix is the set of minimal roots that
+    it sends negative, and a table has finitely many.  State i is the set
+    ``_sets[i]``, numbered in order of first use from the empty set, 0.
+    ``_next[i][s]`` is the state after appending s, or ``_DESCENT`` when
+    a_s is in the set (s is a right descent), or ``_UNSEEN`` until that
+    transition is first used.  The memo gains at most one set per letter
+    processed, and a written entry never changes, so every caller of a
+    shared table reads the same automaton.
     """
 
     def __init__(self, cm: CoxeterMatrix):
@@ -151,6 +168,10 @@ class MinimalRootTable:
                 row.append(index[img])
             self.action.append(row)
             r += 1
+        self._sets: list[frozenset[int]] = [frozenset()]
+        self._ids: dict[frozenset[int], int] = {frozenset(): 0}
+        self._next: list[list[int]] = [[_UNSEEN] * self.rank]
+        self._lock = Lock()  # numbers each new set once
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -161,38 +182,64 @@ class MinimalRootTable:
         # generators are involutions; inverse letters act identically
         return [abs(x) - 1 for x in w.letters]
 
-    def _step(self, state: dict[int, int], s: int, idx: int) -> dict[int, int]:
-        """State after appending letter s (not a right descent) at index idx:
-        the minimal roots sent negative, each with the index of the letter
-        that created it."""
+    def _transition(self, i: int, s: int) -> int:
+        """The state after appending letter s, not a descent, to a prefix in
+        state i: the images of the set's roots that stay minimal, and a_s.
+        Computed on first use, numbered if the set is new, and kept."""
         action = self.action
         # _ELEVATED images leave the minimal set; _NEGATIVE cannot occur
-        # because s is not a descent, so a_s is not in the state
-        new_state = {img: born for root, born in state.items() if (img := action[root][s]) >= 0}
-        new_state[s] = idx
-        return new_state
+        # because s is not a descent, so a_s is not in the set
+        new = frozenset([s, *(img for root in self._sets[i] if (img := action[root][s]) >= 0)])
+        with self._lock:
+            j = self._ids.get(new)
+            if j is None:
+                j = self._ids[new] = len(self._sets)
+                self._sets.append(new)
+                self._next.append([_DESCENT if t in new else _UNSEEN for t in range(self.rank)])
+            self._next[i][s] = j
+        return j
 
-    def _delete(self, word: list[int], states: list[dict[int, int]], s: int) -> None:
-        """Delete the letter that created a_s from a reduced word, and replay
-        the prefix states (``states[i]`` belongs to ``word[:i]``) from there."""
-        at = states[-1][s]
+    def _replay(self, word: list[int], states: list[int]) -> None:
+        """Extend ``states`` (``states[i]`` belongs to ``word[:i]``) to the
+        whole reduced word by transition lookups."""
+        nxt = self._next
+        i = states[-1]
+        for s in word[len(states) - 1:]:
+            j = nxt[i][s]
+            if j < 0:
+                j = self._transition(i, s)
+            states.append(j)
+            i = j
+
+    def _delete(self, word: list[int], states: list[int], s: int) -> None:
+        """Delete the letter that created a_s from a reduced word whose state
+        holds a_s, and replay the states from there.  Walking back, a root is
+        either the simple root of the letter before it, which created it, or
+        the image under that letter of a root of the shorter prefix."""
+        action = self.action
+        at = len(word) - 1
+        root = s
+        while root != word[at]:
+            root = action[root][word[at]]
+            at -= 1
         del word[at]
         del states[at + 1:]
-        step = self._step
-        for i in range(at, len(word)):
-            states.append(step(states[-1], word[i], i))
+        self._replay(word, states)
 
     def reduce_word(self, w: Word) -> list[int]:
         """A reduced word (letter list) for the element of w."""
         word: list[int] = []
-        states: list[dict[int, int]] = [{}]
-        step = self._step
+        states = [0]
+        nxt = self._next
         for s in self._letters(w):
-            if s in states[-1]:  # right descent: w s deletes the creating letter
+            j = nxt[states[-1]][s]
+            if j == _DESCENT:  # right descent: w s deletes the creating letter
                 self._delete(word, states, s)
-            else:
-                states.append(step(states[-1], s, len(word)))
-                word.append(s)
+                continue
+            if j == _UNSEEN:
+                j = self._transition(states[-1], s)
+            states.append(j)
+            word.append(s)
         return word
 
     def nf(self, w: Word) -> Word:
@@ -200,13 +247,12 @@ class MinimalRootTable:
         # the right descents of the reversed word are the left descents of
         # the element; peel off the smallest one at a time
         v_inv = self.reduce_word(w)[::-1]
-        states: list[dict[int, int]] = [{}]
-        step = self._step
-        for i, s in enumerate(v_inv):
-            states.append(step(states[-1], s, i))
+        states = [0]
+        self._replay(v_inv, states)
+        nxt = self._next
         out: list[int] = []
         while v_inv:
-            s = min(states[-1])
+            s = nxt[states[-1]].index(_DESCENT)
             out.append(s)
             self._delete(v_inv, states, s)
         ab = self.cm.alphabet()
@@ -224,8 +270,9 @@ def parity(w: Word) -> str:
 @cache
 def triangle_table(k: int, n: int, m: int) -> MinimalRootTable:
     """The minimal-root table of the (k, n, m) triangle group, built once
-    per process; the table is never changed after it is built, so every
-    caller may share it.  Labels whose cyclotomic field is past
+    per process.  Its roots and action never change after the build; its
+    automaton grows by transitions that no later caller sees change, so
+    every caller may share it.  Labels whose cyclotomic field is past
     ``cyclo.MAX_DEGREE`` raise ValueError, and nothing is cached for them."""
     return MinimalRootTable(CoxeterMatrix.triangle(k, n, m))
 

@@ -35,9 +35,10 @@ with the production engines they check:
   in ``standardize``'s numbering.  It shares only ``_columns`` and
   ``_validate`` with ``cosets``.
 - ``reference_felsch``: the original Felsch driver, which looks for the
-  first undefined entry from row 0 after every definition, pushes both
-  entries of each definition as deductions, and stops before a definition
-  once ``max_cosets`` cosets are live.  Complete tables of
+  first undefined entry after every definition (resuming at the row where
+  it found the last one), pushes both entries of each definition as
+  deductions, and stops before a definition once ``max_cosets`` cosets are
+  live.  Complete tables of
   ``todd_coxeter(..., strategy="felsch")`` must equal its tables as
   ``reference_hlt``'s do; it drives the primitive moves of the
   ``reference_hlt`` engine.
@@ -99,10 +100,12 @@ with the production engines they check:
   precision.  ``cyclo.sign_real`` must give the same signs; ``positive_roots``
   and ``gram_parabolic_verdicts`` decide their signs with it.
 - ``reference_reduce_word`` and ``reference_nf``: the original word problem
-  on a ``MinimalRootTable``, which rescans the whole word for its state
-  after every deletion and for every letter of the normal form.
-  ``MinimalRootTable.reduce_word`` and ``.nf`` must give the same words; the
-  references read only the table's ``action``.
+  on a ``MinimalRootTable``, which keeps each state as a dict from root to
+  the index of the letter that created it, and rescans the whole word for
+  its state after every deletion and for every letter of the normal form.
+  ``MinimalRootTable.reduce_word`` and ``.nf``, which walk numbered root
+  sets, must give the same words; the references read only the table's
+  ``action``.
 - ``reference_gnf``: the original Garside normal form, one letter at a
   time.  ``garside.gnf`` must give the same ``GarsideNF``.
   ``garside_nf_word`` renders a ``GarsideNF`` back as the word
@@ -890,6 +893,7 @@ def reference_felsch(p: Presentation, subgens: Sequence[Word] = (), max_cosets: 
         for col in range(e.ncols):
             if e.rows[a][col] is not None:
                 deductions.append((a, col))
+    gap = 0  # no live row before it has an undefined entry
     while True:
         while deductions:
             a, col = deductions.pop()
@@ -898,7 +902,9 @@ def reference_felsch(p: Presentation, subgens: Sequence[Word] = (), max_cosets: 
                 e.scan(a, rot, fill=False)
                 if e.p[a] != a:
                     break
-        a = next((a for a, row in enumerate(e.rows) if e.p[a] == a and None in row), None)
+        # a defined entry is never undefined again once its coincidences
+        # are processed, so the search resumes at the last row it found
+        gap = a = next((a for a in range(gap, len(e.rows)) if e.p[a] == a and None in e.rows[a]), None)
         if a is None:
             return e.finish("complete", subgens, max_cosets)
         if e.live >= max_cosets:

@@ -304,10 +304,22 @@ def test_nf_matches_reference_with_an_infinite_label(letters):
     assert INFINITE_EDGE.nf(w) == reference_nf(INFINITE_EDGE, w)
 
 
-def test_replay_steps_grow_linearly_on_padded_words(monkeypatch):
+class CountedRows(list):
+    """A list of table rows that counts how often a row is read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_replay_steps_grow_linearly_on_padded_words():
     # a reintroduced full rescan costs about (reduced length)^2 / 2 = 180,000
     # steps here; replaying prefix states costs a small multiple of the letters
-    table = triangle_table(4, 5, 6)
+    table = MinimalRootTable(CoxeterMatrix.triangle(4, 5, 6))  # an automaton of its own
     labels = {frozenset((0, 1)): 4, frozenset((1, 2)): 5, frozenset((0, 2)): 6}
     rng = random.Random(11)
     word = [rng.randrange(3)]
@@ -320,18 +332,15 @@ def test_replay_steps_grow_linearly_on_padded_words(monkeypatch):
             word[at:at] = [s, t] * labels[frozenset((s, t))]
     w = Word(table.cm.alphabet(), tuple(x + 1 for x in word))
     expected = reference_nf(table, w)
+    assert table.nf(w) == expected  # fills every transition this word takes
 
-    calls = 0
-    step = MinimalRootTable._step
-
-    def counted(self, state, s, idx):
-        nonlocal calls
-        calls += 1
-        return step(self, state, s, idx)
-
-    monkeypatch.setattr(MinimalRootTable, "_step", counted)
+    # with the memo full, a transition is one read of _next and a walk-back
+    # step one read of action
+    table._next = transitions = CountedRows(table._next)
+    table.action = walk_back = CountedRows(table.action)
     assert table.nf(w) == expected
-    assert 0 < calls < 4 * len(w.letters)
+    assert 0 < walk_back.reads and 0 < transitions.reads
+    assert transitions.reads + walk_back.reads < 4 * len(w.letters)
 
 
 # --- one table per triangle ----------------------------------------------------
@@ -343,14 +352,24 @@ def test_triangle_table_is_built_once():
 
 
 def test_shared_tables_answer_like_fresh_ones():
+    # a shared table answers from transitions that earlier words filled in;
+    # a fresh table fills its own from the empty set
     rng = random.Random(7)
-    tris = [(2, 3, 7), (3, 4, 5), (4, 5, 6), (2, 2, 5)]
-    fresh = {tri: MinimalRootTable(CoxeterMatrix.triangle(*tri)) for tri in tris}
+    shared = [triangle_table(*tri) for tri in [(2, 3, 7), (3, 4, 5), (4, 5, 6), (2, 2, 5)]] + [INFINITE_EDGE]
     for _ in range(60):
-        tri = rng.choice(tris)
-        ab = fresh[tri].cm.alphabet()
-        w = Word(ab, tuple(rng.choice([1, 2, 3]) for _ in range(rng.randrange(0, 120))))
-        assert triangle_table(*tri).nf(w) == fresh[tri].nf(w)
+        table = rng.choice(shared)
+        w = Word(table.cm.alphabet(), tuple(rng.choice([1, 2, 3]) for _ in range(rng.randrange(0, 401))))
+        assert table.nf(w) == MinimalRootTable(table.cm).nf(w)
+
+
+def test_finite_automaton_has_at_most_one_state_per_element():
+    # in a finite group the set of roots a reduced word sends negative
+    # determines its element, so H3 (order 120) has at most 120 states
+    table = MinimalRootTable(CoxeterMatrix.triangle(2, 3, 5))
+    rng = random.Random(3)
+    for _ in range(300):
+        table.nf(Word(table.cm.alphabet(), tuple(rng.choice([1, 2, 3]) for _ in range(rng.randrange(0, 60)))))
+    assert len(table._sets) == len(table._ids) == len(table._next) <= 120
 
 
 def test_triangle_table_caches_no_rejected_input():
