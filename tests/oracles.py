@@ -38,10 +38,9 @@ with the production engines they check:
   first undefined entry after every definition (resuming at the row where
   it found the last one), pushes both entries of each definition as
   deductions, and stops before a definition once ``max_cosets`` cosets are
-  live.  Complete tables of
-  ``todd_coxeter(..., strategy="felsch")`` must equal its tables as
-  ``reference_hlt``'s do; it drives the primitive moves of the
-  ``reference_hlt`` engine.
+  live.  Complete tables of ``todd_coxeter(..., strategy="felsch")`` must
+  equal its tables as ``reference_hlt``'s do; it drives the primitive
+  moves of the ``reference_hlt`` engine.
 - ``standardize``: a complete coset table renumbered breadth first from
   coset 0, columns in order, each coset numbered when first reached.  Two
   complete tables of one subgroup are the same action exactly when their
