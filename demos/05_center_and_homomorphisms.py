@@ -10,7 +10,6 @@ derivation checker replays step by step.
 from toricgroups import coxeter, maps
 from toricgroups import presentations as pres
 from toricgroups.cosets import CayleyTable, group_order, todd_coxeter
-from toricgroups.schreier import chain_relators
 from toricgroups.words import check_derivation, free_reduce, invert
 
 k, n, m = 2, 3, 4
@@ -27,7 +26,7 @@ print("phi(c) trivial:", triangle.is_identity(phi.apply(c)))
 
 print("\nthe rewriting chain for x1 c -> c x1, machine-checked:")
 witness = maps.centrality_witness(k, n, m, 1)
-_, chains = chain_relators(n, m)
+chains = pres.torus_classical(n, m).relators
 check_derivation(witness, chains)
 for w in witness.words():
     print("  ", w)

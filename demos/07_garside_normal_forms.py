@@ -9,8 +9,7 @@ over the meridians x1 ... xn as well.
 import random
 
 from toricgroups.garside import gnf, meridian, meridian_derivation, sigma, tau
-from toricgroups.presentations import XY
-from toricgroups.schreier import chain_relators
+from toricgroups.presentations import XY, torus_classical
 from toricgroups.words import Word, apply_map, check_derivation
 
 ab = XY
@@ -41,7 +40,7 @@ mer = meridian(2, 3, 2, 1)
 print("  meridian(2,3,2,1) =", mer)
 print("  classical image:", apply_map(sigma(2, 3), mer))
 derivation = meridian_derivation(2, 3)
-check_derivation(derivation, chain_relators(2, 3)[1])
+check_derivation(derivation, torus_classical(2, 3).relators)
 print(f"  rewritten to {derivation.end()} in {len(derivation.steps)} checked steps")
 
 print("\nwords over the meridians, through tau:")

@@ -18,7 +18,7 @@ from math import gcd
 
 from . import coxeter, maps, schreier
 from .cosets import CayleyTable, group_order, reflection_class_count, todd_coxeter
-from .presentations import FamilyParams, TietzeBudgetExceeded, serialize, tietze_simplify, toric
+from .presentations import FamilyParams, ParameterError, TietzeBudgetExceeded, serialize, tietze_simplify, toric
 from .words import Value
 
 
@@ -108,8 +108,12 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, 
 
 def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
     """Result, status and evidence of ``sweep``: one entry per triple
-    2 <= k <= max_k, 2 <= n < m <= max_m, gcd(n, m) = 1."""
-    entries = []
+    2 <= k <= max_k, 2 <= n < m <= max_m, gcd(n, m) = 1; the evidence names
+    each finite row whose enumeration overflows ``max_cosets``."""
+    for name, bound in (("max_k", max_k), ("max_m", max_m)):
+        if bound < 2:
+            raise ParameterError(f"{name} must be >= 2, got {bound}")
+    entries, evidence = [], []
     for k in range(2, max_k + 1):
         for n in range(2, max_m):
             for m in range(n + 1, max_m + 1):
@@ -128,8 +132,10 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]
                 else:
                     cayley = finite_quotient(k, n, m, max_cosets)
                     entry["order"] = None if cayley is None else cayley.size
+                    if cayley is None:
+                        evidence.append(f"W({k},{n},{m}): enumeration overflowed at {max_cosets}; membership retained")
                 entries.append(entry)
-    return {"entries": entries, "count": len(entries)}, "ok", []
+    return {"entries": entries, "count": len(entries)}, "ok", evidence
 
 
 def toric_word_problem(k: int, n: int, m: int, w: str, max_cosets: int) -> tuple[dict, str, list[str]]:

@@ -79,8 +79,8 @@ finite, so it completes over infinite parents.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
 
 from .presentations import FamilyParams, Presentation, build
 from .words import Value, Word, free_reduce
@@ -126,7 +126,7 @@ class EnumStats(Value):
 class CosetTable:
     """A completed (or overflowed) enumeration result.
 
-    Read it through ``step`` and ``trace``.  Coset 0 is the subgroup
+    Read it through ``trace``, which acts by a word.  Coset 0 is the subgroup
     itself.  ``columns[col][c]`` is the coset reached from c by the
     column's letter (generator i at column 2i, its inverse at 2i + 1); for
     a complete table every column is a permutation of the cosets.
@@ -153,13 +153,6 @@ class CosetTable:
     @property
     def complete(self) -> bool:
         return self.status == "complete"
-
-    def step(self, coset: int, letter: int) -> int:
-        """Act by a single signed letter."""
-        dest = self.columns[2 * letter - 2 if letter > 0 else -2 * letter - 1][coset]
-        if dest is None:
-            raise ValueError("table entry undefined (table not complete)")
-        return dest
 
     def trace(self, coset: int, w: Word) -> int:
         columns = self.columns
@@ -558,10 +551,11 @@ def enumerate_record(params: FamilyParams, subgroup: str, normal_closure: bool, 
         evidence.append(f"normal closure of {len(subgens)} seed(s)")
     else:
         table = todd_coxeter(pres, subgens, max_cosets, strategy)
+    key = "index" if subgens else "order"
     if not table.complete:
         evidence.append(f"overflow at bound {table.bound}")
-        return {"order": None, "cosets": table.num_cosets}, "unknown", evidence
-    return {"index" if subgens else "order": table.num_cosets, "cosets": table.num_cosets}, "ok", evidence
+        return {key: None, "cosets": table.num_cosets}, "unknown", evidence
+    return {key: table.num_cosets, "cosets": table.num_cosets}, "ok", evidence
 
 
 def _bfs_edges(t: CosetTable, column_order: Sequence[int]) -> list[tuple[int, int, int]]:

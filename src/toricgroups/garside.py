@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from itertools import chain, groupby
 
-from .presentations import XY, FamilyParams, cyclic_product, meridians
-from .schreier import chain_implies_shift, chain_relators, chain_step
+from .presentations import XY, FamilyParams, cyclic_product, meridians, torus_classical
+from .schreier import chain_implies_shift, chain_step
 from .words import (Derivation, GenMap, RewriteStep, Value, Word, apply_map, free_reduce, parse_either,
                     signed_images, undone)
 
@@ -149,14 +149,14 @@ def meridian(n: int, m: int, a: int, b: int) -> Word:
 
 def meridian_derivation(n: int, m: int) -> Derivation:
     """Rewriting chain sigma(mu) -> x_1 for mu = tau(x_1), citing only the
-    chain relators: check with ``check_derivation(d, chain_relators(n, m)[1])``.
+    chain relators: check with ``check_derivation(d, torus_classical(n, m).relators)``.
 
     sigma(mu) = P^a Q^-b (P = x_1...x_n, Q = x_1...x_m), and P^a is the word
     x_1 x_2 ... x_{bm+1}, indices mod n.  Chain rewrites of its b blocks of m
     letters leave Q^b x_n Q^-b; the shift lemma x_i Q -> Q x_{i+m}, reversed,
     moves x_n left through each Q to x_{n-bm} = x_1; Q^b Q^-b cancels freely.
     """
-    ab, _ = chain_relators(n, m)  # checks n and m
+    ab = torus_classical(n, m).alphabet  # checks n and m
     a = pow(n, -1, m)
     b = (a * n - 1) // m
     start = apply_map(sigma(n, m), meridian(n, m, a, b))

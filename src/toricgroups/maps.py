@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from .cyclo import label_modulus
 from .presentations import (STU, TRIANGLE, FamilyParams, Presentation, alt_plus, cyclic_product, j_parent, meridians,
-                            toric)
-from .schreier import chain_implies_shift, chain_relators, delta_power_to_twist
+                            toric, torus_classical)
+from .schreier import chain_implies_shift, delta_power_to_twist
 from .words import Derivation, GenMap, Value, Word, apply_map, moved, undone
 from .words import compose as compose_maps
 from .words import free_reduce
@@ -129,13 +129,13 @@ def central_element(k: int, n: int, m: int) -> Word:
 def centrality_witness(k: int, n: int, m: int, i: int) -> Derivation:
     """Explicit rewriting chain x_i c -> c x_i, citing only the chain relators.
 
-    Check with ``check_derivation(w, chain_relators(n, m)[1])``.  The chain
+    Check with ``check_derivation(w, torus_classical(n, m).relators)``.  The chain
     first rewrites c as the n-th power of the m-factor product delta, then
     pushes x_i through one delta at a time (each pass shifts the index by
     m mod n; after n passes the index returns to i), and finally restores c.
     A capability of the paper kept for the tests and demos, its only callers.
     """
-    ab, _ = chain_relators(n, m)
+    ab = torus_classical(n, m).alphabet  # checks n and m
     if not 1 <= i <= n:
         raise ValueError("generator index out of range")
     start = Word(ab, (i, *cyclic_product(n, 0, n * m)))

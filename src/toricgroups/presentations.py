@@ -122,7 +122,8 @@ def _chain(words: list[Word]) -> list[Word]:
 
 
 def torus_classical(n: int, m: int) -> Presentation:
-    """n meridian generators, the n-term chain of m-factor products."""
+    """n meridian generators, the n-term chain of m-factor products: relator
+    j - 2 says x_1...x_m = x_j...x_{j+m-1} (j = 2..n, indices mod n)."""
     FamilyParams("torus-classical", (n, m))
     ab = meridians(n)
     return Presentation(ab, tuple(_chain(cyclic_products(ab, n, m))))
@@ -263,33 +264,22 @@ class TietzeBudgetExceeded(Exception):
         super().__init__("tietze step budget exceeded")
 
 
-def _cancel_outward(s: str, pair: str) -> str:
-    """``s`` with every occurrence of the inverse pair ``pair`` cancelled, each
-    together with the inverse pairs it exposes.
-
-    A cancellation joins two letters that are not inverse, so it never makes a
+def _cancel_outward(s: str, cut: str) -> str:
+    """``s`` with every occurrence of ``cut`` deleted, each deletion
+    cancelling the inverse pairs it brings together.  ``cut`` is an inverse
+    pair, or one code point that no other letter of ``s`` inverts.  A
+    cancellation joins two letters that are not inverse, so it never makes a
     new pair: one left-to-right scan finds them all.
     """
-    i = s.find(pair)
+    i = s.find(cut)
     while i >= 0:
-        j, k = i, i + 2
+        j, k = i, i + len(cut)
         while j and k < len(s) and ord(s[j - 1]) ^ 1 == ord(s[k]):
             j -= 1
             k += 1
         s = s[:j] + s[k:]
-        i = s.find(pair, j)
+        i = s.find(cut, j)
     return s
-
-
-def _join_cancelling(pieces: list[str]) -> str:
-    """The freely reduced product of freely reduced ``pieces``."""
-    out = pieces[0]
-    for piece in pieces[1:]:
-        k, top = 0, min(len(out), len(piece))
-        while k < top and ord(out[-1 - k]) ^ 1 == ord(piece[k]):
-            k += 1
-        out = out[:-k] + piece[k:] if k else out + piece
-    return out
 
 
 def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> Presentation:
@@ -302,8 +292,9 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> Presentatio
        relators it takes the shortest, then the earliest.  If ``budget``
        moves have already been made, ``TietzeBudgetExceeded`` is raised
        instead, carrying the presentation reached so far.
-    3. The move deletes that relator, rotated to g^e w, and replaces g in
-       every other relator by w^-1 (e = 1) or w (e = -1).  The results are
+    3. The move deletes that relator, rotated to g^e w, replaces g in every
+       other relator by w^-1 (e = 1) or w (e = -1), and cancels outward from
+       each seam (from each deleted g when w is empty).  The results are
        cyclically reduced in place; empty relators and later duplicates are
        dropped, so of two relators made equal the earlier one survives.
     4. Steps 2 and 3 repeat until no generator occurs exactly once in any
@@ -390,7 +381,7 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> Presentatio
                     if pair in s:
                         s = _cancel_outward(s, pair)
             else:
-                s = _join_cancelling(old.replace(down, up).split(up))
+                s = _cancel_outward(old.replace(down, up), up)
             i, j = 0, len(s)
             while j - i >= 2 and ord(s[i]) ^ 1 == ord(s[j - 1]):
                 i += 1

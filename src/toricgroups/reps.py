@@ -14,6 +14,8 @@ counterexample at (a, b, c) = (6, 2, 3).
 
 from __future__ import annotations
 
+from functools import cache
+
 from .classify import finite_quotient
 from .cyclo import Cyc, label_modulus, zeta
 from .maps import meridian_embedding
@@ -87,26 +89,28 @@ class Rep(Value):
         return self.theta * self.phi * self.psi
 
 
-def _label_roots(a: int, b: int, c: int) -> tuple[Cyc, Cyc, Cyc]:
-    """theta, phi, psi in Z[zeta_N], N = ``label_modulus(a, b, c)``."""
+@cache
+def _field(a: int, b: int, c: int) -> tuple[Cyc, Cyc, Cyc, Cyc]:
+    """theta, phi, psi in Z[zeta_N], N = ``label_modulus(a, b, c)``, and the
+    q r that the representation requires; built once per label triple."""
     n = label_modulus(a, b, c)
-    return zeta(n, n // (2 * a)), zeta(n, n // (2 * b)), zeta(n, n // (2 * c))
+    theta, phi, psi = zeta(n, n // (2 * a)), zeta(n, n // (2 * b)), zeta(n, n // (2 * c))
+    return theta, phi, psi, theta * phi * (psi + psi.inv()) - theta * theta - phi * phi
 
 
-def constraint_value(a: int, b: int, c: int, roots: tuple[Cyc, Cyc, Cyc] | None = None) -> Cyc:
-    """The q r that the representation requires, from ``roots`` = ``_label_roots(a, b, c)`` (built if not given)."""
-    theta, phi, psi = roots or _label_roots(a, b, c)
-    return theta * phi * (psi + psi.inv()) - theta * theta - phi * phi
+def constraint_value(a: int, b: int, c: int) -> Cyc:
+    """The q r that the representation requires."""
+    return _field(a, b, c)[3]
 
 
-def qr_presets(a: int, b: int, c: int, value: Cyc | None = None) -> dict[str, tuple[Cyc, Cyc]]:
-    """Named (q, r) choices for ``value`` = ``constraint_value(a, b, c)`` (computed if not given).
+def qr_presets(a: int, b: int, c: int) -> dict[str, tuple[Cyc, Cyc]]:
+    """Named (q, r) choices for ``constraint_value(a, b, c)``.
 
     When the constraint value is nonzero the canonical choices put it on
     either side; when it vanishes both (0,0) and (1,0) are admissible, and
     the two give non-isomorphic representations.
     """
-    value = constraint_value(a, b, c) if value is None else value
+    value = constraint_value(a, b, c)
     zero, one = Cyc.zero(value.n), Cyc.one(value.n)
     if value.is_zero():
         return {"zero": (zero, zero), "unit": (one, zero)}
@@ -117,18 +121,12 @@ def build_rho(a: int, b: int, c: int, q: Cyc, r: Cyc) -> Rep:
     """Assemble the representation over Z[zeta_N], N = lcm(2a, 2b, 2c),
     enforcing the q r constraint exactly; q and r are embedded there.
     Labels past ``cyclo.MAX_DEGREE`` raise ValueError."""
-    roots = _label_roots(a, b, c)
-    return _rho(a, b, c, q, r, roots, constraint_value(a, b, c, roots))
-
-
-def _rho(a: int, b: int, c: int, q: Cyc, r: Cyc, roots: tuple[Cyc, Cyc, Cyc], required: Cyc) -> Rep:
-    theta, phi, psi = roots
-    modulus = theta.n
-    q, r = q.embed(modulus), r.embed(modulus)
+    theta, phi, psi, required = _field(a, b, c)
+    q, r = q.embed(theta.n), r.embed(theta.n)
     got = q * r
     if got != required:
         raise ConstraintError(got, required)
-    one, nil = Cyc.one(modulus), Cyc.zero(modulus)
+    one, nil = Cyc.one(theta.n), Cyc.zero(theta.n)
     mat_s: Mat2 = ((theta * theta, q), (nil, one))
     mat_t: Mat2 = ((one, nil), (r, phi * phi))
     mat_u = mat_scale(theta * phi * psi, mat_mul(mat_inv(mat_t), mat_inv(mat_s)))
@@ -137,13 +135,11 @@ def _rho(a: int, b: int, c: int, q: Cyc, r: Cyc, roots: tuple[Cyc, Cyc, Cyc], re
 
 def build_rho_preset(a: int, b: int, c: int, preset: str | None = None) -> Rep:
     FamilyParams("j-parent", (a, b, c))  # labels must be integers >= 2
-    roots = _label_roots(a, b, c)
-    required = constraint_value(a, b, c, roots)
-    presets = qr_presets(a, b, c, required)
+    presets = qr_presets(a, b, c)
     preset = next(iter(presets)) if preset is None else preset
     if preset not in presets:
         raise ValueError(f"unknown (q,r) preset {preset!r}; have {sorted(presets)}")
-    return _rho(a, b, c, *presets[preset], roots, required)
+    return build_rho(a, b, c, *presets[preset])
 
 
 def relation_checks(rep: Rep) -> dict[str, bool]:

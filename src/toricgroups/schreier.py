@@ -20,11 +20,11 @@ chain from the parameters (a, b, c); the derivation here and the
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from itertools import chain
-from typing import Callable, Sequence
 
 from .cosets import MAX_COSETS, CosetTable, bfs_transversal, normal_closure_table
-from .presentations import Presentation, cyclic_product, j_parent, meridians, toric, torus_classical
+from .presentations import Presentation, cyclic_product, j_parent, meridians, toric
 from .words import (Alphabet, Derivation, RewriteStep, Value, Word, check_derivation, cyclic_reduce_letters,
                     free_reduce_letters, invert, signed_images, undone)
 
@@ -251,13 +251,6 @@ def closed_form_generator(k: int, n: int, m: int, which: str, ell: int, p: int) 
 # --- relation equivalence as explicit derivations ---------------------------
 
 
-def chain_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
-    """The anchored chain relators of the classical presentation, indexed so
-    that relator j-2 says x_1...x_m = x_j...x_{j+m-1} (j = 2..n)."""
-    classical = torus_classical(n, m)
-    return classical.alphabet, list(classical.relators)
-
-
 def shift_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
     """Relators saying x_i (x_1...x_m) = (x_1...x_m) x_{i+m}, for i = 1..n."""
     ab = meridians(n)
@@ -353,8 +346,8 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
 
 def chain_step(n: int, m: int, position: int, j: int) -> tuple[RewriteStep, ...]:
     """The step rewriting delta = x_1...x_m at ``position`` as the m-factor
-    product x_j...x_{j+m-1} (indices mod n), citing chain relator j - 2; no
-    step for j = 1, where the two words agree."""
+    product x_j...x_{j+m-1} (indices mod n), citing relator j - 2 of
+    ``torus_classical(n, m)``; no step for j = 1, where the two words agree."""
     if j == 1:
         return ()
     ab = meridians(n)

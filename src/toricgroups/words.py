@@ -10,8 +10,8 @@ reduction logic never has to treat syllables specially.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
 
 # sets a field of a Value, past the __setattr__ that refuses assignment
 _set = object.__setattr__

@@ -51,7 +51,7 @@ with the production engines they check:
   coset of each orbit of <v>, so its relators must be a subsequence of the
   reference's, in order, and every reference relator a cyclic rotation of
   a kept one once both are cyclically reduced.  It reads only the table's
-  ``step`` and ``trace`` and the representatives, and builds its own set
+  ``columns`` and ``trace`` and the representatives, and builds its own set
   of tree edges from each representative's last letter.
 - ``reference_check_toric_presentation``: the original check of the toric
   presentation on Word objects: each closed form a ``Word`` through
@@ -69,12 +69,11 @@ with the production engines they check:
 - ``reference_conjugacy_class_ids``: the original class ids of a Cayley
   table, which trace every element's whole transversal word once per
   signed generator.  ``CayleyTable.conjugacy_class_ids`` must give the same
-  ids; the reference reads only the table's ``step``, ``trace`` and
-  ``words``.
+  ids; the reference reads only the table's ``trace`` and ``words``.
 - ``reference_center`` and ``reference_center_plus_order``: the original
   center of a Cayley table, which traces every element's transversal word
   once per generator, and the order of Z(W+) of a Coxeter table by
-  comparing ``mul`` both ways over every pair of even elements.
+  tracing each product both ways over every pair of even elements.
   ``CayleyTable.center`` and ``coxeter.center_check_plus`` must agree.
 - ``reference_cyc`` (``ReferenceCyc``, ``reference_zeta``): the original
   cyclotomic arithmetic, over all of Q(zeta_n): ``Fraction`` coefficients,
@@ -139,8 +138,8 @@ from toricgroups.cosets import CayleyTable, CosetTable, _columns, _validate, bfs
 from toricgroups.coxeter import MinimalRootTable
 from toricgroups.cyclo import _degree, cyclotomic_polynomial
 from toricgroups.garside import GarsideNF
-from toricgroups.presentations import XY, FamilyParams, Presentation, TietzeBudgetExceeded, toric
-from toricgroups.schreier import RSResult, SubgroupGenerator, chain_relators, closed_form_generator, shift_relators
+from toricgroups.presentations import XY, FamilyParams, Presentation, TietzeBudgetExceeded, toric, torus_classical
+from toricgroups.schreier import RSResult, SubgroupGenerator, closed_form_generator, shift_relators
 from toricgroups.words import (Alphabet, GenMap, Word, WordSyntaxError, apply_map, check_derivation, cyclic_reduce,
                                free_reduce, invert)
 
@@ -529,7 +528,7 @@ def reference_rs_presentation(p: Presentation, ct: CosetTable, reps: Sequence[Wo
         for g in range(len(p.alphabet)):
             if (c, 2 * g) in tree:
                 continue
-            dest = ct.step(c, g + 1)
+            dest = ct.columns[2 * g][c]
             value = free_reduce(Word(p.alphabet, reps[c].letters + (g + 1,) + invert(reps[dest]).letters))
             gen_index[(c, g)] = len(sub_gens)
             name = p.alphabet.names[g]
@@ -541,14 +540,14 @@ def reference_rs_presentation(p: Presentation, ct: CosetTable, reps: Sequence[Wo
         for r in p.relators:
             out: list[int] = []
             q = c
-            for x in r.letters:
+            for x, col in zip(r.letters, _columns(r)):
                 g = abs(x) - 1
                 if x > 0:
                     if (q, 2 * g) not in tree:
                         out.append(gen_index[(q, g)] + 1)
-                    q = ct.step(q, x)
+                    q = ct.columns[col][q]
                 else:
-                    q = ct.step(q, x)
+                    q = ct.columns[col][q]
                     if (q, 2 * g) not in tree:
                         out.append(-(gen_index[(q, g)] + 1))
             w = free_reduce(Word(sub_alphabet, tuple(out)))
@@ -586,7 +585,7 @@ def reference_check_toric_presentation(k: int, n: int, m: int, labels: dict[int,
 
     reference = toric(k, n, m)
     ref_canon = {_reference_cyclic_canonical(r) for r in reference.relators}
-    _, chains = chain_relators(n, m)
+    chains = torus_classical(n, m).relators
     _, shifts = shift_relators(n, m)
     shift_canon = {_reference_cyclic_canonical(r): i for i, r in enumerate(shifts, start=1)}
     found: set[tuple[int, ...]] = set()
@@ -917,9 +916,9 @@ def reference_felsch(p: Presentation, subgens: Sequence[Word] = (), max_cosets: 
 def reference_conjugacy_class_ids(cay: CayleyTable) -> list[int]:
     """Class id per element, the least element of its class, by tracing words."""
     table, words = cay.table, cay.words
-    # g^-1 * e * g: step from coset 0 by g^-1, trace e's word, step by g
-    conjugators = [(table.step(0, -letter), letter) for g in range(1, len(cay.alphabet) + 1)
-                   for letter in (g, -g)]
+    # g^-1 * e * g: trace g^-1 from coset 0, then e's word, then g
+    conjugators = [(table.trace(0, Word(cay.alphabet, (-letter,))), Word(cay.alphabet, (letter,)))
+                   for g in range(1, len(cay.alphabet) + 1) for letter in (g, -g)]
     ids = [-1] * cay.size
     for start in range(cay.size):
         if ids[start] >= 0:
@@ -928,8 +927,8 @@ def reference_conjugacy_class_ids(cay: CayleyTable) -> list[int]:
         stack = [start]
         while stack:
             e = stack.pop()
-            for first, letter in conjugators:
-                c = table.step(table.trace(first, words[e]), letter)
+            for first, last in conjugators:
+                c = table.trace(table.trace(first, words[e]), last)
                 if ids[c] < 0:
                     ids[c] = start
                     stack.append(c)
@@ -939,12 +938,13 @@ def reference_conjugacy_class_ids(cay: CayleyTable) -> list[int]:
 def reference_center(cay: CayleyTable) -> list[int]:
     """Indices of the elements commuting with every generator, by tracing words."""
     table = cay.table
+    gens = [Word(cay.alphabet, (g,)) for g in range(1, len(cay.alphabet) + 1)]
     out = []
     for e in range(cay.size):
         ok = True
-        for g in range(1, len(cay.alphabet) + 1):
-            left = table.step(e, g)
-            right = table.trace(table.step(0, g), cay.words[e])
+        for gen in gens:
+            left = table.trace(e, gen)
+            right = table.trace(table.trace(0, gen), cay.words[e])
             if left != right:
                 ok = False
                 break

@@ -124,10 +124,12 @@ def test_enumerate_json_schema(capsys):
 
 
 def test_enumerate_overflow_is_status_unknown_exit_zero(capsys):
-    code, payload = run_json(capsys, "enumerate", "toric", "2", "3", "7", "--max-cosets", "2000")
-    assert code == 0
-    assert payload["status"] == "unknown"
-    assert payload["result"]["order"] is None
+    # an overflow keeps the key that the completed request answers with
+    for argv, key in ((("--max-cosets", "2000"), "order"), (("--max-cosets", "50", "--subgroup", "x1"), "index")):
+        code, payload = run_json(capsys, "enumerate", "toric", "2", "3", "7", *argv)
+        assert code == 0
+        assert payload["status"] == "unknown"
+        assert payload["result"] == {key: None, "cosets": payload["result"]["cosets"]}
 
 
 def test_max_cosets_below_one_is_input_error(capsys):
@@ -424,6 +426,8 @@ def test_rep_extra_arguments_are_rejected(capsys):
     (("wp", "toric", "2", "3", "x1"), "error: expected 3 labels, got 2"),
     (("rep", "check", "6", "2"), "error: rep check needs three parameters a b c"),
     (("rep", "check", "a", "b", "c"), "error: parameters must be integers, got ['a', 'b', 'c']"),
+    (("sweep", "--max-k", "-3", "--max-m", "-1"), "error: max_k must be >= 2, got -3"),
+    (("sweep", "--max-m", "1"), "error: max_m must be >= 2, got 1"),
 ])
 def test_argument_refusals_name_their_fault(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -434,6 +438,8 @@ def test_argument_refusals_name_their_fault(capsys, argv, message):
     (("--max-cosets", "1", "classify", "5", "2", "3"), "ok", "enumeration overflowed at 1; membership retained"),
     (("--max-cosets", "1", "derive", "2", "3", "5"), "unknown", "enumeration overflowed at 1"),
     (("--max-cosets", "100", "derive", "2", "3", "5"), "unknown", "order enumeration overflowed at 100"),
+    (("--max-cosets", "5", "sweep", "--max-k", "3", "--max-m", "5"), "ok",
+     "W(3,2,5): enumeration overflowed at 5; membership retained"),
 ])
 def test_overflows_are_named_in_the_evidence(capsys, argv, status, evidence):
     code, payload = run_json(capsys, *argv)
@@ -490,6 +496,15 @@ def test_sweep_counts_and_distinguishes(capsys):
                e.get("shephard_todd"), e.get("order"))
         keys.add(key)
     assert len(keys) == len(entries)
+
+
+def test_sweep_names_every_overflowed_finite_row_in_grid_order(capsys):
+    code, payload = run_json(capsys, "--max-cosets", "5", "sweep", "--max-k", "3", "--max-m", "5")
+    assert (code, payload["status"]) == (0, "ok")
+    finite = [e for e in payload["result"]["entries"] if e["finite"]]
+    assert [e["order"] for e in finite] == [None] * 6
+    assert payload["evidence"] == [f"W({k},{n},{m}): enumeration overflowed at 5; membership retained"
+                                   for k, n, m in (e["parameters"] for e in finite)]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REQUESTS))

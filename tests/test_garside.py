@@ -21,8 +21,8 @@ from toricgroups.garside import (
     tau,
     word_problem,
 )
-from toricgroups.presentations import XY
-from toricgroups.schreier import chain_relators, delta_power_to_twist
+from toricgroups.presentations import XY, torus_classical
+from toricgroups.schreier import delta_power_to_twist
 from toricgroups.words import (Derivation, RewriteStep, Word, WordSyntaxError, apply_map, check_derivation,
                                free_reduce, parse_word, signed_images)
 
@@ -213,7 +213,7 @@ CLASSICAL_PAIRS = [(n, m) for n in range(2, 13) for m in range(2, 13) if math.gc
 @pytest.mark.parametrize("n,m", CLASSICAL_PAIRS)
 def test_tau_and_sigma_are_inverse_isomorphisms(n, m):
     t, s = tau(n, m), sigma(n, m)
-    _, chains = chain_relators(n, m)
+    chains = torus_classical(n, m).relators
     # tau is a homomorphism: it kills every classical relator
     for r in chains:
         assert gnf(n, m, apply_map(t, r)).is_identity(), r
@@ -235,7 +235,7 @@ def test_tau_and_sigma_are_inverse_isomorphisms(n, m):
 
 def test_meridian_derivation_rejects_a_wrong_relator_index():
     n, m = 3, 5
-    _, chains = chain_relators(n, m)
+    chains = torus_classical(n, m).relators
     d = meridian_derivation(n, m)
     cited = [k for k, step in enumerate(d.steps) if step.relator_index is not None]
     assert cited
@@ -258,7 +258,7 @@ def test_equal_normal_forms_agree_in_finite_quotients():
         for n, m in ((a, b), (b, a)):
             cay = toric_cayley(k, n, m)
             t = tau(n, m)
-            _, chains = chain_relators(n, m)
+            chains = torus_classical(n, m).relators
             for _ in range(60):
                 u = _classical_word(rng, t)
                 # an equal word (a conjugate of a relator inserted) and a random one

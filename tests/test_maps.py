@@ -16,7 +16,6 @@ from toricgroups.maps import (
     compose_homs,
     psi_params,
 )
-from toricgroups.schreier import chain_relators
 from toricgroups.words import GenMap, Word, check_derivation, free_reduce, invert
 
 SWEEP = FINITE_ROWS + [(6, 2, 3), (2, 3, 7), (4, 2, 5)]
@@ -203,7 +202,7 @@ def test_corrupted_map_reports_failing_relator():
 
 @pytest.mark.parametrize("k,n,m", [(2, 2, 3), (2, 3, 4), (2, 3, 5), (2, 3, 7)])
 def test_centrality_witness_validates(k, n, m):
-    _, chains = chain_relators(n, m)
+    chains = pres.torus_classical(n, m).relators
     ab = central_element(k, n, m).alphabet
     for i in range(1, n + 1):
         d = centrality_witness(k, n, m, i)

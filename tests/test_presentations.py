@@ -258,6 +258,16 @@ def _tietze_outcome(simplify, p: Presentation, budget: int) -> tuple[str, Presen
         return "budget", e.best
 
 
+def test_tietze_g_equal_one_cancels_across_two_gaps():
+    # g1 = 1 deletes three g1: the second deletion cancels g3 g3^-1 and leaves
+    # g2 g1 g2^-1 g3, so the third, one letter left of where the search stood,
+    # cancels g2 g2^-1 across the two gaps, leaving g3
+    p = parse_presentation("gens: g1 g2 g3\nrel: g1\nrel: g2 g1 g3 g1 g3^-1 g1 g2^-1 g3")
+    assert _tietze_outcome(tietze_simplify, p, 1) == ("budget", parse_presentation("gens: g2 g3\nrel: g3"))
+    for budget in (1, 10):
+        assert _tietze_outcome(tietze_simplify, p, budget) == _tietze_outcome(reference_tietze, p, budget)
+
+
 @st.composite
 def small_presentations(draw) -> Presentation:
     n = draw(st.integers(1, 5))

@@ -13,12 +13,12 @@ from toricgroups.maps import centrality_witness
 from toricgroups import presentations as pres
 from toricgroups.coxeter import classify_triangle
 from toricgroups.cosets import group_order, todd_coxeter
-from toricgroups.presentations import cyclic_products, parse_presentation, serialize, tietze_simplify
+from toricgroups.presentations import (cyclic_products, meridians, parse_presentation, serialize, tietze_simplify,
+                                       torus_classical)
 from toricgroups.schreier import (
     RSResult,
     SubgroupGenerator,
     chain_implies_shift,
-    chain_relators,
     chain_step,
     check_toric_presentation,
     closed_form_generator,
@@ -45,7 +45,7 @@ def chain_from_shift_derivations(n: int, m: int) -> list[Derivation]:
 
     The j-th derivation cites the shift relators followed by the already
     derived chain relators d_2, ..., d_{j-1} (the inductive hypothesis), so
-    check it against ``shift_relators(n, m)[1] + chain_relators(n, m)[1][:j-2]``.
+    check it against ``shift_relators(n, m)[1] + list(torus_classical(n, m).relators)[:j-2]``.
     Each derivation inserts x_{j-1}^-1 x_{j-1} in front, rewrites the m-factor
     product starting at x_{j-1} to delta by the previous chain, then pushes
     x_{j-1} back through delta by the shift relator and cancels.
@@ -474,7 +474,7 @@ def test_spherical_coprime_rows_are_the_finite_table():
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (2, 5), (3, 5), (4, 5)])
 def test_chain_and_shift_relators_imply_each_other(n, m):
-    ab, chains = chain_relators(n, m)
+    ab, chains = meridians(n), torus_classical(n, m).relators
     _, shifts = shift_relators(n, m)
     delta = Word(ab, tuple(j % n + 1 for j in range(m)))
     # chains => shifts
@@ -485,7 +485,7 @@ def test_chain_and_shift_relators_imply_each_other(n, m):
         assert d.end() == free_reduce(delta * Word(ab, ((i + m - 1) % n + 1,)))
     # shifts => chains (inductively, citing previously derived chains)
     for j, d in zip(range(2, n + 1), chain_from_shift_derivations(n, m)):
-        check_derivation(d, shifts + chains[: j - 2])
+        check_derivation(d, shifts + list(chains[: j - 2]))
         assert d.end() == delta
 
 
@@ -522,7 +522,7 @@ def test_rewritten_relators_are_chains_or_shifts(n, m):
 
 def test_delta_power_to_twist_derivation():
     for n, m in [(2, 3), (3, 4), (3, 5)]:
-        ab, chains = chain_relators(n, m)
+        ab, chains = meridians(n), torus_classical(n, m).relators
         d = delta_power_to_twist(n, m)
         check_derivation(d, chains)
         twist = Word(ab, tuple(i % n + 1 for i in range(n)) * m)
@@ -546,7 +546,7 @@ LEMMAS = {
 def test_undone_steps_take_every_lemma_back_to_its_start(pair, i, lemma):
     n, m = pair
     d = LEMMAS[lemma](n, m, (i - 1) % n + 1)
-    chains = chain_relators(n, m)[1]
+    chains = torus_classical(n, m).relators
     back = Derivation(check_derivation(d, chains), undone(d.steps, 0))
     assert check_derivation(back, chains) == d.start
 
@@ -555,7 +555,7 @@ def test_undone_steps_take_every_lemma_back_to_its_start(pair, i, lemma):
 def test_moved_steps_replay_a_lemma_inside_a_padded_word(pair, i, lemma, data):
     n, m = pair
     d = LEMMAS[lemma](n, m, (i - 1) % n + 1)
-    ab, chains = chain_relators(n, m)
+    ab, chains = meridians(n), torus_classical(n, m).relators
     letters = st.sampled_from(sorted(ab.letters))
     left = tuple(data.draw(st.lists(letters, max_size=4)))
     right = tuple(data.draw(st.lists(letters, max_size=4)))
@@ -566,7 +566,7 @@ def test_moved_steps_replay_a_lemma_inside_a_padded_word(pair, i, lemma, data):
 @given(COPRIME_PAIRS, st.integers(0, 3))
 def test_chain_step_rewrites_delta_by_chain_relator_j_minus_2(pair, position):
     n, m = pair
-    ab, chains = chain_relators(n, m)
+    ab, chains = meridians(n), torus_classical(n, m).relators
     assert chain_step(n, m, position, 1) == ()
     for j in range(2, n + 1):
         (step,) = chain_step(n, m, position, j)

@@ -146,3 +146,13 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_importing_the_cli_loads_no_typing():
+    # annotations name their abstract types from collections.abc; under -S no
+    # site hook (such as a .pth file) imports typing before the package does
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = f"import sys\nsys.path.insert(0, {str(src)!r})\nimport toricgroups.cli\nprint('typing' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
