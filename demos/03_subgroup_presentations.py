@@ -16,6 +16,7 @@ from toricgroups.schreier import (
     toric_column_order,
     toric_coset_labels,
 )
+from toricgroups.words import free_reduce
 
 k, n, m = 2, 3, 4
 parent = pres.j_parent(k, n, m)
@@ -30,7 +31,9 @@ rs = rs_presentation(parent, table, tr, namer=lambda c, g: f"{g}_{labels[c][0]}_
 print(f"\nSchreier generators: {len(rs.presentation.gens)}, raw relators: {len(rs.presentation.relators)}")
 print("a few generator values:")
 for g in rs.generators[:4]:
-    print(f"  {g.name} = {g.value}")
+    # the value of a Schreier generator: rep(c) x rep(c.x)^-1, freely reduced
+    x = parent.alphabet.word(g.gen_name)
+    print(f"  {g.name} = {free_reduce(tr[g.coset] * x * tr[table.trace(g.coset, x)] ** -1)}")
 
 simplified = tietze_simplify(rs.presentation)
 print(f"\nafter Tietze simplification: {len(simplified.gens)} generators, "

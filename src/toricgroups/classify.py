@@ -14,6 +14,7 @@ records of the other modules.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 
 from . import coxeter, maps, schreier
@@ -48,11 +49,15 @@ def finite_toric(k: int, n: int, m: int) -> FiniteToric | None:
     return _SPORADIC.get((k, n, m))
 
 
+@cache
 def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | None:
-    """Cayley table of ``toric(k, n, m)`` on a finite row.
+    """Cayley table of ``toric(k, n, m)`` on a finite row, built once per
+    process for each row and ``max_cosets``.
 
     None when W(k,n,m) is not a finite-table member or when the enumeration
-    overflows ``max_cosets``.
+    overflows ``max_cosets``.  No caller writes to the table, and its
+    ``words`` and ``conjugations`` never change once filled, so every caller
+    may share it.
     """
     if finite_toric(k, n, m) is None:
         return None

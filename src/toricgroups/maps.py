@@ -20,6 +20,8 @@ quotients.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .cyclo import label_modulus
 from .presentations import (STU, TRIANGLE, FamilyParams, Presentation, alt_plus, cyclic_product, j_parent, meridians,
                             toric, torus_classical)
@@ -60,8 +62,12 @@ def compose_homs(outer: Hom, inner: Hom) -> Hom:
     return Hom(inner.source, compose_maps(outer.genmap, inner.genmap))
 
 
+@cache
 def build_phi(k: int, n: int, m: int) -> Hom:
-    """Toric group onto the alternating subgroup of the triangle group."""
+    """Toric group onto the alternating subgroup of the triangle group,
+    built once per process: a ``Hom`` is an immutable value, so every
+    caller may share it.  Labels that raise (a ``ParameterError``, or
+    ``cyclo.MAX_DEGREE`` in ``label_modulus``) cache nothing."""
     FamilyParams("toric", (k, n, m))  # the labels' own errors come before the degree cap
     label_modulus(k, n, m)
     source = toric(k, n, m)

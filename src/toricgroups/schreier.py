@@ -69,17 +69,14 @@ def schreier_transversal(ct: CosetTable, column_order: Sequence[int] | None = No
 
 
 class SubgroupGenerator(Value):
-    """A Schreier generator with its provenance.
+    """A Schreier generator with its provenance: the word k * x * (bar(kx))^-1
+    in the ambient group, where k is the representative of ``coset`` and x
+    the generator named ``gen_name``."""
 
-    ``value`` is the word k * x * (bar(kx))^-1 in the ambient group, where
-    k is the representative of ``coset`` and x the generator named
-    ``gen_name``; it traces coset 0 to itself.
-    """
+    __slots__ = ("name", "coset", "gen_name")
 
-    __slots__ = ("name", "coset", "gen_name", "value")
-
-    def __init__(self, name: str, coset: int, gen_name: str, value: Word):
-        super().__init__(name, coset, gen_name, value)
+    def __init__(self, name: str, coset: int, gen_name: str):
+        super().__init__(name, coset, gen_name)
 
 
 class RSResult(Value):
@@ -143,9 +140,7 @@ def rs_presentation(p: Presentation, ct: CosetTable, reps: Sequence[Word],
             if (len(there) == len(here) + 1 and there[-1] == g + 1
                     or len(here) == len(there) + 1 and here[-1] == -g - 1):
                 continue
-            value = free_reduce_letters(here + (g + 1,) + tuple(-x for x in reversed(there)))
-            sub_gens.append(SubgroupGenerator(namer(c, p.alphabet.names[g]), c, p.alphabet.names[g],
-                                              Word(p.alphabet, tuple(value))))
+            sub_gens.append(SubgroupGenerator(namer(c, p.alphabet.names[g]), c, p.alphabet.names[g]))
             gen_at[2 * g][c] = len(sub_gens)
             gen_at[2 * g + 1][dest] = -len(sub_gens)
 

@@ -13,7 +13,7 @@ settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 from toricgroups.cosets import CayleyTable, normal_closure_table, todd_coxeter
 from toricgroups.coxeter import CoxeterMatrix, MinimalRootTable
-from toricgroups.words import GenMap, Word
+from toricgroups.words import GenMap, Word, free_reduce
 
 FINITE_ROWS = [
     (2, 3, 4),
@@ -49,6 +49,13 @@ FROZEN_TORIC_ORDERS = {
 def image_of(f: GenMap, name: str) -> Word:
     """The image under ``f`` of the source generator called ``name``."""
     return f.images[f.source.index(name)]
+
+
+def schreier_word(table, reps, g) -> Word:
+    """The ambient word of the Schreier generator ``g`` over the transversal
+    ``reps`` of ``table``: reps[c] x reps[c.x]^-1, freely reduced."""
+    x = table.alphabet.word(g.gen_name)
+    return free_reduce(reps[g.coset] * x * reps[table.trace(g.coset, x)] ** -1)
 
 
 @cache

@@ -3,10 +3,10 @@
 These implement the mathematical definitions directly, sharing no code
 with the production engines they check:
 
-- ``naive_order``: coset closure by blunt global re-scanning (define the
-  first gap, walk every relator at every coset, merge on every conflict,
-  repeat to a fixed point).  No scan-and-fill, no deduction stacks, no
-  lookahead.
+- ``naive_order``: coset closure by blunt re-scanning (define the first
+  gap, walk every rotation of every relator at each coset whose row
+  changed, merge on every conflict, repeat to a fixed point).  No
+  scan-and-fill, no deduction stacks, no lookahead.
 - ``matrix_group_order``: closure of exact reflection matrices under
   multiplication (the geometric representation of a Coxeter system is
   faithful), for triangle group orders.  Its entries are ``ReferenceCyc``
@@ -152,10 +152,18 @@ def _letters(w: Word) -> tuple[int, ...]:
 def naive_order(p: Presentation, cap: int = 20000) -> int | None:
     """Order of the presented group by naive coset closure, None past the cap.
 
+    Closes the table under the relators, defines the first gap, and repeats.
+    A coset is rescanned when its row changes, along every rotation of every
+    relator: a relator's walk from any coset that passes a changed row is a
+    rotation's walk from that row, so the closure, and with it every gap
+    defined, is that of rescanning every coset until nothing changes.
     Memoised: several tests close the same finite rows under the same cap."""
-    relators = [_letters(r) for r in p.relators]
+    rotations = list(dict.fromkeys(r[j:] + r[:j] for r in map(_letters, p.relators) for j in range(len(r))))
     tables: list[dict[int, int]] = [dict()]  # per coset: signed letter -> coset
     parent = [0]
+    changed, queued = deque([0]), {0}  # cosets whose rows changed since they were last scanned
+    merged = 0  # cosets merged into a smaller one
+    first = 0  # the least coset that may have a gap
 
     def root(a: int) -> int:
         while parent[a] != a:
@@ -164,6 +172,7 @@ def naive_order(p: Presentation, cap: int = 20000) -> int | None:
         return a
 
     def merge_all(pairs: list[tuple[int, int]]) -> None:
+        nonlocal merged
         queue = deque(pairs)
         while queue:
             a, b = queue.popleft()
@@ -173,6 +182,8 @@ def naive_order(p: Presentation, cap: int = 20000) -> int | None:
             if b < a:
                 a, b = b, a
             parent[b] = a
+            merged += 1
+            mark(a)
             for letter, dest in list(tables[b].items()):
                 if letter in tables[a] and root(tables[a][letter]) != root(dest):
                     queue.append((tables[a][letter], dest))
@@ -181,6 +192,11 @@ def naive_order(p: Presentation, cap: int = 20000) -> int | None:
             tables[b] = {}
             # re-point stale entries lazily via root() at read time
 
+    def mark(a: int) -> None:
+        if a not in queued:
+            queued.add(a)
+            changed.append(a)
+
     def read(a: int, letter: int) -> int | None:
         d = tables[root(a)].get(letter)
         return None if d is None else root(d)
@@ -188,65 +204,54 @@ def naive_order(p: Presentation, cap: int = 20000) -> int | None:
     def write(a: int, letter: int, b: int) -> None:
         tables[root(a)][letter] = root(b)
         tables[root(b)][-letter] = root(a)
+        mark(root(a))
+        mark(root(b))
 
     while True:
-        # propagate until stable
-        changed = True
+        # rescan changed rows until none is left
         while changed:
-            changed = False
+            a = changed.popleft()
+            queued.remove(a)
+            if root(a) != a:
+                continue  # merged: its root was queued
             merges: list[tuple[int, int]] = []
-            for a in range(len(tables)):
-                if root(a) != a:
+            for rel in rotations:
+                cur = a
+                for i, letter in enumerate(rel):
+                    nxt = read(cur, letter)
+                    if nxt is None:
+                        break
+                    cur = nxt
+                else:
+                    if cur != a:
+                        merges.append((cur, a))
                     continue
-                for rel in relators:
-                    cur = a
-                    gaps = []
-                    ok = True
-                    for i, letter in enumerate(rel):
-                        nxt = read(cur, letter)
-                        if nxt is None:
-                            gaps.append((i, cur))
-                            if len(gaps) > 1:
-                                ok = False
-                                break
-                            # walk the remainder backwards from a
-                            break
-                        cur = nxt
-                    if not ok:
-                        continue
-                    if not gaps:
-                        if cur != a:
-                            merges.append((cur, a))
-                        continue
-                    # one forward gap at position i from coset "cur": walk
-                    # backwards from a along the relator tail
-                    i, at = gaps[0]
-                    back = a
-                    good = True
-                    for j in range(len(rel) - 1, i, -1):
-                        prev = read(back, -rel[j])
-                        if prev is None:
-                            good = False
-                            break
-                        back = prev
-                    if good and read(at, rel[i]) is None:
-                        # at and the coset entering back along rel[i] both
-                        # reach back by rel[i], so they are one coset
-                        other = read(back, -rel[i])
-                        if other is None or other == at:
-                            write(at, rel[i], back)
-                            changed = True
-                        else:
-                            merges.append((other, at))
-                if merges:
-                    break
-            if merges:
-                merge_all(merges)
-                changed = True
-        live = [a for a in range(len(tables)) if root(a) == a]
-        # find the first undefined entry
+                # one forward gap at position i from coset "at": walk
+                # backwards from a along the relator tail
+                at = cur
+                back = a
+                good = True
+                for j in range(len(rel) - 1, i, -1):
+                    prev = read(back, -rel[j])
+                    if prev is None:
+                        good = False
+                        break
+                    back = prev
+                if good and read(at, rel[i]) is None:
+                    # at and the coset entering back along rel[i] both
+                    # reach back by rel[i], so they are one coset
+                    other = read(back, -rel[i])
+                    if other is None or other == at:
+                        write(at, rel[i], back)
+                    else:
+                        merges.append((other, at))
+            merge_all(merges)
+        # find the first undefined entry; a live coset before the last gap
+        # found has every entry, and keeps them while it lives
         hole = None
-        for a in live:
+        for a in range(first, len(tables)):
+            if root(a) != a:
+                continue
             for g in range(1, len(p.alphabet) + 1):
                 for letter in (g, -g):
                     if read(a, letter) is None:
@@ -256,14 +261,15 @@ def naive_order(p: Presentation, cap: int = 20000) -> int | None:
                     break
             if hole:
                 break
+        live = len(tables) - merged
         if hole is None:
-            return len(live)
-        if len(live) >= cap:
+            return live
+        if live >= cap:
             return None
-        a, letter = hole
+        first, letter = hole
         tables.append({})
         parent.append(len(tables) - 1)
-        write(a, letter, len(tables) - 1)
+        write(first, letter, len(tables) - 1)
 
 
 # --- exact matrix closure for Coxeter systems ---------------------------------
@@ -528,11 +534,9 @@ def reference_rs_presentation(p: Presentation, ct: CosetTable, reps: Sequence[Wo
         for g in range(len(p.alphabet)):
             if (c, 2 * g) in tree:
                 continue
-            dest = ct.columns[2 * g][c]
-            value = free_reduce(Word(p.alphabet, reps[c].letters + (g + 1,) + invert(reps[dest]).letters))
             gen_index[(c, g)] = len(sub_gens)
             name = p.alphabet.names[g]
-            sub_gens.append(SubgroupGenerator(f"{name}_c{c}", c, name, value))
+            sub_gens.append(SubgroupGenerator(f"{name}_c{c}", c, name))
     sub_alphabet = Alphabet([g.name for g in sub_gens])
 
     relators: list[Word] = []

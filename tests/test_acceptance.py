@@ -17,6 +17,7 @@ from conftest import (
     image_of,
     parent_cayley,
     root_table,
+    schreier_word,
     toric_cayley,
     triangle_cayley,
 )
@@ -133,12 +134,12 @@ def test_criterion_04_closed_form_cross_check(k, n, m):
         for p in range(1, n + 1):
             gen = by_label[((m - 1 - ell, p - 1), "s")]
             checked += 1
-            if closed_form_element(closed_form_generator(k, n, m, "s", ell, p)) != cay.eval(gen.value):
+            if closed_form_element(closed_form_generator(k, n, m, "s", ell, p)) != cay.eval(schreier_word(table, tr, gen)):
                 mismatches += 1
         for p in range(1, n):
             gen = by_label[((m - 1 - ell, p), "u")]
             checked += 1
-            if closed_form_element(closed_form_generator(k, n, m, "u", ell, p)) != cay.eval(gen.value):
+            if closed_form_element(closed_form_generator(k, n, m, "u", ell, p)) != cay.eval(schreier_word(table, tr, gen)):
                 mismatches += 1
     assert checked == m * (2 * n - 1)
     assert mismatches == 0

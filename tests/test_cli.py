@@ -10,7 +10,7 @@ import pytest
 
 from oracles import abelian_invariants
 
-from toricgroups import cli, coxeter, cyclo, presentations, schreier, words
+from toricgroups import classify, cli, coxeter, cyclo, maps, presentations, schreier, words
 from toricgroups.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
@@ -168,10 +168,28 @@ def test_enumerate_normal_closure_in_infinite_parent(capsys):
     assert payload["result"]["index"] == 6
 
 
-def test_json_byte_identical_across_runs(capsys):
-    _, out1, _ = run(capsys, "--format", "json", "classify", "6", "2", "3")
-    _, out2, _ = run(capsys, "--format", "json", "classify", "6", "2", "3")
+def _row_cache_hits() -> int:
+    return maps.build_phi.cache_info().hits + classify.finite_quotient.cache_info().hits
+
+
+@pytest.mark.parametrize("argv, cached", [
+    # an infinite row: neither the quotient map nor a Cayley table
+    pytest.param(("classify", "6", "2", "3"), False, id="classify-6-2-3"),
+    pytest.param(("wp", "toric", "5", "2", "3", "x1 x2 x1 x2 x1 x2"), True, id="wp-toric-5-2-3-central"),
+    pytest.param(("wp", "toric", "2", "3", "7", "x2 x1^-1 x3^2 x2^-1 x1 x3"), True, id="wp-toric-2-3-7-random"),
+    pytest.param(("classify", "5", "2", "3"), True, id="classify-5-2-3"),
+    pytest.param(("rep", "witness"), True, id="rep-witness"),
+])
+def test_json_byte_identical_across_runs(capsys, argv, cached):
+    # the quotient map and the Cayley table of a row are built once per
+    # process, so the second run reads what the first one built
+    maps.build_phi.cache_clear()
+    classify.finite_quotient.cache_clear()
+    _, out1, _ = run(capsys, "--format", "json", *argv)
+    hits = _row_cache_hits()
+    _, out2, _ = run(capsys, "--format", "json", *argv)
     assert out1 == out2
+    assert (_row_cache_hits() > hits) == cached
 
 
 def test_classify_finite(capsys):

@@ -425,7 +425,10 @@ def test_transversal_words_are_geodesic_spanning():
 
 
 def test_cayley_table_builds_its_words_on_first_use(monkeypatch):
-    # derive and sweep read only the order, so they never need the transversal
+    # derive and sweep read only the order, so they never need the transversal;
+    # the table of each row is built once per process, so another test may
+    # already have filled the words of the shared (3,2,3) table
+    classify.finite_quotient.cache_clear()
     built = []
     transversal = cosets.bfs_transversal
     monkeypatch.setattr(cosets, "bfs_transversal", lambda t, order: built.append(t) or transversal(t, order))
@@ -567,3 +570,7 @@ def test_finite_quotient_is_none_on_infinite_rows_and_overflow():
     assert finite_quotient(2, 3, 7, max_cosets=10**6) is None
     assert finite_quotient(3, 2, 3, max_cosets=10) is None
     assert finite_quotient(2, 2, 3, max_cosets=10).size == 6
+    # the bound is part of the cache key: a complete table does not answer a
+    # smaller bound that overflows
+    assert finite_quotient(3, 2, 3, 10**6).size == 24
+    assert finite_quotient(3, 2, 3, 10) is None

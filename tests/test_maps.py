@@ -129,6 +129,13 @@ def test_stu_power_equals_embedded_central_element(k, n, m):
     assert cay.eval(free_reduce(stu ** (n * m))) == cay.eval(image)
 
 
+def test_phi_is_built_once_per_row_and_a_refusal_is_not_kept():
+    assert build_phi(2, 3, 7) is build_phi(2, 3, 7)
+    for _ in range(2):
+        with pytest.raises(pres.ParameterError, match=r"gcd\(4,6\) != 1"):
+            build_phi(2, 4, 6)
+
+
 def test_builders_reject_gcd_violations():
     for builder in (build_phi, build_psi, build_embedding, central_element):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FINITE_ROWS, closure_table, parent_cayley
+from conftest import FINITE_ROWS, closure_table, parent_cayley, schreier_word
 from oracles import reference_check_toric_presentation, reference_rs_presentation
 
 from toricgroups import classify, schreier
@@ -133,7 +133,7 @@ def test_schreier_generator_values_lie_in_subgroup():
     tr = schreier_transversal(table, toric_column_order(parent.alphabet))
     rs = rs_presentation(parent, table, tr)
     for g in rs.generators:
-        assert table.trace(0, g.value) == 0
+        assert table.trace(0, schreier_word(table, tr, g)) == 0
 
 
 def test_rs_plus_tietze_reaches_n_generators_and_right_order(finite_rows):
@@ -168,7 +168,7 @@ def _rs_against_reference(p: pres.Presentation, table, column_order=None, namer=
     tr = schreier_transversal(table, column_order)
     got, want = rs_presentation(p, table, tr, namer), reference_rs_presentation(p, table, tr)
     if namer is not None:
-        gens = tuple(SubgroupGenerator(namer(g.coset, g.gen_name), g.coset, g.gen_name, g.value)
+        gens = tuple(SubgroupGenerator(namer(g.coset, g.gen_name), g.coset, g.gen_name)
                      for g in want.generators)
         alphabet = Alphabet([g.name for g in gens])
         want = RSResult(pres.Presentation(alphabet, tuple(Word(alphabet, r.letters)
@@ -289,11 +289,11 @@ def test_closed_forms_match_generic_rewriting_in_parent(k, n, m):
     for ell in range(m):
         for p in range(1, n + 1):
             gen = by_label[((m - 1 - ell, p - 1), "s")]
-            if element_of_closed_form(closed_form_generator(k, n, m, "s", ell, p)) != cay.eval(gen.value):
+            if element_of_closed_form(closed_form_generator(k, n, m, "s", ell, p)) != cay.eval(schreier_word(table, tr, gen)):
                 mismatches += 1
         for p in range(1, n):
             gen = by_label[((m - 1 - ell, p), "u")]
-            if element_of_closed_form(closed_form_generator(k, n, m, "u", ell, p)) != cay.eval(gen.value):
+            if element_of_closed_form(closed_form_generator(k, n, m, "u", ell, p)) != cay.eval(schreier_word(table, tr, gen)):
                 mismatches += 1
     assert mismatches == 0
 
@@ -411,8 +411,8 @@ def _tampered(rs: RSResult) -> dict[str, list[RSResult]]:
                     for i in range(len(relators))],
         "prefix": [RSResult(pres.Presentation(ab, relators[:i]), gens) for i in range(len(relators))],
         "foreign": [RSResult(pres.Presentation(ab, relators + (Word(ab, (s_gen,)),)), gens)],
-        "swapped": [RSResult(rs.presentation, gens[:i] + (SubgroupGenerator(g.name, other.coset, other.gen_name,
-                                                                            g.value),) + gens[i + 1:])
+        "swapped": [RSResult(rs.presentation,
+                             gens[:i] + (SubgroupGenerator(g.name, other.coset, other.gen_name),) + gens[i + 1:])
                     for i, (g, other) in enumerate(zip(gens, gens[1:] + gens[:1]))],
     }
 

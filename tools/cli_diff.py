@@ -9,7 +9,11 @@ request of ``GOLDEN_REQUESTS`` in ``tests/test_cli.py``, each taken from the
 ``--format text``.  Each side is exported with ``git archive`` into a fresh
 temporary directory (``TMPDIR`` chooses where), and all of its requests run
 through ``toricgroups.cli.main`` in one subprocess, which records stdout,
-stderr and the exit code (or the exception that escaped).  The
+stderr and the exit code (or the exception that escaped).  In the same
+subprocess the ``--change`` side then runs its requests again in reverse
+order, and each output is compared with its first run: an answer that
+depended on which earlier request filled a once-per-process table would
+differ there.  The
 ``rs-tietze`` requests of the same workloads and seeds (normal closure,
 Reidemeister-Schreier and Tietze at the indices of the ``subgroups``
 workload) run through the ``--change`` tree's ``perfbench/child.py``, once
@@ -38,14 +42,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("grid", "words", "subgroups")
 SEEDS = (1, 2)
 
-# runs in each tree with src/ on the path: the argument lists on stdin, one
-# record per request on stdout
+# runs in each tree with src/ on the path: the argument lists and the number
+# of passes on stdin, one record per request and pass on stdout; the second
+# pass runs the requests in reverse order, and its records are put back in
+# request order
 RUNNER = """
 import contextlib, io, json, sys
 from toricgroups import cli
 
-records = []
-for argv in json.load(sys.stdin):
+def record(argv):
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -54,8 +59,13 @@ for argv in json.load(sys.stdin):
         code = e.code
     except Exception as e:
         code = f"raised {type(e).__name__}: {e}"
-    records.append({"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code})
-sys.stdout.write(json.dumps(records))
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
+
+job = json.load(sys.stdin)
+passes = [[record(argv) for argv in job["argvs"]]]
+if job["passes"] == 2:
+    passes.append([record(argv) for argv in reversed(job["argvs"])][::-1])
+sys.stdout.write(json.dumps(passes))
 """
 
 
@@ -87,9 +97,12 @@ def requests(tree: str) -> tuple[list[list[str]], list[dict]]:
     return list({tuple(a): list(a) for a in argvs}.values()), list(pipelines.values())
 
 
-def run_side(tree: str, argvs: list[list[str]]) -> list[dict]:
+def run_side(tree: str, argvs: list[list[str]], passes: int) -> list[list[dict]]:
+    """The records of ``passes`` runs of the requests in one subprocess,
+    the second in reverse order."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    proc = subprocess.run([sys.executable, "-c", RUNNER], cwd=tree, env=env, input=json.dumps(argvs),
+    proc = subprocess.run([sys.executable, "-c", RUNNER], cwd=tree, env=env,
+                          input=json.dumps({"argvs": argvs, "passes": passes}),
                           capture_output=True, text=True, timeout=1800)
     if proc.returncode != 0:
         raise SystemExit(f"error: the requests in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -151,7 +164,9 @@ def main(argv: list[str] | None = None) -> int:
                 tar.extractall(trees[side])
         cli_argvs, pipelines = requests(trees["change"])
         argvs = [["--format", fmt, *a] for a in cli_argvs for fmt in ("json", "text")]
-        outputs = {side: run_side(tree, argvs) for side, tree in trees.items()}
+        parent_pass, = run_side(trees["parent"], argvs, 1)
+        change_pass, change_reversed = run_side(trees["change"], argvs, 2)
+        outputs = {"parent": parent_pass, "change": change_pass}
         child = os.path.join(trees["change"], "perfbench", "child.py")
         pipeline_outputs = {side: run_pipelines(child, tree, pipelines) for side, tree in trees.items()}
         demos = sorted(f for f in os.listdir(os.path.join(trees["change"], "demos")) if f.endswith(".py"))
@@ -165,6 +180,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"differs: {' '.join(a)}\n  {diff}")
     print(f"compared {len(argvs)} outputs ({len(argvs) // 2} requests in json and text) "
           f"of {args.parent} and {args.change}: {differing} differ")
+    reordered = 0
+    for a, forward, backward in zip(argvs, change_pass, change_reversed):
+        diff = first_difference(forward, backward)
+        if diff:
+            reordered += 1
+            print(f"differs in reverse order: {' '.join(a)}\n  {diff}")
+    print(f"compared the {len(argvs)} outputs of {args.change} run again in reverse order: {reordered} differ")
     pipelines_differing = 0
     for req, before, after in zip(pipelines, pipeline_outputs["parent"], pipeline_outputs["change"]):
         diff = first_difference(before, after)
@@ -179,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
             demos_differing += 1
             print(f"differs: demos/{demo}\n  {diff}")
     print(f"compared the output of {len(demos)} demos: {demos_differing} differ")
-    return 1 if differing or pipelines_differing or demos_differing else 0
+    return 1 if differing or reordered or pipelines_differing or demos_differing else 0
 
 
 if __name__ == "__main__":
