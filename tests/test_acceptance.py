@@ -132,14 +132,14 @@ def test_criterion_04_closed_form_cross_check(k, n, m):
     checked = 0
     for ell in range(m):
         for p in range(1, n + 1):
-            gen = by_label[((m - 1 - ell, p - 1), "s")]
+            word = schreier_word(table, tr, by_label[((m - 1 - ell, p - 1), "s")])
             checked += 1
-            if closed_form_element(closed_form_generator(k, n, m, "s", ell, p)) != cay.eval(schreier_word(table, tr, gen)):
+            if closed_form_element(closed_form_generator(k, n, m, "s", ell, p)) != cay.eval(word):
                 mismatches += 1
         for p in range(1, n):
-            gen = by_label[((m - 1 - ell, p), "u")]
+            word = schreier_word(table, tr, by_label[((m - 1 - ell, p), "u")])
             checked += 1
-            if closed_form_element(closed_form_generator(k, n, m, "u", ell, p)) != cay.eval(schreier_word(table, tr, gen)):
+            if closed_form_element(closed_form_generator(k, n, m, "u", ell, p)) != cay.eval(word):
                 mismatches += 1
     assert checked == m * (2 * n - 1)
     assert mismatches == 0

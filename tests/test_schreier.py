@@ -288,12 +288,12 @@ def test_closed_forms_match_generic_rewriting_in_parent(k, n, m):
     mismatches = 0
     for ell in range(m):
         for p in range(1, n + 1):
-            gen = by_label[((m - 1 - ell, p - 1), "s")]
-            if element_of_closed_form(closed_form_generator(k, n, m, "s", ell, p)) != cay.eval(schreier_word(table, tr, gen)):
+            word = schreier_word(table, tr, by_label[((m - 1 - ell, p - 1), "s")])
+            if element_of_closed_form(closed_form_generator(k, n, m, "s", ell, p)) != cay.eval(word):
                 mismatches += 1
         for p in range(1, n):
-            gen = by_label[((m - 1 - ell, p), "u")]
-            if element_of_closed_form(closed_form_generator(k, n, m, "u", ell, p)) != cay.eval(schreier_word(table, tr, gen)):
+            word = schreier_word(table, tr, by_label[((m - 1 - ell, p), "u")])
+            if element_of_closed_form(closed_form_generator(k, n, m, "u", ell, p)) != cay.eval(word):
                 mismatches += 1
     assert mismatches == 0
 
