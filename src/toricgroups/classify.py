@@ -14,7 +14,7 @@ records of the other modules.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from math import gcd
 
 from . import coxeter, maps, schreier
@@ -49,7 +49,7 @@ def finite_toric(k: int, n: int, m: int) -> FiniteToric | None:
     return _SPORADIC.get((k, n, m))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # an int label and an equal float are different keys
 def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | None:
     """Cayley table of ``toric(k, n, m)`` on a finite row, built once per
     process for each row and ``max_cosets``.

@@ -22,7 +22,7 @@ of the finite triangle groups, read from one table of conjugations.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import combinations
 from threading import Lock
 
@@ -267,7 +267,7 @@ def parity(w: Word) -> str:
     return "even" if len(w.letters) % 2 == 0 else "odd"
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # an int label and an equal float are different keys
 def triangle_table(k: int, n: int, m: int) -> MinimalRootTable:
     """The minimal-root table of the (k, n, m) triangle group, built once
     per process.  Its roots and action never change after the build; its

@@ -173,6 +173,12 @@ class Cyc(Value):
     def __mul__(self, other: "Cyc | int") -> "Cyc":
         b = self._operand(other)
         n = self.n
+        # a rational factor (0, 1, -1, an int) scales the other's canonical
+        # coefficients, which stay canonical
+        if not any(b[1:]):
+            return Cyc(n, tuple(b[0] * x for x in self.coeffs))
+        if not any(self.coeffs[1:]):
+            return Cyc(n, tuple(self.coeffs[0] * y for y in b))
         v = [0] * n
         terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(self.coeffs):

@@ -4,18 +4,21 @@ On the standard presentation <x, y | x^n = y^m> the positive words form a
 Garside monoid whose element Delta = x^n = y^m is central; the simple
 elements are the powers x^i (i <= n) and y^j (j <= m) with x^n and y^m
 identified as Delta.  Divisibility between simples from the two families
-passes only through 1 and Delta, so the left-greedy normal form of a
-positive word is just its sequence of alternating maximal blocks, with
-every full power x^n or y^m extracted as a leading Delta.
+passes only through 1 and Delta, so the normal form of a group element is
 
-Words with inverses are handled by Delta-padding: each inverse letter
-x^-1 contributes Delta^-1 x^(n-1) (and likewise for y), and the central
-Delta^-1 factors migrate to the front.  The resulting pair
+    (delta_power, alternating blocks with exponents < n resp. < m),
 
-    (delta_power, alternating blocks with exponents < n resp. < m)
+a complete invariant of the element, which settles the word problem.
 
-is a complete invariant of the group element, which settles the word
-problem.
+The blocks are the reduced word of the image in G / <Delta> = Z/n * Z/m.
+The kernel spells the word as a string over a, A, b, B (x, x^-1, y, y^-1),
+deletes whole blocks x^n, y^m, their inverses and inverse pairs, all
+relators of Z/n * Z/m, by ``str.replace`` passes, and merges what is left
+in one stack pass over its runs.  Delta is central, so the word is
+Delta^p times the blocks, and p is read off the abelianization x -> m,
+y -> n, which sends Delta to nm.  ``wp garside`` reaches the kernel from
+the text: a token x^K becomes a power of Delta and one piece of at most
+|K| and at most n / 2 letters, so no exponent over {x, y} is expanded.
 
 The classical presentation on the meridians x_1 ... x_n presents the same
 group: ``sigma`` and ``tau`` are inverse isomorphisms, so the normal form of
@@ -24,14 +27,18 @@ tau(u) decides the word problem for a classical word u as well.
 
 from __future__ import annotations
 
-from itertools import chain, groupby
+import re
+from collections import Counter
 
 from .presentations import XY, FamilyParams, cyclic_product, meridians, torus_classical
 from .schreier import chain_implies_shift, chain_step
-from .words import (Derivation, GenMap, RewriteStep, Value, Word, apply_map, free_reduce, parse_either,
-                    signed_images, undone)
+from .words import (Derivation, GenMap, RewriteStep, Value, Word, WordSyntaxError, apply_map, free_reduce,
+                    parse_either, signed_images, token_runs, undone)
 
-_SYMBOLS = (None, "x", "y")  # the name of each letter
+_CHARS = ("", "a", "b", "B", "A")  # the kernel's letter for each signed letter -2 .. 2 of {x, y}
+# the runs of a kernel string; ``re`` compiles it on its first use, so importing
+# the package compiles no pattern
+_RUNS = "a+|A+|b+|B+"
 
 
 class GarsideNF(Value):
@@ -52,10 +59,48 @@ class GarsideNF(Value):
         parts = []
         if self.delta_power or not self.factors:
             parts.append(f"D^{self.delta_power}" if self.delta_power != 1 else "D")
-        body = " | ".join(f"{sym}^{e}" if e != 1 else sym for sym, e in self.factors)
+        names = {f: f"{f[0]}^{f[1]}" if f[1] != 1 else f[0] for f in set(self.factors)}  # each distinct one once
+        body = " | ".join(map(names.__getitem__, self.factors))
         if body:
             parts.append(body)
         return " · ".join(parts) if parts else "D^0"
+
+
+def _normal_form(n: int, m: int, s: str, power: int) -> GarsideNF:
+    """The normal form of Delta^power times the word ``s`` over a, A, b, B.
+
+    Each pass deletes the blocks first, then the inverse pairs.  Passes go
+    on while a block or pair is left and each pass at least halves the
+    string, so they take linear time in all.  Runs of the string that is
+    left are then the factors, reduced mod their bounds, unless a pass
+    that did not halve it left a block or a pair: then one stack pass over
+    the runs merges them, in linear time too.
+    """
+    weight = m * (s.count("a") - s.count("A")) + n * (s.count("b") - s.count("B"))
+    blocks = ("a" * n, "A" * n, "b" * m, "B" * m, "aA", "Aa", "bB", "Bb")
+    before = 2 * len(s)  # so that the first pass runs
+    while (left := any(block in s for block in blocks)) and 2 * len(s) <= before:
+        before = len(s)
+        for block in blocks:
+            s = s.replace(block, "")
+    runs = re.findall(_RUNS, s)
+    unit = {"a": ("x", 1, n), "A": ("x", -1, n), "b": ("y", 1, m), "B": ("y", -1, m)}
+    kinds = {}  # each distinct run once, as its symbol and its exponent mod the symbol's bound
+    for run in set(runs):
+        sym, sign, bound = unit[run[0]]
+        kinds[run] = sym, sign * len(run) % bound
+    factors = list(map(kinds.__getitem__, runs))
+    if left:
+        bounds = {"x": n, "y": m}
+        stack = []
+        for f in factors:
+            if stack and stack[-1][0] == f[0]:
+                f = f[0], (stack.pop()[1] + f[1]) % bounds[f[0]]
+            if f[1]:
+                stack.append(f)
+        factors = stack
+    factor_weight = sum(e * (m if sym == "x" else n) * c for (sym, e), c in Counter(factors).items())
+    return GarsideNF(n, m, power + (weight - factor_weight) // (n * m), tuple(factors))
 
 
 def gnf(n: int, m: int, w: Word) -> GarsideNF:
@@ -63,28 +108,29 @@ def gnf(n: int, m: int, w: Word) -> GarsideNF:
     FamilyParams("torus-standard", (n, m))
     if w.alphabet != XY:
         raise ValueError("word must be over the standard alphabet {x, y}")
-    power = 0
-    # alternating blocks: symbol 1 (x) or 2 (y), exponent in [1, bound - 1],
-    # so one merge and one Delta extraction per run suffice
-    syms: list[int] = []
-    exps: list[int] = []
-    for letter, run in groupby(w.letters):
-        r = len(list(run))
-        sym = abs(letter)
-        bound = n if sym == 1 else m
-        if letter < 0:
-            # x^-r = (Delta^-1 x^(n-1))^r = Delta^-r x^(r(n-1)), since Delta is central
-            power -= r
-            r *= bound - 1
-        if syms and syms[-1] == sym:
-            syms.pop()
-            r += exps.pop()
-        q, r = divmod(r, bound)
-        power += q
-        if r:
-            syms.append(sym)
-            exps.append(r)
-    return GarsideNF(n, m, power, tuple(zip(map(_SYMBOLS.__getitem__, syms), exps)))
+    return _normal_form(n, m, "".join(map(_CHARS.__getitem__, w.letters)), 0)
+
+
+def _pieces(n: int, m: int, text: str) -> tuple[str, int]:
+    """The word ``text`` over {x, y} as a kernel string and a power of Delta;
+    WordSyntaxError as ``token_runs`` raises it.
+
+    A token x^K with |K| = qn + r, 0 <= r < n, is Delta^(+-q) x^(+-r), and
+    x^r = Delta x^(r-n) when that piece is shorter (likewise for y); so a
+    token becomes a central power of Delta and a piece of at most |K| and at
+    most n / 2 letters.  The tokens are freed before the kernel runs.
+    """
+    tokens, runs = token_runs(XY, text)
+    pieces, shifts = {}, {}
+    for token, (letter, count) in runs.items():
+        bound = n if abs(letter) == 1 else m  # the token ``1`` has count 0
+        q, r = divmod(count, bound)
+        sign = 1 if letter > 0 else -1
+        if bound - r < r:
+            letter, q, r = -letter, q + 1, bound - r
+        pieces[token], shifts[token] = _CHARS[letter] * r, sign * q
+    power = sum(map(shifts.__getitem__, tokens)) if any(shifts.values()) else 0
+    return "".join(map(pieces.__getitem__, tokens)), power
 
 
 def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
@@ -93,12 +139,15 @@ def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
     xn mapped by ``tau``."""
     FamilyParams("torus-standard", (n, m))
     evidence = []
-    word = parse_either(XY, lambda: meridians(n), text)
-    if word.alphabet is not XY:
-        table = signed_images([image.letters for image in tau(n, m).images])  # tau(word), unreduced
-        word = Word(XY, tuple(chain.from_iterable(map(table.__getitem__, word.letters))))
+    try:
+        normal = _normal_form(n, m, *_pieces(n, m, text))
+    except WordSyntaxError:
+        # a word over the meridians, or the error of the alphabet that read further
+        word = parse_either(XY, lambda: meridians(n), text)
+        table = ["".join(map(_CHARS.__getitem__, image))
+                 for image in signed_images([image.letters for image in tau(n, m).images])]
+        normal = _normal_form(n, m, "".join(map(table.__getitem__, word.letters)), 0)  # tau(word), unreduced
         evidence.append(f"a word over x1 ... x{n}, mapped to {{x, y}} by tau, the inverse of sigma")
-    normal = gnf(n, m, word)
     return {"normal_form": str(normal), "identity": normal.is_identity(),
             "delta_power": normal.delta_power}, "ok", evidence
 

@@ -20,7 +20,7 @@ quotients.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 
 from .cyclo import label_modulus
 from .presentations import (STU, TRIANGLE, FamilyParams, Presentation, alt_plus, cyclic_product, j_parent, meridians,
@@ -62,7 +62,7 @@ def compose_homs(outer: Hom, inner: Hom) -> Hom:
     return Hom(inner.source, compose_maps(outer.genmap, inner.genmap))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # an int label and an equal float are different keys
 def build_phi(k: int, n: int, m: int) -> Hom:
     """Toric group onto the alternating subgroup of the triangle group,
     built once per process: a ``Hom`` is an immutable value, so every

@@ -14,7 +14,7 @@ counterexample at (a, b, c) = (6, 2, 3).
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 
 from .classify import finite_quotient
 from .cyclo import Cyc, label_modulus, zeta
@@ -89,7 +89,7 @@ class Rep(Value):
         return self.theta * self.phi * self.psi
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # an int label and an equal float are different keys
 def _field(a: int, b: int, c: int) -> tuple[Cyc, Cyc, Cyc, Cyc]:
     """theta, phi, psi in Z[zeta_N], N = ``label_modulus(a, b, c)``, and the
     q r that the representation requires; built once per label triple."""

@@ -227,15 +227,21 @@ class WordSyntaxError(ValueError):
         super().__init__(message)
 
 
+def token_runs(alphabet: Alphabet, text: str) -> tuple[list[str], dict[str, tuple[int, int]]]:
+    """The whitespace-separated tokens of ``text`` and, for each distinct
+    one, its signed letter and repeat count (0 for ``1``); WordSyntaxError
+    at the first bad token of the text.  Nothing is expanded."""
+    tokens = text.split()
+    runs = {token: _token_run(alphabet, token) for token in set(tokens)}  # each distinct token once
+    if any(isinstance(run, str) for run in runs.values()):
+        i = next(i for i, token in enumerate(tokens) if isinstance(runs[token], str))
+        raise WordSyntaxError(runs[tokens[i]], column=_column(text, tokens, i))
+    return tokens, runs
+
+
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse whitespace-separated tokens ``name``, ``name^K`` (K nonzero), or ``1``."""
-    tokens = text.split()
-    # each distinct token once, in order of first occurrence, so the first
-    # bad one is the first bad token of the text
-    runs = {token: _token_run(alphabet, token) for token in dict.fromkeys(tokens)}
-    bad = next((token for token, run in runs.items() if isinstance(run, str)), None)
-    if bad is not None:
-        raise WordSyntaxError(runs[bad], column=_column(text, tokens, tokens.index(bad)))
+    tokens, runs = token_runs(alphabet, text)
     # no exponent is expanded before every token is known to be valid
     expanded = {token: (letter,) * count for token, (letter, count) in runs.items()}
     return Word(alphabet, tuple(chain.from_iterable(map(expanded.__getitem__, tokens))))

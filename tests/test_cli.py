@@ -75,6 +75,9 @@ GOLDEN_REQUESTS = {
     "enumerate_toric_3_5_2": ["enumerate", "toric", "3", "5", "2"],
     "enumerate_toric_3_5_2_no_normalize": ["enumerate", "toric", "3", "5", "2", "--no-normalize"],
     "sweep_7_9": ["sweep", "--max-k", "7", "--max-m", "9"],
+    # captured before `wp garside` stopped expanding exponents over {x, y}:
+    # 2 * 10^6 letters when expanded, D^500000 x and D^-333333 y^2 x as pieces
+    "wp_garside_2_3_long_exponents": ["wp", "garside", "2", "3", "x^1000001 y^-999997 x"],
 }
 # requests whose text output is pinned as well, in `<name>.txt`
 TEXT_GOLDEN = ("classify_6_2_3", "classify_4_2_3", "sweep_3_5", "derive_2_3_4", "derive_6_2_3",
@@ -247,6 +250,20 @@ def test_wp_garside_reads_meridian_words(capsys):
     assert forms[0] != forms[1]
     code, payload = run_json(capsys, "wp", "garside", "2", "3", "x1 x2 x1 x2^-1 x1^-1 x2^-1")
     assert (code, payload["result"]["identity"]) == (0, True)
+
+
+@pytest.mark.parametrize("labels, word, normal_form, delta_power", [
+    # 2 * 10^9 letters if expanded; this request once reached 7.6 GB
+    (("2", "3"), "x^1000000000 y x^-999999999", "y | x", 0),
+    # y^-1 is one letter, and y^-1000 = D^-1 y^999001; its positive power would be 10^6 letters per token
+    (("2", "1000001"), " ".join(["y^-1"] * 1000), "D^-1 · y^999001", -1),
+])
+def test_wp_garside_reads_huge_exponents_without_expanding(capsys, labels, word, normal_form, delta_power):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "wp", "garside", *labels, word)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert payload["result"] == {"normal_form": normal_form, "identity": False, "delta_power": delta_power}
 
 
 @pytest.mark.parametrize("word, message", [
@@ -558,12 +575,14 @@ def test_reused_parser_prints_the_same_bytes(capsys):
 
 
 @pytest.mark.parametrize("owner, name, argv", [
-    # the word expands to 10^11 letters and really runs out of memory; labels
+    # the meridian word expands to 10^11 letters and really runs out of memory
+    # (a word over {x, y} is no longer expanded: see
+    # test_wp_garside_reads_huge_exponents_without_expanding); labels
     # whose field is too large are refused before any allocation (see
     # test_degree_cap_refuses_before_allocating), so for the root table and
     # the representation a failing cyclo._canon, which reduces every root of
     # unity and product, stands in for memory running short on accepted labels
-    pytest.param(words, "parse_word", ("wp", "garside", "2", "3", "x^99999999999"), id="wp-garside"),
+    pytest.param(words, "parse_word", ("wp", "garside", "2", "3", "x1^99999999999"), id="wp-garside"),
     pytest.param(cyclo, "_canon", ("wp", "coxeter", "7", "9", "11", "r1"), id="wp-coxeter"),
     pytest.param(cyclo, "_canon", ("rep", "check", "7", "9", "11"), id="rep-check"),
 ])

@@ -4,14 +4,17 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from itertools import chain
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import FINITE_ROWS, image_of, toric_cayley
 from oracles import garside_nf_word, monoid_equal, reference_gnf, reference_parse_word
 
+from toricgroups import garside
 from toricgroups.garside import (
     GarsideNF,
     gnf,
@@ -390,3 +393,55 @@ def test_long_word_reports_the_first_bad_token_in_text_order():
         assert outcome == _parse_outcome(reference_parse_word, text)
         assert outcome[0] in (f"bad exponent in {first!r}", f"zero exponent in {first!r}")
         assert outcome[1] == len("\t".join(bad[:9_000])) + 2
+
+
+# --- wp garside from the text: pieces, block deletion, the abelianization --------
+
+# small pairs, either way round, and coprime labels up to 10^6
+LABELS = st.one_of(st.sampled_from([(2, 3), (3, 2), (3, 4), (3, 5), (2, 7), (5, 7)]),
+                   st.tuples(st.integers(2, 10**6), st.integers(2, 10**6)).filter(lambda p: math.gcd(*p) == 1))
+# a token name^K with K = j * bound + d: d is spelled, and j is a power of the
+# central Delta = x^n = y^m; j = 0 gives short exponents, d = 0 a multiple of the bound
+EXPONENT_TOKENS = st.tuples(st.sampled_from("xy"), st.integers(-40, 40),
+                            st.sampled_from([0, 0, 0, 1, -1, 2, -3, 123_456_789, 10**9, -10**9]))
+
+
+@settings(max_examples=300)
+@given(LABELS, st.lists(st.one_of(st.none(), EXPONENT_TOKENS), max_size=30), st.integers(0, 200),
+       st.integers(0, 30), st.sampled_from([" ", "\t", " \n  "]))
+def test_text_words_match_the_letter_at_a_time_reference(pair, drawn, k, at, sep):
+    n, m = pair
+    # each token as (its text, the letters it spells, its power of Delta, the letters a piece may hold)
+    tokens = []
+    for token in drawn:
+        if token is None:
+            tokens.append(("1", [], 0, 0))
+            continue
+        name, d, j = token
+        bound = n if name == "x" else m
+        exponent = j * bound + d
+        if exponent:  # a zero exponent is refused; test_cli covers its message
+            letter = (1 if name == "x" else 2) * (1 if d > 0 else -1)
+            text = name if exponent == 1 else f"{name}^{exponent}"
+            tokens.append((text, [letter] * abs(d), j, min(abs(exponent), bound // 2)))
+    # the nested worst case (x y)^k (y^-1 x^-1)^k, spliced in at a token boundary
+    tokens.insert(min(at, len(tokens)), (" ".join(["x y"] * k + ["y^-1 x^-1"] * k), [1, 2] * k + [-2, -1] * k, 0, 4 * k))
+    expected = reference_gnf(n, m, Word(AB, tuple(chain.from_iterable(t[1] for t in tokens))))
+    normal = GarsideNF(n, m, expected.delta_power + sum(t[2] for t in tokens), expected.factors)
+    with mock.patch.object(garside, "_normal_form", wraps=garside._normal_form) as kernel:
+        outcome = word_problem(n, m, sep.join(t[0] for t in tokens))
+    assert outcome == ({"normal_form": str(normal), "identity": normal.is_identity(),
+                        "delta_power": normal.delta_power}, "ok", [])
+    # no exponent was expanded: a piece holds at most |K| and at most bound / 2 letters
+    assert len(kernel.call_args.args[2]) <= sum(t[3] for t in tokens)
+
+
+def test_the_nested_worst_case_takes_linear_time():
+    # each deletion pass would remove only the two letters at the centre, so
+    # passes alone would take k of them; the stack pass takes one
+    k = 100_000
+    text = " ".join(["x y"] * k + ["y^-1 x^-1"] * k + ["x"])
+    start = time.perf_counter()
+    assert word_problem(3, 5, text)[0] == {"normal_form": "x", "identity": False, "delta_power": 0}
+    assert time.perf_counter() - start < 5.0
+    assert gnf(3, 5, parse_word(AB, text)) == GarsideNF(3, 5, 0, (("x", 1),))

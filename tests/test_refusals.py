@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from toricgroups import cosets, coxeter, cyclo, garside, maps, reps, schreier, words
+from toricgroups import classify, cosets, coxeter, cyclo, garside, maps, reps, schreier, words
 from toricgroups.presentations import ParseError, parse_presentation, toric
 
 AB = words.Alphabet(["x", "y"])
@@ -75,3 +75,23 @@ def complete():
 def test_refusals_name_their_fault(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("int_first", [False, True], ids=["float-first", "int-first"])
+@pytest.mark.parametrize("cached, labels", [
+    (maps.build_phi, (2, 3, 7)),
+    (coxeter.triangle_table, (2, 3, 7)),
+    (classify.finite_quotient, (3, 2, 3, 1000)),
+    (reps._field, (2, 3, 7)),
+], ids=["build_phi", "triangle_table", "finite_quotient", "_field"])
+def test_a_float_label_is_refused_whatever_the_cache_holds(cached, labels, int_first):
+    # a once-per-process cache keyed by value alone would answer 2.0 once 2 had filled it
+    floated = (float(labels[0]),) + labels[1:]
+    cached.cache_clear()
+    if int_first:
+        cached(*labels)
+    with pytest.raises((ValueError, TypeError)):
+        cached(*floated)
+    cached(*labels)
+    with pytest.raises((ValueError, TypeError)):
+        cached(*floated)

@@ -21,7 +21,7 @@ from oracles import (
 
 from toricgroups import reps
 from toricgroups.cosets import MAX_COSETS
-from toricgroups.cyclo import Cyc, _cos_table, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
+from toricgroups.cyclo import Cyc, _canon, _cos_table, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
 from toricgroups.reps import (
     ConstraintError,
     build_rho,
@@ -182,6 +182,29 @@ def test_ring_operations_match_reference(pair):
     same(b.conj(), rb.conj())
     assert (a == b) == (ra == rb)
     assert (a + b == b) == (ra + rb == rb)
+
+
+def general_product(a: Cyc, b: Cyc) -> Cyc:
+    """a b by the exponent-vector product and one reduction, with no
+    shortcut for a rational factor."""
+    v = [0] * a.n
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            v[(i + j) % a.n] += x * y
+    return Cyc(a.n, _canon(a.n, v))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(MODULI).flatmap(lambda n: st.tuples(elements(n, max_terms=6), st.integers(-3, 3))))
+def test_rational_factor_shortcut_matches_the_general_product(case):
+    # 0, +-1, +-2 and the rest: one factor rational, as a Cyc or an int
+    (a, ra), q = case
+    rational = Cyc.rational(q, a.n)
+    for product in (a * rational, rational * a, a * q, q * a):
+        assert product == general_product(a, rational) == general_product(rational, a)
+        same(product, ra * q)
+        assert all(type(c) is int for c in product.coeffs)
+    same(a * a, ra * ra)  # a square of a non-rational element takes the general path
 
 
 def check_inverse(a: Cyc, ra) -> None:

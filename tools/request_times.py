@@ -13,14 +13,18 @@ script prints each request's wall time in ms, its share of the pass and
 its arguments (long ones cut), slowest first; under each ``rs-tietze``
 request a second line splits its time into the enumeration, RS and
 Tietze, and gives the size of the RS presentation that Tietze starts
-from: its generators, relators and letters.  Under each ``derive``
-request a second line splits its time into the closure enumeration plus
-RS (``schreier.toric_closure_rs``), the check of the toric presentation
-or Tietze, and the order enumeration (``group_order``), each timed by
-wrapping that call for the one request; a phase the request did not
-reach is left out.  Then comes the time per
-request kind.  Times are plain ``perf_counter`` differences, not scaled by
-the benchmark's speed probe.
+from: its generators, relators and letters.  Under each ``derive``,
+``wp garside`` and ``rep eval`` request a second line splits its time into
+phases, each timed by wrapping one call for the one request, and the rest
+of the request: for ``derive``, the closure enumeration plus RS
+(``schreier.toric_closure_rs``), the check of the toric presentation or
+Tietze, and the order enumeration (``group_order``); for ``wp garside``,
+reading the tokens (``token_runs``) and the normal form kernel
+(``_normal_form``), the rest being the pieces, the rendering and the JSON;
+for ``rep eval``, building the representation (``build_rho_preset``) and
+the matrix product (``rho_eval``).  A phase the request did not reach is
+left out.  Then comes the time per request kind.  Times are plain
+``perf_counter`` differences, not scaled by the benchmark's speed probe.
 Last come the requests that raised the process's peak RSS (``ru_maxrss``,
 the figure behind the benchmark's ``peak_rss_mb``), in pass order, each
 with the new peak in MB; the first line is the peak before the first
@@ -45,7 +49,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 _modules_before = len(sys.modules)
 _import_start = time.perf_counter()
-from toricgroups import classify, cli, cosets, presentations, schreier  # noqa: E402
+from toricgroups import classify, cli, cosets, garside, presentations, reps, schreier  # noqa: E402
 
 IMPORT_MS = (time.perf_counter() - _import_start) * 1e3
 IMPORT_MODULES = len(sys.modules) - _modules_before
@@ -62,6 +66,10 @@ WIDTH = 72  # characters of a request's arguments to print
 # the calls `classify.derive` makes, as (module, attribute, phase name)
 DERIVE_PHASES = ((schreier, "toric_closure_rs", "closure+RS"), (schreier, "check_toric_presentation", "check"),
                  (classify, "tietze_simplify", "Tietze"), (classify, "group_order", "order"))
+# the phases of each request whose arguments hold the key
+PHASES = {"derive": DERIVE_PHASES,
+          "garside": ((garside, "token_runs", "read"), (garside, "_normal_form", "normal form")),
+          "eval": ((reps, "build_rho_preset", "rep"), (reps, "rho_eval", "product"))}
 
 
 def rs_tietze(a: int, b: int, c: int) -> str:
@@ -108,16 +116,23 @@ def timed_calls(phases):
 
 
 def run(req: dict) -> str | None:
-    """Runs one request; an ``rs-tietze`` or ``derive`` request returns its phase times."""
+    """Runs one request; an ``rs-tietze`` request and one with ``PHASES``
+    return their phase times."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         if req["kind"] != "cli":
             return rs_tietze(*req["abc"])
-        with timed_calls(DERIVE_PHASES if "derive" in req["argv"] else ()) as spent:
+        phases = next((PHASES[word] for word in req["argv"] if word in PHASES), ())
+        with timed_calls(phases) as spent:
+            t0 = time.perf_counter()
             try:
                 cli.main(req["argv"])
             except SystemExit:  # argparse rejects its input this way
                 pass
-    return ", ".join(f"{name} {ms:.2f} ms" for name, ms in spent.items()) or None
+            total = (time.perf_counter() - t0) * 1e3
+    if not spent:
+        return None
+    spent["rest"] = total - sum(spent.values())
+    return ", ".join(f"{name} {ms:.2f} ms" for name, ms in spent.items())
 
 
 def label(req: dict) -> str:
