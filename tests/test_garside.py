@@ -406,7 +406,7 @@ EXPONENT_TOKENS = st.tuples(st.sampled_from("xy"), st.integers(-40, 40),
                             st.sampled_from([0, 0, 0, 1, -1, 2, -3, 123_456_789, 10**9, -10**9]))
 
 
-@settings(max_examples=300)
+@settings(max_examples=200)
 @given(LABELS, st.lists(st.one_of(st.none(), EXPONENT_TOKENS), max_size=30), st.integers(0, 200),
        st.integers(0, 30), st.sampled_from([" ", "\t", " \n  "]))
 def test_text_words_match_the_letter_at_a_time_reference(pair, drawn, k, at, sep):
