@@ -59,8 +59,7 @@ class GarsideNF(Value):
         parts = []
         if self.delta_power or not self.factors:
             parts.append(f"D^{self.delta_power}" if self.delta_power != 1 else "D")
-        names = {f: f"{f[0]}^{f[1]}" if f[1] != 1 else f[0] for f in set(self.factors)}  # each distinct one once
-        body = " | ".join(map(names.__getitem__, self.factors))
+        body = " | ".join(f"{sym}^{e}" if e != 1 else sym for sym, e in self.factors)
         if body:
             parts.append(body)
         return " · ".join(parts) if parts else "D^0"
@@ -77,7 +76,9 @@ def _normal_form(n: int, m: int, s: str, power: int) -> GarsideNF:
     the runs merges them, in linear time too.
     """
     weight = m * (s.count("a") - s.count("A")) + n * (s.count("b") - s.count("B"))
-    blocks = ("a" * n, "A" * n, "b" * m, "B" * m, "aA", "Aa", "bB", "Bb")
+    # a block longer than the string cannot occur, and a label may be far longer
+    blocks = [c * k for c, k in (("a", n), ("A", n), ("b", m), ("B", m)) if k <= len(s)]
+    blocks += ("aA", "Aa", "bB", "Bb")
     before = 2 * len(s)  # so that the first pass runs
     while (left := any(block in s for block in blocks)) and 2 * len(s) <= before:
         before = len(s)
@@ -85,7 +86,10 @@ def _normal_form(n: int, m: int, s: str, power: int) -> GarsideNF:
             s = s.replace(block, "")
     runs = re.findall(_RUNS, s)
     unit = {"a": ("x", 1, n), "A": ("x", -1, n), "b": ("y", 1, m), "B": ("y", -1, m)}
-    kinds = {}  # each distinct run once, as its symbol and its exponent mod the symbol's bound
+    # each distinct run once, as its symbol and its exponent mod the symbol's
+    # bound: a word has few distinct runs, and a lookup per run is faster
+    # than unpacking one
+    kinds = {}
     for run in set(runs):
         sym, sign, bound = unit[run[0]]
         kinds[run] = sym, sign * len(run) % bound
@@ -129,6 +133,8 @@ def _pieces(n: int, m: int, text: str) -> tuple[str, int]:
         if bound - r < r:
             letter, q, r = -letter, q + 1, bound - r
         pieces[token], shifts[token] = _CHARS[letter] * r, sign * q
+    # a word whose exponents are all short of its bounds shifts nothing; then
+    # the sum over every token is skipped
     power = sum(map(shifts.__getitem__, tokens)) if any(shifts.values()) else 0
     return "".join(map(pieces.__getitem__, tokens)), power
 

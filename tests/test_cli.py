@@ -76,7 +76,7 @@ GOLDEN_REQUESTS = {
     "enumerate_toric_3_5_2_no_normalize": ["enumerate", "toric", "3", "5", "2", "--no-normalize"],
     "sweep_7_9": ["sweep", "--max-k", "7", "--max-m", "9"],
     # captured before `wp garside` stopped expanding exponents over {x, y}:
-    # 2 * 10^6 letters when expanded, D^500000 x and D^-333333 y^2 x as pieces
+    # 2 * 10^6 letters when expanded; as pieces D^500000 x, D^-333332 y^-1 and x
     "wp_garside_2_3_long_exponents": ["wp", "garside", "2", "3", "x^1000001 y^-999997 x"],
 }
 # requests whose text output is pinned as well, in `<name>.txt`
@@ -257,6 +257,8 @@ def test_wp_garside_reads_meridian_words(capsys):
     (("2", "3"), "x^1000000000 y x^-999999999", "y | x", 0),
     # y^-1 is one letter, and y^-1000 = D^-1 y^999001; its positive power would be 10^6 letters per token
     (("2", "1000001"), " ".join(["y^-1"] * 1000), "D^-1 · y^999001", -1),
+    # a block y^m longer than the word is never built
+    (("2", "100000000001"), "x y", "x | y", 0),
 ])
 def test_wp_garside_reads_huge_exponents_without_expanding(capsys, labels, word, normal_form, delta_power):
     start = time.perf_counter()
