@@ -175,7 +175,9 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
     within ``budget`` steps.  J(a,b,c) maps onto the rotation subgroup of
     the (a,b,c) triangle group (``maps.parent_to_coxeter``) and ncl(s) has
     finite index, so a row whose triangle is not spherical is infinite and
-    reports ``order: None``; a spherical row enumerates its order.
+    reports ``order: None``.  A spherical row enumerates its order: a
+    gcd(b, c) = 1 row as a times the index of <s0>, the others as the
+    order of the Tietze presentation.
     """
     found = schreier.toric_closure_rs(a, b, c, max_cosets)
     if found is None:
@@ -201,12 +203,18 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
                             "order not enumerated")
             result = {"presentation": serialize(e.best), "num_generators": len(e.best.gens), "order": None}
             return result, "unknown", evidence
-    order = group_order(presentation, max_cosets=max_cosets) if triangle == "spherical" else None
+    order = None
     if triangle != "spherical":
         evidence.append(f"order not enumerated: J({a},{b},{c}) maps onto the infinite rotation "
                         f"subgroup of the {triangle} ({a},{b},{c}) triangle group and ncl(s) "
                         "has finite index; group is infinite")
-    elif order is None:
+    elif gcd(b, c) == 1:
+        # W^ab = Z/a sends s0 to 1 and s0^a is a relator, so s0 has order a
+        table = todd_coxeter(presentation, [presentation.alphabet.word("s0")], max_cosets)
+        order = a * table.num_cosets if table.complete else None
+    else:
+        order = group_order(presentation, max_cosets=max_cosets)
+    if triangle == "spherical" and order is None:
         evidence.append(f"order enumeration overflowed at {max_cosets}")
     # an infinite row is "ok": the checked toric presentation, or Tietze within
     # its budget, presents its group

@@ -6,8 +6,9 @@ cyclotomic numbers, any q, r satisfying
     q r = theta phi (psi + psi^-1) - theta^2 - phi^2
 
 define a representation  s -> [[theta^2, q], [0, 1]],
-t -> [[1, 0], [r, phi^2]],  u -> theta phi psi (t s)^-1  in which the
-three generators act by pseudo-reflections.  The representation is not
+t -> [[1, 0], [r, phi^2]],  u -> theta phi psi (s t)^-1  in which the
+three generators act by pseudo-reflections; s t u is then the scalar
+theta phi psi.  The representation is not
 faithful in general; ``witness_record`` reproduces the standard
 counterexample at (a, b, c) = (6, 2, 3).
 """

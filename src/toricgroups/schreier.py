@@ -20,13 +20,13 @@ chain from the parameters (a, b, c); the derivation here and the
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
 from .cosets import MAX_COSETS, CosetTable, bfs_transversal, normal_closure_table
 from .presentations import Presentation, cyclic_product, j_parent, meridians, toric
 from .words import (Alphabet, Derivation, RewriteStep, Value, Word, check_derivation, cyclic_reduce_letters,
-                    free_reduce_letters, invert, signed_images, undone)
+                    free_reduce_letters, invert, undone)
 
 
 def toric_column_order(alphabet: Alphabet) -> list[int]:
@@ -89,13 +89,17 @@ class RSResult(Value):
 def toric_coset_labels(reps: Sequence[Word]) -> dict[int, tuple[int, int]]:
     """Read (i, j) off representatives of the form u^i t^j.
 
-    Raises ValueError when a representative has any other shape.
+    Raises ValueError when a representative has any other shape.  The
+    letters are counted and compared by tuple methods, not named one by
+    one: at index 9,999 the representatives hold about 10^6 letters.
     """
     labels: dict[int, tuple[int, int]] = {}
+    u, t = reps[0].alphabet.index("u") + 1, reps[0].alphabet.index("t") + 1
     for c, rep in enumerate(reps):
-        names = [rep.gen_name(x) for x in rep.letters]
-        i, j = names.count("u"), names.count("t")
-        if any(x < 0 for x in rep.letters) or names != ["u"] * i + ["t"] * j:
+        letters = rep.letters
+        i = letters.count(u)
+        j = len(letters) - i
+        if letters[:i].count(u) != i or letters[i:].count(t) != j:
             raise ValueError(f"representative {rep} is not of the form u^i t^j")
         labels[c] = (i, j)
     return labels
@@ -208,8 +212,10 @@ def _s_alphabet(n: int) -> Alphabet:
     return Alphabet([f"s{i}" for i in range(n)])
 
 
-def _closed_form_letters(n: int, m: int, which: str, ell: int, p: int) -> tuple[int, ...]:
-    """The letters of ``closed_form_generator``'s word, freely reduced."""
+def _closed_form_walks(n: int, m: int, which: str, ell: int, p: int) -> tuple[int, ...]:
+    """``closed_form_generator``'s word as the ends of three walks (see
+    ``_join_walks``): the prefix x_1 ... x_{ell+1}, the middle letter and
+    the inverse prefix."""
     if which not in ("s", "u"):
         raise ValueError("which must be 's' or 'u'")
     if not 0 <= ell <= m - 1:
@@ -217,11 +223,72 @@ def _closed_form_letters(n: int, m: int, which: str, ell: int, p: int) -> tuple[
     top = n if which == "s" else n - 1
     if not 1 <= p <= top:
         raise ValueError(f"p out of range for the {which} family: {p}")
-    prefix = cyclic_product(n, 0, ell + 1)
     middle = (p + ell) % n + 1
     if which == "s":
-        return tuple(free_reduce_letters([*prefix, middle, *(-x for x in reversed(prefix))]))
-    return tuple(free_reduce_letters([*prefix, -middle, *(-x for x in reversed(prefix[:-1]))]))
+        return 0, ell + 1, middle - 1, middle, ell + 1, 0
+    return 0, ell + 1, middle, middle - 1, ell, 0
+
+
+# A walk from start to end spells the word read along the line of integers,
+# where the step from k to k + 1 reads x_{k mod n + 1} and the step back
+# reads its inverse.  The prefix x_1 ... x_l of the periodic word x_1 x_2 x_3
+# ... (indices mod n) is the walk from 0 to l, its inverse the walk from l to
+# 0, and the letter x_j^{+-1} the walk from j - 1 to j or back.  A product of
+# walks is the flat sequence of their ends, start, end, start, end, ...; read
+# backwards, it is the inverse product.  A step's letter depends only on its
+# position mod n, so a walk may be shifted by a multiple of n; the line is a
+# tree, so a walk reduces freely to the straight path between its ends.
+
+
+def _join_walks(ends: Iterable[int], n: int) -> list[tuple[int, int]]:
+    """The free reduction of a product of walks, as (start, end) pairs.
+
+    Consecutive walks whose ends agree mod n join into one, shifted to
+    continue the first; a walk that returns to its start, given or joined,
+    is the empty word and is dropped.  Where the ends differ mod n, the last letter of one
+    walk and the first of the next are not inverse, so nothing cancels and
+    the product of the walks left is freely reduced.  The cost is one step
+    per walk, whatever the walks' lengths.
+    """
+    stack: list[tuple[int, int]] = []
+    pairs = iter(ends)
+    for start, end in zip(pairs, pairs):
+        if start == end:
+            continue
+        if stack and (stack[-1][1] - start) % n == 0:
+            first, last = stack[-1]
+            end += last - start
+            if first == end:
+                stack.pop()
+            else:
+                stack[-1] = (first, end)
+        else:
+            stack.append((start, end))
+    return stack
+
+
+def _cyclic_walks(walks: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
+    """``cyclic_reduce_letters`` on freely reduced walks: the letters of the
+    first and the last walk are trimmed while they are inverse, which is
+    while the first starts where the last ends (mod n) and the two run in
+    opposite directions."""
+    i, j = 0, len(walks) - 1
+    while i < j:
+        (s, e), (s2, e2) = walks[i], walks[j]
+        if (s - e2) % n or (s < e) == (s2 < e2):
+            break
+        k = min(abs(e - s), abs(e2 - s2)) * (1 if s < e else -1)
+        walks[i], walks[j] = (s + k, e), (s2, e2 + k)
+        i += s + k == e
+        j -= e2 + k == s2
+    return walks[i:j + 1]
+
+
+def _walk_letters(walks: Iterable[tuple[int, int]], n: int) -> tuple[int, ...]:
+    """The letters the walks spell."""
+    return tuple(chain.from_iterable(
+        (k % n + 1 for k in range(s, e)) if s < e else (-((k - 1) % n) - 1 for k in range(s, e, -1))
+        for s, e in walks))
 
 
 def closed_form_generator(k: int, n: int, m: int, which: str, ell: int, p: int) -> Word:
@@ -240,7 +307,7 @@ def closed_form_generator(k: int, n: int, m: int, which: str, ell: int, p: int) 
     with s indices taken modulo n.  Ranges: 0 <= ell <= m-1, and
     1 <= p <= n for the s family, 1 <= p <= n-1 for the u family.
     """
-    return Word(_s_alphabet(n), _closed_form_letters(n, m, which, ell, p))
+    return Word(_s_alphabet(n), _walk_letters(_join_walks(_closed_form_walks(n, m, which, ell, p), n), n))
 
 
 # --- relation equivalence as explicit derivations ---------------------------
@@ -300,17 +367,20 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
     """
     if tuple(g.name for g in rs.generators) != rs.presentation.alphabet.names:
         raise ValueError("the Schreier generators do not name the RS alphabet's letters in order")
-    # letter x to the closed form of generator x
+    # letter x to the walks of the closed form of generator x, entry -x (from
+    # the end) to those of its inverse; where two images meet, the walks
+    # P'^-1 and Q of their prefixes join into one, so a relator costs its
+    # length plus its rewritten length, not m letters per letter
     images: list[tuple[int, ...]] = []
     for g in rs.generators:
         i, j = labels[g.coset]
         if g.gen_name == "s":
-            images.append(_closed_form_letters(n, m, "s", m - 1 - i, j + 1))
+            images.append(_closed_form_walks(n, m, "s", m - 1 - i, j + 1))
         elif g.gen_name == "u" and j != 0:
-            images.append(_closed_form_letters(n, m, "u", m - 1 - i, j))
+            images.append(_closed_form_walks(n, m, "u", m - 1 - i, j))
         else:  # u at j = 0 and the t wrap generators are trivial in the subgroup
             images.append(())
-    subst = signed_images(images)
+    subst = [(), *images, *(ends[::-1] for ends in reversed(images))]
 
     target = _s_alphabet(n)  # for the messages and the result
     reference = toric(k, n, m)
@@ -318,10 +388,15 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
     chains = reference.relators[n:]  # after the n power relators x_i^k
     shift_keys = {_rotation_key(cyclic_reduce_letters(_shift_letters(n, m, i))): i for i in range(1, n + 1)}
     found: set[tuple[int, ...]] = set()
+    rewritten = {()}  # most relators rewrite to 1 or to a rewrite already met
     for r in rs.presentation.relators:
-        w = cyclic_reduce_letters(chain.from_iterable(map(subst.__getitem__, r.letters)))
+        walks = tuple(_cyclic_walks(_join_walks(chain.from_iterable(map(subst.__getitem__, r.letters)), n), n))
+        if walks in rewritten:
+            continue
+        rewritten.add(walks)
+        w = _walk_letters(walks, n)
         key = _rotation_key(w)
-        if not key or key in found:
+        if key in found:
             continue
         found.add(key)
         if key in shift_keys:

@@ -55,10 +55,11 @@ with the production engines they check:
   of tree edges from each representative's last letter.
 - ``reference_check_toric_presentation``: the original check of the toric
   presentation on Word objects: each closed form a ``Word`` through
-  ``GenMap``, each relator mapped by ``apply_map`` and keyed by the
+  ``GenMap``, each relator mapped by ``reference_apply_map`` and keyed by the
   original ``cyclic_canonical``, which compares every rotation of the
   word and of its inverse.  ``schreier.check_toric_presentation`` works
-  on letter tuples; it must return the same presentation, or raise an
+  on walks, the ends of segments of the periodic word x1 x2 x3 ...; it
+  must return the same presentation, or raise an
   ``AssertionError`` with the same message.  It shares the closed forms
   (``closed_form_generator``), the relators and ``chain_implies_shift``
   with the check, which are one source of truth.
@@ -140,7 +141,7 @@ from toricgroups.cyclo import _degree, cyclotomic_polynomial
 from toricgroups.garside import GarsideNF
 from toricgroups.presentations import XY, FamilyParams, Presentation, TietzeBudgetExceeded, toric, torus_classical
 from toricgroups.schreier import RSResult, SubgroupGenerator, closed_form_generator, shift_relators
-from toricgroups.words import (Alphabet, GenMap, Word, WordSyntaxError, apply_map, check_derivation, cyclic_reduce,
+from toricgroups.words import (Alphabet, GenMap, Word, WordSyntaxError, check_derivation, cyclic_reduce,
                                free_reduce, invert)
 
 
@@ -594,7 +595,7 @@ def reference_check_toric_presentation(k: int, n: int, m: int, labels: dict[int,
     shift_canon = {_reference_cyclic_canonical(r): i for i, r in enumerate(shifts, start=1)}
     found: set[tuple[int, ...]] = set()
     for r in rs.presentation.relators:
-        w = cyclic_reduce(apply_map(gm, r))
+        w = cyclic_reduce(reference_apply_map(gm, r))  # one image per letter, no table per relator
         key = _reference_cyclic_canonical(w)
         if not key or key in found:
             continue

@@ -343,6 +343,13 @@ def test_derive_infinite_row_takes_finiteness_from_classification(capsys):
             "(6,2,3) triangle group and ncl(s) has finite index; group is infinite" in payload["evidence"])
 
 
+def test_derive_reads_a_coprime_order_off_the_index_of_s0(capsys):
+    # |W(5,2,3)| = 600 = 5 [W : <s0>]: the 120 cosets of <s0> fit a bound
+    # of 200, which the 600 cosets of the trivial subgroup do not
+    code, payload = run_json(capsys, "--max-cosets", "200", "derive", "5", "2", "3")
+    assert (code, payload["status"], payload["result"]["order"]) == (0, "ok", 600)
+
+
 def test_derive_enumerates_order_when_gcd_is_not_one(capsys):
     # gcd(3,3) != 1, so the classification does not apply and the order is enumerated
     code, payload = run_json(capsys, "derive", "2", "3", "3")

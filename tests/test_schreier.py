@@ -4,15 +4,15 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FINITE_ROWS, closure_table, parent_cayley, schreier_word
-from oracles import reference_check_toric_presentation, reference_rs_presentation
+from conftest import FINITE_ROWS, FROZEN_TORIC_ORDERS, closure_table, parent_cayley, schreier_word
+from oracles import naive_order, reference_check_toric_presentation, reference_rs_presentation
 
 from toricgroups import classify, schreier
 from toricgroups.garside import meridian_derivation
 from toricgroups.maps import centrality_witness
 from toricgroups import presentations as pres
 from toricgroups.coxeter import classify_triangle
-from toricgroups.cosets import group_order, todd_coxeter
+from toricgroups.cosets import MAX_COSETS, group_order, todd_coxeter
 from toricgroups.presentations import (cyclic_products, meridians, parse_presentation, serialize, tietze_simplify,
                                        torus_classical)
 from toricgroups.schreier import (
@@ -32,7 +32,7 @@ from toricgroups.schreier import (
     toric_coset_labels,
 )
 from toricgroups.words import (Alphabet, Derivation, RewriteStep, Word, apply_map, check_derivation, cyclic_reduce,
-                              free_reduce, invert, moved, undone)
+                              cyclic_reduce_letters, free_reduce, free_reduce_letters, invert, moved, undone)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -384,6 +384,16 @@ def test_check_refuses_schreier_generators_out_of_alphabet_order():
         check_toric_presentation(2, 3, 4, labels, RSResult(rs.presentation, tuple(gens)))
 
 
+@given(st.integers(2, 5), st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), max_size=12))
+def test_joined_walks_spell_the_reduced_word(n, walks):
+    # the check reduces products of walks without spelling them; spelled
+    # walk by walk, then reduced letter by letter, they must give the same word
+    spelled = schreier._walk_letters(walks, n)
+    joined = schreier._join_walks([end for walk in walks for end in walk], n)
+    assert schreier._walk_letters(joined, n) == tuple(free_reduce_letters(spelled))
+    assert schreier._walk_letters(schreier._cyclic_walks(joined, n), n) == cyclic_reduce_letters(spelled)
+
+
 def _outcome(check, k, n, m, labels, rs):
     """The presentation a check returns, or the message of its AssertionError."""
     try:
@@ -393,35 +403,39 @@ def _outcome(check, k, n, m, labels, rs):
 
 
 def test_check_agrees_with_the_word_based_reference(finite_rows):
-    for row in SWEEP_GRID + [row for row in finite_rows if row not in SWEEP_GRID]:
+    # (2, 17, 19), index 323: prefixes of up to 19 letters meet in long segments
+    for row in SWEEP_GRID + [row for row in finite_rows if row not in SWEEP_GRID] + [(2, 17, 19)]:
         found = toric_closure_rs(*row)
         got = _outcome(check_toric_presentation, *row, *found)
         assert got == _outcome(reference_check_toric_presentation, *row, *found), row
         assert isinstance(got, pres.Presentation), row
 
 
-def _tampered(rs: RSResult) -> dict[str, list[RSResult]]:
+def _tampered(rs: RSResult, every: int) -> dict[str, list[RSResult]]:
     """RS presentations that differ from ``rs`` by one relator dropped, by
     the relators past a prefix dropped, by one foreign relator added, or by
-    one generator given another's closed form."""
+    one generator given another's closed form; of each kind but the
+    foreign relator, the variants at every ``every``-th position."""
     ab, relators, gens = rs.presentation.alphabet, rs.presentation.relators, rs.generators
     s_gen = next(i for i, g in enumerate(gens, start=1) if g.gen_name == "s")
     return {
         "dropped": [RSResult(pres.Presentation(ab, relators[:i] + relators[i + 1:]), gens)
-                    for i in range(len(relators))],
-        "prefix": [RSResult(pres.Presentation(ab, relators[:i]), gens) for i in range(len(relators))],
+                    for i in range(0, len(relators), every)],
+        "prefix": [RSResult(pres.Presentation(ab, relators[:i]), gens) for i in range(0, len(relators), every)],
         "foreign": [RSResult(pres.Presentation(ab, relators + (Word(ab, (s_gen,)),)), gens)],
         "swapped": [RSResult(rs.presentation,
-                             gens[:i] + (SubgroupGenerator(g.name, other.coset, other.gen_name),) + gens[i + 1:])
-                    for i, (g, other) in enumerate(zip(gens, gens[1:] + gens[:1]))],
+                             gens[:i] + (SubgroupGenerator(gens[i].name, other.coset, other.gen_name),) + gens[i + 1:])
+                    for i, other in list(enumerate(gens[1:] + gens[:1]))[::every]],
     }
 
 
-@pytest.mark.parametrize("k,n,m", [(2, 3, 4), (3, 2, 5), (2, 3, 7)])
+@pytest.mark.parametrize("k,n,m", [(2, 3, 4), (3, 2, 5), (2, 3, 7), (2, 17, 19)])
 def test_check_agrees_with_the_word_based_reference_on_tampered_rs(k, n, m):
     labels, rs = toric_closure_rs(k, n, m)
     refused = {}
-    for kind, variants in _tampered(rs).items():
+    # every variant up to index 21; at index 323, where the reference takes
+    # about 75 ms a variant, every 200th of the 1,005 relators and 647 generators
+    for kind, variants in _tampered(rs, 1 if len(labels) < 100 else 200).items():
         outcomes = [_outcome(check_toric_presentation, k, n, m, labels, wrong) for wrong in variants]
         assert outcomes == [_outcome(reference_check_toric_presentation, k, n, m, labels, wrong)
                             for wrong in variants], kind
@@ -459,9 +473,19 @@ def test_check_refuses_a_derivation_with_a_corrupted_step(monkeypatch, k, n, m):
         check_toric_presentation(k, n, m, *toric_closure_rs(k, n, m))
 
 
+@pytest.mark.parametrize("a,b,c", FINITE_ROWS + [(a, c, b) for a, b, c in FINITE_ROWS])
+def test_order_through_the_index_of_s0_is_the_group_order(a, b, c):
+    # `derive` reads a spherical coprime row's order as a * [W : <s0>]
+    presentation = check_toric_presentation(a, b, c, *toric_closure_rs(a, b, c))
+    index = todd_coxeter(presentation, [presentation.alphabet.word("s0")]).num_cosets
+    assert a * index == group_order(presentation) == naive_order(presentation) == FROZEN_TORIC_ORDERS[
+        (a, min(b, c), max(b, c))]
+    assert classify.derive(a, b, c, MAX_COSETS, pres.TIETZE_BUDGET)[0]["order"] == a * index
+
+
 def test_spherical_coprime_rows_are_the_finite_table():
-    # `derive` enumerates the order of the checked presentation (`group_order`)
-    # only on a spherical row; on a coprime row that is exactly a finite toric group
+    # `derive` enumerates the order of the checked presentation only on a
+    # spherical row; on a coprime row that is exactly a finite toric group
     for a in range(2, 30):
         for b in range(2, 30):
             for c in range(2, 30):

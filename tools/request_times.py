@@ -18,7 +18,9 @@ from: its generators, relators and letters.  Under each ``derive``,
 phases, each timed by wrapping one call for the one request, and the rest
 of the request: for ``derive``, the closure enumeration plus RS
 (``schreier.toric_closure_rs``), the check of the toric presentation or
-Tietze, and the order enumeration (``group_order``); for ``wp garside``,
+Tietze, and the order enumeration (the index of <s0> by ``todd_coxeter``
+on a gcd(b, c) = 1 row, ``group_order`` on the others; both count as
+``order``); for ``wp garside``,
 reading the tokens (``token_runs``) and the normal form kernel
 (``_normal_form``), the rest being the pieces, the rendering and the JSON;
 for ``rep eval``, building the representation (``build_rho_preset``) and
@@ -63,9 +65,11 @@ import workloads  # noqa: E402
 
 WIDTH = 72  # characters of a request's arguments to print
 
-# the calls `classify.derive` makes, as (module, attribute, phase name)
+# the calls `classify.derive` makes, as (module, attribute, phase name);
+# `classify` calls `todd_coxeter` only for the order of a derived group
 DERIVE_PHASES = ((schreier, "toric_closure_rs", "closure+RS"), (schreier, "check_toric_presentation", "check"),
-                 (classify, "tietze_simplify", "Tietze"), (classify, "group_order", "order"))
+                 (classify, "tietze_simplify", "Tietze"), (classify, "todd_coxeter", "order"),
+                 (classify, "group_order", "order"))
 # the phases of each request whose arguments hold the key
 PHASES = {"derive": DERIVE_PHASES,
           "garside": ((garside, "token_runs", "read"), (garside, "_normal_form", "normal form")),
