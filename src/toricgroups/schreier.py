@@ -99,7 +99,7 @@ def toric_coset_labels(reps: Sequence[Word]) -> dict[int, tuple[int, int]]:
         letters = rep.letters
         i = letters.count(u)
         j = len(letters) - i
-        if letters[:i].count(u) != i or letters[i:].count(t) != j:
+        if letters[i:].count(t) != j:  # then every u is among the first i letters
             raise ValueError(f"representative {rep} is not of the form u^i t^j")
         labels[c] = (i, j)
     return labels
@@ -245,10 +245,10 @@ def _join_walks(ends: Iterable[int], n: int) -> list[tuple[int, int]]:
 
     Consecutive walks whose ends agree mod n join into one, shifted to
     continue the first; a walk that returns to its start, given or joined,
-    is the empty word and is dropped.  Where the ends differ mod n, the last letter of one
-    walk and the first of the next are not inverse, so nothing cancels and
-    the product of the walks left is freely reduced.  The cost is one step
-    per walk, whatever the walks' lengths.
+    is the empty word and is dropped.  Where the ends differ mod n, the
+    last letter of one walk and the first of the next are not inverse, so
+    nothing cancels and the product of the walks left is freely reduced.
+    The cost is one step per walk, whatever the walks' lengths.
     """
     stack: list[tuple[int, int]] = []
     pairs = iter(ends)
@@ -268,10 +268,10 @@ def _join_walks(ends: Iterable[int], n: int) -> list[tuple[int, int]]:
 
 
 def _cyclic_walks(walks: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
-    """``cyclic_reduce_letters`` on freely reduced walks: the letters of the
-    first and the last walk are trimmed while they are inverse, which is
-    while the first starts where the last ends (mod n) and the two run in
-    opposite directions."""
+    """``cyclic_reduce_letters`` on freely reduced walks, trimmed in place:
+    the letters of the first and the last walk are trimmed while they are
+    inverse, which is while the first starts where the last ends (mod n)
+    and the two run in opposite directions."""
     i, j = 0, len(walks) - 1
     while i < j:
         (s, e), (s2, e2) = walks[i], walks[j]

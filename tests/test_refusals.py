@@ -47,6 +47,8 @@ def complete():
      "toric column order needs generators s, t, u"),
     (lambda: schreier.toric_coset_labels((STU.word("1"), STU.word("s"))), ValueError,
      "representative s is not of the form u^i t^j"),
+    (lambda: schreier.toric_coset_labels((STU.word("1"), STU.word("t u"))), ValueError,
+     "representative t u is not of the form u^i t^j"),
     (lambda: schreier.rs_presentation(toric(6, 2, 3), overflowed(), ()), ValueError, "coset table is not complete"),
     (lambda: schreier.chain_implies_shift(3, 4, 0), ValueError, "generator index out of range"),
     (lambda: schreier.chain_implies_shift(3, 4, 4), ValueError, "generator index out of range"),

@@ -2,7 +2,7 @@ import pathlib
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import FINITE_ROWS, FROZEN_TORIC_ORDERS, closure_table, parent_cayley, schreier_word
 from oracles import naive_order, reference_check_toric_presentation, reference_rs_presentation
@@ -385,6 +385,7 @@ def test_check_refuses_schreier_generators_out_of_alphabet_order():
 
 
 @given(st.integers(2, 5), st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), max_size=12))
+@example(2, [(-1, 0), (1, 1), (2, 0)])  # an empty walk between two that cancel
 def test_joined_walks_spell_the_reduced_word(n, walks):
     # the check reduces products of walks without spelling them; spelled
     # walk by walk, then reduced letter by letter, they must give the same word
@@ -424,8 +425,8 @@ def _tampered(rs: RSResult, every: int) -> dict[str, list[RSResult]]:
         "prefix": [RSResult(pres.Presentation(ab, relators[:i]), gens) for i in range(0, len(relators), every)],
         "foreign": [RSResult(pres.Presentation(ab, relators + (Word(ab, (s_gen,)),)), gens)],
         "swapped": [RSResult(rs.presentation,
-                             gens[:i] + (SubgroupGenerator(gens[i].name, other.coset, other.gen_name),) + gens[i + 1:])
-                    for i, other in list(enumerate(gens[1:] + gens[:1]))[::every]],
+                             gens[:i] + (SubgroupGenerator(g.name, other.coset, other.gen_name),) + gens[i + 1:])
+                    for i, (g, other) in list(enumerate(zip(gens, gens[1:] + gens[:1])))[::every]],
     }
 
 

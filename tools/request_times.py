@@ -66,7 +66,7 @@ import workloads  # noqa: E402
 WIDTH = 72  # characters of a request's arguments to print
 
 # the calls `classify.derive` makes, as (module, attribute, phase name);
-# `classify` calls `todd_coxeter` only for the order of a derived group
+# within `derive`, `classify` calls `todd_coxeter` only for the order
 DERIVE_PHASES = ((schreier, "toric_closure_rs", "closure+RS"), (schreier, "check_toric_presentation", "check"),
                  (classify, "tietze_simplify", "Tietze"), (classify, "todd_coxeter", "order"),
                  (classify, "group_order", "order"))
