@@ -558,54 +558,46 @@ def enumerate_record(params: FamilyParams, subgroup: str, normal_closure: bool, 
     return {key: table.num_cosets, "cosets": table.num_cosets}, "ok", evidence
 
 
-def _bfs_edges(t: CosetTable, column_order: Sequence[int]) -> list[tuple[int, int, int]]:
+def bfs_tree(t: CosetTable, column_order: Sequence[int]) -> list[tuple[int, int, int]]:
     """The edges (parent, column, child) of a breadth-first spanning tree of
-    the coset graph from coset 0, in BFS order; each coset is reached first
-    along the earliest column of ``column_order``."""
+    the coset graph from coset 0, in BFS order, so a parent comes before
+    its children: the transversal, as a Schreier tree.
+
+    Each coset is reached first along the earliest column of
+    ``column_order``, so the tree path to it spells a geodesic over those
+    columns, and every prefix of that word leads to a coset: the
+    representatives form a Schreier transversal.  Raises ValueError when
+    the columns do not reach every coset.
+    """
+    columns = [(col, t.columns[col]) for col in column_order]
     seen = [False] * t.num_cosets
     seen[0] = True
     edges = []
     queue = deque([0])
     while queue:
         a = queue.popleft()
-        for col in column_order:
-            b = t.columns[col][a]
+        for col, column in columns:
+            b = column[a]
             if b is not None and not seen[b]:
                 seen[b] = True
                 edges.append((a, col, b))
                 queue.append(b)
-    return edges
-
-
-def bfs_transversal(t: CosetTable, column_order: Sequence[int]) -> tuple[Word, ...]:
-    """The representative word of each coset, along a breadth-first
-    spanning tree of the coset graph from coset 0.
-
-    Each coset is reached first along the earliest column of
-    ``column_order``, so its representative is a geodesic over those
-    columns and every prefix of a representative is a representative: the
-    tree edge into a coset is its representative's last letter.  Raises
-    ValueError when the columns do not reach every coset.
-    """
-    edges = _bfs_edges(t, column_order)
     if len(edges) != t.num_cosets - 1:
         raise ValueError("column order does not span the coset graph")
-    reps: list[Word] = [Word(t.alphabet, ())] * t.num_cosets
-    for a, col, b in edges:
-        letter = col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1)
-        reps[b] = Word(t.alphabet, reps[a].letters + (letter,))
-    return tuple(reps)
+    return edges
 
 
 class CayleyTable:
     """The regular action of a finite quotient, from a trivial-subgroup table.
 
-    Elements are cosets; element i is represented by the BFS transversal
-    word ``words[i]`` over the positive columns, then the negative ones (a
-    geodesic, so its length is the generator-length of the element), built
-    on first use.  No multiplication table is materialized: a product i * j
-    is ``table.trace(i, words[j])``, and conjugation by each generator is
-    one cached permutation, from which the classes and the center are read.
+    Elements are cosets.  One BFS tree from the identity, over the positive
+    columns, then the negative ones, is computed on first use; element i
+    is represented by its tree path, spelled as the word ``words[i]`` (a
+    geodesic, so its length is the generator-length of the element) only
+    when ``words`` is first read.  No multiplication table is materialized:
+    a product i * j is ``table.trace(i, words[j])``, and conjugation by
+    each generator is one cached permutation, read off the same tree; the
+    classes and the center are read from these.
     """
 
     def __init__(self, table: CosetTable):
@@ -618,9 +610,17 @@ class CayleyTable:
         self.size = table.num_cosets
 
     @cached_property
-    def words(self) -> tuple[Word, ...]:
+    def _tree(self) -> list[tuple[int, int, int]]:
         ngens = len(self.alphabet)
-        return bfs_transversal(self.table, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)])
+        return bfs_tree(self.table, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)])
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        words = [Word(self.alphabet, ())] * self.size
+        for a, col, b in self._tree:
+            g = col // 2 + 1
+            words[b] = Word(self.alphabet, words[a].letters + (-g if col % 2 else g,))
+        return tuple(words)
 
     def eval(self, w: Word) -> int:
         return self.table.trace(0, w)
@@ -646,17 +646,16 @@ class CayleyTable:
         Conjugation by g^-1 is the inverse permutation, so these have the
         classes and the center of all the letters' conjugations.  Left and
         right multiplication commute, so the left translate g^-1 * e is the
-        translate of e's parent in a BFS tree from the identity, stepped
-        along the tree edge that reaches e: two steps per element for each
-        generator, and no words.
+        translate of e's parent in the BFS tree, stepped along the tree edge
+        that reaches e: two steps per element for each generator, and no
+        words.
         """
         columns = self.table.columns
-        edges = _bfs_edges(self.table, range(len(columns)))
         conjugations = []
         for g in range(len(self.alphabet)):
             left = [0] * self.size
             left[0] = columns[2 * g + 1][0]
-            for a, c, b in edges:
+            for a, c, b in self._tree:
                 left[b] = columns[c][left[a]]
             conjugations.append([columns[2 * g][x] for x in left])
         return conjugations

@@ -217,11 +217,11 @@ def meridian_derivation(n: int, m: int) -> Derivation:
     start = apply_map(sigma(n, m), meridian(n, m, a, b))
     steps: list[RewriteStep] = []
     for t in range(b):  # the block x_{tm+1} ... x_{tm+m} back to Q
-        steps += undone(chain_step(n, m, t * m, t * m % n + 1), 0)
+        steps += undone(chain_step(ab, m, t * m, t * m % n + 1), 0)
     i = n
     for t in reversed(range(b)):
         i = (i - m - 1) % n + 1
-        steps += undone(chain_implies_shift(n, m, i).steps, t * m)
+        steps += undone(chain_implies_shift(ab, m, i).steps, t * m)
     delta = cyclic_product(n, 0, m)
     cancel = Word(ab, delta * b + tuple(-x for x in reversed(delta)) * b)
     steps.append(RewriteStep(1, cancel, Word(ab, ()), None))

@@ -145,11 +145,11 @@ def centrality_witness(k: int, n: int, m: int, i: int) -> Derivation:
     if not 1 <= i <= n:
         raise ValueError("generator index out of range")
     start = Word(ab, (i, *cyclic_product(n, 0, n * m)))
-    to_twist = delta_power_to_twist(n, m).steps
+    to_twist = delta_power_to_twist(ab, m).steps
     steps = list(undone(to_twist, 1))  # c -> delta^n, after the leading x_i
     cur = i
     for block in range(n):
-        steps += moved(chain_implies_shift(n, m, cur).steps, block * m)
+        steps += moved(chain_implies_shift(ab, m, cur).steps, block * m)
         cur = (cur + m - 1) % n + 1
     # cur is now i + n m reduced mod n, which is i again
     steps += to_twist

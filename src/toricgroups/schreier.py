@@ -1,10 +1,14 @@
 """Reidemeister-Schreier subgroup presentations from complete coset tables.
 
 Given a complete coset table for a subgroup H, a breadth-first spanning
-tree of the coset graph yields a Schreier transversal (every prefix of a
-representative is itself a representative).  The non-tree edges carry the
-Schreier generators k*x*(bar(kx))^-1 of H, and rewriting every conjugate of
-every relator through the tree produces defining relations for H.  For a
+tree of the coset graph is a Schreier transversal: the representative of
+a coset is the word spelled along the tree path to it, so every prefix of
+a representative is itself a representative.  The tree is kept as its
+edges, never as words.  The non-tree edges carry the Schreier generators
+k*x*(bar(kx))^-1 of H, and rewriting every conjugate of every relator
+through the tree produces defining relations for H.  The edge from coset
+c by generator g to d is a tree edge exactly when the tree edge into d
+reads g or the one into c reads g^-1, so one column per coset decides it.  For a
 relator R = v^q, the rewrites from the cosets of one orbit of <v> are cyclic
 rotations of one another, so ``rs_presentation`` keeps one per orbit: that
 of its least coset (Havas, "A Reidemeister-Schreier program", 1974).
@@ -12,8 +16,9 @@ of its least coset (Havas, "A Reidemeister-Schreier program", 1974).
 The BFS column order is configurable.  For a parent J-group on generators
 (s, t, u) over the normal closure of s, the preset ``toric_column_order``
 explores u first, then t, which makes the representatives exactly the
-words u^i t^j; generator labels then carry the (i, j) pair so they can be
-matched against closed-form expressions.  ``toric_closure_rs`` runs that
+words u^i t^j; each coset's (i, j) is its parent's plus one u or t edge,
+and generator labels carry the pair so they can be matched against
+closed-form expressions.  ``toric_closure_rs`` runs that
 chain from the parameters (a, b, c); the derivation here and the
 ``derive`` result in ``classify`` both start from it.
 """
@@ -23,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
-from .cosets import MAX_COSETS, CosetTable, bfs_transversal, normal_closure_table
+from .cosets import MAX_COSETS, CosetTable, bfs_tree, normal_closure_table
 from .presentations import Presentation, cyclic_product, j_parent, meridians, toric
 from .words import (Alphabet, Derivation, RewriteStep, Value, Word, check_derivation, cyclic_reduce_letters,
                     free_reduce_letters, invert, undone)
@@ -45,11 +50,10 @@ def toric_column_order(alphabet: Alphabet) -> list[int]:
     return [2 * i for i in pref]
 
 
-def schreier_transversal(ct: CosetTable, column_order: Sequence[int] | None = None) -> tuple[Word, ...]:
-    """The representative word of each coset, along a BFS spanning tree
-    with deterministic edge order.
+def schreier_transversal(ct: CosetTable, column_order: Sequence[int] | None = None) -> list[tuple[int, int, int]]:
+    """The Schreier transversal as its BFS spanning tree: the edges
+    (parent, column, child) in BFS order, as ``cosets.bfs_tree`` returns.
 
-    The representatives are prefix-closed, and the tree is read off them.
     The default order walks the positive generator columns in alphabet
     order; in a complete table every column is a permutation, so positive
     words already reach every coset.  A custom ``column_order`` (a sequence
@@ -65,7 +69,7 @@ def schreier_transversal(ct: CosetTable, column_order: Sequence[int] | None = No
         order = list(column_order)
         if len(set(order)) != len(order) or any(c < 0 or c >= ncols for c in order):
             raise ValueError("column order must be a list of distinct table columns")
-    return bfs_transversal(ct, order)
+    return bfs_tree(ct, order)
 
 
 class SubgroupGenerator(Value):
@@ -86,26 +90,29 @@ class RSResult(Value):
         super().__init__(presentation, generators)
 
 
-def toric_coset_labels(reps: Sequence[Word]) -> dict[int, tuple[int, int]]:
-    """Read (i, j) off representatives of the form u^i t^j.
+def toric_coset_labels(alphabet: Alphabet, tree: Iterable[tuple[int, int, int]]) -> dict[int, tuple[int, int]]:
+    """The (i, j) of each coset whose representative is u^i t^j, read down
+    the tree in BFS order: the parent's pair plus one u or t edge.
 
-    Raises ValueError when a representative has any other shape.  The
-    letters are counted and compared by tuple methods, not named one by
-    one: at index 9,999 the representatives hold about 10^6 letters.
+    Raises ValueError when a representative has any other shape; only then
+    is it spelled, for the message.
     """
-    labels: dict[int, tuple[int, int]] = {}
-    u, t = reps[0].alphabet.index("u") + 1, reps[0].alphabet.index("t") + 1
-    for c, rep in enumerate(reps):
-        letters = rep.letters
-        i = letters.count(u)
-        j = len(letters) - i
-        if letters[i:].count(t) != j:  # then every u is among the first i letters
+    u, t = 2 * alphabet.index("u"), 2 * alphabet.index("t")
+    labels = {0: (0, 0)}
+    for a, col, b in tree:
+        i, j = labels[a]
+        if col == t:
+            labels[b] = (i, j + 1)
+        elif col == u and j == 0:
+            labels[b] = (i + 1, 0)
+        else:
+            g = col // 2 + 1
+            rep = Word(alphabet, (u // 2 + 1,) * i + (t // 2 + 1,) * j + (-g if col % 2 else g,))
             raise ValueError(f"representative {rep} is not of the form u^i t^j")
-        labels[c] = (i, j)
     return labels
 
 
-def rs_presentation(p: Presentation, ct: CosetTable, reps: Sequence[Word],
+def rs_presentation(p: Presentation, ct: CosetTable, tree: Iterable[tuple[int, int, int]],
                     namer: Callable[[int, str], str] | None = None) -> RSResult:
     """Subgroup presentation on the nontrivial Schreier generators.
 
@@ -118,12 +125,13 @@ def rs_presentation(p: Presentation, ct: CosetTable, reps: Sequence[Word],
     coset.  The relators kept are thus a subsequence of the all-cosets list,
     each the earliest of its rotation class, with the same normal closure.
 
-    ``reps`` is a prefix-closed transversal, as ``schreier_transversal``
-    returns.  The edge from coset c by generator g to d is a tree edge when
-    d's representative is c's followed by g, or c's is d's followed by
-    g^-1.  Since every column is a permutation, the two lengths and the
-    last letter decide this, and these are exactly the edges whose
-    Schreier generator is freely trivial.
+    ``tree`` is the transversal's spanning tree, as ``schreier_transversal``
+    returns.  With ``into[c]`` the column of the tree edge into c, the edge
+    from coset c by generator g to d is a tree edge exactly when
+    ``into[d] == 2g`` (d's representative is c's followed by g) or
+    ``into[c] == 2g + 1`` (c's is d's followed by g^-1): every column is a
+    permutation, so the edge into d by g can only come from c.  These are
+    exactly the edges whose Schreier generator is freely trivial.
     """
     if not ct.complete:
         raise ValueError("coset table is not complete")
@@ -132,17 +140,17 @@ def rs_presentation(p: Presentation, ct: CosetTable, reps: Sequence[Word],
 
     columns = ct.columns
     ngens = len(p.alphabet)
+    into = [-1] * ct.num_cosets
+    for _, col, b in tree:
+        into[b] = col
     sub_gens: list[SubgroupGenerator] = []
     # gen_at[col][q]: the signed Schreier generator read along the edge from
     # coset q by table column col, 0 on a tree edge
     gen_at = [[0] * ct.num_cosets for _ in range(2 * ngens)]
     for c in range(ct.num_cosets):
-        here = reps[c].letters
         for g in range(ngens):
             dest = columns[2 * g][c]
-            there = reps[dest].letters
-            if (len(there) == len(here) + 1 and there[-1] == g + 1
-                    or len(here) == len(there) + 1 and here[-1] == -g - 1):
+            if into[dest] == 2 * g or into[c] == 2 * g + 1:
                 continue
             sub_gens.append(SubgroupGenerator(namer(c, p.alphabet.names[g]), c, p.alphabet.names[g]))
             gen_at[2 * g][c] = len(sub_gens)
@@ -344,9 +352,9 @@ def toric_closure_rs(a: int, b: int, c: int, max_cosets: int = MAX_COSETS
     table = normal_closure_table(parent, [parent.alphabet.word("s")], max_cosets=max_cosets)
     if not table.complete:
         return None
-    reps = schreier_transversal(table, toric_column_order(parent.alphabet))
-    labels = toric_coset_labels(reps)
-    rs = rs_presentation(parent, table, reps, namer=lambda c_, g: f"{g}_{labels[c_][0]}_{labels[c_][1]}")
+    tree = schreier_transversal(table, toric_column_order(parent.alphabet))
+    labels = toric_coset_labels(parent.alphabet, tree)
+    rs = rs_presentation(parent, table, tree, namer=lambda c_, g: f"{g}_{labels[c_][0]}_{labels[c_][1]}")
     return labels, rs
 
 
@@ -400,7 +408,7 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
             continue
         found.add(key)
         if key in shift_keys:
-            d = chain_implies_shift(n, m, shift_keys[key])
+            d = chain_implies_shift(reference.alphabet, m, shift_keys[key])
             try:
                 end = check_derivation(d, chains)  # justified deletion
             except ValueError as e:  # a fault of this derivation, not of the input
@@ -414,35 +422,39 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
     return Presentation(target, tuple(Word(target, r.letters) for r in reference.relators))
 
 
-def chain_step(n: int, m: int, position: int, j: int) -> tuple[RewriteStep, ...]:
+def chain_step(ab: Alphabet, m: int, position: int, j: int) -> tuple[RewriteStep, ...]:
     """The step rewriting delta = x_1...x_m at ``position`` as the m-factor
-    product x_j...x_{j+m-1} (indices mod n), citing relator j - 2 of
-    ``torus_classical(n, m)``; no step for j = 1, where the two words agree."""
+    product x_j...x_{j+m-1} over the meridians ``ab`` (indices mod n =
+    len(ab)), citing relator j - 2 of ``torus_classical(n, m)``; no step for
+    j = 1, where the two words agree."""
     if j == 1:
         return ()
-    ab = meridians(n)
+    n = len(ab)
     return (RewriteStep(position, Word(ab, cyclic_product(n, 0, m)), Word(ab, cyclic_product(n, j - 1, m)), j - 2),)
 
 
-def chain_implies_shift(n: int, m: int, i: int) -> Derivation:
+def chain_implies_shift(ab: Alphabet, m: int, i: int) -> Derivation:
     """Derivation of x_i * delta -> delta * x_{i+m} using chain relators only.
 
-    delta = x_1...x_m with indices mod n.  Two chain steps: rewrite delta
-    as the product starting at x_{i+1}, then rewrite the m-factor prefix
-    starting at x_i back to delta.
+    delta = x_1...x_m over the meridians ``ab``, indices mod n = len(ab).
+    Two chain steps: rewrite delta as the product starting at x_{i+1},
+    then rewrite the m-factor prefix starting at x_i back to delta.
     """
+    n = len(ab)
     if not 1 <= i <= n:
         raise ValueError("generator index out of range")
-    start = Word(meridians(n), (i, *cyclic_product(n, 0, m)))
-    return Derivation(start, chain_step(n, m, 1, i % n + 1) + undone(chain_step(n, m, 0, i), 0))
+    start = Word(ab, (i, *cyclic_product(n, 0, m)))
+    return Derivation(start, chain_step(ab, m, 1, i % n + 1) + undone(chain_step(ab, m, 0, i), 0))
 
 
-def delta_power_to_twist(n: int, m: int) -> Derivation:
-    """Derivation of delta^n -> (x_1...x_n)^m (both equal to the full twist).
+def delta_power_to_twist(ab: Alphabet, m: int) -> Derivation:
+    """Derivation of delta^n -> (x_1...x_n)^m (both equal to the full twist)
+    over the meridians ``ab``, n = len(ab).
 
     Rewrites the t-th delta factor to start at x_{tm+1}; the result is the
     literal word x_1 x_2 ... x_{nm} with indices mod n, which is identical
     to (x_1...x_n)^m letter by letter.
     """
-    start = Word(meridians(n), cyclic_product(n, 0, m) * n)
-    return Derivation(start, tuple(chain.from_iterable(chain_step(n, m, t * m, t * m % n + 1) for t in range(n))))
+    n = len(ab)
+    start = Word(ab, cyclic_product(n, 0, m) * n)
+    return Derivation(start, tuple(chain.from_iterable(chain_step(ab, m, t * m, t * m % n + 1) for t in range(n))))

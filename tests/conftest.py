@@ -51,11 +51,18 @@ def image_of(f: GenMap, name: str) -> Word:
     return f.images[f.source.index(name)]
 
 
-def schreier_word(table, reps, g) -> Word:
-    """The ambient word of the Schreier generator ``g`` over the transversal
-    ``reps`` of ``table``: reps[c] x reps[c.x]^-1, freely reduced."""
-    x = table.alphabet.word(g.gen_name)
-    return free_reduce(reps[g.coset] * x * reps[table.trace(g.coset, x)] ** -1)
+def schreier_word(table, labels, g) -> Word:
+    """The ambient word of the Schreier generator ``g`` over the u^i t^j
+    transversal of ``table`` with the (i, j) ``labels``: rep(c) x
+    rep(c.x)^-1, freely reduced."""
+    ab = table.alphabet
+
+    def rep(c: int) -> Word:
+        i, j = labels[c]
+        return ab.word("u") ** i * ab.word("t") ** j
+
+    x = ab.word(g.gen_name)
+    return free_reduce(rep(g.coset) * x * rep(table.trace(g.coset, x)) ** -1)
 
 
 @cache

@@ -50,9 +50,14 @@ with the production engines they check:
   ``schreier.rs_presentation`` rewrites a relator v^q only from the least
   coset of each orbit of <v>, so its relators must be a subsequence of the
   reference's, in order, and every reference relator a cyclic rotation of
-  a kept one once both are cyclically reduced.  It reads only the table's
-  ``columns`` and ``trace`` and the representatives, and builds its own set
-  of tree edges from each representative's last letter.
+  a kept one once both are cyclically reduced.  It spells its own
+  representatives (``reference_transversal``), reads only the table's
+  ``columns`` and ``trace``, and builds its own set of tree edges from each
+  representative's last letter.
+- ``reference_transversal``: the representative words of a complete table,
+  spelled one BFS level at a time, each candidate traced from coset 0.  It
+  shares no code with ``cosets.bfs_tree``, and must reach each coset by the
+  same word as the tree path to it.
 - ``reference_check_toric_presentation``: the original check of the toric
   presentation on Word objects: each closed form a ``Word`` through
   ``GenMap``, each relator mapped by ``reference_apply_map`` and keyed by the
@@ -65,8 +70,9 @@ with the production engines they check:
   with the check, which are one source of truth.
 - ``reference_normal_closure``: the original normal-closure loop, which
   enumerates over a subgroup and adjoins one conjugate of a seed per round
-  until every seed acts trivially.  It needs a finite index at every round
-  and shares the enumerator of ``cosets``.
+  until every seed acts trivially.  It needs a finite index at every round,
+  shares the enumerator of ``cosets`` and spells its conjugators with
+  ``reference_transversal``.
 - ``reference_conjugacy_class_ids``: the original class ids of a Cayley
   table, which trace every element's whole transversal word once per
   signed generator.  ``CayleyTable.conjugacy_class_ids`` must give the same
@@ -135,7 +141,7 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from toricgroups import schreier
-from toricgroups.cosets import CayleyTable, CosetTable, _columns, _validate, bfs_transversal, todd_coxeter
+from toricgroups.cosets import CayleyTable, CosetTable, _columns, _validate, todd_coxeter
 from toricgroups.coxeter import MinimalRootTable
 from toricgroups.cyclo import _degree, cyclotomic_polynomial
 from toricgroups.garside import GarsideNF
@@ -517,12 +523,43 @@ def reference_tietze(p: Presentation, budget: int = 10_000) -> Presentation:
     return Presentation(alphabet, tuple(relators))
 
 
-def reference_rs_presentation(p: Presentation, ct: CosetTable, reps: Sequence[Word]) -> RSResult:
+def reference_transversal(t: CosetTable, column_order: Sequence[int] | None = None) -> list[Word]:
+    """The representative word of each coset of a complete table, by coset.
+
+    One BFS level at a time: each representative of the level, in the
+    order found, is extended by each letter of ``column_order`` (by default
+    the generators), and a word that traces from coset 0 to a coset not yet
+    reached represents it.  Raises ValueError when a coset is not reached.
+    """
+    if column_order is None:
+        column_order = range(0, 2 * len(t.alphabet), 2)
+    letters = [col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1) for col in column_order]
+    reps = {0: Word(t.alphabet, ())}
+    level = [reps[0]]
+    while level:
+        below = []
+        for rep in level:
+            for x in letters:
+                w = Word(t.alphabet, rep.letters + (x,))
+                c = t.trace(0, w)
+                if c not in reps:
+                    reps[c] = w
+                    below.append(w)
+        level = below
+    if len(reps) != t.num_cosets:
+        raise ValueError("column order does not span the coset graph")
+    return [reps[c] for c in range(t.num_cosets)]
+
+
+def reference_rs_presentation(p: Presentation, ct: CosetTable, column_order: Sequence[int] | None = None
+                              ) -> RSResult:
     """The original Reidemeister-Schreier rewrite: every relator from every
     coset, in coset-major order, freely reduced, empty rewrites dropped.
     Generators are named as by ``rs_presentation``'s default namer.  The
-    tree edges, in both orientations, are read off each representative's
-    last letter, from the coset its prefix traces to."""
+    representatives are ``reference_transversal``'s over ``column_order``;
+    the tree edges, in both orientations, are read off each
+    representative's last letter, from the coset its prefix traces to."""
+    reps = reference_transversal(ct, column_order)
     tree: set[tuple[int, int]] = set()
     for b, rep in enumerate(reps):
         if rep.letters:
@@ -601,7 +638,7 @@ def reference_check_toric_presentation(k: int, n: int, m: int, labels: dict[int,
             continue
         found.add(key)
         if key in shift_canon:
-            d = schreier.chain_implies_shift(n, m, shift_canon[key])
+            d = schreier.chain_implies_shift(reference.alphabet, m, shift_canon[key])
             try:
                 check_derivation(d, chains)  # justified deletion
             except ValueError as e:  # a fault of this derivation, not of the input
@@ -630,7 +667,7 @@ def reference_normal_closure(p: Presentation, seeds: list[Word], max_cosets: int
         if not t.complete:
             return t
         ngens = len(t.alphabet)
-        reps = bfs_transversal(t, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)])
+        reps = reference_transversal(t, [2 * i for i in range(ngens)] + [2 * i + 1 for i in range(ngens)])
         violation = None
         for c in range(t.num_cosets):
             for s in seeds:

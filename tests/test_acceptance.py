@@ -90,7 +90,7 @@ def test_criterion_03_rs_round_trip():
         parent = pres.j_parent(k, n, m)
         table = closure_table(k, n, m)
         tr = schreier_transversal(table, toric_column_order(parent.alphabet))
-        labels = toric_coset_labels(tr)
+        labels = toric_coset_labels(parent.alphabet, tr)
         rs = rs_presentation(parent, table, tr,
                              namer=lambda c, g: f"{g}_{labels[c][0]}_{labels[c][1]}")
         simplified = tietze_simplify(rs.presentation)
@@ -113,7 +113,7 @@ def test_criterion_04_closed_form_cross_check(k, n, m):
     parent = pres.j_parent(k, n, m)
     table = closure_table(k, n, m)
     tr = schreier_transversal(table, toric_column_order(parent.alphabet))
-    labels = toric_coset_labels(tr)
+    labels = toric_coset_labels(parent.alphabet, tr)
     rs = rs_presentation(parent, table, tr)
     by_label = {(labels[g.coset], g.gen_name): g for g in rs.generators}
     cay = parent_cayley(k, n, m)
@@ -132,12 +132,12 @@ def test_criterion_04_closed_form_cross_check(k, n, m):
     checked = 0
     for ell in range(m):
         for p in range(1, n + 1):
-            word = schreier_word(table, tr, by_label[((m - 1 - ell, p - 1), "s")])
+            word = schreier_word(table, labels, by_label[((m - 1 - ell, p - 1), "s")])
             checked += 1
             if closed_form_element(closed_form_generator(k, n, m, "s", ell, p)) != cay.eval(word):
                 mismatches += 1
         for p in range(1, n):
-            word = schreier_word(table, tr, by_label[((m - 1 - ell, p), "u")])
+            word = schreier_word(table, labels, by_label[((m - 1 - ell, p), "u")])
             checked += 1
             if closed_form_element(closed_form_generator(k, n, m, "u", ell, p)) != cay.eval(word):
                 mismatches += 1

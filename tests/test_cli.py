@@ -410,10 +410,10 @@ def test_derive_exhausted_budget_keeps_best_presentation(capsys):
     assert payload["result"]["num_generators"] == 3
 
 
-def _miscited(real, n, m, i):
+def _miscited(real, ab, m, i):
     # the shift relator 2 of (2,3,4) is derived citing chain relators 1 and
     # 0; citing them the other way round is no derivation
-    d = real(n, m, i)
+    d = real(ab, m, i)
     return words.Derivation(d.start, tuple(words.RewriteStep(s.position, s.old, s.new, 1 - s.relator_index)
                                            if s.relator_index is not None else s for s in d.steps))
 
@@ -421,14 +421,14 @@ def _miscited(real, n, m, i):
 @pytest.mark.parametrize("fake, message", [
     pytest.param(_miscited, "not an instance of relator", id="miscited"),
     # a valid derivation, but of another shift relator
-    pytest.param(lambda real, n, m, i: real(n, m, i % n + 1), "derives another relator", id="other-shift"),
+    pytest.param(lambda real, ab, m, i: real(ab, m, i % len(ab) + 1), "derives another relator", id="other-shift"),
 ])
 def test_failed_derivation_check_is_an_internal_error(monkeypatch, fake, message):
     # a failed check is a fault of the derivation, never exit 2; (2,3,4)
     # deletes a shift relator, while (6,2,3) deletes none and would never
     # call the patched function
     real = schreier.chain_implies_shift
-    monkeypatch.setattr(schreier, "chain_implies_shift", lambda n, m, i: fake(real, n, m, i))
+    monkeypatch.setattr(schreier, "chain_implies_shift", lambda ab, m, i: fake(real, ab, m, i))
     with pytest.raises(AssertionError, match=message):
         main(["derive", "2", "3", "4"])
 

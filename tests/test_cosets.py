@@ -425,20 +425,23 @@ def test_transversal_words_are_geodesic_spanning():
 
 
 def test_cayley_table_builds_its_words_on_first_use(monkeypatch):
-    # derive and sweep read only the order, so they never need the transversal;
+    # derive and sweep read only the order, so they never need the BFS tree;
     # the table of each row is built once per process, so another test may
-    # already have filled the words of the shared (3,2,3) table
+    # already have filled the tree of the shared (3,2,3) table
     classify.finite_quotient.cache_clear()
     built = []
-    transversal = cosets.bfs_transversal
-    monkeypatch.setattr(cosets, "bfs_transversal", lambda t, order: built.append(t) or transversal(t, order))
+    tree = cosets.bfs_tree
+    monkeypatch.setattr(cosets, "bfs_tree", lambda t, order: built.append(t) or tree(t, order))
     assert classify.derive(2, 3, 4, 10**6, 10_000)[0]["order"] == 48
     assert classify.sweep(2, 5, 10**6)[0]["entries"][0]["order"] == 6
     cay = finite_quotient(3, 2, 3, 10**6)
     assert (cay.size, built) == (24, [])
+    # the conjugations read the tree and spell no word
+    assert len(cay.center()) == 2 and "words" not in vars(cay)
+    assert built == [cay.table]
     assert cay.table.trace(5, cay.words[7]) == cay.eval(cay.words[5] * cay.words[7])
     assert cay.length(cay.eval(cay.words[5].inverse())) == cay.length(5)
-    assert built == [cay.table]
+    assert built == [cay.table]  # one BFS for the conjugations and the words
 
 
 def check_group_axioms(cay: CayleyTable, samples: int, seed: int) -> None:

@@ -216,12 +216,13 @@ CLASSICAL_PAIRS = [(n, m) for n in range(2, 13) for m in range(2, 13) if math.gc
 @pytest.mark.parametrize("n,m", CLASSICAL_PAIRS)
 def test_tau_and_sigma_are_inverse_isomorphisms(n, m):
     t, s = tau(n, m), sigma(n, m)
-    chains = torus_classical(n, m).relators
+    classical = torus_classical(n, m)
+    chains = classical.relators
     # tau is a homomorphism: it kills every classical relator
     for r in chains:
         assert gnf(n, m, apply_map(t, r)).is_identity(), r
     # sigma is one: x^n and y^m map to words the chain relators make equal
-    twist = delta_power_to_twist(n, m)
+    twist = delta_power_to_twist(classical.alphabet, m)
     check_derivation(twist, chains)
     x, y = AB.word("x"), AB.word("y")
     assert (twist.start, twist.end()) == (apply_map(s, x**n), apply_map(s, y**m))

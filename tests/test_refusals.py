@@ -6,7 +6,7 @@ import re
 import pytest
 
 from toricgroups import classify, cosets, coxeter, cyclo, garside, maps, reps, schreier, words
-from toricgroups.presentations import ParseError, parse_presentation, toric
+from toricgroups.presentations import ParseError, meridians, parse_presentation, toric
 
 AB = words.Alphabet(["x", "y"])
 STU = words.Alphabet(["s", "t", "u"])
@@ -39,19 +39,20 @@ def complete():
      ValueError, "Cayley table requires the trivial subgroup"),
     (lambda: overflowed().trace(7, toric(6, 2, 3).alphabet.word("x1")), ValueError,
      "table entry undefined (table not complete)"),
-    (lambda: cosets.bfs_transversal(complete(), [0]), ValueError, "column order does not span the coset graph"),
+    (lambda: cosets.bfs_tree(complete(), [0]), ValueError, "column order does not span the coset graph"),
     # Reidemeister-Schreier and the rewriting lemmas
     (lambda: schreier.schreier_transversal(complete(), [0, 0]), ValueError,
      "column order must be a list of distinct table columns"),
     (lambda: schreier.toric_column_order(words.Alphabet(["s", "t"])), ValueError,
      "toric column order needs generators s, t, u"),
-    (lambda: schreier.toric_coset_labels((STU.word("1"), STU.word("s"))), ValueError,
+    # the trees 0 -s-> 1, and 0 -t-> 1 -u-> 2
+    (lambda: schreier.toric_coset_labels(STU, [(0, 0, 1)]), ValueError,
      "representative s is not of the form u^i t^j"),
-    (lambda: schreier.toric_coset_labels((STU.word("1"), STU.word("t u"))), ValueError,
+    (lambda: schreier.toric_coset_labels(STU, [(0, 2, 1), (1, 4, 2)]), ValueError,
      "representative t u is not of the form u^i t^j"),
     (lambda: schreier.rs_presentation(toric(6, 2, 3), overflowed(), ()), ValueError, "coset table is not complete"),
-    (lambda: schreier.chain_implies_shift(3, 4, 0), ValueError, "generator index out of range"),
-    (lambda: schreier.chain_implies_shift(3, 4, 4), ValueError, "generator index out of range"),
+    (lambda: schreier.chain_implies_shift(meridians(3), 4, 0), ValueError, "generator index out of range"),
+    (lambda: schreier.chain_implies_shift(meridians(3), 4, 4), ValueError, "generator index out of range"),
     (lambda: maps.centrality_witness(2, 3, 4, 4), ValueError, "generator index out of range"),
     # words, maps and derivations
     (lambda: words.Alphabet(["a", "a"]), ValueError, "duplicate generator names in ('a', 'a')"),

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import FINITE_ROWS, FROZEN_TORIC_ORDERS, closure_table, parent_cayley, schreier_word
-from oracles import naive_order, reference_check_toric_presentation, reference_rs_presentation
+from oracles import naive_order, reference_check_toric_presentation, reference_rs_presentation, reference_transversal
 
-from toricgroups import classify, schreier
+from toricgroups import classify, cosets, schreier, words
 from toricgroups.garside import meridian_derivation
 from toricgroups.maps import centrality_witness
 from toricgroups import presentations as pres
@@ -78,15 +78,15 @@ def chain_from_shift_derivations(n: int, m: int) -> list[Derivation]:
 
 
 def test_cyclic_group_transversal():
+    # the representatives 1, x, x^2, as the tree 0 -x-> 1 -x-> 2
     p = parse_presentation("gens: x\nrel: x^3")
-    tr = schreier_transversal(todd_coxeter(p))
-    assert [str(w) for w in tr] == ["1", "x", "x^2"]
+    assert schreier_transversal(todd_coxeter(p)) == [(0, 0, 1), (1, 0, 2)]
 
 
 def test_transversal_size_matches_table():
     table = closure_table(2, 3, 4)
-    tr = schreier_transversal(table)
-    assert len(tr) == table.num_cosets
+    tree = schreier_transversal(table)
+    assert sorted(b for _, _, b in tree) == list(range(1, table.num_cosets))
 
 
 def test_transversal_requires_complete_table():
@@ -98,17 +98,26 @@ def test_transversal_requires_complete_table():
 def test_toric_preset_gives_u_then_t_representatives():
     parent = pres.j_parent(2, 3, 4)
     table = closure_table(2, 3, 4)
-    tr = schreier_transversal(table, toric_column_order(parent.alphabet))
-    labels = toric_coset_labels(tr)
+    tree = schreier_transversal(table, toric_column_order(parent.alphabet))
+    labels = toric_coset_labels(parent.alphabet, tree)
     assert len(labels) == 12
+    reached = {0}
+    for a, col, b in tree:  # edges of the coset graph, each parent reached before its children
+        assert table.columns[col][a] == b and a in reached and b not in reached
+        reached.add(b)
+    into = {b: (a, col) for a, col, b in tree}
     for coset, (i, j) in labels.items():
-        expected = Word(parent.alphabet, (3,) * i + (2,) * j)  # u^i t^j
-        assert tr[coset] == expected
-    # Schreier property: every prefix of a representative is a representative
-    rep_set = {w.letters for w in tr}
-    for w in tr:
-        for cut in range(len(w.letters)):
-            assert w.letters[:cut] in rep_set
+        letters, c = [], coset
+        while c:  # the tree path up to coset 0
+            c, col = into[c]
+            letters.append(col // 2 + 1)
+        rep = Word(parent.alphabet, tuple(reversed(letters)))
+        assert rep == Word(parent.alphabet, (3,) * i + (2,) * j)  # u^i t^j
+        # Schreier property: every prefix of a representative is the
+        # representative of the coset it reaches
+        for cut in range(len(rep.letters)):
+            prefix = rep.letters[:cut]
+            assert labels[table.trace(0, Word(parent.alphabet, prefix))] == (prefix.count(3), prefix.count(2))
 
 
 def test_index_one_subgroup_reproduces_presentation():
@@ -131,9 +140,10 @@ def test_schreier_generator_values_lie_in_subgroup():
     parent = pres.j_parent(2, 3, 4)
     table = closure_table(2, 3, 4)
     tr = schreier_transversal(table, toric_column_order(parent.alphabet))
+    labels = toric_coset_labels(parent.alphabet, tr)
     rs = rs_presentation(parent, table, tr)
     for g in rs.generators:
-        assert table.trace(0, schreier_word(table, tr, g)) == 0
+        assert table.trace(0, schreier_word(table, labels, g)) == 0
 
 
 def test_rs_plus_tietze_reaches_n_generators_and_right_order(finite_rows):
@@ -141,7 +151,7 @@ def test_rs_plus_tietze_reaches_n_generators_and_right_order(finite_rows):
         parent = pres.j_parent(k, n, m)
         table = closure_table(k, n, m)
         tr = schreier_transversal(table, toric_column_order(parent.alphabet))
-        labels = toric_coset_labels(tr)
+        labels = toric_coset_labels(parent.alphabet, tr)
         rs = rs_presentation(parent, table, tr,
                              namer=lambda c, g: f"{g}_{labels[c][0]}_{labels[c][1]}")
         simplified = tietze_simplify(rs.presentation)
@@ -165,8 +175,8 @@ def _rs_against_reference(p: pres.Presentation, table, column_order=None, namer=
     rewrite, in order, and every relator of it is a cyclic rotation of a
     kept one once both are cyclically reduced.  The reference names its
     generators by the default namer, so ``namer`` renames them first."""
-    tr = schreier_transversal(table, column_order)
-    got, want = rs_presentation(p, table, tr, namer), reference_rs_presentation(p, table, tr)
+    tree = schreier_transversal(table, column_order)
+    got, want = rs_presentation(p, table, tree, namer), reference_rs_presentation(p, table, column_order)
     if namer is not None:
         gens = tuple(SubgroupGenerator(namer(g.coset, g.gen_name), g.coset, g.gen_name)
                      for g in want.generators)
@@ -196,7 +206,7 @@ def test_rs_of_the_closure_tables_is_the_all_cosets_rewrite(a, b, c):
     # the named-generator path that `derive` takes, on the table it reads
     parent = pres.j_parent(a, b, c)
     table = closure_table(a, b, c)
-    labels = toric_coset_labels(schreier_transversal(table, toric_column_order(parent.alphabet)))
+    labels = toric_coset_labels(parent.alphabet, schreier_transversal(table, toric_column_order(parent.alphabet)))
     got = _rs_against_reference(parent, table, toric_column_order(parent.alphabet),
                                 lambda coset, g: f"{g}_{labels[coset][0]}_{labels[coset][1]}")
     assert toric_closure_rs(a, b, c) == (labels, got)
@@ -210,6 +220,52 @@ def test_rs_over_inverse_columns_is_the_all_cosets_rewrite(a, b, c, column_order
     _rs_against_reference(pres.j_parent(a, b, c), closure_table(a, b, c), column_order)
 
 
+@given(st.sampled_from([(2, 3, 4), (3, 2, 3), (2, 3, 5)]), st.permutations(range(6)), st.integers(1, 6))
+def test_rs_over_any_column_order_is_the_all_cosets_rewrite(abc, columns, size):
+    # any distinct columns: the tree edges RS reads off ``into`` are those
+    # the reference reads off its own representatives' last letters, and a
+    # column order that does not span is refused by both
+    order = columns[:size]
+    parent, table = pres.j_parent(*abc), closure_table(*abc)
+    try:
+        reference_transversal(table, order)
+    except ValueError:
+        with pytest.raises(ValueError, match="^column order does not span the coset graph$"):
+            schreier_transversal(table, order)
+        return
+    _rs_against_reference(parent, table, order)
+
+
+def test_derive_spells_no_representative_word(monkeypatch):
+    # the transversal is its tree, and CayleyTable.words the one place a
+    # tree path is spelled: derive reads the labels and the tree edges, so
+    # it builds no word over the parent's alphabet longer than the parent's
+    # relators, and fewer of them than there are cosets (195)
+    monkeypatch.setattr(cosets.CayleyTable, "words", property(lambda self: pytest.fail("words spelled")))
+    init, lengths = Word.__init__, []
+
+    def spy(self, alphabet, letters):
+        init(self, alphabet, letters)
+        if alphabet == pres.STU:
+            lengths.append(len(letters))
+
+    monkeypatch.setattr(Word, "__init__", spy)
+    result, status, evidence = classify.derive(2, 13, 15, MAX_COSETS, pres.TIETZE_BUDGET)
+    assert status == "ok" and "index of the normal closure of s: 195" in evidence
+    assert max(lengths) <= max(len(r.letters) for r in pres.j_parent(2, 13, 15).relators)
+    assert len(lengths) < 195
+
+
+def test_the_check_builds_no_alphabet_per_shift_relator(monkeypatch):
+    # the shift derivations share the meridians of the toric presentation:
+    # the check builds that alphabet and the target's, whatever n
+    found = toric_closure_rs(2, 13, 15)
+    init, built = words.Alphabet.__init__, []
+    monkeypatch.setattr(words.Alphabet, "__init__", lambda self, names: built.append(names) or init(self, names))
+    check_toric_presentation(2, 13, 15, *found)
+    assert len(built) == 2
+
+
 def test_rs_keeps_one_rewrite_per_orbit_of_a_two_letter_root():
     # (r1 r2)^2 has the root r1 r2, which moves the cosets of <r1> in
     # orbits of two
@@ -217,9 +273,9 @@ def test_rs_keeps_one_rewrite_per_orbit_of_a_two_letter_root():
     table = todd_coxeter(p, [p.alphabet.word("r1")])
     assert table.num_cosets == 24
     _rs_against_reference(p, table)
-    tr = schreier_transversal(table)
+    tree = schreier_transversal(table)
     only = pres.Presentation(p.alphabet, (p.alphabet.word("r1 r2 r1 r2"),))
-    got, want = rs_presentation(only, table, tr), reference_rs_presentation(only, table, tr)
+    got, want = rs_presentation(only, table, tree), reference_rs_presentation(only, table)
     assert (len(got.presentation.relators), len(want.presentation.relators)) == (12, 24)
 
 
@@ -233,9 +289,9 @@ def test_rs_rewrites_empty_and_non_power_relators_from_every_coset():
     table = todd_coxeter(p)  # the trivial subgroup of the dihedral group of order 8
     assert table.num_cosets == 8
     _rs_against_reference(p, table)
-    tr = schreier_transversal(table)
+    tree = schreier_transversal(table)
     only = pres.Presentation(ab, extra)
-    assert rs_presentation(only, table, tr) == reference_rs_presentation(only, table, tr)
+    assert rs_presentation(only, table, tree) == reference_rs_presentation(only, table)
 
 
 # --- closed forms ---------------------------------------------------------------
@@ -270,7 +326,7 @@ def test_closed_forms_match_generic_rewriting_in_parent(k, n, m):
     parent = pres.j_parent(k, n, m)
     table = closure_table(k, n, m)
     tr = schreier_transversal(table, toric_column_order(parent.alphabet))
-    labels = toric_coset_labels(tr)
+    labels = toric_coset_labels(parent.alphabet, tr)
     rs = rs_presentation(parent, table, tr)
     by_label = {(labels[g.coset], g.gen_name): g for g in rs.generators}
     cay = parent_cayley(k, n, m)
@@ -288,11 +344,11 @@ def test_closed_forms_match_generic_rewriting_in_parent(k, n, m):
     mismatches = 0
     for ell in range(m):
         for p in range(1, n + 1):
-            word = schreier_word(table, tr, by_label[((m - 1 - ell, p - 1), "s")])
+            word = schreier_word(table, labels, by_label[((m - 1 - ell, p - 1), "s")])
             if element_of_closed_form(closed_form_generator(k, n, m, "s", ell, p)) != cay.eval(word):
                 mismatches += 1
         for p in range(1, n):
-            word = schreier_word(table, tr, by_label[((m - 1 - ell, p), "u")])
+            word = schreier_word(table, labels, by_label[((m - 1 - ell, p), "u")])
             if element_of_closed_form(closed_form_generator(k, n, m, "u", ell, p)) != cay.eval(word):
                 mismatches += 1
     assert mismatches == 0
@@ -452,7 +508,7 @@ def test_check_agrees_with_the_word_based_reference_on_tampered_rs(k, n, m):
 @pytest.mark.parametrize("k,n,m", [(2, 3, 4), (3, 4, 5), (2, 3, 7)])
 def test_check_refuses_the_derivation_of_another_shift_relator(monkeypatch, k, n, m):
     real = schreier.chain_implies_shift
-    monkeypatch.setattr(schreier, "chain_implies_shift", lambda n_, m_, i: real(n_, m_, i % n_ + 1))
+    monkeypatch.setattr(schreier, "chain_implies_shift", lambda ab, m_, i: real(ab, m_, i % len(ab) + 1))
     with pytest.raises(AssertionError, match="^the derivation cited for .* derives another relator$"):
         check_toric_presentation(k, n, m, *toric_closure_rs(k, n, m))
 
@@ -463,10 +519,10 @@ def test_check_refuses_a_derivation_with_a_corrupted_step(monkeypatch, k, n, m):
     # derived, stay the same, and only the step check can see it
     real = schreier.chain_implies_shift
 
-    def corrupted(n_, m_, i):
-        d = real(n_, m_, i)
+    def corrupted(ab, m_, i):
+        d = real(ab, m_, i)
         first = d.steps[0]
-        wrong = RewriteStep(first.position, first.old, first.new, (first.relator_index + 1) % (n_ - 1))
+        wrong = RewriteStep(first.position, first.old, first.new, (first.relator_index + 1) % (len(ab) - 1))
         return Derivation(d.start, (wrong,) + d.steps[1:])
 
     monkeypatch.setattr(schreier, "chain_implies_shift", corrupted)
@@ -504,7 +560,7 @@ def test_chain_and_shift_relators_imply_each_other(n, m):
     delta = Word(ab, tuple(j % n + 1 for j in range(m)))
     # chains => shifts
     for i in range(1, n + 1):
-        d = chain_implies_shift(n, m, i)
+        d = chain_implies_shift(ab, m, i)
         check_derivation(d, chains)
         assert d.start == free_reduce(Word(ab, (i,)) * delta)
         assert d.end() == free_reduce(delta * Word(ab, ((i + m - 1) % n + 1,)))
@@ -522,7 +578,7 @@ def test_rewritten_relators_are_chains_or_shifts(n, m):
     parent = pres.j_parent(k, n, m)
     table = closure_table(k, n, m)
     tr = schreier_transversal(table, toric_column_order(parent.alphabet))
-    labels = toric_coset_labels(tr)
+    labels = toric_coset_labels(parent.alphabet, tr)
     rs = rs_presentation(parent, table, tr)
     from toricgroups.schreier import _s_alphabet
     from toricgroups.words import GenMap
@@ -548,7 +604,7 @@ def test_rewritten_relators_are_chains_or_shifts(n, m):
 def test_delta_power_to_twist_derivation():
     for n, m in [(2, 3), (3, 4), (3, 5)]:
         ab, chains = meridians(n), torus_classical(n, m).relators
-        d = delta_power_to_twist(n, m)
+        d = delta_power_to_twist(ab, m)
         check_derivation(d, chains)
         twist = Word(ab, tuple(i % n + 1 for i in range(n)) * m)
         assert d.end() == twist
@@ -560,8 +616,8 @@ COPRIME_PAIRS = st.tuples(st.integers(2, 12), st.integers(2, 12)).filter(lambda 
 
 # each rewriting lemma at (n, m) and a generator index i in 1..n
 LEMMAS = {
-    "chain_implies_shift": chain_implies_shift,
-    "delta_power_to_twist": lambda n, m, i: delta_power_to_twist(n, m),
+    "chain_implies_shift": lambda n, m, i: chain_implies_shift(meridians(n), m, i),
+    "delta_power_to_twist": lambda n, m, i: delta_power_to_twist(meridians(n), m),
     "centrality_witness": lambda n, m, i: centrality_witness(2, n, m, i),
     "meridian_derivation": lambda n, m, i: meridian_derivation(n, m),
 }
@@ -592,9 +648,9 @@ def test_moved_steps_replay_a_lemma_inside_a_padded_word(pair, i, lemma, data):
 def test_chain_step_rewrites_delta_by_chain_relator_j_minus_2(pair, position):
     n, m = pair
     ab, chains = meridians(n), torus_classical(n, m).relators
-    assert chain_step(n, m, position, 1) == ()
+    assert chain_step(ab, m, position, 1) == ()
     for j in range(2, n + 1):
-        (step,) = chain_step(n, m, position, j)
+        (step,) = chain_step(ab, m, position, j)
         assert step.relator_index == j - 2
         pad = (1,) * position
         delta = tuple(t % n + 1 for t in range(m))
