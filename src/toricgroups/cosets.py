@@ -560,14 +560,11 @@ def enumerate_record(params: FamilyParams, subgroup: str, normal_closure: bool, 
 
 def bfs_tree(t: CosetTable, column_order: Sequence[int]) -> list[tuple[int, int, int]]:
     """The edges (parent, column, child) of a breadth-first spanning tree of
-    the coset graph from coset 0, in BFS order, so a parent comes before
-    its children: the transversal, as a Schreier tree.
+    the coset graph from coset 0, in BFS order: a Schreier transversal.
 
     Each coset is reached first along the earliest column of
     ``column_order``, so the tree path to it spells a geodesic over those
-    columns, and every prefix of that word leads to a coset: the
-    representatives form a Schreier transversal.  Raises ValueError when
-    the columns do not reach every coset.
+    columns.  Raises ValueError when the columns do not reach every coset.
     """
     columns = [(col, t.columns[col]) for col in column_order]
     seen = [False] * t.num_cosets
@@ -590,14 +587,13 @@ def bfs_tree(t: CosetTable, column_order: Sequence[int]) -> list[tuple[int, int,
 class CayleyTable:
     """The regular action of a finite quotient, from a trivial-subgroup table.
 
-    Elements are cosets.  One BFS tree from the identity, over the positive
-    columns, then the negative ones, is computed on first use; element i
-    is represented by its tree path, spelled as the word ``words[i]`` (a
-    geodesic, so its length is the generator-length of the element) only
-    when ``words`` is first read.  No multiplication table is materialized:
-    a product i * j is ``table.trace(i, words[j])``, and conjugation by
-    each generator is one cached permutation, read off the same tree; the
-    classes and the center are read from these.
+    Elements are cosets; element i is represented by its path in one BFS
+    tree over the positive columns, then the negative ones, spelled as the
+    word ``words[i]`` (a geodesic, so its length is the generator-length of
+    the element) when ``words`` is first read.  No multiplication table is
+    materialized: a product i * j is ``table.trace(i, words[j])``, and
+    conjugation by each generator is one cached permutation, read off the
+    tree, from which the classes and the center are read.
     """
 
     def __init__(self, table: CosetTable):

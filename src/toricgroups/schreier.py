@@ -1,14 +1,13 @@
 """Reidemeister-Schreier subgroup presentations from complete coset tables.
 
 Given a complete coset table for a subgroup H, a breadth-first spanning
-tree of the coset graph is a Schreier transversal: the representative of
-a coset is the word spelled along the tree path to it, so every prefix of
-a representative is itself a representative.  The tree is kept as its
-edges, never as words.  The non-tree edges carry the Schreier generators
-k*x*(bar(kx))^-1 of H, and rewriting every conjugate of every relator
-through the tree produces defining relations for H.  The edge from coset
-c by generator g to d is a tree edge exactly when the tree edge into d
-reads g or the one into c reads g^-1, so one column per coset decides it.  For a
+tree of the coset graph is a Schreier transversal, kept as its edges: a
+coset's representative is the word along the tree path to it, so every
+prefix of a representative is one (Holt, Eick & O'Brien, 2005, ch. 4).
+The edge c -g-> d is a tree edge exactly when the tree edge into d reads
+g or the one into c reads g^-1.  The other edges carry the Schreier
+generators k*x*(bar(kx))^-1 of H, and rewriting every conjugate of every
+relator through the tree produces defining relations for H.  For a
 relator R = v^q, the rewrites from the cosets of one orbit of <v> are cyclic
 rotations of one another, so ``rs_presentation`` keeps one per orbit: that
 of its least coset (Havas, "A Reidemeister-Schreier program", 1974).
@@ -16,9 +15,8 @@ of its least coset (Havas, "A Reidemeister-Schreier program", 1974).
 The BFS column order is configurable.  For a parent J-group on generators
 (s, t, u) over the normal closure of s, the preset ``toric_column_order``
 explores u first, then t, which makes the representatives exactly the
-words u^i t^j; each coset's (i, j) is its parent's plus one u or t edge,
-and generator labels carry the pair so they can be matched against
-closed-form expressions.  ``toric_closure_rs`` runs that
+words u^i t^j; generator labels then carry the (i, j) pair so they can be
+matched against closed-form expressions.  ``toric_closure_rs`` runs that
 chain from the parameters (a, b, c); the derivation here and the
 ``derive`` result in ``classify`` both start from it.
 """
@@ -92,11 +90,8 @@ class RSResult(Value):
 
 def toric_coset_labels(alphabet: Alphabet, tree: Iterable[tuple[int, int, int]]) -> dict[int, tuple[int, int]]:
     """The (i, j) of each coset whose representative is u^i t^j, read down
-    the tree in BFS order: the parent's pair plus one u or t edge.
-
-    Raises ValueError when a representative has any other shape; only then
-    is it spelled, for the message.
-    """
+    the tree: the parent's pair plus one u or t edge.  A representative of
+    any other shape is spelled only for its ValueError."""
     u, t = 2 * alphabet.index("u"), 2 * alphabet.index("t")
     labels = {0: (0, 0)}
     for a, col, b in tree:
@@ -125,13 +120,11 @@ def rs_presentation(p: Presentation, ct: CosetTable, tree: Iterable[tuple[int, i
     coset.  The relators kept are thus a subsequence of the all-cosets list,
     each the earliest of its rotation class, with the same normal closure.
 
-    ``tree`` is the transversal's spanning tree, as ``schreier_transversal``
-    returns.  With ``into[c]`` the column of the tree edge into c, the edge
-    from coset c by generator g to d is a tree edge exactly when
-    ``into[d] == 2g`` (d's representative is c's followed by g) or
-    ``into[c] == 2g + 1`` (c's is d's followed by g^-1): every column is a
-    permutation, so the edge into d by g can only come from c.  These are
-    exactly the edges whose Schreier generator is freely trivial.
+    ``tree`` is the spanning tree ``schreier_transversal`` returns, and
+    ``into[c]`` the column of its edge into c.  The edge from c by generator
+    g to d is a tree edge exactly when ``into[d] == 2g`` or ``into[c] ==
+    2g + 1`` (every column is a permutation, so an edge into d by g comes
+    from c): exactly the edges whose Schreier generator is freely trivial.
     """
     if not ct.complete:
         raise ValueError("coset table is not complete")
@@ -424,9 +417,8 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
 
 def chain_step(ab: Alphabet, m: int, position: int, j: int) -> tuple[RewriteStep, ...]:
     """The step rewriting delta = x_1...x_m at ``position`` as the m-factor
-    product x_j...x_{j+m-1} over the meridians ``ab`` (indices mod n =
-    len(ab)), citing relator j - 2 of ``torus_classical(n, m)``; no step for
-    j = 1, where the two words agree."""
+    product x_j...x_{j+m-1} over the n meridians ``ab`` (indices mod n),
+    citing relator j - 2 of ``torus_classical(n, m)``; no step for j = 1."""
     if j == 1:
         return ()
     n = len(ab)
@@ -436,8 +428,8 @@ def chain_step(ab: Alphabet, m: int, position: int, j: int) -> tuple[RewriteStep
 def chain_implies_shift(ab: Alphabet, m: int, i: int) -> Derivation:
     """Derivation of x_i * delta -> delta * x_{i+m} using chain relators only.
 
-    delta = x_1...x_m over the meridians ``ab``, indices mod n = len(ab).
-    Two chain steps: rewrite delta as the product starting at x_{i+1},
+    delta = x_1...x_m over the n meridians ``ab``, indices mod n.  Two
+    chain steps: rewrite delta as the product starting at x_{i+1},
     then rewrite the m-factor prefix starting at x_i back to delta.
     """
     n = len(ab)
@@ -448,8 +440,8 @@ def chain_implies_shift(ab: Alphabet, m: int, i: int) -> Derivation:
 
 
 def delta_power_to_twist(ab: Alphabet, m: int) -> Derivation:
-    """Derivation of delta^n -> (x_1...x_n)^m (both equal to the full twist)
-    over the meridians ``ab``, n = len(ab).
+    """Derivation of delta^n -> (x_1...x_n)^m over the n meridians ``ab``
+    (both equal to the full twist).
 
     Rewrites the t-th delta factor to start at x_{tm+1}; the result is the
     literal word x_1 x_2 ... x_{nm} with indices mod n, which is identical
