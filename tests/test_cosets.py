@@ -14,6 +14,7 @@ from oracles import (
     reference_felsch,
     reference_hlt,
     reference_normal_closure,
+    reference_transversal,
     standardize,
 )
 
@@ -419,6 +420,8 @@ def test_transversal_words_are_geodesic_spanning():
     assert reps[0].letters == ()
     for c, rep in enumerate(reps):
         assert table.trace(0, rep) == c
+    # the tree paths, spelled, are the words a BFS over the same columns finds
+    assert list(reps) == reference_transversal(table, [0, 2, 1, 3])
 
 
 # --- Cayley table ------------------------------------------------------------
