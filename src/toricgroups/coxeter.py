@@ -115,6 +115,7 @@ class MinimalRootTable:
     def __init__(self, cm: CoxeterMatrix):
         self.cm = cm
         self.rank = cm.rank
+        self.alphabet = cm.alphabet()
         # one fixed modulus for every coordinate, so equal values always
         # have identical canonical forms (roots are dictionary keys); it is
         # checked against the degree cap before any value is built.  The
@@ -255,8 +256,7 @@ class MinimalRootTable:
             s = nxt[states[-1]].index(_DESCENT)
             out.append(s)
             self._delete(v_inv, states, s)
-        ab = self.cm.alphabet()
-        return Word(ab, tuple(s + 1 for s in out))
+        return Word(self.alphabet, tuple(s + 1 for s in out))
 
     def is_identity(self, w: Word) -> bool:
         return not self.reduce_word(w)
@@ -281,7 +281,7 @@ def word_problem(k: int, n: int, m: int, text: str) -> tuple[dict, str, list[str
     """Result, status and evidence of ``wp coxeter``: the ShortLex normal form
     of the word ``text`` over r1, r2, r3 in the (k, n, m) triangle group."""
     table = triangle_table(k, n, m)
-    normal = table.nf(table.cm.alphabet().word(text))
+    normal = table.nf(table.alphabet.word(text))
     return {"normal_form": str(normal), "identity": not normal.letters, "length": len(normal.letters),
             "parity": parity(normal)}, "ok", []
 

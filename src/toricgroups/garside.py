@@ -30,10 +30,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .presentations import XY, FamilyParams, cyclic_product, meridians, torus_classical
-from .schreier import chain_implies_shift, chain_step
+from .presentations import XY, FamilyParams, chain_implies_shift, chain_step, cyclic_product, meridians, torus_classical
 from .words import (Derivation, GenMap, RewriteStep, Value, Word, WordSyntaxError, apply_map, free_reduce,
-                    parse_either, signed_images, token_runs, undone)
+                    parse_either, signed_table, token_runs, undone)
 
 _CHARS = ("", "a", "b", "B", "A")  # the kernel's letter for each signed letter -2 .. 2 of {x, y}
 # the runs of a kernel string; ``re`` compiles it on its first use, so importing
@@ -150,8 +149,8 @@ def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
     except WordSyntaxError:
         # a word over the meridians, or the error of the alphabet that read further
         word = parse_either(XY, lambda: meridians(n), text)
-        table = ["".join(map(_CHARS.__getitem__, image))
-                 for image in signed_images([image.letters for image in tau(n, m).images])]
+        table = signed_table(["".join(map(_CHARS.__getitem__, image.letters)) for image in tau(n, m).images],
+                             lambda s: s[::-1].swapcase())
         normal = _normal_form(n, m, "".join(map(table.__getitem__, word.letters)), 0)  # tau(word), unreduced
         evidence.append(f"a word over x1 ... x{n}, mapped to {{x, y}} by tau, the inverse of sigma")
     return {"normal_form": str(normal), "identity": normal.is_identity(),

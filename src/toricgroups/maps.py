@@ -23,9 +23,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import label_modulus
-from .presentations import (STU, TRIANGLE, FamilyParams, Presentation, alt_plus, cyclic_product, j_parent, meridians,
-                            toric, torus_classical)
-from .schreier import chain_implies_shift, delta_power_to_twist
+from .presentations import (STU, TRIANGLE, FamilyParams, Presentation, alt_plus, chain_implies_shift, cyclic_product,
+                            delta_power_to_twist, j_parent, meridians, toric, torus_classical)
 from .words import Derivation, GenMap, Value, Word, apply_map, moved, undone
 from .words import compose as compose_maps
 from .words import free_reduce

@@ -6,16 +6,19 @@ W(k,n,m), parent J-groups, rank-3 triangle Coxeter groups, and the
 two-generator presentation of the alternating subgroup of a triangle group.
 
 Relations written as chains u1 = u2 = ... = up are stored anchored at the
-first word, as the p-1 relators u1*u2^-1, ..., u1*up^-1.
+first word, as the p-1 relators u1*u2^-1, ..., u1*up^-1.  The chain lemmas
+(``chain_step`` and the derivations built from it) live beside
+``torus_classical``, whose relator j - 2 they cite.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from itertools import chain
 
-from .words import (Alphabet, Value, Word, WordSyntaxError, _column, _set, bad_name, cyclic_reduce, free_reduce,
-                    invert, parse_word, word_to_text)
+from .words import (Alphabet, Derivation, RewriteStep, Value, Word, WordSyntaxError, _column, _set, bad_name,
+                    cyclic_reduce, free_reduce, invert, parse_word, undone, word_to_text)
 
 
 class ParameterError(ValueError):
@@ -127,6 +130,43 @@ def torus_classical(n: int, m: int) -> Presentation:
     FamilyParams("torus-classical", (n, m))
     ab = meridians(n)
     return Presentation(ab, tuple(_chain(cyclic_products(ab, n, m))))
+
+
+def chain_step(ab: Alphabet, m: int, position: int, j: int) -> tuple[RewriteStep, ...]:
+    """The step rewriting delta = x_1...x_m at ``position`` as the m-factor
+    product x_j...x_{j+m-1} over the n meridians ``ab`` (indices mod n),
+    citing relator j - 2 of ``torus_classical(n, m)``; no step for j = 1."""
+    if j == 1:
+        return ()
+    n = len(ab)
+    return (RewriteStep(position, Word(ab, cyclic_product(n, 0, m)), Word(ab, cyclic_product(n, j - 1, m)), j - 2),)
+
+
+def chain_implies_shift(ab: Alphabet, m: int, i: int) -> Derivation:
+    """Derivation of x_i * delta -> delta * x_{i+m} using chain relators only.
+
+    delta = x_1...x_m over the n meridians ``ab``, indices mod n.  Two
+    chain steps: rewrite delta as the product starting at x_{i+1},
+    then rewrite the m-factor prefix starting at x_i back to delta.
+    """
+    n = len(ab)
+    if not 1 <= i <= n:
+        raise ValueError("generator index out of range")
+    start = Word(ab, (i, *cyclic_product(n, 0, m)))
+    return Derivation(start, chain_step(ab, m, 1, i % n + 1) + undone(chain_step(ab, m, 0, i), 0))
+
+
+def delta_power_to_twist(ab: Alphabet, m: int) -> Derivation:
+    """Derivation of delta^n -> (x_1...x_n)^m over the n meridians ``ab``
+    (both equal to the full twist).
+
+    Rewrites the t-th delta factor to start at x_{tm+1}; the result is the
+    literal word x_1 x_2 ... x_{nm} with indices mod n, which is identical
+    to (x_1...x_n)^m letter by letter.
+    """
+    n = len(ab)
+    start = Word(ab, cyclic_product(n, 0, m) * n)
+    return Derivation(start, tuple(chain.from_iterable(chain_step(ab, m, t * m, t * m % n + 1) for t in range(n))))
 
 
 def torus_dual(n: int, m: int) -> Presentation:

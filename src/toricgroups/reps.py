@@ -21,7 +21,7 @@ from .classify import finite_quotient
 from .cyclo import Cyc, label_modulus, zeta
 from .maps import meridian_embedding
 from .presentations import STU, FamilyParams, meridians
-from .words import Value, Word, parse_either
+from .words import Value, Word, parse_either, signed_table
 
 Mat2 = tuple[tuple[Cyc, Cyc], tuple[Cyc, Cyc]]
 
@@ -187,19 +187,14 @@ def rho_eval(rep: Rep, w: Word) -> Mat2:
     if set(names) <= base.keys():
         mats = [base[g] for g in names]
     elif w.alphabet == meridians(len(names)):
-        stu = _signed_table([rep.mat_s, rep.mat_t, rep.mat_u])
+        stu = signed_table([rep.mat_s, rep.mat_t, rep.mat_u], mat_inv)
         held = {abs(x) for x in w.letters}
         mats = [_product(stu, image.letters, identity) if x in held else None
                 for x, image in enumerate(meridian_embedding(len(names)).images, start=1)]
     else:
         raise ValueError(f"cannot resolve alphabet {names} to the representation")
-    return _product(_signed_table(mats), w.letters, identity)
-
-
-def _signed_table(mats: list[Mat2 | None]) -> list[Mat2 | None]:
-    """Entry x holds ``mats[x - 1]`` and entry -x (from the end) its inverse,
-    as in ``words.signed_images``; a None matrix has no inverse."""
-    return [None, *mats, *(None if a is None else mat_inv(a) for a in reversed(mats))]
+    # a None matrix, of a meridian the word does not hold, has no inverse
+    return _product(signed_table(mats, lambda a: None if a is None else mat_inv(a)), w.letters, identity)
 
 
 def _product(table: list[Mat2 | None], letters: tuple[int, ...], identity: Mat2) -> Mat2:

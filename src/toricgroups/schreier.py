@@ -18,7 +18,8 @@ explores u first, then t, which makes the representatives exactly the
 words u^i t^j; generator labels then carry the (i, j) pair so they can be
 matched against closed-form expressions.  ``toric_closure_rs`` runs that
 chain from the parameters (a, b, c); the derivation here and the
-``derive`` result in ``classify`` both start from it.
+``derive`` result in ``classify`` both start from it; the check's shift lemma,
+``chain_implies_shift``, lives in ``presentations``.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
-from .cosets import MAX_COSETS, CosetTable, bfs_tree, normal_closure_table
-from .presentations import Presentation, cyclic_product, j_parent, meridians, toric
-from .words import (Alphabet, Derivation, RewriteStep, Value, Word, check_derivation, cyclic_reduce_letters,
-                    free_reduce_letters, invert, undone)
+from .cosets import MAX_COSETS, CosetTable, _columns, bfs_tree, normal_closure_table
+from .presentations import Presentation, chain_implies_shift, cyclic_product, j_parent, meridians, toric
+from .words import (Alphabet, Value, Word, check_derivation, cyclic_reduce_letters, free_reduce_letters, invert,
+                    signed_table)
 
 
 def toric_column_order(alphabet: Alphabet) -> list[int]:
@@ -167,8 +168,7 @@ def rs_presentation(p: Presentation, ct: CosetTable, tree: Iterable[tuple[int, i
         leaders.append(lead)
 
     # each relator as the pairs (gen_at[col], columns[col]) of its letters
-    paths = [[(gen_at[col], columns[col]) for col in (2 * x - 2 if x > 0 else -2 * x - 1 for x in r.letters)]
-             for r in p.relators]
+    paths = [[(gen_at[col], columns[col]) for col in _columns(r)] for r in p.relators]
     relators: list[Word] = []
     for c in range(ct.num_cosets):
         for path, lead in zip(paths, leaders):
@@ -381,7 +381,7 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
             images.append(_closed_form_walks(n, m, "u", m - 1 - i, j))
         else:  # u at j = 0 and the t wrap generators are trivial in the subgroup
             images.append(())
-    subst = [(), *images, *(ends[::-1] for ends in reversed(images))]
+    subst = signed_table(images, lambda ends: ends[::-1])
 
     target = _s_alphabet(n)  # for the messages and the result
     reference = toric(k, n, m)
@@ -413,40 +413,3 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
     if not ref_keys <= found:
         raise AssertionError("rewriting did not produce every toric relator")
     return Presentation(target, tuple(Word(target, r.letters) for r in reference.relators))
-
-
-def chain_step(ab: Alphabet, m: int, position: int, j: int) -> tuple[RewriteStep, ...]:
-    """The step rewriting delta = x_1...x_m at ``position`` as the m-factor
-    product x_j...x_{j+m-1} over the n meridians ``ab`` (indices mod n),
-    citing relator j - 2 of ``torus_classical(n, m)``; no step for j = 1."""
-    if j == 1:
-        return ()
-    n = len(ab)
-    return (RewriteStep(position, Word(ab, cyclic_product(n, 0, m)), Word(ab, cyclic_product(n, j - 1, m)), j - 2),)
-
-
-def chain_implies_shift(ab: Alphabet, m: int, i: int) -> Derivation:
-    """Derivation of x_i * delta -> delta * x_{i+m} using chain relators only.
-
-    delta = x_1...x_m over the n meridians ``ab``, indices mod n.  Two
-    chain steps: rewrite delta as the product starting at x_{i+1},
-    then rewrite the m-factor prefix starting at x_i back to delta.
-    """
-    n = len(ab)
-    if not 1 <= i <= n:
-        raise ValueError("generator index out of range")
-    start = Word(ab, (i, *cyclic_product(n, 0, m)))
-    return Derivation(start, chain_step(ab, m, 1, i % n + 1) + undone(chain_step(ab, m, 0, i), 0))
-
-
-def delta_power_to_twist(ab: Alphabet, m: int) -> Derivation:
-    """Derivation of delta^n -> (x_1...x_n)^m over the n meridians ``ab``
-    (both equal to the full twist).
-
-    Rewrites the t-th delta factor to start at x_{tm+1}; the result is the
-    literal word x_1 x_2 ... x_{nm} with indices mod n, which is identical
-    to (x_1...x_n)^m letter by letter.
-    """
-    n = len(ab)
-    start = Word(ab, cyclic_product(n, 0, m) * n)
-    return Derivation(start, tuple(chain.from_iterable(chain_step(ab, m, t * m, t * m % n + 1) for t in range(n))))

@@ -320,17 +320,17 @@ class GenMap(Value):
         return GenMap(source, target, tuple(images[name] for name in source.names))
 
 
-def signed_images(images: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The substitution table of the letter images ``images``: entry x holds
-    the image of letter x, entry -x (from the end) its inverse, entry 0 none."""
-    return [(), *images, *(tuple(-y for y in reversed(image)) for image in reversed(images))]
+def signed_table(images: Sequence, inverse: Callable) -> list:
+    """The substitution table of ``images``, one per letter: entry x holds the
+    image of letter x, entry -x (from the end) ``inverse`` of it, entry 0 None."""
+    return [None, *images, *map(inverse, reversed(images))]
 
 
 def apply_map(f: GenMap, w: Word) -> Word:
     """Letter-wise substitution followed by free reduction."""
     if w.alphabet != f.source:
         raise ValueError("word is not over the map's source alphabet")
-    table = signed_images([image.letters for image in f.images])
+    table = signed_table([image.letters for image in f.images], lambda letters: tuple(-y for y in reversed(letters)))
     return free_reduce(Word(f.target, tuple(chain.from_iterable(map(table.__getitem__, w.letters)))))
 
 

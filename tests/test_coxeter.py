@@ -45,6 +45,13 @@ def test_root_coordinates_have_integer_coefficients(k, n, m):
     assert all(type(x) is int for root in roots for coord in root for x in coord.coeffs)
 
 
+def test_a_table_builds_its_alphabet_once():
+    table = root_table(2, 3, 7)
+    w = table.alphabet.word("r2 r1 r3 r1")
+    assert table.nf(w).alphabet is table.alphabet
+    assert table.nf(w).alphabet is table.alphabet
+
+
 def test_defining_relations_die():
     table = root_table(6, 2, 3)
     ab = table.cm.alphabet()

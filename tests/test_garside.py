@@ -24,10 +24,9 @@ from toricgroups.garside import (
     tau,
     word_problem,
 )
-from toricgroups.presentations import XY, torus_classical
-from toricgroups.schreier import delta_power_to_twist
+from toricgroups.presentations import XY, delta_power_to_twist, torus_classical
 from toricgroups.words import (Derivation, RewriteStep, Word, WordSyntaxError, apply_map, check_derivation,
-                               free_reduce, parse_word, signed_images)
+                               free_reduce, parse_word, signed_table)
 
 AB = XY
 PAIRS = [(2, 3), (3, 4), (2, 5), (3, 5)]
@@ -300,7 +299,7 @@ def test_the_unreduced_table_image_has_the_normal_form_of_tau():
             if math.gcd(n, m) != 1:
                 continue
             t = tau(n, m)
-            table = signed_images([image.letters for image in t.images])
+            table = signed_table([image.letters for image in t.images], lambda ls: tuple(-y for y in reversed(ls)))
             for _ in range(10):
                 u = Word(t.source, tuple(rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(rng.randint(1, 20))))
                 unreduced = Word(AB, tuple(chain.from_iterable(map(table.__getitem__, u.letters))))
@@ -334,12 +333,17 @@ def test_classical_words_decided_past_m_99():
 
 
 def test_importing_garside_loads_no_enumeration_of_finite_quotients():
+    # garside, and maps, which cites the same chain lemmas, load neither the
+    # finite table nor coset enumeration nor Reidemeister-Schreier
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, toricgroups.garside; print(sorted(m for m in sys.modules if m.startswith('toricgroups.')))"
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "toricgroups.classify" not in proc.stdout and "toricgroups.garside" in proc.stdout
+    for module in ("garside", "maps"):
+        code = f"import sys, toricgroups.{module}; print(sorted(m for m in sys.modules if m.startswith('toricgroups')))"
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert f"'toricgroups.{module}'" in proc.stdout
+        for layer in ("classify", "cosets", "schreier"):
+            assert f"'toricgroups.{layer}'" not in proc.stdout, (module, proc.stdout)
 
 
 # runs of up to 3 Deltas' worth of one letter, so runs cross the bound

@@ -13,17 +13,14 @@ from toricgroups.maps import centrality_witness
 from toricgroups import presentations as pres
 from toricgroups.coxeter import classify_triangle
 from toricgroups.cosets import MAX_COSETS, group_order, todd_coxeter
-from toricgroups.presentations import (cyclic_products, meridians, parse_presentation, serialize, tietze_simplify,
-                                       torus_classical)
+from toricgroups.presentations import (chain_implies_shift, chain_step, cyclic_products, delta_power_to_twist,
+                                       meridians, parse_presentation, serialize, tietze_simplify, torus_classical)
 from toricgroups.schreier import (
     RSResult,
     SubgroupGenerator,
-    chain_implies_shift,
-    chain_step,
     check_toric_presentation,
     closed_form_generator,
     cyclic_canonical,
-    delta_power_to_twist,
     rs_presentation,
     schreier_transversal,
     shift_relators,

@@ -17,6 +17,7 @@ from toricgroups.words import (
     free_reduce,
     invert,
     parse_word,
+    signed_table,
     word_to_text,
 )
 
@@ -252,3 +253,36 @@ def maps_and_words(draw):
 def test_apply_map_matches_the_letter_wise_reference(case):
     f, word = case
     assert apply_map(f, word) == reference_apply_map(f, word)
+
+
+def _signed_tables() -> dict:
+    """Each consumer's images, the inverse it passes to ``signed_table``, and
+    whether entry x joined with entry -x is its identity."""
+    from toricgroups.garside import _CHARS, _normal_form, tau
+    from toricgroups.reps import build_rho_preset, mat_identity, mat_inv, mat_mul
+    from toricgroups.schreier import _closed_form_walks, _join_walks
+    from toricgroups.words import free_reduce_letters
+
+    n, m = 3, 5
+    images = tau(n, m).images
+    rep = build_rho_preset(2, 3, 7)
+    walks = [_closed_form_walks(n, m, which, ell, p) for which in "su" for ell in range(m) for p in range(1, n)]
+    return {
+        "letters": ([w.letters for w in images], lambda ls: tuple(-y for y in reversed(ls)),
+                    lambda a, b: not free_reduce_letters(a + b)),
+        "kernel strings": (["".join(map(_CHARS.__getitem__, w.letters)) for w in images],
+                           lambda s: s[::-1].swapcase(), lambda a, b: str(_normal_form(n, m, a + b, 0)) == "D^0"),
+        "matrices": ([rep.mat_s, rep.mat_t, rep.mat_u], mat_inv,
+                     lambda a, b: mat_mul(a, b) == mat_identity(rep.theta.n)),
+        "walks": (walks, lambda ends: ends[::-1], lambda a, b: _join_walks(a + b, n) == []),
+    }
+
+
+@pytest.mark.parametrize("consumer", ["letters", "kernel strings", "matrices", "walks"])
+def test_signed_table_entry_minus_x_inverts_entry_x(consumer):
+    images, inverse, cancels = _signed_tables()[consumer]
+    table = signed_table(images, inverse)
+    assert table[0] is None and len(table) == 2 * len(images) + 1
+    for x, image in enumerate(images, start=1):
+        assert table[x] == image
+        assert cancels(table[x], table[-x]) and cancels(table[-x], table[x]), (consumer, x)

@@ -12,9 +12,10 @@ exist), then each directory's totals and net change, then four counts of
 parameters with a default value in its functions and methods; the options
 (the ``add_argument`` calls whose first name starts with ``-``) of
 ``cli.py``; the record fields, the ``__slots__`` entries of its classes;
-and its public names, the module-level functions and classes whose names
-do not start with ``_``, plus the methods and properties of those classes
-whose names do not.
+its public names, the module-level functions and classes whose names do
+not start with ``_``, plus the methods and properties of those classes
+whose names do not; and its internal import edges, the ``from .x import``
+statements, one per statement.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ def _public(node: ast.AST) -> bool:
             and not node.name.startswith("_"))
 
 
-def api_counts(rev: str) -> tuple[int, int, int, int]:
-    """Parameters with defaults, CLI options, ``__slots__`` entries and public
-    names in ``src/toricgroups/`` at ``rev``."""
-    defaults = options = fields = public = 0
+def api_counts(rev: str) -> tuple[int, int, int, int, int]:
+    """Parameters with defaults, CLI options, ``__slots__`` entries, public
+    names and ``from .x import`` statements in ``src/toricgroups/`` at ``rev``."""
+    defaults = options = fields = public = imports = 0
     for path in line_counts(rev, DIRS[0]):
         tree = ast.parse(git("show", f"{rev}:{path}"))
         for node in tree.body:
@@ -68,7 +69,9 @@ def api_counts(rev: str) -> tuple[int, int, int, int]:
                   and getattr(node.func, "attr", None) == "add_argument" and node.args
                   and isinstance(node.args[0], ast.Constant) and str(node.args[0].value).startswith("-")):
                 options += 1
-    return defaults, options, fields, public
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+                imports += 1
+    return defaults, options, fields, public, imports
 
 
 def row(name: str, old: int | None, new: int | None) -> str:
@@ -94,7 +97,8 @@ def main(argv: list[str] | None = None) -> int:
     print()
     before, after = api_counts(args.parent), api_counts(args.change)
     names = ("parameters with defaults, src/toricgroups/", "options, src/toricgroups/cli.py",
-             "record fields (__slots__), src/toricgroups/", "public names, src/toricgroups/")
+             "record fields (__slots__), src/toricgroups/", "public names, src/toricgroups/",
+             "import edges (from .x), src/toricgroups/")
     for name, old, new in zip(names, before, after):
         print(row(name, old, new))
     return 0
