@@ -27,7 +27,7 @@ from itertools import combinations
 from threading import Lock
 
 from .cosets import MAX_COSETS, CayleyTable, todd_coxeter
-from .cyclo import Cyc, label_modulus, sign_real, two_cos_pi_over
+from .cyclo import Cyc, dot, label_modulus, sign_real, two_cos_pi_over
 from .presentations import coxeter_triangle
 from .words import Alphabet, Value, Word, _set
 
@@ -129,11 +129,7 @@ class MinimalRootTable:
         zero = Cyc.zero(modulus)
 
         def bform(coords: tuple[Cyc, ...], s: int) -> Cyc:
-            total = zero
-            for t, c in enumerate(coords):
-                if not c.is_zero():
-                    total = total + c * gram[s][t]
-            return total
+            return dot(tuple(zip(coords, gram[s])))
 
         simples = []
         for s in range(self.rank):

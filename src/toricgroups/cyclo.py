@@ -9,9 +9,12 @@ representation lives in Z[zeta_N] for N = lcm(2a, 2b, 2c) of its labels
 ``-``, ``*`` and ``==`` share their modulus: an int is read in the other
 operand's field, another modulus raises ValueError, and ``embed`` is the
 one explicit change of field.  Only roots of unity are inverted, by
-conjugation.  A product is an exponent vector of length N (Phi_N divides
-x^N - 1), canonicalized by one sparse reduction that folds each coefficient
-above phi(N) through the few nonzero lower terms of Phi_N.
+conjugation.  A sum of products (``dot``; a product is a sum of one)
+accumulates its raw products, of degree below 2 phi(N) - 1, in one vector
+and canonicalizes it by one sparse reduction that folds each coefficient
+from phi(N) up through the few nonzero lower terms of Phi_N.  Conjugation
+reads the canonical zeta^-i, i < phi(N), from a table built once per
+modulus (``_conj_table``), and folds nothing.
 
 Real elements (fixed by conjugation) additionally have a certified sign,
 in integers only.  Zero and rationals are decided exactly in the canonical
@@ -25,6 +28,7 @@ a correctness path.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from itertools import combinations
 from math import lcm, prod
@@ -93,19 +97,55 @@ def _phi_tail(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _canon(n: int, v: list) -> tuple:
-    """Canonical coefficients of sum_i v[i] zeta_n^i, for len(v) == n.
+    """Canonical coefficients of sum_i v[i] zeta_n^i, for len(v) >= phi(n).
 
     Folds x^i = -x^(i-d) (sum_j c_j x^j) from the top down to degree d =
-    phi(n), overwriting ``v``.
+    phi(n), overwriting ``v``.  Phi_n divides every relation among the
+    powers of zeta_n, so the fold is exact at every length.
     """
     d = _degree(n)
     tail = _phi_tail(n)
-    for i in range(n - 1, d - 1, -1):
+    for i in range(len(v) - 1, d - 1, -1):
         top = v[i]
         if top:
             for j, c in tail:
                 v[i - d + j] -= top * c
     return tuple(v[:d])
+
+
+def _sum_of_products(n: int, pairs) -> tuple:
+    """Canonical coefficients of sum a b over the pairs (a, b) of canonical
+    coefficient vectors at modulus n: the raw products of degree below
+    2 phi(n) - 1 accumulate in one vector, which is reduced once."""
+    v = [0] * (2 * _degree(n) - 1)
+    for a, b in pairs:
+        if not (any(a) and any(b)):
+            continue
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in terms:
+                    v[i + j] += x * y
+    return _canon(n, v)
+
+
+@cache
+def _conj_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (j, c_j) of the canonical zeta_n^-i, for each i < phi(n).
+
+    Row i is row i - 1 times zeta_n^-1: its coefficients shift down one
+    place, and the constant term comes back as that multiple of row 1, the
+    one row canonicalized.  So the table costs O(phi(n)^2) once per modulus.
+    """
+    d = _degree(n)
+    last = [0] * n
+    last[-1] = 1
+    inverse = _canon(n, last)  # zeta^-1 = zeta^(n-1)
+    rows = [(1,) + (0,) * (d - 1)]
+    for _ in range(1, d):
+        prev = rows[-1]
+        rows.append(tuple(map(operator.add, prev[1:] + (0,), (prev[0] * c for c in inverse))))
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
 
 
 class Cyc(Value):
@@ -160,12 +200,12 @@ class Cyc(Value):
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other: "Cyc | int") -> "Cyc":
-        return Cyc(self.n, tuple(x + y for x, y in zip(self.coeffs, self._operand(other))))
+        return Cyc(self.n, tuple(map(operator.add, self.coeffs, self._operand(other))))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.n, tuple(-c for c in self.coeffs))
+        return Cyc(self.n, tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, other: "Cyc | int") -> "Cyc":
         return self + -other
@@ -179,13 +219,7 @@ class Cyc(Value):
             return Cyc(n, tuple(b[0] * x for x in self.coeffs))
         if not any(self.coeffs[1:]):
             return Cyc(n, tuple(self.coeffs[0] * y for y in b))
-        v = [0] * n
-        terms = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in terms:
-                    v[(i + j) % n] += x * y
-        return Cyc(n, _canon(n, v))
+        return Cyc(n, _sum_of_products(n, ((self.coeffs, b),)))
 
     __rmul__ = __mul__
 
@@ -201,11 +235,13 @@ class Cyc(Value):
         return bar
 
     def conj(self) -> "Cyc":
-        """Complex conjugation: zeta -> zeta^-1."""
-        v = [0] * self.n
-        for i, c in enumerate(self.coeffs):
-            v[-i % self.n] = c
-        return Cyc(self.n, _canon(self.n, v))
+        """Complex conjugation: zeta -> zeta^-1, read from ``_conj_table``."""
+        v = [0] * len(self.coeffs)
+        for row, x in zip(_conj_table(self.n), self.coeffs):
+            if x:
+                for j, c in row:
+                    v[j] += x * c
+        return Cyc(self.n, tuple(v))
 
     def is_real(self) -> bool:
         return self == self.conj()
@@ -239,6 +275,16 @@ class Cyc(Value):
         return " ".join(parts)
 
     __repr__ = __str__
+
+
+def dot(pairs) -> Cyc:
+    """sum a b over the (a, b) in ``pairs``, a nonempty sequence whose first
+    a is a Cyc.  The products are summed before the one reduction, so the
+    result is that of ``*`` and ``+`` at the cost of a single fold.  As for
+    ``*``, an int is read in the first a's field and another modulus raises
+    ValueError."""
+    first = pairs[0][0]
+    return Cyc(first.n, _sum_of_products(first.n, [(first._operand(a), first._operand(b)) for a, b in pairs]))
 
 
 def zeta(n: int, k: int = 1) -> Cyc:

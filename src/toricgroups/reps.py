@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .classify import finite_quotient
-from .cyclo import Cyc, label_modulus, zeta
+from .cyclo import Cyc, dot, label_modulus, zeta
 from .maps import meridian_embedding
 from .presentations import STU, FamilyParams, meridians
 from .words import Value, Word, parse_either, signed_table
@@ -27,14 +27,16 @@ Mat2 = tuple[tuple[Cyc, Cyc], tuple[Cyc, Cyc]]
 
 
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
     return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+        (dot(((a00, b00), (a01, b10))), dot(((a00, b01), (a01, b11)))),
+        (dot(((a10, b00), (a11, b10))), dot(((a10, b01), (a11, b11)))),
     )
 
 
 def mat_det(a: Mat2) -> Cyc:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return dot(((a[0][0], a[1][1]), (-a[0][1], a[1][0])))
 
 
 def mat_inv(a: Mat2) -> Mat2:

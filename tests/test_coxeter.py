@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import gcd, lcm
 
@@ -43,6 +44,25 @@ def test_root_coordinates_have_integer_coefficients(k, n, m):
     # 2B keeps every root in Z[zeta_N]: no division, so no Fraction
     roots = root_table(k, n, m).roots
     assert all(type(x) is int for root in roots for coord in root for x in coord.coeffs)
+
+
+# (root count, the first 16 hex digits of the sha256 of repr((roots, action)))
+# of the tables of the benchmark's `wp coxeter` and `wp toric` triangles,
+# with each root as the tuple of its coordinates' canonical coefficients
+ROOT_TABLE_DIGESTS = {
+    (2, 3, 7): (12, "e70087903e133379"), (3, 4, 5): (9, "c644b29bc756e7da"), (4, 5, 6): (12, "2679a4207e756e1e"),
+    (3, 3, 3): (6, "4b0c149e5be72bb8"), (2, 3, 5): (15, "d4e9b1025f02f2f0"), (6, 2, 3): (12, "6fac7792cd7e7317"),
+    (5, 2, 3): (15, "dd968612f8df8d45"), (4, 2, 3): (9, "9c92f7fd58d495e4"),
+}
+
+
+@pytest.mark.parametrize("k,n,m", sorted(ROOT_TABLE_DIGESTS))
+def test_root_tables_keep_their_canonical_forms_and_order(k, n, m):
+    # a kernel change that moves a canonical form or the order of the roots fails here
+    table = root_table(k, n, m)
+    roots = tuple(tuple(coord.coeffs for coord in root) for root in table.roots)
+    text = repr((roots, tuple(map(tuple, table.action))))
+    assert (len(roots), hashlib.sha256(text.encode()).hexdigest()[:16]) == ROOT_TABLE_DIGESTS[k, n, m]
 
 
 def test_a_table_builds_its_alphabet_once():

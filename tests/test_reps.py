@@ -21,7 +21,8 @@ from oracles import (
 
 from toricgroups import reps
 from toricgroups.cosets import MAX_COSETS
-from toricgroups.cyclo import Cyc, _canon, _cos_table, _degree, cyclotomic_polynomial, sign_real, two_cos_pi_over, zeta
+from toricgroups.cyclo import (Cyc, _canon, _conj_table, _cos_table, _degree, cyclotomic_polynomial, dot, sign_real,
+                               two_cos_pi_over, zeta)
 from toricgroups.reps import (
     ConstraintError,
     build_rho,
@@ -182,6 +183,45 @@ def test_ring_operations_match_reference(pair):
     same(b.conj(), rb.conj())
     assert (a == b) == (ra == rb)
     assert (a + b == b) == (ra + rb == rb)
+
+
+# odd moduli with phi(N) > N / 2, the fields of rho and the root tables, and a large one
+KERNEL_MODULI = (7, 9, 15, 84, 120, 1008)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(KERNEL_MODULI).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(elements(n, max_terms=6), elements(n, max_terms=6)), min_size=1, max_size=4),
+    st.integers(0, n - 1))))
+def test_one_reduction_per_sum_of_products_matches_reference(case):
+    pairs, k = case
+    n = pairs[0][0][0].n
+    total = reduce(operator.add, (ra * rb for (_, ra), (_, rb) in pairs))
+    same(dot([(a, b) for (a, _), (b, _) in pairs]), total)
+    with pytest.raises(ValueError, match="differ"):
+        dot([(a, b) for (a, _), (b, _) in pairs] + [(zeta(2 * n), zeta(2 * n))])
+    for (a, ra), (b, rb) in pairs:
+        same(a * b, ra * rb)
+        same(a.conj(), ra.conj())
+        assert a.is_real() == ra.is_real()
+        assert (a + a.conj()).is_real()
+        if a.is_zero():
+            continue
+        if ra * ra.conj() == 1:
+            check_inverse(a, ra)
+        else:
+            with pytest.raises(ValueError, match="not a root of unity"):
+                a.inv()
+    for sign in (1, -1):
+        same((sign * zeta(n, k)).inv(), reference_zeta(n, -k) * sign)
+
+
+@pytest.mark.parametrize("n", (15, 84, 1008))
+def test_conjugation_table_is_the_canonical_inverse_powers(n):
+    for i, row in enumerate(_conj_table(n)):
+        v = [0] * n
+        v[-i % n] = 1
+        assert row == tuple((j, c) for j, c in enumerate(_canon(n, v)) if c), (n, i)
 
 
 def general_product(a: Cyc, b: Cyc) -> Cyc:

@@ -14,18 +14,22 @@ its arguments (long ones cut), slowest first; under each ``rs-tietze``
 request a second line splits its time into the enumeration, RS and
 Tietze, and gives the size of the RS presentation that Tietze starts
 from: its generators, relators and letters.  Under each ``derive``,
-``wp garside`` and ``rep eval`` request a second line splits its time into
-phases, each timed by wrapping one call for the one request, and the rest
-of the request: for ``derive``, the closure enumeration plus RS
+``wp garside``, ``wp coxeter``, ``wp toric`` and ``rep eval`` request a
+second line splits its time into phases, each timed by wrapping one call
+for the one request, and the rest of the request: for ``derive``, the
+closure enumeration plus RS
 (``schreier.toric_closure_rs``), the check of the toric presentation or
 Tietze, and the order enumeration (the index of <s0> by ``todd_coxeter``
 on a gcd(b, c) = 1 row, ``group_order`` on the others; both count as
 ``order``); for ``wp garside``,
 reading the tokens (``token_runs``) and the normal form kernel
 (``_normal_form``), the rest being the pieces, the rendering and the JSON;
-for ``rep eval``, building the representation (``build_rho_preset``) and
-the matrix product (``rho_eval``).  A phase the request did not reach is
-left out.  Then comes the time per request kind.  Times are plain
+for ``wp coxeter`` and ``wp toric``, building the triangle's root table
+(``coxeter.MinimalRootTable``, which runs only on a ``triangle_table``
+miss); for ``rep eval``, building the representation
+(``build_rho_preset``) and the matrix product (``rho_eval``).  A
+request's phases are found by its command words, so ``enumerate toric``
+gets none.  A phase the request did not reach is left out.  Then comes the time per request kind.  Times are plain
 ``perf_counter`` differences, not scaled by the benchmark's speed probe.
 Last come the requests that raised the process's peak RSS (``ru_maxrss``,
 the figure behind the benchmark's ``peak_rss_mb``), in pass order, each
@@ -51,7 +55,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 _modules_before = len(sys.modules)
 _import_start = time.perf_counter()
-from toricgroups import classify, cli, cosets, garside, presentations, reps, schreier  # noqa: E402
+from toricgroups import classify, cli, cosets, coxeter, garside, presentations, reps, schreier  # noqa: E402
 
 IMPORT_MS = (time.perf_counter() - _import_start) * 1e3
 IMPORT_MODULES = len(sys.modules) - _modules_before
@@ -70,10 +74,13 @@ WIDTH = 72  # characters of a request's arguments to print
 DERIVE_PHASES = ((schreier, "toric_closure_rs", "closure+RS"), (schreier, "check_toric_presentation", "check"),
                  (classify, "tietze_simplify", "Tietze"), (classify, "todd_coxeter", "order"),
                  (classify, "group_order", "order"))
-# the phases of each request whose arguments hold the key
+# the phases of each request whose command words, one or two adjacent
+# arguments, are the key; the table is built only on a triangle_table miss
+ROOT_TABLE = ((coxeter, "MinimalRootTable", "root table"),)
 PHASES = {"derive": DERIVE_PHASES,
-          "garside": ((garside, "token_runs", "read"), (garside, "_normal_form", "normal form")),
-          "eval": ((reps, "build_rho_preset", "rep"), (reps, "rho_eval", "product"))}
+          "wp garside": ((garside, "token_runs", "read"), (garside, "_normal_form", "normal form")),
+          "wp coxeter": ROOT_TABLE, "wp toric": ROOT_TABLE,
+          "rep eval": ((reps, "build_rho_preset", "rep"), (reps, "rho_eval", "product"))}
 
 
 def rs_tietze(a: int, b: int, c: int) -> str:
@@ -125,7 +132,9 @@ def run(req: dict) -> str | None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         if req["kind"] != "cli":
             return rs_tietze(*req["abc"])
-        phases = next((PHASES[word] for word in req["argv"] if word in PHASES), ())
+        argv = req["argv"]
+        words = argv + [f"{a} {b}" for a, b in zip(argv, argv[1:])]
+        phases = next((PHASES[word] for word in words if word in PHASES), ())
         with timed_calls(phases) as spent:
             t0 = time.perf_counter()
             try:
@@ -133,7 +142,7 @@ def run(req: dict) -> str | None:
             except SystemExit:  # argparse rejects its input this way
                 pass
             total = (time.perf_counter() - t0) * 1e3
-    if not spent:
+    if not phases:
         return None
     spent["rest"] = total - sum(spent.values())
     return ", ".join(f"{name} {ms:.2f} ms" for name, ms in spent.items())
