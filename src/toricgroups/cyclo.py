@@ -278,8 +278,8 @@ class Cyc(Value):
 
 
 def dot(pairs) -> Cyc:
-    """sum a b over the (a, b) in ``pairs``, a nonempty sequence whose first
-    a is a Cyc.  The products are summed before the one reduction, so the
+    """The sum of a b over the (a, b) in ``pairs``, a nonempty sequence whose
+    first a is a Cyc.  The raw products are summed and reduced once, so the
     result is that of ``*`` and ``+`` at the cost of a single fold.  As for
     ``*``, an int is read in the first a's field and another modulus raises
     ValueError."""
