@@ -17,20 +17,21 @@ from: its generators, relators and letters.  Under each ``derive``,
 ``wp garside``, ``wp coxeter``, ``wp toric`` and ``rep eval`` request a
 second line splits its time into phases, each timed by wrapping one call
 for the one request, and the rest of the request: for ``derive``, the
-closure enumeration plus RS
-(``schreier.toric_closure_rs``), the check of the toric presentation or
-Tietze, and the order enumeration (the index of <s0> by ``todd_coxeter``
-on a gcd(b, c) = 1 row, ``group_order`` on the others; both count as
-``order``); for ``wp garside``,
-reading the tokens (``token_runs``) and the normal form kernel
-(``_normal_form``), the rest being the pieces, the rendering and the JSON;
-for ``wp coxeter`` and ``wp toric``, building the triangle's root table
+closure enumeration plus RS (``schreier.toric_closure_rs``), the check of
+the toric presentation or Tietze, and the order enumeration (the index of
+<s0> by ``todd_coxeter`` on a gcd(b, c) = 1 row, ``group_order`` on the
+others; both count as ``order``); for ``wp garside``, reading the tokens
+(``token_runs``) and the normal form kernel (``_normal_form``), the rest
+being the pieces, the rendering and the JSON; for ``wp coxeter`` and
+``wp toric``, building the triangle's root table
 (``coxeter.MinimalRootTable``, which runs only on a ``triangle_table``
 miss); for ``rep eval``, building the representation
 (``build_rho_preset``) and the matrix product (``rho_eval``).  A
 request's phases are found by its command words, so ``enumerate toric``
-gets none.  A phase the request did not reach is left out.  Then comes the time per request kind.  Times are plain
-``perf_counter`` differences, not scaled by the benchmark's speed probe.
+gets none.  A phase the request did not reach is left out, so a request
+that finds its root table built prints only its rest.  Then comes the
+time per request kind.  Times are plain ``perf_counter`` differences, not
+scaled by the benchmark's speed probe.
 Last come the requests that raised the process's peak RSS (``ru_maxrss``,
 the figure behind the benchmark's ``peak_rss_mb``), in pass order, each
 with the new peak in MB; the first line is the peak before the first
@@ -133,8 +134,8 @@ def run(req: dict) -> str | None:
         if req["kind"] != "cli":
             return rs_tietze(*req["abc"])
         argv = req["argv"]
-        words = argv + [f"{a} {b}" for a, b in zip(argv, argv[1:])]
-        phases = next((PHASES[word] for word in words if word in PHASES), ())
+        keys = argv + [f"{a} {b}" for a, b in zip(argv, argv[1:])]
+        phases = next((PHASES[key] for key in keys if key in PHASES), ())
         with timed_calls(phases) as spent:
             t0 = time.perf_counter()
             try:
