@@ -32,7 +32,7 @@ print("  trivial powers up to 21:", orders)
 
 print("\nMaximal finite standard parabolic subgroups of the affine (2,3,6) triangle:")
 report = maximal_finite_parabolics(CoxeterMatrix.triangle(2, 3, 6))
-print("  M_W =", report.maximal_sets(), " rotation orders:", report.orders_multiset())
+print("  M_W =", list(report.maximal_finite), " rotation orders:", report.orders_multiset())
 
 print("\nCenter of the alternating subgroup, brute force on the finite cases:")
 for k, n, m in [(3, 2, 3), (4, 2, 3), (2, 2, 5)]:

@@ -40,8 +40,8 @@ mer = meridian(2, 3, 2, 1)
 print("  meridian(2,3,2,1) =", mer)
 print("  classical image:", apply_map(sigma(2, 3), mer))
 derivation = meridian_derivation(2, 3)
-check_derivation(derivation, torus_classical(2, 3).relators)
-print(f"  rewritten to {derivation.end()} in {len(derivation.steps)} checked steps")
+end = check_derivation(derivation, torus_classical(2, 3).relators)
+print(f"  rewritten to {end} in {len(derivation.steps)} checked steps")
 
 print("\nwords over the meridians, through tau:")
 to_standard = tau(2, 3)

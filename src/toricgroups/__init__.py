@@ -4,7 +4,7 @@ reflection groups, and rank-3 Coxeter groups.
 Subpackages by capability:
 
 - :mod:`toricgroups.words` -- free-group words, generator maps, derivations
-- :mod:`toricgroups.presentations` -- presentation families, file format, Tietze moves
+- :mod:`toricgroups.presentations` -- presentation families, their text form, Tietze moves
 - :mod:`toricgroups.cosets` -- Todd-Coxeter coset enumeration and Cayley tables
 - :mod:`toricgroups.schreier` -- Reidemeister-Schreier subgroup presentations
 - :mod:`toricgroups.coxeter` -- minimal-root word problem for Coxeter systems

@@ -81,6 +81,13 @@ def _pick(*names: str):
     return lambda args: {name: getattr(args, name) for name in names}
 
 
+def _pick_family(*names: str):
+    """``_pick``, plus ``no_normalize: true`` when ``--no-normalize`` is given:
+    that flag decides which presentation a family request builds."""
+    pick = _pick(*names)
+    return lambda args: {**pick(args), "no_normalize": True} if args.no_normalize else pick(args)
+
+
 # --- the library call of each subcommand ------------------------------------------
 
 _WORD_PROBLEMS = {
@@ -113,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("labels", type=int, nargs="+")
     p.add_argument("--no-normalize", action="store_true")
-    p.set_defaults(params=_pick("family", "labels"),
+    p.set_defaults(params=_pick_family("family", "labels"),
                    run=lambda args, _: presentations.present_record(_family(args)))
 
     p = sub.add_parser("enumerate", help="Todd-Coxeter enumeration; order or subgroup index")
@@ -123,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normal-closure", action="store_true")
     p.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
     p.add_argument("--no-normalize", action="store_true")
-    p.set_defaults(params=_pick("family", "labels", "subgroup"),
+    p.set_defaults(params=_pick_family("family", "labels", "subgroup"),
                    run=lambda args, _: cosets.enumerate_record(_family(args), args.subgroup, args.normal_closure,
                                                                args.strategy, args.max_cosets))
 

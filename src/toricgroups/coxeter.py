@@ -31,8 +31,6 @@ from .cyclo import Cyc, dot, label_modulus, sign_real, two_cos_pi_over
 from .presentations import coxeter_triangle
 from .words import Alphabet, Value, Word, _set
 
-INFINITY = None  # edge label for m(s,t) = infinity
-
 
 class CoxeterMatrix(Value):
     """Symmetric matrix of braid labels; diagonal 1, off-diagonal >= 2 or None."""
@@ -307,9 +305,6 @@ class ParabolicReport(Value):
                  rotation_orders: tuple[tuple[tuple[int, ...], int], ...]):  # rank-2 members of M_W
         super().__init__(verdicts, maximal_finite, rotation_orders)
 
-    def maximal_sets(self) -> list[tuple[int, ...]]:
-        return list(self.maximal_finite)
-
     def orders_multiset(self) -> list[int]:
         return sorted(v for _, v in self.rotation_orders)
 
@@ -322,7 +317,9 @@ def maximal_finite_parabolics(cm: CoxeterMatrix) -> ParabolicReport:
     finite, and the triple iff every label is finite and 1/k + 1/n + 1/m > 1.
     For an infinite rank-3 triangle the maximal finite subsets are the three
     pairs, whose rotation subgroups are cyclic of the three edge orders.
-    A capability of the paper kept for the tests and demos, its only callers.
+    No command calls it (``classify`` reads the orders off the labels); it
+    stays as the reference those orders are tested against, and because the
+    benchmark's traced run wraps it by name.
     """
     n = cm.rank
     if n > 3:
@@ -361,8 +358,9 @@ def center_check_plus(cm: CoxeterMatrix, max_cosets: int = MAX_COSETS) -> Center
     """Check, element by element, that Z(W+) is contained in Z(W), for finite W.
 
     Raises ValueError for infinite systems; containment in the infinite
-    irreducible case is a theorem, not an exhaustible computation.  A
-    capability of the paper kept for the tests and demos, its only callers.
+    irreducible case is a theorem, not an exhaustible computation.  No
+    command calls it; it stays as the paper's check Z(W+) <= Z(W), which the
+    acceptance tests pin and demo 04 prints.
     """
     if cm.rank != 3:
         raise ValueError("center check implemented for rank-3 triangles")

@@ -138,7 +138,9 @@ def centrality_witness(k: int, n: int, m: int, i: int) -> Derivation:
     first rewrites c as the n-th power of the m-factor product delta, then
     pushes x_i through one delta at a time (each pass shifts the index by
     m mod n; after n passes the index returns to i), and finally restores c.
-    A capability of the paper kept for the tests and demos, its only callers.
+    No command calls it yet; it stays as the paper's certificate that c is
+    central, which the acceptance tests check, and which a decided central
+    word on an infinite row would cite.
     """
     ab = torus_classical(n, m).alphabet  # checks n and m
     if not 1 <= i <= n:

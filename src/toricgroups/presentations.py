@@ -1,4 +1,4 @@
-"""Presentation families, a small file format, and Tietze simplification.
+"""Presentation families, their text form, and Tietze simplification.
 
 Every group studied by this package is built here: torus knot groups in
 their standard, classical and dual presentations, toric reflection groups
@@ -8,7 +8,10 @@ two-generator presentation of the alternating subgroup of a triangle group.
 Relations written as chains u1 = u2 = ... = up are stored anchored at the
 first word, as the p-1 relators u1*u2^-1, ..., u1*up^-1.  The chain lemmas
 (``chain_step`` and the derivations built from it) live beside
-``torus_classical``, whose relator j - 2 they cite.
+``torus_classical``, whose relator j - 2 they cite.  ``serialize`` writes
+the text form that ``present`` and ``derive`` print; its reader,
+``parse_presentation``, serves only the tests and lives in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -17,19 +20,12 @@ import math
 import sys
 from itertools import chain
 
-from .words import (Alphabet, Derivation, RewriteStep, Value, Word, WordSyntaxError, _column, _set, bad_name,
-                    cyclic_reduce, free_reduce, invert, parse_word, undone, word_to_text)
+from .words import (Alphabet, Derivation, RewriteStep, Value, Word, _set, cyclic_reduce, free_reduce, invert, undone,
+                    word_to_text)
 
 
 class ParameterError(ValueError):
     """A family parameter outside its domain (label < 2, gcd violation)."""
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int = 1):
-        self.line = line
-        self.column = column
-        super().__init__(f"line {line}, column {column}: {message}")
 
 
 class Presentation(Value):
@@ -229,7 +225,7 @@ FAMILIES = {
 }
 
 
-# --- file format ------------------------------------------------------------
+# --- text form --------------------------------------------------------------
 
 
 def serialize(p: Presentation) -> str:
@@ -237,53 +233,6 @@ def serialize(p: Presentation) -> str:
     lines = ["gens: " + " ".join(p.gens)]
     lines.extend("rel: " + word_to_text(r) for r in p.relators)
     return "\n".join(lines) + "\n"
-
-
-def parse_presentation(text: str) -> Presentation:
-    alphabet: Alphabet | None = None
-    relators: list[Word] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, rest = line.partition(":")
-        key = key.strip()
-        if not sep:
-            raise ParseError("expected 'gens:' or 'rel:' line", lineno)
-        # where the text after the colon starts in the raw line, 0-based
-        offset = len(raw) - len(raw.lstrip()) + line.index(":") + 1
-        if key == "gens":
-            if alphabet is not None:
-                raise ParseError("duplicate gens line", lineno)
-            names = rest.split()
-            if not names:
-                raise ParseError("empty generator list", lineno, column=offset + 1)  # just past the colon
-            bad = bad_name(names)
-            if bad is not None:
-                raise ParseError(bad[1], lineno, column=offset + _column(raw[offset:], names, bad[0]))
-            alphabet = Alphabet(names)
-        elif key == "rel":
-            if alphabet is None:
-                raise ParseError("rel line before gens line", lineno)
-            sides = rest.split("=")
-            words = []
-            for k, side in enumerate(sides):
-                if not side.split():
-                    # just past the colon, or the '=' that borders it: the one
-                    # before, or after the first side
-                    column = offset + 1 if len(sides) == 1 else offset if k else offset + len(side) + 1
-                    raise ParseError("empty word in relation", lineno, column=column)
-                try:
-                    words.append(parse_word(alphabet, side))
-                except WordSyntaxError as e:
-                    raise ParseError(str(e), lineno, column=offset + (e.column or 1)) from None
-                offset += len(side) + 1
-            relators.extend(_chain(words) if len(words) > 1 else [free_reduce(words[0])])
-        else:
-            raise ParseError(f"unknown key {key!r}", lineno)
-    if alphabet is None:
-        raise ParseError("missing gens line", max(1, len(text.splitlines())))
-    return Presentation(alphabet, tuple(relators))
 
 
 # --- Tietze simplification --------------------------------------------------

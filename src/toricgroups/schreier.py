@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
 from .cosets import MAX_COSETS, CosetTable, _columns, bfs_tree, normal_closure_table
-from .presentations import Presentation, chain_implies_shift, cyclic_product, j_parent, meridians, toric
+from .presentations import Presentation, chain_implies_shift, cyclic_product, j_parent, toric
 from .words import (Alphabet, Value, Word, check_derivation, cyclic_reduce_letters, free_reduce_letters, invert,
                     signed_table)
 
@@ -312,12 +312,6 @@ def closed_form_generator(k: int, n: int, m: int, which: str, ell: int, p: int) 
 
 
 # --- relation equivalence as explicit derivations ---------------------------
-
-
-def shift_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
-    """Relators saying x_i (x_1...x_m) = (x_1...x_m) x_{i+m}, for i = 1..n."""
-    ab = meridians(n)
-    return ab, [Word(ab, _shift_letters(n, m, i)) for i in range(1, n + 1)]
 
 
 def _shift_letters(n: int, m: int, i: int) -> tuple[int, ...]:

@@ -309,10 +309,6 @@ class GenMap(Value):
                 raise ValueError("image word over wrong alphabet")
 
     @staticmethod
-    def identity(alphabet: Alphabet) -> "GenMap":
-        return GenMap(alphabet, alphabet, tuple(Word(alphabet, (i + 1,)) for i in range(len(alphabet))))
-
-    @staticmethod
     def from_dict(source: Alphabet, target: Alphabet, images: Mapping[str, Word]) -> "GenMap":
         missing = [name for name in source.names if name not in images]
         if missing:
@@ -370,9 +366,6 @@ class Derivation(Value):
             cur = ws[-1]
             ws.append(_apply_step(cur, st))
         return ws
-
-    def end(self) -> Word:
-        return self.words()[-1]
 
 
 def moved(steps: Iterable[RewriteStep], offset: int) -> tuple[RewriteStep, ...]:

@@ -1,4 +1,6 @@
-"""Shared cached constructors so expensive tables are built once per run."""
+"""Shared cached constructors so expensive tables are built once per run,
+and the test-only helpers: the reader of ``presentations.serialize``'s text
+and the identity ``GenMap``."""
 
 from __future__ import annotations
 
@@ -13,7 +15,9 @@ settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 from toricgroups.cosets import CayleyTable, normal_closure_table, todd_coxeter
 from toricgroups.coxeter import CoxeterMatrix, MinimalRootTable
-from toricgroups.words import GenMap, Word, free_reduce
+from toricgroups.presentations import Presentation, _chain
+from toricgroups.words import (Alphabet, GenMap, Word, WordSyntaxError, _column, bad_name, free_reduce,
+                               parse_word)
 
 FINITE_ROWS = [
     (2, 3, 4),
@@ -44,6 +48,64 @@ FROZEN_TORIC_ORDERS = {
     (2, 2, 7): 14,
     (2, 2, 9): 18,
 }
+
+
+class ParseError(ValueError):
+    def __init__(self, message: str, line: int, column: int = 1):
+        self.line = line
+        self.column = column
+        super().__init__(f"line {line}, column {column}: {message}")
+
+
+def parse_presentation(text: str) -> Presentation:
+    alphabet: Alphabet | None = None
+    relators: list[Word] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, rest = line.partition(":")
+        key = key.strip()
+        if not sep:
+            raise ParseError("expected 'gens:' or 'rel:' line", lineno)
+        # where the text after the colon starts in the raw line, 0-based
+        offset = len(raw) - len(raw.lstrip()) + line.index(":") + 1
+        if key == "gens":
+            if alphabet is not None:
+                raise ParseError("duplicate gens line", lineno)
+            names = rest.split()
+            if not names:
+                raise ParseError("empty generator list", lineno, column=offset + 1)  # just past the colon
+            bad = bad_name(names)
+            if bad is not None:
+                raise ParseError(bad[1], lineno, column=offset + _column(raw[offset:], names, bad[0]))
+            alphabet = Alphabet(names)
+        elif key == "rel":
+            if alphabet is None:
+                raise ParseError("rel line before gens line", lineno)
+            sides = rest.split("=")
+            words = []
+            for k, side in enumerate(sides):
+                if not side.split():
+                    # just past the colon, or the '=' that borders it: the one
+                    # before, or after the first side
+                    column = offset + 1 if len(sides) == 1 else offset if k else offset + len(side) + 1
+                    raise ParseError("empty word in relation", lineno, column=column)
+                try:
+                    words.append(parse_word(alphabet, side))
+                except WordSyntaxError as e:
+                    raise ParseError(str(e), lineno, column=offset + (e.column or 1)) from None
+                offset += len(side) + 1
+            relators.extend(_chain(words) if len(words) > 1 else [free_reduce(words[0])])
+        else:
+            raise ParseError(f"unknown key {key!r}", lineno)
+    if alphabet is None:
+        raise ParseError("missing gens line", max(1, len(text.splitlines())))
+    return Presentation(alphabet, tuple(relators))
+
+
+def identity_map(alphabet: Alphabet) -> GenMap:
+    return GenMap(alphabet, alphabet, tuple(Word(alphabet, (i + 1,)) for i in range(len(alphabet))))
 
 
 def image_of(f: GenMap, name: str) -> Word:

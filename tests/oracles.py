@@ -67,7 +67,9 @@ with the production engines they check:
   must return the same presentation, or raise an
   ``AssertionError`` with the same message.  It shares the closed forms
   (``closed_form_generator``), the relators and ``chain_implies_shift``
-  with the check, which are one source of truth.
+  with the check, which are one source of truth: its ``shift_relators``
+  builds each shift relator from ``schreier._shift_letters``, the letters
+  the check keys.
 - ``reference_normal_closure``: the original normal-closure loop, which
   enumerates over a subgroup and adjoins one conjugate of a seed per round
   until every seed acts trivially.  It needs a finite index at every round,
@@ -145,8 +147,9 @@ from toricgroups.cosets import CayleyTable, CosetTable, _columns, _validate, tod
 from toricgroups.coxeter import MinimalRootTable
 from toricgroups.cyclo import _degree, cyclotomic_polynomial
 from toricgroups.garside import GarsideNF
-from toricgroups.presentations import XY, FamilyParams, Presentation, TietzeBudgetExceeded, toric, torus_classical
-from toricgroups.schreier import RSResult, SubgroupGenerator, closed_form_generator, shift_relators
+from toricgroups.presentations import (XY, FamilyParams, Presentation, TietzeBudgetExceeded, meridians, toric,
+                                      torus_classical)
+from toricgroups.schreier import RSResult, SubgroupGenerator, _shift_letters, closed_form_generator
 from toricgroups.words import (Alphabet, GenMap, Word, WordSyntaxError, check_derivation, cyclic_reduce,
                                free_reduce, invert)
 
@@ -610,6 +613,12 @@ def _reference_cyclic_canonical(w: Word) -> tuple[int, ...]:
     return best if best is not None else ()
 
 
+def shift_relators(n: int, m: int) -> tuple[Alphabet, list[Word]]:
+    """Relators saying x_i (x_1...x_m) = (x_1...x_m) x_{i+m}, for i = 1..n."""
+    ab = meridians(n)
+    return ab, [Word(ab, _shift_letters(n, m, i)) for i in range(1, n + 1)]
+
+
 def reference_check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int, int]],
                                        rs: RSResult) -> Presentation:
     """The original ``check_toric_presentation``, on Word objects throughout."""
@@ -640,10 +649,10 @@ def reference_check_toric_presentation(k: int, n: int, m: int, labels: dict[int,
         if key in shift_canon:
             d = schreier.chain_implies_shift(reference.alphabet, m, shift_canon[key])
             try:
-                check_derivation(d, chains)  # justified deletion
+                end = check_derivation(d, chains)  # justified deletion
             except ValueError as e:  # a fault of this derivation, not of the input
                 raise AssertionError(f"derivation of {w}: {e}") from e
-            if _reference_cyclic_canonical(d.start * invert(d.end())) != key:
+            if _reference_cyclic_canonical(d.start * invert(end)) != key:
                 raise AssertionError(f"the derivation cited for {w} derives another relator")
         elif key not in ref_canon:
             raise AssertionError(f"unexpected relator {w} in rewritten presentation")

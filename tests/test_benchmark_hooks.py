@@ -2,10 +2,13 @@
 
 ``perfbench/tracing.py`` lists the functions it wraps in ``SPANS`` and the
 ones it counts in ``COUNTERS``, and reads the ``strategy`` argument of
-``cosets.todd_coxeter``.  A rename in the package would only show when the
-traced run fails, so resolve every entry here, without installing anything.
+``cosets.todd_coxeter``.  ``perfbench/child.py`` runs the rs-tietze
+pipeline by calling package functions itself.  A rename in the package
+would only show when the benchmark fails, so resolve every entry and every
+name the child reads here, without installing anything.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -13,7 +16,8 @@ import pathlib
 
 from toricgroups import cosets
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -40,6 +44,20 @@ def test_traced_functions_exist():
     assert entries
     for modname, path in entries:
         assert callable(_resolve(modname, path)), (modname, path)
+
+
+def test_names_the_benchmark_child_reads_exist():
+    # the modules the child imports from the package (cli, cosets,
+    # presentations, schreier), and every attribute it reads on them, as in
+    # `schreier.toric_column_order(...)`
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module == "toricgroups" for alias in node.names}
+    reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules}
+    assert {modname for modname, _ in reads} == modules
+    for modname, attr in sorted(reads):
+        assert hasattr(importlib.import_module(f"toricgroups.{modname}"), attr), (modname, attr)
 
 
 def test_todd_coxeter_keeps_its_strategy_parameter():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import parse_presentation
 from oracles import abelian_invariants
 
 from toricgroups import classify, cli, coxeter, cyclo, maps, presentations, schreier, words
@@ -69,7 +70,9 @@ GOLDEN_REQUESTS = {
     # captured before the families moved into one table and toric() stopped
     # swapping n > m itself: build swaps for present and enumerate unless
     # --no-normalize; the sweep covers every row of the grid workload, and its
-    # text pins the key order of each entry; these have text goldens too
+    # text pins the key order of each entry; these have text goldens too.
+    # The --no-normalize goldens were re-captured when the flag joined
+    # `params` as "no_normalize": true
     "present_toric_2_5_3": ["present", "toric", "2", "5", "3"],
     "present_toric_2_5_3_no_normalize": ["present", "toric", "2", "5", "3", "--no-normalize"],
     "enumerate_toric_3_5_2": ["enumerate", "toric", "3", "5", "2"],
@@ -387,8 +390,8 @@ def test_derive_6_2_4_has_the_abelian_invariants_of_a_renumbered_run(capsys):
     # enumerator's walk decides; the group it presents does not
     code, out = run_json(capsys, "--max-cosets", "2000", "derive", "6", "2", "4")
     assert code == 0
-    derived = presentations.parse_presentation(out["result"]["presentation"])
-    other = presentations.parse_presentation(DERIVE_6_2_4_RENUMBERED)
+    derived = parse_presentation(out["result"]["presentation"])
+    other = parse_presentation(DERIVE_6_2_4_RENUMBERED)
     assert len(derived.relators) == 5 and len(other.relators) == 4
     assert abelian_invariants(derived) == abelian_invariants(other) == (6, 6)
 
@@ -549,6 +552,16 @@ def test_sweep_names_every_overflowed_finite_row_in_grid_order(capsys):
     assert [e["order"] for e in finite] == [None] * 6
     assert payload["evidence"] == [f"W({k},{n},{m}): enumeration overflowed at 5; membership retained"
                                    for k, n, m in (e["parameters"] for e in finite)]
+
+
+@pytest.mark.parametrize("argv", [["present", "toric", "2", "5", "3"], ["enumerate", "toric", "3", "5", "2"]])
+def test_no_normalize_shows_in_params(capsys, argv):
+    # the flag decides which presentation is built, so two requests that
+    # build different presentations never print the same params
+    _, plain = run_json(capsys, *argv)
+    _, literal = run_json(capsys, *argv, "--no-normalize")
+    assert literal["params"] == {**plain["params"], "no_normalize": True}
+    assert "no_normalize" not in plain["params"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REQUESTS))

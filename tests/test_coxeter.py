@@ -188,18 +188,18 @@ def test_phi_images_have_even_parity():
 
 def test_maximal_finite_parabolics_infinite_triangle():
     report = maximal_finite_parabolics(CoxeterMatrix.triangle(6, 2, 3))
-    assert report.maximal_sets() == [(0, 1), (0, 2), (1, 2)]
+    assert list(report.maximal_finite) == [(0, 1), (0, 2), (1, 2)]
     assert report.orders_multiset() == [2, 3, 6]
 
 
 def test_maximal_finite_parabolics_finite_triangle():
     report = maximal_finite_parabolics(CoxeterMatrix.triangle(2, 3, 5))
-    assert report.maximal_sets() == [(0, 1, 2)]
+    assert list(report.maximal_finite) == [(0, 1, 2)]
 
 
 def test_maximal_finite_parabolics_affine():
     report = maximal_finite_parabolics(CoxeterMatrix.triangle(2, 3, 6))
-    assert report.maximal_sets() == [(0, 1), (0, 2), (1, 2)]
+    assert list(report.maximal_finite) == [(0, 1), (0, 2), (1, 2)]
     assert report.orders_multiset() == [2, 3, 6]
 
 
@@ -231,7 +231,7 @@ def test_parabolic_closed_form_matches_gram_oracle():
         assert report.verdicts == verdicts, cm.labels
         finite = [j for j, ok in verdicts if ok]
         maximal = [j for j in finite if not any(set(j) < set(big) for big in finite)]
-        assert report.maximal_sets() == maximal, cm.labels
+        assert list(report.maximal_finite) == maximal, cm.labels
 
 
 def test_parabolics_reject_rank_four():

@@ -213,9 +213,9 @@ def test_centrality_witness_validates(k, n, m):
     ab = central_element(k, n, m).alphabet
     for i in range(1, n + 1):
         d = centrality_witness(k, n, m, i)
-        check_derivation(d, chains)
+        end = check_derivation(d, chains)
         assert d.start == free_reduce(Word(ab, (i,)) * central_element(k, n, m))
-        assert d.end() == free_reduce(central_element(k, n, m) * Word(ab, (i,)))
+        assert end == free_reduce(central_element(k, n, m) * Word(ab, (i,)))
 
 
 def test_centrality_witness_replays_under_phi():

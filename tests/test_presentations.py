@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import ParseError, parse_presentation
 from oracles import reference_tietze
 from toricgroups import presentations as pres
 from toricgroups import schreier
@@ -12,11 +13,9 @@ from toricgroups.cosets import todd_coxeter
 from toricgroups.presentations import (
     FamilyParams,
     ParameterError,
-    ParseError,
     Presentation,
     TietzeBudgetExceeded,
     build,
-    parse_presentation,
     serialize,
     tietze_simplify,
 )

@@ -5,8 +5,10 @@ import re
 
 import pytest
 
+from conftest import ParseError, identity_map, parse_presentation
+
 from toricgroups import classify, cosets, coxeter, cyclo, garside, maps, reps, schreier, words
-from toricgroups.presentations import ParseError, meridians, parse_presentation, toric
+from toricgroups.presentations import meridians, toric
 
 AB = words.Alphabet(["x", "y"])
 STU = words.Alphabet(["s", "t", "u"])
@@ -59,7 +61,7 @@ def complete():
     (lambda: AB.index("z"), KeyError, "unknown generator 'z'"),
     (lambda: X * STU.word("s"), ValueError, "cannot multiply words over different alphabets"),
     (lambda: words.GenMap.from_dict(AB, AB, {"x": Y}), ValueError, "no image for generators ['y']"),
-    (lambda: words.compose(words.GenMap.identity(AB), words.GenMap.identity(STU)), ValueError,
+    (lambda: words.compose(identity_map(AB), identity_map(STU)), ValueError,
      "alphabets do not compose"),
     (lambda: words.check_derivation(words.Derivation(XY, (words.RewriteStep(0, X, Y, None),)), []), ValueError,
      "step 0: claimed free but differs by x y^-1"),

@@ -4,8 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import FINITE_ROWS, FROZEN_TORIC_ORDERS, closure_table, parent_cayley, schreier_word
-from oracles import naive_order, reference_check_toric_presentation, reference_rs_presentation, reference_transversal
+from conftest import FINITE_ROWS, FROZEN_TORIC_ORDERS, closure_table, parent_cayley, parse_presentation, schreier_word
+from oracles import (naive_order, reference_check_toric_presentation, reference_rs_presentation, reference_transversal,
+                     shift_relators)
 
 from toricgroups import classify, cosets, schreier, words
 from toricgroups.garside import meridian_derivation
@@ -14,7 +15,7 @@ from toricgroups import presentations as pres
 from toricgroups.coxeter import classify_triangle
 from toricgroups.cosets import MAX_COSETS, group_order, todd_coxeter
 from toricgroups.presentations import (chain_implies_shift, chain_step, cyclic_products, delta_power_to_twist,
-                                       meridians, parse_presentation, serialize, tietze_simplify, torus_classical)
+                                       meridians, serialize, tietze_simplify, torus_classical)
 from toricgroups.schreier import (
     RSResult,
     SubgroupGenerator,
@@ -23,7 +24,6 @@ from toricgroups.schreier import (
     cyclic_canonical,
     rs_presentation,
     schreier_transversal,
-    shift_relators,
     toric_column_order,
     toric_closure_rs,
     toric_coset_labels,
@@ -279,7 +279,7 @@ def test_rs_keeps_one_rewrite_per_orbit_of_a_two_letter_root():
 def test_rs_rewrites_empty_and_non_power_relators_from_every_coset():
     # x^2 y^2 x^-2 y^-2 and x y x^-1 y are no proper powers, so each of
     # their orbits is a single coset; the empty relator rewrites to nothing
-    base = pres.parse_presentation("gens: x y\nrel: x^4\nrel: y^2\nrel: x y x^-1 y")
+    base = parse_presentation("gens: x y\nrel: x^4\nrel: y^2\nrel: x y x^-1 y")
     ab = base.alphabet
     extra = (Word(ab, ()), ab.word("x^2 y^2 x^-2 y^-2"), ab.word("x y x^-1 y"))
     p = pres.Presentation(ab, base.relators + extra)
@@ -558,13 +558,12 @@ def test_chain_and_shift_relators_imply_each_other(n, m):
     # chains => shifts
     for i in range(1, n + 1):
         d = chain_implies_shift(ab, m, i)
-        check_derivation(d, chains)
+        end = check_derivation(d, chains)
         assert d.start == free_reduce(Word(ab, (i,)) * delta)
-        assert d.end() == free_reduce(delta * Word(ab, ((i + m - 1) % n + 1,)))
+        assert end == free_reduce(delta * Word(ab, ((i + m - 1) % n + 1,)))
     # shifts => chains (inductively, citing previously derived chains)
     for j, d in zip(range(2, n + 1), chain_from_shift_derivations(n, m)):
-        check_derivation(d, shifts + list(chains[: j - 2]))
-        assert d.end() == delta
+        assert check_derivation(d, shifts + list(chains[: j - 2])) == delta
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (2, 5)])
@@ -602,9 +601,8 @@ def test_delta_power_to_twist_derivation():
     for n, m in [(2, 3), (3, 4), (3, 5)]:
         ab, chains = meridians(n), torus_classical(n, m).relators
         d = delta_power_to_twist(ab, m)
-        check_derivation(d, chains)
         twist = Word(ab, tuple(i % n + 1 for i in range(n)) * m)
-        assert d.end() == twist
+        assert check_derivation(d, chains) == twist
 
 
 # --- the one chain step and the step helpers --------------------------------------
@@ -638,7 +636,7 @@ def test_moved_steps_replay_a_lemma_inside_a_padded_word(pair, i, lemma, data):
     left = tuple(data.draw(st.lists(letters, max_size=4)))
     right = tuple(data.draw(st.lists(letters, max_size=4)))
     padded = Derivation(Word(ab, left + d.start.letters + right), moved(d.steps, len(left)))
-    assert check_derivation(padded, chains).letters == left + d.end().letters + right
+    assert check_derivation(padded, chains).letters == left + d.words()[-1].letters + right
 
 
 @given(COPRIME_PAIRS, st.integers(0, 3))

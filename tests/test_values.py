@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import identity_map
+
 from toricgroups import classify, cosets, coxeter, cyclo, garside, maps, presentations, reps, schreier, words
 from toricgroups.presentations import ParameterError
 
@@ -23,7 +25,7 @@ SG = schreier.SubgroupGenerator("s0", 0, "x")
 # each class with two instances whose fields differ
 SAMPLES = [
     (words.Word, lambda: words.Word(AB, (1, -2)), lambda: words.Word(AB, (2, 1))),
-    (words.GenMap, lambda: words.GenMap.identity(AB), lambda: words.GenMap(AB, AB, (YX, XY))),
+    (words.GenMap, lambda: identity_map(AB), lambda: words.GenMap(AB, AB, (YX, XY))),
     (words.RewriteStep, lambda: words.RewriteStep(0, XY, YX, None), lambda: words.RewriteStep(1, XY, YX, 0)),
     (words.Derivation, lambda: words.Derivation(XY, ()),
      lambda: words.Derivation(XY, (words.RewriteStep(0, XY, YX, 0),))),
@@ -40,7 +42,7 @@ SAMPLES = [
     (coxeter.CenterReport, lambda: coxeter.CenterReport(120, 60, 2, 1, True, (0, 15)),
      lambda: coxeter.CenterReport(group_order=24, plus_order=12, z_w_order=1, z_w_plus_order=1, contained=True,
                                   z_w_lengths=(0,))),
-    (maps.Hom, lambda: maps.Hom(P, words.GenMap.identity(AB)), lambda: maps.Hom(Q, words.GenMap.identity(AB))),
+    (maps.Hom, lambda: maps.Hom(P, identity_map(AB)), lambda: maps.Hom(Q, identity_map(AB))),
     (maps.HomReport, lambda: maps.HomReport(True), lambda: maps.HomReport(False, XY, YX)),
     (maps.PsiParams, lambda: maps.PsiParams(1, 1, 1), lambda: maps.PsiParams(q=1, r=2, ell=2)),
     (reps.Rep, lambda: reps.build_rho_preset(2, 3, 5), lambda: reps.build_rho_preset(6, 2, 3)),

@@ -7,7 +7,7 @@ listed with ``git ls-tree`` and read with ``git show`` at both revisions, so
 nothing is checked out and the working tree is not read.  A line is a
 newline, as ``wc -l`` counts them.  The script prints each file's lines at
 ``--parent`` and ``--change`` and the change (``-`` where the file does not
-exist), then each directory's totals and net change, then four counts of
+exist), then each directory's totals and net change, then five counts of
 ``src/toricgroups/`` at both revisions, each read with ``ast``: the
 parameters with a default value in its functions and methods; the options
 (the ``add_argument`` calls whose first name starts with ``-``) of
@@ -15,7 +15,14 @@ parameters with a default value in its functions and methods; the options
 its public names, the module-level functions and classes whose names do
 not start with ``_``, plus the methods and properties of those classes
 whose names do not; and its internal import edges, the ``from .x import``
-statements, one per statement.
+statements, one per statement.  Last come the public names that no code in
+``src/toricgroups/`` references, marked at each revision where that holds.
+A reference is an ``ast.Name`` or ``ast.Attribute`` node whose name is the
+public name's own (its last part, for a method), anywhere in the package
+but outside the name's own definition, so a mention in a docstring or a
+comment, or an import alone, is no caller.  Names are matched without their
+module or class, so the list can miss an unreferenced name (a method
+``end`` beside a variable ``end``) but never lists a referenced one.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import chain
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIRS = ("src/toricgroups", "tests", "tools")
@@ -45,17 +54,48 @@ def _public(node: ast.AST) -> bool:
             and not node.name.startswith("_"))
 
 
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """The public names of a module, each with its definition: module-level
+    functions and classes as ``name``, their methods as ``Class.name``."""
+    found = []
+    for node in tree.body:
+        if _public(node):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{item.name}", item) for item in node.body
+                          if _public(item) and not isinstance(item, ast.ClassDef)]
+    return found
+
+
+def _reads(node: ast.AST) -> list[str]:
+    """The name of every ``Name`` and ``Attribute`` node under ``node``."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def unreferenced_names(rev: str) -> set[str]:
+    """The public names in ``src/toricgroups/`` at ``rev``, as
+    ``module.name``, that no ``Name`` or ``Attribute`` node of the package
+    outside the name's own definition reads."""
+    modules = {os.path.basename(path)[:-3]: ast.parse(git("show", f"{rev}:{path}"))
+               for path in line_counts(rev, DIRS[0])}
+    reads = Counter(chain.from_iterable(_reads(tree) for tree in modules.values()))
+    unused = set()
+    for module, tree in modules.items():
+        for name, node in public_definitions(tree):
+            last = name.rsplit(".", 1)[-1]
+            if reads[last] == _reads(node).count(last):
+                unused.add(f"{module}.{name}")
+    return unused
+
+
 def api_counts(rev: str) -> tuple[int, int, int, int, int]:
     """Parameters with defaults, CLI options, ``__slots__`` entries, public
     names and ``from .x import`` statements in ``src/toricgroups/`` at ``rev``."""
     defaults = options = fields = public = imports = 0
     for path in line_counts(rev, DIRS[0]):
         tree = ast.parse(git("show", f"{rev}:{path}"))
-        for node in tree.body:
-            if _public(node):
-                public += 1
-                if isinstance(node, ast.ClassDef):
-                    public += sum(_public(item) and not isinstance(item, ast.ClassDef) for item in node.body)
+        public += len(public_definitions(tree))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defaults += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
@@ -101,6 +141,12 @@ def main(argv: list[str] | None = None) -> int:
              "import edges (from .x), src/toricgroups/")
     for name, old, new in zip(names, before, after):
         print(row(name, old, new))
+    print()
+    before, after = unreferenced_names(args.parent), unreferenced_names(args.change)
+    print(f"{'public names no src code references':<44} {args.parent:>7} {args.change:>7}")
+    for name in sorted(before | after):
+        print(f"{name:<44} {'x' if name in before else '-':>7} {'x' if name in after else '-':>7}")
+    print(row("unreferenced public names, src/toricgroups/", len(before), len(after)))
     return 0
 
 
