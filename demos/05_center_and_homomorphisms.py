@@ -10,7 +10,7 @@ derivation checker replays step by step.
 from toricgroups import coxeter, maps
 from toricgroups import presentations as pres
 from toricgroups.cosets import CayleyTable, group_order, todd_coxeter
-from toricgroups.words import check_derivation, free_reduce, invert
+from toricgroups.words import check_derivation, free_reduce
 
 k, n, m = 2, 3, 4
 phi = maps.build_phi(k, n, m)

@@ -9,7 +9,6 @@ where x1 x2 has order 6).
 
 from toricgroups import reps
 from toricgroups.cosets import MAX_COSETS
-from toricgroups.cyclo import Cyc
 
 a, b, c = 6, 2, 3
 print(f"constraint value at {(a,b,c)}: {reps.constraint_value(a, b, c)}")

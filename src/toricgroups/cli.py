@@ -7,21 +7,32 @@ status, evidence}, and exits 0 for computed results (including "unknown"
 and overflow verdicts), 2 for input errors, or 1, silently, when stdout
 closes before the output is written (as under ``| head``).  Identical
 inputs produce byte-identical JSON.
+
+The command line is read in one pass over ``_COMMANDS``, which also renders
+the usage that ``-h``/``--help`` prints.  A malformed command line is an
+input error like any other: one ``error:`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from functools import cache
+from types import SimpleNamespace
 
 from . import classify, coxeter, cosets, garside, presentations, reps
 from .presentations import FamilyParams, ParameterError
 
+# flag -> (dest, converter, default), where a converter is int, str, the
+# tuple of words the flag accepts, or None for a switch that sets True; the
+# global flags go before or after the command word
+_GLOBAL_FLAGS = {
+    "--format": ("format", ("text", "json"), "text"),
+    "--max-cosets": ("max_cosets", int, cosets.MAX_COSETS),
+    "--budget": ("budget", int, presentations.TIETZE_BUDGET),
+}
 # the global flags' values when they are not given
-_DEFAULTS = {"format": "text", "max_cosets": cosets.MAX_COSETS, "budget": presentations.TIETZE_BUDGET}
+_DEFAULTS = {dest: default for dest, _, default in _GLOBAL_FLAGS.values()}
 
 
 def _emit_text(payload: dict) -> None:
@@ -40,7 +51,7 @@ def _emit_text(payload: dict) -> None:
         print(f"  - {item}")
 
 
-# --- argument checks the parser cannot express ----------------------------------
+# --- argument checks the table cannot express ------------------------------------
 
 
 def _family(args) -> FamilyParams:
@@ -97,88 +108,145 @@ _WORD_PROBLEMS = {
 }
 
 _REP_RECORDS = {
-    "witness": lambda args, p: reps.witness_record(args.max_cosets),
     "check": lambda args, p: reps.check_record(*p["abc"], p["qr"]),
     "eval": lambda args, p: reps.eval_record(*p["abc"], p["qr"], p["word"]),
+    "witness": lambda args, p: reps.witness_record(args.max_cosets),
 }
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    # each global flag is declared once, here, and accepted before or after
-    # the subcommand; SUPPRESS keeps a parser that did not see a flag from
-    # setting it, so the values in _DEFAULTS stand unless a flag is given
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("text", "json"))
-    common.add_argument("--max-cosets", type=int)
-    common.add_argument("--budget", type=int)
-    top = argparse.ArgumentParser(prog="toricgroups", parents=[common],
-                                  description="torus knot groups, J-groups, and toric reflection groups")
-    sub = top.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+# --- the command table and its reader ---------------------------------------------
 
-    p = sub.add_parser("present", help="print a presentation from one of the families")
-    p.add_argument("family")
-    p.add_argument("labels", type=int, nargs="+")
-    p.add_argument("--no-normalize", action="store_true")
-    p.set_defaults(params=_pick_family("family", "labels"),
-                   run=lambda args, _: presentations.present_record(_family(args)))
+# command -> (help, positionals, flags, params, run); a positional is (dest,
+# converter, arity), its arity 1, "+" (one or more words) or "*" (any number),
+# and the flags, read as _GLOBAL_FLAGS are, go after the command word
+_COMMANDS = {
+    "present": ("print a presentation from one of the families", (("family", str, 1), ("labels", int, "+")),
+                {"--no-normalize": ("no_normalize", None, False)}, _pick_family("family", "labels"),
+                lambda args, _: presentations.present_record(_family(args))),
+    "enumerate": ("Todd-Coxeter enumeration; order or subgroup index", (("family", str, 1), ("labels", int, "+")),
+                  {"--subgroup": ("subgroup", str, ""), "--normal-closure": ("normal_closure", None, False),
+                   "--strategy": ("strategy", ("hlt", "felsch"), "hlt"),
+                   "--no-normalize": ("no_normalize", None, False)},
+                  _pick_family("family", "labels", "subgroup"),
+                  lambda args, _: cosets.enumerate_record(_family(args), args.subgroup, args.normal_closure,
+                                                          args.strategy, args.max_cosets)),
+    "classify": ("classification report for W(k,n,m)", (("k", int, 1), ("n", int, 1), ("m", int, 1)), {},
+                 _pick("k", "n", "m"),
+                 lambda args, _: classify.classify_toric(args.k, args.n, args.m, args.max_cosets)),
+    "sweep": ("batch classification over a parameter grid", (),
+              {"--max-k": ("max_k", int, 6), "--max-m": ("max_m", int, 7)},
+              _pick("max_k", "max_m"), lambda args, _: classify.sweep(args.max_k, args.max_m, args.max_cosets)),
+    "wp": ("word problem: coxeter/garside normal form, toric verdict",
+           (("system", tuple(_WORD_PROBLEMS), 1), ("labels", int, "+"), ("word", str, 1)), {},
+           _pick("system", "labels", "word"), lambda args, _: _WORD_PROBLEMS[args.system](args)),
+    "derive": ("subgroup presentation of the normal closure of s", (("a", int, 1), ("b", int, 1), ("c", int, 1)), {},
+               _pick("a", "b", "c"),
+               lambda args, _: classify.derive(args.a, args.b, args.c, args.max_cosets, args.budget)),
+    "rep": ("rank-two pseudo-reflection representation", (("action", tuple(_REP_RECORDS), 1), ("rest", str, "*")),
+            {"--qr": ("qr", str, None)}, _rep_params, lambda args, params: _REP_RECORDS[args.action](args, params)),
+}
 
-    p = sub.add_parser("enumerate", help="Todd-Coxeter enumeration; order or subgroup index")
-    p.add_argument("family")
-    p.add_argument("labels", type=int, nargs="+")
-    p.add_argument("--subgroup", default="", help="semicolon-separated subgroup generator words")
-    p.add_argument("--normal-closure", action="store_true")
-    p.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
-    p.add_argument("--no-normalize", action="store_true")
-    p.set_defaults(params=_pick_family("family", "labels", "subgroup"),
-                   run=lambda args, _: cosets.enumerate_record(_family(args), args.subgroup, args.normal_closure,
-                                                               args.strategy, args.max_cosets))
 
-    p = sub.add_parser("classify", help="classification report for W(k,n,m)")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.set_defaults(params=_pick("k", "n", "m"),
-                   run=lambda args, _: classify.classify_toric(args.k, args.n, args.m, args.max_cosets))
+def _convert(name: str, converter, text: str):
+    if isinstance(converter, tuple):
+        if text not in converter:
+            raise ParameterError(f"expected one of {', '.join(converter)} for {name}, got {text!r}")
+        return text
+    try:
+        return converter(text)
+    except ValueError:
+        raise ParameterError(f"expected an integer for {name}, got {text!r}") from None
 
-    p = sub.add_parser("sweep", help="batch classification over a parameter grid")
-    p.add_argument("--max-k", type=int, default=6)
-    p.add_argument("--max-m", type=int, default=7)
-    p.set_defaults(params=_pick("max_k", "max_m"),
-                   run=lambda args, _: classify.sweep(args.max_k, args.max_m, args.max_cosets))
 
-    p = sub.add_parser("wp", help="word problem: coxeter/garside normal form, toric verdict")
-    p.add_argument("system", choices=("coxeter", "garside", "toric"))
-    p.add_argument("labels", type=int, nargs="+")
-    p.add_argument("word")
-    p.set_defaults(params=_pick("system", "labels", "word"),
-                   run=lambda args, _: _WORD_PROBLEMS[args.system](args))
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """One command line's namespace: the command, every dest of its table
+    entry and of the global flags, and ``help``.  Only a word that starts with
+    ``--`` is a flag, so a label may be negative; a variadic positional takes
+    the words its single neighbours leave.  At -h or --help the words after it
+    are not read."""
+    values = {"help": False, "command": None, **_DEFAULTS}
+    flags, words = _GLOBAL_FLAGS, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(help=True, command=values["command"])
+        if not token.startswith("--"):
+            if values["command"] is not None:
+                words.append(token)
+                continue
+            values["command"] = _convert("the command", tuple(_COMMANDS), token)
+            flags = {**_GLOBAL_FLAGS, **_COMMANDS[token][2]}
+            values.update((dest, default) for dest, _, default in _COMMANDS[token][2].values())
+            continue
+        flag, given, value = token.partition("=")
+        if flag not in flags:
+            raise ParameterError(f"unknown flag {flag}")
+        dest, converter, _ = flags[flag]
+        if converter is None:
+            if given:
+                raise ParameterError(f"{flag} takes no value")
+            values[dest] = True
+            continue
+        if not given:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ParameterError(f"{flag} needs a value")
+        values[dest] = _convert(flag, converter, value)
+    command = values["command"]
+    if command is None:
+        raise ParameterError(f"no command given; expected one of {', '.join(_COMMANDS)}")
+    positionals = _COMMANDS[command][1]
+    arities = [arity for _, _, arity in positionals]
+    spare = len(words) - arities.count(1)  # the words a variadic positional takes
+    if spare < arities.count("+") or (spare > 0 and arities.count(1) == len(arities)):
+        shown = " ".join(_metavar(*p) for p in positionals) or "flags only"
+        raise ParameterError(f"{command} takes {shown}, got {words}")
+    for dest, converter, arity in positionals:
+        count = 1 if arity == 1 else spare
+        taken = [_convert(dest, converter, word) for word in words[:count]]
+        values[dest] = taken[0] if arity == 1 else taken
+        words = words[count:]
+    return SimpleNamespace(**values)
 
-    p = sub.add_parser("derive", help="subgroup presentation of the normal closure of s")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.set_defaults(params=_pick("a", "b", "c"),
-                   run=lambda args, _: classify.derive(args.a, args.b, args.c, args.max_cosets, args.budget))
 
-    p = sub.add_parser("rep", help="rank-two pseudo-reflection representation")
-    p.add_argument("action", choices=("check", "eval", "witness"))
-    p.add_argument("rest", nargs="*", help="a b c [word]")
-    p.add_argument("--qr", help="(q,r) preset name")
-    p.set_defaults(params=_rep_params, run=lambda args, params: _REP_RECORDS[args.action](args, params))
+def _metavar(name: str, converter, arity) -> str:
+    shown = "{" + ",".join(converter) + "}" if isinstance(converter, tuple) else name
+    return {1: shown, "+": f"{shown} ...", "*": f"[{shown} ...]"}[arity]
 
-    return top
+
+def _help(command: str | None) -> str:
+    """The usage of one command, or of the program, rendered from the tables."""
+    if command is None:
+        lines = ["usage: toricgroups [flags] COMMAND ...", "",
+                 "torus knot groups, J-groups, and toric reflection groups", "", "commands:"]
+        lines += [f"  {name:<10} {entry[0]}" for name, entry in _COMMANDS.items()]
+        flags = _GLOBAL_FLAGS
+    else:
+        summary, positionals, own = _COMMANDS[command][:3]
+        usage = " ".join(["usage: toricgroups", command, "[flags]", *(_metavar(*p) for p in positionals)])
+        lines = [usage, "", summary]
+        flags = {**own, **_GLOBAL_FLAGS}
+    lines += ["", "flags (-h, --help prints this):"]
+    for flag, (dest, converter, default) in flags.items():
+        spelled = flag if converter is None else f"{flag} {_metavar(dest.upper(), converter, 1)}"
+        shown = converter is not None and default not in (None, "")
+        lines.append(f"  {spelled:<26} default {default}" if shown else f"  {spelled}")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv, argparse.Namespace(**_DEFAULTS))
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args.help:
+            sys.stdout.write(_help(args.command))
+            return 0
         if args.max_cosets < 1:
             raise ParameterError(f"--max-cosets must be >= 1, got {args.max_cosets}")
         if args.budget < 0:
             raise ParameterError(f"--budget must be >= 0, got {args.budget}")
-        params = args.params(args)
-        result, status, evidence = args.run(args, params)
+        pick, run = _COMMANDS[args.command][3:]
+        params = pick(args)
+        result, status, evidence = run(args, params)
     except ValueError as e:  # ParameterError and WordSyntaxError among them
         print(f"error: {e}", file=sys.stderr)
         return 2

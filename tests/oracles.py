@@ -130,10 +130,17 @@ with the production engines they check:
   column with a running ``text.index`` and expands every token as it comes.
   ``words.parse_word`` must give the same ``Word``, or the same message and
   column.
+- ``reference_parser``: the original ``argparse`` command line, built with
+  parents, ``SUPPRESS`` and subparsers.  On a command line it accepts,
+  ``cli._parse`` must give the same command, every dest and the same
+  ``params``; on one it refuses with ``SystemExit(2)``, ``cli.main`` must
+  refuse with exit code 2.  It shares the params pickers and the library
+  calls of ``cli``.
 """
 
 from __future__ import annotations
 
+import argparse
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,7 +149,8 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from toricgroups import schreier
+from toricgroups import classify, cosets, presentations, schreier
+from toricgroups.cli import _REP_RECORDS, _WORD_PROBLEMS, _family, _pick, _pick_family, _rep_params
 from toricgroups.cosets import CayleyTable, CosetTable, _columns, _validate, todd_coxeter
 from toricgroups.coxeter import MinimalRootTable
 from toricgroups.cyclo import _degree, cyclotomic_polynomial
@@ -1512,3 +1520,70 @@ def abelian_invariants(p: Presentation) -> tuple[int, ...]:
         factors.append(abs(pivot))
         m = [row[1:] for row in m[1:]]
     return tuple(d for d in factors if d != 1) + (0,) * (ngens - len(factors))
+
+
+@cache
+def reference_parser() -> argparse.ArgumentParser:
+    # each global flag is declared once, here, and accepted before or after
+    # the subcommand; SUPPRESS keeps a parser that did not see a flag from
+    # setting it, so the values in _DEFAULTS stand unless a flag is given
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=("text", "json"))
+    common.add_argument("--max-cosets", type=int)
+    common.add_argument("--budget", type=int)
+    top = argparse.ArgumentParser(prog="toricgroups", parents=[common],
+                                  description="torus knot groups, J-groups, and toric reflection groups")
+    sub = top.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+
+    p = sub.add_parser("present", help="print a presentation from one of the families")
+    p.add_argument("family")
+    p.add_argument("labels", type=int, nargs="+")
+    p.add_argument("--no-normalize", action="store_true")
+    p.set_defaults(params=_pick_family("family", "labels"),
+                   run=lambda args, _: presentations.present_record(_family(args)))
+
+    p = sub.add_parser("enumerate", help="Todd-Coxeter enumeration; order or subgroup index")
+    p.add_argument("family")
+    p.add_argument("labels", type=int, nargs="+")
+    p.add_argument("--subgroup", default="", help="semicolon-separated subgroup generator words")
+    p.add_argument("--normal-closure", action="store_true")
+    p.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
+    p.add_argument("--no-normalize", action="store_true")
+    p.set_defaults(params=_pick_family("family", "labels", "subgroup"),
+                   run=lambda args, _: cosets.enumerate_record(_family(args), args.subgroup, args.normal_closure,
+                                                               args.strategy, args.max_cosets))
+
+    p = sub.add_parser("classify", help="classification report for W(k,n,m)")
+    p.add_argument("k", type=int)
+    p.add_argument("n", type=int)
+    p.add_argument("m", type=int)
+    p.set_defaults(params=_pick("k", "n", "m"),
+                   run=lambda args, _: classify.classify_toric(args.k, args.n, args.m, args.max_cosets))
+
+    p = sub.add_parser("sweep", help="batch classification over a parameter grid")
+    p.add_argument("--max-k", type=int, default=6)
+    p.add_argument("--max-m", type=int, default=7)
+    p.set_defaults(params=_pick("max_k", "max_m"),
+                   run=lambda args, _: classify.sweep(args.max_k, args.max_m, args.max_cosets))
+
+    p = sub.add_parser("wp", help="word problem: coxeter/garside normal form, toric verdict")
+    p.add_argument("system", choices=("coxeter", "garside", "toric"))
+    p.add_argument("labels", type=int, nargs="+")
+    p.add_argument("word")
+    p.set_defaults(params=_pick("system", "labels", "word"),
+                   run=lambda args, _: _WORD_PROBLEMS[args.system](args))
+
+    p = sub.add_parser("derive", help="subgroup presentation of the normal closure of s")
+    p.add_argument("a", type=int)
+    p.add_argument("b", type=int)
+    p.add_argument("c", type=int)
+    p.set_defaults(params=_pick("a", "b", "c"),
+                   run=lambda args, _: classify.derive(args.a, args.b, args.c, args.max_cosets, args.budget))
+
+    p = sub.add_parser("rep", help="rank-two pseudo-reflection representation")
+    p.add_argument("action", choices=("check", "eval", "witness"))
+    p.add_argument("rest", nargs="*", help="a b c [word]")
+    p.add_argument("--qr", help="(q,r) preset name")
+    p.set_defaults(params=_rep_params, run=lambda args, params: _REP_RECORDS[args.action](args, params))
+
+    return top

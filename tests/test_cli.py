@@ -572,7 +572,7 @@ def test_json_matches_golden(capsys, name):
 
 
 def test_reused_parser_prints_the_same_bytes(capsys):
-    # one parser serves every call in a process: no flag value, default or
+    # one command table serves every call in a process: no flag value, default or
     # format may leak from one call into the next
     good = [
         ("classify", "6", "2", "3"),
@@ -593,7 +593,8 @@ def test_reused_parser_prints_the_same_bytes(capsys):
     assert seen[good[1]].encode() == (GOLDEN / "classify_6_2_3.json").read_bytes()
     assert seen[good[2]] == seen[good[3]]
     assert json.loads(seen[good[2]])["bounds"]["max_cosets"] == 50
-    assert cli._build_parser.cache_info().misses == 1
+    first, second = cli._parse(list(good[2])), cli._parse(list(good[2]))
+    assert first is not second and first.labels is not second.labels and vars(first) == vars(second)
 
 
 @pytest.mark.parametrize("owner, name, argv", [

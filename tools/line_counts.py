@@ -10,8 +10,9 @@ newline, as ``wc -l`` counts them.  The script prints each file's lines at
 exist), then each directory's totals and net change, then five counts of
 ``src/toricgroups/`` at both revisions, each read with ``ast``: the
 parameters with a default value in its functions and methods; the options
-(the ``add_argument`` calls whose first name starts with ``-``) of
-``cli.py``; the record fields, the ``__slots__`` entries of its classes;
+of ``cli.py`` (the ``add_argument`` calls whose first name starts with
+``-``, and the keys of dict literals that start with ``--``, one per entry
+of the command table); the record fields, the ``__slots__`` entries of its classes;
 its public names, the module-level functions and classes whose names do
 not start with ``_``, plus the methods and properties of those classes
 whose names do not; and its internal import edges, the ``from .x import``
@@ -109,6 +110,8 @@ def api_counts(rev: str) -> tuple[int, int, int, int, int]:
                   and getattr(node.func, "attr", None) == "add_argument" and node.args
                   and isinstance(node.args[0], ast.Constant) and str(node.args[0].value).startswith("-")):
                 options += 1
+            elif path.endswith("/cli.py") and isinstance(node, ast.Dict):
+                options += sum(isinstance(k, ast.Constant) and str(k.value).startswith("--") for k in node.keys)
             elif isinstance(node, ast.ImportFrom) and node.level and node.module:
                 imports += 1
     return defaults, options, fields, public, imports

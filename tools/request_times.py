@@ -138,10 +138,7 @@ def run(req: dict) -> str | None:
         phases = next((PHASES[key] for key in keys if key in PHASES), ())
         with timed_calls(phases) as spent:
             t0 = time.perf_counter()
-            try:
-                cli.main(req["argv"])
-            except SystemExit:  # argparse rejects its input this way
-                pass
+            cli.main(req["argv"])  # a malformed command line returns 2, as every input error does
             total = (time.perf_counter() - t0) * 1e3
     if not phases:
         return None
