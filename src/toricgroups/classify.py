@@ -24,11 +24,7 @@ from .words import Value
 
 
 class FiniteToric(Value):
-    __slots__ = ("shephard_todd", "center_quotient")
-
-    def __init__(self, shephard_todd: str, center_quotient: str):
-        # center_quotient: W/Z, the alternating subgroup of the triangle group
-        super().__init__(shephard_todd, center_quotient)
+    __slots__ = ("shephard_todd", "center_quotient")  # center_quotient: W/Z, the triangle group's alternating subgroup
 
 
 _SPORADIC = {

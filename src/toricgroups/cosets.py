@@ -117,11 +117,6 @@ class EnumStats(Value):
     __slots__ = ("defined", "coincidences", "peak_live", "lookahead_passes", "lookahead_freed", "compactions",
                  "deductions")
 
-    def __init__(self, defined: int, coincidences: int, peak_live: int, lookahead_passes: int,
-                 lookahead_freed: int, compactions: int, deductions: int):
-        super().__init__(defined, coincidences, peak_live, lookahead_passes, lookahead_freed, compactions,
-                         deductions)
-
 
 class CosetTable:
     """A completed (or overflowed) enumeration result.

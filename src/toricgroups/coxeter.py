@@ -298,12 +298,8 @@ def classify_triangle(k: int, n: int, m: int) -> str:
 
 
 class ParabolicReport(Value):
+    # verdicts: subset -> finite?; rotation_orders: the rank-2 members of M_W, each with its label
     __slots__ = ("verdicts", "maximal_finite", "rotation_orders")
-
-    def __init__(self, verdicts: tuple[tuple[tuple[int, ...], bool], ...],  # subset -> finite?
-                 maximal_finite: tuple[tuple[int, ...], ...],
-                 rotation_orders: tuple[tuple[tuple[int, ...], int], ...]):  # rank-2 members of M_W
-        super().__init__(verdicts, maximal_finite, rotation_orders)
 
     def orders_multiset(self) -> list[int]:
         return sorted(v for _, v in self.rotation_orders)
@@ -347,11 +343,8 @@ def maximal_finite_parabolics(cm: CoxeterMatrix) -> ParabolicReport:
 
 
 class CenterReport(Value):
+    # z_w_lengths: the generator-lengths of the elements of Z(W)
     __slots__ = ("group_order", "plus_order", "z_w_order", "z_w_plus_order", "contained", "z_w_lengths")
-
-    def __init__(self, group_order: int, plus_order: int, z_w_order: int, z_w_plus_order: int, contained: bool,
-                 z_w_lengths: tuple[int, ...]):  # generator-lengths of the elements of Z(W)
-        super().__init__(group_order, plus_order, z_w_order, z_w_plus_order, contained, z_w_lengths)
 
 
 def center_check_plus(cm: CoxeterMatrix, max_cosets: int = MAX_COSETS) -> CenterReport:

@@ -48,9 +48,6 @@ class GarsideNF(Value):
 
     __slots__ = ("n", "m", "delta_power", "factors")
 
-    def __init__(self, n: int, m: int, delta_power: int, factors: tuple[tuple[str, int], ...]):
-        super().__init__(n, m, delta_power, factors)
-
     def is_identity(self) -> bool:
         return self.delta_power == 0 and not self.factors
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import label_modulus
-from .presentations import (STU, TRIANGLE, FamilyParams, Presentation, alt_plus, chain_implies_shift, cyclic_product,
+from .presentations import (STU, TRIANGLE, FamilyParams, alt_plus, chain_implies_shift, cyclic_product,
                             delta_power_to_twist, j_parent, meridians, toric, torus_classical)
 from .words import Derivation, GenMap, Value, Word, apply_map, moved, undone
 from .words import compose as compose_maps
@@ -32,9 +32,6 @@ from .words import free_reduce
 
 class Hom(Value):
     __slots__ = ("source", "genmap")
-
-    def __init__(self, source: Presentation, genmap: GenMap):
-        super().__init__(source, genmap)
 
     def apply(self, w: Word) -> Word:
         return apply_map(self.genmap, w)
@@ -80,9 +77,6 @@ def build_phi(k: int, n: int, m: int) -> Hom:
 
 class PsiParams(Value):
     __slots__ = ("q", "r", "ell")
-
-    def __init__(self, q: int, r: int, ell: int):
-        super().__init__(q, r, ell)
 
 
 def psi_params(n: int, m: int) -> PsiParams:

@@ -82,10 +82,6 @@ class ConstraintError(ValueError):
 class Rep(Value):
     __slots__ = ("a", "b", "c", "theta", "phi", "psi", "q", "r", "mat_s", "mat_t", "mat_u")
 
-    def __init__(self, a: int, b: int, c: int, theta: Cyc, phi: Cyc, psi: Cyc, q: Cyc, r: Cyc,
-                 mat_s: Mat2, mat_t: Mat2, mat_u: Mat2):
-        super().__init__(a, b, c, theta, phi, psi, q, r, mat_s, mat_t, mat_u)
-
     @property
     def scalar(self) -> Cyc:
         """theta phi psi: the triple product s t u acts by this scalar."""

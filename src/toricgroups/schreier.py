@@ -78,15 +78,9 @@ class SubgroupGenerator(Value):
 
     __slots__ = ("name", "coset", "gen_name")
 
-    def __init__(self, name: str, coset: int, gen_name: str):
-        super().__init__(name, coset, gen_name)
-
 
 class RSResult(Value):
     __slots__ = ("presentation", "generators")
-
-    def __init__(self, presentation: Presentation, generators: tuple[SubgroupGenerator, ...]):
-        super().__init__(presentation, generators)
 
 
 def toric_coset_labels(alphabet: Alphabet, tree: Iterable[tuple[int, int, int]]) -> dict[int, tuple[int, int]]:

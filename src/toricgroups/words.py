@@ -18,24 +18,31 @@ _set = object.__setattr__
 
 
 class Value:
-    """Base of the package's immutable value classes.
+    """Base of the package's immutable records.
 
-    A subclass names its fields in ``__slots__``, in the order of its
-    constructor's parameters, and sets them in ``__init__`` through
-    ``Value.__init__``, or through ``_set`` one by one where that loop's
-    cost would show: in ``Word``, ``Cyc`` and ``Presentation``, built per
-    letter or per product, and in ``FamilyParams`` and ``CoxeterMatrix``,
-    built by nearly every CLI request.  Assignment and deletion raise
-    ``AttributeError``; equality, hash and repr are those of a frozen
-    dataclass with these fields: instances of the same class are equal when
-    their fields are.  No code is generated, so importing the package stays
-    cheap.
+    A record names its fields once, in ``__slots__``; ``Value.__init__``
+    takes them by position or by name, in slot order, and raises
+    ``TypeError`` for a missing, extra, repeated or unknown field.  A
+    subclass defines ``__init__`` only to check a field, to give one a
+    default, or to set its fields with ``_set`` where this loop's cost would
+    show (``Word``, ``Cyc`` and ``Presentation``, built per letter or per
+    product; ``FamilyParams`` and ``CoxeterMatrix``, built by nearly every
+    CLI request).  Assignment and deletion raise ``AttributeError``;
+    equality, hash and repr are those of a frozen dataclass with these
+    fields.  No code is generated, so importing the package stays cheap.
     """
 
     __slots__ = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, *values, **named):
+        slots = self.__slots__
+        if named:
+            values += tuple(named.pop(name) for name in slots[len(values):] if name in named)
+        if named or len(values) != len(slots):
+            stray = f"; unknown or repeated: {', '.join(named)}" if named else ""
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(slots)}, each once, by "
+                            f"position or by name{stray}")
+        for name, value in zip(slots, values):
             _set(self, name, value)
 
     def _fields(self) -> tuple:
@@ -347,18 +354,11 @@ def compose(outer: GenMap, inner: GenMap) -> GenMap:
 
 
 class RewriteStep(Value):
-    __slots__ = ("position", "old", "new", "relator_index")
-
-    def __init__(self, position: int, old: Word, new: Word, relator_index: int | None):
-        # relator_index None marks a purely free step
-        super().__init__(position, old, new, relator_index)
+    __slots__ = ("position", "old", "new", "relator_index")  # relator_index None marks a purely free step
 
 
 class Derivation(Value):
     __slots__ = ("start", "steps")
-
-    def __init__(self, start: Word, steps: tuple[RewriteStep, ...]):
-        super().__init__(start, steps)
 
     def words(self) -> list[Word]:
         ws = [self.start]

@@ -3,9 +3,11 @@
 ``perfbench/tracing.py`` lists the functions it wraps in ``SPANS`` and the
 ones it counts in ``COUNTERS``, and reads the ``strategy`` argument of
 ``cosets.todd_coxeter``.  ``perfbench/child.py`` runs the rs-tietze
-pipeline by calling package functions itself.  A rename in the package
-would only show when the benchmark fails, so resolve every entry and every
-name the child reads here, without installing anything.
+pipeline by calling package functions itself.  ``tools/request_times.py``
+and the child program of ``tools/derive_series.py`` time phases by
+wrapping package functions named in their tables.  A rename in the package
+would only show when the benchmark or the tool fails, so resolve every
+entry and every name they read here, without installing or importing them.
 """
 
 import ast
@@ -18,6 +20,7 @@ from toricgroups import cosets
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+TOOLS = PERFBENCH.parent / "tools"
 
 
 def _load_tracing():
@@ -62,3 +65,28 @@ def test_names_the_benchmark_child_reads_exist():
 
 def test_todd_coxeter_keeps_its_strategy_parameter():
     assert "strategy" in inspect.signature(cosets.todd_coxeter).parameters
+
+
+def _assigned(tree: ast.Module, name: str) -> ast.expr:
+    """The value of the module-level assignment to ``name``."""
+    return next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == [name])
+
+
+def _phases(table: ast.expr) -> list[tuple[str, str]]:
+    """The (module, attribute) of each (module, "attribute", "phase") triple in ``table``."""
+    return [(node.elts[0].id, node.elts[1].value) for node in ast.walk(table)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 3 and isinstance(node.elts[0], ast.Name)]
+
+
+def test_phases_the_tools_time_exist():
+    # read, not imported: request_times puts perfbench/ first on sys.path,
+    # where its oracles module would shadow the tests' own
+    request_times = ast.parse((TOOLS / "request_times.py").read_text())
+    child = ast.parse(_assigned(ast.parse((TOOLS / "derive_series.py").read_text()), "CHILD").value)
+    tables = {name: _phases(_assigned(request_times, name)) for name in ("DERIVE_PHASES", "ROOT_TABLE", "PHASES")}
+    tables["derive_series CHILD"] = _phases(_assigned(child, "PHASES"))
+    for table, entries in tables.items():
+        assert entries, table
+        for modname, attr in entries:
+            assert hasattr(importlib.import_module(f"toricgroups.{modname}"), attr), (table, modname, attr)

@@ -1,6 +1,8 @@
-"""The package's value classes: immutable, compared and hashed by their
-fields, with a dataclass repr, and cheap to import."""
+"""The package's value classes: built from their fields by position or by
+name, immutable, compared and hashed by their fields, with a dataclass repr,
+and cheap to import."""
 
+import ast
 import dataclasses
 import os
 import pickle
@@ -110,6 +112,69 @@ def test_values_survive_pickle(cls, make, make_other):
     a = make()
     b = pickle.loads(pickle.dumps(a))
     assert type(b) is cls and _fields(b) == _fields(a)
+
+
+@pytest.mark.parametrize("cls, make, make_other", PARAMS)
+def test_fields_are_taken_by_position_or_by_name(cls, make, make_other):
+    a = make()
+    fields = _fields(a)
+    for k in range(len(fields) + 1):
+        built = cls(*fields[:k], **dict(zip(cls.__slots__[k:], fields[k:])))
+        assert type(built) is cls and built == a, k
+
+
+@pytest.mark.parametrize("cls, make, make_other", PARAMS)
+def test_a_missing_extra_unknown_or_repeated_field_raises_type_error(cls, make, make_other):
+    fields = _fields(make())
+    first, *rest = cls.__slots__
+    with pytest.raises(TypeError):
+        cls(**dict(zip(rest, fields[1:])))  # the first field, which no record defaults, is missing
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+    with pytest.raises(TypeError):
+        cls(*fields, no_such_field=None)
+    with pytest.raises(TypeError):
+        cls(*fields, **{first: fields[0]})
+
+
+@pytest.mark.parametrize("args, named, stray", [
+    pytest.param((1, 2), {}, "", id="missing"),
+    pytest.param((1,), {"ell": 3}, "", id="missing-between"),
+    pytest.param((1, 2, 3, 4), {}, "", id="extra"),
+    pytest.param((1, 2, 3), {"s": 4}, "; unknown or repeated: s", id="unknown"),
+    pytest.param((1, 2), {"r": 3, "ell": 4}, "; unknown or repeated: r", id="repeated"),
+])
+def test_a_construction_error_names_the_fields(args, named, stray):
+    message = "PsiParams() takes the fields q, r, ell, each once, by position or by name" + stray
+    with pytest.raises(TypeError) as caught:
+        maps.PsiParams(*args, **named)
+    assert str(caught.value) == message
+
+
+def _forwards_only(init: ast.FunctionDef) -> bool:
+    """Whether ``init``'s one statement is ``super().__init__`` of its own
+    parameters, in order, none with a default."""
+    params = [arg.arg for arg in init.args.args[1:]]
+    if init.args.defaults or init.args.vararg or init.args.kwonlyargs or init.args.kwarg or len(init.body) != 1:
+        return False
+    call = getattr(init.body[0], "value", None)
+    return (isinstance(call, ast.Call) and not call.keywords
+            and isinstance(call.func, ast.Attribute) and call.func.attr == "__init__"
+            and isinstance(call.func.value, ast.Call) and getattr(call.func.value.func, "id", None) == "super"
+            and [getattr(arg, "id", None) for arg in call.args] == params)
+
+
+def test_no_record_defines_a_constructor_that_only_forwards_its_fields():
+    # Value.__init__ takes a record's fields by position or by name, so such
+    # a constructor only names the fields of __slots__ twice more
+    forwarding = []
+    for path in sorted(Path(words.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "Value" for base in node.bases):
+                forwarding += [f"{path.name}:{node.name}" for item in node.body
+                               if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                               and _forwards_only(item)]
+    assert forwarding == []
 
 
 def test_repr_keeps_the_dataclass_form():
