@@ -7,7 +7,8 @@ pipeline by calling package functions itself.  ``tools/request_times.py``
 and the child program of ``tools/derive_series.py`` time phases by
 wrapping package functions named in their tables.  A rename in the package
 would only show when the benchmark or the tool fails, so resolve every
-entry and every name they read here, without installing or importing them.
+table entry, and every name the benchmark child reads, here, without
+installing anything or importing the tools.
 """
 
 import ast
