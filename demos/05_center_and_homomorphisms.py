@@ -10,7 +10,7 @@ derivation checker replays step by step.
 from toricgroups import coxeter, maps
 from toricgroups import presentations as pres
 from toricgroups.cosets import CayleyTable, group_order, todd_coxeter
-from toricgroups.words import check_derivation, free_reduce
+from toricgroups.words import check_derivation, compose, free_reduce
 
 k, n, m = 2, 3, 4
 phi = maps.build_phi(k, n, m)
@@ -32,7 +32,7 @@ for w in witness.words():
     print("  ", w)
 
 psi = maps.build_psi(k, n, m)
-comp = maps.compose_homs(phi, psi)
+comp = maps.Hom(psi.source, compose(phi.genmap, psi.genmap))
 a_image, b_image = psi.genmap.images
 print("\npsi section: a ->", a_image, "  b ->", b_image)
 print("phi o psi fixes a and b:", maps.check_hom(comp, triangle).ok)

@@ -301,9 +301,6 @@ class ParabolicReport(Value):
     # verdicts: subset -> finite?; rotation_orders: the rank-2 members of M_W, each with its label
     __slots__ = ("verdicts", "maximal_finite", "rotation_orders")
 
-    def orders_multiset(self) -> list[int]:
-        return sorted(v for _, v in self.rotation_orders)
-
 
 def maximal_finite_parabolics(cm: CoxeterMatrix) -> ParabolicReport:
     """Finiteness verdict per standard parabolic, and the maximal finite ones.

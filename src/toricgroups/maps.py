@@ -1,8 +1,9 @@
 """The homomorphisms connecting the group families.
 
 - ``build_phi``: the quotient of a toric reflection group by its center,
-  landing in the alternating subgroup of the triangle Coxeter group
-  (x_i maps to b^(1-i) a b^(i-1) with a = r1 r2, b = r3 r2).
+  landing in the alternating subgroup of the triangle Coxeter group: the
+  embedding followed by ``parent_to_coxeter`` (x_i maps to b^(1-i) a b^(i-1)
+  with a = r1 r2, b = r3 r2).
 - ``build_psi``: the section of phi on the two-generator presentation of
   the alternating subgroup (a maps to x_1, b to the ell-th power of the
   m-factor product, where ell inverts m mod n).
@@ -25,9 +26,7 @@ from functools import lru_cache
 from .cyclo import label_modulus
 from .presentations import (STU, TRIANGLE, FamilyParams, alt_plus, chain_implies_shift, cyclic_product,
                             delta_power_to_twist, j_parent, meridians, toric, torus_classical)
-from .words import Derivation, GenMap, Value, Word, apply_map, moved, undone
-from .words import compose as compose_maps
-from .words import free_reduce
+from .words import Derivation, GenMap, Value, Word, apply_map, compose, free_reduce, moved, undone
 
 
 class Hom(Value):
@@ -54,8 +53,9 @@ def check_hom(h: Hom, oracle) -> HomReport:
     return HomReport(True)
 
 
-def compose_homs(outer: Hom, inner: Hom) -> Hom:
-    return Hom(inner.source, compose_maps(outer.genmap, inner.genmap))
+# s -> a, t -> b^-1, u -> r3 r1 for every label triple; b^-1 is r2 r3 in W, spelled
+# r2^-1 r3^-1 so that phi after the embedding reads x_i -> b^(1-i) a b^(i-1) as written
+_PARENT_IMAGES = GenMap(STU, TRIANGLE, tuple(map(TRIANGLE.word, ("r1 r2", "r2^-1 r3^-1", "r3 r1"))))
 
 
 @lru_cache(maxsize=None, typed=True)  # an int label and an equal float are different keys
@@ -66,13 +66,8 @@ def build_phi(k: int, n: int, m: int) -> Hom:
     ``cyclo.MAX_DEGREE`` in ``label_modulus``) cache nothing."""
     FamilyParams("toric", (k, n, m))  # the labels' own errors come before the degree cap
     label_modulus(k, n, m)
-    source = toric(k, n, m)
-    a = TRIANGLE.word("r1 r2")
-    b = TRIANGLE.word("r3 r2")
-    images = {}
-    for i in range(1, n + 1):
-        images[f"x{i}"] = free_reduce(b ** (1 - i) * a * b ** (i - 1))
-    return Hom(source, GenMap.from_dict(source.alphabet, TRIANGLE, images))
+    embedding = build_embedding(k, n, m)
+    return Hom(embedding.source, compose(_PARENT_IMAGES, embedding.genmap))
 
 
 class PsiParams(Value):
@@ -93,8 +88,8 @@ def build_psi(k: int, n: int, m: int) -> Hom:
     source = alt_plus(k, n, m)
     tor = toric(k, n, m)
     delta = Word(tor.alphabet, cyclic_product(n, 0, m))
-    images = {"a": tor.alphabet.word("x1"), "b": free_reduce(delta**params.ell)}
-    return Hom(source, GenMap.from_dict(source.alphabet, tor.alphabet, images))
+    images = (tor.alphabet.word("x1"), free_reduce(delta**params.ell))
+    return Hom(source, GenMap(source.alphabet, tor.alphabet, images))
 
 
 def meridian_embedding(n: int) -> GenMap:
@@ -109,14 +104,8 @@ def build_embedding(k: int, n: int, m: int) -> Hom:
 
 
 def parent_to_coxeter(k: int, n: int, m: int) -> Hom:
-    """s -> r1 r2, t -> r2 r3, u -> r3 r1 on the parent J-group."""
-    source = j_parent(k, n, m)
-    images = {
-        "s": TRIANGLE.word("r1 r2"),
-        "t": TRIANGLE.word("r2 r3"),
-        "u": TRIANGLE.word("r3 r1"),
-    }
-    return Hom(source, GenMap.from_dict(source.alphabet, TRIANGLE, images))
+    """s -> r1 r2, t -> r2^-1 r3^-1, u -> r3 r1 on the parent J-group."""
+    return Hom(j_parent(k, n, m), _PARENT_IMAGES)
 
 
 def central_element(k: int, n: int, m: int) -> Word:

@@ -10,7 +10,7 @@ reduction logic never has to treat syllables specially.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
 # sets a field of a Value, past the __setattr__ that refuses assignment
@@ -314,13 +314,6 @@ class GenMap(Value):
         for w in images:
             if w.alphabet != target:
                 raise ValueError("image word over wrong alphabet")
-
-    @staticmethod
-    def from_dict(source: Alphabet, target: Alphabet, images: Mapping[str, Word]) -> "GenMap":
-        missing = [name for name in source.names if name not in images]
-        if missing:
-            raise ValueError(f"no image for generators {missing}")
-        return GenMap(source, target, tuple(images[name] for name in source.names))
 
 
 def signed_table(images: Sequence, inverse: Callable) -> list:

@@ -640,7 +640,7 @@ def reference_check_toric_presentation(k: int, n: int, m: int, labels: dict[int,
             images[g.name] = Word(target, ()) if j == 0 else closed_form_generator(k, n, m, "u", m - 1 - i, j)
         else:  # t wrap generators are trivial in the subgroup
             images[g.name] = Word(target, ())
-    gm = GenMap.from_dict(rs.presentation.alphabet, target, images)
+    gm = GenMap(rs.presentation.alphabet, target, tuple(images[name] for name in rs.presentation.alphabet.names))
 
     reference = toric(k, n, m)
     ref_canon = {_reference_cyclic_canonical(r) for r in reference.relators}

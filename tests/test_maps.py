@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from conftest import FINITE_ROWS, image_of, parent_cayley, root_table, toric_cayley
@@ -13,10 +15,12 @@ from toricgroups.maps import (
     central_element,
     centrality_witness,
     check_hom,
-    compose_homs,
+    meridian_embedding,
+    parent_to_coxeter,
     psi_params,
 )
-from toricgroups.words import GenMap, Word, check_derivation, free_reduce, invert
+from toricgroups.presentations import TRIANGLE, toric
+from toricgroups.words import GenMap, Word, check_derivation, compose, free_reduce, invert
 
 SWEEP = FINITE_ROWS + [(6, 2, 3), (2, 3, 7), (4, 2, 5)]
 
@@ -88,7 +92,8 @@ def test_psi_is_a_section_not_a_homomorphism_into_w():
 @pytest.mark.parametrize("k,n,m", SWEEP)
 def test_phi_after_psi_fixes_a_and_b(k, n, m):
     phi = build_phi(k, n, m)
-    comp = compose_homs(phi, build_psi(k, n, m))
+    psi = build_psi(k, n, m)
+    comp = Hom(psi.source, compose(phi.genmap, psi.genmap))
     table = root_table(k, n, m)
     assert check_hom(comp, table).ok
     target = phi.genmap.target
@@ -112,12 +117,35 @@ def test_embedding_well_defined_in_finite_parent(k, n, m):
 def test_embedding_composed_with_projection_is_phi():
     k, n, m = 2, 3, 4
     emb = build_embedding(k, n, m)
-    proj = maps.parent_to_coxeter(k, n, m)
-    comp = compose_homs(proj, emb)
+    proj = parent_to_coxeter(k, n, m)
+    comp = Hom(emb.source, compose(proj.genmap, emb.genmap))
     phi = build_phi(k, n, m)
     for i in range(1, n + 1):
         diff = free_reduce(image_of(comp.genmap, f"x{i}") * invert(image_of(phi.genmap, f"x{i}")))
         assert root_table(k, n, m).is_identity(diff)
+
+
+def test_phi_is_the_parent_map_after_the_embedding_letter_for_letter():
+    # the reference is the closed form x_i -> b^(1-i) a b^(i-1), a = r1 r2, b = r3 r2
+    a, b = TRIANGLE.word("r1 r2"), TRIANGLE.word("r3 r2")
+    rows = 0
+    for k in range(2, 8):
+        for n in range(2, 12):
+            for m in range(2, 14):
+                if gcd(n, m) != 1:
+                    continue
+                phi = build_phi(k, n, m)
+                composite = compose(parent_to_coxeter(k, n, m).genmap, meridian_embedding(n))
+                assert phi == Hom(toric(k, n, m), composite), (k, n, m)
+                for i in range(1, n + 1):
+                    assert image_of(phi.genmap, f"x{i}") == free_reduce(b ** (1 - i) * a * b ** (i - 1)), (k, n, m, i)
+                rows += 1
+    assert rows == 450
+
+
+@pytest.mark.parametrize("k,n,m", SWEEP)
+def test_parent_to_coxeter_well_defined(k, n, m):
+    assert check_hom(parent_to_coxeter(k, n, m), root_table(k, n, m)).ok
 
 
 @pytest.mark.parametrize("k,n,m", [(3, 2, 3), (2, 3, 4), (2, 2, 5), (2, 3, 5)])
@@ -199,9 +227,8 @@ def test_central_element_is_central_in_cayley(k, n, m):
 def test_corrupted_map_reports_failing_relator():
     # sending x1 to the odd-length r1 cannot satisfy x1^k for odd k
     phi = build_phi(3, 2, 3)
-    images = {f"x{i}": image_of(phi.genmap, f"x{i}") for i in (1, 2)}
-    images["x1"] = phi.genmap.target.word("r1")
-    bad = Hom(phi.source, GenMap.from_dict(phi.source.alphabet, phi.genmap.target, images))
+    images = (phi.genmap.target.word("r1"), image_of(phi.genmap, "x2"))
+    bad = Hom(phi.source, GenMap(phi.source.alphabet, phi.genmap.target, images))
     report = check_hom(bad, root_table(3, 2, 3))
     assert not report.ok
     assert str(report.failing_relator) == "x1^3"

@@ -589,7 +589,7 @@ def test_rewritten_relators_are_chains_or_shifts(n, m):
             images[g.name] = Word(target, ()) if j == 0 else closed_form_generator(k, n, m, "u", m - 1 - i, j)
         else:
             images[g.name] = Word(target, ())
-    gm = GenMap.from_dict(rs.presentation.alphabet, target, images)
+    gm = GenMap(rs.presentation.alphabet, target, tuple(images[name] for name in rs.presentation.alphabet.names))
     allowed = {cyclic_canonical(Word(target, r.letters)) for r in pres.toric(k, n, m).relators}
     allowed |= {cyclic_canonical(Word(target, r.letters)) for r in shift_relators(n, m)[1]}
     allowed.add(())

@@ -178,7 +178,7 @@ def sigma_23() -> GenMap:
     # x -> x1 x2 x1, y -> x1 x2 for (n, m) = (2, 3)
     src = Alphabet(["x", "y"])
     tgt = Alphabet(["x1", "x2"])
-    return GenMap.from_dict(src, tgt, {"x": tgt.word("x1 x2 x1"), "y": tgt.word("x1 x2")})
+    return GenMap(src, tgt, (tgt.word("x1 x2 x1"), tgt.word("x1 x2")))
 
 
 def test_apply_map_substitution():
@@ -201,15 +201,15 @@ def test_apply_map_requires_known_generators():
 @given(letters, letters)
 def test_apply_map_is_homomorphism(ls1, ls2):
     tgt = Alphabet(["a", "b"])
-    f = GenMap.from_dict(AB, tgt, {"x1": tgt.word("a b"), "x2": tgt.word("b^-1"), "x3": tgt.word("a a")})
+    f = GenMap(AB, tgt, (tgt.word("a b"), tgt.word("b^-1"), tgt.word("a a")))
     u, v = Word(AB, tuple(ls1)), Word(AB, tuple(ls2))
     assert apply_map(f, u * v) == free_reduce(apply_map(f, u) * apply_map(f, v))
 
 
 def test_compose_maps():
     tgt = Alphabet(["a", "b"])
-    f = GenMap.from_dict(AB, tgt, {"x1": tgt.word("a"), "x2": tgt.word("b"), "x3": tgt.word("a b")})
-    g = GenMap.from_dict(tgt, AB, {"a": AB.word("x1 x1"), "b": AB.word("x2")})
+    f = GenMap(AB, tgt, (tgt.word("a"), tgt.word("b"), tgt.word("a b")))
+    g = GenMap(tgt, AB, (AB.word("x1 x1"), AB.word("x2")))
     gf = compose(g, f)
     word = w("x3 x1^-1")
     assert apply_map(gf, word) == apply_map(g, apply_map(f, word))

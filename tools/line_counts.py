@@ -24,6 +24,8 @@ but outside the name's own definition, so a mention in a docstring or a
 comment, or an import alone, is no caller.  Names are matched without their
 module or class, so the list can miss an unreferenced name (a method
 ``end`` beside a variable ``end``) but never lists a referenced one.
+``unreferenced_names`` takes the parsed modules, so a test can give it the
+working tree's.
 """
 
 from __future__ import annotations
@@ -74,12 +76,16 @@ def _reads(node: ast.AST) -> list[str]:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
 
 
-def unreferenced_names(rev: str) -> set[str]:
-    """The public names in ``src/toricgroups/`` at ``rev``, as
-    ``module.name``, that no ``Name`` or ``Attribute`` node of the package
-    outside the name's own definition reads."""
-    modules = {os.path.basename(path)[:-3]: ast.parse(git("show", f"{rev}:{path}"))
-               for path in line_counts(rev, DIRS[0])}
+def package_modules(rev: str) -> dict[str, ast.Module]:
+    """The parsed modules of ``src/toricgroups/`` at ``rev``, by module name."""
+    return {os.path.basename(path)[:-3]: ast.parse(git("show", f"{rev}:{path}"))
+            for path in line_counts(rev, DIRS[0])}
+
+
+def unreferenced_names(modules: dict[str, ast.Module]) -> set[str]:
+    """The public names of the package whose parsed ``modules`` are given,
+    as ``module.name``, that no ``Name`` or ``Attribute`` node of the
+    package outside the name's own definition reads."""
     reads = Counter(chain.from_iterable(_reads(tree) for tree in modules.values()))
     unused = set()
     for module, tree in modules.items():
@@ -145,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, old, new in zip(names, before, after):
         print(row(name, old, new))
     print()
-    before, after = unreferenced_names(args.parent), unreferenced_names(args.change)
+    before, after = (unreferenced_names(package_modules(rev)) for rev in (args.parent, args.change))
     print(f"{'public names no src code references':<44} {args.parent:>7} {args.change:>7}")
     for name in sorted(before | after):
         print(f"{name:<44} {'x' if name in before else '-':>7} {'x' if name in after else '-':>7}")
