@@ -298,7 +298,8 @@ def test_classify_reads_the_parabolic_orders_off_the_labels():
                 if infinite:
                     result, status, _ = classify_toric(k, n, m, max_cosets=1)
                     report = maximal_finite_parabolics(CoxeterMatrix.triangle(k, n, m))
-                    assert (status, result["maximal_finite_cyclic_orders"]) == ("ok", sorted(v for _, v in report.rotation_orders))
+                    orders = sorted(v for _, v in report.rotation_orders)
+                    assert (status, result["maximal_finite_cyclic_orders"]) == ("ok", orders)
                     rows += 1
     assert rows > 2500
 

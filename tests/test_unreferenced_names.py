@@ -27,7 +27,7 @@ STAYS = {
     "garside.meridian_derivation": "an open item certifies the n <-> m swap with it",
     "maps.build_psi": "the section of phi, pinned by the acceptance suite's homomorphism criterion",
     "coxeter.center_check_plus": "Z(W+) of the paper's finite rows, pinned by tests/test_coxeter.py and demo 04",
-    "schreier.closed_form_generator": "the paper's closed form, pinned by the acceptance suite and shared with the oracle",
+    "schreier.closed_form_generator": "the paper's closed form, pinned by the acceptance suite; the oracle shares it",
 }
 
 
