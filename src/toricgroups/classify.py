@@ -1,15 +1,15 @@
 """Which toric reflection groups are finite, and the records built on that.
 
-W(k,n,m) with gcd(n,m) = 1 and n < m is finite exactly for six sporadic
-triples and the family (2,2,m) with m odd, which is the dihedral group
-I2(m) = G(m,m,2) (Shephard & Todd, "Finite unitary reflection groups",
-1954).  This module is the one place that decision is made, and
-``finite_quotient`` is the one place a finite row's Cayley table is built.
-The command line only formats the records built here: the classification
-of one triple, the sweep over a grid, the word problem of W(k,n,m), and
-the derived presentation of W(a,b,c) as the normal closure of s in its
-parent J-group.  Each is a (result, status, evidence) triple, like the
-records of the other modules.
+W(k,n,m) with gcd(n,m) = 1 is finite exactly when its triangle is
+spherical (``coxeter.classify_triangle``, the one rule).  With n < m these
+are six sporadic triples and the family (2,2,m) with m odd, I2(m) =
+G(m,m,2), named by ``finite_toric`` after Shephard & Todd ("Finite unitary
+reflection groups", 1954).  ``finite_quotient`` is the one place a finite
+row's Cayley table is built, and the command line only formats the records
+built here: the classification of one triple, the sweep over a grid, the
+word problem of W(k,n,m), and the derived presentation of W(a,b,c) as the
+normal closure of s in its parent J-group.  Each is a (result, status,
+evidence) triple, like the records of the other modules.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class FiniteToric(Value):
     __slots__ = ("shephard_todd", "center_quotient")  # center_quotient: W/Z, the triangle group's alternating subgroup
 
 
-_SPORADIC = {
+_SPORADIC = {  # the names of the spherical coprime rows with n < m and (k, n) != (2, 2)
     (2, 3, 4): FiniteToric("G12", "S4"),
     (2, 3, 5): FiniteToric("G22", "A5"),
     (3, 2, 3): FiniteToric("G4", "A4"),
@@ -38,11 +38,13 @@ _SPORADIC = {
 
 
 def finite_toric(k: int, n: int, m: int) -> FiniteToric | None:
-    """The names of W(k,n,m) when it is finite, else None (n, m in any order)."""
+    """The names of W(k,n,m), n and m coprime in any order, if it is finite, else None."""
+    if coxeter.classify_triangle(k, n, m) != "spherical":
+        return None
     n, m = min(n, m), max(n, m)
-    if (k, n) == (2, 2) and m % 2 == 1:
+    if (k, n) == (2, 2):
         return FiniteToric(f"G({m},{m},2)=I2({m})", f"I2({m})")
-    return _SPORADIC.get((k, n, m))
+    return _SPORADIC[k, n, m]
 
 
 @lru_cache(maxsize=None, typed=True)  # an int label and an equal float are different keys
@@ -50,22 +52,15 @@ def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | No
     """Cayley table of ``toric(k, n, m)`` on a finite row, built once per
     process for each row and ``max_cosets``.
 
-    None when W(k,n,m) is not a finite-table member or when the enumeration
-    overflows ``max_cosets``.  No caller writes to the table, and its
-    ``words`` and ``conjugations`` never change once filled, so every caller
-    may share it.
+    None when the row's triangle is not spherical (W(k,n,m) is infinite) or
+    when the enumeration overflows ``max_cosets``.  No caller writes to the
+    table, and its ``words`` and ``conjugations`` never change once filled,
+    so every caller may share it.
     """
-    if finite_toric(k, n, m) is None:
+    if coxeter.classify_triangle(k, n, m) != "spherical":
         return None
     table = todd_coxeter(toric(k, n, m), max_cosets=max_cosets)
     return CayleyTable(table) if table.complete else None
-
-
-def _parabolic_orders(k: int, n: int, m: int) -> list[int]:
-    # for infinite rows only: a triangle that is not spherical has its three
-    # edges as maximal finite parabolics, with rotation subgroups cyclic of
-    # orders k, n and m (Humphreys, Reflection Groups and Coxeter Groups)
-    return sorted((k, n, m))
 
 
 def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
@@ -82,8 +77,9 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, 
         "finite": fin is not None,
     }
     if fin is None:
-        result.update(order=None, center_order=None,
-                      maximal_finite_cyclic_orders=_parabolic_orders(k, n, m))
+        # a triangle that is not spherical has its three edges as maximal finite parabolics, with
+        # rotation subgroups cyclic of orders k, n and m (Humphreys, Reflection Groups and Coxeter Groups)
+        result.update(order=None, center_order=None, maximal_finite_cyclic_orders=sorted((k, n, m)))
         return result, "ok", [
             "not a finite-table member; group is infinite",
             "center order unknown in the infinite case",
@@ -129,7 +125,7 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]
                     "triangle_type": coxeter.classify_triangle(k, n, m),
                 }
                 if fin is None:
-                    entry["maximal_finite_cyclic_orders"] = _parabolic_orders(k, n, m)
+                    entry["maximal_finite_cyclic_orders"] = sorted((k, n, m))  # as in classify_toric
                 else:
                     cayley = finite_quotient(k, n, m, max_cosets)
                     entry["order"] = None if cayley is None else cayley.size
@@ -153,7 +149,7 @@ def toric_word_problem(k: int, n: int, m: int, w: str, max_cosets: int) -> tuple
     result = {"identity": None, "central": not image_nf.letters, "coxeter_image_nf": str(image_nf)}
     if image_nf.letters:
         return dict(result, identity=False), "ok", []
-    if finite_toric(k, n, m) is None:
+    if coxeter.classify_triangle(k, n, m) != "spherical":
         return result, "unknown", ["word lies in the center; the word problem inside the center "
                                    "of an infinite toric group is open and this tool does not guess"]
     cayley = finite_quotient(k, n, m, max_cosets)

@@ -286,7 +286,9 @@ def _curvature(k: int, n: int, m: int) -> int:
 
 
 def classify_triangle(k: int, n: int, m: int) -> str:
-    """spherical, affine, or hyperbolic by the curvature of 1/k + 1/n + 1/m."""
+    """spherical, affine, or hyperbolic by the curvature of 1/k + 1/n + 1/m: the one finiteness
+    rule, as a coprime toric row is finite exactly when its triangle is spherical.  ``classify``,
+    ``sweep``, ``wp toric``, ``derive`` and ``center_check_plus`` read it."""
     if min(k, n, m) < 2:
         raise ValueError("labels must be >= 2")
     s = _curvature(k, n, m)

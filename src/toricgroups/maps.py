@@ -26,7 +26,7 @@ from functools import lru_cache
 from .cyclo import label_modulus
 from .presentations import (STU, TRIANGLE, FamilyParams, alt_plus, chain_implies_shift, cyclic_product,
                             delta_power_to_twist, j_parent, meridians, toric, torus_classical)
-from .words import Derivation, GenMap, Value, Word, apply_map, compose, free_reduce, moved, undone
+from .words import Alphabet, Derivation, GenMap, Value, Word, apply_map, compose, free_reduce, moved, undone
 
 
 class Hom(Value):
@@ -92,15 +92,16 @@ def build_psi(k: int, n: int, m: int) -> Hom:
     return Hom(source, GenMap(source.alphabet, tor.alphabet, images))
 
 
-def meridian_embedding(n: int) -> GenMap:
-    """x_i = t^(i-1) s t^(1-i): the meridians x1 ... xn as words over the
-    generators s, t, u of a parent J-group."""
-    return GenMap(meridians(n), STU, tuple(Word(STU, (2,) * i + (1,) + (-2,) * i) for i in range(n)))
+def meridian_embedding(ab: Alphabet) -> GenMap:
+    """x_i = t^(i-1) s t^(1-i): the meridians ``ab`` = x1 ... xn as words
+    over the generators s, t, u of a parent J-group."""
+    return GenMap(ab, STU, tuple(Word(STU, (2,) * i + (1,) + (-2,) * i) for i in range(len(ab))))
 
 
 def build_embedding(k: int, n: int, m: int) -> Hom:
-    """The toric group inside its parent J-group, by ``meridian_embedding(n)``."""
-    return Hom(toric(k, n, m), meridian_embedding(n))
+    """The toric group inside its parent J-group, by ``meridian_embedding``."""
+    source = toric(k, n, m)
+    return Hom(source, meridian_embedding(source.alphabet))
 
 
 def parent_to_coxeter(k: int, n: int, m: int) -> Hom:

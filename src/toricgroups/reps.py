@@ -177,7 +177,7 @@ def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> tuple[
 
 def rho_eval(rep: Rep, w: Word) -> Mat2:
     """Evaluate a word over {s,t,u}, or over the meridians x1..xn through
-    their images under ``maps.meridian_embedding(n)``, built only for the
+    their images under ``maps.meridian_embedding``, built only for the
     meridians the word holds."""
     names = w.alphabet.names
     base = {"s": rep.mat_s, "t": rep.mat_t, "u": rep.mat_u}
@@ -188,7 +188,7 @@ def rho_eval(rep: Rep, w: Word) -> Mat2:
         stu = signed_table([rep.mat_s, rep.mat_t, rep.mat_u], mat_inv)
         held = {abs(x) for x in w.letters}
         mats = [_product(stu, image.letters, identity) if x in held else None
-                for x, image in enumerate(meridian_embedding(len(names)).images, start=1)]
+                for x, image in enumerate(meridian_embedding(w.alphabet).images, start=1)]
     else:
         raise ValueError(f"cannot resolve alphabet {names} to the representation")
     # a None matrix, of a meridian the word does not hold, has no inverse

@@ -13,6 +13,7 @@ from oracles import abelian_invariants
 
 from toricgroups import classify, cli, coxeter, cyclo, maps, presentations, schreier, words
 from toricgroups.cli import main
+from toricgroups.cosets import MAX_COSETS
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
@@ -543,6 +544,24 @@ def test_sweep_counts_and_distinguishes(capsys):
                e.get("shephard_todd"), e.get("order"))
         keys.add(key)
     assert len(keys) == len(entries)
+
+
+def test_sweep_and_classify_agree_row_by_row():
+    # the grid workload's rows: 2 <= k <= 7, 2 <= n < m <= 9, gcd(n, m) = 1
+    entries = classify.sweep(7, 9, MAX_COSETS)[0]["entries"]
+    assert len(entries) == 114
+    for entry in entries:
+        record, status, _ = classify.classify_toric(*entry["parameters"], MAX_COSETS)
+        row = (entry["parameters"], status)
+        assert row == (record["parameters"], "ok")
+        for key in ("finite", "triangle_type", "reflection_classes"):
+            assert entry[key] == record[key], (row, key)
+        # null in sweep and absent in classify on an infinite row
+        assert entry["shephard_todd"] == record.get("shephard_todd"), row
+        assert ("shephard_todd" in record) == entry["finite"], row
+        key = "order" if entry["finite"] else "maximal_finite_cyclic_orders"
+        assert entry[key] == record[key], (row, key)
+    assert sum(e["finite"] for e in entries) == 10
 
 
 def test_sweep_names_every_overflowed_finite_row_in_grid_order(capsys):

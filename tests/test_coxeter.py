@@ -273,14 +273,33 @@ def test_matrix_validation():
         CoxeterMatrix(((2, 2), (2, 2)))
 
 
-def test_spherical_triangles_are_the_finite_toric_rows():
-    # with gcd(n, m) = 1, W(k,n,m) is finite exactly when its triangle is
-    # spherical, the test `derive` applies to every row
+# the finite W(k,n,m), gcd(n, m) = 1 and n < m, with their Shephard-Todd
+# names and W/Z (Shephard & Todd, "Finite unitary reflection groups", 1954),
+# written out here rather than read from classify
+FINITE_TORIC_NAMES = {
+    (3, 2, 3): ("G4", "A4"),
+    (4, 2, 3): ("G8", "S4"),
+    (2, 3, 4): ("G12", "S4"),
+    (5, 2, 3): ("G16", "A5"),
+    (3, 2, 5): ("G20", "A5"),
+    (2, 3, 5): ("G22", "A5"),
+    **{(2, 2, m): (f"G({m},{m},2)=I2({m})", f"I2({m})") for m in range(3, 60, 2)},
+}
+
+
+def test_finite_toric_names_exactly_the_listed_rows():
+    rows = finite = 0
     for k in range(2, 40):
-        for n in range(2, 40):
-            for m in range(2, 40):
-                if gcd(n, m) == 1:
-                    assert (classify_triangle(k, n, m) == "spherical") == (finite_toric(k, n, m) is not None), (k, n, m)
+        for n in range(2, 60):
+            for m in range(2, 60):
+                if gcd(n, m) != 1:
+                    continue
+                fin = finite_toric(k, n, m)
+                names = None if fin is None else (fin.shephard_todd, fin.center_quotient)
+                assert names == FINITE_TORIC_NAMES.get((k, min(n, m), max(n, m))), (k, n, m)
+                rows += 1
+                finite += fin is not None
+    assert (rows, finite) == (78052, 70)  # each listed row in both orders of n and m
 
 
 def test_classify_reads_the_parabolic_orders_off_the_labels():
@@ -293,9 +312,7 @@ def test_classify_reads_the_parabolic_orders_off_the_labels():
             for m in range(n + 1, 31):
                 if gcd(n, m) != 1:
                     continue
-                infinite = finite_toric(k, n, m) is None
-                assert infinite == (classify_triangle(k, n, m) != "spherical"), (k, n, m)
-                if infinite:
+                if finite_toric(k, n, m) is None:
                     result, status, _ = classify_toric(k, n, m, max_cosets=1)
                     report = maximal_finite_parabolics(CoxeterMatrix.triangle(k, n, m))
                     orders = sorted(v for _, v in report.rotation_orders)

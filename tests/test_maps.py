@@ -107,6 +107,15 @@ def test_embedding_images():
     assert str(image_of(emb.genmap, "x2")) == "t s t^-1"
 
 
+def test_phi_and_the_embedding_read_one_meridian_alphabet():
+    # the source presentation and the generator map share the alphabet object
+    for k, n, m in [(2, 3, 7), (3, 2, 5), (4, 5, 6), (2, 9, 11)]:
+        emb = build_embedding(k, n, m)
+        assert emb.source.alphabet is emb.genmap.source, (k, n, m)
+        phi = build_phi(k, n, m)
+        assert phi.source.alphabet is phi.genmap.source, (k, n, m)
+
+
 @pytest.mark.parametrize("k,n,m", [(3, 2, 3), (2, 3, 4), (2, 2, 5)])
 def test_embedding_well_defined_in_finite_parent(k, n, m):
     emb = build_embedding(k, n, m)
@@ -135,7 +144,7 @@ def test_phi_is_the_parent_map_after_the_embedding_letter_for_letter():
                 if gcd(n, m) != 1:
                     continue
                 phi = build_phi(k, n, m)
-                composite = compose(parent_to_coxeter(k, n, m).genmap, meridian_embedding(n))
+                composite = compose(parent_to_coxeter(k, n, m).genmap, meridian_embedding(pres.meridians(n)))
                 assert phi == Hom(toric(k, n, m), composite), (k, n, m)
                 for i in range(1, n + 1):
                     assert image_of(phi.genmap, f"x{i}") == free_reduce(b ** (1 - i) * a * b ** (i - 1)), (k, n, m, i)

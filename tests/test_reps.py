@@ -40,6 +40,7 @@ from toricgroups.reps import (
     witness_record,
 )
 from toricgroups.maps import meridian_embedding
+from toricgroups.presentations import meridians
 from toricgroups.words import Alphabet, Word, apply_map
 
 REP_PARAMS = [(2, 3, 4), (2, 3, 5), (3, 2, 3), (6, 2, 3), (2, 3, 7)]
@@ -544,7 +545,7 @@ def test_rho_eval_refuses_an_alphabet_other_than_the_meridians(names):
 def test_rho_eval_on_meridians_is_rho_eval_of_the_embedding(abc, data):
     a, b, c = abc
     rep = build_rho_preset(a, b, c)
-    embedding = meridian_embedding(b)
+    embedding = meridian_embedding(meridians(b))
     word = Word(embedding.source, tuple(data.draw(st.lists(st.sampled_from([*range(-b, 0), *range(1, b + 1)]),
                                                           max_size=12))))
     assert rho_eval(rep, word) == rho_eval(rep, apply_map(embedding, word))

@@ -537,16 +537,6 @@ def test_order_through_the_index_of_s0_is_the_group_order(a, b, c):
     assert classify.derive(a, b, c, MAX_COSETS, pres.TIETZE_BUDGET)[0]["order"] == a * index
 
 
-def test_spherical_coprime_rows_are_the_finite_table():
-    # `derive` enumerates the order of the checked presentation only on a
-    # spherical row; on a coprime row that is exactly a finite toric group
-    for a in range(2, 30):
-        for b in range(2, 30):
-            for c in range(2, 30):
-                if gcd(b, c) == 1:
-                    assert (classify.finite_toric(a, b, c) is not None) == (classify_triangle(a, b, c) == "spherical")
-
-
 # --- relation equivalence as derivations -----------------------------------------
 
 
