@@ -39,6 +39,7 @@ _SPORADIC = {  # the names of the spherical coprime rows with n < m and (k, n) !
 
 def finite_toric(k: int, n: int, m: int) -> FiniteToric | None:
     """The names of W(k,n,m), n and m coprime in any order, if it is finite, else None."""
+    FamilyParams("toric", (k, n, m))  # labels >= 2, gcd(n, m) = 1
     if coxeter.classify_triangle(k, n, m) != "spherical":
         return None
     n, m = min(n, m), max(n, m)

@@ -55,7 +55,7 @@ def _emit_text(payload: dict) -> None:
 
 
 def _family(args) -> FamilyParams:
-    return FamilyParams(args.family, tuple(args.labels), normalize=not args.no_normalize)
+    return FamilyParams(args.family, tuple(args.labels))
 
 
 def _labels(args, count: int) -> tuple[int, ...]:
@@ -92,13 +92,6 @@ def _pick(*names: str):
     return lambda args: {name: getattr(args, name) for name in names}
 
 
-def _pick_family(*names: str):
-    """``_pick``, plus ``no_normalize: true`` when ``--no-normalize`` is given:
-    that flag decides which presentation a family request builds."""
-    pick = _pick(*names)
-    return lambda args: {**pick(args), "no_normalize": True} if args.no_normalize else pick(args)
-
-
 # --- the library call of each subcommand ------------------------------------------
 
 _WORD_PROBLEMS = {
@@ -121,13 +114,12 @@ _REP_RECORDS = {
 # and the flags, read as _GLOBAL_FLAGS are, go after the command word
 _COMMANDS = {
     "present": ("print a presentation from one of the families", (("family", str, 1), ("labels", int, "+")),
-                {"--no-normalize": ("no_normalize", None, False)}, _pick_family("family", "labels"),
+                {}, _pick("family", "labels"),
                 lambda args, _: presentations.present_record(_family(args))),
     "enumerate": ("Todd-Coxeter enumeration; order or subgroup index", (("family", str, 1), ("labels", int, "+")),
                   {"--subgroup": ("subgroup", str, ""), "--normal-closure": ("normal_closure", None, False),
-                   "--strategy": ("strategy", ("hlt", "felsch"), "hlt"),
-                   "--no-normalize": ("no_normalize", None, False)},
-                  _pick_family("family", "labels", "subgroup"),
+                   "--strategy": ("strategy", ("hlt", "felsch"), "hlt")},
+                  _pick("family", "labels", "subgroup"),
                   lambda args, _: cosets.enumerate_record(_family(args), args.subgroup, args.normal_closure,
                                                           args.strategy, args.max_cosets)),
     "classify": ("classification report for W(k,n,m)", (("k", int, 1), ("n", int, 1), ("m", int, 1)), {},

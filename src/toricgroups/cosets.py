@@ -82,7 +82,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 
-from .presentations import FamilyParams, Presentation, build
+from .presentations import FamilyParams, Presentation, build, toric
 from .words import Value, Word, free_reduce
 
 Columns = tuple[tuple[int | None, ...], ...]
@@ -536,11 +536,19 @@ def enumerate_record(params: FamilyParams, subgroup: str, normal_closure: bool, 
 
     The order of the group that ``params`` presents, or the index of the
     subgroup generated by the semicolon-separated words of ``subgroup`` (of
-    its normal closure with ``normal_closure``).  An overflow is "unknown".
+    its normal closure with ``normal_closure``), read over the presentation
+    the labels name.  An overflow is "unknown".  The order of a toric n > m is
+    enumerated in W(k,m,n), which is faster; the evidence names it.
     """
-    pres = build(params)
-    subgens = [pres.alphabet.word(part) for part in subgroup.split(";") if part.strip()]
+    parts = [part for part in subgroup.split(";") if part.strip()]
     evidence = [f"strategy {strategy}, bound {max_cosets}"]
+    if params.family == "toric" and not parts and params.labels[1] > params.labels[2]:
+        k, n, m = params.labels
+        pres = toric(k, m, n)
+        evidence.append(f"enumerated W({k},{m},{n}), isomorphic to W({k},{n},{m})")
+    else:
+        pres = build(params)
+    subgens = [pres.alphabet.word(part) for part in parts]
     if normal_closure:
         table = normal_closure_table(pres, subgens, max_cosets, strategy)
         evidence.append(f"normal closure of {len(subgens)} seed(s)")

@@ -44,13 +44,11 @@ class Presentation(Value):
 
 
 class FamilyParams(Value):
-    __slots__ = ("family", "labels", "normalize")
+    __slots__ = ("family", "labels")
 
-    def __init__(self, family: str, labels: tuple[int, ...], normalize: bool = True):
-        # normalize, toric only: build swaps (n, m) when n > m
+    def __init__(self, family: str, labels: tuple[int, ...]):
         _set(self, "family", family)
         _set(self, "labels", labels)
-        _set(self, "normalize", normalize)
         if family not in FAMILIES:
             raise ParameterError(f"unknown family {family!r}")
         _, arity, coprime = FAMILIES[family]
@@ -66,15 +64,9 @@ class FamilyParams(Value):
 
 
 def build(params: FamilyParams) -> Presentation:
-    """Construct the presentation for a validated parameter set.
-
-    W(k,n,m) and W(k,m,n) are reflection isomorphic, so a toric row with
-    n > m is built as W(k,m,n) unless ``params.normalize`` is false.
-    """
-    labels = params.labels
-    if params.family == "toric" and params.normalize and labels[1] > labels[2]:
-        labels = (labels[0], labels[2], labels[1])
-    return FAMILIES[params.family][0](*labels)
+    """Construct the presentation for a validated parameter set, with the
+    labels as given: a toric (k, n, m) has the n meridians x1 ... xn."""
+    return FAMILIES[params.family][0](*params.labels)
 
 
 def present_record(params: FamilyParams) -> tuple[dict, str, list[str]]:

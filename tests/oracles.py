@@ -150,7 +150,7 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from toricgroups import classify, cosets, presentations, schreier
-from toricgroups.cli import _REP_RECORDS, _WORD_PROBLEMS, _family, _pick, _pick_family, _rep_params
+from toricgroups.cli import _REP_RECORDS, _WORD_PROBLEMS, _family, _pick, _rep_params
 from toricgroups.cosets import CayleyTable, CosetTable, _columns, _validate, todd_coxeter
 from toricgroups.coxeter import MinimalRootTable
 from toricgroups.cyclo import _degree, cyclotomic_polynomial
@@ -1538,8 +1538,7 @@ def reference_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("present", help="print a presentation from one of the families")
     p.add_argument("family")
     p.add_argument("labels", type=int, nargs="+")
-    p.add_argument("--no-normalize", action="store_true")
-    p.set_defaults(params=_pick_family("family", "labels"),
+    p.set_defaults(params=_pick("family", "labels"),
                    run=lambda args, _: presentations.present_record(_family(args)))
 
     p = sub.add_parser("enumerate", help="Todd-Coxeter enumeration; order or subgroup index")
@@ -1548,8 +1547,7 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument("--subgroup", default="", help="semicolon-separated subgroup generator words")
     p.add_argument("--normal-closure", action="store_true")
     p.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
-    p.add_argument("--no-normalize", action="store_true")
-    p.set_defaults(params=_pick_family("family", "labels", "subgroup"),
+    p.set_defaults(params=_pick("family", "labels", "subgroup"),
                    run=lambda args, _: cosets.enumerate_record(_family(args), args.subgroup, args.normal_closure,
                                                                args.strategy, args.max_cosets))
 

@@ -13,7 +13,7 @@ from oracles import abelian_invariants
 
 from toricgroups import classify, cli, coxeter, cyclo, maps, presentations, schreier, words
 from toricgroups.cli import main
-from toricgroups.cosets import MAX_COSETS
+from toricgroups.cosets import MAX_COSETS, todd_coxeter
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
@@ -68,16 +68,15 @@ GOLDEN_REQUESTS = {
     # swapped preset of rep check; these have text goldens too
     "rep_eval_2_3_7_meridians": ["rep", "eval", "2", "3", "7", "x1 x2^-1 x3 x1^-2"],
     "rep_check_2_3_7_swapped": ["rep", "check", "2", "3", "7", "--qr", "swapped"],
-    # captured before the families moved into one table and toric() stopped
-    # swapping n > m itself: build swaps for present and enumerate unless
-    # --no-normalize; the sweep covers every row of the grid workload, and its
-    # text pins the key order of each entry; these have text goldens too.
-    # The --no-normalize goldens were re-captured when the flag joined
-    # `params` as "no_normalize": true
+    # captured before the families moved into one table; the sweep covers
+    # every row of the grid workload, and its text pins the key order of each
+    # entry; these have text goldens too.  The two toric rows with n > m were
+    # re-captured when every command began to read toric labels as given:
+    # `present` prints the five meridians of (2, 5, 3), and only an order-only
+    # `enumerate` swaps n and m, which its evidence names
     "present_toric_2_5_3": ["present", "toric", "2", "5", "3"],
-    "present_toric_2_5_3_no_normalize": ["present", "toric", "2", "5", "3", "--no-normalize"],
     "enumerate_toric_3_5_2": ["enumerate", "toric", "3", "5", "2"],
-    "enumerate_toric_3_5_2_no_normalize": ["enumerate", "toric", "3", "5", "2", "--no-normalize"],
+    "enumerate_toric_2_5_3_subgroup_x1_x3": ["enumerate", "toric", "2", "5", "3", "--subgroup", "x1 x3"],
     "sweep_7_9": ["sweep", "--max-k", "7", "--max-m", "9"],
     # captured before `wp garside` stopped expanding exponents over {x, y}:
     # 2 * 10^6 letters when expanded; as pieces D^500000 x, D^-333332 y^-1 and x
@@ -87,8 +86,8 @@ GOLDEN_REQUESTS = {
 TEXT_GOLDEN = ("classify_6_2_3", "classify_4_2_3", "sweep_3_5", "derive_2_3_4", "derive_6_2_3",
                "derive_2_3_3", "derive_6_2_4", "wp_garside_2_3", "present_toric_2_3_4",
                "wp_coxeter_7_8_9", "rep_witness", "wp_garside_classical_2_3", "rep_eval_2_3_7_meridians",
-               "rep_check_2_3_7_swapped", "present_toric_2_5_3", "present_toric_2_5_3_no_normalize",
-               "enumerate_toric_3_5_2", "enumerate_toric_3_5_2_no_normalize", "sweep_7_9")
+               "rep_check_2_3_7_swapped", "present_toric_2_5_3", "enumerate_toric_3_5_2",
+               "enumerate_toric_2_5_3_subgroup_x1_x3", "sweep_7_9")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -173,6 +172,35 @@ def test_enumerate_normal_closure_in_infinite_parent(capsys):
     assert code == 0
     assert payload["status"] == "ok"
     assert payload["result"]["index"] == 6
+
+
+@pytest.mark.parametrize("labels", [("2", "5", "3"), ("3", "5", "2")])
+def test_every_command_reads_toric_labels_as_given(capsys, labels):
+    # W(k,n,m) and W(k,m,n) are isomorphic, but not letter for letter: a word
+    # over x1 ... x5 names an element only of the presentation with five
+    # meridians, so present, enumerate --subgroup and wp toric all read it
+    code, out, _ = run(capsys, "present", "toric", *labels)
+    assert (code, out.splitlines()[0]) == (0, "gens: x1 x2 x3 x4 x5")
+    for argv in (["enumerate", "toric", *labels, "--subgroup"], ["wp", "toric", *labels]):
+        assert run(capsys, *argv, "x4 x1")[0] == 0, argv
+        assert run(capsys, *argv, "x6") == (2, "", "error: unknown generator 'x6'\n"), argv
+
+
+def test_enumerate_reads_its_subgroup_over_the_labels_as_given(capsys):
+    pres = presentations.toric(2, 5, 3)
+    expected = todd_coxeter(pres, [pres.alphabet.word("x1 x3")]).num_cosets
+    code, payload = run_json(capsys, "enumerate", "toric", "2", "5", "3", "--subgroup", "x1 x3")
+    assert (code, payload["result"]["index"]) == (0, expected)
+    assert expected == 40  # 24 in W(2,3,5), where x1 x3 is another element
+    assert len(payload["evidence"]) == 1  # nothing was swapped
+
+
+@pytest.mark.parametrize("flags", [(), ("--normal-closure",)])
+def test_an_order_only_enumerate_swaps_n_greater_m_and_names_the_swap(capsys, flags):
+    # the order does not depend on the presentation, and W(3,2,5) enumerates faster
+    code, payload = run_json(capsys, "enumerate", "toric", "3", "5", "2", *flags)
+    assert (code, payload["result"]["order"]) == (0, 360)
+    assert "enumerated W(3,2,5), isomorphic to W(3,5,2)" in payload["evidence"]
 
 
 def _row_cache_hits() -> int:
@@ -571,16 +599,6 @@ def test_sweep_names_every_overflowed_finite_row_in_grid_order(capsys):
     assert [e["order"] for e in finite] == [None] * 6
     assert payload["evidence"] == [f"W({k},{n},{m}): enumeration overflowed at 5; membership retained"
                                    for k, n, m in (e["parameters"] for e in finite)]
-
-
-@pytest.mark.parametrize("argv", [["present", "toric", "2", "5", "3"], ["enumerate", "toric", "3", "5", "2"]])
-def test_no_normalize_shows_in_params(capsys, argv):
-    # the flag decides which presentation is built, so two requests that
-    # build different presentations never print the same params
-    _, plain = run_json(capsys, *argv)
-    _, literal = run_json(capsys, *argv, "--no-normalize")
-    assert literal["params"] == {**plain["params"], "no_normalize": True}
-    assert "no_normalize" not in plain["params"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REQUESTS))

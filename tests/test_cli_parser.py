@@ -11,6 +11,8 @@ made by one fault from a well-formed one, must be refused by both.
 import argparse
 import contextlib
 import io
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,10 +39,9 @@ POSITIONALS = {
                      st.lists(LABELS | WORDS, max_size=5)).map(lambda t: [t[0], *t[1]]),
 }
 FLAGS = {
-    "present": {"--no-normalize": None},
     "enumerate": {"--subgroup": st.sampled_from(["s", "x1; x2", "s t", ""]), "--normal-closure": None,
-                  "--strategy": st.sampled_from(["hlt", "felsch"]), "--no-normalize": None},
-    "classify": {}, "derive": {}, "wp": {},
+                  "--strategy": st.sampled_from(["hlt", "felsch"])},
+    "present": {}, "classify": {}, "derive": {}, "wp": {},
     "sweep": {"--max-k": LABELS, "--max-m": LABELS},
     "rep": {"--qr": st.sampled_from(["unit", "zero", "x"])},
 }
@@ -101,8 +102,8 @@ def malformed_lines(draw) -> list[str]:
         tail += draw(st.sampled_from([["--format", "xml"], ["--format=JSON"]]))
     elif fault == "bad positional choice" and command in ("wp", "rep"):
         positionals[0] = draw(st.sampled_from(["lisp", "Check", "-3"]))
-    elif fault == "switch with a value" and command in ("present", "enumerate"):
-        tail.append(draw(st.sampled_from(["--no-normalize=", "--no-normalize=yes"])))
+    elif fault == "switch with a value" and command == "enumerate":
+        tail.append(draw(st.sampled_from(["--normal-closure=", "--normal-closure=yes"])))
     elif fault == "extra positional" and command in ("classify", "derive", "sweep"):
         positionals.append(draw(LABELS))
     elif fault == "empty":
@@ -157,14 +158,14 @@ def test_malformed_command_lines_are_refused_as_argparse_refused_them(argv):
     (["frobnicate", "2"], "error: expected one of present, enumerate, classify, sweep, wp, derive, rep for the "
                           "command, got 'frobnicate'"),
     (["classify", "2", "3", "4", "--frobnicate"], "error: unknown flag --frobnicate"),
-    (["--no-normalize", "present", "toric", "2", "3", "4"], "error: unknown flag --no-normalize"),
+    (["--normal-closure", "enumerate", "toric", "2", "3", "4"], "error: unknown flag --normal-closure"),
     (["classify", "2", "3", "4", "--max-cosets"], "error: --max-cosets needs a value"),
     (["enumerate", "toric", "2", "3", "7", "--subgroup", "--normal-closure"], "error: --subgroup needs a value"),
     (["classify", "2", "x", "4"], "error: expected an integer for n, got 'x'"),
     (["--budget=ten", "derive", "2", "3", "4"], "error: expected an integer for --budget, got 'ten'"),
     (["--format", "xml", "classify", "2", "3", "4"], "error: expected one of text, json for --format, got 'xml'"),
     (["wp", "lisp", "2", "3", "7", "x1"], "error: expected one of coxeter, garside, toric for system, got 'lisp'"),
-    (["present", "toric", "2", "3", "4", "--no-normalize=yes"], "error: --no-normalize takes no value"),
+    (["enumerate", "toric", "2", "3", "4", "--normal-closure=yes"], "error: --normal-closure takes no value"),
     (["classify", "2", "3"], "error: classify takes k n m, got ['2', '3']"),
     (["derive", "2", "3", "4", "5"], "error: derive takes a b c, got ['2', '3', '4', '5']"),
     (["wp", "coxeter", "x1"], "error: wp takes {coxeter,garside,toric} labels ... word, got ['coxeter', 'x1']"),
@@ -196,3 +197,12 @@ def test_help_lists_the_commands_and_each_commands_arguments(capsys):
     assert main(["enumerate", "-h", "--frobnicate"]) == 0
     out, err = capsys.readouterr()
     assert err == "" and "--strategy {hlt,felsch}    default hlt\n" in out and "  --normal-closure\n" in out
+
+
+def test_the_readme_names_every_flag_the_table_accepts_and_no_other():
+    # the "Command line" section of the README; --help and the prefix example
+    # --max-c are spelled there but are not entries of the table
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section)) - {"--help", "--max-c"}
+    assert named == set(cli._GLOBAL_FLAGS).union(*(entry[2] for entry in cli._COMMANDS.values()))

@@ -20,6 +20,7 @@ from toricgroups.coxeter import (
     parity,
     triangle_table,
 )
+from toricgroups.presentations import ParameterError
 from toricgroups.words import Word, free_reduce, invert
 
 # golden table size for the hyperbolic (2,3,7) triangle, frozen from the
@@ -300,6 +301,13 @@ def test_finite_toric_names_exactly_the_listed_rows():
                 rows += 1
                 finite += fin is not None
     assert (rows, finite) == (78052, 70)  # each listed row in both orders of n and m
+
+
+@pytest.mark.parametrize("row", [(2, 2, 4), (2, 3, 3)])
+def test_finite_toric_refuses_a_row_that_is_no_toric_group(row):
+    # gcd(n, m) > 1: once named I2(4) and once a KeyError in the table of names
+    with pytest.raises(ParameterError, match="gcd"):
+        finite_toric(*row)
 
 
 def test_classify_reads_the_parabolic_orders_off_the_labels():

@@ -58,10 +58,10 @@ def test_relator_counts_across_families():
     assert len(pres.j_parent(2, 3, 4).relators) == 5
 
 
-def test_toric_normalizes_n_greater_m():
-    # build swaps n > m unless told not to; toric itself is literal
-    assert build(FamilyParams("toric", (2, 4, 3))) == pres.toric(2, 3, 4)
-    assert build(FamilyParams("toric", (2, 4, 3), normalize=False)) == pres.toric(2, 4, 3)
+def test_build_reads_toric_labels_as_given():
+    # W(k,n,m) and W(k,m,n) are isomorphic, but x_i is not sent to x_i, so
+    # build keeps n > m: the labels name the presentation with n meridians
+    assert build(FamilyParams("toric", (2, 4, 3))) == pres.toric(2, 4, 3)
     assert pres.toric(2, 4, 3).gens == ("x1", "x2", "x3", "x4")
 
 

@@ -35,7 +35,7 @@ SAMPLES = [
     (presentations.Presentation, lambda: presentations.Presentation(AB, (XY,)),
      lambda: presentations.Presentation(AB, (XY, YX))),
     (presentations.FamilyParams, lambda: presentations.FamilyParams("toric", (3, 2, 3)),
-     lambda: presentations.FamilyParams("toric", (3, 2, 3), normalize=False)),
+     lambda: presentations.FamilyParams("toric", (3, 3, 2))),
     (cosets.EnumStats, lambda: cosets.EnumStats(1, 2, 3, 4, 5, 6, 7), lambda: cosets.EnumStats(1, 2, 3, 4, 5, 6, 8)),
     (coxeter.CoxeterMatrix, lambda: coxeter.CoxeterMatrix.triangle(2, 3, 5),
      lambda: coxeter.CoxeterMatrix.triangle(2, 3, 7)),
