@@ -35,6 +35,29 @@ _GLOBAL_FLAGS = {
 _DEFAULTS = {dest: default for dest, _, default in _GLOBAL_FLAGS.values()}
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``value`` written as ``json.dumps(value, sort_keys=True, indent=2)``
+    writes it, which with an indent runs the stdlib's pure-Python encoder.
+    It takes str, int, None, True, False, and dicts with str keys, lists and
+    tuples of them, each by its exact type; anything else is a ``TypeError``."""
+    cls = type(value)
+    if cls is str:
+        return json.encoder.encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    inner = pad + "  "
+    if cls is dict:  # a key that is not a str fails in the sort or the escaper
+        brackets = "{}"
+        items = [f"{json.encoder.encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+    elif cls is list or cls is tuple:
+        brackets, items = "[]", [_json(item, inner) for item in value]
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{pad}{brackets[1]}" if items else brackets
+
+
 def _emit_text(payload: dict) -> None:
     print(f"command: {payload['command']}")
     for key, value in sorted(payload["params"].items()):
@@ -253,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
                        "bounds": {"max_cosets": args.max_cosets, "budget": args.budget},
                        "result": result, "status": status, "evidence": evidence}
             if args.format == "json":
-                print(json.dumps(payload, sort_keys=True, indent=2))
+                print(_json(payload))
             else:
                 _emit_text(payload)
         sys.stdout.flush()
