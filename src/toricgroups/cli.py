@@ -6,7 +6,10 @@ a stable JSON object with the shape {command, params, bounds, result,
 status, evidence}, and exits 0 for computed results (including "unknown"
 and overflow verdicts), 2 for input errors, or 1, silently, when stdout
 closes before the output is written (as under ``| head``).  Identical
-inputs produce byte-identical JSON.
+inputs produce byte-identical JSON.  The command line writes that JSON
+itself (``_json``), in the format of ``json.dumps(payload, sort_keys=True,
+indent=2)``: keys sorted, two spaces per level, and every non-ASCII
+character escaped as \\uXXXX, as the middle dot of a Garside form is.
 
 The command line is read in one pass over ``_COMMANDS``, which also renders
 the usage that ``-h``/``--help`` prints.  A malformed command line is an
@@ -36,10 +39,8 @@ _DEFAULTS = {dest: default for dest, _, default in _GLOBAL_FLAGS.values()}
 
 
 def _json(value, pad: str = "\n") -> str:
-    """``value`` written as ``json.dumps(value, sort_keys=True, indent=2)``
-    writes it, which with an indent runs the stdlib's pure-Python encoder.
-    It takes str, int, None, True, False, and dicts with str keys, lists and
-    tuples of them, each by its exact type; anything else is a ``TypeError``."""
+    """``json.dumps(value, sort_keys=True, indent=2)`` for str, int, None, True, False and str-keyed dicts,
+    lists and tuples of them, by exact type; another type raises ``TypeError``."""
     cls = type(value)
     if cls is str:
         return json.encoder.encode_basestring_ascii(value)

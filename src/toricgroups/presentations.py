@@ -248,19 +248,26 @@ class TietzeBudgetExceeded(Exception):
 def _cancel_outward(s: str, cut: str) -> str:
     """``s`` with every occurrence of ``cut`` deleted, each deletion
     cancelling the inverse pairs it brings together.  ``cut`` is an inverse
-    pair, or one code point that no other letter of ``s`` inverts.  A
-    cancellation joins two letters that are not inverse, so it never makes a
-    new pair: one left-to-right scan finds them all.
+    pair, or one code point that no other letter of ``s`` inverts.  Each join
+    of the pieces between cuts cancels back through the pieces already
+    joined: deleting g from x g y g y^-1 x^-1 leaves nothing.
     """
-    i = s.find(cut)
-    while i >= 0:
-        j, k = i, i + len(cut)
-        while j and k < len(s) and ord(s[j - 1]) ^ 1 == ord(s[k]):
-            j -= 1
-            k += 1
-        s = s[:j] + s[k:]
-        i = s.find(cut, j)
-    return s
+    joined: list[str] = []  # nonempty pieces with no inverse pair where two meet
+    for piece in s.split(cut):
+        i, n = 0, len(piece)  # piece[:i] has cancelled
+        while joined and i < n:
+            last = joined[-1]
+            j = len(last)  # last[j:] has cancelled
+            while j and i < n and ord(last[j - 1]) ^ 1 == ord(piece[i]):
+                j -= 1
+                i += 1
+            if j:
+                joined[-1] = last[:j]
+                break
+            joined.pop()
+        if i < n:
+            joined.append(piece[i:])
+    return "".join(joined)
 
 
 def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> Presentation:

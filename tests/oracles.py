@@ -24,6 +24,12 @@ with the production engines they check:
   every relator and rebuilds the alphabet and every relator on each step.
   It defines the choice rule that ``presentations.tietze_simplify`` must
   reproduce exactly; it shares the word arithmetic of ``words``.
+- ``reference_cancel_outward``: the original cancellation of Tietze's
+  substitution, which deletes one occurrence of the cut at a time, copies
+  the string, cancels outward from the gap and resumes its search at the
+  cascade's left end.  ``presentations._cancel_outward`` splits on the cut
+  and cancels at each join; on a substituted relator it must give the same
+  string.
 - ``reference_hlt``: the original enumerator, with the table stored as a
   list of rows, compaction into a new row list, and a lookahead that only
   gives up once more than ``max_cosets`` cosets are still live.  It keeps
@@ -481,6 +487,20 @@ def _single_occurrence(r: Word, gen: int) -> int | None:
     """Position of the unique occurrence of +-gen in r, else None."""
     hits = [i for i, x in enumerate(r.letters) if abs(x) == gen]
     return hits[0] if len(hits) == 1 else None
+
+
+def reference_cancel_outward(s: str, cut: str) -> str:
+    """``s`` with every occurrence of ``cut`` deleted, one at a time, each
+    deletion cancelling the inverse pairs it brings together."""
+    i = s.find(cut)
+    while i >= 0:
+        j, k = i, i + len(cut)
+        while j and k < len(s) and ord(s[j - 1]) ^ 1 == ord(s[k]):
+            j -= 1
+            k += 1
+        s = s[:j] + s[k:]
+        i = s.find(cut, j)
+    return s
 
 
 def reference_tietze(p: Presentation, budget: int = 10_000) -> Presentation:

@@ -85,7 +85,8 @@ def test_phases_the_tools_time_exist():
     # where its oracles module would shadow the tests' own
     request_times = ast.parse((TOOLS / "request_times.py").read_text())
     child = ast.parse(_assigned(ast.parse((TOOLS / "derive_series.py").read_text()), "CHILD").value)
-    tables = {name: _phases(_assigned(request_times, name)) for name in ("DERIVE_PHASES", "ROOT_TABLE", "PHASES")}
+    tables = {name: _phases(_assigned(request_times, name))
+              for name in ("DERIVE_PHASES", "ROOT_TABLE", "PHASES", "JSON_PHASE")}
     tables["derive_series CHILD"] = _phases(_assigned(child, "PHASES"))
     for table, entries in tables.items():
         assert entries, table

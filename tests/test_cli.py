@@ -7,6 +7,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import parse_presentation
 from oracles import abelian_invariants
@@ -606,6 +607,37 @@ def test_json_matches_golden(capsys, name):
     code, out, _ = run(capsys, "--format", "json", *GOLDEN_REQUESTS[name])
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
+def test_json_goldens_are_the_stdlib_format(path):
+    # whatever writes the JSON, its bytes are the stdlib's sorted, indented form
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+# payload-shaped values: every scalar the CLI prints, in nested and empty
+# dicts, lists and tuples
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
+@given(JSON_VALUES)
+@example("W(2,3,7) \u00b7 \u0394^-1 \x00\x1f\t\n \"quoted\" back\\slash \U0001f600 \ud800")
+@example([1, True, 0, False, -1, None, 10**30, {}, [], ()])
+@example({"b": {"z": [], "a": {}}, "a": [(), [[]], {"": 0}]})
+def test_json_writer_is_the_stdlib_format(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.0, 0.0, {1, 2}, b"x", {1: "a"}, {"a": 1, 2: "b"}, [0, 1.0], {"a": {"b": b"x"}}],
+                         ids=["1.0", "0.0", "set", "bytes", "int-key", "mixed-keys", "nested-float", "nested-bytes"])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 def test_reused_parser_prints_the_same_bytes(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ParseError, parse_presentation
-from oracles import reference_tietze
+from oracles import reference_cancel_outward, reference_tietze
 from toricgroups import presentations as pres
 from toricgroups import schreier
 from toricgroups.cosets import todd_coxeter
@@ -19,7 +19,7 @@ from toricgroups.presentations import (
     serialize,
     tietze_simplify,
 )
-from toricgroups.words import Alphabet, Word, free_reduce
+from toricgroups.words import Alphabet, Word, cyclic_reduce_letters, free_reduce, free_reduce_letters
 
 def test_toric_234_matches_display():
     p = pres.toric(2, 3, 4)
@@ -245,6 +245,47 @@ def test_tietze_cancels_through_a_deleted_generator():
     q = tietze_simplify(p)
     assert q == parse_presentation("gens: x y z\nrel: z^2")
     assert q == reference_tietze(p)
+
+
+def _code(letters) -> str:
+    """Letters as ``tietze_simplify`` holds them: h is chr(2h), h^-1 chr(2h + 1)."""
+    return "".join(chr(2 * x if x > 0 else 1 - 2 * x) for x in letters)
+
+
+def test_cancel_outward_cascades_back_through_joined_pieces():
+    # g = 1 in x g y g y^-1 x^-1 (g = 1, x = 2, y = 3): joining y^-1 x^-1
+    # cancels y, then reaches back past the first gap to cancel x
+    s = _code([2, 1, 3, 1, -3, -2])
+    assert pres._cancel_outward(s, _code([1])) == reference_cancel_outward(s, _code([1])) == ""
+
+
+@st.composite
+def substitutions(draw) -> tuple[str, tuple[str, ...]]:
+    """A relator with g = 1 substituted as ``tietze_simplify`` does it, and
+    the cuts it cancels at: g's two seam pairs, or g itself for an empty
+    image.  The relator is cyclically reduced and the image, over the other
+    generators, freely reduced."""
+    n = draw(st.integers(2, 4))
+    letter = st.integers(1, n).flatmap(lambda h: st.sampled_from((h, -h)))
+    old = _code(cyclic_reduce_letters(draw(st.lists(letter, max_size=14))))
+    image = _code(free_reduce_letters(draw(st.lists(letter.filter(lambda x: abs(x) != 1), max_size=5))))
+    up, down = _code([1]), _code([-1])
+    if not image:
+        return old.replace(down, up), (up,)
+    image_inv = image[::-1].translate({ord(c): ord(c) ^ 1 for c in image})
+    pairs = (chr(ord(image[0]) ^ 1) + image[0], image[-1] + chr(ord(image[-1]) ^ 1))
+    return old.replace(up, image_inv).replace(down, image), pairs
+
+
+@given(substitutions())
+def test_cancel_outward_matches_reference_on_substitutions(case):
+    s, cuts = case
+    for cut in cuts:
+        got = pres._cancel_outward(s, cut)
+        assert got == reference_cancel_outward(s, cut)
+        s = got
+    decoded = [ord(c) >> 1 if ord(c) % 2 == 0 else -(ord(c) >> 1) for c in s]
+    assert decoded == free_reduce_letters(decoded)
 
 
 # --- Tietze against the reference elimination loop ------------------------------

@@ -15,7 +15,13 @@ files (``what``, ``parent``, ``machine``, ``python``, ``command``,
 ``protocol``, ``pairs``, ``runs``), so several workloads and seeds collect
 in one file.  At the end the script prints, for every metric, each side's
 median and quartiles over all runs of that workload and seed in the file,
-and the number of pairs in which the change was better.
+the number of pairs in which the change was better, and two verdicts read
+against the metric's entry in the change's ``BENCHMARK.json``.  ``gain``
+holds when the change was better in at least 9 of every 10 pairs and its
+median is better than the parent's by more than the parent's
+interquartile distance.  ``past bound`` holds when the change's median is
+worse than the parent's by more than the metric's ``bound``, a share of
+the parent's median (any rise from a median of 0).
 """
 
 from __future__ import annotations
@@ -66,20 +72,25 @@ def run_once(archive: bytes, workload: str, seed: int) -> dict:
             "correct": last["correct"], "attempted": last["attempted"], "failed": last["failed"]}
 
 
-def summarize(bench: dict, workload: str, seed: int, better: dict[str, str]) -> None:
+def summarize(bench: dict, workload: str, seed: int, spec: dict[str, dict]) -> None:
     runs = [r for r in bench["runs"] if (r["workload"], r["seed"]) == (workload, seed)]
     sides = {side: {r["pair"]: r["metrics"] for r in runs if r["side"] == side} for side in ("parent", "change")}
     pairs = sorted(sides["parent"].keys() & sides["change"].keys())
     print(f"== {workload} seed {seed}: {len(pairs)} pairs; median [quartiles], parent -> change")
     for metric in sides["parent"][pairs[0]]:
-        cells = []
+        quartiles = {}
         for side in ("parent", "change"):
             values = [sides[side][p][metric] for p in pairs]
-            q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-            cells.append(f"{q2:.4g} [{q1:.4g}, {q3:.4g}]")
-        sign = -1 if better.get(metric, "lower") == "lower" else 1
+            quartiles[side] = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        cells = [f"{q2:.4g} [{q1:.4g}, {q3:.4g}]" for q1, q2, q3 in quartiles.values()]
+        entry = spec.get(metric, {})
+        sign = -1 if entry.get("better", "lower") == "lower" else 1  # sign * (change - parent) > 0: better
         won = sum(sign * (sides["change"][p][metric] - sides["parent"][p][metric]) > 0 for p in pairs)
-        print(f"  {metric:16s} {cells[0]:>30s} -> {cells[1]:30s} change better in {won}/{len(pairs)}")
+        (p1, p2, p3), c2 = quartiles["parent"], quartiles["change"][1]
+        gain = 10 * won >= 9 * len(pairs) and sign * (c2 - p2) > p3 - p1
+        past = "bound" in entry and -sign * (c2 - p2) > entry["bound"] * abs(p2)
+        verdicts = f"gain: {'yes' if gain else 'no'}; past bound {entry.get('bound', '-')}: {'YES' if past else 'no'}"
+        print(f"  {metric:16s} {cells[0]:>30s} -> {cells[1]:30s} change better in {won}/{len(pairs)}; {verdicts}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -115,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
             f.write("\n")
     with tarfile.open(fileobj=io.BytesIO(archives["change"])) as tar:
         spec = json.load(tar.extractfile("BENCHMARK.json"))
-    summarize(bench, args.workload, args.seed, {m["name"]: m["better"] for m in spec["end_to_end"]})
+    summarize(bench, args.workload, args.seed, {m["name"]: m for m in spec["end_to_end"]})
     return 0
 
 

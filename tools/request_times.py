@@ -13,25 +13,27 @@ script prints each request's wall time in ms, its share of the pass and
 its arguments (long ones cut), slowest first; under each ``rs-tietze``
 request a second line splits its time into the enumeration, RS and
 Tietze, and gives the size of the RS presentation that Tietze starts
-from: its generators, relators and letters.  Under each ``derive``,
-``wp garside``, ``wp coxeter``, ``wp toric`` and ``rep eval`` request a
-second line splits its time into phases, each timed by wrapping one call
-for the one request, and the rest of the request: for ``derive``, the
-closure enumeration plus RS (``schreier.toric_closure_rs``), the check of
-the toric presentation or Tietze, and the order enumeration (the index of
-<s0> by ``todd_coxeter`` on a gcd(b, c) = 1 row, ``group_order`` on the
-others; both count as ``order``); for ``wp garside``, reading the tokens
-(``token_runs``) and the normal form kernel (``_normal_form``), the rest
-being the pieces, the rendering and the JSON; for ``wp coxeter`` and
-``wp toric``, building the triangle's root table
-(``coxeter.MinimalRootTable``, which runs only on a ``triangle_table``
-miss); for ``rep eval``, building the representation
-(``build_rho_preset``) and the matrix product (``rho_eval``).  A
-request's phases are found by its command words, so ``enumerate toric``
-gets none.  A phase the request did not reach is left out, so a request
-that finds its root table built prints only its rest.  Then comes the
-time per request kind.  Times are plain ``perf_counter`` differences, not
-scaled by the benchmark's speed probe.
+from: its generators, relators and letters.  Under each ``cli`` request
+a second line splits its time into phases, each timed by wrapping one call
+for the one request, and the rest of the request.  Every ``cli`` request
+has the phase ``json``, writing its output (``cli._json``).  The others
+are found by the request's command words, so ``enumerate toric`` gets no
+more: for ``derive``, the closure enumeration plus RS
+(``schreier.toric_closure_rs``), the check of the toric presentation or
+Tietze, and the order enumeration (the index of <s0> by ``todd_coxeter``
+on a gcd(b, c) = 1 row, ``group_order`` on the others; both count as
+``order``); for ``wp garside``, reading the tokens (``token_runs``) and
+the normal form kernel (``_normal_form``), the rest being the pieces and
+the rendering; for ``wp coxeter`` and ``wp toric``, building the
+triangle's root table (``coxeter.MinimalRootTable``, which runs only on a
+``triangle_table`` miss); for ``rep eval``, building the representation
+(``build_rho_preset``) and the matrix product (``rho_eval``).  A phase the
+request did not reach is left out, so a request that finds its root table
+built prints only its ``json`` and its rest.  A wrapped function's
+recursive calls, as ``_json`` makes on a nested value, run unwrapped
+within its outermost call, which alone is timed.  Then comes the time per
+request kind.  Times are plain ``perf_counter`` differences, not scaled by
+the benchmark's speed probe.
 Last come the requests that raised the process's peak RSS (``ru_maxrss``,
 the figure behind the benchmark's ``peak_rss_mb``), in pass order, each
 with the new peak in MB; the first line is the peak before the first
@@ -82,6 +84,8 @@ DERIVE_PHASES = ((schreier, "toric_closure_rs", "closure+RS"), (schreier, "check
 # the phases of each request whose command words, one or two adjacent
 # arguments, are the key; the table is built only on a triangle_table miss
 ROOT_TABLE = ((coxeter, "MinimalRootTable", "root table"),)
+# every cli request's output; the workloads ask for JSON
+JSON_PHASE = ((cli, "_json", "json"),)
 PHASES = {"derive": DERIVE_PHASES,
           "wp garside": ((garside, "token_runs", "read"), (garside, "_normal_form", "normal form")),
           "wp coxeter": ROOT_TABLE, "wp toric": ROOT_TABLE,
@@ -109,21 +113,25 @@ def rs_tietze(a: int, b: int, c: int) -> str:
 @contextlib.contextmanager
 def timed_calls(phases):
     """Wraps each (module, attribute, name) call to add its wall time, in ms,
-    to the yielded dict under its name; restores the originals on exit."""
+    to the yielded dict under its name; restores the originals on exit.
+    While a wrapped call runs, the module holds the original again, so a
+    recursive call is neither timed twice nor slowed by the wrapper."""
     spent: dict[str, float] = {}
     originals = [(module, attr, getattr(module, attr)) for module, attr, _ in phases]
 
-    def timed(fn, name):
+    def timed(module, attr, fn, name):
         def call(*args, **kwargs):
+            setattr(module, attr, fn)
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 spent[name] = spent.get(name, 0.0) + (time.perf_counter() - t0) * 1e3
+                setattr(module, attr, call)
         return call
 
     for (module, attr, fn), (*_, name) in zip(originals, phases):
-        setattr(module, attr, timed(fn, name))
+        setattr(module, attr, timed(module, attr, fn, name))
     try:
         yield spent
     finally:
@@ -132,20 +140,17 @@ def timed_calls(phases):
 
 
 def run(req: dict) -> str | None:
-    """Runs one request; an ``rs-tietze`` request and one with ``PHASES``
-    return their phase times."""
+    """Runs one request and returns its phase times."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         if req["kind"] != "cli":
             return rs_tietze(*req["abc"])
         argv = req["argv"]
         keys = argv + [f"{a} {b}" for a, b in zip(argv, argv[1:])]
-        phases = next((PHASES[key] for key in keys if key in PHASES), ())
+        phases = next((PHASES[key] for key in keys if key in PHASES), ()) + JSON_PHASE
         with timed_calls(phases) as spent:
             t0 = time.perf_counter()
             cli.main(req["argv"])  # a malformed command line returns 2, as every input error does
             total = (time.perf_counter() - t0) * 1e3
-    if not phases:
-        return None
     spent["rest"] = total - sum(spent.values())
     return ", ".join(f"{name} {ms:.2f} ms" for name, ms in spent.items())
 
