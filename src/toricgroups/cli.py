@@ -38,9 +38,10 @@ _GLOBAL_FLAGS = {
 _DEFAULTS = {dest: default for dest, _, default in _GLOBAL_FLAGS.values()}
 
 
-def _json(value, pad: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for str, int, None, True, False and str-keyed dicts,
-    lists and tuples of them, by exact type; another type raises ``TypeError``."""
+def _json(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it when ``pad`` is "\\n"; ``pad`` is
+    a newline and the indent of the line ``value`` starts on.  It takes str, int, None, True, False and
+    str-keyed dicts, lists and tuples of them, by exact type; another type raises ``TypeError``."""
     cls = type(value)
     if cls is str:
         return json.encoder.encode_basestring_ascii(value)
@@ -277,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
                        "bounds": {"max_cosets": args.max_cosets, "budget": args.budget},
                        "result": result, "status": status, "evidence": evidence}
             if args.format == "json":
-                print(_json(payload))
+                print(_json(payload, "\n"))
             else:
                 _emit_text(payload)
         sys.stdout.flush()

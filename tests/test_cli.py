@@ -630,14 +630,14 @@ JSON_VALUES = st.recursive(
 @example([1, True, 0, False, -1, None, 10**30, {}, [], ()])
 @example({"b": {"z": [], "a": {}}, "a": [(), [[]], {"": 0}]})
 def test_json_writer_is_the_stdlib_format(value):
-    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert cli._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("value", [1.0, 0.0, {1, 2}, b"x", {1: "a"}, {"a": 1, 2: "b"}, [0, 1.0], {"a": {"b": b"x"}}],
                          ids=["1.0", "0.0", "set", "bytes", "int-key", "mixed-keys", "nested-float", "nested-bytes"])
 def test_json_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
-        cli._json(value)
+        cli._json(value, "\n")
 
 
 def test_reused_parser_prints_the_same_bytes(capsys):
