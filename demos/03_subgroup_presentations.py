@@ -34,10 +34,10 @@ print("transversal:", ", ".join(str(reps[c]) for c in range(table.num_cosets)))
 rs = rs_presentation(parent, table, tree, namer=lambda c, g: f"{g}_{labels[c][0]}_{labels[c][1]}")
 print(f"\nSchreier generators: {len(rs.presentation.gens)}, raw relators: {len(rs.presentation.relators)}")
 print("a few generator values:")
-for g in rs.generators[:4]:
+for name, g in zip(rs.presentation.gens[:4], rs.generators):
     # the value of a Schreier generator: rep(c) x rep(c.x)^-1, freely reduced
     x = parent.alphabet.word(g.gen_name)
-    print(f"  {g.name} = {free_reduce(reps[g.coset] * x * reps[table.trace(g.coset, x)] ** -1)}")
+    print(f"  {name} = {free_reduce(reps[g.coset] * x * reps[table.trace(g.coset, x)] ** -1)}")
 
 simplified = tietze_simplify(rs.presentation)
 print(f"\nafter Tietze simplification: {len(simplified.gens)} generators, "

@@ -567,8 +567,11 @@ def bfs_tree(t: CosetTable, column_order: Sequence[int]) -> list[tuple[int, int,
 
     Each coset is reached first along the earliest column of
     ``column_order``, so the tree path to it spells a geodesic over those
-    columns.  Raises ValueError when the columns do not reach every coset.
+    columns.  Raises ValueError unless ``column_order`` lists distinct
+    columns of the table, and when they do not reach every coset.
     """
+    if len(set(column_order)) != len(column_order) or not all(0 <= col < len(t.columns) for col in column_order):
+        raise ValueError("column order must be a list of distinct table columns")
     columns = [(col, t.columns[col]) for col in column_order]
     seen = [False] * t.num_cosets
     seen[0] = True

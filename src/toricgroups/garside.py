@@ -22,7 +22,8 @@ the text: a token x^K becomes a power of Delta and one piece of at most
 
 The classical presentation on the meridians x_1 ... x_n presents the same
 group: ``sigma`` and ``tau`` are inverse isomorphisms, so the normal form of
-tau(u) decides the word problem for a classical word u as well.
+tau(u) decides the word problem for a classical word u as well; ``wp
+garside`` takes it as ``gnf(n, m, apply_map(tau(n, m), u))``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import Counter
 
 from .presentations import XY, FamilyParams, chain_implies_shift, chain_step, cyclic_product, meridians, torus_classical
 from .words import (Derivation, GenMap, RewriteStep, Value, Word, WordSyntaxError, apply_map, free_reduce,
-                    parse_either, signed_table, token_runs, undone)
+                    parse_either, token_runs, undone)
 
 _CHARS = ("", "a", "b", "B", "A")  # the kernel's letter for each signed letter -2 .. 2 of {x, y}
 # the runs of a kernel string; ``re`` compiles it on its first use, so importing
@@ -144,11 +145,8 @@ def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
     try:
         normal = _normal_form(n, m, *_pieces(n, m, text))
     except WordSyntaxError:
-        # a word over the meridians, or the error of the alphabet that read further
-        word = parse_either(XY, lambda: meridians(n), text)
-        table = signed_table(["".join(map(_CHARS.__getitem__, image.letters)) for image in tau(n, m).images],
-                             lambda s: s[::-1].swapcase())
-        normal = _normal_form(n, m, "".join(map(table.__getitem__, word.letters)), 0)  # tau(word), unreduced
+        # a word over the meridians, or the error of the alphabet its first generator picks
+        normal = gnf(n, m, apply_map(tau(n, m), parse_either(XY, lambda: meridians(n), text)))
         evidence.append(f"a word over x1 ... x{n}, mapped to {{x, y}} by tau, the inverse of sigma")
     return {"normal_form": str(normal), "identity": normal.is_identity(),
             "delta_power": normal.delta_power}, "ok", evidence

@@ -55,28 +55,24 @@ def schreier_transversal(ct: CosetTable, column_order: Sequence[int] | None = No
 
     The default order walks the positive generator columns in alphabet
     order; in a complete table every column is a permutation, so positive
-    words already reach every coset.  A custom ``column_order`` (a sequence
-    of table columns) changes which representatives are found; it must
-    still span the coset graph.
+    words already reach every coset.  A custom ``column_order`` (distinct
+    table columns, which ``bfs_tree`` checks) changes which representatives
+    are found; it must still span the coset graph.
     """
     if not ct.complete:
         raise ValueError("coset table is not complete")
-    ncols = 2 * len(ct.alphabet)
     if column_order is None:
-        order = [2 * i for i in range(len(ct.alphabet))]
-    else:
-        order = list(column_order)
-        if len(set(order)) != len(order) or any(c < 0 or c >= ncols for c in order):
-            raise ValueError("column order must be a list of distinct table columns")
-    return bfs_tree(ct, order)
+        column_order = [2 * i for i in range(len(ct.alphabet))]
+    return bfs_tree(ct, column_order)
 
 
 class SubgroupGenerator(Value):
     """A Schreier generator with its provenance: the word k * x * (bar(kx))^-1
     in the ambient group, where k is the representative of ``coset`` and x
-    the generator named ``gen_name``."""
+    the generator named ``gen_name``.  Its own name is the letter of the RS
+    alphabet at its position in ``RSResult.generators``."""
 
-    __slots__ = ("name", "coset", "gen_name")
+    __slots__ = ("coset", "gen_name")
 
 
 class RSResult(Value):
@@ -140,11 +136,11 @@ def rs_presentation(p: Presentation, ct: CosetTable, tree: Iterable[tuple[int, i
             dest = columns[2 * g][c]
             if into[dest] == 2 * g or into[c] == 2 * g + 1:
                 continue
-            sub_gens.append(SubgroupGenerator(namer(c, p.alphabet.names[g]), c, p.alphabet.names[g]))
+            sub_gens.append(SubgroupGenerator(c, p.alphabet.names[g]))
             gen_at[2 * g][c] = len(sub_gens)
             gen_at[2 * g + 1][dest] = -len(sub_gens)
 
-    sub_alphabet = Alphabet([g.name for g in sub_gens])
+    sub_alphabet = Alphabet([namer(g.coset, g.gen_name) for g in sub_gens])
 
     # leaders[i][c]: c is the least coset of its orbit under the root of relator i
     leaders: list[list[bool]] = []
@@ -350,12 +346,8 @@ def check_toric_presentation(k: int, n: int, m: int, labels: dict[int, tuple[int
     x_i d = d x_{i+m} (d the m-factor product); each shift relator is
     deleted only after its derivation from the chain relators has been
     machine-checked.  Returns the toric presentation on the renamed
-    generators s_i = x_{i+1}.  Schreier generators that do not name the
-    alphabet's letters in order are a ValueError; a failed check raises
-    AssertionError.
+    generators s_i = x_{i+1}.  A failed check raises AssertionError.
     """
-    if tuple(g.name for g in rs.generators) != rs.presentation.alphabet.names:
-        raise ValueError("the Schreier generators do not name the RS alphabet's letters in order")
     # letter x to the walks of the closed form of generator x, entry -x (from
     # the end) to those of its inverse; where two images meet, the walks
     # P'^-1 and Q of their prefixes join into one, so a relator costs its

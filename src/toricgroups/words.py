@@ -255,19 +255,15 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
 
 def parse_either(first: Alphabet, second: Callable[[], Alphabet], text: str) -> Word:
-    """The word ``text`` spells over ``first``, else over ``second()``, which
-    is built only then.  When neither alphabet reads it, the syntax error of
-    the one that read further; on a tie, of the one that knows the token's
-    generator, ``first`` if neither does."""
-    try:
+    """The word ``text`` spells over the alphabet that its first generator
+    (past any ``1`` tokens) picks: ``first`` when it holds that name or the
+    text names none, else ``second()``, built only then, when it holds the
+    name, else ``first``, whose syntax error is raised."""
+    name = next((token.partition("^")[0] for token in text.split() if token != "1"), None)
+    if name is None or name in first:
         return parse_word(first, text)
-    except WordSyntaxError as first_error:
-        alphabet = second()
-        try:
-            return parse_word(alphabet, text)
-        except WordSyntaxError as e:
-            known = e.column == first_error.column and text[e.column - 1:].split()[0].partition("^")[0] in alphabet
-            raise (e if e.column > first_error.column or known else first_error) from None
+    alphabet = second()
+    return parse_word(alphabet if name in alphabet else first, text)
 
 
 def _token_run(alphabet: Alphabet, token: str) -> tuple[int, int] | str:

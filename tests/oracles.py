@@ -136,6 +136,12 @@ with the production engines they check:
   column with a running ``text.index`` and expands every token as it comes.
   ``words.parse_word`` must give the same ``Word``, or the same message and
   column.
+- ``reference_parse_either``: the original reader of a word over two
+  alphabets, which parses the text over the first, then over the second,
+  and on two failures reports the error of the one that read further.
+  ``words.parse_either`` lets the text's first generator pick the
+  alphabet; over alphabets with disjoint names it must give the same
+  ``Word``, or the same message and column.
 - ``reference_parser``: the original ``argparse`` command line, built with
   parents, ``SUPPRESS`` and subparsers.  On a command line it accepts,
   ``cli._parse`` must give the same command, every dest and the same
@@ -153,7 +159,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, lcm, prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from toricgroups import classify, cosets, presentations, schreier
 from toricgroups.cli import _REP_RECORDS, _WORD_PROBLEMS, _family, _pick, _rep_params
@@ -604,9 +610,8 @@ def reference_rs_presentation(p: Presentation, ct: CosetTable, column_order: Seq
             if (c, 2 * g) in tree:
                 continue
             gen_index[(c, g)] = len(sub_gens)
-            name = p.alphabet.names[g]
-            sub_gens.append(SubgroupGenerator(f"{name}_c{c}", c, name))
-    sub_alphabet = Alphabet([g.name for g in sub_gens])
+            sub_gens.append(SubgroupGenerator(c, p.alphabet.names[g]))
+    sub_alphabet = Alphabet([f"{g.gen_name}_c{g.coset}" for g in sub_gens])
 
     relators: list[Word] = []
     for c in range(ct.num_cosets):
@@ -651,16 +656,16 @@ def reference_check_toric_presentation(k: int, n: int, m: int, labels: dict[int,
                                        rs: RSResult) -> Presentation:
     """The original ``check_toric_presentation``, on Word objects throughout."""
     target = Alphabet([f"s{i}" for i in range(n)])
-    images: dict[str, Word] = {}
+    images: list[Word] = []  # one per letter of the RS alphabet, in order
     for g in rs.generators:
         i, j = labels[g.coset]
         if g.gen_name == "s":
-            images[g.name] = closed_form_generator(k, n, m, "s", m - 1 - i, j + 1)
+            images.append(closed_form_generator(k, n, m, "s", m - 1 - i, j + 1))
         elif g.gen_name == "u":
-            images[g.name] = Word(target, ()) if j == 0 else closed_form_generator(k, n, m, "u", m - 1 - i, j)
+            images.append(Word(target, ()) if j == 0 else closed_form_generator(k, n, m, "u", m - 1 - i, j))
         else:  # t wrap generators are trivial in the subgroup
-            images[g.name] = Word(target, ())
-    gm = GenMap(rs.presentation.alphabet, target, tuple(images[name] for name in rs.presentation.alphabet.names))
+            images.append(Word(target, ()))
+    gm = GenMap(rs.presentation.alphabet, target, tuple(images))
 
     reference = toric(k, n, m)
     ref_canon = {_reference_cyclic_canonical(r) for r in reference.relators}
@@ -1499,6 +1504,22 @@ def reference_parse_word(alphabet: Alphabet, text: str) -> Word:
         letters.extend([letter if k > 0 else -letter] * abs(k))
         col += len(token)
     return Word(alphabet, tuple(letters))
+
+
+def reference_parse_either(first: Alphabet, second: Callable[[], Alphabet], text: str) -> Word:
+    """The word ``text`` spells over ``first``, else over ``second()``, which
+    is built only then.  When neither alphabet reads it, the syntax error of
+    the one that read further; on a tie, of the one that knows the token's
+    generator, ``first`` if neither does."""
+    try:
+        return reference_parse_word(first, text)
+    except WordSyntaxError as first_error:
+        alphabet = second()
+        try:
+            return reference_parse_word(alphabet, text)
+        except WordSyntaxError as e:
+            known = e.column == first_error.column and text[e.column - 1:].split()[0].partition("^")[0] in alphabet
+            raise (e if e.column > first_error.column or known else first_error) from None
 
 
 def abelian_invariants(p: Presentation) -> tuple[int, ...]:

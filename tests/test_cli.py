@@ -83,6 +83,16 @@ GOLDEN_REQUESTS = {
     # 2 * 10^6 letters when expanded; as pieces D^500000 x, D^-333332 y^-1 and x
     "wp_garside_2_3_long_exponents": ["wp", "garside", "2", "3", "x^1000001 y^-999997 x"],
 }
+# requests refused with exit code 2 and one `error:` line, in JSON and in
+# text: a word that neither alphabet of `wp garside` or `rep eval` reads
+REFUSED_REQUESTS = {
+    "wp_garside_meridian_then_y": (["wp", "garside", "2", "3", "x1 y"], "unknown generator 'y'"),
+    "wp_garside_x_then_y1": (["wp", "garside", "2", "3", "x y1"], "unknown generator 'y1'"),
+    "wp_garside_zero_meridian_exponent": (["wp", "garside", "2", "3", "1 x1^0"], "zero exponent in 'x1^0'"),
+    "rep_eval_s_then_meridian": (["rep", "eval", "2", "3", "7", "s x1"], "unknown generator 'x1'"),
+    "rep_eval_meridian_past_b": (["rep", "eval", "2", "3", "7", "x4"], "unknown generator 'x4'"),
+    "rep_eval_meridian_then_s": (["rep", "eval", "2", "3", "7", "x1 s"], "unknown generator 's'"),
+}
 # requests whose text output is pinned as well, in `<name>.txt`
 TEXT_GOLDEN = ("classify_6_2_3", "classify_4_2_3", "sweep_3_5", "derive_2_3_4", "derive_6_2_3",
                "derive_2_3_3", "derive_6_2_4", "wp_garside_2_3", "present_toric_2_3_4",
@@ -542,21 +552,23 @@ def test_rep_eval_requires_word(capsys):
 
 
 def test_rep_eval_reports_the_error_of_an_stu_word(capsys):
-    # a word naming only s, t, u is not parsed again over x1..xb, where the
-    # error would read "unknown generator 's'"
+    # a word whose first generator is s, t or u is read over {s, t, u} only,
+    # not again over x1..xb, where the error would read "unknown generator 's'"
     code, out, err = run(capsys, "rep", "eval", "6", "2", "3", "s^0")
     assert (code, out, err) == (2, "", "error: zero exponent in 's^0'\n")
 
 
 @pytest.mark.parametrize("word, message", [
-    ("s t v", "unknown generator 'v'"),  # {s, t, u} read further; it used to blame 's'
-    ("x1 v", "unknown generator 'v'"),  # the meridians read further
-    ("v", "unknown generator 'v'"),  # a tie that neither alphabet knows
-    ("x1^0", "zero exponent in 'x1^0'"),  # a tie: the meridians know x1
+    ("s t v", "unknown generator 'v'"),  # s picks {s, t, u}
+    ("x1 v", "unknown generator 'v'"),  # x1 picks the meridians
+    ("v", "unknown generator 'v'"),  # neither alphabet knows v: {s, t, u} reports it
+    ("x1^0", "zero exponent in 'x1^0'"),  # the meridians know x1
     ("x3", "unknown generator 'x3'"),  # a meridian past b
 ])
 def test_rep_eval_reports_the_alphabet_that_read_further(capsys, word, message):
-    # rep eval and wp garside share one reader for a word over two alphabets
+    # rep eval and wp garside share one reader for a word over two alphabets;
+    # the first generator picks the alphabet, which is also the one that
+    # reads further, as these alphabets share no name
     code, out, err = run(capsys, "rep", "eval", "6", "2", "3", word)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -607,6 +619,13 @@ def test_json_matches_golden(capsys, name):
     code, out, _ = run(capsys, "--format", "json", *GOLDEN_REQUESTS[name])
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_REQUESTS))
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_refused_requests_print_one_error_line(capsys, fmt, name):
+    argv, message = REFUSED_REQUESTS[name]
+    assert run(capsys, "--format", fmt, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)

@@ -291,7 +291,8 @@ def test_word_problem_reads_classical_words_through_tau():
 
 
 def test_the_unreduced_table_image_has_the_normal_form_of_tau():
-    # wp garside substitutes tau's signed image table without free reduction
+    # the normal form is an invariant of the element: substituting tau's
+    # signed image table without free reduction does not change it
     rng = random.Random(29)
     for n in range(2, 13):
         for m in range(2, 13):
@@ -305,6 +306,25 @@ def test_the_unreduced_table_image_has_the_normal_form_of_tau():
                 normal = gnf(n, m, apply_map(t, u))
                 assert gnf(n, m, unreduced) == normal, (n, m, u)
                 assert word_problem(n, m, str(u))[0]["normal_form"] == str(normal), (n, m, u)
+
+
+# coprime pairs n != m up to 11, either way round, and a meridian word of
+# tokens x_i^e over x1 ... xn
+MERIDIAN_WORDS = (st.tuples(st.integers(2, 11), st.integers(2, 11)).filter(lambda p: math.gcd(*p) == 1)
+                  .flatmap(lambda p: st.tuples(st.just(p), st.lists(st.tuples(st.integers(1, p[0]),
+                                                                             st.integers(-3, 3).filter(bool)),
+                                                                   max_size=12))))
+
+
+@given(MERIDIAN_WORDS)
+def test_meridian_words_have_the_reference_form_of_their_tau_image(case):
+    (n, m), tokens = case
+    t = tau(n, m)
+    text = " ".join(f"x{i}^{e}" for i, e in tokens) or "1"
+    normal = reference_gnf(n, m, apply_map(t, t.source.word(text)))
+    evidence = [f"a word over x1 ... x{n}, mapped to {{x, y}} by tau, the inverse of sigma"] if tokens else []
+    assert word_problem(n, m, text) == ({"normal_form": str(normal), "identity": normal.is_identity(),
+                                         "delta_power": normal.delta_power}, "ok", evidence)
 
 
 def test_classical_words_decided_through_tau():

@@ -42,6 +42,14 @@ def complete():
     (lambda: overflowed().trace(7, toric(6, 2, 3).alphabet.word("x1")), ValueError,
      "table entry undefined (table not complete)"),
     (lambda: cosets.bfs_tree(complete(), [0]), ValueError, "column order does not span the coset graph"),
+    # a negative, repeated or out-of-range column; ids of their own, as the
+    # schreier_transversal row below has the same message
+    pytest.param(lambda: cosets.bfs_tree(complete(), [-1]), ValueError,
+                 "column order must be a list of distinct table columns", id="bfs_tree-negative-column"),
+    pytest.param(lambda: cosets.bfs_tree(complete(), [0, 0]), ValueError,
+                 "column order must be a list of distinct table columns", id="bfs_tree-repeated-column"),
+    pytest.param(lambda: cosets.bfs_tree(complete(), [99]), ValueError,
+                 "column order must be a list of distinct table columns", id="bfs_tree-column-out-of-range"),
     # Reidemeister-Schreier and the rewriting lemmas
     (lambda: schreier.schreier_transversal(complete(), [0, 0]), ValueError,
      "column order must be a list of distinct table columns"),

@@ -20,7 +20,6 @@ PACKAGE = ROOT / "src" / "toricgroups"
 
 STAYS = {
     "coxeter.maximal_finite_parabolics": "perfbench/tracing.py wraps it (SPANS)",
-    "garside.gnf": "perfbench/tracing.py wraps it (SPANS)",
     "maps.check_hom": "an open item checks each map a verdict rests on when the CLI runs",
     "maps.parent_to_coxeter": "derive's infinite verdict rests on it; an open item checks it per row",
     "maps.centrality_witness": "an open item cites it for a decided central word on an infinite row",

@@ -22,7 +22,7 @@ XY = AB.word("x y^-1")
 YX = AB.word("y x")
 P = presentations.Presentation(AB, (XY,))
 Q = presentations.Presentation(AB, (XY, YX))
-SG = schreier.SubgroupGenerator("s0", 0, "x")
+SG = schreier.SubgroupGenerator(0, "x")
 
 # each class with two instances whose fields differ
 SAMPLES = [
@@ -48,8 +48,8 @@ SAMPLES = [
     (maps.HomReport, lambda: maps.HomReport(True), lambda: maps.HomReport(False, XY, YX)),
     (maps.PsiParams, lambda: maps.PsiParams(1, 1, 1), lambda: maps.PsiParams(q=1, r=2, ell=2)),
     (reps.Rep, lambda: reps.build_rho_preset(2, 3, 5), lambda: reps.build_rho_preset(6, 2, 3)),
-    (schreier.SubgroupGenerator, lambda: schreier.SubgroupGenerator("s0", 0, "x"),
-     lambda: schreier.SubgroupGenerator("s1", 1, "x")),
+    (schreier.SubgroupGenerator, lambda: schreier.SubgroupGenerator(0, "x"),
+     lambda: schreier.SubgroupGenerator(1, "x")),
     (schreier.RSResult, lambda: schreier.RSResult(P, (SG,)), lambda: schreier.RSResult(Q, (SG,))),
     (garside.GarsideNF, lambda: garside.GarsideNF(2, 3, 1, ()), lambda: garside.GarsideNF(2, 3, 1, (("x", 1),))),
     (classify.FiniteToric, lambda: classify.FiniteToric("G4", "A4"), lambda: classify.FiniteToric("G8", "S4")),

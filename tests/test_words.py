@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import identity_map
-from oracles import reference_apply_map, reference_parse_word
+from oracles import reference_apply_map, reference_parse_either, reference_parse_word
 
 from toricgroups.words import (
     Alphabet,
@@ -17,6 +17,7 @@ from toricgroups.words import (
     cyclic_reduce,
     free_reduce,
     invert,
+    parse_either,
     parse_word,
     signed_table,
     word_to_text,
@@ -156,6 +157,46 @@ def test_parse_word_matches_running_index_reference(stream, lead):
     assert _parse_outcome(parse_word, text) == _parse_outcome(reference_parse_word, text)
 
 
+# the two pairs of alphabets the CLI reads a word over: wp garside's {x, y},
+# else x1 ... xn, and rep eval's {s, t, u}, else x1 ... xb
+FIRSTS = (Alphabet(["x", "y"]), Alphabet(["s", "t", "u"]))
+ODD_TOKENS = ["1", "1^2", "^2", "x^0", "x1^0", "x^a", "v", "x0", "x9", "s1", "y2"]
+
+
+@st.composite
+def two_alphabet_texts(draw):
+    first = draw(st.sampled_from(FIRSTS))
+    second = Alphabet([f"x{i}" for i in range(1, draw(st.integers(1, 5)) + 1)])
+    names = st.sampled_from(first.names + second.names)
+    token = names | st.builds("{}^{}".format, names, st.integers(-3, 3)) | st.sampled_from(ODD_TOKENS)
+    text = draw(st.lists(st.tuples(token, st.sampled_from([" ", "\t"])), max_size=6))
+    return first, second, "".join(t + sep for t, sep in text)
+
+
+def _either_outcome(parse, first, second, text):
+    calls = []
+
+    def build():
+        calls.append(second)
+        return second
+
+    try:
+        return parse(first, build, text), len(calls)
+    except WordSyntaxError as e:
+        return (str(e), e.column), len(calls)
+
+
+@given(two_alphabet_texts())
+def test_parse_either_matches_the_column_rule(case):
+    # over alphabets with disjoint names, the first generator picks the
+    # alphabet the old reader's error columns picked
+    first, second, text = case
+    got, calls = _either_outcome(parse_either, first, second, text)
+    assert got == _either_outcome(reference_parse_either, first, second, text)[0]
+    named = [token.partition("^")[0] for token in text.split() if token != "1"]
+    assert calls == (0 if not named or named[0] in first else 1)
+
+
 def test_word_range_check_names_the_first_bad_letter():
     with pytest.raises(ValueError, match="letter 4 out of range"):
         Word(AB, (1, -3, 4, 0))
@@ -257,7 +298,7 @@ def test_apply_map_matches_the_letter_wise_reference(case):
 def _signed_tables() -> dict:
     """Each consumer's images, the inverse it passes to ``signed_table``, and
     whether entry x joined with entry -x is its identity."""
-    from toricgroups.garside import _CHARS, _normal_form, tau
+    from toricgroups.garside import tau
     from toricgroups.reps import build_rho_preset, mat_identity, mat_inv, mat_mul
     from toricgroups.schreier import _closed_form_walks, _join_walks
     from toricgroups.words import free_reduce_letters
@@ -269,15 +310,13 @@ def _signed_tables() -> dict:
     return {
         "letters": ([w.letters for w in images], lambda ls: tuple(-y for y in reversed(ls)),
                     lambda a, b: not free_reduce_letters(a + b)),
-        "kernel strings": (["".join(map(_CHARS.__getitem__, w.letters)) for w in images],
-                           lambda s: s[::-1].swapcase(), lambda a, b: str(_normal_form(n, m, a + b, 0)) == "D^0"),
         "matrices": ([rep.mat_s, rep.mat_t, rep.mat_u], mat_inv,
                      lambda a, b: mat_mul(a, b) == mat_identity(rep.theta.n)),
         "walks": (walks, lambda ends: ends[::-1], lambda a, b: _join_walks(a + b, n) == []),
     }
 
 
-@pytest.mark.parametrize("consumer", ["letters", "kernel strings", "matrices", "walks"])
+@pytest.mark.parametrize("consumer", ["letters", "matrices", "walks"])
 def test_signed_table_entry_minus_x_inverts_entry_x(consumer):
     images, inverse, cancels = _signed_tables()[consumer]
     table = signed_table(images, inverse)

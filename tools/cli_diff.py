@@ -4,10 +4,11 @@
 
 The requests are every ``cli`` request of ``perfbench/workloads.generate``
 for the workloads grid, words and subgroups at seeds 1 and 2, and every
-request of ``GOLDEN_REQUESTS`` in ``tests/test_cli.py``, each taken from the
-``--change`` tree and run once with ``--format json`` and once with
-``--format text``.  Each side is exported with ``git archive`` into a fresh
-temporary directory (``TMPDIR`` chooses where), and all of its requests run
+request of ``GOLDEN_REQUESTS`` and ``REFUSED_REQUESTS`` in
+``tests/test_cli.py``, each taken from the ``--change`` tree and run once
+with ``--format json`` and once with ``--format text``.  Each side is
+exported with ``git archive`` into a fresh temporary directory (``TMPDIR``
+chooses where), and all of its requests run
 through ``toricgroups.cli.main`` in one subprocess, which records stdout,
 stderr and the exit code (or the exception that escaped).  In the same
 subprocess the ``--change`` side then runs its requests again in reverse
@@ -90,10 +91,10 @@ def requests(tree: str) -> tuple[list[list[str]], list[dict]]:
                 else:
                     pipelines[tuple(req["input"]["abc"])] = req["input"]
     with open(os.path.join(tree, "tests", "test_cli.py")) as f:
-        module = ast.parse(f.read())
-    golden = next(node.value for node in module.body if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "GOLDEN_REQUESTS" for t in node.targets))
-    argvs += ast.literal_eval(golden).values()
+        tables = {t.id: node.value for node in ast.parse(f.read()).body if isinstance(node, ast.Assign)
+                  for t in node.targets if isinstance(t, ast.Name)}
+    argvs += ast.literal_eval(tables["GOLDEN_REQUESTS"]).values()
+    argvs += [argv for argv, _ in ast.literal_eval(tables["REFUSED_REQUESTS"]).values()]
     return list({tuple(a): list(a) for a in argvs}.values()), list(pipelines.values())
 
 
