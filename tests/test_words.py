@@ -189,7 +189,7 @@ def _either_outcome(parse, first, second, text):
 @given(two_alphabet_texts())
 def test_parse_either_matches_the_column_rule(case):
     # over alphabets with disjoint names, the first generator picks the
-    # alphabet the old reader's error columns picked
+    # alphabet that the reference picks by comparing error columns
     first, second, text = case
     got, calls = _either_outcome(parse_either, first, second, text)
     assert got == _either_outcome(reference_parse_either, first, second, text)[0]
