@@ -18,7 +18,7 @@ triangle = coxeter.triangle_table(k, n, m)
 print(f"phi on W{(k,n,m)} generators:")
 for name, image in zip(phi.genmap.source.names, phi.genmap.images):
     print(f"  {name} -> {image}")
-print("well-defined:", maps.check_hom(phi, triangle).ok)
+print("well-defined:", maps.check_hom(phi.source, lambda w: triangle.nf(phi.apply(w))) is None)
 
 c = maps.central_element(k, n, m)
 print(f"\ncentral element c = {c}")
@@ -35,7 +35,7 @@ psi = maps.build_psi(k, n, m)
 comp = maps.Hom(psi.source, compose(phi.genmap, psi.genmap))
 a_image, b_image = psi.genmap.images
 print("\npsi section: a ->", a_image, "  b ->", b_image)
-print("phi o psi fixes a and b:", maps.check_hom(comp, triangle).ok)
+print("phi o psi fixes a and b:", maps.check_hom(comp.source, lambda w: triangle.nf(comp.apply(w))) is None)
 
 print("\nfinite scale: |W(k,n,m)| = |<c>| * |W+| for every finite row")
 for kk, nn, mm in [(3, 2, 3), (2, 3, 4), (2, 3, 5)]:

@@ -23,7 +23,8 @@ the text: a token x^K becomes a power of Delta and one piece of at most
 The classical presentation on the meridians x_1 ... x_n presents the same
 group: ``sigma`` and ``tau`` are inverse isomorphisms, so the normal form of
 tau(u) decides the word problem for a classical word u as well; ``wp
-garside`` takes it as ``gnf(n, m, apply_map(tau(n, m), u))``.
+garside`` takes it as ``gnf(n, m, apply_map(tau(n, m), u))``, the model of
+the classical presentation that ``maps.check_hom`` reads.
 """
 
 from __future__ import annotations
@@ -159,15 +160,6 @@ def sigma(n: int, m: int) -> GenMap:
     return GenMap(XY, target, (Word(target, cyclic_product(n, 0, m)), Word(target, cyclic_product(n, 0, n))))
 
 
-def _tau_letters(n: int, m: int, i: int) -> tuple[int, ...]:
-    """The letters of tau(x_i) = x^-j y^a x^(j-b), where i = 1 + jm mod n and
-    0 <= j < n: fewer than 2n + m, since a < m and b < n."""
-    a = pow(n, -1, m)
-    b = (a * n - 1) // m
-    j = (i - 1) * pow(m, -1, n) % n
-    return (-1,) * j + (2,) * a + ((1,) * (j - b) if j >= b else (-1,) * (b - j))
-
-
 def tau(n: int, m: int) -> GenMap:
     """Classical to standard: x_{1+jm mod n} -> x^-j mu x^j, for the meridian
     mu = y^a x^-b with a = n^-1 mod m and b = (an - 1)/m.
@@ -182,8 +174,15 @@ def tau(n: int, m: int) -> GenMap:
     ``meridian_derivation`` and the shift lemma.
     """
     FamilyParams("torus-standard", (n, m))
-    images = tuple(Word(XY, _tau_letters(n, m, i)) for i in range(1, n + 1))
+    mu, x, e = meridian(n, m, *_bezout(n, m)), Word(XY, (1,)), pow(m, -1, n)
+    images = tuple(free_reduce(x**-j * mu * x**j) for j in (i * e % n for i in range(n)))
     return GenMap(meridians(n), XY, images)
+
+
+def _bezout(n: int, m: int) -> tuple[int, int]:
+    """The meridian's Bezout pair: a = n^-1 mod m and b = (an - 1)/m, so an - bm = 1."""
+    a = pow(n, -1, m)
+    return a, (a * n - 1) // m
 
 
 def meridian(n: int, m: int, a: int, b: int) -> Word:
@@ -206,8 +205,7 @@ def meridian_derivation(n: int, m: int) -> Derivation:
     moves x_n left through each Q to x_{n-bm} = x_1; Q^b Q^-b cancels freely.
     """
     ab = torus_classical(n, m).alphabet  # checks n and m
-    a = pow(n, -1, m)
-    b = (a * n - 1) // m
+    a, b = _bezout(n, m)
     start = apply_map(sigma(n, m), meridian(n, m, a, b))
     steps: list[RewriteStep] = []
     for t in range(b):  # the block x_{tm+1} ... x_{tm+m} back to Q

@@ -12,11 +12,12 @@
 - ``central_element``: the full twist (x_1...x_n)^m, central by an
   explicit machine-checkable rewriting chain.
 
-A homomorphism is a source presentation and a generator map.  It is
-verified by ``check_hom(h, oracle)``, which maps every defining relator and
-asks the target's word-problem oracle whether the image is trivial: a
-``MinimalRootTable`` for Coxeter targets, a ``CayleyTable`` for finite
-quotients.
+A homomorphism is a source presentation and a generator map.  A model of a
+presentation sends its words to exact values whose equality is the target
+group's: ``table.nf`` or ``CayleyTable.eval`` after a map, ``reps.rho_eval``
+on the parent J-group, ``garside.gnf`` after ``garside.tau``.  ``check_hom``
+returns the first relator whose value is not the empty word's, or None: a
+map h is checked as ``check_hom(h.source, lambda w: table.nf(h.apply(w)))``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import label_modulus
-from .presentations import (STU, TRIANGLE, FamilyParams, alt_plus, chain_implies_shift, cyclic_product,
-                            delta_power_to_twist, j_parent, meridians, toric, torus_classical)
+from .presentations import (STU, TRIANGLE, FamilyParams, Presentation, alt_plus, chain_implies_shift,
+                            cyclic_product, delta_power_to_twist, j_parent, meridians, toric, torus_classical)
 from .words import Alphabet, Derivation, GenMap, Value, Word, apply_map, compose, free_reduce, moved, undone
 
 
@@ -36,21 +37,13 @@ class Hom(Value):
         return apply_map(self.genmap, w)
 
 
-class HomReport(Value):
-    __slots__ = ("ok", "failing_relator", "failing_image")
-
-    def __init__(self, ok: bool, failing_relator: Word | None = None, failing_image: Word | None = None):
-        super().__init__(ok, failing_relator, failing_image)
-
-
-def check_hom(h: Hom, oracle) -> HomReport:
-    """A generator map extends to a homomorphism iff every relator dies in
-    the target, whose word problem ``oracle.is_identity`` decides."""
-    for r in h.source.relators:
-        image = h.apply(r)
-        if not oracle.is_identity(image):
-            return HomReport(False, r, image)
-    return HomReport(True)
+def check_hom(p: Presentation, model) -> Word | None:
+    """The first relator of ``p`` whose value under ``model`` differs from the
+    empty word's, or None.  A model sends words over ``p``'s alphabet,
+    multiplicatively, to exact values whose equality is the target group's;
+    None then says that it factors through ``p``'s group."""
+    one = model(Word(p.alphabet, ()))
+    return next((r for r in p.relators if model(r) != one), None)
 
 
 # s -> a, t -> b^-1, u -> r3 r1 for every label triple; b^-1 is r2 r3 in W, spelled
@@ -70,25 +63,13 @@ def build_phi(k: int, n: int, m: int) -> Hom:
     return Hom(embedding.source, compose(_PARENT_IMAGES, embedding.genmap))
 
 
-class PsiParams(Value):
-    __slots__ = ("q", "r", "ell")
-
-
-def psi_params(n: int, m: int) -> PsiParams:
-    """Euclidean data m = q n + r and the least ell with r ell = 1 mod n."""
-    FamilyParams("torus-standard", (n, m))
-    q, r = divmod(m, n)
-    ell = next(e for e in range(1, n + 1) if (r * e) % n == 1 % n)
-    return PsiParams(q, r, ell)
-
-
 def build_psi(k: int, n: int, m: int) -> Hom:
-    """Section of phi: two-generator alternating presentation into the toric group."""
-    params = psi_params(n, m)
+    """Section of phi: two-generator alternating presentation into the toric
+    group, b -> delta^ell for the m-factor product delta and ell = m^-1 mod n."""
     source = alt_plus(k, n, m)
     tor = toric(k, n, m)
     delta = Word(tor.alphabet, cyclic_product(n, 0, m))
-    images = (tor.alphabet.word("x1"), free_reduce(delta**params.ell))
+    images = (tor.alphabet.word("x1"), free_reduce(delta ** pow(m, -1, n)))
     return Hom(source, GenMap(source.alphabet, tor.alphabet, images))
 
 

@@ -23,11 +23,11 @@ class Value:
     A record names its fields once, in ``__slots__``; ``Value.__init__``
     takes them by position or by name, in slot order, and raises
     ``TypeError`` for a missing, extra, repeated or unknown field.  A
-    subclass defines ``__init__`` only to check a field, to give one a
-    default, or to set its fields with ``_set`` where this loop's cost would
-    show (``Word``, ``Cyc`` and ``Presentation``, built per letter or per
-    product; ``FamilyParams`` and ``CoxeterMatrix``, built by nearly every
-    CLI request).  Assignment and deletion raise ``AttributeError``;
+    subclass defines ``__init__`` only to check a field, or to set its
+    fields with ``_set`` where this loop's cost would show (``Word``,
+    ``Cyc`` and ``Presentation``, built per letter or per product;
+    ``FamilyParams`` and ``CoxeterMatrix``, built by nearly every CLI
+    request).  Assignment and deletion raise ``AttributeError``;
     equality, hash and repr are those of a frozen dataclass with these
     fields.  No code is generated, so importing the package stays cheap.
     """

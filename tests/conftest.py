@@ -113,6 +113,12 @@ def image_of(f: GenMap, name: str) -> Word:
     return f.images[f.source.index(name)]
 
 
+def through(h, value):
+    """The model ``value(h.apply(w))`` of the source of the map ``h``, for
+    ``maps.check_hom(h.source, ...)``."""
+    return lambda w: value(h.apply(w))
+
+
 def schreier_word(table, labels, g) -> Word:
     """The ambient word of the Schreier generator ``g`` over the u^i t^j
     transversal of ``table`` with the (i, j) ``labels``: rep(c) x

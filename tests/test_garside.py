@@ -15,6 +15,7 @@ from conftest import FINITE_ROWS, image_of, toric_cayley
 from oracles import garside_nf_word, monoid_equal, reference_gnf, reference_parse_word
 
 from toricgroups import garside
+from toricgroups.maps import check_hom
 from toricgroups.garside import (
     GarsideNF,
     gnf,
@@ -217,12 +218,16 @@ def test_tau_and_sigma_are_inverse_isomorphisms(n, m):
     t, s = tau(n, m), sigma(n, m)
     classical = torus_classical(n, m)
     chains = classical.relators
+    x, y = AB.word("x"), AB.word("y")
+    # tau(x_{1+jm mod n}) = x^-j y^a x^(j-b), with a n - b m = 1 and 0 <= j < n
+    a = next(a for a in range(1, m) if a * n % m == 1)
+    b = (a * n - 1) // m
+    for j in range(n):
+        assert image_of(t, f"x{j * m % n + 1}") == x**-j * y**a * x ** (j - b), j
     # tau is a homomorphism: it kills every classical relator
-    for r in chains:
-        assert gnf(n, m, apply_map(t, r)).is_identity(), r
+    assert check_hom(classical, lambda w: gnf(n, m, apply_map(t, w))) is None
     # sigma is one: x^n and y^m map to words the chain relators make equal
     twist = delta_power_to_twist(classical.alphabet, m)
-    x, y = AB.word("x"), AB.word("y")
     assert (twist.start, check_derivation(twist, chains)) == (apply_map(s, x**n), apply_map(s, y**m))
     # tau(sigma(g)) = g, and sigma(tau(x1)) = x1 by relators, which with the
     # shift lemma gives sigma(tau(x_i)) = x_i

@@ -2,10 +2,12 @@ from math import gcd
 
 import pytest
 
-from conftest import FINITE_ROWS, image_of, parent_cayley, root_table, toric_cayley
+from functools import partial
 
-from toricgroups import maps
+from conftest import FINITE_ROWS, image_of, parent_cayley, root_table, through, toric_cayley
+
 from toricgroups import presentations as pres
+from toricgroups import reps
 from toricgroups.cosets import group_order
 from toricgroups.maps import (
     Hom,
@@ -17,10 +19,10 @@ from toricgroups.maps import (
     check_hom,
     meridian_embedding,
     parent_to_coxeter,
-    psi_params,
 )
-from toricgroups.presentations import TRIANGLE, toric
-from toricgroups.words import GenMap, Word, check_derivation, compose, free_reduce, invert
+from toricgroups.garside import gnf, tau
+from toricgroups.presentations import TRIANGLE, j_parent, toric, torus_classical
+from toricgroups.words import GenMap, Word, apply_map, check_derivation, compose, free_reduce, invert
 
 SWEEP = FINITE_ROWS + [(6, 2, 3), (2, 3, 7), (4, 2, 5)]
 
@@ -34,7 +36,7 @@ def test_phi_on_generators():
 @pytest.mark.parametrize("k,n,m", SWEEP)
 def test_phi_well_defined(k, n, m):
     phi = build_phi(k, n, m)
-    assert check_hom(phi, root_table(k, n, m)).ok
+    assert check_hom(phi.source, through(phi, root_table(k, n, m).nf)) is None
 
 
 @pytest.mark.parametrize("k,n,m", SWEEP)
@@ -69,12 +71,6 @@ def test_phi_finite_bijectivity_onto_alternating_subgroup():
     assert len(images) == 60  # |W(H3)+| = |A5|
 
 
-def test_psi_params():
-    assert psi_params(3, 4) == maps.PsiParams(q=1, r=1, ell=1)
-    assert psi_params(3, 5) == maps.PsiParams(q=1, r=2, ell=2)
-    assert psi_params(2, 3) == maps.PsiParams(q=1, r=1, ell=1)
-
-
 def test_psi_image_of_b():
     psi = build_psi(2, 3, 4)
     assert str(image_of(psi.genmap, "b")) == "x1 x2 x3 x1"
@@ -83,10 +79,10 @@ def test_psi_image_of_b():
 def test_psi_is_a_section_not_a_homomorphism_into_w():
     # b^2 maps to delta^2, the full twist c, which is central of order 2 in W(3,2,3)
     cay = toric_cayley(3, 2, 3)
-    report = check_hom(build_psi(3, 2, 3), cay)
-    assert not report.ok
-    assert str(report.failing_relator) == "b^2"
-    assert cay.eval(report.failing_image) == cay.eval(central_element(3, 2, 3)) != 0
+    psi = build_psi(3, 2, 3)
+    failing = check_hom(psi.source, through(psi, cay.eval))
+    assert str(failing) == "b^2"
+    assert cay.eval(psi.apply(failing)) == cay.eval(central_element(3, 2, 3)) != 0
 
 
 @pytest.mark.parametrize("k,n,m", SWEEP)
@@ -95,7 +91,7 @@ def test_phi_after_psi_fixes_a_and_b(k, n, m):
     psi = build_psi(k, n, m)
     comp = Hom(psi.source, compose(phi.genmap, psi.genmap))
     table = root_table(k, n, m)
-    assert check_hom(comp, table).ok
+    assert check_hom(comp.source, through(comp, table.nf)) is None
     target = phi.genmap.target
     for name, word in (("a", target.word("r1 r2")), ("b", target.word("r3 r2"))):
         assert table.is_identity(free_reduce(image_of(comp.genmap, name) * invert(word)))
@@ -119,8 +115,7 @@ def test_phi_and_the_embedding_read_one_meridian_alphabet():
 @pytest.mark.parametrize("k,n,m", [(3, 2, 3), (2, 3, 4), (2, 2, 5)])
 def test_embedding_well_defined_in_finite_parent(k, n, m):
     emb = build_embedding(k, n, m)
-    report = check_hom(emb, parent_cayley(k, n, m))
-    assert report.ok
+    assert check_hom(emb.source, through(emb, parent_cayley(k, n, m).eval)) is None
 
 
 def test_embedding_composed_with_projection_is_phi():
@@ -154,7 +149,8 @@ def test_phi_is_the_parent_map_after_the_embedding_letter_for_letter():
 
 @pytest.mark.parametrize("k,n,m", SWEEP)
 def test_parent_to_coxeter_well_defined(k, n, m):
-    assert check_hom(parent_to_coxeter(k, n, m), root_table(k, n, m)).ok
+    proj = parent_to_coxeter(k, n, m)
+    assert check_hom(proj.source, through(proj, root_table(k, n, m).nf)) is None
 
 
 @pytest.mark.parametrize("k,n,m", [(3, 2, 3), (2, 3, 4), (2, 2, 5), (2, 3, 5)])
@@ -233,14 +229,47 @@ def test_central_element_is_central_in_cayley(k, n, m):
     assert cay.eval(c) in cay.center()
 
 
-def test_corrupted_map_reports_failing_relator():
+def _phi_with_x1_as_r1():
     # sending x1 to the odd-length r1 cannot satisfy x1^k for odd k
     phi = build_phi(3, 2, 3)
     images = (phi.genmap.target.word("r1"), image_of(phi.genmap, "x2"))
     bad = Hom(phi.source, GenMap(phi.source.alphabet, phi.genmap.target, images))
-    report = check_hom(bad, root_table(3, 2, 3))
-    assert not report.ok
-    assert str(report.failing_relator) == "x1^3"
+    return phi.source, through(bad, root_table(3, 2, 3).nf)
+
+
+def _rho_with_s_as_t():
+    rep = reps.build_rho_preset(2, 3, 7)
+    fields = {name: getattr(rep, name) for name in reps.Rep.__slots__}
+    return j_parent(2, 3, 7), partial(reps.rho_eval, reps.Rep(**{**fields, "mat_s": rep.mat_t}))
+
+
+def _tau_with_two_images_swapped():
+    t = tau(3, 5)
+    swapped = GenMap(t.source, t.target, (t.images[1], t.images[0], t.images[2]))
+    return torus_classical(3, 5), lambda w: gnf(3, 5, apply_map(swapped, w))
+
+
+def _phi_in_the_free_group():
+    # phi.apply alone keeps every relator's image as a word: the free group's model
+    phi = build_phi(2, 3, 7)
+    return phi.source, phi.apply
+
+
+@pytest.mark.parametrize("tampered, relator", [
+    pytest.param(_phi_with_x1_as_r1, "x1^3", id="root-table"),
+    pytest.param(_rho_with_s_as_t, "s^2", id="rho"),
+    pytest.param(_tau_with_two_images_swapped, str(torus_classical(3, 5).relators[0]), id="gnf-after-tau"),
+    pytest.param(_phi_in_the_free_group, "x1^2", id="free-group"),
+])
+def test_corrupted_map_reports_failing_relator(tampered, relator):
+    assert str(check_hom(*tampered())) == relator
+
+
+@pytest.mark.parametrize("a,b,c", [(2, 3, 5), (6, 2, 3), (2, 3, 7), (3, 4, 5)])
+def test_rho_is_a_model_of_the_parent(a, b, c):
+    for q, r in reps.qr_presets(a, b, c).values():
+        rep = reps.build_rho(a, b, c, q, r)
+        assert check_hom(j_parent(a, b, c), partial(reps.rho_eval, rep)) is None, (q, r)
 
 
 @pytest.mark.parametrize("k,n,m", [(2, 2, 3), (2, 3, 4), (2, 3, 5), (2, 3, 7)])

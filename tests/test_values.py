@@ -45,8 +45,6 @@ SAMPLES = [
      lambda: coxeter.CenterReport(group_order=24, plus_order=12, z_w_order=1, z_w_plus_order=1, contained=True,
                                   z_w_lengths=(0,))),
     (maps.Hom, lambda: maps.Hom(P, identity_map(AB)), lambda: maps.Hom(Q, identity_map(AB))),
-    (maps.HomReport, lambda: maps.HomReport(True), lambda: maps.HomReport(False, XY, YX)),
-    (maps.PsiParams, lambda: maps.PsiParams(1, 1, 1), lambda: maps.PsiParams(q=1, r=2, ell=2)),
     (reps.Rep, lambda: reps.build_rho_preset(2, 3, 5), lambda: reps.build_rho_preset(6, 2, 3)),
     (schreier.SubgroupGenerator, lambda: schreier.SubgroupGenerator(0, "x"),
      lambda: schreier.SubgroupGenerator(1, "x")),
@@ -138,16 +136,17 @@ def test_a_missing_extra_unknown_or_repeated_field_raises_type_error(cls, make, 
 
 
 @pytest.mark.parametrize("args, named, stray", [
-    pytest.param((1, 2), {}, "", id="missing"),
-    pytest.param((1,), {"ell": 3}, "", id="missing-between"),
-    pytest.param((1, 2, 3, 4), {}, "", id="extra"),
-    pytest.param((1, 2, 3), {"s": 4}, "; unknown or repeated: s", id="unknown"),
-    pytest.param((1, 2), {"r": 3, "ell": 4}, "; unknown or repeated: r", id="repeated"),
+    pytest.param((0, XY, YX), {}, "", id="missing"),
+    pytest.param((0,), {"new": YX, "relator_index": None}, "", id="missing-between"),
+    pytest.param((0, XY, YX, None, 1), {}, "", id="extra"),
+    pytest.param((0, XY, YX, None), {"index": 1}, "; unknown or repeated: index", id="unknown"),
+    pytest.param((0, XY, YX), {"new": YX, "relator_index": None}, "; unknown or repeated: new", id="repeated"),
 ])
 def test_a_construction_error_names_the_fields(args, named, stray):
-    message = "PsiParams() takes the fields q, r, ell, each once, by position or by name" + stray
+    message = ("RewriteStep() takes the fields position, old, new, relator_index, each once, by position or by name"
+               + stray)
     with pytest.raises(TypeError) as caught:
-        maps.PsiParams(*args, **named)
+        words.RewriteStep(*args, **named)
     assert str(caught.value) == message
 
 
@@ -179,7 +178,9 @@ def test_no_record_defines_a_constructor_that_only_forwards_its_fields():
 
 def test_repr_keeps_the_dataclass_form():
     assert repr(XY) == "Word(alphabet=Alphabet(x y), letters=(1, -2))"
-    assert repr(maps.PsiParams(1, 2, 3)) == "PsiParams(q=1, r=2, ell=3)"
+    assert repr(words.RewriteStep(1, YX, XY, None)) == (
+        "RewriteStep(position=1, old=Word(alphabet=Alphabet(x y), letters=(2, 1)), "
+        "new=Word(alphabet=Alphabet(x y), letters=(1, -2)), relator_index=None)")
     # Cyc's repr was always its text form
     assert repr(cyclo.Cyc(4, (1, 2))) == str(cyclo.Cyc(4, (1, 2))) == "1 + 2*z4"
 

@@ -21,7 +21,11 @@ holds when the change was better in at least 9 of every 10 pairs and its
 median is better than the parent's by more than the parent's
 interquartile distance.  ``past bound`` holds when the change's median is
 worse than the parent's by more than the metric's ``bound``, a share of
-the parent's median (any rise from a median of 0).
+the parent's median (any rise from a median of 0).  It prints too, for
+each side, the runs that were not correct and the share of failed
+operations (failed over attempted, summed over the side's runs), and a
+verdict, ``larger failed share``, that holds when the change's share is
+larger than the parent's.
 """
 
 from __future__ import annotations
@@ -77,6 +81,14 @@ def summarize(bench: dict, workload: str, seed: int, spec: dict[str, dict]) -> N
     sides = {side: {r["pair"]: r["metrics"] for r in runs if r["side"] == side} for side in ("parent", "change")}
     pairs = sorted(sides["parent"].keys() & sides["change"].keys())
     print(f"== {workload} seed {seed}: {len(pairs)} pairs; median [quartiles], parent -> change")
+    shares = {}
+    for side in ("parent", "change"):
+        done = [r for r in runs if r["side"] == side]
+        failed, attempted = sum(r["failed"] for r in done), sum(r["attempted"] for r in done)
+        shares[side] = failed / attempted if attempted else 0.0
+        print(f"  {side}: {sum(not r['correct'] for r in done)} of {len(done)} runs incorrect; "
+              f"failed {failed} of {attempted} operations ({shares[side]:.4g})")
+    print(f"  larger failed share: {'YES' if shares['change'] > shares['parent'] else 'no'}")
     for metric in sides["parent"][pairs[0]]:
         quartiles = {}
         for side in ("parent", "change"):

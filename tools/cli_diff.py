@@ -20,9 +20,11 @@ Reidemeister-Schreier and Tietze at the indices of the ``subgroups``
 workload) run through the ``--change`` tree's ``perfbench/child.py``, once
 with each side's export as its ``root``; each result's output (the index and
 both presentations), exit code and escaped exception are compared.  Then
-every ``demos/*.py`` of the ``--change`` tree runs as a script in each tree,
-with that tree's ``src/`` on the path, and its exit code, stderr and stdout
-are compared byte for byte.  The script prints how many outputs, pipeline
+each tree runs its own copy of every ``demos/*.py`` that the ``--change``
+tree has, as a script with that tree's ``src/`` on the path, so a demo the
+change edits runs as the parent had it and as the change has it; a demo
+missing from a tree reads ``missing`` as its exit code.  Exit code, stderr
+and stdout are compared byte for byte.  The script prints how many outputs, pipeline
 results and demos it compared and, for each one that differs, the request
 or demo and its first differing line, and exits 1 on any difference.
 """
@@ -124,7 +126,8 @@ def run_pipelines(child: str, tree: str, inputs: list[dict]) -> list[dict]:
 
 
 def run_demos(tree: str, demos: list[str]) -> list[dict]:
-    """The stdout, stderr and exit code of each demo, run as a script in ``tree``."""
+    """The stdout, stderr and exit code of ``tree``'s own copy of each demo,
+    run as a script; ``missing`` for a demo that ``tree`` does not have."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     records = []
     for demo in demos:
