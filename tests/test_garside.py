@@ -15,7 +15,6 @@ from conftest import FINITE_ROWS, image_of, toric_cayley
 from oracles import garside_nf_word, monoid_equal, reference_gnf, reference_parse_word
 
 from toricgroups import garside
-from toricgroups.maps import check_hom
 from toricgroups.garside import (
     GarsideNF,
     gnf,
@@ -25,6 +24,7 @@ from toricgroups.garside import (
     tau,
     word_problem,
 )
+from toricgroups.maps import check_hom
 from toricgroups.presentations import XY, delta_power_to_twist, torus_classical
 from toricgroups.words import (Derivation, RewriteStep, Word, WordSyntaxError, apply_map, check_derivation,
                                free_reduce, parse_word, signed_table)

@@ -1,14 +1,14 @@
+from functools import partial
 from math import gcd
 
 import pytest
-
-from functools import partial
 
 from conftest import FINITE_ROWS, image_of, parent_cayley, root_table, through, toric_cayley
 
 from toricgroups import presentations as pres
 from toricgroups import reps
 from toricgroups.cosets import group_order
+from toricgroups.garside import gnf, tau
 from toricgroups.maps import (
     Hom,
     build_embedding,
@@ -20,7 +20,6 @@ from toricgroups.maps import (
     meridian_embedding,
     parent_to_coxeter,
 )
-from toricgroups.garside import gnf, tau
 from toricgroups.presentations import TRIANGLE, j_parent, toric, torus_classical
 from toricgroups.words import GenMap, Word, apply_map, check_derivation, compose, free_reduce, invert
 
