@@ -10,6 +10,12 @@ built here: the classification of one triple, the sweep over a grid, the
 word problem of W(k,n,m), and the derived presentation of W(a,b,c) as the
 normal closure of s in its parent J-group.  Each is a (result, status,
 evidence) triple, like the records of the other modules.
+
+Four objects depend on the row and not on the request, and each is built
+once per process: ``coxeter.triangle_table``, ``reps._field``,
+``maps.build_phi`` and ``finite_quotient``.  A process that answers many
+requests on one row reuses them; one CLI invocation builds each at most
+once anyway.
 """
 
 from __future__ import annotations
@@ -170,7 +176,9 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
     finite index, so a row whose triangle is not spherical is infinite and
     reports ``order: None``.  A spherical row enumerates its order: a
     gcd(b, c) = 1 row as a times the index of <s0>, the others as the
-    order of the Tietze presentation.
+    order of the Tietze presentation.  That enumeration has 1/a of the
+    elements, so such a row answers under a smaller ``max_cosets``
+    (``derive(5, 2, 3, 200, ...)`` has order 600).
     """
     found = schreier.toric_closure_rs(a, b, c, max_cosets)
     if found is None:

@@ -599,7 +599,9 @@ class CayleyTable:
     the element) when ``words`` is first read.  No multiplication table is
     materialized: a product i * j is ``table.trace(i, words[j])``, and
     conjugation by each generator is one cached permutation, read off the
-    tree, from which the classes and the center are read.
+    tree, from which the classes and the center are read.  The tree is
+    built on first use, so a caller that reads only ``size`` builds neither
+    the tree nor the words.
     """
 
     def __init__(self, table: CosetTable):

@@ -18,6 +18,7 @@ group's: ``table.nf`` or ``CayleyTable.eval`` after a map, ``reps.rho_eval``
 on the parent J-group, ``garside.gnf`` after ``garside.tau``.  ``check_hom``
 returns the first relator whose value is not the empty word's, or None: a
 map h is checked as ``check_hom(h.source, lambda w: table.nf(h.apply(w)))``.
+``h.apply`` alone is a model of the free group, so it rejects phi at x1^k.
 """
 
 from __future__ import annotations

@@ -65,7 +65,9 @@ class FamilyParams(Value):
 
 def build(params: FamilyParams) -> Presentation:
     """Construct the presentation for a validated parameter set, with the
-    labels as given: a toric (k, n, m) has the n meridians x1 ... xn."""
+    labels as given: a toric (k, n, m) has the n meridians x1 ... xn.
+    W(k,n,m) and W(k,m,n) are isomorphic, but not letter for letter, so
+    x1 ... xn name elements only of the presentation with n meridians."""
     return FAMILIES[params.family][0](*params.labels)
 
 

@@ -3,9 +3,12 @@
 Words are the common currency of every module in this package: relators,
 subgroup generators, homomorphism images and normal forms are all words.
 A word is stored as a flat sequence of signed 1-based generator indices
-(+i for the i-th generator, -i for its inverse); exponents written in text
-as ``g^K`` are expanded into repeated letters at parse time so that
-reduction logic never has to treat syllables specially.
+(+i for the i-th generator, -i for its inverse), so reduction logic never
+has to treat syllables specially.  ``token_runs`` reads a text's tokens
+``g^K`` as runs (letter, count) and expands nothing; ``parse_word``
+expands each run into repeated letters once every token is known to be
+valid, while ``wp garside`` hands the runs over {x, y} to its kernel
+unexpanded.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ class Value:
     ``FamilyParams`` and ``CoxeterMatrix``, built by nearly every CLI
     request).  Assignment and deletion raise ``AttributeError``;
     equality, hash and repr are those of a frozen dataclass with these
-    fields.  No code is generated, so importing the package stays cheap.
+    fields.  No code is generated, so importing the package stays cheap:
+    each CLI command is one process, and importing ``dataclasses`` and
+    generating every record's methods would take longer than the rest of
+    the package's import.
     """
 
     __slots__ = ()
@@ -236,8 +242,9 @@ class WordSyntaxError(ValueError):
 
 def token_runs(alphabet: Alphabet, text: str) -> tuple[list[str], dict[str, tuple[int, int]]]:
     """The whitespace-separated tokens of ``text`` and, for each distinct
-    one, its signed letter and repeat count (0 for ``1``); WordSyntaxError
-    at the first bad token of the text.  Nothing is expanded."""
+    one, its signed letter and repeat count (0 for ``1``); WordSyntaxError,
+    with its column, at the first bad token of the text.  Nothing is
+    expanded."""
     tokens = text.split()
     runs = {token: _token_run(alphabet, token) for token in set(tokens)}  # each distinct token once
     if any(isinstance(run, str) for run in runs.values()):

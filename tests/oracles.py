@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
-These implement the mathematical definitions directly, sharing no code
-with the production engines they check:
+These implement the mathematical definitions directly, or an engine's
+original design; an entry that shares code with the production engine it
+checks names what it shares:
 
 - ``naive_order``: coset closure by blunt re-scanning (define the first
   gap, walk every rotation of every relator at each coset whose row

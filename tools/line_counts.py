@@ -1,4 +1,5 @@
-"""Count the lines of the Python files of two commits, file by file.
+"""Count the lines of the Python files of two commits, file by file, and
+tell documentation from code.
 
     python3 tools/line_counts.py [--parent HEAD~1] [--change HEAD]
 
@@ -7,17 +8,23 @@ listed with ``git ls-tree`` and read with ``git show`` at both revisions, so
 nothing is checked out and the working tree is not read.  A line is a
 newline, as ``wc -l`` counts them.  The script prints each file's lines at
 ``--parent`` and ``--change`` and the change (``-`` where the file does not
-exist), then each directory's totals and net change, then five counts of
-``src/toricgroups/`` at both revisions, each read with ``ast``: the
-parameters with a default value in its functions and methods; the options
-of ``cli.py`` (the ``add_argument`` calls whose first name starts with
-``-``, and the keys of dict literals that start with ``--``, one per entry
-of the command table); the record fields, the ``__slots__`` entries of its classes;
-its public names, the module-level functions and classes whose names do
-not start with ``_``, plus the methods and properties of those classes
-whose names do not; and its internal import edges, the ``from .x import``
-statements, one per statement.  Last come the public names that no code in
-``src/toricgroups/`` references, marked at each revision where that holds.
+exist), then each directory's totals and net change, the lines of
+``README.md``, and the lines that the docstrings of ``src/toricgroups/``
+span.  Then it names the modules of ``src/toricgroups/`` whose code
+differs: those whose ``ast.dump``, with every module, class and function
+docstring removed, differs between the revisions, or that exist at one
+only, so a change to docstrings or comments alone names no module.  Then
+come five counts of ``src/toricgroups/`` at both revisions, each read with
+``ast``: the parameters with a default value in its functions and methods;
+the options of ``cli.py`` (the ``add_argument`` calls whose first name
+starts with ``-``, and the keys of dict literals that start with ``--``,
+one per entry of the command table); the record fields, the ``__slots__``
+entries of its classes; its public names, the module-level functions and
+classes whose names do not start with ``_``, plus the methods and
+properties of those classes whose names do not; and its internal import
+edges, the ``from .x import`` statements, one per statement.  Last come
+the public names that no code in ``src/toricgroups/`` references, marked
+at each revision where that holds.
 A reference is an ``ast.Name`` or ``ast.Attribute`` node whose name is the
 public name's own (its last part, for a method), anywhere in the package
 but outside the name's own definition, so a mention in a docstring or a
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import copy
 import os
 import subprocess
 import sys
@@ -50,6 +58,30 @@ def line_counts(rev: str, directory: str) -> dict[str, int]:
     """Lines of each Python file under ``directory`` at ``rev``, by path."""
     paths = git("ls-tree", "-r", "-z", "--name-only", rev, "--", directory + "/").decode().split("\0")
     return {path: git("show", f"{rev}:{path}").count(b"\n") for path in paths if path.endswith(".py")}
+
+
+def _docstrings(tree: ast.Module) -> list[ast.Expr]:
+    """The docstring statements of a module, its classes and its functions."""
+    return [node.body[0] for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant) and isinstance(node.body[0].value.value, str)]
+
+
+def docstring_lines(tree: ast.Module) -> int:
+    """The lines that the docstrings of ``tree`` span."""
+    return sum(doc.end_lineno - doc.lineno + 1 for doc in _docstrings(tree))
+
+
+def code_dump(tree: ast.Module) -> str:
+    """``ast.dump`` of ``tree`` with every docstring removed: equal for two
+    sources that differ only in docstrings and comments."""
+    tree = copy.deepcopy(tree)
+    docs = set(map(id, _docstrings(tree)))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.body = [item for item in node.body if id(item) not in docs] or [ast.Pass()]
+    return ast.dump(tree)
 
 
 def _public(node: ast.AST) -> bool:
@@ -143,6 +175,14 @@ def main(argv: list[str] | None = None) -> int:
     print()
     for directory, old, new in totals:
         print(row(directory + "/", old, new))
+    print(row("README.md", *(git("show", f"{rev}:README.md").count(b"\n") for rev in (args.parent, args.change))))
+    modules = package_modules(args.parent), package_modules(args.change)
+    print(row("docstring lines, src/toricgroups/", *(sum(map(docstring_lines, m.values())) for m in modules)))
+    print()
+    differ = sorted(name for name in modules[0].keys() | modules[1].keys()
+                    if name not in modules[0] or name not in modules[1]
+                    or code_dump(modules[0][name]) != code_dump(modules[1][name]))
+    print(f"modules of src/toricgroups/ whose code differs: {', '.join(differ) or 'none'}")
     print()
     before, after = api_counts(args.parent), api_counts(args.change)
     names = ("parameters with defaults, src/toricgroups/", "options, src/toricgroups/cli.py",
@@ -151,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, old, new in zip(names, before, after):
         print(row(name, old, new))
     print()
-    before, after = (unreferenced_names(package_modules(rev)) for rev in (args.parent, args.change))
+    before, after = map(unreferenced_names, modules)
     print(f"{'public names no src code references':<44} {args.parent:>7} {args.change:>7}")
     for name in sorted(before | after):
         print(f"{name:<44} {'x' if name in before else '-':>7} {'x' if name in after else '-':>7}")
