@@ -96,7 +96,8 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, 
         ]
     evidence = [f"finite table membership: W({k},{n},{m}) = {fin.shephard_todd}"]
     cayley = finite_quotient(k, n, m, max_cosets)
-    if cayley is None:
+    if cayley is None:  # the keys an infinite row reports, as unknown
+        result.update(order=None, center_order=None)
         evidence.append(f"enumeration overflowed at {max_cosets}; membership retained")
     else:
         order = cayley.size

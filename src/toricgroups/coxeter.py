@@ -7,8 +7,10 @@ minimal roots a prefix sends negative is the state of a finite automaton
 (Brink & Howlett, Math. Ann. 1993) and gives an exact reducedness and
 descent test, from which ShortLex normal forms are computed (Casselman,
 1994).  Each table numbers the sets it meets and fills in its transitions
-on first use; a word keeps one state number per prefix, so deleting a
-letter replays only the letters after it, by lookups.  No floating point
+on first use; a word keeps one state number per prefix, so deleting its
+last letter is a pop, and deleting another replays the letters after it,
+by lookups.  The normal form reduces the reversed word, and peels the
+smallest left descent of the element off that word.  No floating point
 enters any decision (root coordinates live in a real cyclotomic ring, and
 the one inequality in the table construction uses certified sign
 determination).
@@ -107,7 +109,9 @@ class MinimalRootTable:
     a_s is in the set (s is a right descent), or ``_UNSEEN`` until that
     transition is first used.  The memo gains at most one set per letter
     processed, and a written entry never changes, so every caller of a
-    shared table reads the same automaton.
+    shared table reads the same automaton.  ``nf`` reduces the reversed
+    word and peels from its prefix states; there and in ``reduce_word``, a
+    deletion of the last letter is a pop.
     """
 
     def __init__(self, cm: CoxeterMatrix):
@@ -194,21 +198,10 @@ class MinimalRootTable:
             self._next[i][s] = j
         return j
 
-    def _replay(self, word: list[int], states: list[int]) -> None:
-        """Extend ``states`` (``states[i]`` belongs to ``word[:i]``) to the
-        whole reduced word by transition lookups."""
-        nxt = self._next
-        i = states[-1]
-        for s in word[len(states) - 1:]:
-            j = nxt[i][s]
-            if j < 0:
-                j = self._transition(i, s)
-            states.append(j)
-            i = j
-
     def _delete(self, word: list[int], states: list[int], s: int) -> None:
         """Delete the letter that created a_s from a reduced word whose state
-        holds a_s, and replay the states from there.  Walking back, a root is
+        holds a_s, and replay the states after it by transition lookups
+        (``states[i]`` belongs to ``word[:i]``).  Walking back, a root is
         either the simple root of the letter before it, which created it, or
         the image under that letter of a root of the shorter prefix."""
         action = self.action
@@ -219,37 +212,58 @@ class MinimalRootTable:
             at -= 1
         del word[at]
         del states[at + 1:]
-        self._replay(word, states)
+        nxt = self._next
+        i = states[-1]
+        for t in word[at:]:
+            j = nxt[i][t]
+            if j < 0:
+                j = self._transition(i, t)
+            states.append(j)
+            i = j
+
+    def _reduce(self, letters: list[int], states: list[int]) -> list[int]:
+        """A reduced word for the product of ``letters``; ``states`` is [0] on
+        entry and holds the state of every prefix of the result on exit."""
+        word: list[int] = []
+        nxt = self._next
+        i = 0
+        for s in letters:
+            j = nxt[i][s]
+            if j == _DESCENT:  # right descent: w s deletes the creating letter
+                if word[-1] == s:
+                    word.pop()
+                    states.pop()
+                else:
+                    self._delete(word, states, s)
+                i = states[-1]
+                continue
+            if j == _UNSEEN:
+                j = self._transition(i, s)
+            states.append(j)
+            word.append(s)
+            i = j
+        return word
 
     def reduce_word(self, w: Word) -> list[int]:
         """A reduced word (letter list) for the element of w."""
-        word: list[int] = []
-        states = [0]
-        nxt = self._next
-        for s in self._letters(w):
-            j = nxt[states[-1]][s]
-            if j == _DESCENT:  # right descent: w s deletes the creating letter
-                self._delete(word, states, s)
-                continue
-            if j == _UNSEEN:
-                j = self._transition(states[-1], s)
-            states.append(j)
-            word.append(s)
-        return word
+        return self._reduce(self._letters(w), [0])
 
     def nf(self, w: Word) -> Word:
         """ShortLex-minimal normal form (r1 < r2 < ...)."""
-        # the right descents of the reversed word are the left descents of
-        # the element; peel off the smallest one at a time
-        v_inv = self.reduce_word(w)[::-1]
+        # the right descents of a reduced word for the inverse are the left
+        # descents of the element; peel off the smallest one at a time
         states = [0]
-        self._replay(v_inv, states)
+        v_inv = self._reduce(self._letters(w)[::-1], states)
         nxt = self._next
         out: list[int] = []
         while v_inv:
             s = nxt[states[-1]].index(_DESCENT)
             out.append(s)
-            self._delete(v_inv, states, s)
+            if v_inv[-1] == s:
+                v_inv.pop()
+                states.pop()
+            else:
+                self._delete(v_inv, states, s)
         return Word(self.alphabet, tuple(s + 1 for s in out))
 
     def is_identity(self, w: Word) -> bool:

@@ -75,9 +75,11 @@ def _assigned(tree: ast.Module, name: str) -> ast.expr:
 
 
 def _phases(table: ast.expr) -> list[tuple[str, str]]:
-    """The (module, attribute) of each (module, "attribute", "phase") triple in ``table``."""
-    return [(node.elts[0].id, node.elts[1].value) for node in ast.walk(table)
-            if isinstance(node, ast.Tuple) and len(node.elts) == 3 and isinstance(node.elts[0], ast.Name)]
+    """The (owner, attribute) of each (owner, "attribute", "phase") triple in ``table``; the owner
+    is a module or a ``module.Class``, as written."""
+    return [(ast.unparse(node.elts[0]), node.elts[1].value) for node in ast.walk(table)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 3
+            and isinstance(node.elts[0], (ast.Name, ast.Attribute))]
 
 
 def test_phases_the_tools_time_exist():
@@ -86,9 +88,13 @@ def test_phases_the_tools_time_exist():
     request_times = ast.parse((TOOLS / "request_times.py").read_text())
     child = ast.parse(_assigned(ast.parse((TOOLS / "derive_series.py").read_text()), "CHILD").value)
     tables = {name: _phases(_assigned(request_times, name))
-              for name in ("DERIVE_PHASES", "ROOT_TABLE", "PHASES", "JSON_PHASE")}
+              for name in ("DERIVE_PHASES", "WORD_PROBLEM", "PHASES", "JSON_PHASE")}
     tables["derive_series CHILD"] = _phases(_assigned(child, "PHASES"))
     for table, entries in tables.items():
         assert entries, table
-        for modname, attr in entries:
-            assert hasattr(importlib.import_module(f"toricgroups.{modname}"), attr), (table, modname, attr)
+        for owner, attr in entries:
+            modname, *classes = owner.split(".")
+            obj = importlib.import_module(f"toricgroups.{modname}")
+            for name in classes:
+                obj = getattr(obj, name)
+            assert hasattr(obj, attr), (table, owner, attr)

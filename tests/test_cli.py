@@ -44,6 +44,9 @@ GOLDEN_REQUESTS = {
     # subcommand became one library call; these have text goldens too
     "classify_6_2_3": ["classify", "6", "2", "3"],
     "classify_4_2_3": ["classify", "4", "2", "3"],
+    # captured when a finite row that overflows began to report order and
+    # center_order as null; this has a text golden too
+    "classify_2_3_5_overflow": ["--max-cosets", "10", "classify", "2", "3", "5"],
     "sweep_3_5": ["sweep", "--max-k", "3", "--max-m", "5"],
     "wp_garside_2_3": ["wp", "garside", "2", "3", "x^2 y^-3"],
     "present_toric_2_3_4": ["present", "toric", "2", "3", "4"],
@@ -98,7 +101,7 @@ TEXT_GOLDEN = ("classify_6_2_3", "classify_4_2_3", "sweep_3_5", "derive_2_3_4", 
                "derive_2_3_3", "derive_6_2_4", "wp_garside_2_3", "present_toric_2_3_4",
                "wp_coxeter_7_8_9", "rep_witness", "wp_garside_classical_2_3", "rep_eval_2_3_7_meridians",
                "rep_check_2_3_7_swapped", "present_toric_2_5_3", "enumerate_toric_3_5_2",
-               "enumerate_toric_2_5_3_subgroup_x1_x3", "sweep_7_9")
+               "enumerate_toric_2_5_3_subgroup_x1_x3", "sweep_7_9", "classify_2_3_5_overflow")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -532,6 +535,8 @@ def test_overflows_are_named_in_the_evidence(capsys, argv, status, evidence):
     code, payload = run_json(capsys, *argv)
     assert (code, payload["status"]) == (0, status)
     assert payload["evidence"][-1] == evidence
+    if "classify" in argv:  # a finite row that overflows keeps an infinite row's keys
+        assert (payload["result"]["order"], payload["result"]["center_order"]) == (None, None)
 
 
 def test_rep_check_with_preset(capsys):

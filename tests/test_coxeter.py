@@ -357,6 +357,69 @@ def test_nf_matches_reference_with_an_infinite_label(letters):
     assert INFINITE_EDGE.nf(w) == reference_nf(INFINITE_EDGE, w)
 
 
+def padded_word(rng: random.Random, tri, length: int) -> list[int]:
+    """A word over 1..3 as the benchmark's ``wp coxeter`` requests build it: a
+    random word of half the length with no s s and no alternating s t s ...
+    of length m(s,t), then relators (s t)^m(s,t) inserted where they make no
+    s s."""
+    k, n, m = tri
+    labels = {frozenset((1, 2)): k, frozenset((2, 3)): n, frozenset((1, 3)): m}
+    word = [rng.randrange(1, 4)]
+    while len(word) < length // 2:
+        options = []
+        for s in (1, 2, 3):
+            run = 1  # the alternating s/word[-1] suffix that appending s makes
+            while run <= len(word) and word[-run] == (word[-1] if run % 2 else s):
+                run += 1
+            if s != word[-1] and run < labels[frozenset((s, word[-1]))]:
+                options.append(s)
+        word.append(rng.choice(options))
+    while len(word) < length:
+        s, t = rng.sample((1, 2, 3), 2)
+        at = rng.randrange(1, len(word))
+        if word[at - 1] != s and word[at] != t:
+            word[at:at] = [s, t] * labels[frozenset((s, t))]
+    return word
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(3, 4, 5), (4, 5, 6), (3, 3, 3), (7, 8, 9)]), st.integers(4, 1500), st.integers(0, 2**32))
+def test_nf_matches_reference_on_padded_words(tri, length, seed):
+    table = root_table(*tri)
+    w = Word(table.cm.alphabet(), tuple(padded_word(random.Random(seed), tri, length)))
+    assert table.reduce_word(w) == reference_reduce_word(table, w)
+    assert table.nf(w) == reference_nf(table, w)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(6, 2, 3), (2, 3, 7), (3, 4, 5)]), st.data())
+def test_nf_matches_reference_on_phi_images_of_toric_words(kmn, data):
+    from toricgroups.maps import build_phi
+
+    k, n, m = kmn
+    letters = data.draw(st.lists(st.sampled_from([*range(1, n + 1), *range(-n, 0)]), max_size=120))
+    phi = build_phi(k, n, m)
+    image = phi.apply(Word(phi.source.alphabet, tuple(letters)))
+    table = root_table(k, n, m)
+    assert table.reduce_word(image) == reference_reduce_word(table, image)
+    assert table.nf(image) == reference_nf(table, image)
+
+
+def test_a_deleted_letter_that_is_not_the_last_is_walked_back_to(monkeypatch):
+    # on (2,3,7) r1 and r2 commute: in r1 r2 r1 the last r1 deletes the first
+    table = MinimalRootTable(CoxeterMatrix.triangle(2, 3, 7))
+    calls = []
+    delete = table._delete
+    monkeypatch.setattr(table, "_delete", lambda word, states, s: calls.append((word[:], s)) or delete(word, states, s))
+    assert table.reduce_word(table.alphabet.word("r1 r2 r1")) == [1]
+    assert calls == [([0, 1], 0)]
+    calls.clear()
+    # nf reduces the reversal r1 r2 r1 r3 r1 r2 to r2 r3 r1 r2, whose smallest
+    # right descent r1 was created by its third letter
+    assert str(table.nf(table.alphabet.word("r2 r1 r3 r1 r2 r1"))) == "r1 r2 r3 r2"
+    assert calls == [([0, 1], 0), ([1, 2, 0, 1], 0)]
+
+
 class CountedRows(list):
     """A list of table rows that counts how often a row is read."""
 
@@ -394,6 +457,29 @@ def test_replay_steps_grow_linearly_on_padded_words():
     assert table.nf(w) == expected
     assert 0 < walk_back.reads and 0 < transitions.reads
     assert transitions.reads + walk_back.reads < 4 * len(w.letters)
+
+
+def test_nf_replays_no_reduced_word_on_padded_words():
+    # the word of the test above; replaying the whole reduced word before the
+    # peel cost 2.41 reads per letter, reducing the reversed word 2.03
+    table = MinimalRootTable(CoxeterMatrix.triangle(4, 5, 6))
+    labels = {frozenset((0, 1)): 4, frozenset((1, 2)): 5, frozenset((0, 2)): 6}
+    rng = random.Random(11)
+    word = [rng.randrange(3)]
+    while len(word) < 600:
+        word.append(rng.choice([s for s in range(3) if s != word[-1]]))
+    while len(word) < 1200:
+        s, t = rng.sample(range(3), 2)
+        at = rng.randrange(1, len(word))
+        if word[at - 1] != s and word[at] != t:
+            word[at:at] = [s, t] * labels[frozenset((s, t))]
+    w = Word(table.cm.alphabet(), tuple(x + 1 for x in word))
+    expected = table.nf(w)  # warms the memo
+    table._next = transitions = CountedRows(table._next)
+    table.action = walk_back = CountedRows(table.action)
+    assert table.nf(w) == expected
+    assert len(w.letters) == 1206
+    assert transitions.reads + walk_back.reads < 2.2 * len(w.letters)
 
 
 # --- one table per triangle ----------------------------------------------------

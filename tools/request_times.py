@@ -26,10 +26,14 @@ on a gcd(b, c) = 1 row, ``group_order`` on the others; both count as
 the normal form kernel (``_normal_form``), the rest being the pieces and
 the rendering; for ``wp coxeter`` and ``wp toric``, building the
 triangle's root table (``coxeter.MinimalRootTable``, which runs only on a
-``triangle_table`` miss); for ``rep eval``, building the representation
-(``build_rho_preset``) and the matrix product (``rho_eval``).  A phase the
-request did not reach is left out, so a request that finds its root table
-built prints only its ``json`` and its rest.  A wrapped function's
+``triangle_table`` miss) and the ShortLex normal form
+(``coxeter.MinimalRootTable.nf``), and for ``wp toric`` also mapping the
+word by phi (``maps.apply_map``), the rest being the parse and, on a
+central word of a finite row, the Cayley table; for ``rep eval``, building
+the representation (``build_rho_preset``) and the matrix product
+(``rho_eval``).  A phase the request did not reach is left out, so a
+request that finds its root table built prints no ``root table``.  A
+wrapped function's
 recursive calls, as ``_json`` makes on a nested value, run unwrapped
 within its outermost call, which alone is timed.  Then comes the time per
 request kind.  Times are plain ``perf_counter`` differences, not scaled by
@@ -62,7 +66,7 @@ os.spawnv(os.P_WAIT, sys.executable, [sys.executable, "-m", "compileall", "-q", 
 
 _modules_before = len(sys.modules)
 _import_start = time.perf_counter()
-from toricgroups import classify, cli, cosets, coxeter, garside, presentations, reps, schreier  # noqa: E402
+from toricgroups import classify, cli, cosets, coxeter, garside, maps, presentations, reps, schreier  # noqa: E402
 
 IMPORT_MS = (time.perf_counter() - _import_start) * 1e3
 IMPORT_MODULES = len(sys.modules) - _modules_before
@@ -83,12 +87,12 @@ DERIVE_PHASES = ((schreier, "toric_closure_rs", "closure+RS"), (schreier, "check
                  (classify, "group_order", "order"))
 # the phases of each request whose command words, one or two adjacent
 # arguments, are the key; the table is built only on a triangle_table miss
-ROOT_TABLE = ((coxeter, "MinimalRootTable", "root table"),)
+WORD_PROBLEM = ((coxeter, "MinimalRootTable", "root table"), (coxeter.MinimalRootTable, "nf", "normal form"))
 # every cli request's output; the workloads ask for JSON
 JSON_PHASE = ((cli, "_json", "json"),)
 PHASES = {"derive": DERIVE_PHASES,
           "wp garside": ((garside, "token_runs", "read"), (garside, "_normal_form", "normal form")),
-          "wp coxeter": ROOT_TABLE, "wp toric": ROOT_TABLE,
+          "wp coxeter": WORD_PROBLEM, "wp toric": WORD_PROBLEM + ((maps, "apply_map", "map"),),
           "rep eval": ((reps, "build_rho_preset", "rep"), (reps, "rho_eval", "product"))}
 
 
@@ -112,10 +116,11 @@ def rs_tietze(a: int, b: int, c: int) -> str:
 
 @contextlib.contextmanager
 def timed_calls(phases):
-    """Wraps each (module, attribute, name) call to add its wall time, in ms,
-    to the yielded dict under its name; restores the originals on exit.
-    While a wrapped call runs, the module holds the original again, so a
-    recursive call is neither timed twice nor slowed by the wrapper."""
+    """Wraps each (owner, attribute, name) call, the owner a module or a
+    class, to add its wall time, in ms, to the yielded dict under its name;
+    restores the originals on exit.  While a wrapped call runs, the owner
+    holds the original again, so a recursive call is neither timed twice
+    nor slowed by the wrapper."""
     spent: dict[str, float] = {}
     originals = [(module, attr, getattr(module, attr)) for module, attr, _ in phases]
 
