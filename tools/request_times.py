@@ -28,16 +28,15 @@ the rendering; for ``wp coxeter`` and ``wp toric``, building the
 triangle's root table (``coxeter.MinimalRootTable``, which runs only on a
 ``triangle_table`` miss) and the ShortLex normal form
 (``coxeter.MinimalRootTable.nf``), and for ``wp toric`` also mapping the
-word by phi (``maps.apply_map``), the rest being the parse and, on a
-central word of a finite row, the Cayley table; for ``rep eval``, building
+word by phi (``maps.apply_map``), the rest being the parse and, for a
+central word on a finite row, the Cayley table; for ``rep eval``, building
 the representation (``build_rho_preset``) and the matrix product
 (``rho_eval``).  A phase the request did not reach is left out, so a
 request that finds its root table built prints no ``root table``.  A
-wrapped function's
-recursive calls, as ``_json`` makes on a nested value, run unwrapped
-within its outermost call, which alone is timed.  Then comes the time per
-request kind.  Times are plain ``perf_counter`` differences, not scaled by
-the benchmark's speed probe.
+wrapped function's recursive calls, as ``_json`` makes on a nested value,
+run unwrapped within its outermost call, which alone is timed.  Then
+comes the time per request kind.  Times are plain ``perf_counter``
+differences, not scaled by the benchmark's speed probe.
 Last come the requests that raised the process's peak RSS (``ru_maxrss``,
 the figure behind the benchmark's ``peak_rss_mb``), in pass order, each
 with the new peak in MB; the first line is the peak before the first
