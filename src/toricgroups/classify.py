@@ -73,9 +73,8 @@ def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | No
 def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
     """Result, status and evidence of ``classify``: the classification record
     of W(k,n,m) and the evidence for each verdict."""
-    FamilyParams("toric", (k, n, m))  # labels >= 2, gcd(n, m) = 1
+    fin = finite_toric(k, n, m)  # labels >= 2, gcd(n, m) = 1
     n, m = min(n, m), max(n, m)
-    fin = finite_toric(k, n, m)
     result: dict = {
         "parameters": [k, n, m],
         "braid_group": f"G({n},{m})",

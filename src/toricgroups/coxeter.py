@@ -357,7 +357,7 @@ def maximal_finite_parabolics(cm: CoxeterMatrix) -> ParabolicReport:
 
 class CenterReport(Value):
     # z_w_lengths: the generator-lengths of the elements of Z(W)
-    __slots__ = ("group_order", "plus_order", "z_w_order", "z_w_plus_order", "contained", "z_w_lengths")
+    __slots__ = ("group_order", "z_w_order", "z_w_plus_order", "contained", "z_w_lengths")
 
 
 def center_check_plus(cm: CoxeterMatrix, max_cosets: int = MAX_COSETS) -> CenterReport:
@@ -384,7 +384,6 @@ def center_check_plus(cm: CoxeterMatrix, max_cosets: int = MAX_COSETS) -> Center
     contained = all(e in center for e in z_plus)
     return CenterReport(
         group_order=cayley.size,
-        plus_order=len(plus),
         z_w_order=len(center),
         z_w_plus_order=len(z_plus),
         contained=contained,

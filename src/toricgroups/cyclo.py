@@ -211,15 +211,7 @@ class Cyc(Value):
         return self + -other
 
     def __mul__(self, other: "Cyc | int") -> "Cyc":
-        b = self._operand(other)
-        n = self.n
-        # a rational factor (0, 1, -1, an int) scales the other's canonical
-        # coefficients, which stay canonical
-        if not any(b[1:]):
-            return Cyc(n, tuple(b[0] * x for x in self.coeffs))
-        if not any(self.coeffs[1:]):
-            return Cyc(n, tuple(self.coeffs[0] * y for y in b))
-        return Cyc(n, _sum_of_products(n, ((self.coeffs, b),)))
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -279,10 +271,9 @@ class Cyc(Value):
 
 def dot(pairs) -> Cyc:
     """The sum of a b over the (a, b) in ``pairs``, a nonempty sequence whose
-    first a is a Cyc.  The raw products are summed and reduced once, so the
-    result is that of ``*`` and ``+`` at the cost of a single fold.  As for
-    ``*``, an int is read in the first a's field and another modulus raises
-    ValueError."""
+    first a is a Cyc; ``*`` is the sum of one.  The raw products are summed
+    and reduced once, at the cost of a single fold.  An int is read in the
+    first a's field, and another modulus raises ValueError."""
     first = pairs[0][0]
     return Cyc(first.n, _sum_of_products(first.n, [(first._operand(a), first._operand(b)) for a, b in pairs]))
 

@@ -33,8 +33,8 @@ import re
 from collections import Counter
 
 from .presentations import XY, FamilyParams, chain_implies_shift, chain_step, cyclic_product, meridians, torus_classical
-from .words import (Derivation, GenMap, RewriteStep, Value, Word, WordSyntaxError, apply_map, free_reduce,
-                    parse_either, token_runs, undone)
+from .words import (Derivation, GenMap, RewriteStep, Value, Word, apply_map, free_reduce, parse_word, pick_alphabet,
+                    token_runs, undone)
 
 _CHARS = ("", "a", "b", "B", "A")  # the kernel's letter for each signed letter -2 .. 2 of {x, y}
 # the runs of a kernel string; ``re`` compiles it on its first use, so importing
@@ -143,11 +143,11 @@ def word_problem(n: int, m: int, text: str) -> tuple[dict, str, list[str]]:
     xn mapped by ``tau``."""
     FamilyParams("torus-standard", (n, m))
     evidence = []
-    try:
+    alphabet = pick_alphabet(XY, lambda: meridians(n), text)
+    if alphabet == XY:
         normal = _normal_form(n, m, *_pieces(n, m, text))
-    except WordSyntaxError:
-        # a word over the meridians, or the error of the alphabet its first generator picks
-        normal = gnf(n, m, apply_map(tau(n, m), parse_either(XY, lambda: meridians(n), text)))
+    else:
+        normal = gnf(n, m, apply_map(tau(n, m), parse_word(alphabet, text)))
         evidence.append(f"a word over x1 ... x{n}, mapped to {{x, y}} by tau, the inverse of sigma")
     return {"normal_form": str(normal), "identity": normal.is_identity(),
             "delta_power": normal.delta_power}, "ok", evidence

@@ -21,7 +21,7 @@ from .classify import finite_quotient
 from .cyclo import Cyc, dot, label_modulus, zeta
 from .maps import meridian_embedding
 from .presentations import STU, FamilyParams, meridians
-from .words import Value, Word, parse_either, signed_table
+from .words import Value, Word, parse_word, pick_alphabet, signed_table
 
 Mat2 = tuple[tuple[Cyc, Cyc], tuple[Cyc, Cyc]]
 
@@ -80,12 +80,13 @@ class ConstraintError(ValueError):
 
 
 class Rep(Value):
-    __slots__ = ("a", "b", "c", "theta", "phi", "psi", "q", "r", "mat_s", "mat_t", "mat_u")
+    __slots__ = ("a", "b", "c", "q", "r", "mat_s", "mat_t", "mat_u")
 
     @property
     def scalar(self) -> Cyc:
         """theta phi psi: the triple product s t u acts by this scalar."""
-        return self.theta * self.phi * self.psi
+        theta, phi, psi, _ = _field(self.a, self.b, self.c)
+        return theta * phi * psi
 
 
 @lru_cache(maxsize=None, typed=True)  # an int label and an equal float are different keys
@@ -129,7 +130,7 @@ def build_rho(a: int, b: int, c: int, q: Cyc, r: Cyc) -> Rep:
     mat_s: Mat2 = ((theta * theta, q), (nil, one))
     mat_t: Mat2 = ((one, nil), (r, phi * phi))
     mat_u = mat_scale(theta * phi * psi, mat_mul(mat_inv(mat_t), mat_inv(mat_s)))
-    return Rep(a, b, c, theta, phi, psi, q, r, mat_s, mat_t, mat_u)
+    return Rep(a, b, c, q, r, mat_s, mat_t, mat_u)
 
 
 def build_rho_preset(a: int, b: int, c: int, preset: str | None = None) -> Rep:
@@ -144,7 +145,7 @@ def build_rho_preset(a: int, b: int, c: int, preset: str | None = None) -> Rep:
 def relation_checks(rep: Rep) -> dict[str, bool]:
     """The defining identities of the representation, checked exactly:
     s^a = t^b = u^c = 1, the chain s t u = t u s = u s t, and s t u scalar."""
-    identity = mat_identity(rep.theta.n)
+    identity = mat_identity(rep.q.n)
     stu = mat_mul(rep.mat_s, mat_mul(rep.mat_t, rep.mat_u))
     tus = mat_mul(rep.mat_t, mat_mul(rep.mat_u, rep.mat_s))
     ust = mat_mul(rep.mat_u, mat_mul(rep.mat_s, rep.mat_t))
@@ -169,9 +170,9 @@ def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> tuple[
     """Result, status and evidence of ``rep eval`` for a word over {s,t,u},
     else over x1..xb."""
     rep = build_rho_preset(a, b, c, preset)
-    w = parse_either(STU, lambda: meridians(b), text)
+    w = parse_word(pick_alphabet(STU, lambda: meridians(b), text), text)
     matrix = rho_eval(rep, w)
-    return {"matrix": mat_str(matrix), "is_identity": matrix == mat_identity(rep.theta.n),
+    return {"matrix": mat_str(matrix), "is_identity": matrix == mat_identity(rep.q.n),
             "q": str(rep.q), "r": str(rep.r)}, "ok", []
 
 
@@ -181,7 +182,7 @@ def rho_eval(rep: Rep, w: Word) -> Mat2:
     meridians the word holds."""
     names = w.alphabet.names
     base = {"s": rep.mat_s, "t": rep.mat_t, "u": rep.mat_u}
-    identity = mat_identity(rep.theta.n)
+    identity = mat_identity(rep.q.n)
     if set(names) <= base.keys():
         mats = [base[g] for g in names]
     elif w.alphabet == meridians(len(names)):

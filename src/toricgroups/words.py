@@ -8,11 +8,13 @@ has to treat syllables specially.  ``token_runs`` reads a text's tokens
 ``g^K`` as runs (letter, count) and expands nothing; ``parse_word``
 expands each run into repeated letters once every token is known to be
 valid, while ``wp garside`` hands the runs over {x, y} to its kernel
-unexpanded.
+unexpanded.  ``pick_alphabet`` chooses which of two alphabets a text is
+read over from its first generator alone.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
@@ -261,16 +263,21 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     return Word(alphabet, tuple(chain.from_iterable(map(expanded.__getitem__, tokens))))
 
 
-def parse_either(first: Alphabet, second: Callable[[], Alphabet], text: str) -> Word:
-    """The word ``text`` spells over the alphabet that its first generator
-    (past any ``1`` tokens) picks: ``first`` when it holds that name or the
-    text names none, else ``second()``, built only then, when it holds the
-    name, else ``first``, whose syntax error is raised."""
-    name = next((token.partition("^")[0] for token in text.split() if token != "1"), None)
-    if name is None or name in first:
-        return parse_word(first, text)
-    alphabet = second()
-    return parse_word(alphabet if name in alphabet else first, text)
+def pick_alphabet(first: Alphabet, second: Callable[[], Alphabet], text: str) -> Alphabet:
+    """The alphabet that the first generator of ``text`` (past any ``1``
+    tokens) picks: ``first`` when it holds that name or the text names none,
+    else ``second()``, built only then, when it holds the name, else
+    ``first``, over which ``parse_word`` raises the syntax error.  No token
+    past the first generator is read."""
+    for match in re.finditer(r"\S+", text):  # the tokens of text.split(), one at a time
+        token = match.group()
+        if token != "1":
+            name = token.partition("^")[0]
+            if name in first:
+                return first
+            alphabet = second()
+            return alphabet if name in alphabet else first
+    return first
 
 
 def _token_run(alphabet: Alphabet, token: str) -> tuple[int, int] | str:

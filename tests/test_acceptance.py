@@ -27,6 +27,7 @@ from oracles import naive_order
 from toricgroups import maps, reps
 from toricgroups import presentations as pres
 from toricgroups.cosets import MAX_COSETS, group_order, reflection_class_count, todd_coxeter
+from toricgroups.cyclo import label_modulus, zeta
 from toricgroups.coxeter import CoxeterMatrix, classify_triangle, maximal_finite_parabolics
 from toricgroups.garside import GarsideNF, gnf, meridian, sigma
 from toricgroups.presentations import XY, serialize, tietze_simplify
@@ -212,7 +213,9 @@ def test_criterion_07_homomorphism_suite():
 def test_criterion_08_representation_suite():
     """Exact relation verification and the unfaithfulness counterexample."""
     for a, b, c in [(2, 3, 4), (2, 3, 5), (3, 2, 3), (6, 2, 3), (2, 3, 7)]:
-        identity = reps.mat_identity(math.lcm(2 * a, 2 * b, 2 * c))
+        n = label_modulus(a, b, c)
+        identity = reps.mat_identity(n)
+        theta, phi = zeta(n, n // (2 * a)), zeta(n, n // (2 * b))  # e^(i pi/a), e^(i pi/b)
         for name, (q, r) in reps.qr_presets(a, b, c).items():
             rep = reps.build_rho(a, b, c, q, r)
             assert reps.mat_pow(rep.mat_s, a) == identity
@@ -222,8 +225,8 @@ def test_criterion_08_representation_suite():
             tus = reps.mat_mul(rep.mat_t, reps.mat_mul(rep.mat_u, rep.mat_s))
             ust = reps.mat_mul(rep.mat_u, reps.mat_mul(rep.mat_s, rep.mat_t))
             assert stu == tus == ust == reps.mat_scale(rep.scalar, identity)
-            assert reps.mat_det(rep.mat_s) == rep.theta * rep.theta
-            assert reps.mat_det(rep.mat_t) == rep.phi * rep.phi
+            assert reps.mat_det(rep.mat_s) == theta * theta
+            assert reps.mat_det(rep.mat_t) == phi * phi
     witness = reps.witness_record(MAX_COSETS)[0]
     assert witness["cube_dies_per_preset"] == {"zero": True, "unit": True}
     assert witness["order_of_x1x2_in_k3_quotient"] == 6

@@ -85,9 +85,15 @@ GOLDEN_REQUESTS = {
     # captured before `wp garside` stopped expanding exponents over {x, y}:
     # 2 * 10^6 letters when expanded; as pieces D^500000 x, D^-333332 y^-1 and x
     "wp_garside_2_3_long_exponents": ["wp", "garside", "2", "3", "x^1000001 y^-999997 x"],
+    # captured before `wp garside` and `rep eval` picked a word's alphabet from
+    # its first generator other than 1, without reading the whole word; the
+    # garside request has a text golden too
+    "wp_garside_3_5_meridians_with_ones": ["wp", "garside", "3", "5", "1 x2^-7 x1^4 1 x3"],
+    "rep_eval_2_3_5_meridians_with_ones": ["rep", "eval", "2", "3", "5", "1 x1^2 x3^-1"],
 }
 # requests refused with exit code 2 and one `error:` line, in JSON and in
-# text: a word that neither alphabet of `wp garside` or `rep eval` reads
+# text: a word that neither alphabet of `wp garside` or `rep eval` reads, and
+# toric labels that `classify` refuses
 REFUSED_REQUESTS = {
     "wp_garside_meridian_then_y": (["wp", "garside", "2", "3", "x1 y"], "unknown generator 'y'"),
     "wp_garside_x_then_y1": (["wp", "garside", "2", "3", "x y1"], "unknown generator 'y1'"),
@@ -95,13 +101,16 @@ REFUSED_REQUESTS = {
     "rep_eval_s_then_meridian": (["rep", "eval", "2", "3", "7", "s x1"], "unknown generator 'x1'"),
     "rep_eval_meridian_past_b": (["rep", "eval", "2", "3", "7", "x4"], "unknown generator 'x4'"),
     "rep_eval_meridian_then_s": (["rep", "eval", "2", "3", "7", "x1 s"], "unknown generator 's'"),
+    "wp_garside_ones_then_unknown": (["wp", "garside", "2", "3", "1 1 z"], "unknown generator 'z'"),
+    "classify_gcd_violation": (["classify", "2", "6", "4"], "gcd(6,4) != 1"),
 }
 # requests whose text output is pinned as well, in `<name>.txt`
 TEXT_GOLDEN = ("classify_6_2_3", "classify_4_2_3", "sweep_3_5", "derive_2_3_4", "derive_6_2_3",
                "derive_2_3_3", "derive_6_2_4", "wp_garside_2_3", "present_toric_2_3_4",
                "wp_coxeter_7_8_9", "rep_witness", "wp_garside_classical_2_3", "rep_eval_2_3_7_meridians",
                "rep_check_2_3_7_swapped", "present_toric_2_5_3", "enumerate_toric_3_5_2",
-               "enumerate_toric_2_5_3_subgroup_x1_x3", "sweep_7_9", "classify_2_3_5_overflow")
+               "enumerate_toric_2_5_3_subgroup_x1_x3", "sweep_7_9", "classify_2_3_5_overflow",
+               "wp_garside_3_5_meridians_with_ones")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:

@@ -21,8 +21,8 @@ from oracles import (
 
 from toricgroups import reps
 from toricgroups.cosets import MAX_COSETS
-from toricgroups.cyclo import (Cyc, _canon, _conj_table, _cos_table, _degree, cyclotomic_polynomial, dot, sign_real,
-                               two_cos_pi_over, zeta)
+from toricgroups.cyclo import (Cyc, _canon, _conj_table, _cos_table, _degree, cyclotomic_polynomial, dot,
+                               label_modulus, sign_real, two_cos_pi_over, zeta)
 from toricgroups.reps import (
     ConstraintError,
     build_rho,
@@ -471,8 +471,10 @@ def test_rho_entries_have_integer_coefficients(a, b, c):
 @pytest.mark.parametrize("a,b,c", REP_PARAMS)
 def test_determinants(a, b, c):
     rep = build_rho_preset(a, b, c)
-    assert mat_det(rep.mat_s) == rep.theta * rep.theta
-    assert mat_det(rep.mat_t) == rep.phi * rep.phi
+    n = label_modulus(a, b, c)
+    theta, phi = zeta(n, n // (2 * a)), zeta(n, n // (2 * b))  # e^(i pi/a), e^(i pi/b)
+    assert mat_det(rep.mat_s) == theta * theta
+    assert mat_det(rep.mat_t) == phi * phi
 
 
 @pytest.mark.parametrize("a,b,c", WORKLOAD_REP_PARAMS)

@@ -41,9 +41,8 @@ SAMPLES = [
      lambda: coxeter.CoxeterMatrix.triangle(2, 3, 7)),
     (coxeter.ParabolicReport, lambda: coxeter.maximal_finite_parabolics(coxeter.CoxeterMatrix.triangle(2, 3, 5)),
      lambda: coxeter.maximal_finite_parabolics(coxeter.CoxeterMatrix.triangle(2, 3, 7))),
-    (coxeter.CenterReport, lambda: coxeter.CenterReport(120, 60, 2, 1, True, (0, 15)),
-     lambda: coxeter.CenterReport(group_order=24, plus_order=12, z_w_order=1, z_w_plus_order=1, contained=True,
-                                  z_w_lengths=(0,))),
+    (coxeter.CenterReport, lambda: coxeter.CenterReport(120, 2, 1, True, (0, 15)),
+     lambda: coxeter.CenterReport(group_order=24, z_w_order=1, z_w_plus_order=1, contained=True, z_w_lengths=(0,))),
     (maps.Hom, lambda: maps.Hom(P, identity_map(AB)), lambda: maps.Hom(Q, identity_map(AB))),
     (reps.Rep, lambda: reps.build_rho_preset(2, 3, 5), lambda: reps.build_rho_preset(6, 2, 3)),
     (schreier.SubgroupGenerator, lambda: schreier.SubgroupGenerator(0, "x"),

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import identity_map
 from oracles import reference_apply_map, reference_parse_either, reference_parse_word
@@ -17,8 +17,8 @@ from toricgroups.words import (
     cyclic_reduce,
     free_reduce,
     invert,
-    parse_either,
     parse_word,
+    pick_alphabet,
     signed_table,
     word_to_text,
 )
@@ -161,6 +161,8 @@ def test_parse_word_matches_running_index_reference(stream, lead):
 # else x1 ... xn, and rep eval's {s, t, u}, else x1 ... xb
 FIRSTS = (Alphabet(["x", "y"]), Alphabet(["s", "t", "u"]))
 ODD_TOKENS = ["1", "1^2", "^2", "x^0", "x1^0", "x^a", "v", "x0", "x9", "s1", "y2"]
+# separators, ASCII and not: every character str.split() splits on is one
+SPACES = [" ", "\t", "\n", "\x1c", "\x85", "\u00a0", "\u2003", "\u2028", "\u3000"]
 
 
 @st.composite
@@ -169,7 +171,7 @@ def two_alphabet_texts(draw):
     second = Alphabet([f"x{i}" for i in range(1, draw(st.integers(1, 5)) + 1)])
     names = st.sampled_from(first.names + second.names)
     token = names | st.builds("{}^{}".format, names, st.integers(-3, 3)) | st.sampled_from(ODD_TOKENS)
-    text = draw(st.lists(st.tuples(token, st.sampled_from([" ", "\t"])), max_size=6))
+    text = draw(st.lists(st.tuples(token, st.sampled_from(SPACES)), max_size=6))
     return first, second, "".join(t + sep for t, sep in text)
 
 
@@ -186,12 +188,18 @@ def _either_outcome(parse, first, second, text):
         return (str(e), e.column), len(calls)
 
 
+def _parse_picked(first, second, text):
+    return parse_word(pick_alphabet(first, second, text), text)
+
+
 @given(two_alphabet_texts())
-def test_parse_either_matches_the_column_rule(case):
+@example((FIRSTS[0], Alphabet(["x1", "x2"]), "1\u00a0x2^-1\u3000y"))
+@example((FIRSTS[1], Alphabet(["x1", "x2"]), "\u20031\x85s\u2028x1"))
+def test_pick_alphabet_then_parse_word_matches_the_column_rule(case):
     # over alphabets with disjoint names, the first generator picks the
     # alphabet that the reference picks by comparing error columns
     first, second, text = case
-    got, calls = _either_outcome(parse_either, first, second, text)
+    got, calls = _either_outcome(_parse_picked, first, second, text)
     assert got == _either_outcome(reference_parse_either, first, second, text)[0]
     named = [token.partition("^")[0] for token in text.split() if token != "1"]
     assert calls == (0 if not named or named[0] in first else 1)
@@ -311,7 +319,7 @@ def _signed_tables() -> dict:
         "letters": ([w.letters for w in images], lambda ls: tuple(-y for y in reversed(ls)),
                     lambda a, b: not free_reduce_letters(a + b)),
         "matrices": ([rep.mat_s, rep.mat_t, rep.mat_u], mat_inv,
-                     lambda a, b: mat_mul(a, b) == mat_identity(rep.theta.n)),
+                     lambda a, b: mat_mul(a, b) == mat_identity(rep.q.n)),
         "walks": (walks, lambda ends: ends[::-1], lambda a, b: _join_walks(a + b, n) == []),
     }
 

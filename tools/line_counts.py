@@ -10,8 +10,8 @@ newline, as ``wc -l`` counts them.  The script prints each file's lines at
 ``--parent`` and ``--change`` and the change (``-`` where the file does not
 exist), then each directory's totals and net change, the lines of
 ``README.md``, and the lines that the docstrings of ``src/toricgroups/``
-span.  Then it names the modules of ``src/toricgroups/`` whose code
-differs: those whose ``ast.dump``, with every module, class and function
+span, and the rest of its lines, its code.  Then it names the modules of
+``src/toricgroups/`` whose code differs: those whose ``ast.dump``, with every module, class and function
 docstring removed, differs between the revisions, or that exist at one
 only, so a change to docstrings or comments alone names no module.  Then
 come five counts of ``src/toricgroups/`` at both revisions, each read with
@@ -22,7 +22,10 @@ one per entry of the command table); the record fields, the ``__slots__``
 entries of its classes; its public names, the module-level functions and
 classes whose names do not start with ``_``, plus the methods and
 properties of those classes whose names do not; and its internal import
-edges, the ``from .x import`` statements, one per statement.  Last come
+edges, the ``from .x import`` statements, one per statement.  Under each
+count, ``+`` and ``-`` lines name the items that ``--change`` adds and
+drops: ``module.function(parameter)``, the option, ``module.Class.field``,
+``module.name`` or ``module -> .x``.  Last come
 the public names that no code in ``src/toricgroups/`` references, marked
 at each revision where that holds.
 A reference is an ``ast.Name`` or ``ast.Attribute`` node whose name is the
@@ -31,8 +34,8 @@ but outside the name's own definition, so a mention in a docstring or a
 comment, or an import alone, is no caller.  Names are matched without their
 module or class, so the list can miss an unreferenced name (a method
 ``end`` beside a variable ``end``) but never lists a referenced one.
-``unreferenced_names`` takes the parsed modules, so a test can give it the
-working tree's.
+``api_items`` and ``unreferenced_names`` take the parsed modules, so a
+test can give them the working tree's or its own.
 """
 
 from __future__ import annotations
@@ -128,31 +131,61 @@ def unreferenced_names(modules: dict[str, ast.Module]) -> set[str]:
     return unused
 
 
-def api_counts(rev: str) -> tuple[int, int, int, int, int]:
-    """Parameters with defaults, CLI options, ``__slots__`` entries, public
-    names and ``from .x import`` statements in ``src/toricgroups/`` at ``rev``."""
-    defaults = options = fields = public = imports = 0
-    for path in line_counts(rev, DIRS[0]):
-        tree = ast.parse(git("show", f"{rev}:{path}"))
-        public += len(public_definitions(tree))
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defaults += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-            elif isinstance(node, ast.ClassDef):
+def _qualified(tree: ast.Module, module: str) -> dict[ast.AST, str]:
+    """Every function and class of ``tree``, at any depth, with its dotted
+    name ``module.Outer.inner``."""
+    names, stack = {}, [(tree, module)]
+    while stack:
+        node, name = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names[child] = f"{name}.{child.name}"
+                stack.append((child, names[child]))
+            else:
+                stack.append((child, name))
+    return names
+
+
+def api_items(modules: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """The items behind the five counts of the package whose parsed
+    ``modules`` are given, by module name, each item named: a parameter
+    with a default as ``module.function(parameter)``, an option of the
+    ``cli`` module as written, a record field as ``module.Class.field``, a
+    public name as ``module.name`` and an import edge as ``module -> .x``."""
+    items = {"defaults": [], "options": [], "fields": [], "public": [], "imports": []}
+    for module, tree in modules.items():
+        items["public"] += [f"{module}.{name}" for name, _ in public_definitions(tree)]
+        for node, name in _qualified(tree, module).items():
+            if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.Assign)
                             and any(getattr(t, "id", None) == "__slots__" for t in item.targets)):
                         value = item.value
-                        fields += len(value.elts) if isinstance(value, (ast.Tuple, ast.List)) else 1
-            elif (path.endswith("/cli.py") and isinstance(node, ast.Call)
-                  and getattr(node.func, "attr", None) == "add_argument" and node.args
-                  and isinstance(node.args[0], ast.Constant) and str(node.args[0].value).startswith("-")):
-                options += 1
-            elif path.endswith("/cli.py") and isinstance(node, ast.Dict):
-                options += sum(isinstance(k, ast.Constant) and str(k.value).startswith("--") for k in node.keys)
+                        slots = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+                        items["fields"] += [f"{name}.{getattr(slot, 'value', ast.unparse(slot))}" for slot in slots]
+            else:
+                args = node.args
+                positional = (args.posonlyargs + args.args)[len(args.posonlyargs + args.args) - len(args.defaults):]
+                keyword = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                items["defaults"] += [f"{name}({a.arg})" for a in positional + keyword]
+        for node in ast.walk(tree):
+            if (module == "cli" and isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and str(node.args[0].value).startswith("-")):
+                items["options"].append(str(node.args[0].value))
+            elif module == "cli" and isinstance(node, ast.Dict):
+                items["options"] += [k.value for k in node.keys
+                                     if isinstance(k, ast.Constant) and str(k.value).startswith("--")]
             elif isinstance(node, ast.ImportFrom) and node.level and node.module:
-                imports += 1
-    return defaults, options, fields, public, imports
+                items["imports"].append(f"{module} -> .{node.module}")
+    return items
+
+
+def changed(before: list[str], after: list[str]) -> tuple[list[str], list[str]]:
+    """The items that ``after`` adds to ``before`` and those it drops, each
+    sorted and counted with its repeats."""
+    old, new = Counter(before), Counter(after)
+    return sorted((new - old).elements()), sorted((old - new).elements())
 
 
 def row(name: str, old: int | None, new: int | None) -> str:
@@ -177,19 +210,23 @@ def main(argv: list[str] | None = None) -> int:
         print(row(directory + "/", old, new))
     print(row("README.md", *(git("show", f"{rev}:README.md").count(b"\n") for rev in (args.parent, args.change))))
     modules = package_modules(args.parent), package_modules(args.change)
-    print(row("docstring lines, src/toricgroups/", *(sum(map(docstring_lines, m.values())) for m in modules)))
+    docs = [sum(map(docstring_lines, m.values())) for m in modules]
+    print(row("docstring lines, src/toricgroups/", *docs))
+    print(row("code lines (not docstring), src/toricgroups/", *(n - d for n, d in zip(totals[0][1:], docs))))
     print()
     differ = sorted(name for name in modules[0].keys() | modules[1].keys()
                     if name not in modules[0] or name not in modules[1]
                     or code_dump(modules[0][name]) != code_dump(modules[1][name]))
     print(f"modules of src/toricgroups/ whose code differs: {', '.join(differ) or 'none'}")
     print()
-    before, after = api_counts(args.parent), api_counts(args.change)
-    names = ("parameters with defaults, src/toricgroups/", "options, src/toricgroups/cli.py",
-             "record fields (__slots__), src/toricgroups/", "public names, src/toricgroups/",
-             "import edges (from .x), src/toricgroups/")
-    for name, old, new in zip(names, before, after):
-        print(row(name, old, new))
+    before, after = map(api_items, modules)
+    names = {"defaults": "parameters with defaults, src/toricgroups/", "options": "options, src/toricgroups/cli.py",
+             "fields": "record fields (__slots__), src/toricgroups/", "public": "public names, src/toricgroups/",
+             "imports": "import edges (from .x), src/toricgroups/"}
+    for kind, name in names.items():
+        print(row(name, len(before[kind]), len(after[kind])))
+        added, dropped = changed(before[kind], after[kind])
+        print("".join(f"  + {item}\n" for item in added) + "".join(f"  - {item}\n" for item in dropped), end="")
     print()
     before, after = map(unreferenced_names, modules)
     print(f"{'public names no src code references':<44} {args.parent:>7} {args.change:>7}")
