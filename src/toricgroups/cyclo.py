@@ -113,22 +113,6 @@ def _canon(n: int, v: list) -> tuple:
     return tuple(v[:d])
 
 
-def _sum_of_products(n: int, pairs) -> tuple:
-    """Canonical coefficients of sum a b over the pairs (a, b) of canonical
-    coefficient vectors at modulus n: the raw products of degree below
-    2 phi(n) - 1 accumulate in one vector, which is reduced once."""
-    v = [0] * (2 * _degree(n) - 1)
-    for a, b in pairs:
-        if not (any(a) and any(b)):
-            continue
-        terms = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                for j, y in terms:
-                    v[i + j] += x * y
-    return _canon(n, v)
-
-
 @cache
 def _conj_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The nonzero (j, c_j) of the canonical zeta_n^-i, for each i < phi(n).
@@ -271,11 +255,23 @@ class Cyc(Value):
 
 def dot(pairs) -> Cyc:
     """The sum of a b over the (a, b) in ``pairs``, a nonempty sequence whose
-    first a is a Cyc; ``*`` is the sum of one.  The raw products are summed
-    and reduced once, at the cost of a single fold.  An int is read in the
-    first a's field, and another modulus raises ValueError."""
+    first a is a Cyc; ``*`` is the sum of one.  The raw products, of degree
+    below 2 phi(N) - 1, accumulate in one vector, which is reduced once.  An
+    int is read in the first a's field, and another modulus raises
+    ValueError."""
     first = pairs[0][0]
-    return Cyc(first.n, _sum_of_products(first.n, [(first._operand(a), first._operand(b)) for a, b in pairs]))
+    n = first.n
+    v = [0] * (2 * _degree(n) - 1)
+    for a, b in pairs:
+        a, b = first._operand(a), first._operand(b)
+        if not (any(a) and any(b)):
+            continue
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in terms:
+                    v[i + j] += x * y
+    return Cyc(n, _canon(n, v))
 
 
 def zeta(n: int, k: int = 1) -> Cyc:

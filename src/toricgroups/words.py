@@ -269,15 +269,12 @@ def pick_alphabet(first: Alphabet, second: Callable[[], Alphabet], text: str) ->
     else ``second()``, built only then, when it holds the name, else
     ``first``, over which ``parse_word`` raises the syntax error.  No token
     past the first generator is read."""
-    for match in re.finditer(r"\S+", text):  # the tokens of text.split(), one at a time
-        token = match.group()
-        if token != "1":
-            name = token.partition("^")[0]
-            if name in first:
-                return first
-            alphabet = second()
-            return alphabet if name in alphabet else first
-    return first
+    tokens = map(re.Match.group, re.finditer(r"\S+", text))  # those of text.split(), one at a time
+    name = next((token.partition("^")[0] for token in tokens if token != "1"), None)
+    if name is None or name in first:
+        return first
+    alphabet = second()
+    return alphabet if name in alphabet else first
 
 
 def _token_run(alphabet: Alphabet, token: str) -> tuple[int, int] | str:
