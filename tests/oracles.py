@@ -140,9 +140,10 @@ checks names what it shares:
 - ``reference_parse_either``: the original reader of a word over two
   alphabets, which parses the text over the first, then over the second,
   and on two failures reports the error of the one that read further.
-  ``words.parse_either`` lets the text's first generator pick the
-  alphabet; over alphabets with disjoint names it must give the same
-  ``Word``, or the same message and column.
+  ``words.pick_alphabet`` lets the text's first generator pick the
+  alphabet; over alphabets with disjoint names, ``parse_word`` over the
+  alphabet it picks must give the same ``Word``, or the same message and
+  column.
 - ``reference_parser``: the original ``argparse`` command line, built with
   parents, ``SUPPRESS`` and subparsers.  On a command line it accepts,
   ``cli._parse`` must give the same command, every dest and the same
