@@ -9,7 +9,10 @@ row's Cayley table is built, and the command line only formats the records
 built here: the classification of one triple, the sweep over a grid, the
 word problem of W(k,n,m), and the derived presentation of W(a,b,c) as the
 normal closure of s in its parent J-group.  Each is a (result, status,
-evidence) triple, like the records of the other modules.
+evidence) triple, like the records of the other modules.  One row builder,
+``_row``, writes the keys that ``classify`` and ``sweep`` share, in the order
+a ``sweep`` entry prints them, and the note of a finite row that overflows;
+``classify_toric`` adds only what ``classify`` alone prints.
 
 Four objects depend on the row and not on the request, and each is built
 once per process: ``coxeter.triangle_table``, ``reps._field``,
@@ -70,22 +73,38 @@ def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | No
     return CayleyTable(table) if table.complete else None
 
 
-def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
-    """Result, status and evidence of ``classify``: the classification record
-    of W(k,n,m) and the evidence for each verdict."""
+def _row(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, FiniteToric | None, CayleyTable | None, str | None]:
+    """The keys a ``sweep`` entry prints, in its order, with the row's names,
+    Cayley table and overflow note, read with n < m.  An infinite row has no
+    names, table or note; a finite row has a table or, past ``max_cosets``, a note."""
     fin = finite_toric(k, n, m)  # labels >= 2, gcd(n, m) = 1
     n, m = min(n, m), max(n, m)
-    result: dict = {
+    row: dict = {
         "parameters": [k, n, m],
-        "braid_group": f"G({n},{m})",
-        "triangle_type": coxeter.classify_triangle(k, n, m),
-        "reflection_classes": k - 1,
         "finite": fin is not None,
+        "shephard_todd": fin.shephard_todd if fin else None,
+        "reflection_classes": k - 1,
+        "triangle_type": coxeter.classify_triangle(k, n, m),
     }
     if fin is None:
         # a triangle that is not spherical has its three edges as maximal finite parabolics, with
         # rotation subgroups cyclic of orders k, n and m (Humphreys, Reflection Groups and Coxeter Groups)
-        result.update(order=None, center_order=None, maximal_finite_cyclic_orders=sorted((k, n, m)))
+        row["maximal_finite_cyclic_orders"] = sorted((k, n, m))
+        return row, None, None, None
+    cayley = finite_quotient(k, n, m, max_cosets)
+    row["order"] = None if cayley is None else cayley.size
+    return row, fin, cayley, f"enumeration overflowed at {max_cosets}; membership retained" if cayley is None else None
+
+
+def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
+    """Result, status and evidence of ``classify``: the classification record
+    of W(k,n,m) and the evidence for each verdict."""
+    result, fin, cayley, overflow = _row(k, n, m, max_cosets)
+    k, n, m = result["parameters"]
+    result["braid_group"] = f"G({n},{m})"
+    if fin is None:
+        del result["shephard_todd"]
+        result.update(order=None, center_order=None)
         return result, "ok", [
             "not a finite-table member; group is infinite",
             "center order unknown in the infinite case",
@@ -94,26 +113,25 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, 
             "confirmed by computation on the finite members)",
         ]
     evidence = [f"finite table membership: W({k},{n},{m}) = {fin.shephard_todd}"]
-    cayley = finite_quotient(k, n, m, max_cosets)
     if cayley is None:  # the keys an infinite row reports, as unknown
-        result.update(order=None, center_order=None)
-        evidence.append(f"enumeration overflowed at {max_cosets}; membership retained")
+        result["center_order"] = None
+        evidence.append(overflow)
     else:
         order = cayley.size
         evidence.append(f"enumeration confirms order {order}")
         classes = reflection_class_count(cayley)
         evidence.append(f"reflection classes computed: {classes}")
         center = cayley.order_of(maps.central_element(k, n, m))
-        result.update(reflection_classes_computed=classes, center_order=center, order=order,
+        result.update(reflection_classes_computed=classes, center_order=center,
                       center_quotient_order=order // center, center_quotient=fin.center_quotient)
-    result["shephard_todd"] = fin.shephard_todd
     return result, "ok", evidence
 
 
 def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
     """Result, status and evidence of ``sweep``: one entry per triple
-    2 <= k <= max_k, 2 <= n < m <= max_m, gcd(n, m) = 1; the evidence names
-    each finite row whose enumeration overflows ``max_cosets``."""
+    2 <= k <= max_k, 2 <= n < m <= max_m, gcd(n, m) = 1, holding the keys
+    that ``_row`` writes for ``classify`` too; the evidence names each finite
+    row whose enumeration overflows ``max_cosets``, in ``_row``'s words."""
     for name, bound in (("max_k", max_k), ("max_m", max_m)):
         if bound < 2:
             raise ParameterError(f"{name} must be >= 2, got {bound}")
@@ -123,22 +141,10 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]
             for m in range(n + 1, max_m + 1):
                 if gcd(n, m) != 1:
                     continue
-                fin = finite_toric(k, n, m)
-                entry = {
-                    "parameters": [k, n, m],
-                    "finite": fin is not None,
-                    "shephard_todd": fin.shephard_todd if fin else None,
-                    "reflection_classes": k - 1,
-                    "triangle_type": coxeter.classify_triangle(k, n, m),
-                }
-                if fin is None:
-                    entry["maximal_finite_cyclic_orders"] = sorted((k, n, m))  # as in classify_toric
-                else:
-                    cayley = finite_quotient(k, n, m, max_cosets)
-                    entry["order"] = None if cayley is None else cayley.size
-                    if cayley is None:
-                        evidence.append(f"W({k},{n},{m}): enumeration overflowed at {max_cosets}; membership retained")
+                entry, _, _, overflow = _row(k, n, m, max_cosets)
                 entries.append(entry)
+                if overflow:
+                    evidence.append(f"W({k},{n},{m}): {overflow}")
     return {"entries": entries, "count": len(entries)}, "ok", evidence
 
 
