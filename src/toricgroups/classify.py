@@ -112,19 +112,16 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, 
             "reflection class count k-1 holds for every toric group (derived, "
             "confirmed by computation on the finite members)",
         ]
-    evidence = [f"finite table membership: W({k},{n},{m}) = {fin.shephard_todd}"]
+    membership = f"finite table membership: W({k},{n},{m}) = {fin.shephard_todd}"
     if cayley is None:  # the keys an infinite row reports, as unknown
         result["center_order"] = None
-        evidence.append(overflow)
-    else:
-        order = cayley.size
-        evidence.append(f"enumeration confirms order {order}")
-        classes = reflection_class_count(cayley)
-        evidence.append(f"reflection classes computed: {classes}")
-        center = cayley.order_of(maps.central_element(k, n, m))
-        result.update(reflection_classes_computed=classes, center_order=center,
-                      center_quotient_order=order // center, center_quotient=fin.center_quotient)
-    return result, "ok", evidence
+        return result, "ok", [membership, overflow]
+    classes = reflection_class_count(cayley)
+    center = cayley.order_of(maps.central_element(k, n, m))
+    result.update(reflection_classes_computed=classes, center_order=center,
+                  center_quotient_order=cayley.size // center, center_quotient=fin.center_quotient)
+    return result, "ok", [membership, f"enumeration confirms order {cayley.size}",
+                          f"reflection classes computed: {classes}"]
 
 
 def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
@@ -136,15 +133,12 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]
         if bound < 2:
             raise ParameterError(f"{name} must be >= 2, got {bound}")
     entries, evidence = [], []
-    for k in range(2, max_k + 1):
-        for n in range(2, max_m):
-            for m in range(n + 1, max_m + 1):
-                if gcd(n, m) != 1:
-                    continue
-                entry, _, _, overflow = _row(k, n, m, max_cosets)
-                entries.append(entry)
-                if overflow:
-                    evidence.append(f"W({k},{n},{m}): {overflow}")
+    for k, n, m in ((k, n, m) for k in range(2, max_k + 1) for n in range(2, max_m)
+                    for m in range(n + 1, max_m + 1) if gcd(n, m) == 1):
+        entry, _, _, overflow = _row(k, n, m, max_cosets)
+        entries.append(entry)
+        if overflow:
+            evidence.append(f"W({k},{n},{m}): {overflow}")
     return {"entries": entries, "count": len(entries)}, "ok", evidence
 
 
