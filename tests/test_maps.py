@@ -20,7 +20,7 @@ from toricgroups.maps import (
     meridian_embedding,
     parent_to_coxeter,
 )
-from toricgroups.presentations import TRIANGLE, j_parent, toric, torus_classical
+from toricgroups.presentations import TRIANGLE, XY, cyclic_product, j_parent, toric, torus_classical
 from toricgroups.words import GenMap, Word, apply_map, check_derivation, compose, free_reduce, invert
 
 SWEEP = FINITE_ROWS + [(6, 2, 3), (2, 3, 7), (4, 2, 5)]
@@ -94,6 +94,50 @@ def test_phi_after_psi_fixes_a_and_b(k, n, m):
     target = phi.genmap.target
     for name, word in (("a", target.word("r1 r2")), ("b", target.word("r3 r2"))):
         assert table.is_identity(free_reduce(image_of(comp.genmap, name) * invert(word)))
+
+
+# ker phi = <c>: psi (a -> x1, b -> delta^ell, delta = x1...xm, ell = m^-1 mod
+# n) induces a map W+ -> W/<c> that inverts phi mod <c> when it sends the
+# relators a^k, b^n, (b a^-1)^m of alt_plus into <c> and psi(phi(x_i)) = x_i.
+# a^k -> x1^k is a relator of W; the rest holds in G(n,m), where tau(c) =
+# Delta, so a word is central exactly when its normal form has no factors.
+# Composed into {x, y}, tau(psi(a)) = mu = tau(x1) and tau(psi(b)) = x^ell.
+KER_PHI_PAIRS = [(n, m) for n in range(2, 24) for m in range(2, 24) if n != m and gcd(n, m) == 1]
+
+
+def _psi_facts(n, m, t, ell, mu):
+    """Each fact of the certificate for tau = ``t``, psi(b) -> x^ell and
+    psi(a) -> ``mu`` (letters over {x, y}), as (name, holds), the cheap ones
+    first.  The words are letter tuples, which ``gnf`` reduces itself."""
+    def nf(letters):
+        return gnf(n, m, Word(XY, letters))
+
+    delta = apply_map(t, Word(t.source, cyclic_product(n, 0, m))).letters
+    yield "tau(x1...xm) = x", nf(delta + (-1,)).is_identity()
+    for i, image in enumerate(t.images):
+        fixed = (-1,) * (ell * i) + mu + (1,) * (ell * i) + invert(image).letters
+        yield f"psi(phi(x{i + 1})) = x{i + 1}", nf(fixed).is_identity()
+    yield "psi(b^n) is central", not nf((1,) * (ell * n)).factors
+    yield "psi((b a^-1)^m) is central", not nf(((1,) * ell + tuple(-a for a in reversed(mu))) * m).factors
+
+
+@pytest.mark.parametrize("n,m", KER_PHI_PAIRS)
+def test_ker_phi_is_generated_by_the_central_element(n, m):
+    psi, t, ell = build_psi(2, n, m), tau(n, m), pow(m, -1, n)
+    delta = Word(psi.genmap.target, cyclic_product(n, 0, m))
+    assert psi.genmap.images == (psi.genmap.target.word("x1"), free_reduce(delta**ell))
+    assert [name for name, holds in _psi_facts(n, m, t, ell, t.images[0].letters) if not holds] == []
+
+
+@pytest.mark.parametrize("tamper", ["ell+1", "mu x", "psi(a)=x2"])
+def test_ker_phi_certificate_rejects_a_tampered_psi(tamper):
+    for n, m in KER_PHI_PAIRS:
+        if n >= 14 or m >= 16:  # each tamper fails on every pair; these are enough
+            continue
+        t, ell = tau(n, m), pow(m, -1, n)
+        ell, mu = {"ell+1": (ell + 1, t.images[0]), "mu x": (ell, t.images[0] * Word(XY, (1,))),
+                   "psi(a)=x2": (ell, t.images[1])}[tamper]
+        assert not all(holds for _, holds in _psi_facts(n, m, t, ell, mu.letters)), (n, m)
 
 
 def test_embedding_images():

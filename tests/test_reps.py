@@ -226,8 +226,8 @@ def test_conjugation_table_is_the_canonical_inverse_powers(n):
 
 
 def general_product(a: Cyc, b: Cyc) -> Cyc:
-    """a b by the exponent-vector product and one reduction, with no
-    shortcut for a rational factor."""
+    """a b by the exponent-vector product and one reduction, the reference
+    for ``dot`` on every pair of factors."""
     v = [0] * a.n
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
@@ -237,7 +237,7 @@ def general_product(a: Cyc, b: Cyc) -> Cyc:
 
 @settings(max_examples=60)
 @given(st.sampled_from(MODULI).flatmap(lambda n: st.tuples(elements(n, max_terms=6), st.integers(-3, 3))))
-def test_rational_factor_shortcut_matches_the_general_product(case):
+def test_products_with_a_rational_factor_match_the_general_product(case):
     # 0, +-1, +-2 and the rest: one factor rational, as a Cyc or an int
     (a, ra), q = case
     rational = Cyc.rational(q, a.n)
@@ -245,7 +245,7 @@ def test_rational_factor_shortcut_matches_the_general_product(case):
         assert product == general_product(a, rational) == general_product(rational, a)
         same(product, ra * q)
         assert all(type(c) is int for c in product.coeffs)
-    same(a * a, ra * ra)  # a square of a non-rational element takes the general path
+    same(a * a, ra * ra)  # and a square, with no rational factor: every product is one dot
 
 
 def check_inverse(a: Cyc, ra) -> None:
