@@ -133,12 +133,15 @@ def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]
         if bound < 2:
             raise ParameterError(f"{name} must be >= 2, got {bound}")
     entries, evidence = [], []
-    for k, n, m in ((k, n, m) for k in range(2, max_k + 1) for n in range(2, max_m)
-                    for m in range(n + 1, max_m + 1) if gcd(n, m) == 1):
-        entry, _, _, overflow = _row(k, n, m, max_cosets)
-        entries.append(entry)
-        if overflow:
-            evidence.append(f"W({k},{n},{m}): {overflow}")
+    for k in range(2, max_k + 1):
+        for n in range(2, max_m):
+            for m in range(n + 1, max_m + 1):
+                if gcd(n, m) != 1:
+                    continue
+                entry, _, _, overflow = _row(k, n, m, max_cosets)
+                entries.append(entry)
+                if overflow:
+                    evidence.append(f"W({k},{n},{m}): {overflow}")
     return {"entries": entries, "count": len(entries)}, "ok", evidence
 
 
