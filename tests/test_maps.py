@@ -123,7 +123,7 @@ def _psi_facts(n, m, t, ell, mu):
 
 @pytest.mark.parametrize("n,m", KER_PHI_PAIRS)
 def test_ker_phi_is_generated_by_the_central_element(n, m):
-    psi, t, ell = build_psi(2, n, m), tau(n, m), pow(m, -1, n)
+    psi, t, ell = build_psi(2, n, m), tau(n, m), pow(m, -1, n)  # psi's images do not depend on k
     delta = Word(psi.genmap.target, cyclic_product(n, 0, m))
     assert psi.genmap.images == (psi.genmap.target.word("x1"), free_reduce(delta**ell))
     assert [name for name, holds in _psi_facts(n, m, t, ell, t.images[0].letters) if not holds] == []
