@@ -94,6 +94,13 @@ GOLDEN_REQUESTS = {
     # function: every finite row overflows, so the entries print `order` null
     # and the evidence names each row; this has a text golden too
     "sweep_3_5_overflow": ["--max-cosets", "5", "sweep", "--max-k", "3", "--max-m", "5"],
+    # captured before W/Z was named by its triangle in one table: A4, both
+    # rows named A5, and a row whose labels come with n > m; these have text
+    # goldens too
+    "classify_3_2_3": ["classify", "3", "2", "3"],
+    "classify_2_3_5": ["classify", "2", "3", "5"],
+    "classify_3_2_5": ["classify", "3", "2", "5"],
+    "classify_5_3_2": ["classify", "5", "3", "2"],
 }
 # requests refused with exit code 2 and one `error:` line, in JSON and in
 # text: a word that neither alphabet of `wp garside` or `rep eval` reads, and
@@ -114,7 +121,8 @@ TEXT_GOLDEN = ("classify_6_2_3", "classify_4_2_3", "sweep_3_5", "derive_2_3_4", 
                "wp_coxeter_7_8_9", "rep_witness", "wp_garside_classical_2_3", "rep_eval_2_3_7_meridians",
                "rep_check_2_3_7_swapped", "present_toric_2_5_3", "enumerate_toric_3_5_2",
                "enumerate_toric_2_5_3_subgroup_x1_x3", "sweep_7_9", "classify_2_3_5_overflow",
-               "wp_garside_3_5_meridians_with_ones", "sweep_3_5_overflow")
+               "wp_garside_3_5_meridians_with_ones", "sweep_3_5_overflow", "classify_3_2_3",
+               "classify_2_3_5", "classify_3_2_5", "classify_5_3_2")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import ParseError, identity_map, parse_presentation
 
-from toricgroups import classify, cosets, coxeter, cyclo, garside, maps, reps, schreier, words
+from toricgroups import classify, cosets, coxeter, cyclo, garside, maps, presentations, reps, schreier, words
 from toricgroups.presentations import meridians, toric
 
 AB = words.Alphabet(["x", "y"])
@@ -32,6 +32,9 @@ def complete():
     (lambda: parse_presentation("rel: a"), ParseError, "line 1, column 1: rel line before gens line"),
     (lambda: parse_presentation("gens: a\nrels: a"), ParseError, "line 2, column 1: unknown key 'rels'"),
     (lambda: parse_presentation("# no generators\n"), ParseError, "line 1, column 1: missing gens line"),
+    # a builder's own check, which the command line's label check comes before
+    (lambda: presentations.alt_toric(2, 4, 6), presentations.ParameterError, "gcd(4,6) != 1"),
+    (lambda: presentations.alt_toric(1, 3, 5), presentations.ParameterError, "labels must be integers >= 2, got 1"),
     # the coset layer
     (lambda: cosets.todd_coxeter(toric(3, 2, 3), strategy="dfs"), ValueError, "unknown strategy 'dfs'"),
     (lambda: cosets.todd_coxeter(toric(3, 2, 3), [STU.word("s")]), ValueError,
