@@ -4,7 +4,9 @@ W(k,n,m) with gcd(n,m) = 1 is finite exactly when its triangle is
 spherical (``coxeter.classify_triangle``, the one rule).  With n < m these
 are six sporadic triples and the family (2,2,m) with m odd, I2(m) =
 G(m,m,2), named by ``finite_toric`` after Shephard & Todd ("Finite unitary
-reflection groups", 1954).  ``finite_quotient`` is the one place a finite
+reflection groups", 1954).  W/Z is the alternating subgroup of the triangle
+group, so ``finite_toric`` names it by the triangle, its sorted labels,
+not by the row.  ``finite_quotient`` is the one place a finite
 row's Cayley table is built, and the command line only formats the records
 built here: the classification of one triple, the sweep over a grid, the
 word problem of W(k,n,m), and the derived presentation of W(a,b,c) as the
@@ -36,14 +38,10 @@ class FiniteToric(Value):
     __slots__ = ("shephard_todd", "center_quotient")  # center_quotient: W/Z, the triangle group's alternating subgroup
 
 
-_SPORADIC = {  # the names of the spherical coprime rows with n < m and (k, n) != (2, 2)
-    (2, 3, 4): FiniteToric("G12", "S4"),
-    (2, 3, 5): FiniteToric("G22", "A5"),
-    (3, 2, 3): FiniteToric("G4", "A4"),
-    (4, 2, 3): FiniteToric("G8", "S4"),
-    (5, 2, 3): FiniteToric("G16", "A5"),
-    (3, 2, 5): FiniteToric("G20", "A5"),
-}
+# Shephard & Todd's names of the spherical coprime rows with n < m and (k, n) != (2, 2)
+_SPORADIC = {(2, 3, 4): "G12", (2, 3, 5): "G22", (3, 2, 3): "G4", (4, 2, 3): "G8", (5, 2, 3): "G16", (3, 2, 5): "G20"}
+# W/Z is the alternating subgroup of the triangle group, so its name depends on the sorted labels alone
+_ALTERNATING = {(2, 3, 3): "A4", (2, 3, 4): "S4", (2, 3, 5): "A5"}
 
 
 def finite_toric(k: int, n: int, m: int) -> FiniteToric | None:
@@ -54,7 +52,7 @@ def finite_toric(k: int, n: int, m: int) -> FiniteToric | None:
     n, m = min(n, m), max(n, m)
     if (k, n) == (2, 2):
         return FiniteToric(f"G({m},{m},2)=I2({m})", f"I2({m})")
-    return _SPORADIC[k, n, m]
+    return FiniteToric(_SPORADIC[k, n, m], _ALTERNATING[tuple(sorted((k, n, m)))])
 
 
 @lru_cache(maxsize=None, typed=True)  # an int label and an equal float are different keys

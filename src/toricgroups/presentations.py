@@ -199,8 +199,8 @@ def alt_plus(k: int, n: int, m: int) -> Presentation:
 
 
 def alt_toric(k: int, n: int, m: int) -> Presentation:
-    """The toric presentation with the full twist (x1...xn)^m killed."""
-    FamilyParams("alt-toric", (k, n, m))
+    """The toric presentation with the full twist (x1...xn)^m killed; ``toric``
+    checks the labels."""
     base = toric(k, n, m)
     twist = Word(base.alphabet, cyclic_product(n, 0, n * m))
     return Presentation(base.alphabet, base.relators + (twist,))

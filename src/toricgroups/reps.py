@@ -177,21 +177,20 @@ def eval_record(a: int, b: int, c: int, preset: str | None, text: str) -> tuple[
 
 
 def rho_eval(rep: Rep, w: Word) -> Mat2:
-    """Evaluate a word over {s,t,u}, or over the meridians x1..xn through
-    their images under ``maps.meridian_embedding``, built only for the
-    meridians the word holds."""
-    names = w.alphabet.names
-    base = {"s": rep.mat_s, "t": rep.mat_t, "u": rep.mat_u}
+    """Evaluate a word over ``STU``, the alphabet s, t, u in that order, or
+    over the meridians x1..xn through their images under
+    ``maps.meridian_embedding``, built only for the meridians the word
+    holds; ValueError over any other alphabet."""
     identity = mat_identity(rep.q.n)
-    if set(names) <= base.keys():
-        mats = [base[g] for g in names]
-    elif w.alphabet == meridians(len(names)):
+    if w.alphabet == STU:
+        mats = [rep.mat_s, rep.mat_t, rep.mat_u]
+    elif w.alphabet == meridians(len(w.alphabet)):
         stu = signed_table([rep.mat_s, rep.mat_t, rep.mat_u], mat_inv)
         held = {abs(x) for x in w.letters}
         mats = [_product(stu, image.letters, identity) if x in held else None
                 for x, image in enumerate(meridian_embedding(w.alphabet).images, start=1)]
     else:
-        raise ValueError(f"cannot resolve alphabet {names} to the representation")
+        raise ValueError(f"cannot resolve alphabet {w.alphabet.names} to the representation")
     # a None matrix, of a meridian the word does not hold, has no inverse
     return _product(signed_table(mats, lambda a: None if a is None else mat_inv(a)), w.letters, identity)
 

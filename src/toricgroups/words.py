@@ -266,15 +266,13 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 def pick_alphabet(first: Alphabet, second: Callable[[], Alphabet], text: str) -> Alphabet:
     """The alphabet that the first generator of ``text`` (past any ``1``
     tokens) picks: ``first`` when it holds that name or the text names none,
-    else ``second()``, built only then, when it holds the name, else
-    ``first``, over which ``parse_word`` raises the syntax error.  No token
-    past the first generator is read."""
+    else ``second()``, built only then.  No token past the first generator
+    is read.  A name in neither alphabet is the text's first bad token over
+    either, and ``_token_run`` tests a name before its exponent, so
+    ``parse_word`` raises the same message at the same column over both."""
     tokens = map(re.Match.group, re.finditer(r"\S+", text))  # those of text.split(), one at a time
     name = next((token.partition("^")[0] for token in tokens if token != "1"), None)
-    if name is None or name in first:
-        return first
-    alphabet = second()
-    return alphabet if name in alphabet else first
+    return first if name is None or name in first else second()
 
 
 def _token_run(alphabet: Alphabet, token: str) -> tuple[int, int] | str:

@@ -534,9 +534,10 @@ def test_rho_eval_builds_only_the_meridians_a_word_holds(monkeypatch):
     assert len(calls) <= 6
 
 
-@pytest.mark.parametrize("names", [["x2", "x1"], ["xa", "xb"], ["x1", "x3"]])
+@pytest.mark.parametrize("names", [["x2", "x1"], ["xa", "xb"], ["x1", "x3"], ["t", "s"], ["s"]])
 def test_rho_eval_refuses_an_alphabet_other_than_the_meridians(names):
-    # the meridian branch reads x1 ... xn in order and nothing else
+    # the meridian branch reads x1 ... xn in order and nothing else, and the
+    # other branch STU, s t u in that order
     rep = build_rho_preset(6, 2, 3, "zero")
     with pytest.raises(ValueError, match="cannot resolve alphabet"):
         rho_eval(rep, Alphabet(names).word(names[0]))
