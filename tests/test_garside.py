@@ -209,8 +209,9 @@ def test_meridian_image_is_conjugate_to_a_generator():
             assert ids[cay.eval(mer)] in target_classes, (n, m, k)
 
 
-# every coprime pair up to 12, and one past the m <= 99 of the finite table
-CLASSICAL_PAIRS = [(n, m) for n in range(2, 13) for m in range(2, 13) if math.gcd(n, m) == 1] + [(2, 101)]
+# every coprime pair n != m below 24, and one past the m <= 99 of the finite table
+SWAP_PAIRS = [(n, m) for n in range(2, 24) for m in range(2, 24) if n != m and math.gcd(n, m) == 1]
+CLASSICAL_PAIRS = SWAP_PAIRS + [(2, 101)]
 
 
 @pytest.mark.parametrize("n,m", CLASSICAL_PAIRS)
@@ -238,6 +239,41 @@ def test_tau_and_sigma_are_inverse_isomorphisms(n, m):
     assert d.start == apply_map(s, image_of(t, "x1"))
     assert end == s.target.word("x1")
     assert all(len(w) < 2 * n + m for w in t.images)
+
+
+# The n <-> m swap (ROADMAP item 5): swap, x -> y and y -> x, maps G(n,m) =
+# <x, y | x^n = y^m> onto G(m,n), and with (a, b) = _bezout(n, m) it sends
+# tau_{n,m}(x1) to y^b tau_{m,n}(x1) y^-b.  So f = sigma_{m,n} . swap .
+# tau_{n,m} sends x1 to a conjugate of x1 (the test above checks sigma . tau
+# on every pair), hence each x_i^k into the normal closure of the k-th powers,
+# and W(k,n,m) -> W(k,m,n) is well defined; the same map the other way
+# inverts it.  enumerate's swap and the (min, max) reading of classify and
+# sweep rest on this.
+SWAP = {1: 2, 2: 1, -1: -2, -2: -1}
+
+
+def _swap_conjugates(n, m, b, meridian):
+    """Whether swap(tau_{n,m}(x1)) = y^b ``meridian`` y^-b in G(m,n)."""
+    swapped = tuple(SWAP[x] for x in tau(n, m).images[0].letters)
+    return gnf(m, n, Word(AB, swapped + (2,) * b + meridian.inverse().letters + (-2,) * b)).is_identity()
+
+
+def test_the_swap_sends_the_meridian_to_a_conjugate_of_the_other():
+    failed = [(n, m) for n, m in SWAP_PAIRS
+              if not _swap_conjugates(n, m, garside._bezout(n, m)[1], tau(m, n).images[0])]
+    assert (len(SWAP_PAIRS), failed) == (298, [])
+
+
+@pytest.mark.parametrize("tamper", ["b+1", "b-1", "inverse meridian"])
+def test_the_swap_certificate_rejects_a_tampered_conjugate(tamper):
+    # each tamper fails on all 298 pairs; those with n < 14 and m < 16 are enough here
+    for n, m in SWAP_PAIRS:
+        if n >= 14 or m >= 16:
+            continue
+        b, meridian = garside._bezout(n, m)[1], tau(m, n).images[0]
+        b, meridian = {"b+1": (b + 1, meridian), "b-1": (b - 1, meridian),
+                       "inverse meridian": (b, meridian.inverse())}[tamper]
+        assert not _swap_conjugates(n, m, b, meridian), (n, m)
 
 
 def test_meridian_derivation_rejects_a_wrong_relator_index():

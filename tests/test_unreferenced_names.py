@@ -2,11 +2,12 @@
 
 ``tools/line_counts.py`` lists the public functions, classes and methods
 of ``src/toricgroups/`` that no ``Name`` or ``Attribute`` node of the
-package reads.  Such a name stays only if the benchmark's traced run wraps
-it, an open item will call it from a command, or it is a capability of the
-paper that the tests pin; otherwise it gives way to the surviving API that
-answers the same, or moves beside the tests that use it.  ``STAYS`` lists
-every such name with its reason, read here from the working tree.
+package reads.  Such a name stays only if ``perfbench/`` names it, an open
+item will call it from a command, or it is a capability of the paper that
+the tests pin; otherwise it gives way to the surviving API that answers the
+same, or moves beside the tests that use it.  ROADMAP states the same rule.
+``STAYS`` lists every such name with its reason, read here from the working
+tree.
 """
 
 import ast
@@ -24,7 +25,7 @@ STAYS = {
     "maps.parent_to_coxeter": "derive's infinite verdict rests on it; an open item checks it per row",
     "maps.centrality_witness": "an open item cites it for a decided central word on an infinite row",
     "garside.meridian_derivation": "an open item certifies the n <-> m swap with it",
-    "maps.build_psi": "the section of phi, pinned by the acceptance suite's homomorphism criterion",
+    "maps.build_psi": "ROADMAP item 23's certificate of ker phi = <c> will call it; tests/test_maps.py checks it",
     "coxeter.center_check_plus": "Z(W+) of the paper's finite rows, pinned by tests/test_coxeter.py and demo 04",
     "schreier.closed_form_generator": "the paper's closed form, pinned by the acceptance suite; the oracle shares it",
 }

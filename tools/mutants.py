@@ -96,6 +96,23 @@ CATALOGUE = (
            "the row builder's key order: a sweep entry prints as a dict in text, so its keys' order is output"),
     Mutant("classify", '        del result["shephard_todd"]\n', "",
            "classify keeps the row builder's null shephard_todd on an infinite row, where it prints none"),
+    # W/Z named by its triangle, one alphabet test, one label check, rho over two alphabets
+    Mutant("classify", "_ALTERNATING[tuple(sorted((k, n, m)))]", "_ALTERNATING.get((k, n, m), \"A5\")",
+           "W/Z read with the labels as given, A5 where no key matches: (3,2,3) and (4,2,3) would be named A5"),
+    Mutant("classify", '{(2, 3, 3): "A4", (2, 3, 4): "S4"', '{(2, 3, 3): "S4", (2, 3, 4): "A4"',
+           "the W/Z table with A4 and S4 swapped"),
+    Mutant("reps", "mats = [rep.mat_s, rep.mat_t, rep.mat_u]", "mats = [rep.mat_s, rep.mat_u, rep.mat_t]",
+           "rho_eval reads a word over s, t, u as if its letters were s, u, t"),
+    Mutant("presentations", "    base = toric(k, n, m)\n", "    base = toric(max(k, 2), n, m)\n",
+           "alt_toric reads a label k below 2 as 2, so its label check no longer refuses it"),
+    Mutant("presentations", "cyclic_product(n, 0, n * m)", "cyclic_product(n, 0, m)",
+           "alt_toric kills x1...xm, a root of the full twist, in place of (x1...xn)^m"),
+    Mutant("words", "    return first if name is None or name in first else second()\n",
+           "    if name is None or name in first:\n        return first\n    alphabet = second()\n"
+           "    return alphabet if name in alphabet else first\n",
+           "equivalent: the old fall-back to first for a name in neither alphabet; every token before that "
+           "name is 1, so it is the text's first bad token over either alphabet, and _token_run tests a "
+           "name before its exponent, so parse_word raises the same message at the same column over both"),
 )
 
 
