@@ -40,7 +40,7 @@ class FiniteToric(Value):
 
 # Shephard & Todd's names of the spherical coprime rows with n < m and (k, n) != (2, 2)
 _SPORADIC = {(2, 3, 4): "G12", (2, 3, 5): "G22", (3, 2, 3): "G4", (4, 2, 3): "G8", (5, 2, 3): "G16", (3, 2, 5): "G20"}
-# W/Z is the alternating subgroup of the triangle group, so its name depends on the sorted labels alone
+# W/Z, the alternating subgroup of the triangle group, by the triangle's sorted labels
 _ALTERNATING = {(2, 3, 3): "A4", (2, 3, 4): "S4", (2, 3, 5): "A5"}
 
 

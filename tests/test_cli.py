@@ -94,9 +94,9 @@ GOLDEN_REQUESTS = {
     # function: every finite row overflows, so the entries print `order` null
     # and the evidence names each row; this has a text golden too
     "sweep_3_5_overflow": ["--max-cosets", "5", "sweep", "--max-k", "3", "--max-m", "5"],
-    # captured before W/Z was named by its triangle in one table: A4, both
-    # rows named A5, and a row whose labels come with n > m; these have text
-    # goldens too
+    # captured before W/Z was named by its triangle in one table: the A4 row,
+    # two of the three A5 rows, and the third, (5,2,3), with its labels given
+    # as n > m; these have text goldens too
     "classify_3_2_3": ["classify", "3", "2", "3"],
     "classify_2_3_5": ["classify", "2", "3", "5"],
     "classify_3_2_5": ["classify", "3", "2", "5"],

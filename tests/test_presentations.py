@@ -77,7 +77,7 @@ def test_parameter_domain_errors():
         FamilyParams("toric", (2, 3))  # arity
 
 
-# the orders of W/Z as classify names it (Shephard & Todd, 1954), written out here
+# the orders of the groups that finite_toric names W/Z, written out here
 CENTER_QUOTIENT_ORDERS = {"A4": 12, "S4": 24, "A5": 60, **{f"I2({m})": 2 * m for m in (3, 5, 7, 9)}}
 
 
