@@ -1,26 +1,35 @@
 """Which toric reflection groups are finite, and the records built on that.
 
 W(k,n,m) with gcd(n,m) = 1 is finite exactly when its triangle is
-spherical (``coxeter.classify_triangle``, the one rule).  With n < m these
-are six sporadic triples and the family (2,2,m) with m odd, I2(m) =
-G(m,m,2), named by ``finite_toric`` after Shephard & Todd ("Finite unitary
-reflection groups", 1954).  W/Z is the alternating subgroup of the triangle
-group, so ``finite_toric`` names it by the triangle, its sorted labels,
-not by the row.  ``finite_quotient`` is the one place a finite
-row's Cayley table is built, and the command line only formats the records
-built here: the classification of one triple, the sweep over a grid, the
-word problem of W(k,n,m), and the derived presentation of W(a,b,c) as the
-normal closure of s in its parent J-group.  Each is a (result, status,
-evidence) triple, like the records of the other modules.  One row builder,
-``_row``, writes the keys that ``classify`` and ``sweep`` share, in the order
-a ``sweep`` entry prints them, and the note of a finite row that overflows;
-``classify_toric`` adds only what ``classify`` alone prints.
+spherical, that is when d = kmn (1/k + 1/n + 1/m - 1) = ``coxeter._curvature``
+is positive.  With n < m these are six sporadic triples and the family
+(2,2,m) with m odd, I2(m) = G(m,m,2), named after Shephard & Todd ("Finite
+unitary reflection groups", 1954).  W/Z is the alternating subgroup of the
+triangle group, so it is named by the triangle, its sorted labels, not by
+the row.  A finite row's orders follow from d alone: |W| = 4k^2nm/d^2, the
+centre <c> has order 2k/d and W/Z order 2kmn/d, which is Coxeter's order of
+p[q]p when n = 2 (*Regular Complex Polytopes*, 1974) and that of a
+Seifert-fibred orbifold group (Scott, "The geometries of 3-manifolds",
+1983).  Each division is checked to be exact, so ``classify`` and ``sweep``
+build no Cayley table and read no ``max_cosets``.  ``classify``'s
+``reflection_classes_computed`` comes from a certificate checked on every
+call, in time linear in the relators (``_reflection_classes``).
+
+The command line only formats the records built here: the classification of
+one triple, the sweep over a grid, the word problem of W(k,n,m), and the
+derived presentation of W(a,b,c) as the normal closure of s in its parent
+J-group.  Each is a (result, status, evidence) triple, like the records of
+the other modules.  One row builder, ``_row``, writes the keys that
+``classify`` and ``sweep`` share, in the order a ``sweep`` entry prints
+them, from one curvature value; ``classify_toric`` adds only what
+``classify`` alone prints.
 
 Four objects depend on the row and not on the request, and each is built
 once per process: ``coxeter.triangle_table``, ``reps._field``,
-``maps.build_phi`` and ``finite_quotient``.  A process that answers many
-requests on one row reuses them; one CLI invocation builds each at most
-once anyway.
+``maps.build_phi`` and ``finite_quotient``, the Cayley table in which ``wp
+toric`` decides a central word on a finite row and ``rep witness`` reads
+W(3,2,3).  A process that answers many requests on one row reuses them; one
+CLI invocation builds each at most once anyway.
 """
 
 from __future__ import annotations
@@ -29,9 +38,10 @@ from functools import lru_cache
 from math import gcd
 
 from . import coxeter, maps, schreier
-from .cosets import CayleyTable, group_order, reflection_class_count, todd_coxeter
-from .presentations import FamilyParams, ParameterError, TietzeBudgetExceeded, serialize, tietze_simplify, toric
-from .words import Value
+from .cosets import CayleyTable, group_order, todd_coxeter
+from .presentations import (FamilyParams, ParameterError, Presentation, TietzeBudgetExceeded, chain_implies_shift,
+                            cyclic_product, serialize, tietze_simplify, toric)
+from .words import Value, check_derivation
 
 
 class FiniteToric(Value):
@@ -47,12 +57,7 @@ _ALTERNATING = {(2, 3, 3): "A4", (2, 3, 4): "S4", (2, 3, 5): "A5"}
 def finite_toric(k: int, n: int, m: int) -> FiniteToric | None:
     """The names of W(k,n,m), n and m coprime in any order, if it is finite, else None."""
     FamilyParams("toric", (k, n, m))  # labels >= 2, gcd(n, m) = 1
-    if coxeter.classify_triangle(k, n, m) != "spherical":
-        return None
-    n, m = min(n, m), max(n, m)
-    if (k, n) == (2, 2):
-        return FiniteToric(f"G({m},{m},2)=I2({m})", f"I2({m})")
-    return FiniteToric(_SPORADIC[k, n, m], _ALTERNATING[tuple(sorted((k, n, m)))])
+    return _row(k, n, m)[1]
 
 
 @lru_cache(maxsize=None, typed=True)  # an int label and an equal float are different keys
@@ -71,33 +76,67 @@ def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | No
     return CayleyTable(table) if table.complete else None
 
 
-def _row(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, FiniteToric | None, CayleyTable | None, str | None]:
-    """The keys a ``sweep`` entry prints, in its order, with the row's names,
-    Cayley table and overflow note, read with n < m.  An infinite row has no
-    names, table or note; a finite row has a table or, past ``max_cosets``, a note."""
-    fin = finite_toric(k, n, m)  # labels >= 2, gcd(n, m) = 1
+def _exact(numerator: int, denominator: int) -> int:
+    """numerator / denominator; AssertionError, never a verdict, if it leaves a remainder."""
+    quotient, remainder = divmod(numerator, denominator)
+    assert remainder == 0, f"{numerator}/{denominator} leaves {remainder}"
+    return quotient
+
+
+def _row(k: int, n: int, m: int) -> tuple[dict, FiniteToric | None, tuple[int, int, int] | None]:
+    """The keys a ``sweep`` entry prints, in its order, read with n < m, with
+    the row's names and, on a finite row, d, |Z| = 2k/d and |W/Z| = 2kmn/d.
+    The labels are not checked: ``sweep`` makes only valid ones."""
+    d = coxeter._curvature(k, n, m)
     n, m = min(n, m), max(n, m)
+    fin = None
+    if d > 0:
+        fin = (FiniteToric(f"G({m},{m},2)=I2({m})", f"I2({m})") if (k, n) == (2, 2) else
+               FiniteToric(_SPORADIC[k, n, m], _ALTERNATING[tuple(sorted((k, n, m)))]))
     row: dict = {
         "parameters": [k, n, m],
         "finite": fin is not None,
         "shephard_todd": fin.shephard_todd if fin else None,
         "reflection_classes": k - 1,
-        "triangle_type": coxeter.classify_triangle(k, n, m),
+        "triangle_type": coxeter._geometry(d),
     }
     if fin is None:
         # a triangle that is not spherical has its three edges as maximal finite parabolics, with
         # rotation subgroups cyclic of orders k, n and m (Humphreys, Reflection Groups and Coxeter Groups)
         row["maximal_finite_cyclic_orders"] = sorted((k, n, m))
-        return row, None, None, None
-    cayley = finite_quotient(k, n, m, max_cosets)
-    row["order"] = None if cayley is None else cayley.size
-    return row, fin, cayley, f"enumeration overflowed at {max_cosets}; membership retained" if cayley is None else None
+        return row, None, None
+    row["order"] = _exact(4 * k * k * n * m, d * d)
+    return row, fin, (d, _exact(2 * k, d), _exact(2 * k * n * m, d))
 
 
-def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
+def _reflection_classes(p: Presentation, k: int, m: int) -> int:
+    """k - 1, the classes of the nontrivial powers of the meridians of ``p`` =
+    ``toric(k, n, m)``, once its certificate checks; AssertionError if not.
+
+    Each ``chain_implies_shift`` derivation, checked against the chain
+    relators, takes x_i delta to delta x_{i+m}, so with gcd(n, m) = 1 all
+    meridians are conjugate.  Every relator has exponent sum 0 mod k and
+    x_1^k is one, so x_i -> 1 is a map onto Z/k, which separates x_1, ...,
+    x_1^(k-1).  The check is linear in the relators' letters.
+    """
+    ab, n = p.alphabet, len(p.alphabet)
+    delta = cyclic_product(n, 0, m)
+    for i in range(1, n + 1):
+        try:
+            end = check_derivation(chain_implies_shift(ab, m, i), p.relators[n:])
+        except ValueError as e:
+            raise AssertionError(f"the shift derivation of x{i}: {e}") from None
+        assert end.letters == (*delta, (i + m - 1) % n + 1), f"the shift derivation of x{i} ends at {end}"
+    assert all(sum(1 if x > 0 else -1 for x in r.letters) % k == 0 for r in p.relators), f"x_i -> 1 is no map to Z/{k}"
+    assert (1,) * k in [r.letters for r in p.relators], f"x1^{k} is no relator"
+    return k - 1
+
+
+def classify_toric(k: int, n: int, m: int) -> tuple[dict, str, list[str]]:
     """Result, status and evidence of ``classify``: the classification record
     of W(k,n,m) and the evidence for each verdict."""
-    result, fin, cayley, overflow = _row(k, n, m, max_cosets)
+    FamilyParams("toric", (k, n, m))  # labels >= 2, gcd(n, m) = 1
+    result, fin, orders = _row(k, n, m)
     k, n, m = result["parameters"]
     result["braid_group"] = f"G({n},{m})"
     if fin is None:
@@ -110,37 +149,29 @@ def classify_toric(k: int, n: int, m: int, max_cosets: int) -> tuple[dict, str, 
             "reflection class count k-1 holds for every toric group (derived, "
             "confirmed by computation on the finite members)",
         ]
-    membership = f"finite table membership: W({k},{n},{m}) = {fin.shephard_todd}"
-    if cayley is None:  # the keys an infinite row reports, as unknown
-        result["center_order"] = None
-        return result, "ok", [membership, overflow]
-    classes = reflection_class_count(cayley)
-    center = cayley.order_of(maps.central_element(k, n, m))
+    d, center, quotient = orders
+    classes = _reflection_classes(toric(k, n, m), k, m)
     result.update(reflection_classes_computed=classes, center_order=center,
-                  center_quotient_order=cayley.size // center, center_quotient=fin.center_quotient)
-    return result, "ok", [membership, f"enumeration confirms order {cayley.size}",
-                          f"reflection classes computed: {classes}"]
+                  center_quotient_order=quotient, center_quotient=fin.center_quotient)
+    return result, "ok", [
+        f"finite table membership: W({k},{n},{m}) = {fin.shephard_todd}",
+        f"closed form with d = kmn(1/k + 1/n + 1/m - 1) = {d}: |W| = 4k^2nm/d^2 = {result['order']}, "
+        f"|Z| = 2k/d = {center}, |W/Z| = 2kmn/d = {quotient}",
+        f"reflection classes computed: {classes} (checked shift derivations make the meridians conjugate; "
+        f"x_i -> 1 mod {k} separates their powers)",
+    ]
 
 
-def sweep(max_k: int, max_m: int, max_cosets: int) -> tuple[dict, str, list[str]]:
+def sweep(max_k: int, max_m: int) -> tuple[dict, str, list[str]]:
     """Result, status and evidence of ``sweep``: one entry per triple
     2 <= k <= max_k, 2 <= n < m <= max_m, gcd(n, m) = 1, holding the keys
-    that ``_row`` writes for ``classify`` too; the evidence names each finite
-    row whose enumeration overflows ``max_cosets``, in ``_row``'s words."""
+    that ``_row`` writes for ``classify`` too."""
     for name, bound in (("max_k", max_k), ("max_m", max_m)):
         if bound < 2:
             raise ParameterError(f"{name} must be >= 2, got {bound}")
-    entries, evidence = [], []
-    for k in range(2, max_k + 1):
-        for n in range(2, max_m):
-            for m in range(n + 1, max_m + 1):
-                if gcd(n, m) != 1:
-                    continue
-                entry, _, _, overflow = _row(k, n, m, max_cosets)
-                entries.append(entry)
-                if overflow:
-                    evidence.append(f"W({k},{n},{m}): {overflow}")
-    return {"entries": entries, "count": len(entries)}, "ok", evidence
+    entries = [_row(k, n, m)[0] for k in range(2, max_k + 1) for n in range(2, max_m)
+               for m in range(n + 1, max_m + 1) if gcd(n, m) == 1]
+    return {"entries": entries, "count": len(entries)}, "ok", []
 
 
 def toric_word_problem(k: int, n: int, m: int, w: str, max_cosets: int) -> tuple[dict, str, list[str]]:

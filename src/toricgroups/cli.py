@@ -149,10 +149,10 @@ _COMMANDS = {
                                                           args.strategy, args.max_cosets)),
     "classify": ("classification report for W(k,n,m)", (("k", int, 1), ("n", int, 1), ("m", int, 1)), {},
                  _pick("k", "n", "m"),
-                 lambda args, _: classify.classify_toric(args.k, args.n, args.m, args.max_cosets)),
+                 lambda args, _: classify.classify_toric(args.k, args.n, args.m)),
     "sweep": ("batch classification over a parameter grid", (),
               {"--max-k": ("max_k", int, 6), "--max-m": ("max_m", int, 7)},
-              _pick("max_k", "max_m"), lambda args, _: classify.sweep(args.max_k, args.max_m, args.max_cosets)),
+              _pick("max_k", "max_m"), lambda args, _: classify.sweep(args.max_k, args.max_m)),
     "wp": ("word problem: coxeter/garside normal form, toric verdict",
            (("system", tuple(_WORD_PROBLEMS), 1), ("labels", int, "+"), ("word", str, 1)), {},
            _pick("system", "labels", "word"), lambda args, _: _WORD_PROBLEMS[args.system](args)),

@@ -299,18 +299,23 @@ def _curvature(k: int, n: int, m: int) -> int:
     return n * m + k * m + k * n - k * n * m
 
 
-def classify_triangle(k: int, n: int, m: int) -> str:
-    """spherical, affine, or hyperbolic by the curvature of 1/k + 1/n + 1/m: the one finiteness
-    rule, as a coprime toric row is finite exactly when its triangle is spherical.  ``classify``,
-    ``sweep``, ``wp toric``, ``derive`` and ``center_check_plus`` read it."""
-    if min(k, n, m) < 2:
-        raise ValueError("labels must be >= 2")
-    s = _curvature(k, n, m)
-    if s > 0:
+def _geometry(curvature: int) -> str:
+    """spherical, affine, or hyperbolic by the sign of a ``_curvature`` value."""
+    if curvature > 0:
         return "spherical"
-    if s == 0:
+    if curvature == 0:
         return "affine"
     return "hyperbolic"
+
+
+def classify_triangle(k: int, n: int, m: int) -> str:
+    """spherical, affine, or hyperbolic by the curvature of 1/k + 1/n + 1/m: the one finiteness
+    rule, as a coprime toric row is finite exactly when its triangle is spherical.  ``wp toric``,
+    ``derive`` and ``center_check_plus`` read it; ``classify`` and ``sweep`` read the curvature
+    itself, since its value also gives a finite row's orders."""
+    if min(k, n, m) < 2:
+        raise ValueError("labels must be >= 2")
+    return _geometry(_curvature(k, n, m))
 
 
 class ParabolicReport(Value):

@@ -1599,13 +1599,13 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.set_defaults(params=_pick("k", "n", "m"),
-                   run=lambda args, _: classify.classify_toric(args.k, args.n, args.m, args.max_cosets))
+                   run=lambda args, _: classify.classify_toric(args.k, args.n, args.m))
 
     p = sub.add_parser("sweep", help="batch classification over a parameter grid")
     p.add_argument("--max-k", type=int, default=6)
     p.add_argument("--max-m", type=int, default=7)
     p.set_defaults(params=_pick("max_k", "max_m"),
-                   run=lambda args, _: classify.sweep(args.max_k, args.max_m, args.max_cosets))
+                   run=lambda args, _: classify.sweep(args.max_k, args.max_m))
 
     p = sub.add_parser("wp", help="word problem: coxeter/garside normal form, toric verdict")
     p.add_argument("system", choices=("coxeter", "garside", "toric"))

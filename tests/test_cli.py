@@ -14,7 +14,7 @@ from oracles import abelian_invariants
 
 from toricgroups import classify, cli, coxeter, cyclo, maps, presentations, schreier, words
 from toricgroups.cli import main
-from toricgroups.cosets import MAX_COSETS, todd_coxeter
+from toricgroups.cosets import todd_coxeter
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
@@ -45,7 +45,9 @@ GOLDEN_REQUESTS = {
     "classify_6_2_3": ["classify", "6", "2", "3"],
     "classify_4_2_3": ["classify", "4", "2", "3"],
     # captured when a finite row that overflows began to report order and
-    # center_order as null; this has a text golden too
+    # center_order as null, and re-captured when finite rows took their orders
+    # from the closed form: the bound is no longer read, so the request that
+    # overflowed prints the full orders; this has a text golden too
     "classify_2_3_5_overflow": ["--max-cosets", "10", "classify", "2", "3", "5"],
     "sweep_3_5": ["sweep", "--max-k", "3", "--max-m", "5"],
     "wp_garside_2_3": ["wp", "garside", "2", "3", "x^2 y^-3"],
@@ -91,12 +93,15 @@ GOLDEN_REQUESTS = {
     "wp_garside_3_5_meridians_with_ones": ["wp", "garside", "3", "5", "1 x2^-7 x1^4 1 x3"],
     "rep_eval_2_3_5_meridians_with_ones": ["rep", "eval", "2", "3", "5", "1 x1^2 x3^-1"],
     # captured before `classify` and `sweep` built the keys they share in one
-    # function: every finite row overflows, so the entries print `order` null
-    # and the evidence names each row; this has a text golden too
+    # function, when every finite row overflowed; re-captured when `sweep`
+    # stopped enumerating, so the entries print their orders and the evidence
+    # is empty; this has a text golden too
     "sweep_3_5_overflow": ["--max-cosets", "5", "sweep", "--max-k", "3", "--max-m", "5"],
     # captured before W/Z was named by its triangle in one table: the A4 row,
     # two of the three A5 rows, and the third, (5,2,3), with its labels given
-    # as n > m; these have text goldens too
+    # as n > m; these have text goldens too.  Their evidence, and that of
+    # classify_4_2_3, was re-captured when finite rows took their orders from
+    # the closed form and their reflection classes from a certificate
     "classify_3_2_3": ["classify", "3", "2", "3"],
     "classify_2_3_5": ["classify", "2", "3", "5"],
     "classify_3_2_5": ["classify", "3", "2", "5"],
@@ -243,11 +248,12 @@ def _row_cache_hits() -> int:
 
 
 @pytest.mark.parametrize("argv, cached", [
-    # an infinite row: neither the quotient map nor a Cayley table
+    # classify: an infinite row, and a finite one in closed form, build
+    # neither the quotient map nor a Cayley table
     pytest.param(("classify", "6", "2", "3"), False, id="classify-6-2-3"),
     pytest.param(("wp", "toric", "5", "2", "3", "x1 x2 x1 x2 x1 x2"), True, id="wp-toric-5-2-3-central"),
     pytest.param(("wp", "toric", "2", "3", "7", "x2 x1^-1 x3^2 x2^-1 x1 x3"), True, id="wp-toric-2-3-7-random"),
-    pytest.param(("classify", "5", "2", "3"), True, id="classify-5-2-3"),
+    pytest.param(("classify", "5", "2", "3"), False, id="classify-5-2-3"),
     pytest.param(("rep", "witness"), True, id="rep-witness"),
 ])
 def test_json_byte_identical_across_runs(capsys, argv, cached):
@@ -546,18 +552,30 @@ def test_argument_refusals_name_their_fault(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, status, evidence", [
-    (("--max-cosets", "1", "classify", "5", "2", "3"), "ok", "enumeration overflowed at 1; membership retained"),
-    (("--max-cosets", "1", "derive", "2", "3", "5"), "unknown", "enumeration overflowed at 1"),
-    (("--max-cosets", "100", "derive", "2", "3", "5"), "unknown", "order enumeration overflowed at 100"),
-    (("--max-cosets", "5", "sweep", "--max-k", "3", "--max-m", "5"), "ok",
-     "W(3,2,5): enumeration overflowed at 5; membership retained"),
+    # the ids of the two derive cases from when a classify case came first
+    pytest.param(("--max-cosets", "1", "derive", "2", "3", "5"), "unknown", "enumeration overflowed at 1",
+                 id="argv1-unknown-enumeration overflowed at 1"),
+    pytest.param(("--max-cosets", "100", "derive", "2", "3", "5"), "unknown", "order enumeration overflowed at 100",
+                 id="argv2-unknown-order enumeration overflowed at 100"),
 ])
 def test_overflows_are_named_in_the_evidence(capsys, argv, status, evidence):
     code, payload = run_json(capsys, *argv)
     assert (code, payload["status"]) == (0, status)
     assert payload["evidence"][-1] == evidence
-    if "classify" in argv:  # a finite row that overflows keeps an infinite row's keys
-        assert (payload["result"]["order"], payload["result"]["center_order"]) == (None, None)
+
+
+@pytest.mark.parametrize("command, orders", [
+    (("classify", "5", "2", "3"), [600]),
+    (("sweep", "--max-k", "3", "--max-m", "5"), [6, 10, 48, 240, 24, 360]),
+], ids=["classify", "sweep"])
+def test_a_finite_row_reports_its_orders_under_any_bound(capsys, command, orders):
+    # classify and sweep read no --max-cosets: a finite row's orders come from
+    # the closed form, so the smallest bound changes only the bounds key
+    _, small = run_json(capsys, "--max-cosets", "1", *command)
+    _, default = run_json(capsys, *command)
+    assert small == {**default, "bounds": {**default["bounds"], "max_cosets": 1}}
+    rows = small["result"].get("entries", [small["result"]])
+    assert [row["order"] for row in rows if row["finite"]] == orders
 
 
 def test_rep_check_with_preset(capsys):
@@ -615,10 +633,10 @@ def test_sweep_counts_and_distinguishes(capsys):
 
 def test_sweep_and_classify_agree_row_by_row():
     # the grid workload's rows: 2 <= k <= 7, 2 <= n < m <= 9, gcd(n, m) = 1
-    entries = classify.sweep(7, 9, MAX_COSETS)[0]["entries"]
+    entries = classify.sweep(7, 9)[0]["entries"]
     assert len(entries) == 114
     for entry in entries:
-        record, status, _ = classify.classify_toric(*entry["parameters"], MAX_COSETS)
+        record, status, _ = classify.classify_toric(*entry["parameters"])
         row = (entry["parameters"], status)
         assert row == (record["parameters"], "ok")
         for key in ("finite", "triangle_type", "reflection_classes"):
@@ -629,15 +647,6 @@ def test_sweep_and_classify_agree_row_by_row():
         key = "order" if entry["finite"] else "maximal_finite_cyclic_orders"
         assert entry[key] == record[key], (row, key)
     assert sum(e["finite"] for e in entries) == 10
-
-
-def test_sweep_names_every_overflowed_finite_row_in_grid_order(capsys):
-    code, payload = run_json(capsys, "--max-cosets", "5", "sweep", "--max-k", "3", "--max-m", "5")
-    assert (code, payload["status"]) == (0, "ok")
-    finite = [e for e in payload["result"]["entries"] if e["finite"]]
-    assert [e["order"] for e in finite] == [None] * 6
-    assert payload["evidence"] == [f"W({k},{n},{m}): enumeration overflowed at 5; membership retained"
-                                   for k, n, m in (e["parameters"] for e in finite)]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REQUESTS))

@@ -428,7 +428,7 @@ def test_transversal_words_are_geodesic_spanning():
 
 
 def test_cayley_table_builds_its_words_on_first_use(monkeypatch):
-    # derive and sweep read only the order, so they never need the BFS tree;
+    # derive reads only the order, so it never needs the BFS tree;
     # the table of each row is built once per process, so another test may
     # already have filled the tree of the shared (3,2,3) table
     classify.finite_quotient.cache_clear()
@@ -436,7 +436,6 @@ def test_cayley_table_builds_its_words_on_first_use(monkeypatch):
     tree = cosets.bfs_tree
     monkeypatch.setattr(cosets, "bfs_tree", lambda t, order: built.append(t) or tree(t, order))
     assert classify.derive(2, 3, 4, 10**6, 10_000)[0]["order"] == 48
-    assert classify.sweep(2, 5, 10**6)[0]["entries"][0]["order"] == 6
     cay = finite_quotient(3, 2, 3, 10**6)
     assert (cay.size, built) == (24, [])
     # the conjugations read the tree and spell no word

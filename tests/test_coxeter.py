@@ -321,7 +321,7 @@ def test_classify_reads_the_parabolic_orders_off_the_labels():
                 if gcd(n, m) != 1:
                     continue
                 if finite_toric(k, n, m) is None:
-                    result, status, _ = classify_toric(k, n, m, max_cosets=1)
+                    result, status, _ = classify_toric(k, n, m)
                     report = maximal_finite_parabolics(CoxeterMatrix.triangle(k, n, m))
                     orders = sorted(v for _, v in report.rotation_orders)
                     assert (status, result["maximal_finite_cyclic_orders"]) == ("ok", orders)

@@ -28,6 +28,9 @@ STAYS = {
     "maps.build_psi": "ROADMAP item 23's certificate of ker phi = <c> will call it; tests/test_maps.py checks it",
     "coxeter.center_check_plus": "Z(W+) of the paper's finite rows, pinned by tests/test_coxeter.py and demo 04",
     "schreier.closed_form_generator": "the paper's closed form, pinned by the acceptance suite; the oracle shares it",
+    "cosets.reflection_class_count": "perfbench/tracing.py wraps it (SPANS), and demo 02 calls it",
+    "maps.central_element": "the paper's full twist c; tier-1 checks |<c>| against classify's closed form with it",
+    "classify.finite_toric": "the paper's finite rows by name, pinned by tests/test_coxeter.py on 78,052 rows",
 }
 
 

@@ -59,7 +59,7 @@ CATALOGUE = (
            "equivalent: wp toric would count a one-letter phi image as central, but phi lands in "
            "the rotation subgroup, so no image has odd length"),
     Mutant("coxeter", '        return "affine"', '        return "hyperbolic"',
-           "classify_triangle's affine branch: (6,2,3) would be called hyperbolic"),
+           "_geometry's affine branch: (6,2,3) would be called hyperbolic"),
     Mutant("garside", "power + (weight - factor_weight) // (n * m)", "power + (weight + factor_weight) // (n * m)",
            "_normal_form's Delta power: the factors' weight added, not subtracted"),
     Mutant("cyclo", "if abs(total) > bound:", "if abs(total) > 0:",
@@ -89,10 +89,10 @@ CATALOGUE = (
     # the row builder that classify and sweep share
     Mutant("classify", '"shephard_todd": fin.shephard_todd if fin else None,', '"shephard_todd": None,',
            "the row builder drops a finite row's Shephard-Todd name, in classify and sweep"),
-    Mutant("classify", 'f"enumeration overflowed at {max_cosets}; membership retained" if cayley is None else None',
-           "None", "the row builder drops the overflow note, in classify's and sweep's evidence"),
-    Mutant("classify", '"reflection_classes": k - 1,\n        "triangle_type": coxeter.classify_triangle(k, n, m),',
-           '"triangle_type": coxeter.classify_triangle(k, n, m),\n        "reflection_classes": k - 1,',
+    Mutant("classify", "_exact(2 * k, d)", "_exact(4 * k, d)",
+           "the row builder's centre order: |Z| = 4k/d in place of 2k/d"),
+    Mutant("classify", '"reflection_classes": k - 1,\n        "triangle_type": coxeter._geometry(d),',
+           '"triangle_type": coxeter._geometry(d),\n        "reflection_classes": k - 1,',
            "the row builder's key order: a sweep entry prints as a dict in text, so its keys' order is output"),
     Mutant("classify", '        del result["shephard_todd"]\n', "",
            "classify keeps the row builder's null shephard_todd on an infinite row, where it prints none"),
@@ -113,6 +113,15 @@ CATALOGUE = (
            "equivalent: the old fall-back to first for a name in neither alphabet; every token before that "
            "name is 1, so it is the text's first bad token over either alphabet, and _token_run tests a "
            "name before its exponent, so parse_word raises the same message at the same column over both"),
+    # finite rows in closed form, and the reflection classes' certificate
+    Mutant("classify", "_exact(4 * k * k * n * m, d * d)", "_exact(4 * k * k * n * m, d)",
+           "the row builder's order: |W| divided by d in place of d^2"),
+    Mutant("classify", "    for i in range(1, n + 1):\n        try:", "    for i in range(1, 2):\n        try:",
+           "the reflection certificate checks the shift derivation of x1 only"),
+    Mutant("classify", "    assert all(sum(1 if x > 0 else -1 for x in r.letters) % k == 0", "    assert True or all(0",
+           "the reflection certificate skips its map to Z/k"),
+    Mutant("classify", "    assert (1,) * k in [r.letters for r in p.relators]", "    assert True",
+           "the reflection certificate skips the relator x1^k that bounds a meridian's order"),
 )
 
 
