@@ -299,15 +299,6 @@ def _curvature(k: int, n: int, m: int) -> int:
     return n * m + k * m + k * n - k * n * m
 
 
-def _geometry(curvature: int) -> str:
-    """spherical, affine, or hyperbolic by the sign of a ``_curvature`` value."""
-    if curvature > 0:
-        return "spherical"
-    if curvature == 0:
-        return "affine"
-    return "hyperbolic"
-
-
 def classify_triangle(k: int, n: int, m: int) -> str:
     """spherical, affine, or hyperbolic by the curvature of 1/k + 1/n + 1/m: the one finiteness
     rule, as a coprime toric row is finite exactly when its triangle is spherical.  ``wp toric``,
@@ -316,6 +307,15 @@ def classify_triangle(k: int, n: int, m: int) -> str:
     if min(k, n, m) < 2:
         raise ValueError("labels must be >= 2")
     return _geometry(_curvature(k, n, m))
+
+
+def _geometry(curvature: int) -> str:
+    """spherical, affine, or hyperbolic by the sign of a ``_curvature`` value."""
+    if curvature > 0:
+        return "spherical"
+    if curvature == 0:
+        return "affine"
+    return "hyperbolic"
 
 
 class ParabolicReport(Value):
