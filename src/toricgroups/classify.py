@@ -54,12 +54,6 @@ _SPORADIC = {(2, 3, 4): "G12", (2, 3, 5): "G22", (3, 2, 3): "G4", (4, 2, 3): "G8
 _ALTERNATING = {(2, 3, 3): "A4", (2, 3, 4): "S4", (2, 3, 5): "A5"}
 
 
-def finite_toric(k: int, n: int, m: int) -> FiniteToric | None:
-    """The names of W(k,n,m), n and m coprime in any order, if it is finite, else None."""
-    FamilyParams("toric", (k, n, m))  # labels >= 2, gcd(n, m) = 1
-    return _row(k, n, m)[1]
-
-
 @lru_cache(maxsize=None, typed=True)  # an int label and an equal float are different keys
 def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | None:
     """Cayley table of ``toric(k, n, m)`` on a finite row, built once per
@@ -76,37 +70,32 @@ def finite_quotient(k: int, n: int, m: int, max_cosets: int) -> CayleyTable | No
     return CayleyTable(table) if table.complete else None
 
 
-def _exact(numerator: int, denominator: int) -> int:
-    """numerator / denominator; AssertionError, never a verdict, if it leaves a remainder."""
-    quotient, remainder = divmod(numerator, denominator)
-    assert remainder == 0, f"{numerator}/{denominator} leaves {remainder}"
-    return quotient
-
-
 def _row(k: int, n: int, m: int) -> tuple[dict, FiniteToric | None, tuple[int, int, int] | None]:
     """The keys a ``sweep`` entry prints, in its order, read with n < m, with
     the row's names and, on a finite row, d, |Z| = 2k/d and |W/Z| = 2kmn/d.
-    The labels are not checked: ``sweep`` makes only valid ones."""
+    Each division is exact, or AssertionError, never a verdict.  The labels
+    are not checked: ``sweep`` makes only valid ones."""
     d = coxeter._curvature(k, n, m)
     n, m = min(n, m), max(n, m)
-    fin = None
-    if d > 0:
-        fin = (FiniteToric(f"G({m},{m},2)=I2({m})", f"I2({m})") if (k, n) == (2, 2) else
-               FiniteToric(_SPORADIC[k, n, m], _ALTERNATING[tuple(sorted((k, n, m)))]))
     row: dict = {
         "parameters": [k, n, m],
-        "finite": fin is not None,
-        "shephard_todd": fin.shephard_todd if fin else None,
+        "finite": d > 0,
+        "shephard_todd": None,
         "reflection_classes": k - 1,
         "triangle_type": coxeter._geometry(d),
     }
-    if fin is None:
+    if d <= 0:
         # a triangle that is not spherical has its three edges as maximal finite parabolics, with
         # rotation subgroups cyclic of orders k, n and m (Humphreys, Reflection Groups and Coxeter Groups)
         row["maximal_finite_cyclic_orders"] = sorted((k, n, m))
         return row, None, None
-    row["order"] = _exact(4 * k * k * n * m, d * d)
-    return row, fin, (d, _exact(2 * k, d), _exact(2 * k * n * m, d))
+    fin = (FiniteToric(f"G({m},{m},2)=I2({m})", f"I2({m})") if (k, n) == (2, 2) else
+           FiniteToric(_SPORADIC[k, n, m], _ALTERNATING[tuple(sorted((k, n, m)))]))
+    row["shephard_todd"] = fin.shephard_todd
+    row["order"], r = divmod(4 * k * k * n * m, d * d)
+    (center, s), (quotient, t) = divmod(2 * k, d), divmod(2 * k * n * m, d)
+    assert r == s == t == 0, f"d = {d} leaves a remainder"
+    return row, fin, (d, center, quotient)
 
 
 def _reflection_classes(p: Presentation, k: int, m: int) -> int:
@@ -119,14 +108,13 @@ def _reflection_classes(p: Presentation, k: int, m: int) -> int:
     x_1^k is one, so x_i -> 1 is a map onto Z/k, which separates x_1, ...,
     x_1^(k-1).  The check is linear in the relators' letters.
     """
-    ab, n = p.alphabet, len(p.alphabet)
-    delta = cyclic_product(n, 0, m)
+    n = len(p.alphabet)
     for i in range(1, n + 1):
-        try:
-            end = check_derivation(chain_implies_shift(ab, m, i), p.relators[n:])
+        try:  # a step that no chain relator justifies is a failed certificate, not an input error
+            end = check_derivation(chain_implies_shift(p.alphabet, m, i), p.relators[n:])
         except ValueError as e:
             raise AssertionError(f"the shift derivation of x{i}: {e}") from None
-        assert end.letters == (*delta, (i + m - 1) % n + 1), f"the shift derivation of x{i} ends at {end}"
+        assert end.letters == (*cyclic_product(n, 0, m), (i + m - 1) % n + 1), f"the shift of x{i} ends at {end}"
     assert all(sum(1 if x > 0 else -1 for x in r.letters) % k == 0 for r in p.relators), f"x_i -> 1 is no map to Z/{k}"
     assert (1,) * k in [r.letters for r in p.relators], f"x1^{k} is no relator"
     return k - 1
@@ -157,8 +145,7 @@ def classify_toric(k: int, n: int, m: int) -> tuple[dict, str, list[str]]:
         f"finite table membership: W({k},{n},{m}) = {fin.shephard_todd}",
         f"closed form with d = kmn(1/k + 1/n + 1/m - 1) = {d}: |W| = 4k^2nm/d^2 = {result['order']}, "
         f"|Z| = 2k/d = {center}, |W/Z| = 2kmn/d = {quotient}",
-        f"reflection classes computed: {classes} (checked shift derivations make the meridians conjugate; "
-        f"x_i -> 1 mod {k} separates their powers)",
+        f"reflection classes computed: {classes}, certified by the shift derivations and x_i -> 1 mod {k}",
     ]
 
 

@@ -311,11 +311,7 @@ def classify_triangle(k: int, n: int, m: int) -> str:
 
 def _geometry(curvature: int) -> str:
     """spherical, affine, or hyperbolic by the sign of a ``_curvature`` value."""
-    if curvature > 0:
-        return "spherical"
-    if curvature == 0:
-        return "affine"
-    return "hyperbolic"
+    return "spherical" if curvature > 0 else "affine" if curvature == 0 else "hyperbolic"
 
 
 class ParabolicReport(Value):

@@ -37,13 +37,13 @@ def test_the_closed_form_and_the_certificate_agree_with_enumeration(k, n, m):
     assert result["reflection_classes_computed"] == reflection_class_count(cay) == k - 1
 
 
-def test_a_division_that_leaves_a_remainder_raises(monkeypatch):
-    # d = 7 at (5,2,3) leaves 600 / 49: an assertion, never a verdict
-    with pytest.raises(AssertionError, match="leaves"):
-        classify._exact(600, 49)
-    monkeypatch.setattr(coxeter, "_curvature", lambda k, n, m: 7)
-    with pytest.raises(AssertionError, match="leaves"):
-        classify.classify_toric(5, 2, 3)
+@pytest.mark.parametrize("row, d", [((5, 2, 3), 7), ((2, 3, 4), 8)])
+def test_a_division_that_leaves_a_remainder_raises(monkeypatch, row, d):
+    # 4k^2nm = 600 at (5,2,3) leaves a remainder by 49; at (2,3,4), 192 / 64 is exact but
+    # 2k / d = 4 / 8 is not: an assertion, never a verdict
+    monkeypatch.setattr(coxeter, "_curvature", lambda k, n, m: d)
+    with pytest.raises(AssertionError, match=f"d = {d} leaves a remainder"):
+        classify.classify_toric(*row)
 
 
 def _tamper_last_shift(monkeypatch, tamper):

@@ -10,7 +10,7 @@ from oracles import (gram_parabolic_verdicts, matrix_group_order, positive_roots
                      reference_center_plus_order, reference_nf, reference_reduce_word)
 
 from toricgroups import coxeter, cyclo
-from toricgroups.classify import classify_toric, finite_toric
+from toricgroups.classify import classify_toric
 from toricgroups.coxeter import (
     CoxeterMatrix,
     MinimalRootTable,
@@ -295,11 +295,11 @@ def test_finite_toric_names_exactly_the_listed_rows():
             for m in range(2, 60):
                 if gcd(n, m) != 1:
                     continue
-                fin = finite_toric(k, n, m)
-                names = None if fin is None else (fin.shephard_todd, fin.center_quotient)
+                result = classify_toric(k, n, m)[0]
+                names = (result["shephard_todd"], result["center_quotient"]) if result["finite"] else None
                 assert names == FINITE_TORIC_NAMES.get((k, min(n, m), max(n, m))), (k, n, m)
                 rows += 1
-                finite += fin is not None
+                finite += result["finite"]
     assert (rows, finite) == (78052, 70)  # each listed row in both orders of n and m
 
 
@@ -307,7 +307,7 @@ def test_finite_toric_names_exactly_the_listed_rows():
 def test_finite_toric_refuses_a_row_that_is_no_toric_group(row):
     # gcd(n, m) > 1: once named I2(4) and once a KeyError in the table of names
     with pytest.raises(ParameterError, match="gcd"):
-        finite_toric(*row)
+        classify_toric(*row)
 
 
 def test_classify_reads_the_parabolic_orders_off_the_labels():
@@ -320,8 +320,8 @@ def test_classify_reads_the_parabolic_orders_off_the_labels():
             for m in range(n + 1, 31):
                 if gcd(n, m) != 1:
                     continue
-                if finite_toric(k, n, m) is None:
-                    result, status, _ = classify_toric(k, n, m)
+                result, status, _ = classify_toric(k, n, m)
+                if not result["finite"]:
                     report = maximal_finite_parabolics(CoxeterMatrix.triangle(k, n, m))
                     orders = sorted(v for _, v in report.rotation_orders)
                     assert (status, result["maximal_finite_cyclic_orders"]) == ("ok", orders)

@@ -9,7 +9,7 @@ from conftest import FINITE_ROWS, ParseError, parse_presentation
 from oracles import reference_cancel_outward, reference_tietze
 from toricgroups import presentations as pres
 from toricgroups import schreier
-from toricgroups.classify import finite_toric
+from toricgroups.classify import classify_toric
 from toricgroups.cosets import todd_coxeter
 from toricgroups.presentations import (
     FamilyParams,
@@ -77,17 +77,17 @@ def test_parameter_domain_errors():
         FamilyParams("toric", (2, 3))  # arity
 
 
-# the orders of the groups that finite_toric names W/Z, written out here
+# the orders of the groups that classify names W/Z, written out here
 CENTER_QUOTIENT_ORDERS = {"A4": 12, "S4": 24, "A5": 60, **{f"I2({m})": 2 * m for m in (3, 5, 7, 9)}}
 
 
 @pytest.mark.parametrize("k,n,m", FINITE_ROWS + [(k, m, n) for k, n, m in FINITE_ROWS])
 def test_alt_toric_presents_the_alternating_subgroup_that_classify_names(k, n, m):
     # W/<c> is W+ (the paper's theorem), presented by alt_plus, and on a finite
-    # row its order is that of the W/Z that finite_toric names
+    # row its order is that of the W/Z that classify names
     order = todd_coxeter(pres.alt_toric(k, n, m)).num_cosets
     assert order == todd_coxeter(pres.alt_plus(k, n, m)).num_cosets
-    assert order == CENTER_QUOTIENT_ORDERS[finite_toric(k, n, m).center_quotient]
+    assert order == CENTER_QUOTIENT_ORDERS[classify_toric(k, n, m)[0]["center_quotient"]]
 
 
 def test_build_dispatch_matches_constructors():

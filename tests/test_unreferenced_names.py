@@ -30,7 +30,6 @@ STAYS = {
     "schreier.closed_form_generator": "the paper's closed form, pinned by the acceptance suite; the oracle shares it",
     "cosets.reflection_class_count": "perfbench/tracing.py wraps it (SPANS), and demo 02 calls it",
     "maps.central_element": "the paper's full twist c; tier-1 checks |<c>| against classify's closed form with it",
-    "classify.finite_toric": "the paper's finite rows by name, pinned by tests/test_coxeter.py on 78,052 rows",
 }
 
 

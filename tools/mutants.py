@@ -58,7 +58,7 @@ CATALOGUE = (
     Mutant("classify", "    if image_nf.letters:\n", "    if len(image_nf.letters) > 1:\n",
            "equivalent: wp toric would count a one-letter phi image as central, but phi lands in "
            "the rotation subgroup, so no image has odd length"),
-    Mutant("coxeter", '        return "affine"', '        return "hyperbolic"',
+    Mutant("coxeter", 'else "affine" if curvature == 0', 'else "hyperbolic" if curvature == 0',
            "_geometry's affine branch: (6,2,3) would be called hyperbolic"),
     Mutant("garside", "power + (weight - factor_weight) // (n * m)", "power + (weight + factor_weight) // (n * m)",
            "_normal_form's Delta power: the factors' weight added, not subtracted"),
@@ -87,9 +87,9 @@ CATALOGUE = (
     Mutant("cyclo", "v[i + j] += x * y\n", "v[i + j] += x * y if i + j else 2 * x * y\n",
            "one coefficient of dot: the constant term of every product doubled"),
     # the row builder that classify and sweep share
-    Mutant("classify", '"shephard_todd": fin.shephard_todd if fin else None,', '"shephard_todd": None,',
+    Mutant("classify", '    row["shephard_todd"] = fin.shephard_todd\n', "",
            "the row builder drops a finite row's Shephard-Todd name, in classify and sweep"),
-    Mutant("classify", "_exact(2 * k, d)", "_exact(4 * k, d)",
+    Mutant("classify", "divmod(2 * k, d)", "divmod(4 * k, d)",
            "the row builder's centre order: |Z| = 4k/d in place of 2k/d"),
     Mutant("classify", '"reflection_classes": k - 1,\n        "triangle_type": coxeter._geometry(d),',
            '"triangle_type": coxeter._geometry(d),\n        "reflection_classes": k - 1,',
@@ -114,7 +114,7 @@ CATALOGUE = (
            "name is 1, so it is the text's first bad token over either alphabet, and _token_run tests a "
            "name before its exponent, so parse_word raises the same message at the same column over both"),
     # finite rows in closed form, and the reflection classes' certificate
-    Mutant("classify", "_exact(4 * k * k * n * m, d * d)", "_exact(4 * k * k * n * m, d)",
+    Mutant("classify", "divmod(4 * k * k * n * m, d * d)", "divmod(4 * k * k * n * m, d)",
            "the row builder's order: |W| divided by d in place of d^2"),
     Mutant("classify", "    for i in range(1, n + 1):\n        try:", "    for i in range(1, 2):\n        try:",
            "the reflection certificate checks the shift derivation of x1 only"),
