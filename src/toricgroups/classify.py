@@ -190,19 +190,22 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
 
     A gcd(b, c) = 1 row answers with the toric presentation of W(a,b,c) that
     ``schreier.check_toric_presentation`` checks, the other rows with Tietze
-    within ``budget`` steps.  J(a,b,c) maps onto the rotation subgroup of
-    the (a,b,c) triangle group (``maps.parent_to_coxeter``) and ncl(s) has
-    finite index, so a row whose triangle is not spherical is infinite and
-    reports ``order: None``.  A spherical row enumerates its order: a
-    gcd(b, c) = 1 row as a times the index of <s0>, the others as the
-    order of the Tietze presentation.  That enumeration has 1/a of the
-    elements, so such a row answers under a smaller ``max_cosets``
-    (``derive(5, 2, 3, 200, ...)`` has order 600).
+    within ``budget`` steps.  The b*c cosets of ncl(s) are written down, not
+    enumerated (``schreier.toric_closure_table``): ``max_cosets`` bounds
+    that index, checked from the labels, and the order enumeration of a
+    spherical gcd(b, c) != 1 row.  J(a,b,c) maps onto the rotation subgroup
+    of the (a,b,c) triangle group (``maps.parent_to_coxeter``) and ncl(s)
+    has finite index, so a row whose triangle is not spherical is infinite
+    and reports ``order: None``.  A spherical gcd(b, c) = 1 row reads its
+    order off ``_row``'s closed form, since its checked presentation is
+    ``toric(a, b, c)`` itself; the others enumerate the order of their
+    Tietze presentation.
     """
-    found = schreier.toric_closure_rs(a, b, c, max_cosets)
-    if found is None:
-        return {"presentation": None}, "unknown", [f"enumeration overflowed at {max_cosets}"]
-    labels, rs = found
+    FamilyParams("j-parent", (a, b, c))  # a refused label wins over the bound
+    if b * c > max_cosets:
+        return {"presentation": None}, "unknown", [
+            f"index of the normal closure of s: {b * c}, over the coset bound {max_cosets}"]
+    labels, rs = schreier.toric_closure_rs(a, b, c)
     evidence = [
         f"index of the normal closure of s: {len(labels)}",
         f"Schreier generators before simplification: {len(rs.presentation.gens)}",
@@ -229,9 +232,7 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
                         f"subgroup of the {triangle} ({a},{b},{c}) triangle group and ncl(s) "
                         "has finite index; group is infinite")
     elif gcd(b, c) == 1:
-        # W^ab = Z/a sends s0 to 1 and s0^a is a relator, so s0 has order a
-        table = todd_coxeter(presentation, [presentation.alphabet.word("s0")], max_cosets)
-        order = a * table.num_cosets if table.complete else None
+        order = _row(a, b, c)[0]["order"]
     else:
         order = group_order(presentation, max_cosets=max_cosets)
     if triangle == "spherical" and order is None:

@@ -16,9 +16,10 @@ The BFS column order is configurable.  For a parent J-group on generators
 (s, t, u) over the normal closure of s, the preset ``toric_column_order``
 explores u first, then t, which makes the representatives exactly the
 words u^i t^j; generator labels then carry the (i, j) pair so they can be
-matched against closed-form expressions.  ``toric_closure_rs`` runs that
-chain from the parameters (a, b, c); the derivation here and the
-``derive`` result in ``classify`` both start from it; the check's shift lemma,
+matched against closed-form expressions.  That table is written down, not
+enumerated (``toric_closure_table``).  ``toric_closure_rs`` runs that chain
+from the parameters (a, b, c); the derivation here and the ``derive``
+result in ``classify`` both start from it; the check's shift lemma,
 ``chain_implies_shift``, lives in ``presentations``.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
-from .cosets import MAX_COSETS, CosetTable, _columns, bfs_tree, normal_closure_table
+from .cosets import CosetTable, _columns, _validate, bfs_tree
 from .presentations import Presentation, chain_implies_shift, cyclic_product, j_parent, toric
 from .words import (Alphabet, Value, Word, check_derivation, cyclic_reduce_letters, free_reduce_letters, invert,
                     signed_table)
@@ -315,20 +316,41 @@ def cyclic_canonical(w: Word) -> tuple[int, ...]:
     return _rotation_key(cyclic_reduce_letters(w.letters))
 
 
-def toric_closure_rs(a: int, b: int, c: int, max_cosets: int = MAX_COSETS
-                     ) -> tuple[dict[int, tuple[int, int]], RSResult] | None:
-    """Reidemeister-Schreier for the normal closure of s in the parent J(a,b,c).
+def toric_closure_table(a: int, b: int, c: int) -> CosetTable:
+    """The coset table of ncl(s) in J(a,b,c), written down, not enumerated.
 
-    Enumerates the cosets of the closure, takes the {u^i t^j} transversal
-    and names each Schreier generator ``{gen}_{i}_{j}`` after the
-    representative of its coset.  Returns the (i, j) label of every coset
-    (one per coset, so their count is the index) and the RS result, or None
-    when the enumeration overflows ``max_cosets``.
+    Setting s = 1 in stu = tus = ust leaves J/ncl(s) = <t, u | t^b, u^c,
+    tu = ut> = Z/b x Z/c, so the table is that group acting on itself:
+    coset i*b + j is u^i t^j, s fixes every coset, and t and u translate.
+    It is validated (``cosets._validate``) against the relators of
+    <X | R, s>, as ``normal_closure_table`` enumerates them: every relator
+    and s close at every coset, so J/ncl(s), a group of at most b*c
+    elements, acts on the b*c cosets.  Once a transversal spans them
+    (``bfs_tree`` raises if not) the action is transitive, hence regular,
+    and the stabiliser of coset 0 is ncl(s) (Holt, Eick & O'Brien, 2005,
+    ch. 5).
     """
     parent = j_parent(a, b, c)
-    table = normal_closure_table(parent, [parent.alphabet.word("s")], max_cosets=max_cosets)
-    if not table.complete:
-        return None
+    n = b * c
+    fixed = tuple(range(n))
+    t = [tuple(q - q % b + (q + e) % b for q in fixed) for e in (1, -1)]
+    u = [tuple((q + e * b) % n for q in fixed) for e in (1, -1)]
+    table = CosetTable(parent.alphabet, (fixed, fixed, *t, *u), n, "complete", n, ())
+    _validate(table, map(_columns, parent.relators + (parent.alphabet.word("s"),)), ())
+    return table
+
+
+def toric_closure_rs(a: int, b: int, c: int) -> tuple[dict[int, tuple[int, int]], RSResult]:
+    """Reidemeister-Schreier for the normal closure of s in the parent J(a,b,c).
+
+    Reads the written table ``toric_closure_table``, takes the {u^i t^j}
+    transversal, whose BFS completes its certificate, and names each
+    Schreier generator ``{gen}_{i}_{j}`` after the representative of its
+    coset.  Returns the (i, j) label of every coset (one per coset, so
+    their count is the index b*c) and the RS result.
+    """
+    parent = j_parent(a, b, c)
+    table = toric_closure_table(a, b, c)
     tree = schreier_transversal(table, toric_column_order(parent.alphabet))
     labels = toric_coset_labels(parent.alphabet, tree)
     rs = rs_presentation(parent, table, tree, namer=lambda c_, g: f"{g}_{labels[c_][0]}_{labels[c_][1]}")

@@ -386,7 +386,7 @@ def _apply_step(w: Word, step: RewriteStep) -> Word:
 
 def check_derivation(d: Derivation, relators: Sequence[Word]) -> Word:
     """The word the last step reaches; ValueError unless every step is
-    justified by its citation."""
+    justified by its citation, an index into ``relators``."""
     cur = d.start
     for k, step in enumerate(d.steps):
         nxt = _apply_step(cur, step)
@@ -394,6 +394,8 @@ def check_derivation(d: Derivation, relators: Sequence[Word]) -> Word:
         if step.relator_index is None:
             if diff.letters:
                 raise ValueError(f"step {k}: claimed free but differs by {diff}")
+        elif not 0 <= step.relator_index < len(relators):
+            raise ValueError(f"step {k}: cites relator {step.relator_index} of {len(relators)}")
         else:
             rel = free_reduce(relators[step.relator_index])
             if diff.letters not in (rel.letters, invert(rel).letters):

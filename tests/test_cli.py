@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 from conftest import parse_presentation
 from oracles import abelian_invariants
 
-from toricgroups import classify, cli, coxeter, cyclo, maps, presentations, schreier, words
+from toricgroups import classify, cli, coxeter, cosets, cyclo, maps, presentations, schreier, words
 from toricgroups.cli import main
 from toricgroups.cosets import todd_coxeter
 
@@ -64,7 +64,11 @@ GOLDEN_REQUESTS = {
     # captured after that change, which changed this on purpose: the best
     # presentation of an exhausted budget no longer holds the rotated copies
     # u_1_1 u_2_1 u_0_1 and u_2_1 u_0_1 u_1_1 of u_0_1 u_1_1 u_2_1 (nor those
-    # of u_0_2 u_1_2 u_2_2); its 18 generators are unchanged
+    # of u_0_2 u_1_2 u_2_2); its 18 generators are unchanged.  The three
+    # gcd(b, c) != 1 goldens were re-captured when the cosets of ncl(s) were
+    # written down as coset i*b + j = u^i t^j, not numbered by HLT: RS reads
+    # them in that order, so Tietze starts from other relators; the orders,
+    # the generator counts and (6,2,4)'s abelian invariants are unchanged
     "derive_2_3_3_budget_1": ["--budget", "1", "derive", "2", "3", "3"],
     # captured when `wp garside` began to read a word over the meridians
     # x1 ... xn through tau; this has a text golden too
@@ -416,11 +420,17 @@ def test_derive_infinite_row_takes_finiteness_from_classification(capsys):
             "(6,2,3) triangle group and ncl(s) has finite index; group is infinite" in payload["evidence"])
 
 
-def test_derive_reads_a_coprime_order_off_the_index_of_s0(capsys):
-    # |W(5,2,3)| = 600 = 5 [W : <s0>]: the 120 cosets of <s0> fit a bound
-    # of 200, which the 600 cosets of the trivial subgroup do not
-    code, payload = run_json(capsys, "--max-cosets", "200", "derive", "5", "2", "3")
-    assert (code, payload["status"], payload["result"]["order"]) == (0, "ok", 600)
+@pytest.mark.parametrize("argv, order", [
+    (("--max-cosets", "200", "derive", "5", "2", "3"), 600),
+    (("--max-cosets", "100", "derive", "2", "3", "5"), 240),
+    (("--max-cosets", "15", "derive", "2", "3", "5"), 240),
+])
+def test_derive_reads_a_coprime_order_off_the_closed_form(capsys, argv, order):
+    # the bound reads only the index b*c of ncl(s), 6 and 15 here: the order
+    # of a spherical coprime row is |W| = 4a^2bc/d^2, with no enumeration
+    code, payload = run_json(capsys, *argv)
+    assert (code, payload["status"], payload["result"]["order"]) == (0, "ok", order)
+    assert not any("overflowed" in line for line in payload["evidence"])
 
 
 def test_derive_enumerates_order_when_gcd_is_not_one(capsys):
@@ -445,13 +455,15 @@ def test_derive_infinite_row_with_gcd_above_one_is_not_enumerated(capsys):
         assert any(line.startswith("order not enumerated:") for line in payload["evidence"]), abc
 
 
-# derive 6 2 4 under another numbering of the cosets of ncl(s): the
-# presentation reads each coset's Schreier generators in coset order
-DERIVE_6_2_4_RENUMBERED = """gens: u_2_1 s_3_1
+# derive 6 2 4 under another numbering of the cosets of ncl(s), the one HLT
+# gave them before the table was written down as coset i*b + j = u^i t^j:
+# the presentation reads each coset's Schreier generators in coset order
+DERIVE_6_2_4_RENUMBERED = """gens: s_3_1 u_3_1
 rel: s_3_1^6
-rel: u_2_1 s_3_1 u_2_1 s_3_1 u_2_1 s_3_1 u_2_1 s_3_1 u_2_1 s_3_1 u_2_1 s_3_1
-rel: u_2_1 s_3_1^2 u_2_1 s_3_1 u_2_1^-1 s_3_1^-2 u_2_1^-1 s_3_1^-1
-rel: s_3_1 u_2_1 s_3_1^2 u_2_1 s_3_1^-1 u_2_1^-1 s_3_1^-2 u_2_1^-1
+rel: u_3_1^-1 s_3_1 u_3_1^-1 s_3_1 u_3_1^-1 s_3_1 u_3_1^-1 s_3_1 u_3_1^-1 s_3_1 u_3_1^-1 s_3_1
+rel: u_3_1^-1 s_3_1^2 u_3_1^-1 s_3_1 u_3_1 s_3_1^-2 u_3_1 s_3_1^-1
+rel: s_3_1 u_3_1^-1 s_3_1 u_3_1^-1 s_3_1 u_3_1^-1 s_3_1 u_3_1^-1 s_3_1 u_3_1^-1 s_3_1 u_3_1^-1
+rel: s_3_1 u_3_1^-1 s_3_1^2 u_3_1^-1 s_3_1^-1 u_3_1 s_3_1^-2 u_3_1
 """
 
 
@@ -462,7 +474,7 @@ def test_derive_6_2_4_has_the_abelian_invariants_of_a_renumbered_run(capsys):
     assert code == 0
     derived = parse_presentation(out["result"]["presentation"])
     other = parse_presentation(DERIVE_6_2_4_RENUMBERED)
-    assert len(derived.relators) == 5 and len(other.relators) == 4
+    assert len(derived.relators) == 4 and len(other.relators) == 5
     assert abelian_invariants(derived) == abelian_invariants(other) == (6, 6)
 
 
@@ -552,11 +564,11 @@ def test_argument_refusals_name_their_fault(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, status, evidence", [
-    # the ids of the two derive cases from when a classify case came first
-    pytest.param(("--max-cosets", "1", "derive", "2", "3", "5"), "unknown", "enumeration overflowed at 1",
-                 id="argv1-unknown-enumeration overflowed at 1"),
-    pytest.param(("--max-cosets", "100", "derive", "2", "3", "5"), "unknown", "order enumeration overflowed at 100",
-                 id="argv2-unknown-order enumeration overflowed at 100"),
+    # derive reads the bound as one on the index b*c, before it builds anything
+    pytest.param(("--max-cosets", "1", "derive", "2", "3", "5"), "unknown",
+                 "index of the normal closure of s: 15, over the coset bound 1", id="derive-index-over-bound"),
+    pytest.param(("--max-cosets", "10", "derive", "2", "3", "3"), "unknown", "order enumeration overflowed at 10",
+                 id="derive-gcd-3-order-overflow"),
 ])
 def test_overflows_are_named_in_the_evidence(capsys, argv, status, evidence):
     code, payload = run_json(capsys, *argv)
@@ -654,6 +666,34 @@ def test_json_matches_golden(capsys, name):
     code, out, _ = run(capsys, "--format", "json", *GOLDEN_REQUESTS[name])
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# the `derive` rows of the benchmark's subgroups workload, all gcd(b, c) = 1:
+# the finite ones at the default bound, the infinite ones at 10^4
+DERIVE_ROWS = [((), abc) for abc in ((2, 3, 4), (2, 3, 5), (3, 2, 3), (4, 2, 3), (5, 2, 3), (3, 2, 5))] + [
+    (("--max-cosets", "10000"), abc) for abc in ((6, 2, 3), (2, 3, 7), (3, 4, 5), (4, 3, 5), (5, 2, 7), (3, 5, 7))]
+
+
+def test_derive_enumerates_nothing_on_a_coprime_row(capsys, monkeypatch):
+    # the cosets of ncl(s) are written down and the order is the closed form,
+    # so no enumeration runs, and the output is the goldens' byte for byte
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    for module, name in ((cosets, "todd_coxeter"), (classify, "todd_coxeter"), (cosets, "normal_closure_table")):
+        monkeypatch.setattr(module, name, refuse)
+    for flags, abc in DERIVE_ROWS:
+        code, payload = run_json(capsys, *flags, "derive", *map(str, abc))
+        assert (code, payload["status"]) == (0, "ok"), abc
+    for name in ("derive_2_3_4", "derive_6_2_3"):
+        assert run(capsys, "--format", "json", *GOLDEN_REQUESTS[name])[1].encode() == (
+            GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_a_refused_label_wins_over_the_coset_bound(capsys):
+    # the labels are checked before the index b*c = 30 meets the bound
+    assert run(capsys, "--max-cosets", "1", "derive", "2", "1", "30") == (
+        2, "", "error: labels must be integers >= 2, got 1\n")
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED_REQUESTS))

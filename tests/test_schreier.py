@@ -25,6 +25,7 @@ from toricgroups.schreier import (
     schreier_transversal,
     toric_column_order,
     toric_closure_rs,
+    toric_closure_table,
     toric_coset_labels,
 )
 from toricgroups.words import (Alphabet, Derivation, RewriteStep, Word, apply_map, check_derivation, cyclic_reduce,
@@ -199,11 +200,65 @@ def test_rs_is_the_all_cosets_rewrite_less_rotated_copies(a, b, c):
 def test_rs_of_the_closure_tables_is_the_all_cosets_rewrite(a, b, c):
     # the named-generator path that `derive` takes, on the table it reads
     parent = pres.j_parent(a, b, c)
-    table = closure_table(a, b, c)
+    table = toric_closure_table(a, b, c)
     labels = toric_coset_labels(parent.alphabet, schreier_transversal(table, toric_column_order(parent.alphabet)))
     got = _rs_against_reference(parent, table, toric_column_order(parent.alphabet),
                                 lambda coset, g: f"{g}_{labels[coset][0]}_{labels[coset][1]}")
     assert toric_closure_rs(a, b, c) == (labels, got)
+
+
+def _standard_form(table) -> tuple[tuple[int, ...], ...]:
+    """The columns of a complete table renumbered in the order a BFS over
+    every column from coset 0 first reaches each coset, so two tables of
+    one action have the same standard form whatever their numbering."""
+    order = [0]
+    number = {0: 0}
+    for q in order:
+        for column in table.columns:
+            if column[q] not in number:
+                number[column[q]] = len(order)
+                order.append(column[q])
+    assert len(order) == table.num_cosets
+    return tuple(tuple(number[column[q]] for q in order) for column in table.columns)
+
+
+@pytest.mark.parametrize("a,b,c", SWEEP_GRID)
+def test_the_written_closure_table_is_the_enumerated_one_renumbered(a, b, c):
+    # coset i*b + j is u^i t^j in the written table; HLT numbers the cosets
+    # of <X | R, s> in the order it defines them
+    written = toric_closure_table(a, b, c)
+    assert (written.num_cosets, written.complete) == (b * c, True)
+    assert _standard_form(written) == _standard_form(closure_table(a, b, c))
+    labels, _ = toric_closure_rs(a, b, c)
+    assert all(coset == i * b + j for coset, (i, j) in labels.items())
+
+
+def _written_with(monkeypatch, columns):
+    """Make the written table's columns s, s^-1, t, t^-1, u, u^-1 those
+    that ``columns`` returns from the real ones."""
+    real = schreier.CosetTable
+    monkeypatch.setattr(schreier, "CosetTable", lambda alphabet, cols, *rest: real(alphabet, columns(*cols), *rest))
+
+
+def test_a_written_table_where_s_moves_a_coset_is_refused(monkeypatch):
+    # s acting as u^2 on the 12 cosets of (2,3,4) closes every relator of
+    # J(2,3,4), since translations commute and u^2 has order 2: only the
+    # relator s refuses it, the action on the cosets of a subgroup other than ncl(s)
+    def s_as_u2(s, s_inv, t, t_inv, u, u_inv):
+        u2 = tuple(u[u[q]] for q in range(len(u)))
+        return u2, u2, t, t_inv, u, u_inv
+
+    _written_with(monkeypatch, s_as_u2)
+    with pytest.raises(AssertionError, match="^relator does not act trivially$"):
+        toric_closure_rs(2, 3, 4)
+
+
+def test_a_written_table_that_is_not_transitive_is_refused(monkeypatch):
+    # t fixing every coset closes every relator too, but u alone reaches c of
+    # the b*c cosets: the transversal's BFS refuses the table
+    _written_with(monkeypatch, lambda s, s_inv, t, t_inv, u, u_inv: (s, s_inv, s, s_inv, u, u_inv))
+    with pytest.raises(ValueError, match="^column order does not span the coset graph$"):
+        toric_closure_rs(2, 3, 4)
 
 
 @pytest.mark.parametrize("column_order", [[1, 3, 5], [5, 2, 1, 0]])

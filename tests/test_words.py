@@ -280,6 +280,16 @@ def test_derivation_checker_rejects_wrong_citation():
         check_derivation(d, rel)
 
 
+@pytest.mark.parametrize("index", [1, -1])
+def test_derivation_checker_refuses_a_citation_outside_the_relators(index):
+    # past the end, or counted from it: the one relator is an instance of
+    # the step, so only the index is wrong
+    rel = [free_reduce(w("x1 x2") * invert(w("x2 x3")))]
+    d = Derivation(w("x1 x2"), (RewriteStep(0, w("x1 x2"), w("x2 x3"), index),))
+    with pytest.raises(ValueError, match=f"^step 0: cites relator {index} of 1$"):
+        check_derivation(d, rel)
+
+
 def test_derivation_free_step():
     d = Derivation(w("x1"), (RewriteStep(1, w("1"), w("x2 x2^-1"), None),))
     assert free_reduce(check_derivation(d, [])) == w("x1")

@@ -14,12 +14,13 @@ as a ``git archive`` of a parent commit.
 For each row the script prints the index, the time of each phase, the whole
 request and the child's peak RSS (``ru_maxrss``, in MB).  A phase is timed
 by wrapping one call for the request: closure + RS is
-``schreier.toric_closure_rs``, the check is
+``schreier.toric_closure_rs`` (writing the coset table of ncl(s) down and
+validating it, the transversal and RS; nothing is enumerated), the check is
 ``schreier.check_toric_presentation``, and the order is ``classify``'s
-``todd_coxeter`` (the index of <s0> on a spherical gcd(b, c) = 1 row) and
-``group_order`` (the other spherical rows).  These rows are hyperbolic, so
-``derive`` enumerates no order and that column reads "-".  Times are plain
-``perf_counter`` differences, in seconds.
+``group_order``, which only a spherical gcd(b, c) != 1 row calls; a
+spherical gcd(b, c) = 1 row reads its order off the closed form.  These
+rows are hyperbolic, so ``derive`` takes no order and that column reads
+"-".  Times are plain ``perf_counter`` differences, in seconds.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ sys.path.insert(0, sys.argv[1])
 from toricgroups import classify, cli, schreier
 
 PHASES = ((schreier, "toric_closure_rs", "closure+RS"), (schreier, "check_toric_presentation", "check"),
-          (classify, "todd_coxeter", "order"), (classify, "group_order", "order"))
+          (classify, "group_order", "order"))
 spent = {}
 
 def timed(fn, name):

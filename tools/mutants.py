@@ -122,6 +122,20 @@ CATALOGUE = (
            "the reflection certificate skips its map to Z/k"),
     Mutant("classify", "    assert (1,) * k in [r.letters for r in p.relators]", "    assert True",
            "the reflection certificate skips the relator x1^k that bounds a meridian's order"),
+    # derive's written table of ncl(s), its bound and its closed-form order; a cited relator's index
+    Mutant("schreier", "(fixed, fixed, *t, *u)", "(*u, *t, *u)",
+           "the written table's s column is u's: s would move every coset"),
+    Mutant("schreier", "(q + e * b) % n", "(q + e * (b + 1)) % n",
+           "the written table's u steps by b + 1, so u^c no longer closes"),
+    Mutant("schreier", '_columns, parent.relators + (parent.alphabet.word("s"),))', "_columns, parent.relators)",
+           "the written table is validated without the relator s, so a table where s moves a coset passes"),
+    Mutant("classify", '_row(a, b, c)[0]["order"]', '_row(a, 2, c)[0]["order"]',
+           "derive reads the closed-form order of the row (a, 2, c), right only where b = 2"),
+    Mutant("classify", "if b * c > max_cosets:", "if b * c >= max_cosets:",
+           "derive refuses an index b*c equal to the coset bound"),
+    Mutant("words", "elif not 0 <= step.relator_index < len(relators):",
+           "elif step.relator_index >= len(relators):",
+           "check_derivation lets a negative index cite a relator counted from the end"),
 )
 
 

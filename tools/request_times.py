@@ -18,11 +18,11 @@ a second line splits its time into phases, each timed by wrapping one call
 for the one request, and the rest of the request.  Every ``cli`` request
 has the phase ``json``, writing its output (``cli._json``).  The others
 are found by the request's command words, so ``enumerate toric`` gets no
-more: for ``derive``, the closure enumeration plus RS
-(``schreier.toric_closure_rs``), the check of the toric presentation or
-Tietze, and the order enumeration (the index of <s0> by ``todd_coxeter``
-on a gcd(b, c) = 1 row, ``group_order`` on the others; both count as
-``order``); for ``wp garside``, reading the tokens (``token_runs``) and
+more: for ``derive``, the written coset table of ncl(s) plus RS
+(``schreier.toric_closure_rs``, which enumerates nothing), the check of
+the toric presentation or Tietze, and the order enumeration
+(``group_order``, on a spherical gcd(b, c) != 1 row only: a gcd(b, c) = 1
+row reads its order off the closed form); for ``wp garside``, reading the tokens (``token_runs``) and
 the normal form kernel (``_normal_form``), the rest being the pieces and
 the rendering; for ``wp coxeter`` and ``wp toric``, building the
 triangle's root table (``coxeter.MinimalRootTable``, which runs only on a
@@ -80,10 +80,10 @@ import workloads  # noqa: E402
 WIDTH = 72  # characters of a request's arguments to print
 
 # the calls `classify.derive` makes, as (module, attribute, phase name);
-# within `derive`, `classify` calls `todd_coxeter` only for the order
+# `toric_closure_rs` writes its table down, and only a gcd(b, c) != 1 row
+# enumerates, for its order
 DERIVE_PHASES = ((schreier, "toric_closure_rs", "closure+RS"), (schreier, "check_toric_presentation", "check"),
-                 (classify, "tietze_simplify", "Tietze"), (classify, "todd_coxeter", "order"),
-                 (classify, "group_order", "order"))
+                 (classify, "tietze_simplify", "Tietze"), (classify, "group_order", "order"))
 # the phases of each request whose command words, one or two adjacent
 # arguments, are the key; the table is built only on a triangle_table miss
 WORD_PROBLEM = ((coxeter, "MinimalRootTable", "root table"), (coxeter.MinimalRootTable, "nf", "normal form"))
