@@ -190,26 +190,21 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
 
     A gcd(b, c) = 1 row answers with the toric presentation of W(a,b,c) that
     ``schreier.check_toric_presentation`` checks, the other rows with Tietze
-    within ``budget`` steps.  The b*c cosets of ncl(s) are written down, not
-    enumerated (``schreier.toric_closure_table``): ``max_cosets`` bounds
-    that index, checked from the labels, and the order enumeration of a
-    spherical gcd(b, c) != 1 row.  J(a,b,c) maps onto the rotation subgroup
-    of the (a,b,c) triangle group (``maps.parent_to_coxeter``) and ncl(s)
-    has finite index, so a row whose triangle is not spherical is infinite
-    and reports ``order: None``.  A spherical gcd(b, c) = 1 row reads its
-    order off ``_row``'s closed form, since its checked presentation is
-    ``toric(a, b, c)`` itself; the others enumerate the order of their
-    Tietze presentation.
+    within ``budget`` steps.  The b*c cosets of ncl(s) are written down
+    (``schreier.toric_closure_table``), so ``max_cosets`` bounds b*c, read
+    off the labels, and a gcd(b, c) != 1 row's order enumeration.  J(a,b,c)
+    maps onto the rotation subgroup of the (a,b,c) triangle group
+    (``maps.parent_to_coxeter``) and ncl(s) has finite index, so a row whose
+    triangle is not spherical is infinite and reports ``order: None``.  A
+    spherical gcd(b, c) = 1 row's checked presentation is ``toric(a, b, c)``
+    itself, so its order is ``_row``'s closed form.
     """
     FamilyParams("j-parent", (a, b, c))  # a refused label wins over the bound
+    index = f"index of the normal closure of s: {b * c}"
     if b * c > max_cosets:
-        return {"presentation": None}, "unknown", [
-            f"index of the normal closure of s: {b * c}, over the coset bound {max_cosets}"]
+        return {"presentation": None}, "unknown", [f"{index}, over the coset bound {max_cosets}"]
     labels, rs = schreier.toric_closure_rs(a, b, c)
-    evidence = [
-        f"index of the normal closure of s: {len(labels)}",
-        f"Schreier generators before simplification: {len(rs.presentation.gens)}",
-    ]
+    evidence = [index, f"Schreier generators before simplification: {len(rs.presentation.gens)}"]
     triangle = coxeter.classify_triangle(a, b, c)
     if gcd(b, c) == 1:
         presentation = schreier.check_toric_presentation(a, b, c, labels, rs)
@@ -233,12 +228,9 @@ def derive(a: int, b: int, c: int, max_cosets: int, budget: int) -> tuple[dict, 
                         "has finite index; group is infinite")
     elif gcd(b, c) == 1:
         order = _row(a, b, c)[0]["order"]
-    else:
-        order = group_order(presentation, max_cosets=max_cosets)
-    if triangle == "spherical" and order is None:
+    elif (order := group_order(presentation, max_cosets=max_cosets)) is None:
         evidence.append(f"order enumeration overflowed at {max_cosets}")
     # an infinite row is "ok": the checked toric presentation, or Tietze within
     # its budget, presents its group
-    known = order is not None or triangle != "spherical"
     result = {"presentation": serialize(presentation), "num_generators": len(presentation.gens), "order": order}
-    return result, "ok" if known else "unknown", evidence
+    return result, "unknown" if triangle == "spherical" and order is None else "ok", evidence

@@ -330,8 +330,7 @@ def toric_closure_table(a: int, b: int, c: int) -> CosetTable:
     and the stabiliser of coset 0 is ncl(s) (Holt, Eick & O'Brien, 2005,
     ch. 5).
     """
-    parent = j_parent(a, b, c)
-    n = b * c
+    parent, n = j_parent(a, b, c), b * c
     fixed = tuple(range(n))
     t = [tuple(q - q % b + (q + e) % b for q in fixed) for e in (1, -1)]
     u = [tuple((q + e * b) % n for q in fixed) for e in (1, -1)]

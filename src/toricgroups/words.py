@@ -396,9 +396,7 @@ def check_derivation(d: Derivation, relators: Sequence[Word]) -> Word:
                 raise ValueError(f"step {k}: claimed free but differs by {diff}")
         elif not 0 <= step.relator_index < len(relators):
             raise ValueError(f"step {k}: cites relator {step.relator_index} of {len(relators)}")
-        else:
-            rel = free_reduce(relators[step.relator_index])
-            if diff.letters not in (rel.letters, invert(rel).letters):
-                raise ValueError(f"step {k}: not an instance of relator {step.relator_index}")
+        elif diff.letters not in ((rel := free_reduce(relators[step.relator_index])).letters, invert(rel).letters):
+            raise ValueError(f"step {k}: not an instance of relator {step.relator_index}")
         cur = nxt
     return cur

@@ -67,8 +67,8 @@ CATALOGUE = (
     Mutant("words", "        if step.relator_index is None:\n            if diff.letters:",
            "        if step.relator_index is None:\n            if False:",
            "check_derivation's free step: a step claimed free is not checked"),
-    Mutant("words", "if diff.letters not in (rel.letters, invert(rel).letters):",
-           "if diff.letters not in (rel.letters, invert(rel).letters, ()):",
+    Mutant("words", "(rel := free_reduce(relators[step.relator_index])).letters, invert(rel).letters)",
+           "(rel := free_reduce(relators[step.relator_index])).letters, invert(rel).letters, ())",
            "equivalent: check_derivation would accept a cited step whose old and new words are "
            "equal, which changes nothing"),
     Mutant("classify", "result.update(order=None, center_order=None)", "result.update(order=0, center_order=None)",
