@@ -557,6 +557,8 @@ def test_rep_extra_arguments_are_rejected(capsys):
     (("rep", "check", "a", "b", "c"), "error: parameters must be integers, got ['a', 'b', 'c']"),
     (("sweep", "--max-k", "-3", "--max-m", "-1"), "error: max_k must be >= 2, got -3"),
     (("sweep", "--max-m", "1"), "error: max_m must be >= 2, got 1"),
+    # derive checks its labels before the index b*c = 30 meets the bound
+    (("--max-cosets", "1", "derive", "2", "1", "30"), "error: labels must be integers >= 2, got 1"),
 ])
 def test_argument_refusals_name_their_fault(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -688,12 +690,6 @@ def test_derive_enumerates_nothing_on_a_coprime_row(capsys, monkeypatch):
     for name in ("derive_2_3_4", "derive_6_2_3"):
         assert run(capsys, "--format", "json", *GOLDEN_REQUESTS[name])[1].encode() == (
             GOLDEN / f"{name}.json").read_bytes()
-
-
-def test_a_refused_label_wins_over_the_coset_bound(capsys):
-    # the labels are checked before the index b*c = 30 meets the bound
-    assert run(capsys, "--max-cosets", "1", "derive", "2", "1", "30") == (
-        2, "", "error: labels must be integers >= 2, got 1\n")
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED_REQUESTS))

@@ -572,7 +572,8 @@ def test_check_refuses_a_derivation_with_a_corrupted_step(monkeypatch, k, n, m):
 
 @pytest.mark.parametrize("a,b,c", FINITE_ROWS + [(a, c, b) for a, b, c in FINITE_ROWS])
 def test_order_through_the_index_of_s0_is_the_group_order(a, b, c):
-    # `derive` reads a spherical coprime row's order as a * [W : <s0>]
+    # `derive` reads a spherical coprime row's order off the closed form,
+    # which is a * [W : <s0>]: s0 has order a in W^ab = Z/a
     presentation = check_toric_presentation(a, b, c, *toric_closure_rs(a, b, c))
     index = todd_coxeter(presentation, [presentation.alphabet.word("s0")]).num_cosets
     assert a * index == group_order(presentation) == naive_order(presentation) == FROZEN_TORIC_ORDERS[
