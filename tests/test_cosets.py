@@ -428,7 +428,7 @@ def test_transversal_words_are_geodesic_spanning():
 
 
 def test_cayley_table_builds_its_words_on_first_use(monkeypatch):
-    # derive reads only the order, so it never needs the BFS tree;
+    # derive builds no Cayley table (its table of ncl(s) is written down);
     # the table of each row is built once per process, so another test may
     # already have filled the tree of the shared (3,2,3) table
     classify.finite_quotient.cache_clear()
